@@ -49,11 +49,14 @@ checkpoint-smoke:
 	assert resumed == straight, 'checkpoint restore diverged from straight run'; \
 	print('checkpoint smoke OK: %d-byte report, byte-identical after fresh-process restore' % len(resumed))"
 
-# Fluid backend smoke: the small-n fluid-vs-packet cross-validation
-# cases (per-metric error tables, tolerances from docs/FLUID.md), then
-# one 10^5-flow fluid point to prove the mean-field scaling path — the
-# bounds must hold and the RED equilibrium must be Reynier-stable.
+# Fluid backend smoke: first the integrator against its bitwise oracle
+# (tests/fluid/reference.py), then the small-n fluid-vs-packet
+# cross-validation cases (per-metric error tables, tolerances from
+# docs/FLUID.md), then one 10^5-flow fluid point to prove the mean-field
+# scaling path — the bounds must hold and the RED equilibrium must be
+# Reynier-stable.
 fluid-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/fluid/test_integrator_oracle.py
 	PYTHONPATH=src $(PYTHON) -m repro.cli fluid crossval "--cases=-10-"
 	PYTHONPATH=src $(PYTHON) -c "from repro.experiments.population import \
 	run_population, format_population; \

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
-from ..topology.cases import RTT_CASES
+from ..topology.cases import RTT_CASES, lookup_case
 from .paperdata import FIG10_RTT
 from .runner import (
     TreeExperimentResult,
@@ -43,7 +43,7 @@ def run_fig10(
     """
     specs = {
         case_number: TreeExperimentSpec(
-            case=RTT_CASES[case_number],
+            case=lookup_case(RTT_CASES, case_number),
             gateway=gateway,
             duration=duration,
             warmup=warmup,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
-from ..topology.cases import TREE_CASES
+from ..topology.cases import TREE_CASES, lookup_case
 from .paperdata import FIG7_DROPTAIL
 from .runner import (
     TreeExperimentResult,
@@ -47,7 +47,7 @@ def run_fig7(
     """
     specs = {
         case_number: TreeExperimentSpec(
-            case=TREE_CASES[case_number],
+            case=lookup_case(TREE_CASES, case_number),
             gateway=gateway,
             duration=duration,
             warmup=warmup,

@@ -25,12 +25,7 @@ from .crossval import (
     run_crossval,
 )
 from .integrate import FluidResult, integrate, rk4_step
-from .model import (
-    MIN_WINDOW,
-    FluidModel,
-    overflow_loss,
-    red_drop_probability,
-)
+from .model import MIN_WINDOW, FluidModel
 from .runner import (
     FLUID_ENTRYPOINT,
     fluid_runspec,
@@ -79,8 +74,6 @@ __all__ = [
     "format_crossval",
     "format_fluid",
     "integrate",
-    "overflow_loss",
-    "red_drop_probability",
     "reynier_check",
     "rk4_step",
     "run_crossval",

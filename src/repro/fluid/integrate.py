@@ -12,6 +12,7 @@ suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Dict, List, Tuple
 
 from ..errors import ConfigurationError
@@ -38,24 +39,37 @@ class FluidResult:
     measured_s: float
 
 
-def rk4_step(model: FluidModel, state: List[float], dt: float) -> List[float]:
-    """One classical RK4 step; the result is clamped into the physical set."""
-    k1 = model.derivatives(state)
-    mid1 = [s + 0.5 * dt * d for s, d in zip(state, k1)]
-    model.clamp(mid1)
-    k2 = model.derivatives(mid1)
-    mid2 = [s + 0.5 * dt * d for s, d in zip(state, k2)]
-    model.clamp(mid2)
-    k3 = model.derivatives(mid2)
+def _rk4_from_k1(model: FluidModel, state: List[float], k1: List[float],
+                 dt: float) -> List[float]:
+    """Finish the RK4 step whose first stage ``k1 = f(state)`` is given.
+
+    Every stage state is clamped into the physical set before the field
+    is evaluated there, and so is the result.
+    """
+    field = model.field
+    clamp = model.clamp
+    half = 0.5 * dt
+    mid1 = [s + half * d for s, d in zip(state, k1)]
+    clamp(mid1)
+    k2 = field(mid1)[0]
+    mid2 = [s + half * d for s, d in zip(state, k2)]
+    clamp(mid2)
+    k3 = field(mid2)[0]
     end = [s + dt * d for s, d in zip(state, k3)]
-    model.clamp(end)
-    k4 = model.derivatives(end)
+    clamp(end)
+    k4 = field(end)[0]
+    sixth = dt / 6.0
     nxt = [
-        s + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+        s + sixth * (a + 2.0 * b + 2.0 * c + d)
         for s, a, b, c, d in zip(state, k1, k2, k3, k4)
     ]
-    model.clamp(nxt)
+    clamp(nxt)
     return nxt
+
+
+def rk4_step(model: FluidModel, state: List[float], dt: float) -> List[float]:
+    """One classical RK4 step; the result is clamped into the physical set."""
+    return _rk4_from_k1(model, state, model.derivatives(state), dt)
 
 
 def integrate(spec: FluidSpec) -> FluidResult:
@@ -63,7 +77,10 @@ def integrate(spec: FluidSpec) -> FluidResult:
 
     The step count is fixed up front (``round(horizon / dt)``), so two
     runs of the same spec execute the identical float-op sequence.
+    The field evaluation at the state a step lands on serves twice: it
+    is that step's observables and the next step's first RK4 stage.
     """
+    spec.validate()
     model = FluidModel(spec)
     dt = spec.dt
     total_steps = round(spec.horizon / dt)
@@ -73,34 +90,28 @@ def integrate(spec: FluidSpec) -> FluidResult:
             f"horizon {spec.horizon}s leaves no measured steps at dt={dt}"
         )
 
+    field = model.field
+    observe = model.observe
+    base_q, base_avg = model.base_q, model.base_avg
     state = model.initial_state()
-    sums: Dict[str, List[float]] = {}
-    peak_queue: List[float] = [0.0] * model.n_bottlenecks
-    measured = 0
+    evaluation = field(state)
+    # -0.0, not 0.0, is the additive identity that keeps a sum of
+    # negative zeros negative — the sums start as if from their first
+    # term.
+    sums = [-0.0] * model.n_observables
+    peak_queue = [0.0] * model.n_bottlenecks
 
     for step in range(total_steps):
-        state = rk4_step(model, state, dt)
+        state = _rk4_from_k1(model, state, evaluation[0], dt)
+        evaluation = field(state)
         if step < warmup_steps:
             continue
-        measured += 1
-        obs = model.instantaneous(state)
-        for key, values in obs.items():
-            acc = sums.get(key)
-            if acc is None:
-                sums[key] = list(values)
-            else:
-                for i, v in enumerate(values):
-                    acc[i] += v
-        for b, depth in enumerate(obs["queue"]):
-            if depth > peak_queue[b]:
-                peak_queue[b] = depth
+        sums = list(map(add, sums, observe(state, evaluation)))
+        peak_queue = list(map(max, peak_queue, state[base_q:base_avg]))
 
-    means = {
-        key: tuple(total / measured for total in acc)
-        for key, acc in sums.items()
-    }
+    measured = total_steps - warmup_steps
     return FluidResult(
-        means=means,
+        means=model.named([total / measured for total in sums]),
         peak_queue=tuple(peak_queue),
         final_state=tuple(state),
         steps=total_steps,

@@ -77,8 +77,8 @@ def run_fluid(spec: FluidSpec) -> Dict[str, Any]:
 
     A pure, RNG-free function of the spec: the same ``FluidSpec``
     yields a byte-identical row in any process or interpreter.
+    :func:`integrate` validates the spec before any work is done.
     """
-    spec.validate()
     result = integrate(spec)
     means = result.means
 

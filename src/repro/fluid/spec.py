@@ -201,6 +201,17 @@ class FluidSpec:
             cohort.validate(len(self.bottlenecks))
         for cohort in self.rla_cohorts:
             cohort.validate(len(self.bottlenecks))
+        # The window ODEs move on the RTT time scale; a fixed step
+        # coarser than half of it integrates to a plausible-looking but
+        # wrong row (rla_pps 7.4 instead of 20.3 at dt = 0.5 s).
+        min_rtt = min(cohort.rtt_s
+                      for cohorts in (self.tcp_cohorts, self.rla_cohorts)
+                      for cohort in cohorts)
+        if self.dt > 0.5 * min_rtt:
+            raise ConfigurationError(
+                f"integration step {self.dt}s is coarser than half the "
+                f"smallest cohort RTT ({min_rtt}s)"
+            )
         return self
 
     @property

@@ -57,6 +57,14 @@ RTT_CASES: Dict[int, TreeCase] = {
 }
 
 
+def lookup_case(registry: Dict[int, TreeCase], number: int) -> TreeCase:
+    """``registry[number]``, or a :class:`TopologyError` naming the ids."""
+    if number not in registry:
+        raise TopologyError(
+            f"unknown case {number}; expected one of {sorted(registry)}")
+    return registry[number]
+
+
 def case_receivers(case: TreeCase, info: TreeInfo) -> List[str]:
     """The receiver population the case runs with."""
     if case.receivers == "leaves":

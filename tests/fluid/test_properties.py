@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.fluid import (
     BottleneckSpec,
     FluidSpec,
@@ -174,3 +175,12 @@ def test_deterministic_step_count():
     spec = _fixed_spec(0.02, flows=1)
     result = integrate(spec)
     assert result.steps == round(spec.horizon / spec.dt)
+
+
+def test_step_coarser_than_half_the_smallest_rtt_is_rejected():
+    """A coarse ``dt`` used to integrate to a wrong row, silently."""
+    spec = _fixed_spec(0.02, rtt=0.1, flows=1, receivers=2)
+    assert integrate(spec.replace(dt=0.05)).steps == 1200
+    for dt in (0.051, 0.5):
+        with pytest.raises(ConfigurationError, match="half the smallest"):
+            integrate(spec.replace(dt=dt))
