@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-harness bench-smoke checkpoint-smoke fluid-smoke figures quickstart clean
+.PHONY: install test bench bench-harness bench-smoke checkpoint-smoke fluid-smoke import-smoke figures quickstart clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -66,6 +66,26 @@ fluid-smoke:
 	assert all(row['equilibrium']['stability_margin'] > 0 \
 	           for row in rows), rows; \
 	print('fluid smoke OK: bounds hold at 100k flows, stable equilibrium')"
+
+# The dependency list is true: install the package *without* the test
+# extra into a clean venv (so the routing test oracle's graph library
+# is absent) and drive a packet figure, an audited churn scenario on a
+# generated topology, and the fluid ladder through the installed entry point.
+IMPORT_SMOKE_VENV ?= .import-smoke-venv
+import-smoke:
+	rm -rf $(IMPORT_SMOKE_VENV)
+	$(PYTHON) -m venv $(IMPORT_SMOKE_VENV)
+	$(IMPORT_SMOKE_VENV)/bin/pip install --quiet .
+	cd $(IMPORT_SMOKE_VENV) && bin/repro-rla fig7 --cases 1 --duration 2 --warmup 1
+	cd $(IMPORT_SMOKE_VENV) && bin/repro-rla scenarios run waxman-churn \
+		--duration 2 --warmup 0.5 --audit
+	cd $(IMPORT_SMOKE_VENV) && bin/repro-rla fluid scale --counts 1000
+	cd $(IMPORT_SMOKE_VENV) && bin/python -c "import importlib.util as u; \
+	assert u.find_spec('networkx') is None, 'venv is not clean'; \
+	import repro.cli, sys; \
+	assert not {'networkx', 'numpy'} & set(sys.modules), 'heavy import at start-up'; \
+	print('import smoke OK: runs without the test extra')"
+	rm -rf $(IMPORT_SMOKE_VENV)
 
 # Reproduce every paper figure from the CLI at a moderate scale.
 figures:

@@ -8,8 +8,8 @@ Subpackages
 ``repro.sim``
     Discrete-event simulation engine (the NS2 stand-in).
 ``repro.net``
-    Packet-level substrate: links, drop-tail and RED gateways, routing,
-    multicast trees.
+    Packet-level substrate: links, drop-tail/RED/CoDel/PIE gateways,
+    in-tree shortest-path routing, multicast trees.
 ``repro.tcp``
     TCP SACK — the competing unicast traffic.
 ``repro.rla``
@@ -28,6 +28,18 @@ Subpackages
     Parallel experiment execution: content-addressed run specs, a
     process-pool executor with retry/timeout handling, an on-disk
     result cache, and per-run cost metrics.
+``repro.audit``
+    Opt-in conservation auditor, invariant monitor, flight recorder.
+``repro.scenarios``
+    Generated workloads: seeded topologies, traffic, churn, the AQM grid.
+``repro.checkpoint``
+    Snapshot/restore of a running simulation; resume and fork.
+``repro.fluid``
+    Mean-field ODE backend for 10^5-10^6 flows, cross-validated.
+``repro.analysis``
+    Time series, statistics, ASCII plots and CSV export.
+``repro.bench``
+    In-tree benchmark-regression harness (``python -m repro.bench``).
 
 Quick start::
 

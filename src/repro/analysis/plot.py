@@ -7,12 +7,13 @@ chart, a multi-series chart, and a heatmap.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from .timeseries import TimeSeries
+
+if TYPE_CHECKING:  # numpy loads only when a caller asks for an array
+    import numpy as np
 
 SHADES = " .:-=+*#%@"
 
@@ -85,6 +86,8 @@ def heatmap(
     axis_label: str = "",
 ) -> str:
     """Render a 2-D occupancy array (e.g. figure 5's density) as ASCII."""
+    import numpy as np
+
     if grid.ndim != 2:
         raise ConfigurationError(f"heatmap needs a 2-D array, got {grid.ndim}-D")
     if bucket < 1:

@@ -46,8 +46,10 @@ from ..errors import ReproError
 from ..net.packet import restore_uid_counter, uid_counter_state
 from ..sim.engine import Simulator
 
-#: Bump when the snapshot layout changes incompatibly.
-FORMAT_VERSION = 1
+#: Bump when the snapshot layout changes incompatibly.  v2: the world's
+#: ``Network.graph`` is a plain adjacency dict (v1 pickled a graph-library
+#: object, so a v1 file restores only where that library is installed).
+FORMAT_VERSION = 2
 
 #: File magic identifying a repro checkpoint file.
 MAGIC = "repro-ckpt"
@@ -152,7 +154,13 @@ def restore(snapshot: Snapshot, rearm: bool = True) -> Any:
             f"snapshot format v{snapshot.version} not supported "
             f"(this build reads v{FORMAT_VERSION})"
         )
-    world = pickle.loads(snapshot.payload)
+    try:
+        world = pickle.loads(snapshot.payload)
+    except Exception as exc:  # a class or module the payload names is gone
+        raise CheckpointError(
+            f"snapshot written by an incompatible build: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
     restore_uid_counter(snapshot.uid_next)
     if rearm:
         rearm_fn = getattr(world, "rearm", None)
@@ -238,12 +246,11 @@ def resolve_entrypoint(entrypoint: str) -> Callable[..., Any]:
         raise CheckpointError(
             f"entrypoint must look like 'module:function': {entrypoint!r}"
         )
-    module = importlib.import_module(module_name)
     try:
-        func = getattr(module, func_name)
-    except AttributeError as exc:
+        func = getattr(importlib.import_module(module_name), func_name)
+    except (ImportError, AttributeError) as exc:
         raise CheckpointError(
-            f"{module_name} has no attribute {func_name!r}"
+            f"cannot resolve entrypoint {entrypoint!r}: {exc}"
         ) from exc
     if not callable(func):
         raise CheckpointError(f"entrypoint {entrypoint!r} is not callable")

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, List, Optional
+from functools import partial
+from typing import Any, List, Optional, Sequence
 
 from .errors import ReproError
 from .experiments import (
@@ -41,18 +42,25 @@ from .experiments import (
     fig10_table,
     render_field,
     run_fig7,
+    run_fig9,
+    run_fig10,
     run_multisession,
     run_particle_density,
     summarize,
 )
 
 
-def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--duration", type=float, default=200.0,
+def _add_horizon_args(parser: argparse.ArgumentParser,
+                      duration: Optional[float], warmup: Optional[float],
+                      seed: Optional[int] = 1) -> None:
+    parser.add_argument("--duration", type=float, default=duration,
                         help="measured seconds after warmup (paper: 2900)")
-    parser.add_argument("--warmup", type=float, default=20.0,
+    parser.add_argument("--warmup", type=float, default=warmup,
                         help="discarded warmup seconds (paper: 100)")
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=seed)
+
+
+def _add_pool_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="run independent simulations over N worker "
                              "processes (default: serial in-process)")
@@ -61,12 +69,21 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
                         help="serve unchanged runs from the on-disk result "
                              "cache (DIR defaults to $REPRO_CACHE_DIR or "
                              ".repro-cache)")
+
+
+def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
+    _add_pool_args(parser)
     parser.add_argument("--metrics", action="store_true",
                         help="print the per-run runtime summary table")
     parser.add_argument("--audit", action="store_true",
                         help="run under the conservation auditor: track "
                              "every packet to its terminal fate and fail "
                              "loudly on any invariant violation")
+
+
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    _add_horizon_args(parser, duration=200.0, warmup=20.0)
+    _add_runtime_args(parser)
 
 
 def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
@@ -110,38 +127,20 @@ def _print_metrics(args: argparse.Namespace, outcomes: List[Any]) -> None:
         print(metrics_table([outcome.metrics for outcome in outcomes]))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-rla",
-        description="Reproduce figures from Wang & Schwartz, SIGCOMM 1998.",
-    )
-    sub = parser.add_subparsers(dest="figure", required=True)
+def _add_fig5_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--steps", type=int, default=200_000)
+    p.add_argument("--seed", type=int, default=1)
 
-    sub.add_parser("fig4", help="drift field of two competing windows")
 
-    fig5 = sub.add_parser("fig5", help="density of (cwnd1, cwnd2)")
-    fig5.add_argument("--steps", type=int, default=200_000)
-    fig5.add_argument("--seed", type=int, default=1)
+def _add_tree_args(p: argparse.ArgumentParser,
+                   cases: Sequence[int] = (1, 2, 3, 4, 5)) -> None:
+    """fig7/8/9: run + checkpoint options and the case selection."""
+    _add_run_args(p)
+    _add_checkpoint_args(p)
+    p.add_argument("--cases", type=int, nargs="+", default=list(cases))
 
-    for name, help_text in (
-        ("fig7", "drop-tail table (cases 1-5)"),
-        ("fig8", "congestion-signal statistics"),
-        ("fig9", "RED table (cases 1-5)"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_run_args(p)
-        _add_checkpoint_args(p)
-        p.add_argument("--cases", type=int, nargs="+", default=[1, 2, 3, 4, 5])
 
-    fig10 = sub.add_parser("fig10", help="different RTTs (generalized RLA)")
-    _add_run_args(fig10)
-    _add_checkpoint_args(fig10)
-    fig10.add_argument("--cases", type=int, nargs="+", default=[1, 2])
-
-    multi = sub.add_parser("multisession", help="two overlapping RLA sessions")
-    _add_run_args(multi)
-
-    sweep = sub.add_parser("sweep", help="fairness vs receiver count")
+def _add_sweep_args(sweep: argparse.ArgumentParser) -> None:
     _add_run_args(sweep)
     sweep.add_argument("--counts", type=int, nargs="+", default=[2, 4, 8])
     sweep.add_argument("--backend", choices=["packet", "fluid"],
@@ -149,42 +148,25 @@ def build_parser() -> argparse.ArgumentParser:
                        help="packet simulation, or the mean-field fluid "
                             "model integrating the same symmetric system")
 
-    scenarios = sub.add_parser(
-        "scenarios", help="generated workloads: topologies, mice, churn")
+
+def _add_scenarios_args(scenarios: argparse.ArgumentParser) -> None:
+    from .net.network import GATEWAY_DISCIPLINES
+    from .scenarios.grid import PACKET_MIXES, RTT_SPREADS
+
     scen_sub = scenarios.add_subparsers(dest="action", required=True)
     scen_sub.add_parser("list", help="list the named scenario catalog")
     scen_run = scen_sub.add_parser("run", help="run named scenarios")
     scen_run.add_argument("names", nargs="+", metavar="NAME",
                           help="catalog scenario names (see 'scenarios list')")
-    # duration/warmup default to None so each scenario's catalog values
-    # survive unless explicitly overridden
-    scen_run.add_argument("--duration", type=float, default=None,
-                          help="override measured seconds after warmup")
-    scen_run.add_argument("--warmup", type=float, default=None,
-                          help="override discarded warmup seconds")
-    scen_run.add_argument("--seed", type=int, default=None,
-                          help="override the scenario seed")
-    from .net.network import GATEWAY_DISCIPLINES
-
+    # None: each scenario's catalog values survive unless overridden
+    _add_horizon_args(scen_run, duration=None, warmup=None, seed=None)
     scen_run.add_argument("--gateway", choices=list(GATEWAY_DISCIPLINES),
                           default=None, help="override the gateway type")
     scen_run.add_argument("--ecn", action="store_true", default=None,
                           help="CE-mark instead of early-dropping (needs an "
                                "AQM gateway) and let endpoints react to marks")
-    scen_run.add_argument("--workers", type=int, default=None, metavar="N",
-                          help="run scenarios over N worker processes")
-    scen_run.add_argument("--cache", nargs="?", const="", default=None,
-                          metavar="DIR",
-                          help="serve unchanged runs from the on-disk result "
-                               "cache (DIR defaults to $REPRO_CACHE_DIR or "
-                               ".repro-cache)")
-    scen_run.add_argument("--metrics", action="store_true",
-                          help="print the per-run runtime summary table")
-    scen_run.add_argument("--audit", action="store_true",
-                          help="run under the conservation auditor")
+    _add_runtime_args(scen_run)
     _add_checkpoint_args(scen_run)
-
-    from .scenarios.grid import PACKET_MIXES, RTT_SPREADS
 
     scen_grid = scen_sub.add_parser(
         "grid", help="run the AQM x heterogeneity study matrix")
@@ -203,23 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     scen_grid.add_argument("--ecn", choices=["off", "on", "both"],
                            default="both",
                            help="ECN axis (droptail+on cells are skipped)")
-    scen_grid.add_argument("--duration", type=float, default=20.0,
-                           help="measured seconds after warmup per cell")
-    scen_grid.add_argument("--warmup", type=float, default=5.0,
-                           help="discarded warmup seconds per cell")
-    scen_grid.add_argument("--seed", type=int, default=1,
-                           help="seed shared by every cell")
-    scen_grid.add_argument("--workers", type=int, default=None, metavar="N",
-                           help="run cells over N worker processes")
-    scen_grid.add_argument("--cache", nargs="?", const="", default=None,
-                           metavar="DIR",
-                           help="serve unchanged runs from the on-disk "
-                                "result cache")
-    scen_grid.add_argument("--metrics", action="store_true",
-                           help="print the per-run runtime summary table")
-    scen_grid.add_argument("--audit", action="store_true",
-                           help="run every cell under the conservation "
-                                "auditor")
+    _add_horizon_args(scen_grid, duration=20.0, warmup=5.0)  # per cell
+    _add_runtime_args(scen_grid)
     scen_grid.add_argument("--backend", choices=["packet", "fluid"],
                            default="packet",
                            help="packet scenarios, or mean-field fluid "
@@ -229,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fluid-backend population multiplier "
                                 "(e.g. 25000 for a 10^5-flow matrix)")
 
-    fluid = sub.add_parser(
-        "fluid", help="mean-field fluid backend: crossval and scaling")
+
+def _add_fluid_args(fluid: argparse.ArgumentParser) -> None:
     fluid_sub = fluid.add_subparsers(dest="action", required=True)
     fluid_cv = fluid_sub.add_parser(
         "crossval", help="fluid-vs-packet regression set with error tables")
@@ -238,12 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="SUBSTR",
                           help="only run cases whose name contains one of "
                                "these substrings (default: all)")
-    fluid_cv.add_argument("--workers", type=int, default=None, metavar="N",
-                          help="run the packet sides over N worker processes")
-    fluid_cv.add_argument("--cache", nargs="?", const="", default=None,
-                          metavar="DIR",
-                          help="serve unchanged packet runs from the "
-                               "on-disk result cache")
+    _add_pool_args(fluid_cv)  # the packet sides
     fluid_scale = fluid_sub.add_parser(
         "scale", help="fairness bounds at 10^5-10^6 flows (fluid only)")
     fluid_scale.add_argument("--counts", type=int, nargs="+",
@@ -255,167 +217,147 @@ def build_parser() -> argparse.ArgumentParser:
     fluid_scale.add_argument("--spread", choices=["narrow", "wide"],
                              default="wide",
                              help="RTT-cohort spread of the scaled dumbbell")
-    fluid_scale.add_argument("--duration", type=float, default=20.0)
-    fluid_scale.add_argument("--warmup", type=float, default=5.0)
-    fluid_scale.add_argument("--seed", type=int, default=1)
-
-    resume_p = sub.add_parser(
-        "resume", help="restore a snapshot file and run it to completion")
-    resume_p.add_argument("snapshot", metavar="SNAPSHOT.ckpt",
-                          help="file written by --checkpoint-at")
-    resume_p.add_argument("--out", default=None, metavar="FILE",
-                          help="pickle the finished report to FILE")
-    resume_p.add_argument("--allow-code-mismatch", action="store_true",
-                          help="restore even if the snapshot was captured "
-                               "under different simulator code")
-
-    fork_p = sub.add_parser(
-        "fork", help="branch N reseeded variant futures from one snapshot")
-    fork_p.add_argument("snapshot", metavar="SNAPSHOT.ckpt",
-                        help="file written by --checkpoint-at")
-    fork_p.add_argument("--branches", type=int, default=4, metavar="N",
-                        help="how many variant futures to run (default 4)")
-    fork_p.add_argument("--prefix", default="fork",
-                        help="branch label prefix (labels seed the branches)")
-    fork_p.add_argument("--out", default=None, metavar="FILE",
-                        help="pickle the [(label, report)] list to FILE")
-    fork_p.add_argument("--allow-code-mismatch", action="store_true",
-                        help="restore even if the snapshot was captured "
-                             "under different simulator code")
-    return parser
+    _add_horizon_args(fluid_scale, duration=20.0, warmup=5.0)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return _dispatch(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _add_resume_args(
+    p: argparse.ArgumentParser,
+    out_help: str = "pickle the finished report to FILE",
+) -> None:
+    p.add_argument("snapshot", metavar="SNAPSHOT.ckpt",
+                   help="file written by --checkpoint-at")
+    p.add_argument("--out", default=None, metavar="FILE", help=out_help)
+    p.add_argument("--allow-code-mismatch", action="store_true",
+                   help="restore even if the snapshot was captured "
+                        "under different simulator code")
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.figure == "fig4":
-        print(render_field())
-    elif args.figure == "fig5":
-        trace = run_particle_density(steps=args.steps, seed=args.seed)
-        print(f"mean cwnds: ({trace.mean_w1:.1f}, {trace.mean_w2:.1f}); "
-              f"fair point {trace.model.operating_point()}; "
-              f"mass within radius 10: {trace.mass_within(10.0):.2%}")
-    elif args.figure in ("fig7", "fig8"):
-        outcomes: List[Any] = []
-        results = run_fig7(duration=args.duration, warmup=args.warmup,
-                           seed=args.seed, cases=args.cases,
-                           audited=args.audit,
-                           **_runtime_kwargs(args, outcomes))
-        print(fig7_table(results) if args.figure == "fig7" else fig8_table(results))
+def _add_fork_args(p: argparse.ArgumentParser) -> None:
+    _add_resume_args(p, out_help="pickle the [(label, report)] list to FILE")
+    p.add_argument("--branches", type=int, default=4, metavar="N",
+                   help="how many variant futures to run (default 4)")
+    p.add_argument("--prefix", default="fork",
+                   help="branch label prefix (labels seed the branches)")
+
+
+def _run_fig4(args: argparse.Namespace) -> None:
+    print(render_field())
+
+
+def _run_fig5(args: argparse.Namespace) -> None:
+    trace = run_particle_density(steps=args.steps, seed=args.seed)
+    print(f"mean cwnds: ({trace.mean_w1:.1f}, {trace.mean_w2:.1f}); "
+          f"fair point {trace.model.operating_point()}; "
+          f"mass within radius 10: {trace.mass_within(10.0):.2%}")
+
+
+def _run_tree_figure(args: argparse.Namespace) -> None:
+    """fig7/8/9/10: one runner per gateway/RTT study, one table per figure."""
+    # built per call: benchmarks/rlabench times rendering by swapping this
+    # module's fig*_table attributes, which a module-level table would miss
+    run, table = {
+        "fig7": (run_fig7, fig7_table), "fig8": (run_fig7, fig8_table),
+        "fig9": (run_fig9, fig9_table), "fig10": (run_fig10, fig10_table),
+    }[args.figure]
+    outcomes: List[Any] = []
+    results = run(duration=args.duration, warmup=args.warmup, seed=args.seed,
+                  cases=args.cases, audited=args.audit,
+                  **_runtime_kwargs(args, outcomes))
+    print(table(results))
+    _print_metrics(args, outcomes)
+
+
+def _run_multisession(args: argparse.Namespace) -> None:
+    result = run_multisession(duration=args.duration, warmup=args.warmup,
+                              seed=args.seed, audited=args.audit)
+    for metric, (measured, paper) in summarize(result).items():
+        print(f"{metric}: measured {measured}, paper {paper}")
+
+
+def _run_sweep(args: argparse.Namespace) -> None:
+    from .experiments.sweeps import format_sweep, sweep_receiver_count
+
+    outcomes: List[Any] = []
+    rows = sweep_receiver_count(counts=args.counts, duration=args.duration,
+                                warmup=args.warmup, seed=args.seed,
+                                audited=args.audit, backend=args.backend,
+                                **_runtime_kwargs(args, outcomes))
+    print(format_sweep(rows, "n_receivers"))
+    _print_metrics(args, outcomes)
+
+
+def _run_scenarios(args: argparse.Namespace) -> None:
+    from .scenarios import format_catalog, format_scenarios, get_scenario, run_scenarios
+
+    if args.action == "list":
+        print(format_catalog())
+        return
+    outcomes: List[Any] = []
+    if args.action == "grid":
+        from .scenarios.grid import GridSpec, format_grid, run_grid
+
+        ecn_modes = {"off": (False,), "on": (True,),
+                     "both": (False, True)}[args.ecn]
+        if args.backend == "fluid" and args.ecn == "both":
+            ecn_modes = (False,)  # the fluid model has no ECN axis
+        grid = GridSpec(
+            disciplines=tuple(args.gateways or ()),
+            mixes=tuple(args.mixes or ()),
+            spreads=tuple(args.spreads or ()),
+            ecn_modes=ecn_modes,
+            duration=args.duration, warmup=args.warmup,
+            seed=args.seed, audited=args.audit,
+            backend=args.backend, scale=args.scale,
+        )
+        specs, rows = run_grid(grid, **_runtime_kwargs(args, outcomes))
+        if args.backend == "fluid":
+            from .fluid.runner import format_fluid
+
+            print(format_fluid(rows))
+        else:
+            print(format_grid(specs, rows))
         _print_metrics(args, outcomes)
-    elif args.figure == "fig9":
-        from .experiments import run_fig9
-        outcomes = []
-        results = run_fig9(duration=args.duration, warmup=args.warmup,
-                           seed=args.seed, cases=args.cases,
-                           audited=args.audit,
-                           **_runtime_kwargs(args, outcomes))
-        print(fig9_table(results))
-        _print_metrics(args, outcomes)
-    elif args.figure == "fig10":
-        from .experiments import run_fig10
-        outcomes = []
-        results = run_fig10(duration=args.duration, warmup=args.warmup,
-                            seed=args.seed, cases=args.cases,
-                            audited=args.audit,
-                            **_runtime_kwargs(args, outcomes))
-        print(fig10_table(results))
-        _print_metrics(args, outcomes)
-    elif args.figure == "multisession":
-        result = run_multisession(duration=args.duration, warmup=args.warmup,
-                                  seed=args.seed, audited=args.audit)
-        for metric, (measured, paper) in summarize(result).items():
-            print(f"{metric}: measured {measured}, paper {paper}")
-    elif args.figure == "sweep":
-        from .experiments.sweeps import format_sweep, sweep_receiver_count
-        outcomes = []
-        rows = sweep_receiver_count(counts=args.counts,
-                                    duration=args.duration,
-                                    warmup=args.warmup, seed=args.seed,
-                                    audited=args.audit,
-                                    backend=args.backend,
-                                    **_runtime_kwargs(args, outcomes))
-        print(format_sweep(rows, "n_receivers"))
-        _print_metrics(args, outcomes)
-    elif args.figure == "fluid":
-        return _dispatch_fluid(args)
-    elif args.figure == "scenarios":
-        from .scenarios import format_catalog, format_scenarios, get_scenario, run_scenarios
-
-        if args.action == "list":
-            print(format_catalog())
-            return 0
-        if args.action == "grid":
-            from .scenarios.grid import GridSpec, format_grid, run_grid
-
-            ecn_modes = {"off": (False,), "on": (True,),
-                         "both": (False, True)}[args.ecn]
-            if args.backend == "fluid" and args.ecn == "both":
-                ecn_modes = (False,)  # the fluid model has no ECN axis
-            grid = GridSpec(
-                disciplines=tuple(args.gateways or ()),
-                mixes=tuple(args.mixes or ()),
-                spreads=tuple(args.spreads or ()),
-                ecn_modes=ecn_modes,
-                duration=args.duration, warmup=args.warmup,
-                seed=args.seed, audited=args.audit,
-                backend=args.backend, scale=args.scale,
-            )
-            outcomes = []
-            specs, rows = run_grid(grid, **_runtime_kwargs(args, outcomes))
-            if args.backend == "fluid":
-                from .fluid.runner import format_fluid
-
-                print(format_fluid(rows))
-            else:
-                print(format_grid(specs, rows))
-            _print_metrics(args, outcomes)
-            return 0
-        overrides = {k: v for k, v in (
-            ("duration", args.duration), ("warmup", args.warmup),
-            ("seed", args.seed), ("gateway", args.gateway),
-            ("ecn", args.ecn),
-        ) if v is not None}
-        if args.audit:
-            overrides["audited"] = True
-        specs = [get_scenario(name, **overrides) for name in args.names]
-        outcomes = []
-        rows = run_scenarios(specs, **_runtime_kwargs(args, outcomes))
-        print(format_scenarios(rows))
-        _print_metrics(args, outcomes)
-    elif args.figure == "resume":
-        from .checkpoint import load, resume
-
-        snapshot = load(args.snapshot,
-                        allow_code_mismatch=args.allow_code_mismatch)
-        print(f"restoring {snapshot.label or args.snapshot} "
-              f"at t={snapshot.sim_time:g} ...")
-        report = resume(snapshot)
-        print(_describe_report(report))
-        _pickle_out(args.out, report)
-    elif args.figure == "fork":
-        from .checkpoint import branch_labels, load, run_fork_ensemble
-
-        snapshot = load(args.snapshot,
-                        allow_code_mismatch=args.allow_code_mismatch)
-        labels = branch_labels(args.branches, prefix=args.prefix)
-        print(f"forking {snapshot.label or args.snapshot} "
-              f"at t={snapshot.sim_time:g} into {len(labels)} branches ...")
-        results = run_fork_ensemble(snapshot, labels)
-        for label, report in results:
-            print(f"[{label}] {_describe_report(report)}")
-        _pickle_out(args.out, results)
-    return 0
+        return
+    overrides = {k: v for k, v in (
+        ("duration", args.duration), ("warmup", args.warmup),
+        ("seed", args.seed), ("gateway", args.gateway),
+        ("ecn", args.ecn),
+    ) if v is not None}
+    if args.audit:
+        overrides["audited"] = True
+    specs = [get_scenario(name, **overrides) for name in args.names]
+    rows = run_scenarios(specs, **_runtime_kwargs(args, outcomes))
+    print(format_scenarios(rows))
+    _print_metrics(args, outcomes)
 
 
-def _dispatch_fluid(args: argparse.Namespace) -> int:
+def _run_resume(args: argparse.Namespace) -> None:
+    from .checkpoint import load, resume
+
+    snapshot = load(args.snapshot,
+                    allow_code_mismatch=args.allow_code_mismatch)
+    print(f"restoring {snapshot.label or args.snapshot} "
+          f"at t={snapshot.sim_time:g} ...")
+    report = resume(snapshot)
+    print(_describe_report(report))
+    _pickle_out(args.out, report)
+
+
+def _run_fork(args: argparse.Namespace) -> None:
+    from .checkpoint import branch_labels, load, run_fork_ensemble
+
+    snapshot = load(args.snapshot,
+                    allow_code_mismatch=args.allow_code_mismatch)
+    labels = branch_labels(args.branches, prefix=args.prefix)
+    print(f"forking {snapshot.label or args.snapshot} "
+          f"at t={snapshot.sim_time:g} into {len(labels)} branches ...")
+    results = run_fork_ensemble(snapshot, labels)
+    for label, report in results:
+        print(f"[{label}] {_describe_report(report)}")
+    _pickle_out(args.out, results)
+
+
+def _run_fluid(args: argparse.Namespace) -> int:
     """The ``fluid`` subcommand: crossval tables and population scaling."""
     if args.action == "crossval":
         from .errors import ConfigurationError
@@ -460,6 +402,59 @@ def _dispatch_fluid(args: argparse.Namespace) -> int:
     )
     print(format_population(rows))
     return 0
+
+
+#: subcommand -> (help, what adds its options, what runs it).  Options are
+#: added — and the modules their ``choices=`` come from imported — only
+#: for the subcommand being parsed; each runner imports what it needs.
+_SUBCOMMANDS = {
+    "fig4": ("drift field of two competing windows", None, _run_fig4),
+    "fig5": ("density of (cwnd1, cwnd2)", _add_fig5_args, _run_fig5),
+    "fig7": ("drop-tail table (cases 1-5)", _add_tree_args, _run_tree_figure),
+    "fig8": ("congestion-signal statistics", _add_tree_args, _run_tree_figure),
+    "fig9": ("RED table (cases 1-5)", _add_tree_args, _run_tree_figure),
+    "fig10": ("different RTTs (generalized RLA)",
+              partial(_add_tree_args, cases=(1, 2)), _run_tree_figure),
+    "multisession": ("two overlapping RLA sessions", _add_run_args,
+                     _run_multisession),
+    "sweep": ("fairness vs receiver count", _add_sweep_args, _run_sweep),
+    "scenarios": ("generated workloads: topologies, mice, churn",
+                  _add_scenarios_args, _run_scenarios),
+    "fluid": ("mean-field fluid backend: crossval and scaling",
+              _add_fluid_args, _run_fluid),
+    "resume": ("restore a snapshot file and run it to completion",
+               _add_resume_args, _run_resume),
+    "fork": ("branch N reseeded variant futures from one snapshot",
+             _add_fork_args, _run_fork),
+}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The full parser, or one that knows the options of ``only`` alone."""
+    parser = argparse.ArgumentParser(
+        prog="repro-rla",
+        description="Reproduce figures from Wang & Schwartz, SIGCOMM 1998.",
+    )
+    sub = parser.add_subparsers(dest="figure", required=True)
+    for name, (help_text, add_args, run) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        if add_args is not None and only in (None, name):
+            add_args(p)
+    return parser
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand is always the first word; anything else (-h, a typo)
+    # gets the full parser so help and error messages stay complete
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(only).parse_args(argv)
+    try:
+        return args.run(args) or 0
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _describe_report(report: Any) -> str:

@@ -8,11 +8,12 @@ congested region's pull toward the fair operating point (5, 5).
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Tuple
 
 from ..models.particle import ParticleModel
+
+if TYPE_CHECKING:  # numpy loads only when a caller asks for an array
+    import numpy as np
 
 PAPER_N = 3
 PAPER_PIPE = 10.0
@@ -20,7 +21,7 @@ PAPER_PIPE = 10.0
 
 def drift_field(
     n: int = PAPER_N, pipe: float = PAPER_PIPE, w_max: float = 12.0, step: float = 1.0
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
     """The (X, Y, U, V) drift field of figure 4."""
     return ParticleModel.uniform(n, pipe).drift_field(w_max, step)
 

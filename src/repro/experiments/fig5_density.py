@@ -18,11 +18,9 @@ We provide both levels:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
-import numpy as np
-
-from ..models.particle import ParticleModel, ParticleTrace
+from ..models.particle import ParticleModel, ParticleTrace, occupancy_grid
 from ..rla.config import RLAConfig
 from ..rla.session import RLASession
 from ..sim.engine import Simulator
@@ -31,6 +29,9 @@ from ..tcp.config import TcpConfig
 from ..tcp.flow import TcpFlow
 from ..topology.restricted import RestrictedSpec, build_restricted
 from ..units import ms, transmission_time, pps_to_bps
+
+if TYPE_CHECKING:  # numpy loads only when a caller asks for an array
+    import numpy as np
 
 PAPER_N = 27
 #: Delay-bandwidth product of each path, shared by 2 RLA + 1 TCP sessions.
@@ -56,13 +57,9 @@ class PacketDensityResult:
     mean_w2: float
     samples: int
 
-    def density(self, w_max: int) -> np.ndarray:
+    def density(self, w_max: int) -> "np.ndarray":
         """Occupancy histogram over ``[0, w_max]^2``."""
-        grid = np.zeros((w_max + 1, w_max + 1))
-        for (w1, w2), count in self.counts.items():
-            if 0 <= w1 <= w_max and 0 <= w2 <= w_max:
-                grid[w1, w2] = count
-        return grid
+        return occupancy_grid(self.counts, w_max)
 
 
 def run_packet_density(

@@ -20,11 +20,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
 from ..errors import ConfigurationError
+
+if TYPE_CHECKING:  # numpy loads only when a caller asks for an array
+    import numpy as np
 
 
 def binomial_pmf(n: int, p: float) -> List[float]:
@@ -94,8 +95,10 @@ class ParticleModel:
 
     def drift_field(
         self, w_max: float, step: float = 1.0
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
         """Vector field ``(X, Y, U, V)`` over the window plane (figure 4)."""
+        import numpy as np
+
         if w_max <= 0 or step <= 0:
             raise ConfigurationError("w_max and step must be positive")
         axis = np.arange(step, w_max + step / 2, step)
@@ -151,6 +154,18 @@ class ParticleModel:
         )
 
 
+def occupancy_grid(counts: Dict[Tuple[int, int], int],
+                   w_max: int) -> "np.ndarray":
+    """Array of the ``(w1, w2)`` visit counts that lie in ``[0, w_max]^2``."""
+    import numpy as np
+
+    grid = np.zeros((w_max + 1, w_max + 1))
+    for (w1, w2), count in counts.items():
+        if 0 <= w1 <= w_max and 0 <= w2 <= w_max:
+            grid[w1, w2] = count
+    return grid
+
+
 @dataclass
 class ParticleTrace:
     """Result of a particle-model simulation."""
@@ -161,13 +176,9 @@ class ParticleTrace:
     steps: int
     model: ParticleModel = field(repr=False)
 
-    def density(self, w_max: int) -> np.ndarray:
+    def density(self, w_max: int) -> "np.ndarray":
         """Occupancy histogram over ``[0, w_max] x [0, w_max]`` (figure 5)."""
-        grid = np.zeros((w_max + 1, w_max + 1))
-        for (w1, w2), count in self.counts.items():
-            if 0 <= w1 <= w_max and 0 <= w2 <= w_max:
-                grid[w1, w2] = count
-        return grid
+        return occupancy_grid(self.counts, w_max)
 
     def mass_within(self, radius: float) -> float:
         """Fraction of time spent within ``radius`` of the fair point."""

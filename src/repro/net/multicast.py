@@ -12,38 +12,42 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Tuple
 
-import networkx as nx
-
 from ..errors import TopologyError
+from .routing import Adjacency, dijkstra
 
 
 def shortest_path_tree(
-    graph: "nx.Graph",
+    graph: Adjacency,
     source: str,
     members: Iterable[str],
-    weight: str = "delay",
 ) -> Dict[str, List[str]]:
     """Return ``{node: [children...]}`` for the source-based multicast tree.
 
-    ``graph`` is an undirected networkx graph whose edges carry a ``weight``
-    attribute (propagation delay by default).  Every member must be
-    reachable from ``source``; interior nodes may themselves be members.
+    ``graph`` is a :mod:`repro.net.routing` adjacency map weighted by
+    propagation delay.  Every member must be reachable from ``source``;
+    interior nodes may themselves be members.  One single-source run
+    serves all members; parents and children appear in the order a
+    member-by-member walk of the source->member paths first meets them.
     """
     members = list(members)
     if not members:
         raise TopologyError("multicast group with no members")
+    if source not in graph:
+        raise TopologyError(f"multicast source {source!r} is not in the graph")
+    run = dijkstra(graph, source)
     children: Dict[str, List[str]] = {}
+    attached = {source}
     for member in members:
-        if member == source:
-            continue
-        try:
-            path = nx.shortest_path(graph, source, member, weight=weight)
-        except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-            raise TopologyError(f"member {member!r} unreachable from {source!r}") from exc
-        for parent, child in zip(path, path[1:]):
-            branch = children.setdefault(parent, [])
-            if child not in branch:
-                branch.append(child)
+        if member not in run.dist:
+            raise TopologyError(f"member {member!r} unreachable from {source!r}")
+        branch = []  # the not-yet-attached tail of source->member, bottom up
+        node = member
+        while node not in attached:
+            attached.add(node)
+            branch.append(node)
+            node = run.pred[node]
+        for child in reversed(branch):
+            children.setdefault(run.pred[child], []).append(child)
     return children
 
 

@@ -10,7 +10,8 @@ Typical use::
 
 Links are bidirectional by default (two independent :class:`Link` objects,
 each with its own gateway queue), matching NS2 duplex links.  Unicast routes
-are delay-weighted shortest paths computed with networkx and installed as
+are delay-weighted shortest paths computed by :mod:`repro.net.routing`
+(which fixes the tie-break between equal-cost paths) and installed as
 static per-destination next hops.
 """
 
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
 
 from ..errors import TopologyError
 from ..sim.engine import Simulator
@@ -32,6 +31,7 @@ from .node import Node
 from .pie import PIEQueue
 from .queue import Gateway
 from .red import AdaptiveREDQueue, REDQueue
+from .routing import Adjacency, ShortestPaths, add_edge, dijkstra, walk
 
 #: A factory receives the directed link name (e.g. "S->G1") and returns a
 #: fresh gateway for that direction.
@@ -247,7 +247,8 @@ class Network:
         #: byte-mode scaling); mixed-size scenarios set their configured
         #: mean here once instead of per add_link call.
         self.mean_packet_size = mean_packet_size
-        self.graph = nx.Graph()
+        #: node -> {neighbour: one-way delay}, in link-insertion order
+        self.graph: Adjacency = {}
         #: group address -> :class:`GroupState`; maintained by
         #: :meth:`join_group` / :meth:`add_member` / :meth:`leave_group`
         self.groups: Dict[str, GroupState] = {}
@@ -261,7 +262,7 @@ class Network:
         if node is None:
             node = Node(node_id)
             self.nodes[node_id] = node
-            self.graph.add_node(node_id)
+            self.graph.setdefault(node_id, {})
         return node
 
     def node(self, node_id: str) -> Node:
@@ -299,7 +300,7 @@ class Network:
                 make_queue(f"{b}->{a}"), mean_packet_size=pkt_size,
             )
             self.links[(b, a)] = reverse
-        self.graph.add_edge(a, b, delay=delay_s, bandwidth=bandwidth_bps)
+        add_edge(self.graph, a, b, delay_s)
         return forward, reverse
 
     def link(self, a: str, b: str) -> Link:
@@ -314,13 +315,10 @@ class Network:
     # ------------------------------------------------------------------
     def build_routes(self) -> None:
         """Compute delay-weighted shortest paths; install static next hops."""
-        paths = dict(nx.all_pairs_dijkstra_path(self.graph, weight="delay"))
-        for src, by_dst in paths.items():
-            node = self.nodes[src]
-            for dst, path in by_dst.items():
-                if dst == src or len(path) < 2:
-                    continue
-                node.add_route(dst, self.links[(path[0], path[1])])
+        for src, node in self.nodes.items():
+            for dst, hop in dijkstra(self.graph, src).first_hop.items():
+                if hop is not None:
+                    node.add_route(dst, self.links[(src, hop)])
 
     def join_group(self, group: str, source: str, members: Iterable[str]) -> List[str]:
         """Build the multicast tree for ``group`` rooted at ``source``.
@@ -355,9 +353,7 @@ class Network:
         state = self.groups[group]
         if not state.members:
             return  # a group everyone has left forwards nothing
-        children = shortest_path_tree(
-            self.graph, state.source, state.members, weight="delay"
-        )
+        children = shortest_path_tree(self.graph, state.source, state.members)
         for parent, kids in children.items():
             parent_node = self.node(parent)
             for child in kids:
@@ -408,13 +404,22 @@ class Network:
             raise TopologyError(f"unknown multicast group {group!r}") from None
 
     # ------------------------------------------------------------------
+    def _routed(self, a: str, b: str) -> ShortestPaths:
+        """The single-source run from ``a``, checked to reach ``b``."""
+        self.node(a)  # unknown names raise TopologyError
+        self.node(b)
+        run = dijkstra(self.graph, a)
+        if b not in run.dist:
+            raise TopologyError(f"no path {a}->{b}")
+        return run
+
     def path_delay(self, a: str, b: str) -> float:
         """One-way propagation delay along the routed path a->b."""
-        return nx.shortest_path_length(self.graph, a, b, weight="delay")
+        return self._routed(a, b).dist[b]
 
     def path(self, a: str, b: str) -> List[str]:
         """Node sequence of the routed path a->b."""
-        return nx.shortest_path(self.graph, a, b, weight="delay")
+        return walk(self._routed(a, b).pred, a, b)
 
     def __repr__(self) -> str:
         return f"Network(nodes={len(self.nodes)}, links={len(self.links)})"

@@ -28,8 +28,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from ..errors import TopologyError
 from ..net.network import (
     Network,
@@ -37,6 +35,7 @@ from ..net.network import (
     discipline_factory,
     droptail_factory,
 )
+from ..net.routing import Adjacency, add_edge, connected_components
 from ..sim.engine import Simulator
 from ..units import DEFAULT_PACKET_SIZE, mbps, ms
 
@@ -317,11 +316,12 @@ def _build_waxman(
     # Stitch disconnected components onto the component of node 0 by
     # joining each component's lowest-index node to its geometrically
     # nearest node in the main component (ties broken by index) --
-    # deterministic, so connectivity never depends on luck.
-    probe = nx.Graph()
-    probe.add_nodes_from(range(n))
-    probe.add_edges_from(edges)
-    components = sorted(nx.connected_components(probe), key=min)
+    # deterministic, so connectivity never depends on luck.  (The probe
+    # is seeded 0..n-1, so components come out ordered by lowest index.)
+    probe: Adjacency = {k: {} for k in range(n)}
+    for i, j in edges:
+        add_edge(probe, i, j, 1.0)
+    components = connected_components(probe)
     main = set(components[0])
     for component in components[1:]:
         anchor = min(component)
@@ -336,7 +336,6 @@ def _build_waxman(
             ),
         )
         edges.append((min(anchor, nearest), max(anchor, nearest)))
-        probe.add_edge(anchor, nearest)
         main |= component
 
     # The multicast source is the best-connected node (ties -> lowest

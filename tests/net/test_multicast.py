@@ -1,20 +1,20 @@
 """Multicast tree construction."""
 
-import networkx as nx
 import pytest
 
 from repro.errors import TopologyError
 from repro.net.multicast import shortest_path_tree, tree_edges
+from repro.net.routing import add_edge
 
 
 def _graph():
-    graph = nx.Graph()
-    graph.add_edge("S", "G1", delay=1.0)
-    graph.add_edge("G1", "G2", delay=1.0)
-    graph.add_edge("G1", "G3", delay=1.0)
-    graph.add_edge("G2", "R1", delay=1.0)
-    graph.add_edge("G2", "R2", delay=1.0)
-    graph.add_edge("G3", "R3", delay=1.0)
+    graph = {}
+    add_edge(graph, "S", "G1", 1.0)
+    add_edge(graph, "G1", "G2", 1.0)
+    add_edge(graph, "G1", "G3", 1.0)
+    add_edge(graph, "G2", "R1", 1.0)
+    add_edge(graph, "G2", "R2", 1.0)
+    add_edge(graph, "G3", "R3", 1.0)
     return graph
 
 
@@ -46,15 +46,30 @@ def test_empty_members_rejected():
 
 def test_unreachable_member_rejected():
     graph = _graph()
-    graph.add_node("island")
+    graph["island"] = {}
     with pytest.raises(TopologyError):
         shortest_path_tree(graph, "S", ["island"])
 
 
 def test_weights_respected():
-    graph = nx.Graph()
-    graph.add_edge("S", "A", delay=1.0)
-    graph.add_edge("A", "R", delay=1.0)
-    graph.add_edge("S", "R", delay=10.0)
+    graph = {}
+    add_edge(graph, "S", "A", 1.0)
+    add_edge(graph, "A", "R", 1.0)
+    add_edge(graph, "S", "R", 10.0)
     children = shortest_path_tree(graph, "S", ["R"])
     assert children == {"S": ["A"], "A": ["R"]}
+
+
+def test_unknown_source_or_member_rejected():
+    with pytest.raises(TopologyError):
+        shortest_path_tree(_graph(), "nowhere", ["R1"])
+    with pytest.raises(TopologyError):
+        shortest_path_tree(_graph(), "S", ["nowhere"])
+
+
+def test_children_follow_member_order_and_share_the_trunk_once():
+    children = shortest_path_tree(_graph(), "S", ["R3", "R1", "R2"])
+    assert list(children.items()) == [
+        ("S", ["G1"]), ("G1", ["G3", "G2"]), ("G3", ["R3"]),
+        ("G2", ["R1", "R2"]),
+    ]

@@ -61,6 +61,26 @@ def test_path_delay(sim):
     assert net.path_delay("A", "C") == pytest.approx(ms(5))
 
 
+@pytest.mark.parametrize("a, b", [("A", "zz"), ("zz", "A"), ("A", "island"),
+                                  ("island", "A")])
+def test_path_to_unknown_or_unreachable_node_is_a_topology_error(sim, a, b):
+    net = Network(sim)
+    net.add_link("A", "B", mbps(1), ms(2))
+    net.add_node("island")
+    net.build_routes()
+    with pytest.raises(TopologyError):
+        net.path(a, b)
+    with pytest.raises(TopologyError):
+        net.path_delay(a, b)
+
+
+def test_path_to_self(sim):
+    net = Network(sim)
+    net.add_link("A", "B", mbps(1), ms(2))
+    assert net.path("A", "A") == ["A"]
+    assert net.path_delay("A", "A") == 0.0
+
+
 def test_red_factory_produces_seeded_queues(sim):
     factory = red_factory(sim, capacity=20)
     queue_ab = factory("A->B")

@@ -1,9 +1,9 @@
 """Seeded topology generators: determinism, connectivity, parameter ranges."""
 
-import networkx as nx
 import pytest
 
 from repro.errors import TopologyError
+from repro.net.routing import add_edge, connected_components
 from repro.scenarios import (
     JitteredTreeTopology,
     TransitStubTopology,
@@ -45,11 +45,11 @@ def test_different_seeds_differ():
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: type(s).__name__)
 def test_generated_graph_is_connected(spec):
     topo = build_topology(Simulator(seed=3), spec)
-    graph = nx.Graph()
-    for a, b, _bw, _delay, _buf in topo.link_draws:
-        graph.add_edge(a, b)
-    graph.add_node(topo.source)
-    assert nx.is_connected(graph)
+    graph = {topo.source: {}}
+    for a, b, _bw, delay, _buf in topo.link_draws:
+        add_edge(graph, a, b, delay)
+    assert len(connected_components(graph)) == 1
+    assert graph == topo.net.graph  # same edges, same delays
     assert all(host in graph for host in topo.hosts)
 
 

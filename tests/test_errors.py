@@ -36,3 +36,44 @@ def test_unknown_case_id_is_a_cli_error_not_a_traceback(figure, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: unknown case 9")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["resume", "fork"])
+def test_snapshot_from_an_incompatible_build_is_a_cli_error(
+        command, tmp_path, capsys):
+    """A payload naming a module this build lacks used to be a traceback.
+
+    (Snapshots from before routing moved in-tree pickle a networkx.Graph;
+    their v1 header is already refused, whether or not networkx is there.)
+    """
+    import pickle
+
+    from repro.checkpoint import FORMAT_VERSION, Snapshot, load, restore, save
+    from repro.checkpoint.snapshot import CheckpointError
+    from repro.cli import main
+
+    payload = b"\x80\x04\x8c\x0fno_such_module_\x94\x8c\x05Graph\x94\x93\x94."
+    with pytest.raises(ModuleNotFoundError):
+        pickle.loads(payload)
+    foreign = Snapshot(version=FORMAT_VERSION, code="0" * 16, label="foreign",
+                       resume="repro.experiments.runner:resume_tree_world",
+                       sim_time=1.0, uid_next=0, payload=payload)
+    with pytest.raises(CheckpointError, match="incompatible build"):
+        restore(foreign)
+
+    path = save(foreign, tmp_path / "foreign.ckpt")
+    assert main([command, str(path)]) == 2  # the code hash refuses it first
+    assert "different simulator code" in capsys.readouterr().err
+    assert main([command, str(path), "--allow-code-mismatch"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: snapshot written by an incompatible build")
+    assert err.count("\n") == 1
+
+    lost = Snapshot(**{**foreign.__dict__, "resume": "no_such_module_:finish"})
+    assert main([command, str(save(lost, tmp_path / "lost.ckpt")),
+                 "--allow-code-mismatch"]) == 2
+    assert "cannot resolve entrypoint" in capsys.readouterr().err
+
+    old = Snapshot(**{**foreign.__dict__, "version": 1})
+    with pytest.raises(CheckpointError, match="format v1"):
+        load(save(old, tmp_path / "v1.ckpt"), allow_code_mismatch=True)
