@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-harness bench-smoke checkpoint-smoke fluid-smoke import-smoke figures quickstart clean
+.PHONY: install test bench bench-harness bench-smoke audit-smoke checkpoint-smoke fluid-smoke import-smoke figures quickstart clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -28,6 +28,24 @@ bench-smoke:
 		--suites engine,fig7,rla_scale_4,rla_scale_64,fluid_small \
 		--label ci --out BENCH_ci.json --repeats 3 \
 		--compare benchmarks/BENCH_ci_baseline.json
+
+# Audit layer smoke: its unit tests, the diet oracle (the pre-PR-17 layer
+# kept verbatim in tests/audit/reference.py must count the same checks and
+# raise the same violations) and the call budget; then rlabench's audited
+# workload, traced — eight AQM grid cells and two churn scenarios under
+# --audit, 0 violations, tables identical across passes — printing what a
+# hop's audit costs.  Any failed output check fails the target.
+audit-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/audit
+	$(PYTHON) benchmarks/rlabench/run.py --workload aqm_audit --seed 1 \
+		--seconds 12 --trace 1 | tail -n 1 | $(PYTHON) -c "import json, sys; \
+	out = json.loads(sys.stdin.read()); metrics = out['metrics']; \
+	print('\n'.join('%-22s %s %s' % (name, metrics[name]['value'], metrics[name]['unit']) \
+	 for name in ('audit.hook_ns', 'audit.overhead_ratio', 'audit.checks', 'audit.violations'))); \
+	assert out['correct'] and out['failed'] == 0, \
+	       '%d of %d output checks failed' % (out['failed'], out['attempted']); \
+	assert metrics['audit.violations']['value'] == 0, metrics['audit.violations']; \
+	print('audit smoke OK: %d output checks, 0 failed' % out['attempted'])"
 
 # Checkpoint/restore byte-identity smoke: snapshot an *audited* churn
 # run mid-flight, restore it in a brand-new interpreter, and require the

@@ -14,10 +14,11 @@ observation hooks, and this package assembles them into
   every raised :class:`InvariantViolation`,
 * a JSONL exporter (:func:`export_run`) for per-flow / per-link time series.
 
+:func:`arm` wires the first three onto a built network in one call.
 Un-audited runs pay only a ``None``/empty-list check at each hook site.
 """
 
-from .conservation import ConservationAuditor
+from .conservation import ConservationAuditor, arm
 from .export import JsonlExporter, export_run, load_rows
 from .invariants import InvariantMonitor
 from .recorder import FlightRecorder
@@ -29,6 +30,7 @@ __all__ = [
     "InvariantMonitor",
     "InvariantViolation",
     "JsonlExporter",
+    "arm",
     "export_run",
     "load_rows",
 ]

@@ -21,13 +21,13 @@ end-of-run imbalance (raised by :meth:`verify`):
 * **per gateway** — counter bookkeeping must agree with physical storage.
 
 Auditing is opt-in (``audited=True`` on experiment specs, ``--audit`` on
-the CLI): the tracked state costs a dict entry per live packet and a few
-dict operations per hop.
+the CLI): the tracked state costs a dict entry per live packet, and a hop
+costs its conditions plus a flat record; only a failing check is described.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import partial
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -47,6 +47,12 @@ _TRANSIT = "transit"
 #: (state, link name or None, flow)
 _PacketState = Tuple[str, Optional[str], str]
 
+#: Field names of the flight-recorder entries the hooks write.
+_ENQUEUE_KEYS = ("link", "flow", "seq", "uid", "depth")
+_DROP_KEYS = ("link", "flow", "seq", "uid", "reason")
+_DELIVER_KEYS = ("link", "flow", "seq", "uid")
+_CONSUME_KEYS = ("node", "flow", "seq", "uid", "outcome")
+
 
 class ConservationAuditor:
     """Enforce end-of-run packet conservation per flow and per link."""
@@ -61,10 +67,8 @@ class ConservationAuditor:
         self.recorder = recorder
         self.monitor = monitor or InvariantMonitor(recorder)
         self._attached = False
-        self._net: Optional[Network] = None
         self._links: Dict[str, Link] = {}
         self._where: Dict[int, _PacketState] = {}
-        self._queued_uids: Dict[str, Set[int]] = {}
         # per-flow lifetime counters
         self.created_by_flow: Counter = Counter()
         self.delivered_by_flow: Counter = Counter()
@@ -73,6 +77,9 @@ class ConservationAuditor:
         self.dropped_by_flow: Counter = Counter()
         # per-link counters: accepted / dropped / dequeued / delivered
         self.link_counts: Dict[str, Dict[str, int]] = {}
+        self._fates = {"delivered": self.delivered_by_flow,
+                       "sunk": self.sunk_by_flow,
+                       "replicated": self.replicated_by_flow}
 
     # ------------------------------------------------------------------
     # wiring
@@ -86,7 +93,6 @@ class ConservationAuditor:
         if self._attached:
             raise RuntimeError("auditor is already attached")
         self._attached = True
-        self._net = net
         install_creation_hook(self._on_created)
         for link in net.links.values():
             self._watch_link(link)
@@ -98,6 +104,11 @@ class ConservationAuditor:
         if self._attached:
             uninstall_creation_hook(self._on_created)
             self._attached = False
+
+    def disarm(self) -> None:
+        """Undo :func:`arm`: release the creation hook and the engine hook."""
+        self.detach()
+        self.sim.event_hook = None
 
     def rearm(self) -> None:
         """Re-install the process-global creation hook after a restore.
@@ -122,119 +133,123 @@ class ConservationAuditor:
     def _watch_link(self, link: Link) -> None:
         name = link.name
         self._links[name] = link
-        self._queued_uids[name] = set()
-        self.link_counts[name] = {
+        ledger = self.link_counts[name] = {
             "accepted": 0, "dropped": 0, "dequeued": 0, "delivered": 0,
             "evicted": 0,
         }
         # functools.partial, not lambdas: these hooks live inside the
         # network object graph, which checkpoint snapshots pickle whole.
+        # Each binds the link's own ledger, so a hop costs no name lookup.
         gateway = link.gateway
-        gateway.on_enqueue(partial(self._on_enqueue, name))
-        gateway.on_drop(partial(self._on_drop, name))
-        gateway.on_dequeue(partial(self._on_dequeue, name))
-        link.on_deliver(partial(self._on_deliver, name))
+        gateway.on_enqueue(partial(self._on_enqueue, name, ledger))
+        gateway.on_drop(partial(self._on_drop, name, ledger))
+        gateway.on_dequeue(partial(self._on_dequeue, name, ledger))
+        link.on_deliver(partial(self._on_deliver, name, ledger))
 
     def _watch_node(self, node: Node) -> None:
         node.on_consume(partial(self._on_consume, node.id))
 
     # ------------------------------------------------------------------
-    # lifecycle transitions
+    # lifecycle transitions (per hop: test inline, describe the hop only on
+    # failure; records hold header fields captured now, never the packet)
     # ------------------------------------------------------------------
-    def _record(self, category: str, **fields: Any) -> None:
-        if self.recorder is not None:
-            self.recorder.record(self.sim.now, category, **fields)
-
     def _on_created(self, packet: Packet) -> None:
         uid = packet.uid
-        self.monitor.require(
-            "conservation.unique_uid", uid not in self._where,
-            self.sim.now, uid=uid, flow=packet.flow,
-        )
-        self._where[uid] = (_AT_NODE, None, packet.flow)
-        self.created_by_flow[packet.flow] += 1
+        flow = packet.flow
+        self.monitor.checks_run += 1
+        if uid in self._where:
+            self.monitor.violate("conservation.unique_uid", self.sim.now,
+                                 uid=uid, flow=flow)
+        self._where[uid] = (_AT_NODE, None, flow)
+        self.created_by_flow[flow] += 1
 
-    def _on_enqueue(self, link: str, now: float, packet: Packet, depth: int) -> None:
-        state = self._where.get(packet.uid)
-        self._record("enqueue", link=link, flow=packet.flow, seq=packet.seq,
-                     uid=packet.uid, depth=depth)
-        self.monitor.require(
-            "conservation.enqueue_from_node",
-            state is not None and state[0] == _AT_NODE,
-            now, link=link, uid=packet.uid, flow=packet.flow, state=state,
-        )
-        self._where[packet.uid] = (_QUEUED, link, packet.flow)
-        self._queued_uids[link].add(packet.uid)
-        self.link_counts[link]["accepted"] += 1
+    def _on_enqueue(self, link: str, ledger: Dict[str, int], now: float,
+                    packet: Packet, depth: int) -> None:
+        uid = packet.uid
+        flow = packet.flow
+        state = self._where.get(uid)
+        if self.recorder is not None:
+            self.recorder.note(self.sim.now, "enqueue", _ENQUEUE_KEYS,
+                               (link, flow, packet.seq, uid, depth))
+        self.monitor.checks_run += 1
+        if state is None or state[0] != _AT_NODE:
+            self.monitor.violate("conservation.enqueue_from_node", now,
+                                 link=link, uid=uid, flow=flow, state=state)
+        self._where[uid] = (_QUEUED, link, flow)
+        ledger["accepted"] += 1
 
-    def _on_drop(self, link: str, now: float, packet: Packet, reason: str) -> None:
-        state = self._where.pop(packet.uid, None)
-        self._record("drop", link=link, flow=packet.flow, seq=packet.seq,
-                     uid=packet.uid, reason=reason)
+    def _on_drop(self, link: str, ledger: Dict[str, int], now: float,
+                 packet: Packet, reason: str) -> None:
+        uid = packet.uid
+        flow = packet.flow
+        state = self._where.pop(uid, None)
+        if self.recorder is not None:
+            self.recorder.note(self.sim.now, "drop", _DROP_KEYS,
+                               (link, flow, packet.seq, uid, reason))
         # Most disciplines drop arrivals (_AT_NODE pre-state), but an
         # evicting discipline — CoDel's drop-at-dequeue — legally drops a
         # packet it had already queued, so both pre-states are accepted;
         # the queued case is additionally tallied as an eviction so the
         # link balance can account for packets that entered the queue but
         # never came out the front.
-        self.monitor.require(
-            "conservation.drop_alive",
-            state is not None and state[0] in (_AT_NODE, _QUEUED),
-            now, link=link, uid=packet.uid, flow=packet.flow, state=state,
-        )
+        self.monitor.checks_run += 1
+        if state is None or state[0] not in (_AT_NODE, _QUEUED):
+            self.monitor.violate("conservation.drop_alive", now,
+                                 link=link, uid=uid, flow=flow, state=state)
         if state is not None and state[0] == _QUEUED and state[1] is not None:
-            self._queued_uids[state[1]].discard(packet.uid)
             self.link_counts[state[1]]["evicted"] += 1
-        self.dropped_by_flow[packet.flow] += 1
-        self.link_counts[link]["dropped"] += 1
+        self.dropped_by_flow[flow] += 1
+        ledger["dropped"] += 1
 
-    def _on_dequeue(self, link: str, now: float, packet: Packet) -> None:
-        state = self._where.get(packet.uid)
-        self.monitor.require(
-            "conservation.dequeue_from_queue",
-            state == (_QUEUED, link, packet.flow),
-            now, link=link, uid=packet.uid, flow=packet.flow, state=state,
-        )
-        self._where[packet.uid] = (_TRANSIT, link, packet.flow)
-        self._queued_uids[link].discard(packet.uid)
-        self.link_counts[link]["dequeued"] += 1
+    def _on_dequeue(self, link: str, ledger: Dict[str, int], now: float,
+                    packet: Packet) -> None:
+        uid = packet.uid
+        flow = packet.flow
+        state = self._where.get(uid)
+        self.monitor.checks_run += 1
+        if state != (_QUEUED, link, flow):
+            self.monitor.violate("conservation.dequeue_from_queue", now,
+                                 link=link, uid=uid, flow=flow, state=state)
+        self._where[uid] = (_TRANSIT, link, flow)
+        ledger["dequeued"] += 1
 
-    def _on_deliver(self, link: str, now: float, packet: Packet) -> None:
-        state = self._where.get(packet.uid)
-        self._record("deliver", link=link, flow=packet.flow, seq=packet.seq,
-                     uid=packet.uid)
+    def _on_deliver(self, link: str, ledger: Dict[str, int], now: float,
+                    packet: Packet) -> None:
+        uid = packet.uid
+        flow = packet.flow
+        state = self._where.get(uid)
+        if self.recorder is not None:
+            self.recorder.note(self.sim.now, "deliver", _DELIVER_KEYS,
+                               (link, flow, packet.seq, uid))
         # A second delivery of the same uid fails here: the packet is no
         # longer in transit on this link (it is at a node, or terminal).
-        self.monitor.require(
-            "conservation.single_delivery",
-            state == (_TRANSIT, link, packet.flow),
-            now, link=link, uid=packet.uid, flow=packet.flow, state=state,
-        )
-        self._where[packet.uid] = (_AT_NODE, None, packet.flow)
-        self.link_counts[link]["delivered"] += 1
+        self.monitor.checks_run += 1
+        if state != (_TRANSIT, link, flow):
+            self.monitor.violate("conservation.single_delivery", now,
+                                 link=link, uid=uid, flow=flow, state=state)
+        self._where[uid] = (_AT_NODE, None, flow)
+        ledger["delivered"] += 1
 
     def _on_consume(self, node: str, packet: Packet, outcome: str) -> None:
         now = self.sim.now
-        state = self._where.pop(packet.uid, None)
-        self._record("consume", node=node, flow=packet.flow, seq=packet.seq,
-                     uid=packet.uid, outcome=outcome)
-        self.monitor.require(
-            "conservation.consume_once",
-            state is not None and state[0] == _AT_NODE,
-            now, node=node, uid=packet.uid, flow=packet.flow,
-            outcome=outcome, state=state,
-        )
-        counter = {
-            "delivered": self.delivered_by_flow,
-            "sunk": self.sunk_by_flow,
-            "replicated": self.replicated_by_flow,
-        }.get(outcome)
-        self.monitor.require(
-            "conservation.known_outcome", counter is not None,
-            now, node=node, uid=packet.uid, outcome=outcome,
-        )
-        if counter is not None:
-            counter[packet.flow] += 1
+        uid = packet.uid
+        flow = packet.flow
+        state = self._where.pop(uid, None)
+        if self.recorder is not None:
+            self.recorder.note(now, "consume", _CONSUME_KEYS,
+                               (node, flow, packet.seq, uid, outcome))
+        self.monitor.checks_run += 1
+        if state is None or state[0] != _AT_NODE:
+            self.monitor.violate("conservation.consume_once", now, node=node,
+                                 uid=uid, flow=flow, outcome=outcome,
+                                 state=state)
+        counter = self._fates.get(outcome)
+        self.monitor.checks_run += 1
+        if counter is None:
+            self.monitor.violate("conservation.known_outcome", now,
+                                 node=node, uid=uid, outcome=outcome)
+        else:
+            counter[flow] += 1
 
     # ------------------------------------------------------------------
     # end-of-run verification
@@ -251,18 +266,21 @@ class ConservationAuditor:
         monitor = self.monitor
         transit_by_link: Counter = Counter()
         alive_by_flow: Counter = Counter()
+        queued_by_link: Dict[Optional[str], Set[int]] = defaultdict(set)
         limbo: List[int] = []
         for uid, (state, link, flow) in self._where.items():
             alive_by_flow[flow] += 1
             if state == _TRANSIT:
                 transit_by_link[link] += 1
+            elif state == _QUEUED:
+                queued_by_link[link].add(uid)
             elif state == _AT_NODE:
                 limbo.append(uid)
 
         for name, link in sorted(self._links.items()):
             gateway = link.gateway
             monitor.check_gateway(name, gateway, now)
-            tracked = self._queued_uids[name]
+            tracked = queued_by_link[name]
             physical = {packet.uid for packet in gateway.contents()}
             monitor.require(
                 "conservation.queue_contents", tracked == physical,
@@ -342,7 +360,22 @@ class ConservationAuditor:
 
     def link_summary(self) -> Dict[str, Dict[str, int]]:
         """Per-link accounting ledger (for stats and JSONL export)."""
+        in_queue: Counter = Counter(
+            link for (state, link, _flow) in self._where.values()
+            if state == _QUEUED
+        )
         return {
-            name: dict(counts, in_queue=len(self._queued_uids[name]))
+            name: dict(counts, in_queue=in_queue[name])
             for name, counts in sorted(self.link_counts.items())
         }
+
+
+def arm(sim: Simulator, net: Network) -> ConservationAuditor:
+    """Audit a freshly built ``net``: recorder + monitor + auditor, every
+    hook attached, engine events recorded.  Undo with ``disarm()``."""
+    recorder = FlightRecorder()
+    auditor = ConservationAuditor(sim, monitor=InvariantMonitor(recorder),
+                                  recorder=recorder)
+    auditor.attach(net)
+    sim.event_hook = recorder.observe_event
+    return auditor

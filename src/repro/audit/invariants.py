@@ -2,9 +2,12 @@
 
 An :class:`InvariantMonitor` is a registry of named checks.  Components of
 an audited run call the ``check_*`` helpers at natural checkpoints (end of
-ACK processing, end of run); each helper funnels through :meth:`require`,
-which raises a :class:`~repro.audit.violation.InvariantViolation` carrying
-the offending context and the flight recorder's dump of recent events.
+ACK processing, end of run); a failed check becomes a
+:class:`~repro.audit.violation.InvariantViolation` carrying the offending
+context and the flight recorder's dump of recent events.  Per-packet
+sites test inline and call :meth:`~InvariantMonitor.violate`, which builds
+that context, only on failure; :meth:`~InvariantMonitor.require` is
+count + violate in one call, for end-of-run and test sites.
 
 ``strict=False`` collects violations instead of raising — useful for
 surveying a run without aborting at the first inconsistency.
@@ -37,17 +40,8 @@ class InvariantMonitor:
         self.violations: List[InvariantViolation] = []
 
     # ------------------------------------------------------------------
-    def require(
-        self, check: str, condition: bool, time: float = 0.0, **context: Any
-    ) -> bool:
-        """Record one check; raise (or collect) on failure.
-
-        Returns the condition so callers can guard follow-up work in
-        non-strict mode.
-        """
-        self.checks_run += 1
-        if condition:
-            return True
+    def violate(self, check: str, time: float = 0.0, **context: Any) -> None:
+        """Raise (or, non-strict, collect) one already-counted failed check."""
         violation = InvariantViolation(
             check,
             time=time,
@@ -57,6 +51,19 @@ class InvariantMonitor:
         self.violations.append(violation)
         if self.strict:
             raise violation
+
+    def require(
+        self, check: str, condition: bool, time: float = 0.0, **context: Any
+    ) -> bool:
+        """Count one check and :meth:`violate` on failure.
+
+        Returns the condition so callers can guard follow-up work in
+        non-strict mode.
+        """
+        self.checks_run += 1
+        if condition:
+            return True
+        self.violate(check, time, **context)
         return False
 
     @property
@@ -70,49 +77,47 @@ class InvariantMonitor:
     def check_tcp(self, sender: "TcpSender") -> None:
         """TCP sender sanity: window bounds, pipe, sequence ordering."""
         now = sender.sim.now
-        flow = sender.flow
-        self.require(
-            "tcp.cwnd_bounds",
-            1.0 <= sender.cwnd <= sender.config.max_cwnd,
-            now, flow=flow, cwnd=sender.cwnd, max_cwnd=sender.config.max_cwnd,
-        )
-        self.require(
-            "tcp.pipe_nonnegative", sender.pipe >= 0,
-            now, flow=flow, pipe=sender.pipe, snd_una=sender.snd_una,
-            snd_nxt=sender.snd_nxt,
-        )
-        self.require(
-            "tcp.sequence_order", sender.snd_una <= sender.snd_nxt,
-            now, flow=flow, snd_una=sender.snd_una, snd_nxt=sender.snd_nxt,
-        )
+        self.checks_run += 1
+        if not 1.0 <= sender.cwnd <= sender.config.max_cwnd:
+            self.violate("tcp.cwnd_bounds", now, flow=sender.flow,
+                         cwnd=sender.cwnd, max_cwnd=sender.config.max_cwnd)
+        self.checks_run += 1
+        if not sender.pipe >= 0:
+            self.violate("tcp.pipe_nonnegative", now, flow=sender.flow,
+                         pipe=sender.pipe, snd_una=sender.snd_una,
+                         snd_nxt=sender.snd_nxt)
+        self.checks_run += 1
+        if not sender.snd_una <= sender.snd_nxt:
+            self.violate("tcp.sequence_order", now, flow=sender.flow,
+                         snd_una=sender.snd_una, snd_nxt=sender.snd_nxt)
 
     def check_rla(self, sender: "RLASender") -> None:
         """RLA sender sanity: window bounds, reach counts, ACK ordering."""
         now = sender.sim.now
-        flow = sender.flow
-        self.require(
-            "rla.cwnd_bounds",
-            1.0 <= sender.cwnd <= sender.config.max_cwnd,
-            now, flow=flow, cwnd=sender.cwnd, max_cwnd=sender.config.max_cwnd,
-        )
+        self.checks_run += 1
+        if not 1.0 <= sender.cwnd <= sender.config.max_cwnd:
+            self.violate("rla.cwnd_bounds", now, flow=sender.flow,
+                         cwnd=sender.cwnd, max_cwnd=sender.config.max_cwnd)
         # A reach count at/above n_receivers means a completion was missed
         # (counts are popped the moment the last receiver ACKs); at/below
-        # zero means a phantom ACK was counted.
-        bad = {
-            seq: count
-            for seq, count in sender._reach.items()
-            if not 0 < count < sender.n_receivers
-        }
-        self.require(
-            "rla.reach_bounds", not bad,
-            now, flow=flow, n_receivers=sender.n_receivers,
-            bad_counts=dict(sorted(bad.items())[:5]),
-        )
-        self.require(
-            "rla.sequence_order", sender.min_last_ack <= sender.snd_nxt,
-            now, flow=flow, min_last_ack=sender.min_last_ack,
-            snd_nxt=sender.snd_nxt,
-        )
+        # zero means a phantom ACK was counted.  One C-level min/max pass
+        # per ACK; the offenders are collected only when there are any.
+        counts = sender._reach.values()
+        self.checks_run += 1
+        if counts and not 0 < min(counts) <= max(counts) < sender.n_receivers:
+            bad = {
+                seq: count
+                for seq, count in sender._reach.items()
+                if not 0 < count < sender.n_receivers
+            }
+            self.violate("rla.reach_bounds", now, flow=sender.flow,
+                         n_receivers=sender.n_receivers,
+                         bad_counts=dict(sorted(bad.items())[:5]))
+        self.checks_run += 1
+        if not sender.min_last_ack <= sender.snd_nxt:
+            self.violate("rla.sequence_order", now, flow=sender.flow,
+                         min_last_ack=sender.min_last_ack,
+                         snd_nxt=sender.snd_nxt)
 
     def check_gateway(self, name: str, gateway: "Gateway", time: float) -> None:
         """Gateway bookkeeping: counters must agree with physical storage."""

@@ -25,6 +25,7 @@ import sys
 import time
 from typing import Any, Dict, Iterable, Mapping, Optional
 
+from ..net.packet import uid_counter_state
 from .suites import SUITES, resolve
 
 #: Schema tag stamped into every emitted document.
@@ -78,13 +79,6 @@ def environment_block(scale: Mapping[str, float], repeats: int) -> Dict[str, Any
     }
 
 
-def _packet_uid() -> int:
-    """Sample (and consume one tick of) the global packet uid counter."""
-    from ..net import packet
-
-    return next(packet._uid_counter)
-
-
 def run_suite(name: str, scale: Mapping[str, float],
               repeats: int = 1) -> Dict[str, Any]:
     """Run one suite ``repeats`` times; report min wall time and rates."""
@@ -92,12 +86,11 @@ def run_suite(name: str, scale: Mapping[str, float],
     best_wall = None
     events = packets = 0
     for _ in range(max(repeats, 1)):
-        uid_before = _packet_uid()
+        uid_before = uid_counter_state()
         t0 = time.perf_counter()
         events = suite.run(scale)
         wall = time.perf_counter() - t0
-        # The two probe samples themselves consume one uid each.
-        packets = _packet_uid() - uid_before - 1
+        packets = uid_counter_state() - uid_before
         if best_wall is None or wall < best_wall:
             best_wall = wall
     assert best_wall is not None

@@ -49,7 +49,8 @@ from ..sim.engine import Simulator
 #: Bump when the snapshot layout changes incompatibly.  v2: the world's
 #: ``Network.graph`` is a plain adjacency dict (v1 pickled a graph-library
 #: object, so a v1 file restores only where that library is installed).
-FORMAT_VERSION = 2
+#: v3: audited worlds hold flat recorder entries and no queued-uid mirror.
+FORMAT_VERSION = 3
 
 #: File magic identifying a repro checkpoint file.
 MAGIC = "repro-ckpt"

@@ -147,7 +147,6 @@ class TreeWorld:
     extra_flows: List[TcpFlow]
     sessions: List[RLASession]
     auditor: Any = None
-    monitor: Any = None
     #: True once the warmup boundary has been crossed and counters marked.
     marked: bool = False
 
@@ -164,8 +163,7 @@ class TreeWorld:
     def disarm(self) -> None:
         """Release process-global audit state (safe to call when unaudited)."""
         if self.auditor is not None:
-            self.auditor.detach()
-            self.sim.event_hook = None
+            self.auditor.disarm()
 
 
 def build_tree_world(spec: TreeExperimentSpec) -> TreeWorld:
@@ -198,13 +196,10 @@ def build_tree_world(spec: TreeExperimentSpec) -> TreeWorld:
 
     auditor = monitor = None
     if spec.audited:
-        from ..audit import ConservationAuditor, FlightRecorder, InvariantMonitor
+        from ..audit import arm
 
-        recorder = FlightRecorder()
-        monitor = InvariantMonitor(recorder)
-        auditor = ConservationAuditor(sim, monitor=monitor, recorder=recorder)
-        auditor.attach(net)
-        sim.event_hook = recorder.observe_event
+        auditor = arm(sim, net)
+        monitor = auditor.monitor
 
     tcp_config = TcpConfig(
         packet_size=spec.packet_size, phase_jitter=jitter,
@@ -245,14 +240,13 @@ def build_tree_world(spec: TreeExperimentSpec) -> TreeWorld:
             sessions.append(session)
     except BaseException:
         if auditor is not None:
-            auditor.detach()
-            sim.event_hook = None
+            auditor.disarm()
         raise
 
     return TreeWorld(
         spec=spec, sim=sim, net=net, info=info, receivers=receivers,
         gateways=gateways, tcp_flows=tcp_flows, extra_flows=extra_flows,
-        sessions=sessions, auditor=auditor, monitor=monitor,
+        sessions=sessions, auditor=auditor,
     )
 
 
@@ -295,7 +289,7 @@ def finalize_tree_world(world: TreeWorld) -> TreeExperimentResult:
         "sim_time": sim.now,
     }
     if world.auditor is not None:
-        monitor = world.monitor
+        monitor = world.auditor.monitor
         for flow in list(world.tcp_flows.values()) + world.extra_flows:
             monitor.check_tcp(flow.sender)
         for session in world.sessions:

@@ -57,13 +57,10 @@ def _run_symmetric(
     gateways = [link.gateway for link in net.links.values()]
     auditor = monitor = None
     if audited:
-        from ..audit import ConservationAuditor, FlightRecorder, InvariantMonitor
+        from ..audit import arm
 
-        recorder = FlightRecorder()
-        monitor = InvariantMonitor(recorder)
-        auditor = ConservationAuditor(sim, monitor=monitor, recorder=recorder)
-        auditor.attach(net)
-        sim.event_hook = recorder.observe_event
+        auditor = arm(sim, net)
+        monitor = auditor.monitor
     jitter = (transmission_time(spec.packet_size, pps_to_bps(mu))
               if gateway == "droptail" else None)
     try:
@@ -121,8 +118,7 @@ def _run_symmetric(
         }
     finally:
         if auditor is not None:
-            auditor.detach()
-            sim.event_hook = None
+            auditor.disarm()
 
 
 # ----------------------------------------------------------------------

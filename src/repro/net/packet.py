@@ -12,13 +12,14 @@ per-packet table (the same trick as TCP's timestamp option).
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional, Tuple
 
 DATA = "DATA"
 ACK = "ACK"
 
-_uid_counter = itertools.count(1)
+#: Next uid to issue.  A plain int: peeking at an ``itertools.count`` needs
+#: its pickle support, which is deprecated since Python 3.12.
+_next_uid = 1
 
 
 def uid_counter_state() -> int:
@@ -31,15 +32,15 @@ def uid_counter_state() -> int:
     in-flight packets, tripping the conservation auditor's unique-uid
     invariant and diverging from the straight-through run.
     """
-    return _uid_counter.__reduce__()[1][0]  # non-consuming peek
+    return _next_uid
 
 
 def restore_uid_counter(next_uid: int) -> None:
     """Reset the process-global uid counter so ``next_uid`` is issued next."""
-    global _uid_counter
+    global _next_uid
     if next_uid < 1:
         raise ValueError(f"next_uid must be >= 1, got {next_uid}")
-    _uid_counter = itertools.count(next_uid)
+    _next_uid = next_uid
 
 #: Process-wide observer of packet construction (``repro.audit`` installs
 #: one to enforce conservation).  A module global rather than per-instance
@@ -112,7 +113,9 @@ class Packet:
         receiver: Optional[str] = None,
         is_retransmit: bool = False,
     ) -> None:
-        self.uid = next(_uid_counter)
+        global _next_uid
+        self.uid = _next_uid
+        _next_uid += 1
         self.kind = kind
         self.flow = flow
         self.src = src

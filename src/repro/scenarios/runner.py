@@ -51,7 +51,6 @@ class ScenarioWorld:
     session: RLASession
     driver: ChurnDriver
     auditor: Any = None
-    monitor: Any = None
     #: True once the warmup boundary has been crossed and counters marked.
     marked: bool = False
 
@@ -68,8 +67,7 @@ class ScenarioWorld:
     def disarm(self) -> None:
         """Release process-global audit state (safe to call when unaudited)."""
         if self.auditor is not None:
-            self.auditor.detach()
-            self.sim.event_hook = None
+            self.auditor.disarm()
 
 
 def build_scenario_world(spec: ScenarioSpec) -> ScenarioWorld:
@@ -110,13 +108,10 @@ def build_scenario_world(spec: ScenarioSpec) -> ScenarioWorld:
     gateways = [link.gateway for link in topo.net.links.values()]
     auditor = monitor = None
     if spec.audited:
-        from ..audit import ConservationAuditor, FlightRecorder, InvariantMonitor
+        from ..audit import arm
 
-        recorder = FlightRecorder()
-        monitor = InvariantMonitor(recorder)
-        auditor = ConservationAuditor(sim, monitor=monitor, recorder=recorder)
-        auditor.attach(topo.net)
-        sim.event_hook = recorder.observe_event
+        auditor = arm(sim, topo.net)
+        monitor = auditor.monitor
 
     try:
         # -- background traffic then the multicast session -------------
@@ -141,13 +136,12 @@ def build_scenario_world(spec: ScenarioSpec) -> ScenarioWorld:
         driver.start()
     except BaseException:
         if auditor is not None:
-            auditor.detach()
-            sim.event_hook = None
+            auditor.disarm()
         raise
 
     return ScenarioWorld(
         spec=spec, sim=sim, topo=topo, gateways=gateways, placed=placed,
-        session=session, driver=driver, auditor=auditor, monitor=monitor,
+        session=session, driver=driver, auditor=auditor,
     )
 
 
@@ -204,7 +198,7 @@ def finalize_scenario_world(world: ScenarioWorld) -> Dict[str, Any]:
         sim_stats["ecn_marks"] = sum(getattr(gw, "ecn_marks", 0)
                                      for gw in world.gateways)
     if world.auditor is not None:
-        monitor = world.monitor
+        monitor = world.auditor.monitor
         for flow in placed.tcp_flows:
             monitor.check_tcp(flow.sender)
         if placed.mice is not None:

@@ -69,3 +69,40 @@ def test_clear():
     recorder.record(0.0, "tick")
     recorder.clear()
     assert len(recorder) == 0
+
+
+def test_dump_last_zero_shows_none():
+    # records[-0:] is the whole list: last=0 used to print everything
+    recorder = FlightRecorder(capacity=16)
+    for i in range(5):
+        recorder.record(float(i), "tick", i=i)
+    assert recorder.dump(last=0) == "0 record(s) shown, 5 recorded in total"
+
+
+def test_dump_negative_last_rejected():
+    # records[3:] for last=-3: used to drop the three *oldest* silently
+    recorder = FlightRecorder(capacity=16)
+    for i in range(5):
+        recorder.record(float(i), "tick", i=i)
+    with pytest.raises(ValueError):
+        recorder.dump(last=-3)
+
+
+def test_dump_last_beyond_retained_shows_all():
+    recorder = FlightRecorder(capacity=4)
+    for i in range(10):
+        recorder.record(float(i), "tick", i=i)
+    assert recorder.dump(last=99) == recorder.dump()
+    assert "4 record(s) shown, 10 recorded in total" in recorder.dump()
+
+
+def test_records_are_snapshots_of_header_fields():
+    # entries are flat (time, category, keys, values); the dict a reader
+    # sees is built per read, so editing it cannot rewrite history
+    recorder = FlightRecorder(capacity=4)
+    recorder.note(1.0, "deliver", ("link", "uid"), ("A->B", 7))
+    first = recorder.records
+    assert first == [(1.0, "deliver", {"link": "A->B", "uid": 7})]
+    first[0][2]["uid"] = 8
+    assert recorder.records[0][2]["uid"] == 7
+    assert "link=A->B uid=7" in recorder.dump()

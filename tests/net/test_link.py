@@ -146,3 +146,103 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ConfigurationError):
         Link(sim, "bad", Node("A"), Node("B"), 1e6, 0.1, DropTailQueue(5),
              mean_packet_size=0)
+
+
+# ----------------------------------------------------------------------
+# Exact float ties between an arrival and a departure.
+#
+# On pipelined equal-bandwidth links a packet reaches a node at the very
+# instant its predecessor finishes serialising on the next link:
+# (x + d) + tx == (x + tx) + d.  Which of the two events runs first is
+# decided by the engine's sequence numbers — the order in which the two
+# were *scheduled* — and a drop-tail outcome hangs on it (§3's phase
+# effects).  These tests pin that order; it is what a "one event per hop"
+# link would have to reproduce and cannot (docs/PERFORMANCE.md,
+# "Rejected: one event per hop").  All quantities are powers of two, so
+# the ties are exact, not approximate.
+# ----------------------------------------------------------------------
+_BW = 8_192_000        # b/s: a 1000-byte packet serialises in 2**-10 s
+_TX = 2.0 ** -10
+_LAST_HOP = 2.0 ** -6  # delay of the link(s) after the tie
+
+
+def _events_at(sim, instant):
+    """Names of the events executed at exactly ``instant`` (in order)."""
+    names = []
+
+    def hook(event):
+        if event.time == instant:
+            names.append(event.name)
+
+    sim.event_hook = hook
+    return names
+
+
+@pytest.mark.parametrize("delay, first, second, delivered, dropped", [
+    # delay > tx: the arrival was scheduled first (at 2 tx, when p1 left
+    # A) and beats the departure (scheduled at tx + delay): queue still full
+    (2.0 ** -8, "A->B.rx", "B->C.tx", [0, 99], [1]),
+    # delay < tx: the departure was scheduled first (at tx + delay) and
+    # frees the slot before p1 (scheduled at 2 tx) asks for it
+    (2.0 ** -12, "B->C.tx", "A->B.rx", [0, 99, 1], []),
+])
+def test_tie_between_arrival_and_departure_at_a_full_gateway(
+        delay, first, second, delivered, dropped):
+    sim = Simulator()
+    a, b, c = Node("A"), Node("B"), _Catcher("C", sim)
+    hop1 = Link(sim, "A->B", a, b, _BW, delay, DropTailQueue(20))
+    hop2 = Link(sim, "B->C", b, c, _BW, _LAST_HOP, DropTailQueue(1))
+    a.add_route("C", hop1)
+    b.add_route("C", hop2)
+    drops = []
+    hop2.gateway.on_drop(
+        lambda now, packet, reason: drops.append((now, packet.seq, reason)))
+
+    tie = 2 * _TX + delay  # p0 leaves B's transmitter as p1 reaches B
+    at_tie = _events_at(sim, tie)
+    for seq in (0, 1):  # back to back on the first hop
+        a.send(Packet(DATA, "f", "A", "C", seq, 1000))
+    # a cross packet takes B's single queue slot while p0 is serialising
+    sim.schedule(tie - _TX / 2, hop2.send,
+                 Packet(DATA, "x", "B", "C", 99, 1000))
+    sim.run()
+
+    assert at_tie == [first, second]  # an exact tie, in this order
+    assert [seq for _, seq in c.times] == delivered
+    assert drops == [(tie, seq, "overflow") for seq in dropped]
+
+
+@pytest.mark.parametrize("delay, order", [
+    # arrival first: the R2 copy finds its branch busy, waits for the
+    # departure at the same instant, and leaves behind the R3 copy
+    (2.0 ** -8, ["R1", "R3", "R2"]),
+    # departure first: all three branches idle, copies leave in fan-out order
+    (2.0 ** -12, ["R1", "R2", "R3"]),
+])
+def test_fanout_order_when_a_branch_frees_at_the_arrival_instant(delay, order):
+    sim = Simulator()
+    s, g = Node("S"), Node("G")
+    up = Link(sim, "S->G", s, g, _BW, delay, DropTailQueue(20))
+    s.add_route("R2", up)
+    s.add_mcast_route("group:g", up)
+    log = []
+    for name in ("R1", "R2", "R3"):
+        branch = Link(sim, f"G->{name}", g, Node(name), _BW, _LAST_HOP,
+                      DropTailQueue(20))
+        branch.on_deliver(lambda now, packet, name=name:
+                          log.append((now, name, packet.flow)))
+        g.add_route(name, branch)
+        g.add_mcast_route("group:g", branch)
+
+    tie = 2 * _TX + delay
+    at_tie = _events_at(sim, tie)
+    # a unicast packet keeps branch R2 busy until exactly the instant the
+    # multicast packet queued behind it on S->G reaches the fan-out node
+    s.send(Packet(DATA, "u", "S", "R2", 0, 1000))
+    s.send(Packet(DATA, "m", "S", "group:g", 0, 1000))
+    sim.run()
+
+    assert sorted(at_tie) == ["G->R2.tx", "S->G.rx"]
+    copies = [(now, name) for now, name, flow in log if flow == "m"]
+    assert [now for now, _ in copies] == [tie + _TX + _LAST_HOP] * 3
+    assert [name for _, name in copies] == order

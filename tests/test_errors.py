@@ -74,6 +74,11 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
                  "--allow-code-mismatch"]) == 2
     assert "cannot resolve entrypoint" in capsys.readouterr().err
 
-    old = Snapshot(**{**foreign.__dict__, "version": 1})
-    with pytest.raises(CheckpointError, match="format v1"):
-        load(save(old, tmp_path / "v1.ckpt"), allow_code_mismatch=True)
+    for version in (1, 2):  # pre-routing graphs; pre-diet audit ledgers
+        old = Snapshot(**{**foreign.__dict__, "version": version})
+        with pytest.raises(CheckpointError, match=f"format v{version}"):
+            load(save(old, tmp_path / "old.ckpt"), allow_code_mismatch=True)
+    assert main([command, str(tmp_path / "old.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "format v2" in err
+    assert err.count("\n") == 1
