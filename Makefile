@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-harness bench-smoke audit-smoke checkpoint-smoke fluid-smoke import-smoke figures quickstart clean
+.PHONY: install test paper-checks bench bench-selftest bench-pair audit-smoke checkpoint-smoke fluid-smoke import-smoke figures quickstart clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -10,24 +10,38 @@ install:
 test:
 	pytest tests/
 
+# The reproduction checks: one bench_*.py per paper figure/table/ablation
+# (DESIGN.md's experiment index), each printing the paper's numbers beside
+# ours and asserting the shape.  They time nothing.
+paper-checks:
+	pytest benchmarks/ -s
+
+# Measuring is benchmarks/rlabench/ and nothing else (its README says what
+# each metric and workload is for; docs/PERFORMANCE.md, "Measuring").
 bench:
-	pytest benchmarks/ --benchmark-only
+	$(PYTHON) benchmarks/rlabench/run.py --seed 1 --trace both
 
-# Full regression harness: all suites, compared against the committed
-# per-PR record (see docs/PERFORMANCE.md for the schema and knobs).
-bench-harness:
-	PYTHONPATH=src $(PYTHON) -m repro.bench run --label local \
-		--out BENCH_local.json --compare BENCH_8.json
+bench-selftest:
+	$(PYTHON) benchmarks/rlabench/run.py --selftest
 
-# The fast smoke subset CI runs on every push (>25% slowdown fails):
-# engine + fig7 plus the two smallest receiver-scaling sizes (RLA
-# incremental aggregates) and the fluid ODE integrator's small twin.
-# 3 repeats (min wins) because CI runners are noisy single-tenant VMs.
-bench-smoke:
-	PYTHONPATH=src $(PYTHON) -m repro.bench run \
-		--suites engine,fig7,rla_scale_4,rla_scale_64,fluid_small \
-		--label ci --out BENCH_ci.json --repeats 3 \
-		--compare benchmarks/BENCH_ci_baseline.json
+# The perf gate: BASE and this checkout measured back to back on this
+# machine, each by its own copy of the harness, then compared — no
+# committed reference result, which would be another machine's scale.
+# Fails on `worse`, a count mismatch or a differing result_digest;
+# `unresolved` and `machine drifted` are reported and do not fail.
+BASE ?= HEAD~1
+PAIR_OUT := benchmarks/rlabench/out
+bench-pair:
+	rm -rf .bench-base && git worktree prune
+	git worktree add --detach .bench-base $(BASE)
+	mkdir -p $(PAIR_OUT)
+	trap 'git worktree remove --force .bench-base' EXIT; \
+	$(PYTHON) .bench-base/benchmarks/rlabench/run.py --seed 1 \
+		--out $(PAIR_OUT)/pair-base.json \
+	&& $(PYTHON) benchmarks/rlabench/run.py --seed 1 \
+		--out $(PAIR_OUT)/pair-change.json \
+	&& $(PYTHON) benchmarks/rlabench/compare.py \
+		$(PAIR_OUT)/pair-base.json $(PAIR_OUT)/pair-change.json
 
 # Audit layer smoke: its unit tests, the diet oracle (the pre-PR-17 layer
 # kept verbatim in tests/audit/reference.py must count the same checks and

@@ -1,6 +1,6 @@
-"""Benchmark scale knobs (importable by bench modules).
+"""Horizon of the reproduction checks (importable by the bench modules).
 
-See benchmarks/conftest.py for how scale relates to the paper's runs.
+See benchmarks/conftest.py for how it relates to the paper's runs.
 """
 
 from __future__ import annotations
@@ -12,21 +12,10 @@ DEFAULT_WARMUP = 20.0
 
 
 def bench_duration() -> float:
-    """Measured window length for simulation benchmarks (seconds)."""
+    """Measured window length of the simulated checks (seconds)."""
     return float(os.environ.get("REPRO_BENCH_DURATION", DEFAULT_DURATION))
 
 
 def bench_warmup() -> float:
     """Warmup discarded before measuring (seconds)."""
     return float(os.environ.get("REPRO_BENCH_WARMUP", DEFAULT_WARMUP))
-
-
-def bench_workers() -> int:
-    """Worker processes for the figure/sweep grids (``REPRO_BENCH_WORKERS``).
-
-    Defaults to one per core, capped at 4 — enough to fan the five-case
-    grids out without oversubscribing CI runners.  Set to 1 to force the
-    serial path (results are byte-identical either way).
-    """
-    default = min(os.cpu_count() or 1, 4)
-    return max(int(os.environ.get("REPRO_BENCH_WORKERS", default)), 1)

@@ -44,13 +44,10 @@ def _run(eta: float, duration: float, warmup: float, seed: int = 1):
     return session.report()
 
 
-def test_eta_sweep(benchmark):
+def test_eta_sweep():
     duration, warmup = bench_duration(), bench_warmup()
 
-    def sweep():
-        return {eta: _run(eta, duration, warmup) for eta in (2.0, 20.0, 100.0)}
-
-    reports = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    reports = {eta: _run(eta, duration, warmup) for eta in (2.0, 20.0, 100.0)}
     print("\n[ablation eta] eta -> throughput, cuts, signals, num_trouble")
     for eta, report in reports.items():
         print(f"  eta={eta:5.0f}: {report['throughput_pps']:6.1f} pkt/s, "

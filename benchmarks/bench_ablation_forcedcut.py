@@ -39,14 +39,11 @@ def _run(forced: bool, duration: float, warmup: float, seed: int = 2):
     return session.report()
 
 
-def test_forced_cut_ablation(benchmark):
+def test_forced_cut_ablation():
     duration, warmup = bench_duration(), bench_warmup()
 
-    def compare():
-        return {"on": _run(True, duration, warmup),
-                "off": _run(False, duration, warmup)}
-
-    reports = benchmark.pedantic(compare, rounds=1, iterations=1)
+    reports = {"on": _run(True, duration, warmup),
+               "off": _run(False, duration, warmup)}
     on, off = reports["on"], reports["off"]
     print(f"\n[ablation forced-cut] on : thr {on['throughput_pps']:.1f}, "
           f"cwnd {on['mean_cwnd']:.1f}, cuts {on['window_cuts']} "

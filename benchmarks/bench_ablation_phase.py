@@ -49,14 +49,11 @@ def _run(jitter_on: bool, duration: float, warmup: float, seed: int = 3):
     }
 
 
-def test_phase_jitter_ablation(benchmark):
+def test_phase_jitter_ablation():
     duration, warmup = bench_duration(), bench_warmup()
 
-    def compare():
-        return {"with": _run(True, duration, warmup),
-                "without": _run(False, duration, warmup)}
-
-    reports = benchmark.pedantic(compare, rounds=1, iterations=1)
+    reports = {"with": _run(True, duration, warmup),
+               "without": _run(False, duration, warmup)}
     for label, report in reports.items():
         rates = ", ".join(f"{r:.1f}" for r in report["tcp"])
         print(f"\n[ablation phase] {label:7s} jitter: RLA {report['rla']:.1f}, "

@@ -19,6 +19,7 @@ from repro.baselines.mbfc import MbfcSender
 from repro.baselines.ratebase import LossReportReceiver
 from repro.net.addressing import group_address
 from repro.rla.config import RLAConfig
+from repro.rla.sender import RLASender
 from repro.rla.session import RLASession
 from repro.sim.engine import Simulator
 from repro.tcp.config import TcpConfig
@@ -90,24 +91,18 @@ def _run_rate_scheme(cls, duration, warmup, seed=4, **kwargs):
     return _measure(sim, flows, mark, report, duration, warmup)
 
 
-def test_baseline_comparison(benchmark):
+def test_baseline_comparison():
     duration, warmup = bench_duration(), bench_warmup()
 
-    def run_all():
-        from repro.rla.sender import RLASender
-
-        results = {}
-        results["RLA"] = _run_window_scheme(RLASender, duration, warmup)
-        results["deterministic"] = _run_window_scheme(
-            DeterministicListenerSender, duration, warmup)
-        results["LTRC"] = _run_rate_scheme(LtrcSender, duration, warmup,
-                                           loss_threshold=0.02)
-        results["MBFC"] = _run_rate_scheme(MbfcSender, duration, warmup,
-                                           loss_threshold=0.02,
-                                           population_threshold=0.25)
-        return results
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+    results = {}
+    results["RLA"] = _run_window_scheme(RLASender, duration, warmup)
+    results["deterministic"] = _run_window_scheme(
+        DeterministicListenerSender, duration, warmup)
+    results["LTRC"] = _run_rate_scheme(LtrcSender, duration, warmup,
+                                       loss_threshold=0.02)
+    results["MBFC"] = _run_rate_scheme(MbfcSender, duration, warmup,
+                                       loss_threshold=0.02,
+                                       population_threshold=0.25)
     deviations = {}
     print("\n[baselines] scheme: throughput vs mean competing TCP")
     for name, (scheme_rate, tcp_rates) in results.items():

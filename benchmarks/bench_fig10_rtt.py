@@ -8,18 +8,16 @@ in both cases while no TCP is shut out.
 
 from __future__ import annotations
 
-from _scale import bench_duration, bench_warmup, bench_workers
+from _scale import bench_duration, bench_warmup
 from repro.experiments.fig10_rtt import run_fig10
 from repro.experiments.paperdata import FIG10_RTT
 from repro.experiments.tables import format_case_table
+from repro.runtime import default_workers
 
 
-def test_fig10_different_rtts(benchmark, run_cache):
-    def run():
-        return run_fig10(duration=bench_duration(), warmup=bench_warmup(),
-                         seed=1, workers=bench_workers())
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig10_different_rtts(run_cache):
+    results = run_fig10(duration=bench_duration(), warmup=bench_warmup(),
+                        seed=1, workers=default_workers())
     run_cache["fig10"] = results
     print("\n" + format_case_table(
         results, paper=FIG10_RTT,

@@ -13,8 +13,8 @@ import numpy as np
 from repro.experiments.fig4_drift import PAPER_N, PAPER_PIPE, drift_field, render_field
 
 
-def test_fig4_drift_field(benchmark):
-    gx, gy, u, v = benchmark(drift_field, PAPER_N, PAPER_PIPE, 12.0, 1.0)
+def test_fig4_drift_field():
+    gx, gy, u, v = drift_field(PAPER_N, PAPER_PIPE, 12.0, 1.0)
     print("\n" + render_field())
 
     # Region 1: uncongested (w1 + w2 <= pipe) -> both components grow by +2.

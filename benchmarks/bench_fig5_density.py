@@ -22,11 +22,8 @@ from repro.experiments.fig5_density import (
 )
 
 
-def test_fig5_particle_model(benchmark):
-    trace = benchmark.pedantic(
-        run_particle_density, kwargs={"steps": 200_000, "seed": 5},
-        rounds=1, iterations=1,
-    )
+def test_fig5_particle_model():
+    trace = run_particle_density(steps=200_000, seed=5)
     print(f"\n[fig5/model] mean cwnds ({trace.mean_w1:.1f}, {trace.mean_w2:.1f}) "
           f"(paper's fair point: 20, 20); mass within r=10: "
           f"{trace.mass_within(10.0):.1%}, r=15: {trace.mass_within(15.0):.1%}")
@@ -35,14 +32,11 @@ def test_fig5_particle_model(benchmark):
     assert trace.mass_within(15.0) > 0.5
 
 
-def test_fig5_packet_level(benchmark):
+def test_fig5_packet_level():
     duration = max(bench_duration(), 60.0)
 
-    def run():
-        return run_packet_density(duration=duration, warmup=bench_warmup(),
-                                  seed=5)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+    result = run_packet_density(duration=duration, warmup=bench_warmup(),
+                                seed=5)
     print(f"\n[fig5/packet] mean cwnds ({result.mean_w1:.1f}, "
           f"{result.mean_w2:.1f}) over {result.samples} samples "
           f"(paper: ~19.9, 20.1)")

@@ -14,19 +14,17 @@ from __future__ import annotations
 
 import pytest
 
-from _scale import bench_duration, bench_warmup, bench_workers
+from _scale import bench_duration, bench_warmup
 from repro.experiments.fig7_droptail import run_fig7
 from repro.experiments.tables import format_case_table
 from repro.experiments.paperdata import FIG7_DROPTAIL
 from repro.models.fairness import check_essential_fairness
+from repro.runtime import default_workers
 
 
-def test_fig7_droptail_table(benchmark, run_cache):
-    def run():
-        return run_fig7(duration=bench_duration(), warmup=bench_warmup(),
-                        seed=1, workers=bench_workers())
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig7_droptail_table(run_cache):
+    results = run_fig7(duration=bench_duration(), warmup=bench_warmup(),
+                       seed=1, workers=default_workers())
     run_cache["fig7"] = results
     print("\n" + format_case_table(
         results, paper=FIG7_DROPTAIL,

@@ -11,24 +11,20 @@ from __future__ import annotations
 
 from statistics import mean
 
-from _scale import bench_duration, bench_warmup, bench_workers
+from _scale import bench_duration, bench_warmup
 from repro.experiments.fig7_droptail import run_fig7
 from repro.experiments.paperdata import FIG8_SIGNALS
 from repro.experiments.tables import format_signals_table
+from repro.runtime import default_workers
 
 
-def test_fig8_signal_statistics(benchmark, run_cache):
-    def obtain():
-        cached = run_cache.get("fig7")
-        if cached is not None:
-            return cached
-        # Cache miss (figure 7 suite deselected): fan out exactly like
-        # bench_fig7_droptail so REPRO_BENCH_WORKERS is honored either way.
-        return run_fig7(duration=bench_duration(), warmup=bench_warmup(),
-                        seed=1, workers=bench_workers())
-
-    results = benchmark.pedantic(obtain, rounds=1, iterations=1)
-    run_cache["fig7"] = results
+def test_fig8_signal_statistics(run_cache):
+    results = run_cache.get("fig7")
+    if results is None:
+        # figure 7 file deselected: the same call bench_fig7_droptail makes
+        results = run_fig7(duration=bench_duration(), warmup=bench_warmup(),
+                           seed=1, workers=default_workers())
+        run_cache["fig7"] = results
     print("\n" + format_signals_table(
         results, paper=FIG8_SIGNALS,
         title="Figure 8 - congestion signals per branch (drop-tail runs; "

@@ -8,19 +8,17 @@ drop-tail does in the fully-shared case.
 
 from __future__ import annotations
 
-from _scale import bench_duration, bench_warmup, bench_workers
+from _scale import bench_duration, bench_warmup
 from repro.experiments.fig9_red import run_fig9
 from repro.experiments.paperdata import FIG9_RED
 from repro.experiments.tables import format_case_table
 from repro.models.fairness import check_essential_fairness
+from repro.runtime import default_workers
 
 
-def test_fig9_red_table(benchmark, run_cache):
-    def run():
-        return run_fig9(duration=bench_duration(), warmup=bench_warmup(),
-                        seed=1, workers=bench_workers())
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_fig9_red_table(run_cache):
+    results = run_fig9(duration=bench_duration(), warmup=bench_warmup(),
+                       seed=1, workers=default_workers())
     run_cache["fig9"] = results
     print("\n" + format_case_table(
         results, paper=FIG9_RED,

@@ -23,55 +23,42 @@ from repro.models.tcp_formula import pa_window
 STEPS = 400_000
 
 
-def test_equation1_monte_carlo(benchmark):
+def test_equation1_monte_carlo():
     """TCP's PA window: chain simulation vs sqrt(2(1-p)/p)."""
     p = 0.01
-    simulated = benchmark(simulate_window_chain, [p], STEPS, 11)
+    simulated = simulate_window_chain([p], STEPS, 11)
     closed = pa_window(p)
     print(f"\n[eq 1] p={p}: simulated W={simulated:.2f}, closed form {closed:.2f}")
     assert simulated == pytest.approx(closed, rel=0.15)
 
 
-def test_equation3_monte_carlo(benchmark):
+def test_equation3_monte_carlo():
     """Two-receiver RLA window (eq 3) vs the jump chain."""
     p1, p2 = 0.02, 0.01
-    simulated = benchmark(simulate_window_chain, [p1, p2], STEPS, 12)
+    simulated = simulate_window_chain([p1, p2], STEPS, 12)
     closed = rla_window_two_receivers(p1, p2)
     print(f"\n[eq 3] p=({p1},{p2}): simulated W={simulated:.2f}, "
           f"closed form {closed:.2f}")
     assert simulated == pytest.approx(closed, rel=0.15)
 
 
-def test_proposition_bounds_sweep(benchmark):
+def test_proposition_bounds_sweep():
     """Equation 2 bounds hold across n for the simulated chain."""
-
-    def sweep():
-        results = []
-        for n in (2, 4, 8, 16, 27):
-            p = 0.02
-            w = simulate_window_chain([p] * n, steps=100_000, seed=n)
-            lower, upper = proposition_bounds(p, n)
-            results.append((n, lower, w, upper))
-        return results
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
     print("\n[eq 2] n: lower < simulated W < upper")
-    for n, lower, w, upper in results:
+    for n in (2, 4, 8, 16, 27):
+        p = 0.02
+        w = simulate_window_chain([p] * n, steps=100_000, seed=n)
+        lower, upper = proposition_bounds(p, n)
         print(f"  n={n:2d}: {lower:6.2f} < {w:6.2f} < {upper:6.2f}")
         assert lower < w < upper
 
 
-def test_lemma_correlation(benchmark):
+def test_lemma_correlation():
     """§4.2 Lemma: correlated losses give a larger average window."""
-
-    def compare():
-        p, n = 0.02, 9
-        independent = simulate_window_chain([p] * n, steps=150_000, seed=21)
-        common = simulate_window_chain([p] * n, steps=150_000, seed=21,
-                                       correlated=True)
-        return independent, common
-
-    independent, common = benchmark.pedantic(compare, rounds=1, iterations=1)
+    p, n = 0.02, 9
+    independent = simulate_window_chain([p] * n, steps=150_000, seed=21)
+    common = simulate_window_chain([p] * n, steps=150_000, seed=21,
+                                   correlated=True)
     closed_gap = lemma_correlation_gap(0.02, 9)
     print(f"\n[Lemma] independent W={independent:.2f}, common W={common:.2f}, "
           f"closed-form gap {closed_gap:.2f}")

@@ -15,12 +15,9 @@ from repro.experiments.multisession import run_multisession, summarize
 from repro.experiments.paperdata import MULTISESSION
 
 
-def test_two_sessions_share_equally(benchmark):
-    def run():
-        return run_multisession(duration=bench_duration(),
-                                warmup=bench_warmup(), seed=1)
-
-    result = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_two_sessions_share_equally():
+    result = run_multisession(duration=bench_duration(),
+                              warmup=bench_warmup(), seed=1)
     summary = summarize(result)
     for metric, (measured, paper) in summary.items():
         print(f"\n[multisession] {metric}: measured {measured}, paper {paper}")

@@ -1,15 +1,17 @@
-"""Shared infrastructure for the paper-reproduction benchmarks.
+"""Shared infrastructure for the paper-reproduction checks.
 
-Every figure/table benchmark runs a scaled-down version of the paper's
-3000-second NS2 experiments.  The scale is controlled by two environment
-variables so a higher-fidelity run is one command away:
+Every ``bench_*.py`` file reproduces one figure, table or ablation of the
+paper at a scaled-down horizon and asserts its shape; none of them times
+anything (speed is measured by ``benchmarks/rlabench/``).  The horizon is
+controlled by two environment variables so a higher-fidelity run is one
+command away:
 
 * ``REPRO_BENCH_DURATION`` — measured seconds after warmup (default 60;
   the paper used 2900),
 * ``REPRO_BENCH_WARMUP`` — discarded warmup seconds (default 20; the
   paper used 100).
 
-Benchmarks print the paper's numbers next to ours (the ``[paper]``
+The checks print the paper's numbers next to ours (the ``[paper]``
 bracket) and assert the *shape* results: who wins, the theorem bounds,
 and the case ordering — not absolute throughput equality.
 
@@ -23,16 +25,8 @@ from typing import Dict
 
 import pytest
 
-from _scale import bench_duration, bench_warmup
-
 
 @pytest.fixture(scope="session")
 def run_cache() -> Dict[str, object]:
-    """Session-wide cache of simulation results shared across benchmarks."""
+    """Session-wide cache of simulation results shared across checks."""
     return {}
-
-
-@pytest.fixture(scope="session")
-def scale() -> Dict[str, float]:
-    """The duration/warmup this benchmark session runs at."""
-    return {"duration": bench_duration(), "warmup": bench_warmup()}

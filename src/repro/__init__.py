@@ -38,8 +38,6 @@ Subpackages
     Mean-field ODE backend for 10^5-10^6 flows, cross-validated.
 ``repro.analysis``
     Time series, statistics, ASCII plots and CSV export.
-``repro.bench``
-    In-tree benchmark-regression harness (``python -m repro.bench``).
 
 Quick start::
 

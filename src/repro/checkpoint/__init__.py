@@ -17,7 +17,6 @@ and unaudited (see ``tests/checkpoint``).
 
 from .fork import branch_labels, fork, run_fork_ensemble
 from .registry import (
-    checkpoint_runner_for,
     register_checkpoint_runner,
     require_checkpoint_runner,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "Snapshot",
     "branch_labels",
     "capture",
-    "checkpoint_runner_for",
     "dumps",
     "fork",
     "load",

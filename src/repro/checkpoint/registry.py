@@ -14,7 +14,7 @@ when resolving specs, so the registry is populated wherever it is needed.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from .snapshot import CheckpointError
 
@@ -37,13 +37,8 @@ def register_checkpoint_runner(entrypoint: str, runner: str) -> None:
     _CHECKPOINT_RUNNERS[entrypoint] = runner
 
 
-def checkpoint_runner_for(entrypoint: str) -> Optional[str]:
-    """The registered checkpoint runner path, or ``None``."""
-    return _CHECKPOINT_RUNNERS.get(entrypoint)
-
-
 def require_checkpoint_runner(entrypoint: str) -> str:
-    """Like :func:`checkpoint_runner_for` but raising a helpful error."""
+    """The registered checkpoint runner path; a helpful error if none."""
     runner = _CHECKPOINT_RUNNERS.get(entrypoint)
     if runner is None:
         raise CheckpointError(

@@ -366,25 +366,6 @@ def snapshot_tree_world(world: TreeWorld, at: Optional[float] = None,
     )
 
 
-def checkpoint_tree_experiment(spec: TreeExperimentSpec, at: float,
-                               path: Optional[str] = None):
-    """Run a fresh experiment up to ``at`` and return (and save) a snapshot.
-
-    Unlike :func:`run_tree_experiment` with ``checkpoint_at``, this stops
-    at the checkpoint — the warm-start entry for fork ensembles.
-    """
-    world = build_tree_world(spec)
-    try:
-        snapshot = snapshot_tree_world(world, at=at)
-    finally:
-        world.disarm()
-    if path is not None:
-        from ..checkpoint import save
-
-        save(snapshot, path)
-    return snapshot
-
-
 # ----------------------------------------------------------------------
 # parallel-runtime wiring
 # ----------------------------------------------------------------------

@@ -137,9 +137,22 @@ class ResultCache:
         self.hits += 1
         return entry
 
+    def ensure_dir(self) -> None:
+        """Create the cache directory, or say why it cannot be one.
+
+        :func:`~repro.runtime.run_specs` calls this before its first miss
+        starts simulating, so an impossible ``--cache`` path costs no run.
+        """
+        try:
+            self.path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot create cache directory {self.path}: "
+                f"{exc.strerror}") from exc
+
     def put(self, spec: RunSpec, result: Any, metrics: RunMetrics) -> None:
         """Store a finished run atomically."""
-        self.path.mkdir(parents=True, exist_ok=True)
+        self.ensure_dir()
         entry = CacheEntry(canonical=spec.canonical(), result=result,
                            metrics=metrics)
         fd, tmp_name = tempfile.mkstemp(dir=self.path, suffix=".tmp")

@@ -176,6 +176,8 @@ def run_specs(
             )
         else:
             todo.append(index)
+    if cache is not None and todo:
+        cache.ensure_dir()
 
     def record_success(index: int, result: Any, wall: float) -> None:
         spec = specs[index]

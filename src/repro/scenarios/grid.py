@@ -164,7 +164,8 @@ def grid_specs(grid: GridSpec) -> List[ScenarioSpec]:
     Drop-tail + ECN cells are skipped (drop-tail has no early
     notification to convert into a CE mark), so a full grid over the six
     disciplines yields ``6 * mixes * spreads * 2 - mixes * spreads``
-    specs rather than the naive product.
+    specs rather than the naive product.  A slice of nothing but such
+    cells is a :class:`ConfigurationError`, not an empty table.
     """
     grid.validate()
     disciplines = grid.disciplines or GATEWAY_DISCIPLINES
@@ -182,6 +183,11 @@ def grid_specs(grid: GridSpec) -> List[ScenarioSpec]:
                         duration=grid.duration, warmup=grid.warmup,
                         seed=grid.seed, audited=grid.audited,
                     ))
+    if not specs:
+        raise ConfigurationError(
+            "empty grid slice: drop-tail + ECN cells are skipped "
+            "(drop-tail has no early notification to mark)"
+        )
     return specs
 
 

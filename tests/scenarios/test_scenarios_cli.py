@@ -43,3 +43,21 @@ def test_scenarios_run_seed_override_changes_output(capsys):
           "--warmup", "2", "--seed", "3"])
     other = capsys.readouterr().out
     assert base != other
+
+
+def test_grid_slice_of_only_skipped_cells_is_an_error(capsys):
+    """``--gateways droptail --ecn on`` printed a header-only table, exit 0."""
+    assert main(["scenarios", "grid", "--gateways", "droptail",
+                 "--ecn", "on"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: empty grid slice")
+    assert "no early notification to mark" in captured.err
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+    # a mixed slice still skips its drop-tail + ECN cells silently
+    assert main(["scenarios", "grid", "--gateways", "droptail", "red",
+                 "--ecn", "on", "--mixes", "uniform", "--spreads", "wide",
+                 "--duration", "2", "--warmup", "1"]) == 0
+    captured = capsys.readouterr()
+    assert "red " in captured.out and "droptail" not in captured.out
+    assert captured.err == ""

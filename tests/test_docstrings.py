@@ -2,7 +2,7 @@
 
 Mirrors the ruff ``D1`` scope declared in pyproject.toml — modules,
 public classes, and public functions/methods in :mod:`repro.sim`,
-:mod:`repro.runtime`, :mod:`repro.scenarios`, :mod:`repro.bench`, and
+:mod:`repro.runtime`, :mod:`repro.scenarios`,
 :mod:`repro.checkpoint`, and :mod:`repro.fluid` must carry docstrings.
 Implemented over the AST so it runs in
 environments without ruff/pydocstyle installed (the config stays the
@@ -20,7 +20,7 @@ import pytest
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Packages covered by the D1 rule (keep in sync with pyproject.toml).
-COVERED = ("sim", "runtime", "scenarios", "bench", "checkpoint", "fluid")
+COVERED = ("sim", "runtime", "scenarios", "checkpoint", "fluid")
 
 
 def _covered_files() -> List[pathlib.Path]:

@@ -82,3 +82,30 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "format v2" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_uncreatable_cache_dir_is_an_error_before_any_run(
+        workers, tmp_path, capsys):
+    """``--cache <a file>/sub`` used to simulate every point and then die
+    in ``ResultCache.put`` with a NotADirectoryError traceback."""
+    from repro.cli import main
+    from repro.runtime import ResultCache, RunSpec, run_specs
+
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    cache = ResultCache(blocker / "sub")  # only a write needs the directory
+    ran = tmp_path / "ran"  # the entrypoint's first act is to create this
+    with pytest.raises(errors.ConfigurationError,
+                       match="cannot create cache directory"):
+        run_specs([RunSpec("repro.runtime._testing:flaky",
+                           {"marker": str(ran)})],
+                  workers=workers, cache=cache)
+    assert not ran.exists()
+
+    assert main(["sweep", "--counts", "2", "--duration", "2", "--warmup", "1",
+                 "--workers", str(workers),
+                 "--cache", str(blocker / "sub")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot create cache directory")
+    assert captured.err.count("\n") == 1 and captured.out == ""
