@@ -24,6 +24,9 @@ Subpackages
     The paper's topologies: figure 1 (restricted) and figure 6 (tree).
 ``repro.experiments``
     One module per paper figure/table (figures 4, 5, 7, 8, 9, 10, §5.2).
+``repro.lifecycle``
+    The one build -> advance -> finalize -> snapshot/resume driver the
+    tree, scenario and sweep backends share (a module, not a package).
 ``repro.runtime``
     Parallel experiment execution: content-addressed run specs, a
     process-pool executor with retry/timeout handling, an on-disk

@@ -16,10 +16,6 @@ and unaudited (see ``tests/checkpoint``).
 """
 
 from .fork import branch_labels, fork, run_fork_ensemble
-from .registry import (
-    register_checkpoint_runner,
-    require_checkpoint_runner,
-)
 from .snapshot import (
     FORMAT_VERSION,
     CheckpointError,
@@ -42,8 +38,6 @@ __all__ = [
     "dumps",
     "fork",
     "load",
-    "register_checkpoint_runner",
-    "require_checkpoint_runner",
     "resolve_entrypoint",
     "restore",
     "resume",

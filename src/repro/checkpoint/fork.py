@@ -71,8 +71,8 @@ def run_fork_ensemble(
 ) -> List[Tuple[str, Any]]:
     """Run every branch to completion; returns ``(label, report)`` pairs.
 
-    Requires the snapshot to record a resume entrypoint (experiment- and
-    scenario-level snapshots do).  ``mutate(world)``, when given, runs
+    Requires the snapshot to record a resume entrypoint (every snapshot
+    :func:`repro.lifecycle.snapshot_world` takes does).  ``mutate(world)``, when given, runs
     after reseeding and may adjust any branch state — swap queue configs,
     extend churn schedules, change session parameters — before the branch
     future is simulated.

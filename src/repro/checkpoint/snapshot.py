@@ -50,7 +50,9 @@ from ..sim.engine import Simulator
 #: ``Network.graph`` is a plain adjacency dict (v1 pickled a graph-library
 #: object, so a v1 file restores only where that library is installed).
 #: v3: audited worlds hold flat recorder entries and no queued-uid mirror.
-FORMAT_VERSION = 3
+#: v4: every header names the one resume entrypoint
+#: (``repro.lifecycle:finish_world``); the per-backend ones v3 names are gone.
+FORMAT_VERSION = 4
 
 #: File magic identifying a repro checkpoint file.
 MAGIC = "repro-ckpt"

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from functools import partial
-from typing import Any, List, Optional, Sequence
+from typing import IO, Any, ContextManager, List, Optional, Sequence
 
-from .errors import ReproError
+from .errors import ConfigurationError, ReproError
 from .experiments import (
     fig7_table,
     fig8_table,
@@ -98,7 +99,10 @@ def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _runtime_kwargs(args: argparse.Namespace, outcomes: List[Any]) -> dict:
-    """Translate --workers/--cache/--metrics into runner keyword arguments."""
+    """Translate the runtime options into runner keyword arguments.
+
+    The producer of :func:`repro.lifecycle.run_many`'s option set.
+    """
     kwargs: dict = {}
     if args.workers is not None:
         kwargs["workers"] = args.workers
@@ -111,6 +115,9 @@ def _runtime_kwargs(args: argparse.Namespace, outcomes: List[Any]) -> dict:
         if args.checkpoint_dir is not None:
             kwargs["checkpoint_dir"] = args.checkpoint_dir
         kwargs.setdefault("workers", 1)
+    elif getattr(args, "checkpoint_dir", None) is not None:
+        raise ConfigurationError(
+            "--checkpoint-dir needs --checkpoint-at (the time to snapshot at)")
     if not kwargs and getattr(args, "metrics", False):
         # --metrics alone still needs the runtime path to collect outcomes
         kwargs["workers"] = 1
@@ -336,11 +343,12 @@ def _run_resume(args: argparse.Namespace) -> None:
 
     snapshot = load(args.snapshot,
                     allow_code_mismatch=args.allow_code_mismatch)
-    print(f"restoring {snapshot.label or args.snapshot} "
-          f"at t={snapshot.sim_time:g} ...")
-    report = resume(snapshot)
-    print(_describe_report(report))
-    _pickle_out(args.out, report)
+    with _open_out(args.out) as out:
+        print(f"restoring {snapshot.label or args.snapshot} "
+              f"at t={snapshot.sim_time:g} ...")
+        report = resume(snapshot)
+        print(_describe_report(report))
+        _pickle_out(out, report)
 
 
 def _run_fork(args: argparse.Namespace) -> None:
@@ -349,18 +357,18 @@ def _run_fork(args: argparse.Namespace) -> None:
     snapshot = load(args.snapshot,
                     allow_code_mismatch=args.allow_code_mismatch)
     labels = branch_labels(args.branches, prefix=args.prefix)
-    print(f"forking {snapshot.label or args.snapshot} "
-          f"at t={snapshot.sim_time:g} into {len(labels)} branches ...")
-    results = run_fork_ensemble(snapshot, labels)
-    for label, report in results:
-        print(f"[{label}] {_describe_report(report)}")
-    _pickle_out(args.out, results)
+    with _open_out(args.out) as out:
+        print(f"forking {snapshot.label or args.snapshot} "
+              f"at t={snapshot.sim_time:g} into {len(labels)} branches ...")
+        results = run_fork_ensemble(snapshot, labels)
+        for label, report in results:
+            print(f"[{label}] {_describe_report(report)}")
+        _pickle_out(out, results)
 
 
 def _run_fluid(args: argparse.Namespace) -> int:
     """The ``fluid`` subcommand: crossval tables and population scaling."""
     if args.action == "crossval":
-        from .errors import ConfigurationError
         from .fluid.crossval import (
             CROSSVAL_CASES,
             format_crossval,
@@ -473,8 +481,19 @@ def _describe_report(report: Any) -> str:
     return repr(report)
 
 
-def _pickle_out(path: Optional[str], payload: Any) -> None:
+def _open_out(path: Optional[str]) -> ContextManager[Optional[IO[bytes]]]:
+    """Open ``--out`` before anything is simulated: an unwritable path
+    must cost an error line, not the finished branches."""
     if path is None:
+        return nullcontext()
+    try:
+        return open(path, "wb")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
+def _pickle_out(handle: Optional[IO[bytes]], payload: Any) -> None:
+    if handle is None:
         return
     import pickle
 
@@ -482,9 +501,8 @@ def _pickle_out(path: Optional[str], payload: Any) -> None:
     # checkpoint smoke diff these files against pickle.dumps(report),
     # which pickles at DEFAULT_PROTOCOL — a protocol mismatch would make
     # every comparison fail on the version byte alone.
-    with open(path, "wb") as handle:
-        pickle.dump(payload, handle)
-    print(f"report pickled to {path}")
+    pickle.dump(payload, handle)
+    print(f"report pickled to {handle.name}")
 
 
 if __name__ == "__main__":  # pragma: no cover

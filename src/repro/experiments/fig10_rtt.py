@@ -9,14 +9,13 @@ level 3.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from ..topology.cases import RTT_CASES, lookup_case
 from .paperdata import FIG10_RTT
 from .runner import (
     TreeExperimentResult,
     TreeExperimentSpec,
-    run_tree_experiment,
     run_tree_experiments,
 )
 from .tables import format_case_table
@@ -29,17 +28,13 @@ def run_fig10(
     cases: Iterable[int] = (1, 2),
     share_pps: float = 100.0,
     gateway: str = "droptail",
-    workers: Optional[int] = None,
-    cache=None,
-    outcomes: Optional[List[Any]] = None,
     audited: bool = False,
-    checkpoint_at: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
+    **runtime: Any,
 ) -> Dict[int, TreeExperimentResult]:
     """Run the figure 10 cases (36 receivers, RTT-scaled listening).
 
-    ``workers``/``cache`` fan the case grid out through
-    :mod:`repro.runtime`, as in :func:`~repro.experiments.fig7_droptail.run_fig7`.
+    ``runtime`` is passed through as in
+    :func:`~repro.experiments.fig7_droptail.run_fig7`.
     """
     specs = {
         case_number: TreeExperimentSpec(
@@ -54,13 +49,7 @@ def run_fig10(
         )
         for case_number in cases
     }
-    if workers is None and cache is None and checkpoint_at is None:
-        return {number: run_tree_experiment(spec)
-                for number, spec in specs.items()}
-    return run_tree_experiments(specs, workers=workers, cache=cache,
-                                outcomes=outcomes,
-                                checkpoint_at=checkpoint_at,
-                                checkpoint_dir=checkpoint_dir)
+    return run_tree_experiments(specs, **runtime)
 
 
 def fig10_table(results: Optional[Dict[int, TreeExperimentResult]] = None, **kwargs) -> str:

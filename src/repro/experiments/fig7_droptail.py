@@ -9,14 +9,13 @@ scaled-down (but shape-preserving) version.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from ..topology.cases import TREE_CASES, lookup_case
 from .paperdata import FIG7_DROPTAIL
 from .runner import (
     TreeExperimentResult,
     TreeExperimentSpec,
-    run_tree_experiment,
     run_tree_experiments,
 )
 from .tables import format_case_table
@@ -29,21 +28,19 @@ def run_fig7(
     cases: Iterable[int] = (1, 2, 3, 4, 5),
     share_pps: float = 100.0,
     gateway: str = "droptail",
-    workers: Optional[int] = None,
-    cache=None,
-    outcomes: Optional[List[Any]] = None,
     audited: bool = False,
-    checkpoint_at: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
+    **runtime: Any,
 ) -> Dict[int, TreeExperimentResult]:
     """Run the selected figure 7 cases; returns results keyed by case.
 
-    With ``workers`` and/or ``cache`` set, the case grid fans out through
+    ``runtime`` is :func:`repro.lifecycle.run_many`'s option set: with
+    ``workers`` and/or ``cache`` the case grid fans out through
     :mod:`repro.runtime` (byte-identical results, run in parallel and
-    cached on disk); otherwise the cases run serially in-process.
+    cached on disk), ``checkpoint_at`` also writes a resumable snapshot of
+    every case at that interior sim-time, ``outcomes`` collects the run
+    records; with none of them the cases run serially in-process.
     ``audited=True`` runs every case under the :mod:`repro.audit`
-    conservation auditor.  ``checkpoint_at`` writes a resumable snapshot
-    of every case at that interior sim-time on the way to the same result.
+    conservation auditor.
     """
     specs = {
         case_number: TreeExperimentSpec(
@@ -57,13 +54,7 @@ def run_fig7(
         )
         for case_number in cases
     }
-    if workers is None and cache is None and checkpoint_at is None:
-        return {number: run_tree_experiment(spec)
-                for number, spec in specs.items()}
-    return run_tree_experiments(specs, workers=workers, cache=cache,
-                                outcomes=outcomes,
-                                checkpoint_at=checkpoint_at,
-                                checkpoint_dir=checkpoint_dir)
+    return run_tree_experiments(specs, **runtime)
 
 
 def fig7_table(results: Optional[Dict[int, TreeExperimentResult]] = None, **kwargs) -> str:

@@ -7,7 +7,7 @@ eliminate phase effects by themselves (§3.1, §5.1).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Optional
 
 from .fig7_droptail import run_fig7
 from .paperdata import FIG9_RED
@@ -15,26 +15,9 @@ from .runner import TreeExperimentResult
 from .tables import format_case_table
 
 
-def run_fig9(
-    duration: float = 200.0,
-    warmup: float = 20.0,
-    seed: int = 1,
-    cases: Iterable[int] = (1, 2, 3, 4, 5),
-    share_pps: float = 100.0,
-    workers: Optional[int] = None,
-    cache=None,
-    outcomes: Optional[List[Any]] = None,
-    audited: bool = False,
-    checkpoint_at: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
-) -> Dict[int, TreeExperimentResult]:
-    """Run the selected figure 9 cases (RED gateways)."""
-    return run_fig7(
-        duration=duration, warmup=warmup, seed=seed, cases=cases,
-        share_pps=share_pps, gateway="red",
-        workers=workers, cache=cache, outcomes=outcomes, audited=audited,
-        checkpoint_at=checkpoint_at, checkpoint_dir=checkpoint_dir,
-    )
+def run_fig9(**kwargs: Any) -> Dict[int, TreeExperimentResult]:
+    """Run the selected figure 9 cases: figure 7's runs on RED gateways."""
+    return run_fig7(gateway="red", **kwargs)
 
 
 def fig9_table(results: Optional[Dict[int, TreeExperimentResult]] = None, **kwargs) -> str:

@@ -78,6 +78,8 @@ def run_population(
     specs = [population_spec(n, gateway=gateway, spread=spread,
                              duration=duration, warmup=warmup, seed=seed)
              for n in counts]
+    # Not lifecycle.run_many: this serial path alone stamps wall_s into
+    # the row — different output, not a copy of that fork.
     if workers is None and cache is None:
         rows = []
         for spec in specs:

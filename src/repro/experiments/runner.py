@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Union
 
 from ..errors import ConfigurationError
+from ..lifecycle import World, advance_world, arming, run_many, run_world
 from ..net.addressing import flow_id
 from ..rla.config import RLAConfig
 from ..rla.session import RLASession
@@ -129,13 +130,8 @@ class TreeExperimentResult:
 
 
 @dataclass
-class TreeWorld:
-    """A live (or restored) §5 experiment: everything between build and report.
-
-    This is the unit :mod:`repro.checkpoint` snapshots: the whole object
-    graph hanging off these fields — simulator, network, flows, sessions,
-    audit ledgers — pickles as one, so shared references survive restore.
-    """
+class TreeWorld(World):
+    """A live (or restored) §5 experiment: everything between build and report."""
 
     spec: TreeExperimentSpec
     sim: Simulator
@@ -147,31 +143,33 @@ class TreeWorld:
     extra_flows: List[TcpFlow]
     sessions: List[RLASession]
     auditor: Any = None
-    #: True once the warmup boundary has been crossed and counters marked.
     marked: bool = False
 
-    @property
-    def end_time(self) -> float:
-        """Absolute sim-time at which the measurement window closes."""
-        return self.spec.warmup + self.spec.duration
+    def _flows(self) -> List[TcpFlow]:
+        return list(self.tcp_flows.values()) + self.extra_flows
 
-    def rearm(self) -> None:
-        """Re-install process-global audit state after a restore."""
-        if self.auditor is not None:
-            self.auditor.rearm()
+    def marks(self) -> List[Any]:
+        return self._flows() + self.sessions
 
-    def disarm(self) -> None:
-        """Release process-global audit state (safe to call when unaudited)."""
-        if self.auditor is not None:
-            self.auditor.disarm()
+    def tcp_senders(self) -> List[Any]:
+        return [flow.sender for flow in self._flows()]
+
+    def rla_senders(self) -> List[Any]:
+        return [session.sender for session in self.sessions]
+
+    def label(self) -> str:
+        return f"{self.spec.case.name}/{self.spec.gateway}"
+
+    def finalize(self) -> TreeExperimentResult:
+        return finalize_tree_world(self)
 
 
 def build_tree_world(spec: TreeExperimentSpec) -> TreeWorld:
     """Construct the tree, attach audit hooks, and start all traffic.
 
     On an audited spec this installs the process-global packet-creation
-    hook: callers must eventually call :meth:`TreeWorld.disarm` (the run
-    helpers below do so in ``finally`` blocks).
+    hook: callers must eventually call :meth:`TreeWorld.disarm`
+    (:func:`repro.lifecycle.run_world` does, in every outcome).
     """
     spec.validate()
     case = spec.case
@@ -189,23 +187,12 @@ def build_tree_world(spec: TreeExperimentSpec) -> TreeWorld:
     jitter = spec.resolved_jitter(min(bandwidths.values()))
     start_rng = sim.rng.stream("experiment.start")
 
-    # Gateways track peak occupancy natively (Gateway.peak_depth), so the
-    # runtime layer's load stats need no per-enqueue hook — leaving the
-    # enqueue fast path hook-free for un-audited runs.
     gateways = [link.gateway for link in net.links.values()]
-
-    auditor = monitor = None
-    if spec.audited:
-        from ..audit import arm
-
-        auditor = arm(sim, net)
-        monitor = auditor.monitor
-
     tcp_config = TcpConfig(
         packet_size=spec.packet_size, phase_jitter=jitter,
         max_cwnd=spec.tcp_max_cwnd,
     )
-    try:
+    with arming(spec.audited, sim, net) as (auditor, monitor):
         # Background TCPs run to the leaf receivers only: in figure 10 the
         # interior G3x nodes join the multicast group but have no TCP of
         # their own (the paper's WTCP/BTCP rows show leaf RTTs).
@@ -238,10 +225,6 @@ def build_tree_world(spec: TreeExperimentSpec) -> TreeWorld:
             session.sender.monitor = monitor
             session.start(start_rng.uniform(0.0, 1.0))
             sessions.append(session)
-    except BaseException:
-        if auditor is not None:
-            auditor.disarm()
-        raise
 
     return TreeWorld(
         spec=spec, sim=sim, net=net, info=info, receivers=receivers,
@@ -250,53 +233,16 @@ def build_tree_world(spec: TreeExperimentSpec) -> TreeWorld:
     )
 
 
-def advance_tree_world(world: TreeWorld, until: float) -> None:
-    """Run the world forward to absolute sim-time ``until``.
-
-    Handles the warmup boundary exactly like the straight-through run:
-    events up to the warmup horizon execute first, throughput counters are
-    marked once at the boundary, then measurement-window events run.
-    Splitting the run at any interior time (including exactly at the
-    boundary) executes the identical event sequence — that equivalence is
-    what makes interior-time snapshots byte-identical to straight-through
-    runs.
-    """
-    spec = world.spec
-    if until > world.end_time:
-        raise ConfigurationError(
-            f"cannot advance to t={until}: run ends at t={world.end_time}"
-        )
-    if not world.marked:
-        world.sim.run(until=min(until, spec.warmup))
-        if until >= spec.warmup:
-            for flow in list(world.tcp_flows.values()) + world.extra_flows:
-                flow.mark()
-            for session in world.sessions:
-                session.mark()
-            world.marked = True
-    if until > spec.warmup:
-        world.sim.run(until=until)
+#: Kept under its old name for ``benchmarks/rlabench/micro.py``, which
+#: imports it from here and may not change with this module.
+advance_tree_world = advance_world
 
 
 def finalize_tree_world(world: TreeWorld) -> TreeExperimentResult:
     """Collect reports and audit verdicts from a fully advanced world."""
     spec = world.spec
-    sim = world.sim
-    stats: Dict[str, float] = {
-        "events": sim.events_executed,
-        "drops": sum(gateway.dropped for gateway in world.gateways),
-        "peak_queue_depth": max(gateway.peak_depth for gateway in world.gateways),
-        "sim_time": sim.now,
-    }
-    if world.auditor is not None:
-        monitor = world.auditor.monitor
-        for flow in list(world.tcp_flows.values()) + world.extra_flows:
-            monitor.check_tcp(flow.sender)
-        for session in world.sessions:
-            monitor.check_rla(session.sender)
-        world.auditor.verify()
-        stats["audit_checks"] = monitor.checks_run
-        stats["violations"] = monitor.violation_count
+    stats = world.stats()
+    world.audit(stats)
     return TreeExperimentResult(
         spec=spec,
         rla=[session.report() for session in world.sessions],
@@ -308,19 +254,6 @@ def finalize_tree_world(world: TreeWorld) -> TreeExperimentResult:
     )
 
 
-#: Resume entrypoint recorded in tree-experiment snapshots.
-TREE_RESUME_ENTRYPOINT = "repro.experiments.runner:resume_tree_world"
-
-
-def resume_tree_world(world: TreeWorld) -> TreeExperimentResult:
-    """Finish a restored world: run to the end and report (then disarm)."""
-    try:
-        advance_tree_world(world, world.end_time)
-        return finalize_tree_world(world)
-    finally:
-        world.disarm()
-
-
 def run_tree_experiment(
     spec: TreeExperimentSpec,
     checkpoint_at: Optional[float] = None,
@@ -328,42 +261,10 @@ def run_tree_experiment(
 ) -> TreeExperimentResult:
     """Build, warm up, measure, and report one §5 experiment.
 
-    With ``checkpoint_at`` set, the run pauses at that interior sim-time,
-    captures a :class:`repro.checkpoint.Snapshot` (written to
-    ``checkpoint_path`` when given), and continues — the returned result
-    is identical to an uncheckpointed run.
+    ``checkpoint_at``/``checkpoint_path`` write a resumable snapshot on
+    the way to the same result (see :func:`repro.lifecycle.run_world`).
     """
-    world = build_tree_world(spec)
-    try:
-        if checkpoint_at is not None:
-            snapshot = snapshot_tree_world(world, at=checkpoint_at)
-            if checkpoint_path is not None:
-                from ..checkpoint import save
-
-                save(snapshot, checkpoint_path)
-        advance_tree_world(world, world.end_time)
-        return finalize_tree_world(world)
-    finally:
-        world.disarm()
-
-
-def snapshot_tree_world(world: TreeWorld, at: Optional[float] = None,
-                        label: str = ""):
-    """Advance to ``at`` (if given) and capture a resumable snapshot."""
-    from ..checkpoint import capture
-
-    if at is not None:
-        if not 0.0 <= at < world.end_time:
-            raise ConfigurationError(
-                f"checkpoint time {at} outside [0, {world.end_time})"
-            )
-        advance_tree_world(world, at)
-    return capture(
-        world,
-        label=label or f"{world.spec.case.name}/{world.spec.gateway}"
-                       f"@t={world.sim.now:g}",
-        resume=TREE_RESUME_ENTRYPOINT,
-    )
+    return run_world(build_tree_world(spec), checkpoint_at, checkpoint_path)
 
 
 # ----------------------------------------------------------------------
@@ -371,33 +272,15 @@ def snapshot_tree_world(world: TreeWorld, at: Optional[float] = None,
 # ----------------------------------------------------------------------
 #: Entrypoint path worker processes resolve to run one tree experiment.
 TREE_ENTRYPOINT = "repro.experiments.runner:run_tree_spec"
-TREE_CHECKPOINT_RUNNER = "repro.experiments.runner:run_tree_spec_checkpointed"
 
 
-def run_tree_spec(params: Dict[str, Any]) -> TreeExperimentResult:
-    """:mod:`repro.runtime` entrypoint: ``params['spec']`` is the spec."""
-    return run_tree_experiment(params["spec"])
-
-
-def run_tree_spec_checkpointed(
+def run_tree_spec(
     params: Dict[str, Any],
-    checkpoint_at: float,
+    checkpoint_at: Optional[float] = None,
     checkpoint_path: Optional[str] = None,
 ) -> TreeExperimentResult:
-    """Checkpoint-capable variant of :func:`run_tree_spec` (see registry)."""
-    return run_tree_experiment(
-        params["spec"], checkpoint_at=checkpoint_at,
-        checkpoint_path=checkpoint_path,
-    )
-
-
-def _register_checkpoint_runner() -> None:
-    from ..checkpoint import register_checkpoint_runner
-
-    register_checkpoint_runner(TREE_ENTRYPOINT, TREE_CHECKPOINT_RUNNER)
-
-
-_register_checkpoint_runner()
+    """:mod:`repro.runtime` entrypoint: ``params['spec']`` is the spec."""
+    return run_tree_experiment(params["spec"], checkpoint_at, checkpoint_path)
 
 
 def tree_runspec(spec: TreeExperimentSpec, label: str = ""):
@@ -411,32 +294,16 @@ def tree_runspec(spec: TreeExperimentSpec, label: str = ""):
 
 
 def run_tree_experiments(
-    specs: Dict[Hashable, TreeExperimentSpec],
-    workers: Optional[int] = None,
-    cache=None,
-    timeout: Optional[float] = None,
-    outcomes: Optional[List[Any]] = None,
-    checkpoint_at: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
+    specs: Dict[Hashable, TreeExperimentSpec], **runtime: Any,
 ) -> Dict[Hashable, TreeExperimentResult]:
-    """Run a keyed grid of tree experiments through the parallel runtime.
+    """Run a keyed grid of tree experiments, serially or via the runtime.
 
-    Results come back keyed like the input, in input order, and are
-    byte-identical to calling :func:`run_tree_experiment` serially: each
-    run's randomness is fully determined by its spec.  ``outcomes``, if
-    given, is extended with the :class:`~repro.runtime.RunOutcome`
-    records (for metric tables / cache accounting).  ``checkpoint_at``
-    makes every non-cached run write a resumable snapshot at that interior
-    sim-time (to ``checkpoint_dir`` or the cache directory) on its way to
-    the same result.
+    Results come back keyed like the input, in input order.  ``runtime``
+    is :func:`repro.lifecycle.run_many`'s option set (``workers``,
+    ``cache``, ``outcomes``, ``checkpoint_at``, ``checkpoint_dir``);
+    whichever side of it runs, the results are byte-identical: each run's
+    randomness is fully determined by its spec.
     """
-    from ..runtime import run_specs
-
-    keys = list(specs)
-    runspecs = [tree_runspec(specs[key]) for key in keys]
-    outs = run_specs(runspecs, workers=workers, cache=cache, timeout=timeout,
-                     checkpoint_at=checkpoint_at,
-                     checkpoint_dir=checkpoint_dir)
-    if outcomes is not None:
-        outcomes.extend(outs)
-    return {key: out.result for key, out in zip(keys, outs)}
+    results = run_many(specs.values(), run_tree_experiment, tree_runspec,
+                       **runtime)
+    return dict(zip(specs, results))

@@ -13,15 +13,19 @@ deployment would want:
 All sweeps run the symmetric restricted topology (figure 1) where the
 expected outcome is near-absolute fairness at every point.
 
-All sweeps accept ``workers``/``cache``: with either set they fan out
-through :mod:`repro.runtime` (parallel execution + on-disk result
+All sweeps pass ``**runtime`` (``workers``, ``cache``, ``outcomes``) to
+:func:`repro.lifecycle.run_many`: with ``workers`` or ``cache`` set they
+fan out through :mod:`repro.runtime` (parallel execution + on-disk result
 caching) and return rows byte-identical to the serial path.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List
 
+from ..errors import ConfigurationError
+from ..lifecycle import World, arming, run_many, run_world
 from ..models.fairness import check_essential_fairness
 from ..rla.config import RLAConfig
 from ..rla.session import RLASession
@@ -32,38 +36,72 @@ from ..topology.restricted import RestrictedSpec, build_restricted
 from ..units import pps_to_bps, transmission_time
 
 
-def _run_symmetric(
-    n_receivers: int,
-    share_pps: float,
-    buffer_pkts: int,
-    duration: float,
-    warmup: float,
-    seed: int,
-    gateway: str,
-    audited: bool = False,
-) -> Dict[str, float]:
-    """One symmetric run: n branches at (1 TCP + RLA) * share each."""
-    mu = 2 * share_pps  # 1 TCP + the multicast session per branch
-    spec = RestrictedSpec(
-        mu_pps=[mu] * n_receivers,
-        m=[1] * n_receivers,
-        gateway=gateway,
-        buffer_pkts=buffer_pkts,
-    )
-    sim = Simulator(seed=seed)
-    net, receivers = build_restricted(sim, spec)
-    # Peak occupancy comes from the gateways' native counters; no
-    # per-enqueue hook means the enqueue fast path stays hook-free.
-    gateways = [link.gateway for link in net.links.values()]
-    auditor = monitor = None
-    if audited:
-        from ..audit import arm
+@dataclass
+class SymmetricSpec:
+    """One symmetric point: n branches at (1 TCP + RLA) * share each."""
 
-        auditor = arm(sim, net)
-        monitor = auditor.monitor
-    jitter = (transmission_time(spec.packet_size, pps_to_bps(mu))
-              if gateway == "droptail" else None)
-    try:
+    n_receivers: int
+    share_pps: float
+    buffer_pkts: int
+    duration: float
+    warmup: float
+    seed: int
+    gateway: str
+    audited: bool = False
+
+    def validate(self) -> "SymmetricSpec":
+        if self.duration <= 0 or self.warmup < 0:
+            raise ConfigurationError(
+                f"need duration > 0 and warmup >= 0: "
+                f"duration={self.duration}, warmup={self.warmup}"
+            )
+        return self
+
+
+@dataclass
+class SymmetricWorld(World):
+    """A live (or restored) symmetric sweep point."""
+
+    spec: SymmetricSpec
+    sim: Simulator
+    gateways: List[Any]
+    flows: List[TcpFlow]
+    session: RLASession
+    auditor: Any = None
+    marked: bool = False
+
+    def marks(self) -> List[Any]:
+        return [self.session] + self.flows
+
+    def tcp_senders(self) -> List[Any]:
+        return [flow.sender for flow in self.flows]
+
+    def rla_senders(self) -> List[Any]:
+        return [self.session.sender]
+
+    def label(self) -> str:
+        return f"symmetric n={self.spec.n_receivers}/{self.spec.gateway}"
+
+    def finalize(self) -> Dict[str, float]:
+        return finalize_symmetric_world(self)
+
+
+def build_symmetric_world(spec: SymmetricSpec) -> SymmetricWorld:
+    """The restricted topology with one TCP per branch and the RLA session."""
+    spec.validate()
+    mu = 2 * spec.share_pps  # 1 TCP + the multicast session per branch
+    topology = RestrictedSpec(
+        mu_pps=[mu] * spec.n_receivers,
+        m=[1] * spec.n_receivers,
+        gateway=spec.gateway,
+        buffer_pkts=spec.buffer_pkts,
+    )
+    sim = Simulator(seed=spec.seed)
+    net, receivers = build_restricted(sim, topology)
+    gateways = [link.gateway for link in net.links.values()]
+    jitter = (transmission_time(topology.packet_size, pps_to_bps(mu))
+              if spec.gateway == "droptail" else None)
+    with arming(spec.audited, sim, net) as (auditor, monitor):
         flows: List[TcpFlow] = []
         for index, receiver in enumerate(receivers):
             flow = TcpFlow(sim, net, f"tcp-{index}", "S", receiver,
@@ -75,50 +113,37 @@ def _run_symmetric(
                              config=RLAConfig(phase_jitter=jitter))
         session.sender.monitor = monitor
         session.start(0.05)
-        sim.run(until=warmup)
-        session.mark()
-        for flow in flows:
-            flow.mark()
-        sim.run(until=warmup + duration)
-        rla = session.report()
-        tcp_rates = [flow.report()["throughput_pps"] for flow in flows]
-        wtcp = min(tcp_rates)
-        n = max(rla["num_trouble"], 1)
-        verdict = check_essential_fairness(
-            max(rla["throughput_pps"], 1e-9), max(wtcp, 1e-9), n, gateway
-        )
-        sim_stats: Dict[str, float] = {
-            "events": sim.events_executed,
-            "drops": sum(gw.dropped for gw in gateways),
-            "peak_queue_depth": max(gw.peak_depth for gw in gateways),
-            "sim_time": sim.now,
-        }
-        if auditor is not None:
-            for flow in flows:
-                monitor.check_tcp(flow.sender)
-            monitor.check_rla(session.sender)
-            auditor.verify()
-            sim_stats["audit_checks"] = monitor.checks_run
-            sim_stats["violations"] = monitor.violation_count
-        return {
-            "n_receivers": n_receivers,
-            "share_pps": share_pps,
-            "buffer_pkts": buffer_pkts,
-            "rla_pps": rla["throughput_pps"],
-            "rla_cwnd": rla["mean_cwnd"],
-            "wtcp_pps": wtcp,
-            "ratio": verdict.ratio,
-            "fair": verdict.fair,
-            "lower": verdict.lower,
-            "upper": verdict.upper,
-            "num_trouble": n,
-            "window_cuts": rla["window_cuts"],
-            "signals": rla["congestion_signals"],
-            "sim_stats": sim_stats,
-        }
-    finally:
-        if auditor is not None:
-            auditor.disarm()
+    return SymmetricWorld(spec=spec, sim=sim, gateways=gateways, flows=flows,
+                          session=session, auditor=auditor)
+
+
+def finalize_symmetric_world(world: SymmetricWorld) -> Dict[str, float]:
+    """The sweep row of a fully advanced symmetric world."""
+    spec = world.spec
+    rla = world.session.report()
+    wtcp = min(flow.report()["throughput_pps"] for flow in world.flows)
+    n = max(rla["num_trouble"], 1)
+    verdict = check_essential_fairness(
+        max(rla["throughput_pps"], 1e-9), max(wtcp, 1e-9), n, spec.gateway
+    )
+    sim_stats = world.stats()
+    world.audit(sim_stats)
+    return {
+        "n_receivers": spec.n_receivers,
+        "share_pps": spec.share_pps,
+        "buffer_pkts": spec.buffer_pkts,
+        "rla_pps": rla["throughput_pps"],
+        "rla_cwnd": rla["mean_cwnd"],
+        "wtcp_pps": wtcp,
+        "ratio": verdict.ratio,
+        "fair": verdict.fair,
+        "lower": verdict.lower,
+        "upper": verdict.upper,
+        "num_trouble": n,
+        "window_cuts": rla["window_cuts"],
+        "signals": rla["congestion_signals"],
+        "sim_stats": sim_stats,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +159,7 @@ SWEEP_BACKENDS = ("packet", "fluid")
 
 def run_symmetric_spec(params: Dict[str, Any]) -> Dict[str, float]:
     """:mod:`repro.runtime` entrypoint for one symmetric sweep point."""
-    return _run_symmetric(
+    return run_world(build_symmetric_world(SymmetricSpec(
         n_receivers=int(params["n_receivers"]),
         share_pps=float(params["share_pps"]),
         buffer_pkts=int(params["buffer_pkts"]),
@@ -143,22 +168,7 @@ def run_symmetric_spec(params: Dict[str, Any]) -> Dict[str, float]:
         seed=int(params["seed"]),
         gateway=str(params["gateway"]),
         audited=bool(params.get("audited", False)),
-    )
-
-
-def _backend_entrypoint(backend: str) -> str:
-    """The runtime entrypoint implementing one sweep point on ``backend``."""
-    if backend == "packet":
-        return SYMMETRIC_ENTRYPOINT
-    if backend == "fluid":
-        from ..fluid.adapters import FLUID_SYMMETRIC_ENTRYPOINT
-
-        return FLUID_SYMMETRIC_ENTRYPOINT
-    from ..errors import ConfigurationError
-
-    raise ConfigurationError(
-        f"unknown sweep backend {backend!r}; expected one of {SWEEP_BACKENDS}"
-    )
+    )))
 
 
 def symmetric_runspec(label_knob: str, entrypoint: str = SYMMETRIC_ENTRYPOINT,
@@ -171,37 +181,32 @@ def symmetric_runspec(label_knob: str, entrypoint: str = SYMMETRIC_ENTRYPOINT,
                          f"({params['gateway']})")
 
 
-def _run_points(
-    points: List[Dict[str, Any]],
-    label_knob: str,
-    workers: Optional[int],
-    cache,
-    outcomes: Optional[List[Any]],
-    backend: str = "packet",
-) -> List[Dict[str, float]]:
-    """Serial loop when the runtime is not requested, fan-out when it is."""
-    entrypoint = _backend_entrypoint(backend)
-    if backend == "fluid" and any(p.get("audited") for p in points):
-        from ..errors import ConfigurationError
+def _sweep(knob: str, values: Iterable[Any], backend: str, audited: bool,
+           runtime: Dict[str, Any], **fixed: Any) -> List[Dict[str, float]]:
+    """Rows of one sweep: ``knob`` takes each value, ``fixed`` holds the rest."""
+    if backend == "packet":
+        entrypoint, run = SYMMETRIC_ENTRYPOINT, run_symmetric_spec
+    elif backend == "fluid":
+        from ..fluid import adapters
 
+        entrypoint = adapters.FLUID_SYMMETRIC_ENTRYPOINT
+        run = adapters.run_symmetric_fluid_spec
+        if audited:
+            raise ConfigurationError(
+                "the conservation auditor tracks packets; a fluid run has "
+                "none to audit"
+            )
+    else:
         raise ConfigurationError(
-            "the conservation auditor tracks packets; a fluid run has "
-            "none to audit"
+            f"unknown sweep backend {backend!r}; expected one of "
+            f"{SWEEP_BACKENDS}"
         )
-    if workers is None and cache is None:
-        if backend == "fluid":
-            from ..fluid.adapters import run_symmetric_fluid_spec
-
-            return [run_symmetric_fluid_spec(point) for point in points]
-        return [run_symmetric_spec(point) for point in points]
-    from ..runtime import run_specs
-
-    specs = [symmetric_runspec(label_knob, entrypoint, **point)
-             for point in points]
-    outs = run_specs(specs, workers=workers, cache=cache)
-    if outcomes is not None:
-        outcomes.extend(outs)
-    return [out.result for out in outs]
+    if audited:
+        fixed["audited"] = True  # absent when off: unaudited cache keys stay
+    return run_many(
+        [{**fixed, knob: value} for value in values], run,
+        lambda point: symmetric_runspec(knob, entrypoint, **point), **runtime,
+    )
 
 
 def sweep_receiver_count(
@@ -211,21 +216,14 @@ def sweep_receiver_count(
     warmup: float = 20.0,
     seed: int = 1,
     gateway: str = "droptail",
-    workers: Optional[int] = None,
-    cache=None,
-    outcomes: Optional[List[Any]] = None,
     audited: bool = False,
     backend: str = "packet",
+    **runtime: Any,
 ) -> List[Dict[str, float]]:
     """Fairness ratio as the receiver population grows."""
-    points = [
-        dict(n_receivers=n, share_pps=share_pps, buffer_pkts=20,
-             duration=duration, warmup=warmup, seed=seed, gateway=gateway,
-             **({"audited": True} if audited else {}))
-        for n in counts
-    ]
-    return _run_points(points, "n_receivers", workers, cache, outcomes,
-                       backend=backend)
+    return _sweep("n_receivers", counts, backend, audited, runtime,
+                  share_pps=share_pps, buffer_pkts=20, duration=duration,
+                  warmup=warmup, seed=seed, gateway=gateway)
 
 
 def sweep_buffer_size(
@@ -236,21 +234,14 @@ def sweep_buffer_size(
     warmup: float = 20.0,
     seed: int = 1,
     gateway: str = "droptail",
-    workers: Optional[int] = None,
-    cache=None,
-    outcomes: Optional[List[Any]] = None,
     audited: bool = False,
     backend: str = "packet",
+    **runtime: Any,
 ) -> List[Dict[str, float]]:
     """Fairness ratio across gateway buffer sizes."""
-    points = [
-        dict(n_receivers=n_receivers, share_pps=share_pps, buffer_pkts=buffer,
-             duration=duration, warmup=warmup, seed=seed, gateway=gateway,
-             **({"audited": True} if audited else {}))
-        for buffer in buffers
-    ]
-    return _run_points(points, "buffer_pkts", workers, cache, outcomes,
-                       backend=backend)
+    return _sweep("buffer_pkts", buffers, backend, audited, runtime,
+                  n_receivers=n_receivers, share_pps=share_pps,
+                  duration=duration, warmup=warmup, seed=seed, gateway=gateway)
 
 
 def sweep_share(
@@ -260,21 +251,14 @@ def sweep_share(
     warmup: float = 20.0,
     seed: int = 1,
     gateway: str = "droptail",
-    workers: Optional[int] = None,
-    cache=None,
-    outcomes: Optional[List[Any]] = None,
     audited: bool = False,
     backend: str = "packet",
+    **runtime: Any,
 ) -> List[Dict[str, float]]:
     """Fairness ratio across absolute bottleneck speeds."""
-    points = [
-        dict(n_receivers=n_receivers, share_pps=share, buffer_pkts=20,
-             duration=duration, warmup=warmup, seed=seed, gateway=gateway,
-             **({"audited": True} if audited else {}))
-        for share in shares
-    ]
-    return _run_points(points, "share_pps", workers, cache, outcomes,
-                       backend=backend)
+    return _sweep("share_pps", shares, backend, audited, runtime,
+                  n_receivers=n_receivers, buffer_pkts=20, duration=duration,
+                  warmup=warmup, seed=seed, gateway=gateway)
 
 
 def format_sweep(rows: List[Dict[str, float]], knob: str) -> str:

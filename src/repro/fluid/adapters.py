@@ -97,7 +97,7 @@ def symmetric_fluid_spec(
 
     ``n_receivers`` branch bottlenecks of capacity ``2 * share_pps``
     (one TCP flow plus the multicast copy per branch, as in
-    :func:`repro.experiments.sweeps._run_symmetric`), every branch at
+    :func:`repro.experiments.sweeps.build_symmetric_world`), every branch at
     the same RTT.  The restricted topology's RED gateways use the
     packet defaults (``min_th=5, max_th=15``), not the 25/75% scaling,
     so this builder pins those explicitly.

@@ -381,6 +381,8 @@ def run_crossval(
 ) -> List[Tuple[CrossvalCase, Dict[str, Any], Dict[str, Any],
                 List[CrossvalRow]]]:
     """Run the case set; packet runs optionally fan out via the runtime."""
+    # Not lifecycle.run_many: the packet side is optional *input* to
+    # crossval_case, which runs it itself when handed None.
     packet_rows: List[Optional[Dict[str, Any]]]
     if workers is None and cache is None:
         packet_rows = [None] * len(cases)

@@ -19,8 +19,9 @@ serial/parallel byte-identity trivial to uphold (and locked by test).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
+from ..lifecycle import run_many
 from ..models.fairness import (
     DROPTAIL,
     RED,
@@ -150,27 +151,16 @@ def fluid_runspec(spec: FluidSpec):
     )
 
 
-def run_fluids(
-    specs: List[FluidSpec],
-    workers: Optional[int] = None,
-    cache=None,
-    outcomes: Optional[List[Any]] = None,
-) -> List[Dict[str, Any]]:
+def run_fluids(specs: List[FluidSpec],
+               **runtime: Any) -> List[Dict[str, Any]]:
     """Run fluid specs serially or through the parallel runtime.
 
-    Workers and the content-addressed cache behave exactly as for the
+    ``runtime`` is :func:`repro.lifecycle.run_many`'s option set:
+    workers and the content-addressed cache behave exactly as for the
     packet runners; fluid rows are byte-identical either way because
     the integration is a pure function of the spec.
     """
-    if workers is None and cache is None:
-        return [run_fluid(spec) for spec in specs]
-    from ..runtime import run_specs
-
-    outs = run_specs([fluid_runspec(spec) for spec in specs],
-                     workers=workers, cache=cache)
-    if outcomes is not None:
-        outcomes.extend(outs)
-    return [out.result for out in outs]
+    return run_many(specs, run_fluid, fluid_runspec, **runtime)
 
 
 def format_fluid(rows: List[Dict[str, Any]]) -> str:

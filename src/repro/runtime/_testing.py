@@ -25,6 +25,20 @@ def boom(params: Dict[str, Any]) -> None:
     raise RuntimeError(f"boom: {params.get('why', 'deliberate failure')}")
 
 
+def misconfigured(params: Dict[str, Any]) -> None:
+    """Refuse the spec, counting attempts — exercises the no-retry rule.
+
+    Appends a line to ``params['log']`` on every attempt (in any
+    process), then raises the :class:`~repro.errors.ReproError` a run
+    raises for a spec that can never succeed.
+    """
+    from ..errors import ConfigurationError
+
+    with open(params["log"], "a", encoding="utf-8") as handle:
+        handle.write("attempted\n")
+    raise ConfigurationError("misconfigured: no attempt can succeed")
+
+
 def flaky(params: Dict[str, Any]) -> str:
     """Fail until a marker file exists, then succeed — exercises retry.
 

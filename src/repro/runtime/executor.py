@@ -12,12 +12,15 @@ here safe:
 * **fault handling** — a worker that raises is retried up to ``retries``
   times; a pool that stalls past ``timeout`` seconds with no completion
   is torn down (processes killed) and its unfinished runs retried.  A
-  run that exhausts its attempts surfaces as an error outcome (and, with
-  ``strict=True``, an exception) — never a silently missing row.
+  :class:`~repro.errors.ReproError` is a deterministic function of the
+  spec and is never retried.  A run that exhausts its attempts surfaces
+  as an error outcome (and, with ``strict=True``, an exception) — never
+  a silently missing row.
 """
 
 from __future__ import annotations
 
+import inspect
 import os
 import time
 import traceback
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..errors import SimulationError
+from ..errors import ConfigurationError, ReproError, SimulationError
 from .cache import ResultCache
 from .metrics import RunMetrics, build_metrics
 from .spec import RunSpec
@@ -59,22 +62,23 @@ def execute_spec(
 
     This is the function worker processes execute — module-level so it
     pickles, resolving the entrypoint by name on the worker side.  With
-    ``checkpoint_at`` set, the spec's registered checkpoint runner is used
-    instead of the plain entrypoint: the run pauses at that sim-time,
-    writes a snapshot to ``checkpoint_path``, and continues to the same
-    result.  Resolving ``spec`` imports its entrypoint module, which is
-    what populates the checkpoint-runner registry in this process.
+    ``checkpoint_at`` set, the two checkpoint arguments are passed on to
+    the entrypoint: the run pauses at that sim-time, writes a snapshot to
+    ``checkpoint_path``, and continues to the same result.  An entrypoint
+    whose signature does not take them cannot do that and is refused.
     """
     func = spec.resolve()
+    kwargs = {}
     if checkpoint_at is not None:
-        from ..checkpoint import require_checkpoint_runner, resolve_entrypoint
-
-        runner = resolve_entrypoint(require_checkpoint_runner(spec.entrypoint))
-        start = time.perf_counter()
-        result = runner(dict(spec.params), checkpoint_at, checkpoint_path)
-        return result, time.perf_counter() - start
+        kwargs = {"checkpoint_at": checkpoint_at,
+                  "checkpoint_path": checkpoint_path}
+        if not kwargs.keys() <= inspect.signature(func).parameters.keys():
+            raise ConfigurationError(
+                f"entrypoint {spec.entrypoint!r} does not support mid-run "
+                f"checkpoints: it takes no checkpoint_at/checkpoint_path"
+            )
     start = time.perf_counter()
-    result = func(dict(spec.params))
+    result = func(dict(spec.params), **kwargs)
     return result, time.perf_counter() - start
 
 
@@ -140,7 +144,9 @@ def run_specs(
         pool is killed, and the unfinished runs count one failed attempt.
     retries:
         How many times a failed (crashed / hung) run is re-attempted
-        after its first try.
+        after its first try.  A run that raised a
+        :class:`~repro.errors.ReproError` would raise it again and is
+        not re-attempted.
     strict:
         When True (default), raise :class:`SimulationError` if any run
         is still failing after all retries; when False, return its
@@ -148,8 +154,9 @@ def run_specs(
     checkpoint_at:
         Interior sim-time at which every (non-cached) run writes a
         resumable snapshot before continuing — results are unchanged.
-        Requires each spec's entrypoint to have a registered checkpoint
-        runner, and ``checkpoint_dir`` or ``cache`` for the destination.
+        Requires each spec's entrypoint to take ``checkpoint_at`` and
+        ``checkpoint_path``, and ``checkpoint_dir`` or ``cache`` for the
+        destination.
     checkpoint_dir:
         Directory for snapshot files (defaults to the cache directory).
     """
@@ -188,9 +195,10 @@ def run_specs(
         if cache is not None:
             cache.put(spec, result, metrics)
 
-    def record_failure(index: int, message: str) -> List[int]:
+    def record_failure(index: int, message: str,
+                       exc: Optional[BaseException] = None) -> List[int]:
         """One failed attempt; returns [index] if it should be retried."""
-        if attempts[index] <= retries:
+        if attempts[index] <= retries and not isinstance(exc, ReproError):
             return [index]
         spec = specs[index]
         metrics = build_metrics(spec.describe(), 0.0, None,
@@ -209,8 +217,8 @@ def run_specs(
                 try:
                     result, wall = execute_spec(
                         specs[index], checkpoint_at, ckpt_paths[index])
-                except Exception:
-                    record_failure(index, traceback.format_exc(limit=8))
+                except Exception as exc:
+                    record_failure(index, traceback.format_exc(limit=8), exc)
                 else:
                     record_success(index, result, wall)
     else:
@@ -240,7 +248,7 @@ def run_specs(
                                 index, "worker process died (pool broken)"))
                         except Exception as exc:
                             pending.extend(record_failure(
-                                index, f"{type(exc).__name__}: {exc}"))
+                                index, f"{type(exc).__name__}: {exc}", exc))
                         else:
                             record_success(index, result, wall)
             finally:
@@ -263,12 +271,12 @@ def run_specs(
         failed = [outcome for outcome in final if not outcome.ok]
         if failed:
             detail = "; ".join(
-                f"{outcome.spec.describe()}: {outcome.error}".splitlines()[-1]
+                f"{outcome.spec.describe()} (attempts: {outcome.attempts}): "
+                f"{outcome.error.splitlines()[-1]}"
                 for outcome in failed[:5]
             )
             raise SimulationError(
-                f"{len(failed)} of {len(specs)} runs failed after "
-                f"{retries + 1} attempts: {detail}"
+                f"{len(failed)} of {len(specs)} runs failed: {detail}"
             )
     return final
 

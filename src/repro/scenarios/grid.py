@@ -238,27 +238,22 @@ def fluid_grid_specs(grid: GridSpec) -> List[Any]:
 
 
 def run_grid(
-    grid: GridSpec,
-    workers: Optional[int] = None,
-    cache=None,
-    outcomes: Optional[List[Any]] = None,
+    grid: GridSpec, **runtime: Any,
 ) -> Tuple[List[Any], List[Dict[str, Any]]]:
     """Run the slice and return ``(specs, rows)`` in matching order.
 
     Delegates to :func:`repro.scenarios.run_scenarios` (packet) or
-    :func:`repro.fluid.run_fluids` (fluid), so workers and the
-    content-addressed cache behave exactly as for ``scenarios run``.
+    :func:`repro.fluid.run_fluids` (fluid) with the same ``runtime``
+    options, so workers and the content-addressed cache behave exactly
+    as for ``scenarios run``.
     """
     if grid.validate().backend == "fluid":
         from ..fluid.runner import run_fluids
 
         fluid_specs = fluid_grid_specs(grid)
-        return fluid_specs, run_fluids(fluid_specs, workers=workers,
-                                       cache=cache, outcomes=outcomes)
+        return fluid_specs, run_fluids(fluid_specs, **runtime)
     specs = grid_specs(grid)
-    rows = run_scenarios(specs, workers=workers, cache=cache,
-                         outcomes=outcomes)
-    return specs, rows
+    return specs, run_scenarios(specs, **runtime)
 
 
 def _cohort_cell(row: Dict[str, Any], cohort: str) -> str:

@@ -19,6 +19,15 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
+from ..lifecycle import (
+    RESUME_ENTRYPOINT,
+    World,
+    advance_world,
+    arming,
+    run_many,
+    run_world,
+    snapshot_world,
+)
 from ..models.fairness import DROPTAIL, RED, check_essential_fairness, jain_index
 from ..rla.config import RLAConfig
 from ..rla.session import RLASession
@@ -35,13 +44,8 @@ MEMBERS_STREAM = "scenario.members"
 
 
 @dataclass
-class ScenarioWorld:
-    """A live (or restored) scenario run between build and report.
-
-    Like :class:`repro.experiments.runner.TreeWorld`, this is the unit
-    :mod:`repro.checkpoint` snapshots — the whole object graph (engine,
-    topology, traffic, churn driver, audit ledgers) pickles at once.
-    """
+class ScenarioWorld(World):
+    """A live (or restored) scenario run between build and report."""
 
     spec: ScenarioSpec
     sim: Simulator
@@ -51,31 +55,36 @@ class ScenarioWorld:
     session: RLASession
     driver: ChurnDriver
     auditor: Any = None
-    #: True once the warmup boundary has been crossed and counters marked.
     marked: bool = False
 
-    @property
-    def end_time(self) -> float:
-        """Absolute sim-time at which the scenario ends."""
-        return self.spec.horizon
+    def marks(self) -> List[Any]:
+        """The session, then the long-lived TCP flows."""
+        return [self.session] + self.placed.tcp_flows
 
-    def rearm(self) -> None:
-        """Re-install process-global audit state after a restore."""
-        if self.auditor is not None:
-            self.auditor.rearm()
+    def tcp_senders(self) -> List[Any]:
+        """Senders of the long-lived flows, then of every mouse."""
+        mice = self.placed.mice.mice if self.placed.mice is not None else []
+        return [flow.sender for flow in self.placed.tcp_flows + mice]
 
-    def disarm(self) -> None:
-        """Release process-global audit state (safe to call when unaudited)."""
-        if self.auditor is not None:
-            self.auditor.disarm()
+    def rla_senders(self) -> List[Any]:
+        """The session's sender."""
+        return [self.session.sender]
+
+    def label(self) -> str:
+        """The scenario's name."""
+        return self.spec.name
+
+    def finalize(self) -> Dict[str, Any]:
+        """The scenario's report row."""
+        return finalize_scenario_world(self)
 
 
 def build_scenario_world(spec: ScenarioSpec) -> ScenarioWorld:
     """Construct topology, membership, traffic and churn for one scenario.
 
     On an audited spec this installs the process-global packet-creation
-    hook; callers must eventually :meth:`ScenarioWorld.disarm` (the run
-    helpers below do so in ``finally`` blocks).
+    hook; callers must eventually :meth:`ScenarioWorld.disarm`
+    (:func:`repro.lifecycle.run_world` does, in every outcome).
     """
     spec.validate()
     sim = Simulator(seed=spec.seed)
@@ -104,16 +113,8 @@ def build_scenario_world(spec: ScenarioSpec) -> ScenarioWorld:
                    for _ in range(spec.receivers)]
         events = []
 
-    # -- observability: native queue peaks, optional conservation audit --
     gateways = [link.gateway for link in topo.net.links.values()]
-    auditor = monitor = None
-    if spec.audited:
-        from ..audit import arm
-
-        auditor = arm(sim, topo.net)
-        monitor = auditor.monitor
-
-    try:
+    with arming(spec.audited, sim, topo.net) as (auditor, monitor):
         # -- background traffic then the multicast session -------------
         # ECN/mix kwargs are passed only when the spec opts in, so
         # opted-out scenarios construct the exact objects (and consume
@@ -134,10 +135,6 @@ def build_scenario_world(spec: ScenarioSpec) -> ScenarioWorld:
         session.start(0.05)
         driver = ChurnDriver(sim, session, events)
         driver.start()
-    except BaseException:
-        if auditor is not None:
-            auditor.disarm()
-        raise
 
     return ScenarioWorld(
         spec=spec, sim=sim, topo=topo, gateways=gateways, placed=placed,
@@ -145,35 +142,14 @@ def build_scenario_world(spec: ScenarioSpec) -> ScenarioWorld:
     )
 
 
-def advance_scenario_world(world: ScenarioWorld, until: float) -> None:
-    """Run forward to absolute sim-time ``until``, marking at the warmup.
-
-    Splitting the run at any interior time executes the identical event
-    sequence as one straight run — the checkpoint byte-identity oracle
-    rests on this equivalence.
-    """
-    spec = world.spec
-    if until > world.end_time:
-        from ..errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"cannot advance to t={until}: scenario ends at t={world.end_time}"
-        )
-    if not world.marked:
-        world.sim.run(until=min(until, spec.warmup))
-        if until >= spec.warmup:
-            world.session.mark()
-            for flow in world.placed.tcp_flows:
-                flow.mark()
-            world.marked = True
-    if until > spec.warmup:
-        world.sim.run(until=until)
+#: Kept under its old name for ``benchmarks/rlabench/micro.py``, which
+#: imports it from here and may not change with this module.
+advance_scenario_world = advance_world
 
 
 def finalize_scenario_world(world: ScenarioWorld) -> Dict[str, Any]:
     """Collect the report row from a fully advanced scenario world."""
     spec = world.spec
-    sim = world.sim
     placed = world.placed
     rla = world.session.report()
     tcp_rates = [flow.report()["throughput_pps"]
@@ -184,12 +160,7 @@ def finalize_scenario_world(world: ScenarioWorld) -> Dict[str, Any]:
     jain = (jain_index([rla_pps] + [max(r, 0.0) for r in tcp_rates])
             if tcp_rates else 1.0)
 
-    sim_stats: Dict[str, float] = {
-        "events": sim.events_executed,
-        "drops": sum(gw.dropped for gw in world.gateways),
-        "peak_queue_depth": max(gw.peak_depth for gw in world.gateways),
-        "sim_time": sim.now,
-    }
+    sim_stats = world.stats()
     # Extra accounting for the new AQM disciplines only: legacy drop-tail
     # and packet-mode RED rows keep their exact key set (byte identity
     # with pre-matrix outputs).
@@ -197,17 +168,7 @@ def finalize_scenario_world(world: ScenarioWorld) -> Dict[str, Any]:
         sim_stats["evicted"] = sum(gw.evicted for gw in world.gateways)
         sim_stats["ecn_marks"] = sum(getattr(gw, "ecn_marks", 0)
                                      for gw in world.gateways)
-    if world.auditor is not None:
-        monitor = world.auditor.monitor
-        for flow in placed.tcp_flows:
-            monitor.check_tcp(flow.sender)
-        if placed.mice is not None:
-            for mouse in placed.mice.mice:
-                monitor.check_tcp(mouse.sender)
-        monitor.check_rla(world.session.sender)
-        world.auditor.verify()
-        sim_stats["audit_checks"] = monitor.checks_run
-        sim_stats["violations"] = monitor.violation_count
+    world.audit(sim_stats)
 
     # -- per-cohort fairness (RTT-cohort topologies only) ---------------
     # Emitted only when the topology labelled its hosts, so cohort-less
@@ -288,17 +249,9 @@ def _cohort_fairness(
     return result
 
 
-#: Resume entrypoint recorded in scenario snapshots.
-SCENARIO_RESUME_ENTRYPOINT = "repro.scenarios.runner:resume_scenario_world"
-
-
-def resume_scenario_world(world: ScenarioWorld) -> Dict[str, Any]:
-    """Finish a restored scenario: run to the end and report (then disarm)."""
-    try:
-        advance_scenario_world(world, world.end_time)
-        return finalize_scenario_world(world)
-    finally:
-        world.disarm()
+#: Kept under its old name for ``benchmarks/rlabench/micro.py``, which
+#: imports it from here and may not change with this module.
+SCENARIO_RESUME_ENTRYPOINT = RESUME_ENTRYPOINT
 
 
 def run_scenario(
@@ -308,43 +261,11 @@ def run_scenario(
 ) -> Dict[str, Any]:
     """Execute one scenario and return its JSON-friendly report row.
 
-    With ``checkpoint_at`` set, the run pauses at that interior sim-time,
-    captures a :class:`repro.checkpoint.Snapshot` (written to
-    ``checkpoint_path`` when given), and continues — the returned row is
-    identical to an uncheckpointed run.
+    ``checkpoint_at``/``checkpoint_path`` write a resumable snapshot on
+    the way to the same row (see :func:`repro.lifecycle.run_world`).
     """
-    world = build_scenario_world(spec)
-    try:
-        if checkpoint_at is not None:
-            snapshot = snapshot_scenario_world(world, at=checkpoint_at)
-            if checkpoint_path is not None:
-                from ..checkpoint import save
-
-                save(snapshot, checkpoint_path)
-        advance_scenario_world(world, world.end_time)
-        return finalize_scenario_world(world)
-    finally:
-        world.disarm()
-
-
-def snapshot_scenario_world(world: ScenarioWorld, at: Optional[float] = None,
-                            label: str = ""):
-    """Advance to ``at`` (if given) and capture a resumable snapshot."""
-    from ..checkpoint import capture
-
-    if at is not None:
-        if not 0.0 <= at < world.end_time:
-            from ..errors import ConfigurationError
-
-            raise ConfigurationError(
-                f"checkpoint time {at} outside [0, {world.end_time})"
-            )
-        advance_scenario_world(world, at)
-    return capture(
-        world,
-        label=label or f"{world.spec.name}@t={world.sim.now:g}",
-        resume=SCENARIO_RESUME_ENTRYPOINT,
-    )
+    return run_world(build_scenario_world(spec), checkpoint_at,
+                     checkpoint_path)
 
 
 def checkpoint_scenario(spec: ScenarioSpec, at: float,
@@ -352,7 +273,7 @@ def checkpoint_scenario(spec: ScenarioSpec, at: float,
     """Run a fresh scenario up to ``at`` and return (and save) a snapshot."""
     world = build_scenario_world(spec)
     try:
-        snapshot = snapshot_scenario_world(world, at=at)
+        snapshot = snapshot_world(world, at=at)
     finally:
         world.disarm()
     if path is not None:
@@ -369,35 +290,13 @@ def checkpoint_scenario(spec: ScenarioSpec, at: float,
 SCENARIO_ENTRYPOINT = "repro.scenarios.runner:run_scenario_spec"
 
 
-SCENARIO_CHECKPOINT_RUNNER = (
-    "repro.scenarios.runner:run_scenario_spec_checkpointed"
-)
-
-
-def run_scenario_spec(params: Dict[str, Any]) -> Dict[str, Any]:
-    """:mod:`repro.runtime` entrypoint: ``params = {"spec": ScenarioSpec}``."""
-    return run_scenario(params["spec"])
-
-
-def run_scenario_spec_checkpointed(
+def run_scenario_spec(
     params: Dict[str, Any],
-    checkpoint_at: float,
+    checkpoint_at: Optional[float] = None,
     checkpoint_path: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Checkpoint-capable variant of :func:`run_scenario_spec`."""
-    return run_scenario(
-        params["spec"], checkpoint_at=checkpoint_at,
-        checkpoint_path=checkpoint_path,
-    )
-
-
-def _register_checkpoint_runner() -> None:
-    from ..checkpoint import register_checkpoint_runner
-
-    register_checkpoint_runner(SCENARIO_ENTRYPOINT, SCENARIO_CHECKPOINT_RUNNER)
-
-
-_register_checkpoint_runner()
+    """:mod:`repro.runtime` entrypoint: ``params = {"spec": ScenarioSpec}``."""
+    return run_scenario(params["spec"], checkpoint_at, checkpoint_path)
 
 
 def scenario_runspec(spec: ScenarioSpec):
@@ -411,33 +310,16 @@ def scenario_runspec(spec: ScenarioSpec):
     )
 
 
-def run_scenarios(
-    specs: List[ScenarioSpec],
-    workers: Optional[int] = None,
-    cache=None,
-    outcomes: Optional[List[Any]] = None,
-    checkpoint_at: Optional[float] = None,
-    checkpoint_dir: Optional[str] = None,
-) -> List[Dict[str, Any]]:
+def run_scenarios(specs: List[ScenarioSpec],
+                  **runtime: Any) -> List[Dict[str, Any]]:
     """Run scenarios serially, or fan out through :mod:`repro.runtime`.
 
-    With ``workers``/``cache`` set the rows are byte-identical to the
-    serial path — scenarios draw only from their own seeded streams.
-    ``checkpoint_at`` makes every non-cached run write a resumable
-    snapshot at that interior sim-time (to ``checkpoint_dir`` or the
-    cache directory) on its way to the same row.
+    ``runtime`` is :func:`repro.lifecycle.run_many`'s option set
+    (``workers``, ``cache``, ``outcomes``, ``checkpoint_at``,
+    ``checkpoint_dir``); whichever side of it runs, the rows are
+    byte-identical — scenarios draw only from their own seeded streams.
     """
-    if workers is None and cache is None and checkpoint_at is None:
-        return [run_scenario(spec) for spec in specs]
-    from ..runtime import run_specs
-
-    run_specs_list = [scenario_runspec(spec) for spec in specs]
-    outs = run_specs(run_specs_list, workers=workers, cache=cache,
-                     checkpoint_at=checkpoint_at,
-                     checkpoint_dir=checkpoint_dir)
-    if outcomes is not None:
-        outcomes.extend(outs)
-    return [out.result for out in outs]
+    return run_many(specs, run_scenario, scenario_runspec, **runtime)
 
 
 def format_scenarios(rows: List[Dict[str, Any]]) -> str:

@@ -4,8 +4,9 @@ Every assertion here compares ``pickle.dumps`` of the final report, so
 *any* state the snapshot fails to carry — an RNG stream, a heap entry, a
 protocol counter, an audit ledger, a process-global — shows up as a byte
 difference.  Covered: the figure workloads (drop-tail and RED trees),
-every churn-catalog scenario, audited and unaudited, same-process and
-fresh-process restores, and both RLA sender implementations.
+every churn-catalog scenario, a symmetric sweep point, audited and
+unaudited, same-process and fresh-process restores, and both RLA sender
+implementations.
 """
 
 from __future__ import annotations
@@ -22,14 +23,18 @@ from repro.experiments.runner import (
     TreeExperimentSpec,
     build_tree_world,
     run_tree_experiment,
-    snapshot_tree_world,
 )
+from repro.experiments.sweeps import (
+    SymmetricSpec,
+    build_symmetric_world,
+    run_symmetric_spec,
+)
+from repro.lifecycle import snapshot_world
 from repro.scenarios.catalog import get_scenario, scenario_names
 from repro.scenarios.runner import (
     build_scenario_world,
     checkpoint_scenario,
     run_scenario,
-    snapshot_scenario_world,
 )
 from repro.topology.cases import TREE_CASES
 
@@ -41,7 +46,7 @@ def tree_report_bytes_via_snapshot(spec: TreeExperimentSpec,
                                    at: float) -> bytes:
     world = build_tree_world(spec)
     try:
-        snapshot = snapshot_tree_world(world, at=at)
+        snapshot = snapshot_world(world, at=at)
     finally:
         world.disarm()
     finish = resolve_entrypoint(snapshot.resume)
@@ -87,11 +92,31 @@ def test_scenario_catalog_byte_identity(name, audited):
 
     world = build_scenario_world(spec)
     try:
-        snapshot = snapshot_scenario_world(world, at=3.0)
+        snapshot = snapshot_world(world, at=3.0)
     finally:
         world.disarm()
     finish = resolve_entrypoint(snapshot.resume)
     assert pickle.dumps(finish(restore(snapshot))) == straight
+
+
+@pytest.mark.parametrize("audited", [False, True], ids=["plain", "audited"])
+def test_sweep_point_byte_identity(audited):
+    """A symmetric sweep point is a world like the others: snapshotted
+    mid-run (and exactly at the warmup boundary), restored and finished,
+    its row is byte-identical to ``run_symmetric_spec``'s."""
+    params = dict(n_receivers=3, share_pps=100.0, buffer_pkts=20,
+                  duration=DURATION, warmup=WARMUP, seed=4,
+                  gateway="droptail", audited=audited)
+    straight = pickle.dumps(run_symmetric_spec(params))
+    for at in (3.0, WARMUP):
+        world = build_symmetric_world(SymmetricSpec(**params))
+        try:
+            snapshot = snapshot_world(world, at=at)
+        finally:
+            world.disarm()
+        assert snapshot.label == f"symmetric n=3/droptail@t={at:g}"
+        finish = resolve_entrypoint(snapshot.resume)
+        assert pickle.dumps(finish(restore(snapshot))) == straight
 
 
 def test_fresh_process_restore_byte_identity(tmp_path):

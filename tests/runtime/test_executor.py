@@ -11,6 +11,7 @@ from repro.runtime import ResultCache, RunSpec, metrics_table, run_one, run_spec
 ECHO = "repro.runtime._testing:echo"
 BOOM = "repro.runtime._testing:boom"
 FLAKY = "repro.runtime._testing:flaky"
+MISCONFIGURED = "repro.runtime._testing:misconfigured"
 HANG = "repro.runtime._testing:hang"
 SNOOZE = "repro.runtime._testing:snooze"
 
@@ -97,6 +98,24 @@ def test_exhausted_retries_reported_not_dropped(workers):
     # strict mode surfaces the same failure as an exception
     with pytest.raises(SimulationError, match="boom"):
         run_specs(specs, workers=workers, retries=1, strict=True)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_repro_error_is_not_retried(tmp_path, workers):
+    # a ReproError is a function of the spec: retrying re-raises it
+    log = tmp_path / "attempts.log"
+    specs = [RunSpec(MISCONFIGURED, {"log": str(log)}),
+             RunSpec(BOOM, {"why": "always"})]
+    refused, crashed = run_specs(specs, workers=workers, retries=3,
+                                 strict=False)
+    assert not refused.ok and "ConfigurationError" in refused.error
+    assert refused.attempts == refused.metrics.attempts == 1
+    assert log.read_text() == "attempted\n"
+    assert crashed.attempts == 4  # any other exception keeps its retries
+    with pytest.raises(SimulationError) as raised:
+        run_specs(specs, workers=workers, retries=3)
+    assert "(attempts: 1): " in str(raised.value)
+    assert "(attempts: 4): " in str(raised.value)
 
 
 def test_hung_worker_is_killed_and_reported():

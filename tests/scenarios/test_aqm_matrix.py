@@ -21,7 +21,8 @@ from repro.scenarios import (
     grid_specs,
     run_scenario,
 )
-from repro.scenarios.runner import build_scenario_world, snapshot_scenario_world
+from repro.lifecycle import snapshot_world
+from repro.scenarios.runner import build_scenario_world
 
 #: Small-but-shape-preserving horizon for simulation-backed tests.
 DURATION, WARMUP = 4.0, 1.0
@@ -112,7 +113,7 @@ def test_new_disciplines_checkpoint_round_trip(gateway):
     straight = pickle.dumps(run_scenario(spec))
     world = build_scenario_world(spec)
     try:
-        snapshot = snapshot_scenario_world(world, at=2.0)
+        snapshot = snapshot_world(world, at=2.0)
     finally:
         world.disarm()
     finish = resolve_entrypoint(snapshot.resume)

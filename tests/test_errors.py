@@ -56,7 +56,7 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
     with pytest.raises(ModuleNotFoundError):
         pickle.loads(payload)
     foreign = Snapshot(version=FORMAT_VERSION, code="0" * 16, label="foreign",
-                       resume="repro.experiments.runner:resume_tree_world",
+                       resume="repro.lifecycle:finish_world",
                        sim_time=1.0, uid_next=0, payload=payload)
     with pytest.raises(CheckpointError, match="incompatible build"):
         restore(foreign)
@@ -74,14 +74,19 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
                  "--allow-code-mismatch"]) == 2
     assert "cannot resolve entrypoint" in capsys.readouterr().err
 
-    for version in (1, 2):  # pre-routing graphs; pre-diet audit ledgers
+    # pre-routing graphs; pre-diet audit ledgers; per-backend resume
+    # entrypoints (a v3 header names one that no longer exists)
+    for version in (1, 2, 3):
         old = Snapshot(**{**foreign.__dict__, "version": version})
         with pytest.raises(CheckpointError, match=f"format v{version}"):
             load(save(old, tmp_path / "old.ckpt"), allow_code_mismatch=True)
-    assert main([command, str(tmp_path / "old.ckpt")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "format v2" in err
-    assert err.count("\n") == 1
+        with pytest.raises(CheckpointError, match=f"format v{version}"):
+            load(tmp_path / "old.ckpt")
+    for flags in ([], ["--allow-code-mismatch"]):
+        assert main([command, str(tmp_path / "old.ckpt"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "format v3" in err
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -109,3 +114,74 @@ def test_uncreatable_cache_dir_is_an_error_before_any_run(
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot create cache directory")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--duration", "--warmup"])
+def test_packet_sweep_with_a_nonsensical_horizon_is_a_cli_error(flag, capsys):
+    """``sweep --duration -1`` used to print a row of nans and exit 0
+    (the fluid backend already refused the same argv)."""
+    from repro.cli import main
+
+    for backend in ("packet", "fluid"):
+        assert main(["sweep", "--counts", "2", "--backend", backend,
+                     flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: need duration > 0 and warmup >= 0")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["resume", "fork"])
+def test_unwritable_out_is_an_error_before_any_branch_runs(
+        command, tmp_path, capsys, monkeypatch):
+    """``--out /dev/null/x`` used to restore and simulate every branch,
+    then die in ``_pickle_out`` with a NotADirectoryError traceback."""
+    import repro.lifecycle
+    from repro.cli import main
+    from repro.scenarios import get_scenario
+    from repro.scenarios.runner import checkpoint_scenario
+
+    path = tmp_path / "mid.ckpt"
+    checkpoint_scenario(get_scenario("tree-churn", duration=2.0, warmup=1.0),
+                        at=1.5, path=str(path))
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+
+    def simulated(world):
+        raise AssertionError("a branch was simulated")
+
+    monkeypatch.setattr(repro.lifecycle, "finish_world", simulated)
+    assert main([command, str(path), "--out", str(blocker / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {blocker / 'x'}")
+    assert captured.err.count("\n") == 1
+
+
+def test_checkpoint_dir_without_checkpoint_at_is_a_cli_error(tmp_path, capsys):
+    """It used to be accepted and ignored: exit 0, nothing written."""
+    from repro.cli import main
+
+    target = tmp_path / "snapshots"
+    assert main(["fig7", "--cases", "1", "--duration", "2", "--warmup", "1",
+                 "--checkpoint-dir", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "error: --checkpoint-dir needs --checkpoint-at")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert not target.exists()
+
+
+def test_bad_checkpoint_time_is_reported_once_with_its_attempt_count(
+        tmp_path, capsys):
+    """A checkpoint time past the end is a property of the spec: the
+    executor used to build every world twice and say "after 2 attempts"."""
+    from repro.cli import main
+
+    assert main(["fig7", "--cases", "1", "2", "--duration", "2", "--warmup",
+                 "1", "--checkpoint-at", "5",
+                 "--checkpoint-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 2 of 2 runs failed: ")
+    assert err.count("(attempts: 1)") == 2 and "attempts: 2" not in err
+    assert "checkpoint time 5.0 outside [0, 3.0)" in err
+    assert err.count("\n") == 1

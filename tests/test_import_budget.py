@@ -52,7 +52,8 @@ def test_importing_the_cli_loads_no_heavy_library():
     assert "repro.cli" in modules
     assert not HEAVY & modules
     assert not {m for m in modules if m.startswith(
-        ("repro.scenarios", "repro.fluid", "repro.runtime", "repro.audit"))}
+        ("repro.scenarios", "repro.fluid", "repro.runtime", "repro.audit",
+         "repro.checkpoint"))}
 
 
 @pytest.mark.parametrize("argv", [
