@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test paper-checks bench bench-selftest bench-pair audit-smoke checkpoint-smoke fluid-smoke import-smoke figures quickstart clean
+.PHONY: install test paper-checks bench bench-selftest bench-pair audit-smoke hop-smoke checkpoint-smoke fluid-smoke import-smoke figures quickstart clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -60,6 +60,25 @@ audit-smoke:
 	       '%d of %d output checks failed' % (out['failed'], out['attempted']); \
 	assert metrics['audit.violations']['value'] == 0, metrics['audit.violations']; \
 	print('audit smoke OK: %d output checks, 0 failed' % out['attempted'])"
+
+# Packet-hop smoke: the engine and link against their pre-PR-20 selves
+# (tests/sim/reference.py: same event stream, same reports), the Python
+# call budget of one link transmission and the link's exact-tie cases;
+# then rlabench's paper_tables workload, traced — the counts must be the
+# parent's to the event (compare.py checks that in `make bench-pair`; they
+# are printed here), the per-hop times are what the hop costs on this box.
+# Any failed output check fails the target.
+hop-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/sim/test_engine_oracle.py \
+		tests/net/test_hop_budget.py tests/net/test_link.py
+	$(PYTHON) benchmarks/rlabench/run.py --workload paper_tables --seed 1 \
+		--seconds 12 --trace 1 | tail -n 1 | $(PYTHON) -c "import json, sys; \
+	out = json.loads(sys.stdin.read()); metrics = out['metrics']; \
+	print('\n'.join('%-22s %s %s' % (name, metrics[name]['value'], metrics[name]['unit']) \
+	 for name in ('sim.events', 'net.packets', 'net.link.pkt_ns', 'net.node.fanout_ns', 'tcp.flow.pkt_ns'))); \
+	assert out['correct'] and out['failed'] == 0, \
+	       '%d of %d output checks failed' % (out['failed'], out['attempted']); \
+	print('hop smoke OK: %d output checks, 0 failed' % out['attempted'])"
 
 # Checkpoint/restore byte-identity smoke: snapshot an *audited* churn
 # run mid-flight, restore it in a brand-new interpreter, and require the

@@ -138,7 +138,7 @@ class RateBasedMulticastSender:
         if self._running:
             return
         self._running = True
-        self.sim.schedule_after(offset, self._emit, name=f"{self.flow}.cbr")
+        self.sim.post(offset, self._emit, (), f"{self.flow}.cbr")
         self._adjuster.start()
 
     def stop(self) -> None:
@@ -167,7 +167,7 @@ class RateBasedMulticastSender:
         self.next_seq += 1
         self.packets_sent += 1
         self.node.send(packet)
-        self.sim.schedule_after(1.0 / self.rate_pps, self._emit, name=f"{self.flow}.cbr")
+        self.sim.post(1.0 / self.rate_pps, self._emit, (), f"{self.flow}.cbr")
 
     def _note_rate(self) -> None:
         now = self.sim.now

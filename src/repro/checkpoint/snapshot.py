@@ -52,7 +52,9 @@ from ..sim.engine import Simulator
 #: v3: audited worlds hold flat recorder entries and no queued-uid mirror.
 #: v4: every header names the one resume entrypoint
 #: (``repro.lifecycle:finish_world``); the per-backend ones v3 names are gone.
-FORMAT_VERSION = 4
+#: v5: the engine's ready lane holds queue entries and the heap may hold
+#: handle-free ones (v4 pickles a ready lane of bare ``Event`` objects).
+FORMAT_VERSION = 5
 
 #: File magic identifying a repro checkpoint file.
 MAGIC = "repro-ckpt"

@@ -27,7 +27,7 @@ from ..topology.cases import (
     congestion_tiers,
 )
 from ..topology.tree import build_tertiary_tree, static_tree_info
-from ..units import DEFAULT_PACKET_SIZE, bps_to_pps, transmission_time
+from ..units import DEFAULT_PACKET_SIZE, bps_to_pps, check_horizon, transmission_time
 
 
 @dataclass
@@ -65,8 +65,7 @@ class TreeExperimentSpec:
     def validate(self) -> "TreeExperimentSpec":
         if self.gateway not in ("droptail", "red"):
             raise ConfigurationError(f"unknown gateway {self.gateway!r}")
-        if self.duration <= 0 or self.warmup < 0:
-            raise ConfigurationError("duration must be positive, warmup >= 0")
+        check_horizon(self.duration, self.warmup)
         if self.tcp_per_receiver < 0:
             raise ConfigurationError("tcp_per_receiver must be >= 0")
         if self.rla_sessions < 1:

@@ -33,7 +33,7 @@ from ..sim.engine import Simulator
 from ..tcp.config import TcpConfig
 from ..tcp.flow import TcpFlow
 from ..topology.restricted import RestrictedSpec, build_restricted
-from ..units import pps_to_bps, transmission_time
+from ..units import check_horizon, pps_to_bps, transmission_time
 
 
 @dataclass
@@ -50,11 +50,7 @@ class SymmetricSpec:
     audited: bool = False
 
     def validate(self) -> "SymmetricSpec":
-        if self.duration <= 0 or self.warmup < 0:
-            raise ConfigurationError(
-                f"need duration > 0 and warmup >= 0: "
-                f"duration={self.duration}, warmup={self.warmup}"
-            )
+        check_horizon(self.duration, self.warmup)
         return self
 
 

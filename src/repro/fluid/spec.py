@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..errors import ConfigurationError
+from ..units import check_horizon
 
 #: Queue disciplines the fluid dynamics model.
 FLUID_DISCIPLINES: Tuple[str, ...] = ("droptail", "red", "fixed")
@@ -183,11 +184,7 @@ class FluidSpec:
             raise ConfigurationError("fluid spec needs >= 1 bottleneck")
         if not self.tcp_cohorts and not self.rla_cohorts:
             raise ConfigurationError("fluid spec needs at least one cohort")
-        if self.duration <= 0 or self.warmup < 0:
-            raise ConfigurationError(
-                f"need duration > 0 and warmup >= 0: "
-                f"duration={self.duration}, warmup={self.warmup}"
-            )
+        check_horizon(self.duration, self.warmup)
         if self.dt <= 0 or self.dt > self.duration:
             raise ConfigurationError(f"bad integration step: {self.dt}")
         if not 1.0 <= self.rla_rtt_factor <= 2.0:

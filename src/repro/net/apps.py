@@ -62,8 +62,7 @@ class CbrSource:
             return
         self._running = True
         self._epoch += 1
-        self.sim.schedule_after(offset, self._emit, self._epoch,
-                                name=f"{self.flow}.cbr")
+        self.sim.post(offset, self._emit, (self._epoch,), f"{self.flow}.cbr")
 
     def stop(self) -> None:
         """Stop sending; the already-scheduled next emission is discarded."""
@@ -83,8 +82,7 @@ class CbrSource:
         )
         self.next_seq += 1
         self.node.send(packet)
-        self.sim.schedule_after(self.interval, self._emit, epoch,
-                                name=f"{self.flow}.cbr")
+        self.sim.post(self.interval, self._emit, (epoch,), f"{self.flow}.cbr")
 
 
 class PacketSink:

@@ -9,7 +9,8 @@ spends ``delay`` seconds propagating, then arrives at the downstream node.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TYPE_CHECKING
+import math
+from typing import Callable, List, TYPE_CHECKING
 
 from ..errors import ConfigurationError
 from ..units import BITS_PER_BYTE, DEFAULT_PACKET_SIZE, transmission_time
@@ -37,10 +38,10 @@ class Link:
         gateway: Gateway,
         mean_packet_size: int = DEFAULT_PACKET_SIZE,
     ) -> None:
-        if bandwidth_bps <= 0:
+        if not bandwidth_bps > 0:  # written so that NaN fails too
             raise ConfigurationError(f"link {name}: non-positive bandwidth")
-        if delay_s < 0:
-            raise ConfigurationError(f"link {name}: negative delay")
+        if not 0 <= delay_s < math.inf:
+            raise ConfigurationError(f"link {name}: negative or non-finite delay")
         self.sim = sim
         self.name = name
         self.src = src
@@ -82,35 +83,38 @@ class Link:
 
     def send(self, packet: Packet) -> None:
         """Entry point used by the upstream node's forwarding logic."""
-        accepted = self.gateway.enqueue(self.sim.now, packet)
-        if accepted and not self._busy:
-            self._serve_next()
+        now = self.sim.now
+        if self.gateway.enqueue(now, packet) and not self._busy:
+            head = self.gateway.dequeue(now)
+            if head is not None:
+                self._transmit(head)
 
-    def _serve_next(self) -> None:
+    def _transmit(self, packet: Packet) -> None:
+        """Start serialising ``packet``, which just left the gateway."""
         sim = self.sim
-        packet = self.gateway.dequeue(sim.now)
-        if packet is None:
-            self._busy = False
-            return
         self._busy = True
         self._tx_start = sim.now
         size = packet.size
         self._tx_size = size
-        # Inlined transmission_time(size, bandwidth): same arithmetic, no
-        # call overhead on the per-packet path (bandwidth was validated
-        # positive at construction).
-        tx = size * BITS_PER_BYTE / self.bandwidth_bps
-        sim.schedule_after(tx, self._transmission_done, packet,
-                           name=self._tx_name)
+        # transmission_time(size, bandwidth) inlined: same arithmetic, no call
+        # (bandwidth was validated positive at construction)
+        sim.post(size * BITS_PER_BYTE / self.bandwidth_bps,
+                 self._transmission_done, (packet,), self._tx_name)
 
     def _transmission_done(self, packet: Packet) -> None:
         self.packets_sent += 1
         self.bytes_sent += packet.size
-        receive = self._arrive if self._deliver_hooks else self.dst.receive
-        self.sim.schedule_after(
-            self.delay_s, receive, packet, name=self._rx_name
-        )
-        self._serve_next()
+        sim = self.sim
+        sim.post(self.delay_s,
+                 self._arrive if self._deliver_hooks else self.dst.receive,
+                 (packet,), self._rx_name)
+        # Always ask, even when the queue looks empty: a discipline may keep
+        # state on an empty dequeue (CoDel leaves its dropping state there).
+        head = self.gateway.dequeue(sim.now)
+        if head is None:
+            self._busy = False
+        else:
+            self._transmit(head)
 
     def _arrive(self, packet: Packet) -> None:
         for hook in self._deliver_hooks:

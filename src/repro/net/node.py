@@ -120,7 +120,11 @@ class Node:
         elif dst == self.id:
             self._deliver(packet)
         else:
-            self._forward_unicast(packet)
+            link = self.routes.get(dst)
+            if link is None:
+                raise RoutingError(f"node {self.id}: no route to {dst!r}")
+            self.packets_forwarded += 1
+            link.send(packet)
 
     def _receive_multicast(self, packet: Packet) -> None:
         group = packet.dst
@@ -142,13 +146,6 @@ class Node:
             # The original is consumed here: either replaced by per-branch
             # copies, or (no members, no branches) silently discarded.
             self._notify_consume(packet, "replicated" if branches else "sunk")
-
-    def _forward_unicast(self, packet: Packet) -> None:
-        link = self.routes.get(packet.dst)
-        if link is None:
-            raise RoutingError(f"node {self.id}: no route to {packet.dst!r}")
-        self.packets_forwarded += 1
-        link.send(packet)
 
     def _deliver(self, packet: Packet) -> None:
         handler = self._agents.get(packet.flow)

@@ -81,8 +81,8 @@ class RLAReceiver:
         jitter = self.config.ack_jitter
         if jitter > 0:
             delay = self._ack_rng.uniform(0.0, jitter)
-            self.sim.schedule_after(delay, self._emit_ack, data.seq, echo,
-                                    data.ce, name=f"{self.flow}.ackjit")
+            self.sim.post(delay, self._emit_ack, (data.seq, echo, data.ce),
+                          f"{self.flow}.ackjit")
         else:
             self._emit_ack(data.seq, echo, data.ce)
 

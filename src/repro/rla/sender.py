@@ -155,7 +155,7 @@ class RLASender:
         for state in self.receivers.values():
             state.observation_start = start_time
         self.last_window_cut = start_time
-        self.sim.schedule_after(offset, self._kick, name=f"{self.flow}.start")
+        self.sim.post(offset, self._kick, (), f"{self.flow}.start")
 
     def on_packet(self, packet: Packet) -> None:
         """Node-bound handler; the sender consumes receiver ACKs."""
@@ -498,8 +498,8 @@ class RLASender:
     def _transmit(self, seq: int, dst: str, is_rtx: bool) -> None:
         if self.config.phase_jitter:
             delay = self._jitter_rng.uniform(0.0, self.config.phase_jitter)
-            self.sim.schedule_after(delay, self._transmit_now, seq, dst, is_rtx,
-                                    name=f"{self.flow}.jit")
+            self.sim.post(delay, self._transmit_now, (seq, dst, is_rtx),
+                          f"{self.flow}.jit")
         else:
             self._transmit_now(seq, dst, is_rtx)
 
@@ -527,8 +527,8 @@ class RLASender:
             return
         self._rtx_scheduled.add(seq)
         wait = self.config.rtx_wait_rtts * self._max_srtt()
-        self.sim.schedule_after(wait, self._decide_retransmit, seq,
-                                name=f"{self.flow}.rtx")
+        self.sim.post(wait, self._decide_retransmit, (seq,),
+                      f"{self.flow}.rtx")
 
     def _decide_retransmit(self, seq: int) -> None:
         self._rtx_scheduled.discard(seq)
@@ -554,8 +554,8 @@ class RLASender:
                 self.rtx_unicast += 1
                 self._transmit(seq, rid, is_rtx=True)
         retry_after = 2.0 * self._max_srtt() + self.config.min_rto
-        self.sim.schedule_after(retry_after, self._verify_repair, seq,
-                                name=f"{self.flow}.rtxchk")
+        self.sim.post(retry_after, self._verify_repair, (seq,),
+                      f"{self.flow}.rtxchk")
 
     def _verify_repair(self, seq: int) -> None:
         """Retry loop: keep repairing until every receiver holds ``seq``.

@@ -16,6 +16,7 @@ from typing import Optional, Union
 
 from ..errors import ConfigurationError
 from ..net.network import GATEWAY_DISCIPLINES
+from ..units import check_horizon
 from .churn import ChurnSpec
 from .topologies import (
     JitteredTreeTopology,
@@ -65,11 +66,7 @@ class ScenarioSpec:
         """Check field sanity (and nested specs); returns self for chaining."""
         if not self.name:
             raise ConfigurationError("scenario needs a name")
-        if self.duration <= 0 or self.warmup < 0:
-            raise ConfigurationError(
-                f"need duration > 0 and warmup >= 0: "
-                f"duration={self.duration}, warmup={self.warmup}"
-            )
+        check_horizon(self.duration, self.warmup)
         if self.gateway not in GATEWAY_DISCIPLINES:
             raise ConfigurationError(
                 f"unknown gateway type {self.gateway!r}; "

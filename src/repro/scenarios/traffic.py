@@ -184,18 +184,18 @@ class ParetoOnOffSource:
 
     def start(self, offset: float = 0.0) -> None:
         """Schedule the first burst ``offset`` seconds from now."""
-        self.sim.schedule_after(offset, self._burst, name=f"{self.source.flow}.on")
+        self.sim.post(offset, self._burst, (), f"{self.source.flow}.on")
 
     def _burst(self) -> None:
         self.bursts += 1
         self.source.start()
         on = pareto_draw(self.rng, self.mean_on_s, self.alpha)
-        self.sim.schedule_after(on, self._silence, name=f"{self.source.flow}.off")
+        self.sim.post(on, self._silence, (), f"{self.source.flow}.off")
 
     def _silence(self) -> None:
         self.source.stop()
         off = pareto_draw(self.rng, self.mean_off_s, self.alpha)
-        self.sim.schedule_after(off, self._burst, name=f"{self.source.flow}.on")
+        self.sim.post(off, self._burst, (), f"{self.source.flow}.on")
 
 
 class WebMiceWorkload:
@@ -240,7 +240,7 @@ class WebMiceWorkload:
     def start(self, offset: float = 0.0) -> None:
         """Schedule the first mouse arrival."""
         gap = self.rng.expovariate(self.rate_per_s)
-        self.sim.schedule_after(offset + gap, self._arrive, name="mice.arrival")
+        self.sim.post(offset + gap, self._arrive, (), "mice.arrival")
 
     def _arrive(self) -> None:
         if self.sim.now >= self.stop_at:
@@ -258,7 +258,7 @@ class WebMiceWorkload:
         mouse.start()
         self.mice.append(mouse)
         gap = self.rng.expovariate(self.rate_per_s)
-        self.sim.schedule_after(gap, self._arrive, name="mice.arrival")
+        self.sim.post(gap, self._arrive, (), "mice.arrival")
 
     # ------------------------------------------------------------------
     # reporting

@@ -5,7 +5,8 @@ NS2 core the paper used.  It is a classic calendar-queue-style engine built
 on :mod:`heapq`:
 
 * :meth:`Simulator.schedule` inserts a callback at an absolute time,
-* :meth:`Simulator.schedule_after` at a relative offset,
+* :meth:`Simulator.schedule_after` and :meth:`Simulator.post` at a relative
+  offset,
 * :meth:`Simulator.run` drains the heap until a time horizon or until the
   queue empties.
 
@@ -15,16 +16,25 @@ order, and all randomness must come from :class:`repro.sim.rng.RngStreams`.
 Hot-path layout (this engine executes a few million events per simulated
 minute, so its inner loop dominates every experiment's wall time):
 
-* Heap entries are ``(time, seq, Event)`` tuples, not :class:`Event`
-  objects.  Tuple comparison resolves on the leading float in C, so
-  sifting never calls ``Event.__lt__`` — which profiling showed was the
-  single hottest function in a figure-7 run (40M+ calls).  The
-  ``(time, seq)`` total order, and therefore replay determinism, is
-  exactly the order :class:`Event` defines.
-* Events scheduled for the *current* instant while the loop is running
+* An :class:`Event` handle is allocated only where somebody keeps it:
+  :meth:`Simulator.schedule` / :meth:`Simulator.schedule_after` return one
+  (timers store and cancel it), :meth:`Simulator.post` is fire-and-forget,
+  for every call site that would throw it away — 94 % of a figure run's
+  events are ``Link`` posts.  Both forms take their sequence number at the
+  same point, so which one a site uses never moves ``(time, seq)`` order.
+* A queue entry is a tuple led by ``(time, seq)``: ``(time, seq, Event)``
+  for a handle, ``(time, seq, None, callback, args, name)`` for a post.
+  Tuple comparison resolves on the leading float in C, so sifting never
+  calls ``Event.__lt__`` — which profiling showed was the single hottest
+  function in a figure-7 run (40M+ calls).  The ``(time, seq)`` total
+  order, and therefore replay determinism, is exactly the order
+  :class:`Event` defines.  :meth:`Simulator.run` calls a post straight
+  from its entry and builds an :class:`Event` for it only while
+  :attr:`Simulator.event_hook` is installed.
+* Entries scheduled for the *current* instant while the loop is running
   bypass the heap entirely: they go to a FIFO "ready batch" drained
   before any strictly later heap entry.  Correctness argument: such an
-  event's ``seq`` is larger than that of every queued event with the
+  entry's ``seq`` is larger than that of every queued entry with the
   same timestamp (those were necessarily scheduled earlier), so FIFO
   draining after the heap's equal-time entries *is* ``(time, seq)``
   order.  The batch is flushed back into the heap whenever :meth:`run`
@@ -47,8 +57,9 @@ from .trace import Tracer
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-#: A heap entry; ordering is driven by the leading ``(time, seq)`` pair.
-Entry = Tuple[float, int, Event]
+#: A queue entry, ordered by its leading ``(time, seq)`` pair: ``(time, seq,
+#: Event)``, or ``(time, seq, None, callback, args, name)`` for a post.
+Entry = Tuple[Any, ...]
 
 
 class Simulator:
@@ -71,9 +82,9 @@ class Simulator:
     def __init__(self, seed: int = 1, trace: Optional[Tracer] = None) -> None:
         self.now: float = 0.0
         self._queue: List[Entry] = []
-        #: Same-timestamp fast lane: events scheduled at exactly ``now``
+        #: Same-timestamp fast lane: entries scheduled at exactly ``now``
         #: while :meth:`run` is draining.  Always empty between runs.
-        self._ready: Deque[Event] = deque()
+        self._ready: Deque[Entry] = deque()
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -103,7 +114,7 @@ class Simulator:
         Scheduling in the past raises :class:`SchedulingError`; scheduling
         exactly "now" is allowed and runs after the current event finishes.
         """
-        if time < self.now:
+        if not time >= self.now:  # also true of NaN, which orders nowhere
             raise SchedulingError(
                 f"cannot schedule at t={time:.9f} before now={self.now:.9f}"
             )
@@ -114,7 +125,7 @@ class Simulator:
         if self._running and time == self.now:
             # Same-instant batch: no heap churn, FIFO == (time, seq) order
             # because this seq exceeds that of every queued equal-time event.
-            self._ready.append(event)
+            self._ready.append((time, seq, event))
         else:
             _heappush(self._queue, (time, seq, event))
         return event
@@ -128,13 +139,11 @@ class Simulator:
     ) -> Event:
         """Schedule ``callback(*args)`` after a non-negative ``delay``.
 
-        This is the dominant scheduling entry point (links and timers use
-        relative delays exclusively), so :meth:`schedule` is inlined here:
-        ``now + delay`` can never be in the past once the delay is
-        non-negative, which drops one call and one comparison per event.
+        The handle-returning relative form, with :meth:`schedule` inlined:
+        ``now + delay`` is never in the past once the delay is non-negative.
         """
-        if delay < 0:
-            raise SchedulingError(f"negative delay: {delay}")
+        if not delay >= 0:  # negative or NaN
+            raise SchedulingError(f"negative or NaN delay: {delay}")
         now = self.now
         time = now + delay
         seq = self._seq
@@ -142,10 +151,28 @@ class Simulator:
         event = Event(time, seq, callback, args, name=name)
         event._on_cancel = self._note_cancelled
         if time == now and self._running:
-            self._ready.append(event)
+            self._ready.append((time, seq, event))
         else:
             _heappush(self._queue, (time, seq, event))
         return event
+
+    def post(self, delay: float, callback: Callable[..., Any],
+             args: Tuple[Any, ...] = (), name: Optional[str] = None) -> None:
+        """Fire-and-forget :meth:`schedule_after`: no handle, no cancelling.
+
+        The dominant entry point (every link event); all-positional because
+        ``*args``/``name=`` passing is itself a per-event cost.
+        """
+        if not delay >= 0:  # negative or NaN
+            raise SchedulingError(f"negative or NaN delay: {delay}")
+        now = self.now
+        time = now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        if time == now and self._running:
+            self._ready.append((time, seq, None, callback, args, name))
+        else:
+            _heappush(self._queue, (time, seq, None, callback, args, name))
 
     # ------------------------------------------------------------------
     # execution
@@ -166,6 +193,8 @@ class Simulator:
         """
         if self._running:
             raise SchedulingError("run() called re-entrantly")
+        if until != until:  # NaN: no event time would ever exceed it
+            raise SchedulingError("run(until=nan)")
         self._running = True
         self._stopped = False
         executed = 0
@@ -182,14 +211,15 @@ class Simulator:
                 # invariant above, out-sequence every equal-time heap entry
                 # — so they run only once the heap holds nothing at `now`.
                 if ready and (not queue or queue[0][0] > self.now):
-                    event = ready.popleft()
-                    if event.cancelled:
+                    entry = ready.popleft()
+                    event = entry[2]
+                    if event is not None and event.cancelled:
                         self._cancelled -= 1
                         continue
                 else:
                     entry = queue[0]
                     event = entry[2]
-                    if event.cancelled:
+                    if event is not None and event.cancelled:
                         pop(queue)
                         self._cancelled -= 1
                         continue
@@ -197,21 +227,25 @@ class Simulator:
                         break
                     pop(queue)
                     self.now = entry[0]
-                event._on_cancel = None  # left the queue; cancel() is a no-op now
                 hook = self.event_hook
-                if hook is not None:
-                    hook(event)
-                event.callback(*event.args)
+                if event is None:  # a post: a handle exists only for a hook
+                    if hook is not None:
+                        hook(Event(entry[0], entry[1], entry[3], entry[4],
+                                   entry[5]))
+                    entry[3](*entry[4])
+                else:
+                    event._on_cancel = None  # left the queue; cancel() is a no-op now
+                    if hook is not None:
+                        hook(event)
+                    event.callback(*event.args)
                 executed += 1
         finally:
             self._running = False
-            if ready:
-                # stop()/max_events can leave immediates behind; park them
-                # back in the heap so peek()/pending() and the next run()
-                # see a single, totally ordered queue.
-                for event in ready:
-                    _heappush(queue, (event.time, event.seq, event))
-                ready.clear()
+            # stop()/max_events can leave immediates behind; park them back
+            # in the heap so peek()/pending() and the next run() see a
+            # single, totally ordered queue.
+            while ready:
+                _heappush(queue, ready.popleft())
         if until is not None and not self._stopped and self.now < until:
             self.now = until
         self.events_executed += executed
@@ -247,10 +281,11 @@ class Simulator:
         holds local aliases to both containers while draining them.
         """
         self._queue[:] = [entry for entry in self._queue
-                          if not entry[2].cancelled]
+                          if entry[2] is None or not entry[2].cancelled]
         heapq.heapify(self._queue)
         if self._ready:
-            live = [event for event in self._ready if not event.cancelled]
+            live = [entry for entry in self._ready
+                    if entry[2] is None or not entry[2].cancelled]
             self._ready.clear()
             self._ready.extend(live)
         self._cancelled = 0
@@ -269,18 +304,18 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty."""
         queue = self._queue
-        while queue and queue[0][2].cancelled:
+        while queue and queue[0][2] is not None and queue[0][2].cancelled:
             _heappop(queue)
             self._cancelled -= 1
         ready = self._ready
-        while ready and ready[0].cancelled:
+        while ready and ready[0][2] is not None and ready[0][2].cancelled:
             ready.popleft()
             self._cancelled -= 1
         if queue and ready:
-            return min(queue[0][0], ready[0].time)
+            return min(queue[0][0], ready[0][0])
         if queue:
             return queue[0][0]
-        return ready[0].time if ready else None
+        return ready[0][0] if ready else None
 
     def __repr__(self) -> str:
         return (

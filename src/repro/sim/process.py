@@ -94,5 +94,8 @@ class PeriodicProcess:
             self._event = None
 
     def _tick(self) -> None:
+        event = self._event
         self.callback()
-        self._event = self.sim.schedule_after(self.interval, self._tick, name=self.name)
+        # re-arm after the callback (seq order), unless it stopped the process
+        if self._event is event:
+            self._event = self.sim.schedule_after(self.interval, self._tick, name=self.name)

@@ -82,7 +82,7 @@ class TcpSender:
         if self._started:
             return
         self._started = True
-        self.sim.schedule_after(offset, self._kick, name=f"{self.flow}.start")
+        self.sim.post(offset, self._kick, (), f"{self.flow}.start")
 
     def on_packet(self, packet: Packet) -> None:
         """Node-bound handler; senders only care about ACKs."""
@@ -216,8 +216,8 @@ class TcpSender:
         jitter = self.config.phase_jitter
         if jitter:
             delay = self._jitter_rng.uniform(0.0, jitter)
-            self.sim.schedule_after(delay, self._emit_now, seq, is_rtx,
-                                    name=f"{self.flow}.jit")
+            self.sim.post(delay, self._emit_now, (seq, is_rtx),
+                          f"{self.flow}.jit")
         else:
             self._emit_now(seq, is_rtx)
 

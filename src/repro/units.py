@@ -7,6 +7,8 @@ seconds.  These helpers keep the conversions explicit and in one place.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigurationError
 
 #: Data packet size used throughout the paper's evaluation (section 5).
@@ -23,6 +25,16 @@ MICROSECONDS = 1e-6
 KILO = 1e3
 MEGA = 1e6
 GIGA = 1e9
+
+
+def check_horizon(duration: float, warmup: float) -> None:
+    """Every spec's horizon check; a NaN or infinite one fails too.
+
+    No event time exceeds such a horizon: ``run(until=...)`` never returns.
+    """
+    if not (0 < duration < math.inf and 0 <= warmup < math.inf):
+        raise ConfigurationError(f"need duration > 0 and warmup >= 0, both "
+                                 f"finite: duration={duration}, warmup={warmup}")
 
 
 def bits(nbytes: float) -> float:

@@ -11,49 +11,68 @@ A ratio, because absolute counts differ between interpreter versions.
 What is left is one call per hook the network fires, the two engine-event
 records per hop, and the per-ACK sender checks — an audit layer that grows
 a per-hop helper call back fails here on any machine.
+
+Re-pinned by PR 20, which made the *unaudited* hop cheaper and so moved
+this ratio without touching the audit layer.  Same run, same interpreter,
+9 290 link transmissions in all four cells:
+
+===========  =========  =======  =======  =================
+..           unaudited  audited  extra    extra / unaudited
+===========  =========  =======  =======  =================
+before       231 791    349 287  117 496  0.51
+after PR 20  197 958    335 552  137 594  0.70
+===========  =========  =======  =======  =================
+
+The denominator shrank (a link event nobody observes no longer builds an
+``Event`` handle, and a hop makes fewer calls), and the numerator now
+holds what it always paid for under another name: an observed event must
+still reach ``event_hook`` as an ``Event``, so the engine builds one at
+dispatch for each of a hop's two events — ``Event.__init__`` moved from
+the unaudited column to the extra column, it did not appear.  The ratio
+is therefore budgeted at measured + 10 %, and the intent is asserted
+directly beside it: the audited run's *total* calls per link transmission
+(37.6 before, 36.1 after) may not exceed the figure from before, so an
+audit layer — or a hooked dispatch path — that gets dearer in absolute
+terms fails whatever happens to the unaudited run.
 """
 
 from __future__ import annotations
 
-import sys
-
 from repro.scenarios import get_scenario, run_scenario
 
-#: Extra audited calls allowed, as a share of the unaudited run's calls.
-BUDGET = 0.65
+#: Extra audited calls allowed, as a share of the unaudited run's calls
+#: (0.70 measured; see the table above for why PR 20 moved it from 0.51).
+BUDGET = 0.77
+
+#: Audited calls per link transmission before PR 20 (349 287 / 9 290).
+AUDITED_CALLS_PER_TRANSMISSION = 37.6
 
 
-def _python_calls(audited: bool) -> int:
+def _tree_churn(audited: bool):
     spec = get_scenario("tree-churn", duration=2.0, warmup=0.5,
                         audited=audited)
-    calls = 0
-
-    def profiler(_frame, event, _arg):
-        nonlocal calls
-        if event == "call":  # Python frames only; C calls are "c_call"
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(profiler)
-    try:
-        row = run_scenario(spec)
-    finally:
-        sys.setprofile(previous)
-    if audited:
-        assert row["sim_stats"]["audit_checks"] > 10_000
-        assert row["sim_stats"]["violations"] == 0
-    return calls
+    return lambda: run_scenario(spec)
 
 
-def test_audit_adds_at_most_budget_of_the_plain_runs_calls():
+def test_audit_adds_at_most_budget_of_the_plain_runs_calls(count_python_calls):
     # one throwaway run first: lazy imports are calls too
     run_scenario(get_scenario("tree-churn", duration=0.2, warmup=0.1,
                               audited=True))
-    plain = _python_calls(audited=False)
-    audited = _python_calls(audited=True)
+    _, plain, transmissions = count_python_calls(_tree_churn(audited=False))
+    row, audited, audited_transmissions = count_python_calls(
+        _tree_churn(audited=True))
+    assert row["sim_stats"]["audit_checks"] > 10_000
+    assert row["sim_stats"]["violations"] == 0
     extra = audited - plain
     assert plain > 100_000
+    assert audited_transmissions == transmissions > 5_000
     assert 0 < extra <= BUDGET * plain, (
         f"--audit added {extra} Python calls to a run of {plain} "
         f"({extra / plain:.2f} of it; budget {BUDGET})"
+    )
+    assert audited <= AUDITED_CALLS_PER_TRANSMISSION * transmissions, (
+        f"an audited run makes {audited / transmissions:.1f} Python calls "
+        f"per link transmission; it made "
+        f"{AUDITED_CALLS_PER_TRANSMISSION} before the unaudited hop got "
+        f"cheaper"
     )

@@ -131,6 +131,39 @@ def test_same_timestamp_fifo_order_survives_restore():
     assert clone.log == world.log
 
 
+def test_handle_free_entries_survive_restore_in_heap_and_ready_lane():
+    """Posted (handle-free) entries pickle like handles do: tied with them
+    in the heap, parked from the ready lane by a stop(), next to a
+    cancelled handle — the clone runs the identical remaining schedule."""
+    world = BareWorld(seed=5)
+    sim = world.sim
+
+    def spawn():
+        sim.post(0.0, world.emit, ("ready-post",))
+        sim.schedule(sim.now, world.emit, "ready-handle").cancel()
+        sim.post(0.0, world.emit, ("ready-post2",), "named")
+        sim.stop()  # the lane is flushed into the heap as run() returns
+
+    sim.post(2.0, spawn)
+    sim.schedule(2.0, world.emit, "heap-handle")
+    sim.post(2.0, world.emit, ("heap-post",))
+    sim.post(3.0, world.emit, ("later",))
+    assert sim.run() == 1
+
+    snapshot = capture(world)
+    clone = restore(snapshot)
+    assert sorted(map(len, clone.sim._queue)) == [3, 3, 6, 6, 6, 6]
+    assert clone.sim.pending() == sim.pending() == 5
+    assert clone.sim.peek() == sim.peek() == 2.0
+    assert capture(clone).payload == snapshot.payload
+    sim.run()
+    clone.sim.run()
+    assert [tag for _, tag in world.log] == [
+        "heap-handle", "heap-post", "ready-post", "ready-post2", "later"]
+    assert clone.log == world.log
+    assert clone.sim.events_executed == sim.events_executed
+
+
 def test_capture_inside_run_is_rejected():
     world = BareWorld()
     failures = []

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+from repro.net.link import Link
 from repro.net.network import Network, droptail_factory
 from repro.sim.engine import Simulator
 from repro.units import ms, pps_to_bps
@@ -13,6 +16,38 @@ from repro.units import ms, pps_to_bps
 def sim() -> Simulator:
     """A fresh simulator with a fixed seed."""
     return Simulator(seed=42)
+
+
+@pytest.fixture
+def count_python_calls():
+    """``count(run) -> (result, calls, transmissions)`` for the call budgets.
+
+    Wall-clock tests are useless on a shared box, but the number of Python
+    function calls a seeded run makes is exact: ``calls`` is every Python
+    frame entered while ``run()`` executes (C calls are "c_call" events and
+    not counted), ``transmissions`` how many of them were a ``Link``
+    finishing a serialisation.
+    """
+    def count(run):
+        calls = transmissions = 0
+        done = Link._transmission_done.__code__
+
+        def profiler(frame, event, _arg):
+            nonlocal calls, transmissions
+            if event == "call":
+                calls += 1
+                if frame.f_code is done:
+                    transmissions += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profiler)
+        try:
+            result = run()
+        finally:
+            sys.setprofile(previous)
+        return result, calls, transmissions
+
+    return count
 
 
 @pytest.fixture

@@ -148,6 +148,17 @@ def test_invalid_parameters_rejected():
              mean_packet_size=0)
 
 
+@pytest.mark.parametrize("bandwidth, delay", [
+    (float("nan"), 0.1), (1e6, float("nan")), (1e6, float("inf")),
+])
+def test_non_finite_parameters_rejected(bandwidth, delay):
+    # `nan <= 0` and `nan < 0` are False: the old guards let these through
+    # and every event on the link was then scheduled at a NaN/inf time
+    with pytest.raises(ConfigurationError):
+        Link(Simulator(), "bad", Node("A"), Node("B"), bandwidth, delay,
+             DropTailQueue(5))
+
+
 # ----------------------------------------------------------------------
 # Exact float ties between an arrival and a departure.
 #

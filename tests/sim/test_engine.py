@@ -446,3 +446,105 @@ def test_property_cancel_peek_pending_never_drift(ops, rng):
             assert sim.pending() == len(live)
     assert sim.pending() == len(live)
     assert sim.run() == len(live)
+
+
+# ----------------------------------------------------------------------
+# the handle-free form: post(delay, callback, args, name)
+# ----------------------------------------------------------------------
+def test_post_runs_in_seq_order_with_handle_events():
+    # post takes its sequence number where schedule_after would, so the
+    # two forms interleave by call order at an exact tie
+    sim = Simulator()
+    order = []
+    sim.schedule_after(1.0, order.append, "a")
+    assert sim.post(1.0, order.append, ("b",)) is None
+    sim.schedule(1.0, order.append, "c")
+    sim.post(0.5, order.append, ("first",), "named")
+    assert sim.pending() == 4 and sim.peek() == 0.5
+    assert sim.run() == 4
+    assert order == ["first", "a", "b", "c"]
+    assert sim.now == 1.0
+
+
+def test_post_at_now_uses_the_ready_lane_and_is_flushed_on_stop():
+    sim = Simulator()
+    order = []
+
+    def burst():
+        sim.post(0.0, order.append, ("p1",))
+        sim.schedule(sim.now, order.append, "h")
+        sim.post(0.0, order.append, ("p2",))
+        assert sim.peek() == 1.0 and sim.pending() == 4
+        sim.stop()
+
+    sim.schedule(1.0, burst)
+    sim.schedule(1.0, order.append, "heap-tie")  # earlier seq: runs first
+    assert sim.run() == 1
+    # the lane went back into the heap: one totally ordered queue
+    assert sim.pending() == 4 and sim.peek() == 1.0
+    assert sim.run(max_events=2) == 2
+    assert order == ["heap-tie", "p1"]
+    sim.run()
+    assert order == ["heap-tie", "p1", "h", "p2"]
+
+
+def test_post_survives_compaction_and_counts():
+    sim = Simulator()
+    sim.COMPACT_MIN_CANCELLED = 2
+    fired = []
+    doomed = [sim.schedule(2.0, fired.append, ("dead", i)) for i in range(6)]
+    for i in range(3):
+        sim.post(1.0 + i, fired.append, (i,))
+    for event in doomed:
+        event.cancel()
+    assert sim.queue_size() < 9  # compaction ran over both entry shapes
+    assert sim.pending() == 3
+    assert sim.run() == 3
+    assert fired == [0, 1, 2]
+
+
+def test_event_hook_sees_a_post_as_an_event():
+    sim = Simulator()
+    seen = []
+    sim.event_hook = lambda event: seen.append(
+        (event.time, event.seq, event.name, event.args, event.cancelled))
+    sim.schedule_after(1.0, lambda: None, name="handle")
+    sim.post(1.0, lambda *args: None, (7, 8), "posted")
+    sim.post(2.0, lambda: None)
+    sim.run()
+    assert seen == [(1.0, 0, "handle", (), False),
+                    (1.0, 1, "posted", (7, 8), False),
+                    (2.0, 2, None, (), False)]
+
+
+def test_post_negative_delay_raises():
+    sim = Simulator()
+    with pytest.raises(SchedulingError):
+        sim.post(-0.1, lambda: None)
+
+
+# ----------------------------------------------------------------------
+# NaN orders nowhere: it must never reach the heap or the clock
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("form", ["schedule", "schedule_after", "post"])
+def test_nan_time_or_delay_raises(form):
+    # `nan < 0` and `nan < now` are both False, so the old guards let a
+    # NaN key into the heap (order undefined from then on) and `now`
+    # became NaN when it popped
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SchedulingError):
+        getattr(sim, form)(float("nan"), lambda: None)
+    assert sim.pending() == 1
+    sim.run()
+    assert sim.now == 1.0
+
+
+def test_run_until_nan_raises():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    with pytest.raises(SchedulingError):
+        sim.run(until=float("nan"))
+    assert sim.now == 0.0 and sim.pending() == 1
+    sim.run()  # the refused call did not leave the engine "running"
+    assert sim.now == 1.0

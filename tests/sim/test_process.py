@@ -89,3 +89,58 @@ def test_periodic_rejects_bad_interval():
     sim = Simulator()
     with pytest.raises(ConfigurationError):
         PeriodicProcess(sim, 0.0, lambda: None)
+
+
+def test_periodic_stop_from_inside_its_own_callback():
+    # _tick used to re-arm unconditionally after the callback, so a
+    # process that stopped itself kept ticking with running == True
+    sim = Simulator()
+    ticks = []
+
+    def tick():
+        ticks.append(sim.now)
+        if len(ticks) == 3:
+            proc.stop()
+
+    proc = PeriodicProcess(sim, 1.0, tick)
+    proc.start()
+    sim.run(until=10.0)
+    assert ticks == [1.0, 2.0, 3.0]
+    assert not proc.running
+    assert sim.pending() == 0
+
+
+def test_periodic_restart_from_inside_its_own_callback_keeps_one_chain():
+    sim = Simulator()
+    ticks = []
+
+    def tick():
+        ticks.append(sim.now)
+        if len(ticks) == 2:
+            proc.stop()
+            proc.start()
+
+    proc = PeriodicProcess(sim, 1.0, tick)
+    proc.start()
+    sim.run(until=5.5)
+    assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert proc.running and sim.pending() == 1
+
+
+def test_timer_is_disarmed_before_its_callback_runs():
+    # Timer clears its handle before firing, so the callback may stop or
+    # re-arm it; pinned because PeriodicProcess got this wrong
+    sim = Simulator()
+    fired = []
+
+    def fire():
+        fired.append((sim.now, timer.pending))
+        timer.stop()  # no-op: nothing armed, nothing cancelled
+        if len(fired) == 1:
+            timer.start(1.5)
+
+    timer = Timer(sim, fire)
+    timer.start(2.0)
+    sim.run()
+    assert fired == [(2.0, False), (3.5, False)]
+    assert not timer.pending and sim.pending() == 0

@@ -75,8 +75,9 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
     assert "cannot resolve entrypoint" in capsys.readouterr().err
 
     # pre-routing graphs; pre-diet audit ledgers; per-backend resume
-    # entrypoints (a v3 header names one that no longer exists)
-    for version in (1, 2, 3):
+    # entrypoints (a v3 header names one that no longer exists); a ready
+    # lane of bare Events and a heap without handle-free entries (v4)
+    for version in (1, 2, 3, 4):
         old = Snapshot(**{**foreign.__dict__, "version": version})
         with pytest.raises(CheckpointError, match=f"format v{version}"):
             load(save(old, tmp_path / "old.ckpt"), allow_code_mismatch=True)
@@ -85,7 +86,7 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
     for flags in ([], ["--allow-code-mismatch"]):
         assert main([command, str(tmp_path / "old.ckpt"), *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "format v3" in err
+        assert err.startswith("error: ") and "format v4" in err
         assert err.count("\n") == 1
 
 
@@ -129,6 +130,33 @@ def test_packet_sweep_with_a_nonsensical_horizon_is_a_cli_error(flag, capsys):
         assert captured.err.startswith(
             "error: need duration > 0 and warmup >= 0")
         assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig7", "--cases", "1", "--duration", "nan"],
+    ["fig7", "--cases", "1", "--duration", "2", "--warmup", "nan"],
+    ["fig9", "--cases", "1", "--duration", "inf"],
+    ["sweep", "--counts", "2", "--duration", "nan"],
+    ["scenarios", "run", "tree-churn", "--duration", "nan"],
+    ["scenarios", "run", "tree-churn", "--duration", "2", "--warmup", "inf"],
+    ["fluid", "scale", "--counts", "1000", "--duration", "nan"],
+], ids=" ".join)
+def test_non_finite_horizon_is_a_cli_error_not_a_hang(argv):
+    """``--duration nan`` passed ``duration <= 0 or warmup < 0`` (spelled out
+    in four specs, NaN-blind in all of them) and the packet commands never
+    returned — no event time exceeds a NaN or infinite ``until`` — while
+    the fluid ladder died converting NaN to a step count."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "repro.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: need duration > 0 and warmup >= 0")
+    assert done.stderr.count("\n") == 1 and done.stdout == ""
 
 
 @pytest.mark.parametrize("command", ["resume", "fork"])
