@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test paper-checks bench bench-selftest bench-pair audit-smoke hop-smoke checkpoint-smoke fluid-smoke import-smoke figures quickstart clean
+.PHONY: install test paper-checks bench bench-selftest bench-pair audit-smoke hop-smoke checkpoint-smoke fluid-smoke import-smoke examples-smoke figures quickstart clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -150,6 +150,19 @@ figures:
 
 quickstart:
 	$(PYTHON) examples/quickstart.py
+
+# Every example still runs: each examples/*.py from a temporary working
+# directory, failing on a non-zero exit or a traceback.  ~70 s (the tree
+# and multisession examples are 20 s each), so not part of `make test`.
+examples-smoke:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for example in $(CURDIR)/examples/*.py; do \
+		echo "== $$example"; \
+		(cd "$$tmp" && PYTHONPATH=$(CURDIR)/src $(PYTHON) "$$example") \
+			> "$$tmp/out.txt" 2>&1 \
+		&& ! grep -q "^Traceback" "$$tmp/out.txt" \
+		|| { cat "$$tmp/out.txt"; exit 1; }; \
+	done && echo "examples smoke OK"
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache

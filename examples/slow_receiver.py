@@ -13,9 +13,9 @@ Run:  python examples/slow_receiver.py
 from __future__ import annotations
 
 from repro import RLASession, Simulator
-from repro.analysis import Probe, line_plot
 from repro.net import Network, droptail_factory
 from repro.rla import LaggardDropPolicy
+from repro.sim import PeriodicProcess
 from repro.units import mbps, ms, pps_to_bps
 
 
@@ -38,23 +38,32 @@ def main() -> None:
     )
     policy.start()
 
-    # sample the reliable delivery rate over time
-    probe = Probe(sim, lambda: session.sender.max_reach_all, interval=1.0,
-                  name="delivered")
-    probe.start()
-    sim.run(until=120.0)
+    # sample the reliable delivery rate: a PeriodicProcess and a closure
+    interval = 4.0
+    rates = []
+    delivered = 0
 
-    rate = probe.series.rate_of_change()
-    rate.name = "session pkt/s"
-    print(line_plot(rate, title="Reliable session throughput "
-                               "(watch the jump when the laggard is cut)"))
+    def sample() -> None:
+        nonlocal delivered
+        reach = session.sender.max_reach_all
+        rates.append((sim.now, (reach - delivered) / interval))
+        delivered = reach
+
+    PeriodicProcess(sim, interval, sample, name="example.sample").start()
+    sim.run(until=48.0)
+
+    print("Reliable session throughput "
+          "(watch the jump when the laggard is cut)")
+    print("     t    pkt/s")
+    for when, rate in rates:
+        print(f"{when:5.0f}s  {rate:7.1f}")
     for when, rid in events:
         print(f"\n  t={when:5.1f}s: dropped {rid} "
               f"(gap behind leader exceeded half the average window)")
     print(f"  final receiver set: {sorted(session.sender.receivers)}")
-    final_rate = rate.values[-5:]
+    final = [rate for _, rate in rates[-5:]]
     print(f"  steady throughput after the drop: "
-          f"~{sum(final_rate)/len(final_rate):.0f} pkt/s (was pinned at ~20)")
+          f"~{sum(final)/len(final):.0f} pkt/s (was pinned at ~20)")
 
 
 if __name__ == "__main__":

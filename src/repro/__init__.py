@@ -39,8 +39,6 @@ Subpackages
     Snapshot/restore of a running simulation; resume and fork.
 ``repro.fluid``
     Mean-field ODE backend for 10^5-10^6 flows, cross-validated.
-``repro.analysis``
-    Time series, statistics, ASCII plots and CSV export.
 
 Quick start::
 
@@ -84,7 +82,7 @@ from .rla import (
     RLASender,
     RLASession,
 )
-from .sim import Simulator, Tracer
+from .sim import Simulator
 from .tcp import TcpConfig, TcpFlow, TcpReceiver, TcpSender
 
 __version__ = "1.0.0"
@@ -112,7 +110,6 @@ __all__ = [
     "TcpReceiver",
     "TcpSender",
     "TopologyError",
-    "Tracer",
     "droptail_factory",
     "red_factory",
     "__version__",

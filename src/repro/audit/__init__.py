@@ -12,7 +12,8 @@ observation hooks, and this package assembles them into
   bookkeeping),
 * a :class:`FlightRecorder` ring buffer whose recent history is attached to
   every raised :class:`InvariantViolation`,
-* a JSONL exporter (:func:`export_run`) for per-flow / per-link time series.
+* a JSONL exporter (:func:`export_run`) of the recorder's ring, queue
+  summaries and the conservation ledgers.
 
 :func:`arm` wires the first three onto a built network in one call.
 Un-audited runs pay only a ``None``/empty-list check at each hook site.

@@ -5,11 +5,10 @@ so downstream tooling (pandas, jq, plotting scripts) can filter without a
 schema file:
 
 * ``meta`` — run identification (caller-provided dict, written first);
-* ``trace`` — one :class:`~repro.sim.trace.Tracer` record;
-* ``queue_depth`` — one (time, depth) sample from a
-  :class:`~repro.net.monitor.QueueMonitor` built with ``sample_depth=True``;
-* ``queue_drop`` — one logged drop event (``log_drops=True``);
-* ``queue_summary`` — per-link occupancy/loss summary;
+* ``trace`` — one :class:`~repro.audit.recorder.FlightRecorder` record
+  (category ``enqueue`` carries ``depth``, ``drop`` carries ``reason``);
+* ``queue_summary`` — per-link occupancy/loss summary from a
+  :class:`~repro.net.monitor.QueueMonitor`;
 * ``flow_conservation`` / ``link_conservation`` — the auditor's ledgers.
 
 Keys are sorted and floats written verbatim, so exports of a seeded run
@@ -23,7 +22,7 @@ from pathlib import Path
 from typing import Any, Dict, IO, Mapping, Optional, TYPE_CHECKING, Union
 
 from ..net.monitor import QueueMonitor
-from ..sim.trace import Tracer
+from .recorder import FlightRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .conservation import ConservationAuditor
@@ -45,22 +44,13 @@ class JsonlExporter:
     def export_meta(self, meta: Mapping[str, Any]) -> None:
         self.write_row({"type": "meta", **meta})
 
-    def export_trace(self, tracer: Tracer) -> None:
-        for time, category, fields in tracer.records:
+    def export_trace(self, recorder: FlightRecorder) -> None:
+        for time, category, fields in recorder.records:
             self.write_row(
                 {"type": "trace", "t": time, "category": category, **fields}
             )
 
     def export_queue_monitor(self, link: str, monitor: QueueMonitor) -> None:
-        for time, depth in monitor.depth_samples:
-            self.write_row(
-                {"type": "queue_depth", "link": link, "t": time, "depth": depth}
-            )
-        for time, flow, seq, reason in monitor.drop_log:
-            self.write_row(
-                {"type": "queue_drop", "link": link, "t": time,
-                 "flow": flow, "seq": seq, "reason": reason}
-            )
         self.write_row(
             {"type": "queue_summary", "link": link,
              "mean_depth": monitor.mean_depth(),
@@ -80,7 +70,7 @@ def export_run(
     path: Union[str, Path],
     *,
     meta: Optional[Mapping[str, Any]] = None,
-    tracer: Optional[Tracer] = None,
+    recorder: Optional[FlightRecorder] = None,
     monitors: Optional[Mapping[str, QueueMonitor]] = None,
     auditor: Optional["ConservationAuditor"] = None,
 ) -> int:
@@ -91,8 +81,8 @@ def export_run(
         exporter = JsonlExporter(stream)
         if meta is not None:
             exporter.export_meta(meta)
-        if tracer is not None:
-            exporter.export_trace(tracer)
+        if recorder is not None:
+            exporter.export_trace(recorder)
         if monitors is not None:
             for link in sorted(monitors):
                 exporter.export_queue_monitor(link, monitors[link])

@@ -14,10 +14,12 @@ tuple per category); the ``{field: value}`` dict is built on read.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..sim.events import Event
-from ..sim.trace import TraceRecord
+
+#: A record as readers see it: ``(time, category, {field: value})``.
+TraceRecord = Tuple[float, str, Dict[str, Any]]
 
 _EVENT_KEYS = ("name",)
 _Entry = Tuple[float, str, Tuple[str, ...], Tuple[Any, ...]]
@@ -43,11 +45,6 @@ class FlightRecorder:
 
     def record(self, time: float, category: str, **fields: Any) -> None:
         """Append one record, evicting the oldest once at capacity."""
-        self.sink((time, category, fields))
-
-    def sink(self, record: TraceRecord) -> None:
-        """:class:`~repro.sim.trace.Tracer`-compatible sink callable."""
-        time, category, fields = record
         self.note(time, category, tuple(fields), tuple(fields.values()))
 
     def observe_event(self, event: Event) -> None:

@@ -54,7 +54,9 @@ from ..sim.engine import Simulator
 #: (``repro.lifecycle:finish_world``); the per-backend ones v3 names are gone.
 #: v5: the engine's ready lane holds queue entries and the heap may hold
 #: handle-free ones (v4 pickles a ready lane of bare ``Event`` objects).
-FORMAT_VERSION = 5
+#: v6: a ``Simulator`` holds no record store of its own (v5 pickles, inside
+#: every engine, an instance of a class whose module no longer exists).
+FORMAT_VERSION = 6
 
 #: File magic identifying a repro checkpoint file.
 MAGIC = "repro-ckpt"

@@ -275,10 +275,13 @@ def _run_tree_figure(args: argparse.Namespace) -> None:
 
 
 def _run_multisession(args: argparse.Namespace) -> None:
+    outcomes: List[Any] = []
     result = run_multisession(duration=args.duration, warmup=args.warmup,
-                              seed=args.seed, audited=args.audit)
+                              seed=args.seed, audited=args.audit,
+                              **_runtime_kwargs(args, outcomes))
     for metric, (measured, paper) in summarize(result).items():
         print(f"{metric}: measured {measured}, paper {paper}")
+    _print_metrics(args, outcomes)
 
 
 def _run_sweep(args: argparse.Namespace) -> None:

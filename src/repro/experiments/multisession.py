@@ -8,11 +8,11 @@ pkt/s and mean windows 19.9 / 20.1 at full scale.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Any, Dict
 
 from ..topology.cases import TREE_CASES
 from .paperdata import MULTISESSION
-from .runner import TreeExperimentResult, TreeExperimentSpec, run_tree_experiment
+from .runner import TreeExperimentResult, TreeExperimentSpec, run_tree_experiments
 
 
 def run_multisession(
@@ -22,8 +22,12 @@ def run_multisession(
     case_number: int = 3,
     gateway: str = "droptail",
     audited: bool = False,
+    **runtime: Any,
 ) -> TreeExperimentResult:
-    """Run the two-session experiment; ``result.rla`` has two reports."""
+    """Run the two-session experiment; ``result.rla`` has two reports.
+
+    ``runtime`` is :func:`repro.lifecycle.run_many`'s option set.
+    """
     spec = TreeExperimentSpec(
         case=TREE_CASES[case_number],
         gateway=gateway,
@@ -33,7 +37,7 @@ def run_multisession(
         rla_sessions=2,
         audited=audited,
     )
-    return run_tree_experiment(spec)
+    return run_tree_experiments({case_number: spec}, **runtime)[case_number]
 
 
 def summarize(result: TreeExperimentResult) -> Dict[str, tuple]:

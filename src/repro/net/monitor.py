@@ -1,45 +1,33 @@
 """Measurement probes for gateways and links.
 
-:class:`QueueMonitor` observes one gateway: per-flow drop counts, a drop
-event log, and a time-weighted average queue depth (updated lazily at each
-enqueue/dequeue/drop observation and folded forward at each read, so the
-statistics are correct with or without an explicit :meth:`finish`).  The
-experiments use these to verify buffer-period behaviour (§3.1) and to
-report loss rates per branch; ``sample_depth=True`` additionally keeps a
-(time, depth) series for the audit layer's JSONL exporter.
+:class:`QueueMonitor` observes one gateway and keeps aggregates only:
+per-flow drop and enqueue counts, the largest depth, and a time-weighted
+average queue depth (updated lazily at each enqueue/dequeue/drop
+observation and folded forward at each read, so the statistics are correct
+with or without an explicit :meth:`finish`).  The experiments use these to
+verify buffer-period behaviour (§3.1) and to report loss rates per branch.
+The per-packet facts (which drop, for what reason, at what depth) are the
+audit layer's flight-recorder records, not a second log here.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ..sim.engine import Simulator
 from .packet import Packet
 from .queue import Gateway
 
-DropEvent = Tuple[float, str, int, str]  # (time, flow, seq, reason)
-
 
 class QueueMonitor:
     """Attach to a gateway and accumulate occupancy/drop statistics."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        gateway: Gateway,
-        log_drops: bool = False,
-        sample_depth: bool = False,
-    ) -> None:
+    def __init__(self, sim: Simulator, gateway: Gateway) -> None:
         self.sim = sim
         self.gateway = gateway
-        self.log_drops = log_drops
-        self.sample_depth = sample_depth
         self.drops_by_flow: Counter = Counter()
         self.enqueues_by_flow: Counter = Counter()
-        self.drop_log: List[DropEvent] = []
-        #: (time, depth) at each observed depth change (when sample_depth)
-        self.depth_samples: List[Tuple[float, int]] = []
         self._last_time = sim.now
         self._last_depth = gateway.depth
         self._area = 0.0  # integral of depth over time
@@ -54,18 +42,13 @@ class QueueMonitor:
         now = self.sim.now
         self._area += self._last_depth * (now - self._last_time)
         self._last_time = now
-        depth = self.gateway.depth
-        if self.sample_depth and depth != self._last_depth:
-            self.depth_samples.append((now, depth))
-        self._last_depth = depth
+        self._last_depth = self.gateway.depth
         if self._last_depth > self._max_depth:
             self._max_depth = self._last_depth
 
     def _observe_drop(self, now: float, packet: Packet, reason: str) -> None:
         self._advance()
         self.drops_by_flow[packet.flow] += 1
-        if self.log_drops:
-            self.drop_log.append((now, packet.flow, packet.seq, reason))
 
     def _observe_enqueue(self, now: float, packet: Packet, depth: int) -> None:
         self._advance()

@@ -162,6 +162,8 @@ def run_specs(
     """
     if retries < 0:
         raise SimulationError(f"retries must be >= 0, got {retries}")
+    if workers is not None and workers < 0:
+        raise ConfigurationError(f"workers must be >= 0: {workers}")
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
     attempts = [0] * len(specs)
     todo: List[int] = []

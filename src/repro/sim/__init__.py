@@ -5,7 +5,6 @@ Public surface:
 * :class:`Simulator` — the event loop and clock.
 * :class:`Event` — cancellable event handles.
 * :class:`RngStreams` — named deterministic random streams.
-* :class:`Tracer` — structured trace collection.
 * :class:`Timer`, :class:`PeriodicProcess` — timer utilities for agents.
 """
 
@@ -13,13 +12,11 @@ from .engine import Simulator
 from .events import Event
 from .process import PeriodicProcess, Timer
 from .rng import RngStreams
-from .trace import Tracer
 
 __all__ = [
     "Simulator",
     "Event",
     "RngStreams",
-    "Tracer",
     "Timer",
     "PeriodicProcess",
 ]

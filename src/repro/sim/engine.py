@@ -52,7 +52,6 @@ from typing import Any, Callable, Deque, List, Optional, Tuple
 from ..errors import SchedulingError
 from .events import Event
 from .rng import RngStreams
-from .trace import Tracer
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -70,16 +69,13 @@ class Simulator:
     seed:
         Master seed for the per-component random streams available through
         :attr:`rng`.
-    trace:
-        Optional :class:`Tracer` capturing structured events; a fresh,
-        disabled tracer is created if omitted.
     """
 
     #: Compact the heap once at least this many cancelled events are queued
     #: *and* they outnumber the live ones (amortized O(log n) per event).
     COMPACT_MIN_CANCELLED = 64
 
-    def __init__(self, seed: int = 1, trace: Optional[Tracer] = None) -> None:
+    def __init__(self, seed: int = 1) -> None:
         self.now: float = 0.0
         self._queue: List[Entry] = []
         #: Same-timestamp fast lane: entries scheduled at exactly ``now``
@@ -90,7 +86,6 @@ class Simulator:
         self._stopped = False
         self._cancelled = 0
         self.rng = RngStreams(seed)
-        self.trace = trace if trace is not None else Tracer(enabled=False)
         #: Optional observer called with each :class:`Event` just before it
         #: executes.  The audit layer's flight recorder uses this to keep
         #: the recent event stream; ``None`` (the default) costs one

@@ -27,12 +27,13 @@ from repro.net.node import Node
 from repro.net.packet import Packet, install_creation_hook, uninstall_creation_hook
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
-from repro.sim.trace import TraceRecord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from repro.net.queue import Gateway
     from repro.rla.sender import RLASender
     from repro.tcp.sender import TcpSender
+
+TraceRecord = Tuple[float, str, Dict[str, Any]]
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from repro.audit import FlightRecorder
 from repro.sim.events import Event
-from repro.sim.trace import Tracer
 
 
 def test_capacity_must_be_positive():
@@ -47,13 +46,6 @@ def test_dump_last_limits_lines():
     assert "2 record(s) shown, 10 recorded in total" in dump
     assert "i=8" in dump and "i=9" in dump
     assert "i=7" not in dump
-
-
-def test_usable_as_tracer_sink():
-    recorder = FlightRecorder(capacity=4)
-    tracer = Tracer(sink=recorder.sink)
-    tracer.emit(2.0, "enqueue", flow="rla-0")
-    assert recorder.records == [(2.0, "enqueue", {"flow": "rla-0"})]
 
 
 def test_observe_event_adapter():

@@ -28,3 +28,16 @@ def test_fig5_runs(capsys):
     assert main(["fig5", "--steps", "5000"]) == 0
     out = capsys.readouterr().out
     assert "mean cwnds" in out
+
+
+def test_multisession_honours_the_runtime_options(tmp_path, capsys):
+    # --workers/--cache/--metrics used to be accepted and silently ignored
+    argv = ["multisession", "--duration", "1", "--warmup", "0.5"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    cached = [*argv, "--metrics", "--cache", str(tmp_path / "cache")]
+    for source in ("0 cached", "1 cached"):
+        assert main(cached) == 0
+        table, _, footer = capsys.readouterr().out.partition("\nruntime summary")
+        assert table == plain
+        assert f"1 runs ({source}, 0 failed)" in footer

@@ -26,7 +26,6 @@ from repro.net.packet import Packet
 from repro.net.queue import Gateway
 from repro.sim.events import Event
 from repro.sim.rng import RngStreams
-from repro.sim.trace import Tracer
 from repro.units import BITS_PER_BYTE, DEFAULT_PACKET_SIZE, transmission_time
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -51,16 +50,13 @@ class Simulator:
     seed:
         Master seed for the per-component random streams available through
         :attr:`rng`.
-    trace:
-        Optional :class:`Tracer` capturing structured events; a fresh,
-        disabled tracer is created if omitted.
     """
 
     #: Compact the heap once at least this many cancelled events are queued
     #: *and* they outnumber the live ones (amortized O(log n) per event).
     COMPACT_MIN_CANCELLED = 64
 
-    def __init__(self, seed: int = 1, trace: Optional[Tracer] = None) -> None:
+    def __init__(self, seed: int = 1) -> None:
         self.now: float = 0.0
         self._queue: List[Entry] = []
         #: Same-timestamp fast lane: events scheduled at exactly ``now``
@@ -71,7 +67,6 @@ class Simulator:
         self._stopped = False
         self._cancelled = 0
         self.rng = RngStreams(seed)
-        self.trace = trace if trace is not None else Tracer(enabled=False)
         #: Optional observer called with each :class:`Event` just before it
         #: executes.  The audit layer's flight recorder uses this to keep
         #: the recent event stream; ``None`` (the default) costs one

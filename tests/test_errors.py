@@ -76,8 +76,9 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
 
     # pre-routing graphs; pre-diet audit ledgers; per-backend resume
     # entrypoints (a v3 header names one that no longer exists); a ready
-    # lane of bare Events and a heap without handle-free entries (v4)
-    for version in (1, 2, 3, 4):
+    # lane of bare Events and a heap without handle-free entries (v4); a
+    # tracer object pickled inside every Simulator (v5)
+    for version in (1, 2, 3, 4, 5):
         old = Snapshot(**{**foreign.__dict__, "version": version})
         with pytest.raises(CheckpointError, match=f"format v{version}"):
             load(save(old, tmp_path / "old.ckpt"), allow_code_mismatch=True)
@@ -86,7 +87,7 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
     for flags in ([], ["--allow-code-mismatch"]):
         assert main([command, str(tmp_path / "old.ckpt"), *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "format v4" in err
+        assert err.startswith("error: ") and "format v5" in err
         assert err.count("\n") == 1
 
 
@@ -115,6 +116,23 @@ def test_uncreatable_cache_dir_is_an_error_before_any_run(
     captured = capsys.readouterr()
     assert captured.err.startswith("error: cannot create cache directory")
     assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig7", "--cases", "1"],
+    ["sweep", "--counts", "2"],
+    ["scenarios", "run", "tree-churn"],
+], ids=" ".join)
+def test_negative_worker_count_is_a_cli_error_before_any_run(
+        argv, tmp_path, capsys):
+    """``--workers -1`` used to run serially without a word."""
+    from repro.cli import main
+
+    assert main([*argv, "--duration", "2", "--warmup", "1", "--workers", "-1",
+                 "--cache", str(tmp_path / "cache")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: workers must be >= 0: -1\n"
+    assert captured.out == "" and not (tmp_path / "cache").exists()
 
 
 @pytest.mark.parametrize("flag", ["--duration", "--warmup"])
