@@ -100,15 +100,24 @@ checkpoint-smoke:
 	assert resumed == straight, 'checkpoint restore diverged from straight run'; \
 	print('checkpoint smoke OK: %d-byte report, byte-identical after fresh-process restore' % len(resumed))"
 
-# Fluid backend smoke: first the integrator against its bitwise oracle
-# (tests/fluid/reference.py), then the small-n fluid-vs-packet
-# cross-validation cases (per-metric error tables, tolerances from
-# docs/FLUID.md), then one 10^5-flow fluid point to prove the mean-field
-# scaling path — the bounds must hold and the RED equilibrium must be
-# Reynier-stable.
+# Fluid backend smoke: first the emitted kernel against its bitwise
+# oracle (tests/fluid/reference.py) and its own tests (deterministic
+# source, tracebacks, one compile per row), then the small-n
+# fluid-vs-packet cross-validation cases (per-metric error tables,
+# tolerances from docs/FLUID.md), then the population ladder's first rung
+# through the CLI — numpy must not have been loaded for it — and one
+# 10^5-flow fluid point to prove the mean-field scaling path: the bounds
+# must hold and the RED equilibrium must be Reynier-stable.  Last, what
+# the kernel costs to build for rlabench's two micro-driver models.
 fluid-smoke:
-	PYTHONPATH=src $(PYTHON) -m pytest tests/fluid/test_integrator_oracle.py
+	PYTHONPATH=src $(PYTHON) -m pytest tests/fluid/test_integrator_oracle.py \
+		tests/fluid/test_kernel.py tests/fluid/test_stability_oracle.py
 	PYTHONPATH=src $(PYTHON) -m repro.cli fluid crossval "--cases=-10-"
+	PYTHONPATH=src $(PYTHON) -c "import sys, repro.cli; \
+	code = repro.cli.main(['fluid', 'scale', '--counts', '1000']); \
+	assert code == 0, code; \
+	assert 'numpy' not in sys.modules, 'fluid scale loaded numpy'; \
+	print('fluid smoke: fluid scale ran without numpy')"
 	PYTHONPATH=src $(PYTHON) -c "from repro.experiments.population import \
 	run_population, format_population; \
 	rows = run_population(counts=(100_000,)); \
@@ -117,6 +126,16 @@ fluid-smoke:
 	assert all(row['equilibrium']['stability_margin'] > 0 \
 	           for row in rows), rows; \
 	print('fluid smoke OK: bounds hold at 100k flows, stable equilibrium')"
+	PYTHONPATH=src $(PYTHON) -c "import timeit; \
+	from repro.experiments.population import population_spec; \
+	from repro.fluid import FluidModel, symmetric_fluid_spec; \
+	specs = {'pop100k': population_spec(100_000), \
+	         'sym16': symmetric_fluid_spec(n_receivers=16, share_pps=100.0, \
+	             buffer_pkts=20, duration=10.0, warmup=2.0, seed=1, gateway='droptail')}; \
+	print('\n'.join('kernel %-8s n_state %2d  %4d lines  emit + compile %.1f ms' % ( \
+	    name, FluidModel(spec).n_state, len(FluidModel(spec).kernel_source.splitlines()), \
+	    timeit.timeit(lambda: FluidModel(spec).kernel, number=1) * 1e3) \
+	    for name, spec in specs.items()))"
 
 # The dependency list is true: install the package *without* the test
 # extra into a clean venv (so the routing test oracle's graph library

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import add
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from .model import FluidModel
@@ -39,49 +39,26 @@ class FluidResult:
     measured_s: float
 
 
-def _rk4_from_k1(model: FluidModel, state: List[float], k1: List[float],
-                 dt: float) -> List[float]:
-    """Finish the RK4 step whose first stage ``k1 = f(state)`` is given.
-
-    Every stage state is clamped into the physical set before the field
-    is evaluated there, and so is the result.
-    """
-    field = model.field
-    clamp = model.clamp
-    half = 0.5 * dt
-    mid1 = [s + half * d for s, d in zip(state, k1)]
-    clamp(mid1)
-    k2 = field(mid1)[0]
-    mid2 = [s + half * d for s, d in zip(state, k2)]
-    clamp(mid2)
-    k3 = field(mid2)[0]
-    end = [s + dt * d for s, d in zip(state, k3)]
-    clamp(end)
-    k4 = field(end)[0]
-    sixth = dt / 6.0
-    nxt = [
-        s + sixth * (a + 2.0 * b + 2.0 * c + d)
-        for s, a, b, c, d in zip(state, k1, k2, k3, k4)
-    ]
-    clamp(nxt)
-    return nxt
-
-
 def rk4_step(model: FluidModel, state: List[float], dt: float) -> List[float]:
     """One classical RK4 step; the result is clamped into the physical set."""
-    return _rk4_from_k1(model, state, model.derivatives(state), dt)
+    field, step = model.kernel
+    return step(state, field(state)[0], dt)
 
 
-def integrate(spec: FluidSpec) -> FluidResult:
+def integrate(spec: FluidSpec,
+              model: Optional[FluidModel] = None) -> FluidResult:
     """Integrate ``spec`` over its horizon and average the measured window.
 
     The step count is fixed up front (``round(horizon / dt)``), so two
     runs of the same spec execute the identical float-op sequence.
     The field evaluation at the state a step lands on serves twice: it
     is that step's observables and the next step's first RK4 stage.
+    ``model`` is ``FluidModel(spec)`` where the caller already holds
+    one (its kernel is compiled once per model).
     """
     spec.validate()
-    model = FluidModel(spec)
+    if model is None:
+        model = FluidModel(spec)
     dt = spec.dt
     total_steps = round(spec.horizon / dt)
     warmup_steps = round(spec.warmup / dt)
@@ -90,7 +67,7 @@ def integrate(spec: FluidSpec) -> FluidResult:
             f"horizon {spec.horizon}s leaves no measured steps at dt={dt}"
         )
 
-    field = model.field
+    field, step = model.kernel
     observe = model.observe
     base_q, base_avg = model.base_q, model.base_avg
     state = model.initial_state()
@@ -101,10 +78,10 @@ def integrate(spec: FluidSpec) -> FluidResult:
     sums = [-0.0] * model.n_observables
     peak_queue = [0.0] * model.n_bottlenecks
 
-    for step in range(total_steps):
-        state = _rk4_from_k1(model, state, evaluation[0], dt)
+    for index in range(total_steps):
+        state = step(state, evaluation[0], dt)
         evaluation = field(state)
-        if step < warmup_steps:
+        if index < warmup_steps:
             continue
         sums = list(map(add, sums, observe(state, evaluation)))
         peak_queue = list(map(max, peak_queue, state[base_q:base_avg]))

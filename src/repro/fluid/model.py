@@ -38,36 +38,38 @@ derivation):
 
 from __future__ import annotations
 
+from functools import cached_property
 from operator import mul
 from typing import Dict, List, Tuple
 
-from .spec import DROPTAIL_RAMP, FluidSpec
-
-#: Window floor, matching the jump-chain clamp ``max(W/2, 1)``.
-MIN_WINDOW = 1.0
-
-#: What :meth:`FluidModel.field` returns:
-#: ``(deriv, tcp_rtts, rla_rtt, loads, ps)``.
-FieldEval = Tuple[List[float], List[float], float, List[float], List[float]]
+from .kernel import (
+    MIN_WINDOW,
+    FieldEval,
+    Kernel,
+    compile_kernel,
+    kernel_source,
+)
+from .spec import FluidSpec
 
 
 class FluidModel:
     """A validated :class:`FluidSpec` compiled to an ODE vector field.
 
-    ``__init__`` flattens the spec into constant tuples — state indices,
-    capacities, and every sub-expression whose operands are all spec
-    constants — so one :meth:`field` call is O(cohorts + bottlenecks)
-    float work with no walks over the frozen spec, regardless of how
-    many flows the cohorts describe.  The caller validates the spec
-    (:func:`repro.fluid.integrate` and the equilibrium solver do).
+    ``__init__`` fixes the state layout only.  The dynamics are the
+    kernel :mod:`repro.fluid.kernel` emits for the spec — scalar locals,
+    unrolled loops, constants as literals — compiled on first use of
+    :attr:`kernel`, so a caller that needs only indices (the equilibrium
+    state) pays nothing, and one :meth:`field` call is O(cohorts +
+    bottlenecks) float work with no walks over the frozen spec,
+    regardless of how many flows the cohorts describe.  The caller
+    validates the spec (:func:`repro.fluid.integrate` and the
+    equilibrium solver do).
 
-    The float-operation order of :meth:`field`, :meth:`observe` and
-    :meth:`clamp` is a contract: ``tests/fluid/reference.py`` keeps the
-    step-by-step code this class replaced, and
+    The float-operation order of the kernel and of :meth:`observe` is a
+    contract (see :mod:`repro.fluid.kernel`): ``tests/fluid/reference.py``
+    keeps the step-by-step code this class replaced, and
     ``tests/fluid/test_integrator_oracle.py`` requires bit-identical
-    results.  The one rewrite allowed here is hoisting a sub-expression
-    whose operands are all spec constants (same operands, same bits);
-    nothing that depends on the state is re-ordered or re-associated.
+    results.
     """
 
     def __init__(self, spec: FluidSpec):
@@ -83,63 +85,9 @@ class FluidModel:
         self.n_observables = (self.n_state + self.n_tcp
                               + len(spec.rla_cohorts)
                               + 3 * self.n_bottlenecks)
-        base_q, base_avg = self.base_q, self.base_avg
-
-        capacity = [bn.capacity_pps for bn in spec.bottlenecks]
-        #: Per TCP cohort: ``(state index, q index, bottleneck, rtt_s,
-        #: capacity, flows)``.
-        self._tcp = tuple(
-            (c, base_q + cohort.bottleneck, cohort.bottleneck,
-             cohort.rtt_s, capacity[cohort.bottleneck], float(cohort.flows))
-            for c, cohort in enumerate(spec.tcp_cohorts))
-        #: Per RLA cohort: ``(q index, rtt_s, capacity)``.
-        self._rla = tuple(
-            (base_q + cohort.bottleneck, cohort.rtt_s,
-             capacity[cohort.bottleneck])
-            for cohort in spec.rla_cohorts)
         #: Bottleneck index of each TCP / RLA cohort, in spec order.
         self._tcp_at = tuple(c.bottleneck for c in spec.tcp_cohorts)
         self._rla_at = tuple(c.bottleneck for c in spec.rla_cohorts)
-        self._rla_rtt_factor = spec.rla_rtt_factor
-
-        # Receivers behind one bottleneck lose *together* (one dropped
-        # copy deprives them all), so the drift groups them — the §4.2
-        # Lemma's correlated case, which the dumbbell cross-validation
-        # confirms matters.  With N receivers in total (the listening
-        # coin is 1/N) and n_b of them behind bottleneck b, the no-cut
-        # and half-survive factors (1-1/N)^n_b and (1-1/(2N))^n_b are
-        # constants of the spec.
-        big_n = spec.n_receivers
-        counts: Dict[int, int] = {}
-        for cohort in spec.rla_cohorts:
-            counts[cohort.bottleneck] = (counts.get(cohort.bottleneck, 0)
-                                         + cohort.receivers)
-        #: Per RLA-carrying bottleneck, ascending:
-        #: ``(b, (1-1/N)^n_b, (1-1/(2N))^n_b)``.
-        self._rla_groups = tuple(
-            (b, (1.0 - 1.0 / big_n) ** count,
-             (1.0 - 1.0 / (2.0 * big_n)) ** count)
-            for b, count in sorted(counts.items()))
-
-        #: Loss-vector template: ``loss_p`` at fixed-loss bottlenecks.
-        self._fixed_ps = [bn.loss_p if bn.discipline == "fixed" else 0.0
-                          for bn in spec.bottlenecks]
-        #: Per queue-feedback (non-fixed) bottleneck: ``(b, q index,
-        #: avg index or -1 for drop-tail, capacity, buffer, ramp start,
-        #: ramp length, min_th, max_th, max_p, max_th - min_th, w_q)``.
-        self._feedback = tuple(
-            (b, base_q + b, base_avg + b if bn.discipline == "red" else -1,
-             bn.capacity_pps, bn.buffer_pkts,
-             DROPTAIL_RAMP * bn.buffer_pkts,
-             bn.buffer_pkts - DROPTAIL_RAMP * bn.buffer_pkts,
-             bn.min_th, bn.max_th, bn.max_p, bn.max_th - bn.min_th, bn.w_q)
-            for b, bn in enumerate(spec.bottlenecks)
-            if bn.discipline != "fixed")
-        #: Per queue and average state index, its upper clamp (buffer).
-        self._bounds = tuple(
-            (base + b, bn.buffer_pkts)
-            for base in (base_q, base_avg)
-            for b, bn in enumerate(spec.bottlenecks))
 
     # ------------------------------------------------------------------
     # State construction
@@ -152,6 +100,21 @@ class FluidModel:
     # ------------------------------------------------------------------
     # The vector field
     # ------------------------------------------------------------------
+    @cached_property
+    def kernel_source(self) -> str:
+        """Generated source of :attr:`kernel`: a pure function of the spec."""
+        return kernel_source(self)
+
+    @cached_property
+    def kernel(self) -> Kernel:
+        """``(field, step)`` compiled from :attr:`kernel_source`, once.
+
+        ``field(state)`` is :meth:`field`; ``step(state, k1, dt)``
+        finishes the RK4 step whose first stage ``k1 = field(state)[0]``
+        is given.  A hot loop binds the pair once.
+        """
+        return compile_kernel(self.kernel_source, self.spec.name, self)
+
     def field(self, state: List[float]) -> FieldEval:
         """Evaluate the whole field at ``state`` in one pass.
 
@@ -165,108 +128,11 @@ class FluidModel:
         plus one multicast copy) and the drop probability per
         bottleneck under its discipline.
         """
-        deriv = [0.0] * self.n_state
-        loads = [0.0] * self.n_bottlenecks
+        return self.kernel[0](state)
 
-        tcp_rtts = []
-        for c, qi, b, rtt_s, capacity, flows in self._tcp:
-            rtt = rtt_s + state[qi] / capacity
-            tcp_rtts.append(rtt)
-            loads[b] += flows * state[c] / rtt
-        rla_rtt = 0.0
-        for qi, rtt_s, capacity in self._rla:
-            rtt = rtt_s + state[qi] / capacity
-            if rtt > rla_rtt:
-                rla_rtt = rtt
-        rla_rtt = self._rla_rtt_factor * rla_rtt
-        if rla_rtt > 0.0:
-            rla_rate = state[self.idx_rla] / rla_rtt
-            for b, _, _ in self._rla_groups:
-                loads[b] += rla_rate
-
-        # Loss, then queue and RED-average drift, per bottleneck.
-        # Drop-tail is the buffer cliff, regularized: a queue pinned at
-        # its limit drops exactly the excess-rate fraction 1 - C/A, and
-        # the model ramps that loss in linearly over the top
-        # (1 - DROPTAIL_RAMP) of the buffer so the field stays
-        # continuous.  RED adds its early-drop profile p(avg): zero
-        # below min_th, linear up to max_p at max_th, 1 from there (the
-        # profile repro.net.red.REDQueue applies per packet, minus the
-        # count correction, whose mean effect is already the marked
-        # fraction).  Fixed-loss bottlenecks keep the template's p and
-        # have no queue feedback.
-        ps = self._fixed_ps[:]
-        for (b, qi, ai, capacity, buffer, ramp_start, ramp_len,
-             min_th, max_th, max_p, th_span, w_q) in self._feedback:
-            q = state[qi]
-            load = loads[b]
-            if load <= capacity or q <= ramp_start:
-                p = 0.0
-            else:
-                ramp = (q - ramp_start) / ramp_len
-                if not ramp < 1.0:
-                    ramp = 1.0
-                p = ramp * (1.0 - capacity / load)
-            if ai >= 0:
-                avg = state[ai]
-                if avg < min_th:
-                    p_red = 0.0
-                elif avg >= max_th:
-                    p_red = 1.0
-                else:
-                    p_red = max_p * (avg - min_th) / th_span
-                p = 1.0 - (1.0 - p_red) * (1.0 - p)
-                deriv[ai] = w_q * load * (q - avg)
-            ps[b] = p
-            dq = load * (1.0 - p) - capacity
-            if (q <= 0.0 and dq < 0.0) or (q >= buffer and dq > 0.0):
-                dq = 0.0
-            deriv[qi] = dq
-
-        for c, b in enumerate(self._tcp_at):
-            p = ps[b]
-            w = state[c]
-            dw = ((1.0 - p) - p * w * w / 2.0) / tcp_rtts[c]
-            if w <= MIN_WINDOW and dw < 0.0:
-                dw = 0.0
-            deriv[c] = dw
-
-        if self.has_rla:
-            # G = prod_b [(1-p_b) + p_b (1-1/N)^{n_b}] (nobody's signal
-            # is listened to) and H = prod_b [(1-p_b) + p_b
-            # (1-1/(2N))^{n_b}]: common loss within a group, independent
-            # across bottlenecks — O(bottlenecks) products, the algebra
-            # of repro.models.rla_window_groups.
-            g = 1.0
-            h = 1.0
-            for b, keep_all, keep_half in self._rla_groups:
-                p = ps[b]
-                g *= (1.0 - p) + p * keep_all
-                h *= (1.0 - p) + p * keep_half
-            w = state[self.idx_rla]
-            dw = (g - w * w * (1.0 - h)) / rla_rtt
-            if w <= MIN_WINDOW and dw < 0.0:
-                dw = 0.0
-            deriv[self.idx_rla] = dw
-
-        return deriv, tcp_rtts, rla_rtt, loads, ps
-
-    def derivatives(self, state: List[float]) -> List[float]:
+    def derivatives(self, state: List[float]) -> Tuple[float, ...]:
         """Time derivative of the full state vector at ``state``."""
-        return self.field(state)[0]
-
-    def clamp(self, state: List[float]) -> None:
-        """Project a state back into the physical region, in place."""
-        for c in range(self.base_q):
-            if state[c] < MIN_WINDOW:
-                state[c] = MIN_WINDOW
-        for i, buffer in self._bounds:
-            x = state[i]
-            if x < 0.0:
-                x = 0.0
-            if buffer < x:
-                x = buffer
-            state[i] = x
+        return self.kernel[0](state)[0]
 
     # ------------------------------------------------------------------
     # Measurement

@@ -29,6 +29,7 @@ from ..models.fairness import (
     jain_index_weighted,
 )
 from .integrate import FluidResult, integrate
+from .model import FluidModel
 from .spec import FluidSpec
 from .stability import reynier_check
 
@@ -79,8 +80,11 @@ def run_fluid(spec: FluidSpec) -> Dict[str, Any]:
     A pure, RNG-free function of the spec: the same ``FluidSpec``
     yields a byte-identical row in any process or interpreter.
     :func:`integrate` validates the spec before any work is done.
+    One :class:`FluidModel` — one compiled kernel — serves both the
+    integration and the stability margin.
     """
-    result = integrate(spec)
+    model = FluidModel(spec)
+    result = integrate(spec, model)
     means = result.means
 
     tcp_goodput = means["tcp_goodput"]
@@ -122,7 +126,7 @@ def run_fluid(spec: FluidSpec) -> Dict[str, Any]:
     row.update(_fairness_block(spec, rla_pps, wtcp))
 
     if len(spec.bottlenecks) == 1:
-        eq = reynier_check(spec)
+        eq = reynier_check(spec, model)
         row["equilibrium"] = {
             "status": eq.status,
             "p": eq.p,

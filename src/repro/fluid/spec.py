@@ -24,6 +24,8 @@ Disciplines understood by the fluid queue dynamics:
 from __future__ import annotations
 
 import dataclasses
+import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -38,6 +40,30 @@ FLUID_DISCIPLINES: Tuple[str, ...] = ("droptail", "red", "fixed")
 #: from there the loss probability rises linearly to the full excess-rate
 #: loss at ``q = buffer`` (see docs/FLUID.md for the derivation).
 DROPTAIL_RAMP = 0.85
+
+
+def _require_finite(owner: str, **fields: float) -> None:
+    """Refuse a NaN or infinite field, naming it.
+
+    The kernel emitter writes every constant as a literal, and before
+    that a NaN slipped through each range check below (every comparison
+    with it is false) to end in a ``ZeroDivisionError`` or, worse, a
+    plausible-looking row.
+    """
+    for name, value in fields.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(
+                f"{owner} {name} must be finite: {value}")
+
+
+def _require_integer(owner: str, **fields: int) -> None:
+    """Refuse a fractional count or index, naming it."""
+    for name, value in fields.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ConfigurationError(
+                f"{owner} {name} must be an integer: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -63,6 +89,10 @@ class BottleneckSpec:
 
     def validate(self) -> "BottleneckSpec":
         """Check field sanity; returns self for chaining."""
+        _require_finite("bottleneck", capacity_pps=self.capacity_pps,
+                        buffer_pkts=self.buffer_pkts, min_th=self.min_th,
+                        max_th=self.max_th, w_q=self.w_q, max_p=self.max_p,
+                        loss_p=self.loss_p)
         if self.capacity_pps <= 0:
             raise ConfigurationError(
                 f"bottleneck capacity must be positive: {self.capacity_pps}"
@@ -105,6 +135,9 @@ class TcpCohortSpec:
 
     def validate(self, n_bottlenecks: int) -> "TcpCohortSpec":
         """Check counts, RTT, and the bottleneck reference."""
+        _require_integer("TCP cohort", flows=self.flows,
+                         bottleneck=self.bottleneck)
+        _require_finite("TCP cohort", rtt_s=self.rtt_s)
         if self.flows < 1:
             raise ConfigurationError(f"cohort needs >= 1 flow: {self.flows}")
         if self.rtt_s <= 0:
@@ -135,6 +168,9 @@ class RlaCohortSpec:
 
     def validate(self, n_bottlenecks: int) -> "RlaCohortSpec":
         """Check counts, RTT, and the bottleneck reference."""
+        _require_integer("RLA cohort", receivers=self.receivers,
+                         bottleneck=self.bottleneck)
+        _require_finite("RLA cohort", rtt_s=self.rtt_s)
         if self.receivers < 1:
             raise ConfigurationError(
                 f"cohort needs >= 1 receiver: {self.receivers}"
@@ -185,6 +221,8 @@ class FluidSpec:
         if not self.tcp_cohorts and not self.rla_cohorts:
             raise ConfigurationError("fluid spec needs at least one cohort")
         check_horizon(self.duration, self.warmup)
+        _require_finite("fluid spec", dt=self.dt,
+                        rla_rtt_factor=self.rla_rtt_factor)
         if self.dt <= 0 or self.dt > self.duration:
             raise ConfigurationError(f"bad integration step: {self.dt}")
         if not 1.0 <= self.rla_rtt_factor <= 2.0:

@@ -17,6 +17,9 @@ check constructively for a single-bottleneck :class:`FluidSpec`:
    central finite differences and report the **stability margin**
    ``-max Re(eig(J))`` — positive means locally asymptotically stable,
    negative flags the oscillatory regime Reynier's condition excludes.
+   The Jacobian is (cohorts + 3)², so its spectrum comes from the
+   in-tree :func:`eigenvalues` (balance, Hessenberg, shifted complex
+   QR) and no array library is loaded for it.
 
 Both the equilibrium and the margin are surfaced in fluid report rows
 as a diagnostic, so a sweep can tell at a glance when a RED operating
@@ -26,10 +29,12 @@ well-defined but no longer sit on the fixed point).
 
 from __future__ import annotations
 
+import cmath
+import sys
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, SimulationError
 from ..models.rla_drift import rla_window_groups
 from ..models.tcp_formula import pa_window
 from .model import FluidModel
@@ -41,6 +46,13 @@ BISECT_ITERATIONS = 200
 
 #: Smallest drop probability the bracket considers.
 P_FLOOR = 1e-12
+
+#: A subdiagonal entry this small relative to its diagonal neighbours
+#: is zero, and the matrix deflates.
+EPSILON = sys.float_info.epsilon
+
+#: QR sweeps allowed per eigenvalue; LAPACK's budget is 30.
+MAX_SWEEPS = 60
 
 
 @dataclass
@@ -176,22 +188,168 @@ def solve_equilibrium(spec: FluidSpec) -> EquilibriumReport:
     )
 
 
-def equilibrium_state(spec: FluidSpec,
+def equilibrium_state(model: FluidModel,
                       report: EquilibriumReport) -> List[float]:
-    """The full ODE state vector corresponding to an equilibrium report."""
-    model = FluidModel(spec)
+    """The full ODE state vector corresponding to an equilibrium report.
+
+    Uses ``model`` for the state layout only: no kernel is compiled.
+    """
     state = model.initial_state()
     for c, w in enumerate(report.tcp_windows):
         state[c] = w
     if report.rla_window is not None and model.has_rla:
         state[model.idx_rla] = report.rla_window
     state[model.base_q] = report.queue
-    if spec.bottlenecks[0].discipline == "red":
+    if model.spec.bottlenecks[0].discipline == "red":
         state[model.base_avg] = report.queue
     return state
 
 
-def stability_margin(spec: FluidSpec,
+def _balance(a: List[List[float]]) -> None:
+    """Scale rows and columns by powers of two until their norms agree.
+
+    A similarity transform by an exact diagonal (Parlett & Reinsch): the
+    spectrum is untouched, the matrix norm — and with it the rounding
+    error of everything downstream — shrinks.  A 10⁶-flow Jacobian
+    mixes entries of order 10⁶ (load per window) with order 10⁻⁶
+    (``w_q`` per packet).
+    """
+    n = len(a)
+    done = False
+    while not done:
+        done = True
+        for i in range(n):
+            col = sum(abs(a[j][i]) for j in range(n) if j != i)
+            row = sum(abs(a[i][j]) for j in range(n) if j != i)
+            if col == 0.0 or row == 0.0:
+                continue
+            f = 1.0
+            total = col + row
+            while col < row / 2.0:
+                f *= 2.0
+                col *= 4.0
+            while col > row * 2.0:
+                f /= 2.0
+                col /= 4.0
+            if (col + row) / f < 0.95 * total:
+                done = False
+                for j in range(n):
+                    a[i][j] /= f
+                    a[j][i] *= f
+
+
+def _hessenberg(a: List[List[float]]) -> None:
+    """Householder reduction to upper Hessenberg form, in place."""
+    n = len(a)
+    for k in range(n - 2):
+        v = [a[i][k] for i in range(k + 1, n)]
+        norm = sum(x * x for x in v) ** 0.5
+        if norm == 0.0:
+            continue
+        v[0] += norm if v[0] >= 0.0 else -norm
+        vv = sum(x * x for x in v)
+        for j in range(k, n):
+            tau = 2.0 * sum(x * a[k + 1 + i][j] for i, x in enumerate(v)) / vv
+            for i, x in enumerate(v):
+                a[k + 1 + i][j] -= tau * x
+        for row in a:
+            tau = 2.0 * sum(x * row[k + 1 + j] for j, x in enumerate(v)) / vv
+            for j, x in enumerate(v):
+                row[k + 1 + j] -= tau * x
+        for i in range(k + 2, n):
+            a[i][k] = 0.0
+
+
+def eigenvalues(matrix: Sequence[Sequence[float]]) -> List[complex]:
+    """Eigenvalues of a small real square matrix, in deflation order.
+
+    Balancing, Householder Hessenberg reduction, then single-shift
+    complex QR (Wilkinson shifts, Givens rotations) on the active
+    block, deflating from the bottom — the textbook dense algorithm
+    (Golub & Van Loan §7.5), O(n³) in pure Python, meant for the
+    (cohorts + 3)² Jacobians of :func:`stability_margin`.  Held to
+    ``numpy.linalg.eigvals`` by ``tests/fluid/test_stability_oracle.py``.
+    """
+    a = [[float(x) for x in row] for row in matrix]
+    _balance(a)
+    _hessenberg(a)
+    h = [[complex(x) for x in row] for row in a]
+    found: List[complex] = []
+    hi = len(h) - 1
+    sweeps = 0
+    while hi >= 0:
+        lo = hi
+        while lo > 0:
+            diagonal = abs(h[lo - 1][lo - 1]) + abs(h[lo][lo])
+            if abs(h[lo][lo - 1]) <= EPSILON * diagonal:
+                break
+            lo -= 1
+        if lo == hi:
+            found.append(h[hi][hi])
+            hi -= 1
+            sweeps = 0
+            continue
+        sweeps += 1
+        if sweeps > MAX_SWEEPS:
+            raise SimulationError(
+                f"eigenvalue iteration did not converge in {MAX_SWEEPS} "
+                f"sweeps on a {len(h)}x{len(h)} matrix"
+            )
+        # Wilkinson shift: the eigenvalue of the trailing 2x2 block
+        # [[p, q], [r, s]] nearer to s; every tenth sweep an ad-hoc
+        # shift instead, which breaks the rare cycle.
+        p, q = h[hi - 1][hi - 1], h[hi - 1][hi]
+        r, s = h[hi][hi - 1], h[hi][hi]
+        half = (p - s) / 2.0
+        root = cmath.sqrt(half * half + q * r)
+        if abs(half + root) < abs(half - root):
+            root = -root
+        if sweeps % 10 == 0 or half + root == 0:
+            shift = s + abs(r)
+        else:
+            shift = s - q * r / (half + root)
+        for i in range(lo, hi + 1):
+            h[i][i] -= shift
+        # H - shift = QR by Givens rotations, then H' = RQ + shift.
+        rotations = []
+        for k in range(lo, hi):
+            x, y = h[k][k], h[k + 1][k]
+            length = (abs(x) ** 2 + abs(y) ** 2) ** 0.5
+            cos, sin = (x / length, y / length) if length else (1.0 + 0j, 0j)
+            rotations.append((cos, sin))
+            upper, lower = h[k], h[k + 1]
+            for j in range(k, hi + 1):
+                u, w = upper[j], lower[j]
+                upper[j] = cos.conjugate() * u + sin.conjugate() * w
+                lower[j] = cos * w - sin * u
+        for k, (cos, sin) in zip(range(lo, hi), rotations):
+            for i in range(lo, min(k + 2, hi) + 1):
+                u, w = h[i][k], h[i][k + 1]
+                h[i][k] = u * cos + w * sin
+                h[i][k + 1] = w * cos.conjugate() - u * sin.conjugate()
+        for i in range(lo, hi + 1):
+            h[i][i] += shift
+    return found
+
+
+def jacobian(model: FluidModel, x0: Sequence[float]) -> List[List[float]]:
+    """Central-difference Jacobian of ``model.derivatives`` at ``x0``."""
+    n = model.n_state
+    jac = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        eps = 1e-6 * max(1.0, abs(x0[j]))
+        hi = list(x0)
+        lo = list(x0)
+        hi[j] += eps
+        lo[j] -= eps
+        f_hi = model.derivatives(hi)
+        f_lo = model.derivatives(lo)
+        for i in range(n):
+            jac[i][j] = (f_hi[i] - f_lo[i]) / (2.0 * eps)
+    return jac
+
+
+def stability_margin(model: FluidModel,
                      report: EquilibriumReport) -> Optional[float]:
     """``-max Re(eig(J))`` of the linearization at the fixed point.
 
@@ -202,33 +360,24 @@ def stability_margin(spec: FluidSpec,
     (drop-tail's full buffer, the lossless corner), where a two-sided
     linearization does not exist.
     """
-    bn = _single_bottleneck(spec)
+    bn = _single_bottleneck(model.spec)
     if report.status != "interior" or bn.discipline != "red":
         return None
-    import numpy as np
-
-    model = FluidModel(spec)
-    x0 = equilibrium_state(spec, report)
-    n = model.n_state
-    jac = np.zeros((n, n))
-    for j in range(n):
-        eps = 1e-6 * max(1.0, abs(x0[j]))
-        hi = list(x0)
-        lo = list(x0)
-        hi[j] += eps
-        lo[j] -= eps
-        f_hi = model.derivatives(hi)
-        f_lo = model.derivatives(lo)
-        for i in range(n):
-            jac[i, j] = (f_hi[i] - f_lo[i]) / (2.0 * eps)
-    eigenvalues = np.linalg.eigvals(jac)
-    return float(-max(ev.real for ev in eigenvalues))
+    spectrum = eigenvalues(jacobian(model, equilibrium_state(model, report)))
+    return -max(ev.real for ev in spectrum)
 
 
-def reynier_check(spec: FluidSpec) -> EquilibriumReport:
-    """Solve the fixed point and attach its stability margin."""
+def reynier_check(spec: FluidSpec,
+                  model: Optional[FluidModel] = None) -> EquilibriumReport:
+    """Solve the fixed point and attach its stability margin.
+
+    ``model`` is ``FluidModel(spec)`` where the caller already holds one
+    (``run_fluid`` does, so a row compiles one kernel).
+    """
     report = solve_equilibrium(spec)
-    margin = stability_margin(spec, report)
+    if model is None:
+        model = FluidModel(spec)
+    margin = stability_margin(model, report)
     if margin is None:
         return report
     return EquilibriumReport(
