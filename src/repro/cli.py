@@ -386,13 +386,7 @@ def _run_fluid(args: argparse.Namespace) -> int:
                 known = ", ".join(case.name for case in CROSSVAL_CASES)
                 raise ConfigurationError(
                     f"no crossval case matches {args.cases}; have: {known}")
-        cache = None
-        if args.cache is not None:
-            from .runtime import ResultCache
-
-            cache = ResultCache(args.cache or None)
-        results = run_crossval(cases=cases, workers=args.workers,
-                               cache=cache)
+        results = run_crossval(cases=cases, **_runtime_kwargs(args, []))
         print(format_crossval(results))
         failed = sum(1 for _, _, _, rows in results
                      for row in rows if not row.ok)

@@ -24,7 +24,6 @@ from .sweeps import (
     sweep_buffer_size,
     sweep_receiver_count,
     sweep_share,
-    symmetric_runspec,
 )
 from .tables import format_case_table, format_signals_table, render_grid
 
@@ -56,6 +55,5 @@ __all__ = [
     "run_tree_experiment",
     "run_tree_experiments",
     "summarize",
-    "symmetric_runspec",
     "tree_runspec",
 ]

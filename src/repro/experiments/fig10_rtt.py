@@ -60,11 +60,3 @@ def fig10_table(results: Optional[Dict[int, TreeExperimentResult]] = None, **kwa
         results, paper=FIG10_RTT,
         title="Figure 10 - different round-trip times (generalized RLA)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(fig10_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

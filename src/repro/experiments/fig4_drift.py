@@ -55,11 +55,3 @@ def _arrow(du: float, dv: float) -> str:
     if dv < -eps:
         return "↓"
     return "·"
-
-
-def main() -> None:  # pragma: no cover
-    print(render_field())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -122,16 +122,3 @@ def run_packet_density(
         counts=counts, mean_w1=sums[0] / total, mean_w2=sums[1] / total,
         samples=samples[0],
     )
-
-
-def main() -> None:  # pragma: no cover
-    trace = run_particle_density()
-    print(f"particle model: mean cwnds ({trace.mean_w1:.1f}, {trace.mean_w2:.1f}), "
-          f"mass within 10 of fair point: {trace.mass_within(10.0):.2%}")
-    packet = run_packet_density(duration=120.0)
-    print(f"packet level:   mean cwnds ({packet.mean_w1:.1f}, {packet.mean_w2:.1f}) "
-          f"over {packet.samples} samples (paper: ~20, 20)")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -65,11 +65,3 @@ def fig7_table(results: Optional[Dict[int, TreeExperimentResult]] = None, **kwar
         results, paper=FIG7_DROPTAIL,
         title="Figure 7 - multicast sharing with TCP, drop-tail gateways",
     )
-
-
-def main() -> None:  # pragma: no cover - exercised via CLI/examples
-    print(fig7_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -35,11 +35,3 @@ def fig8_table(results: Optional[Dict[int, TreeExperimentResult]] = None, **kwar
         results, paper=FIG8_SIGNALS,
         title="Figure 8 - congestion signals per branch (drop-tail runs)",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(fig8_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -28,11 +28,3 @@ def fig9_table(results: Optional[Dict[int, TreeExperimentResult]] = None, **kwar
         results, paper=FIG9_RED,
         title="Figure 9 - multicast sharing with TCP, RED gateways",
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(fig9_table())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -52,13 +52,3 @@ def summarize(result: TreeExperimentResult) -> Dict[str, tuple]:
             MULTISESSION["mean_cwnd"],
         ),
     }
-
-
-def main() -> None:  # pragma: no cover
-    result = run_multisession()
-    for metric, (measured, paper) in summarize(result).items():
-        print(f"{metric}: measured {measured}, paper {paper}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

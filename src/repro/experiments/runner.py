@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Hashable, List, Optional, Union
 
 from ..errors import ConfigurationError
-from ..lifecycle import World, advance_world, arming, run_many, run_world
+from ..lifecycle import (
+    World,
+    advance_world,
+    arming,
+    run_many,
+    run_world,
+    runspec,
+)
 from ..net.addressing import flow_id
 from ..rla.config import RLAConfig
 from ..rla.session import RLASession
@@ -61,6 +68,13 @@ class TreeExperimentSpec:
     #: and end-of-run conservation is enforced (raises
     #: :class:`~repro.audit.InvariantViolation` on any inconsistency).
     audited: bool = False
+
+    # how repro.lifecycle runs this spec (class attributes, not fields)
+    runner = "repro.experiments.runner:run_tree_experiment"
+    checkpointable = True
+
+    def run_label(self) -> str:
+        return f"{self.case.name}/{self.gateway}/seed{self.seed}"
 
     def validate(self) -> "TreeExperimentSpec":
         if self.gateway not in ("droptail", "red"):
@@ -178,9 +192,9 @@ def build_tree_world(spec: TreeExperimentSpec) -> TreeWorld:
         tcp_per_receiver=spec.tcp_per_receiver, packet_size=spec.packet_size,
     )
     sim = Simulator(seed=spec.seed)
-    net, info = build_tertiary_tree(
-        sim, gateway=spec.gateway,
-        link_bandwidths=bandwidths, buffer_pkts=spec.buffer_pkts,
+    net, _ = build_tertiary_tree(
+        sim, gateway=spec.gateway, link_bandwidths=bandwidths,
+        buffer_pkts=spec.buffer_pkts, info=info,
     )
     receivers = case_receivers(case, info)
     jitter = spec.resolved_jitter(min(bandwidths.values()))
@@ -266,30 +280,9 @@ def run_tree_experiment(
     return run_world(build_tree_world(spec), checkpoint_at, checkpoint_path)
 
 
-# ----------------------------------------------------------------------
-# parallel-runtime wiring
-# ----------------------------------------------------------------------
-#: Entrypoint path worker processes resolve to run one tree experiment.
-TREE_ENTRYPOINT = "repro.experiments.runner:run_tree_spec"
-
-
-def run_tree_spec(
-    params: Dict[str, Any],
-    checkpoint_at: Optional[float] = None,
-    checkpoint_path: Optional[str] = None,
-) -> TreeExperimentResult:
-    """:mod:`repro.runtime` entrypoint: ``params['spec']`` is the spec."""
-    return run_tree_experiment(params["spec"], checkpoint_at, checkpoint_path)
-
-
-def tree_runspec(spec: TreeExperimentSpec, label: str = ""):
-    """Wrap a :class:`TreeExperimentSpec` as a content-addressed RunSpec."""
-    from ..runtime import RunSpec
-
-    return RunSpec(
-        TREE_ENTRYPOINT, {"spec": spec},
-        label=label or f"{spec.case.name}/{spec.gateway}/seed{spec.seed}",
-    )
+#: Kept under its old name for ``benchmarks/rlabench/micro.py``, which
+#: times ``RunSpec.key`` on a tree spec built with it.
+tree_runspec = runspec
 
 
 def run_tree_experiments(
@@ -303,6 +296,4 @@ def run_tree_experiments(
     whichever side of it runs, the results are byte-identical: each run's
     randomness is fully determined by its spec.
     """
-    results = run_many(specs.values(), run_tree_experiment, tree_runspec,
-                       **runtime)
-    return dict(zip(specs, results))
+    return dict(zip(specs, run_many(specs.values(), **runtime)))

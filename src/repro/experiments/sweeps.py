@@ -48,10 +48,27 @@ class SymmetricSpec:
     seed: int
     gateway: str
     audited: bool = False
+    #: The field varied by the sweep this point belongs to; it only names
+    #: the run in metric tables.
+    knob: str = "n_receivers"
+
+    # how repro.lifecycle runs this spec (class attributes, not fields)
+    runner = "repro.experiments.sweeps:run_symmetric_spec"
+    checkpointable = False
+
+    def run_label(self) -> str:
+        return f"sweep {self.knob}={getattr(self, self.knob)} ({self.gateway})"
 
     def validate(self) -> "SymmetricSpec":
         check_horizon(self.duration, self.warmup)
         return self
+
+
+@dataclass
+class SymmetricFluidSpec(SymmetricSpec):
+    """The same point, integrated by :mod:`repro.fluid` instead of simulated."""
+
+    runner = "repro.fluid.adapters:run_symmetric_fluid_spec"
 
 
 @dataclass
@@ -142,66 +159,33 @@ def finalize_symmetric_world(world: SymmetricWorld) -> Dict[str, float]:
     }
 
 
-# ----------------------------------------------------------------------
-# parallel-runtime wiring
-# ----------------------------------------------------------------------
-#: Entrypoint path worker processes resolve to run one symmetric point.
-SYMMETRIC_ENTRYPOINT = "repro.experiments.sweeps:run_symmetric_spec"
-
 #: Sweep backends: packet-level simulation, or the mean-field fluid
 #: model of :mod:`repro.fluid` integrating the same symmetric system.
-SWEEP_BACKENDS = ("packet", "fluid")
+SWEEP_BACKENDS = {"packet": SymmetricSpec, "fluid": SymmetricFluidSpec}
 
 
-def run_symmetric_spec(params: Dict[str, Any]) -> Dict[str, float]:
-    """:mod:`repro.runtime` entrypoint for one symmetric sweep point."""
-    return run_world(build_symmetric_world(SymmetricSpec(
-        n_receivers=int(params["n_receivers"]),
-        share_pps=float(params["share_pps"]),
-        buffer_pkts=int(params["buffer_pkts"]),
-        duration=float(params["duration"]),
-        warmup=float(params["warmup"]),
-        seed=int(params["seed"]),
-        gateway=str(params["gateway"]),
-        audited=bool(params.get("audited", False)),
-    )))
-
-
-def symmetric_runspec(label_knob: str, entrypoint: str = SYMMETRIC_ENTRYPOINT,
-                      **params):
-    """A content-addressed RunSpec for one symmetric sweep point."""
-    from ..runtime import RunSpec
-
-    return RunSpec(entrypoint, params,
-                   label=f"sweep {label_knob}={params[label_knob]} "
-                         f"({params['gateway']})")
+def run_symmetric_spec(spec: SymmetricSpec) -> Dict[str, float]:
+    """Simulate one symmetric sweep point and return its row."""
+    return run_world(build_symmetric_world(spec))
 
 
 def _sweep(knob: str, values: Iterable[Any], backend: str, audited: bool,
            runtime: Dict[str, Any], **fixed: Any) -> List[Dict[str, float]]:
     """Rows of one sweep: ``knob`` takes each value, ``fixed`` holds the rest."""
-    if backend == "packet":
-        entrypoint, run = SYMMETRIC_ENTRYPOINT, run_symmetric_spec
-    elif backend == "fluid":
-        from ..fluid import adapters
-
-        entrypoint = adapters.FLUID_SYMMETRIC_ENTRYPOINT
-        run = adapters.run_symmetric_fluid_spec
-        if audited:
-            raise ConfigurationError(
-                "the conservation auditor tracks packets; a fluid run has "
-                "none to audit"
-            )
-    else:
+    if backend not in SWEEP_BACKENDS:
         raise ConfigurationError(
             f"unknown sweep backend {backend!r}; expected one of "
-            f"{SWEEP_BACKENDS}"
+            f"{tuple(SWEEP_BACKENDS)}"
         )
-    if audited:
-        fixed["audited"] = True  # absent when off: unaudited cache keys stay
+    if audited and backend == "fluid":
+        raise ConfigurationError(
+            "the conservation auditor tracks packets; a fluid run has "
+            "none to audit"
+        )
+    point = SWEEP_BACKENDS[backend]
     return run_many(
-        [{**fixed, knob: value} for value in values], run,
-        lambda point: symmetric_runspec(knob, entrypoint, **point), **runtime,
+        [point(**{**fixed, knob: value}, audited=audited, knob=knob)
+         for value in values], **runtime,
     )
 
 

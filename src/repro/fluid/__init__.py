@@ -9,7 +9,6 @@ envelope, and measured tolerances.
 """
 
 from .adapters import (
-    FLUID_SYMMETRIC_ENTRYPOINT,
     cohort_fluid_spec,
     mean_field_w_q,
     run_symmetric_fluid_spec,
@@ -26,14 +25,7 @@ from .crossval import (
 )
 from .integrate import FluidResult, integrate, rk4_step
 from .model import MIN_WINDOW, FluidModel
-from .runner import (
-    FLUID_ENTRYPOINT,
-    fluid_runspec,
-    format_fluid,
-    run_fluid,
-    run_fluid_spec,
-    run_fluids,
-)
+from .runner import format_fluid, run_fluid, run_fluids
 from .spec import (
     DROPTAIL_RAMP,
     FLUID_DISCIPLINES,
@@ -54,8 +46,6 @@ __all__ = [
     "CROSSVAL_CASES",
     "DROPTAIL_RAMP",
     "FLUID_DISCIPLINES",
-    "FLUID_ENTRYPOINT",
-    "FLUID_SYMMETRIC_ENTRYPOINT",
     "MIN_WINDOW",
     "BottleneckSpec",
     "CrossvalCase",
@@ -70,7 +60,6 @@ __all__ = [
     "crossval_case",
     "equilibrium_state",
     "mean_field_w_q",
-    "fluid_runspec",
     "format_crossval",
     "format_fluid",
     "integrate",
@@ -78,7 +67,6 @@ __all__ = [
     "rk4_step",
     "run_crossval",
     "run_fluid",
-    "run_fluid_spec",
     "run_fluids",
     "run_symmetric_fluid_spec",
     "scaled_bottleneck",

@@ -126,40 +126,32 @@ def symmetric_fluid_spec(
     ).validate()
 
 
-#: Entrypoint path worker processes resolve for fluid sweep points.
-FLUID_SYMMETRIC_ENTRYPOINT = "repro.fluid.adapters:run_symmetric_fluid_spec"
+def run_symmetric_fluid_spec(point: Any) -> Dict[str, Any]:
+    """Integrate one symmetric sweep point and return its row.
 
-
-def run_symmetric_fluid_spec(params: Dict[str, Any]) -> Dict[str, Any]:
-    """:mod:`repro.runtime` entrypoint: one fluid symmetric sweep point.
-
-    Returns a row shaped like the packet sweep's
-    (:func:`repro.experiments.sweeps.run_symmetric_spec`) — same
+    ``point`` is the :class:`repro.experiments.sweeps.SymmetricSpec` the
+    packet backend would simulate.  The row is shaped like the packet
+    sweep's (:func:`repro.experiments.sweeps.run_symmetric_spec`) — same
     fairness columns, so :func:`repro.experiments.sweeps.format_sweep`
     renders either backend — plus ``backend: "fluid"``.
     """
-    n_receivers = int(params["n_receivers"])
-    share_pps = float(params["share_pps"])
-    buffer_pkts = int(params["buffer_pkts"])
-    gateway = str(params["gateway"])
-    spec = symmetric_fluid_spec(
-        n_receivers=n_receivers,
-        share_pps=share_pps,
-        buffer_pkts=buffer_pkts,
-        duration=float(params["duration"]),
-        warmup=float(params["warmup"]),
-        seed=int(params["seed"]),
-        gateway=gateway,
-    )
-    row = run_fluid(spec)
+    row = run_fluid(symmetric_fluid_spec(
+        n_receivers=point.n_receivers,
+        share_pps=point.share_pps,
+        buffer_pkts=point.buffer_pkts,
+        duration=point.duration,
+        warmup=point.warmup,
+        seed=point.seed,
+        gateway=point.gateway,
+    ))
     verdict = check_essential_fairness(
         max(row["rla_pps"], 1e-9), max(row["wtcp_pps"], 1e-9),
-        n_receivers, gateway,
+        point.n_receivers, point.gateway,
     )
     return {
-        "n_receivers": n_receivers,
-        "share_pps": share_pps,
-        "buffer_pkts": buffer_pkts,
+        "n_receivers": point.n_receivers,
+        "share_pps": point.share_pps,
+        "buffer_pkts": point.buffer_pkts,
         "backend": "fluid",
         "rla_pps": row["rla_pps"],
         "rla_cwnd": row["rla_window"],
@@ -168,7 +160,7 @@ def run_symmetric_fluid_spec(params: Dict[str, Any]) -> Dict[str, Any]:
         "fair": verdict.fair,
         "lower": verdict.lower,
         "upper": verdict.upper,
-        "num_trouble": n_receivers,
+        "num_trouble": point.n_receivers,
         "sim_stats": row["sim_stats"],
     }
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
+from ..lifecycle import run_many
 from ..models.fairness import (
     DROPTAIL,
     RED,
@@ -94,6 +95,15 @@ class CrossvalCase:
     duration: float = 15.0
     warmup: float = 6.0
     seed: int = 1
+
+    # how repro.lifecycle runs this spec (class attributes, not fields):
+    # the packet side is the pool job, the fluid side takes milliseconds
+    runner = "repro.fluid.crossval:run_packet_case"
+    checkpointable = False
+
+    def run_label(self) -> str:
+        """The run's name in ``--metrics`` tables."""
+        return f"crossval {self.name}"
 
     def validate(self) -> "CrossvalCase":
         """Check the case parameters; returns self for chaining."""
@@ -205,15 +215,14 @@ def fluid_twin(case: CrossvalCase) -> FluidSpec:
     ).validate()
 
 
-def run_packet_case(params: Dict[str, Any]) -> Dict[str, Any]:
-    """:mod:`repro.runtime` entrypoint: packet-level run of one case.
+def run_packet_case(case: CrossvalCase) -> Dict[str, Any]:
+    """Packet-level run of one case.
 
     One long-lived TCP flow per host, the RLA session over a
     deterministic receiver subset, and a :class:`QueueMonitor` on the
     bottleneck attached at the warmup mark so the mean depth covers
     exactly the measured window.
     """
-    case: CrossvalCase = params["case"]
     spec = dumbbell_spec(case)
     sim = Simulator(seed=case.seed)
     net, cohort_hosts = build_dumbbell(sim, spec)
@@ -282,10 +291,6 @@ def _bound_ok(case: CrossvalCase, rla_pps: float,
                                     gateway).fair
 
 
-#: Entrypoint path worker processes resolve for the packet side.
-CROSSVAL_PACKET_ENTRYPOINT = "repro.fluid.crossval:run_packet_case"
-
-
 def _fluid_comparable(case: CrossvalCase) -> Dict[str, Any]:
     """Fluid run of a case, reduced to the packet row's metric keys.
 
@@ -343,7 +348,7 @@ def crossval_case(case: CrossvalCase,
     """
     case.validate()
     if packet_row is None:
-        packet_row = run_packet_case({"case": case, "seed": case.seed})
+        packet_row = run_packet_case(case)
     fluid_row = _fluid_comparable(case)
     buffer_pkts = float(dumbbell_spec(case).buffer_pkts)
     rows = []
@@ -375,31 +380,16 @@ CROSSVAL_CASES: Tuple[CrossvalCase, ...] = (
 
 
 def run_crossval(
-    cases: Tuple[CrossvalCase, ...] = CROSSVAL_CASES,
-    workers: Optional[int] = None,
-    cache=None,
+    cases: Tuple[CrossvalCase, ...] = CROSSVAL_CASES, **runtime: Any,
 ) -> List[Tuple[CrossvalCase, Dict[str, Any], Dict[str, Any],
                 List[CrossvalRow]]]:
-    """Run the case set; packet runs optionally fan out via the runtime."""
-    # Not lifecycle.run_many: the packet side is optional *input* to
-    # crossval_case, which runs it itself when handed None.
-    packet_rows: List[Optional[Dict[str, Any]]]
-    if workers is None and cache is None:
-        packet_rows = [None] * len(cases)
-    else:
-        from ..runtime import RunSpec, run_specs
+    """Run the case set: packet sides as one batch, then each comparison.
 
-        specs = [RunSpec(CROSSVAL_PACKET_ENTRYPOINT,
-                         {"case": case, "seed": case.seed},
-                         label=f"crossval {case.name}")
-                 for case in cases]
-        outs = run_specs(specs, workers=workers, cache=cache)
-        packet_rows = [out.result for out in outs]
-    results = []
-    for case, packet_row in zip(cases, packet_rows):
-        packet, fluid, rows = crossval_case(case, packet_row)
-        results.append((case, packet, fluid, rows))
-    return results
+    ``runtime`` is :func:`repro.lifecycle.run_many`'s option set.
+    """
+    packet_rows = run_many(cases, **runtime)
+    return [(case, *crossval_case(case, packet_row))
+            for case, packet_row in zip(cases, packet_rows)]
 
 
 def format_crossval(

@@ -1,4 +1,4 @@
-"""Fluid-run execution and :mod:`repro.runtime` wiring.
+"""Fluid-run execution.
 
 :func:`run_fluid` turns one :class:`FluidSpec` into the same kind of
 JSON-friendly report row the packet-level runners emit — ``rla_pps``,
@@ -10,10 +10,10 @@ analogue of engine events), and each row carries ``backend: "fluid"``
 plus the population totals, which is how a 10⁶-flow row announces that
 no packet was harmed in its making.
 
-:func:`fluid_runspec` compiles the spec to a content-addressed
-:class:`repro.runtime.RunSpec`, so fluid sweeps inherit the process
-pool and the on-disk cache; the integration is RNG-free, making the
-serial/parallel byte-identity trivial to uphold (and locked by test).
+:class:`FluidSpec` names :func:`run_fluid` as its runner, so fluid
+batches inherit :func:`repro.lifecycle.run_many`'s process pool and
+on-disk cache; the integration is RNG-free, making the serial/parallel
+byte-identity trivial to uphold (and locked by test).
 """
 
 from __future__ import annotations
@@ -32,9 +32,6 @@ from .integrate import FluidResult, integrate
 from .model import FluidModel
 from .spec import FluidSpec
 from .stability import reynier_check
-
-#: Entrypoint path worker processes resolve to run one fluid spec.
-FLUID_ENTRYPOINT = "repro.fluid.runner:run_fluid_spec"
 
 
 def _bound_gateway(spec: FluidSpec) -> str:
@@ -136,25 +133,6 @@ def run_fluid(spec: FluidSpec) -> Dict[str, Any]:
     return row
 
 
-# ----------------------------------------------------------------------
-# parallel-runtime wiring
-# ----------------------------------------------------------------------
-def run_fluid_spec(params: Dict[str, Any]) -> Dict[str, Any]:
-    """:mod:`repro.runtime` entrypoint: ``params = {"spec": FluidSpec}``."""
-    return run_fluid(params["spec"])
-
-
-def fluid_runspec(spec: FluidSpec):
-    """A content-addressed RunSpec for one fluid run."""
-    from ..runtime import RunSpec
-
-    return RunSpec(
-        FLUID_ENTRYPOINT,
-        {"spec": spec, "seed": spec.seed},
-        label=f"fluid {spec.name} n={spec.n_tcp_flows}+{spec.n_receivers}",
-    )
-
-
 def run_fluids(specs: List[FluidSpec],
                **runtime: Any) -> List[Dict[str, Any]]:
     """Run fluid specs serially or through the parallel runtime.
@@ -164,7 +142,7 @@ def run_fluids(specs: List[FluidSpec],
     packet runners; fluid rows are byte-identical either way because
     the integration is a pure function of the spec.
     """
-    return run_many(specs, run_fluid, fluid_runspec, **runtime)
+    return run_many(specs, **runtime)
 
 
 def format_fluid(rows: List[Dict[str, Any]]) -> str:

@@ -212,6 +212,14 @@ class FluidSpec:
     #: and matches the packet cross-validation.
     rla_rtt_factor: float = 1.5
 
+    # how repro.lifecycle runs this spec (class attributes, not fields)
+    runner = "repro.fluid.runner:run_fluid"
+    checkpointable = False
+
+    def run_label(self) -> str:
+        """The run's name in ``--metrics`` tables."""
+        return f"fluid {self.name} n={self.n_tcp_flows}+{self.n_receivers}"
+
     def validate(self) -> "FluidSpec":
         """Check the whole tree (nested specs included); returns self."""
         if not self.name:

@@ -11,6 +11,24 @@ the warm-up boundary exactly once, the end-of-run audit, mid-run
 snapshots, resuming a restored world, and the one decision between a
 plain in-process loop and the :mod:`repro.runtime` services.
 
+A run is its spec.  Every runnable spec dataclass — those of the three
+packet backends, :class:`repro.fluid.spec.FluidSpec`, the fluid sweep
+point and :class:`repro.fluid.crossval.CrossvalCase` — says how it runs
+in three class attributes (not fields: they neither pickle nor enter a
+cache key):
+
+``runner``
+    ``"module:function"`` of the function that takes the spec and returns
+    its report, looked up by name every time it is called;
+``checkpointable``
+    whether that function also takes ``checkpoint_at, checkpoint_path``
+    (see :func:`run_world`);
+``run_label()``
+    the run's name in ``--metrics`` tables.
+
+:func:`run_many` needs nothing else to run a list of mixed spec types,
+and :func:`run_spec` is the one entrypoint a pool worker resolves.
+
 A backend must reach its ``build_*``/``finalize_*`` functions through its
 own module globals *at call time* (``run_world(build_tree_world(spec))``;
 ``def finalize(self): return finalize_tree_world(self)``), never through a
@@ -25,6 +43,7 @@ serial run loads none of the three.
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -32,6 +51,9 @@ from .errors import ConfigurationError
 
 #: The resume entrypoint recorded in every snapshot, whatever the backend.
 RESUME_ENTRYPOINT = "repro.lifecycle:finish_world"
+
+#: The entrypoint of every pool job, whatever the type of its spec.
+SPEC_ENTRYPOINT = "repro.lifecycle:run_spec"
 
 
 class World:
@@ -201,33 +223,66 @@ def finish_world(world: World) -> Any:
     return run_world(world)
 
 
+def runner_of(spec: Any) -> Callable[..., Any]:
+    """The function ``spec.runner`` names, as its module holds it right now."""
+    module_name, _, name = spec.runner.partition(":")
+    return getattr(importlib.import_module(module_name), name)
+
+
+def run_spec(
+    params: Dict[str, Any],
+    checkpoint_at: Optional[float] = None,
+    checkpoint_path: Optional[str] = None,
+) -> Any:
+    """:mod:`repro.runtime` entrypoint: ``params = {"spec": spec}``."""
+    spec = params["spec"]
+    if checkpoint_at is None:
+        return runner_of(spec)(spec)
+    return runner_of(spec)(spec, checkpoint_at, checkpoint_path)
+
+
+def runspec(spec: Any):
+    """``spec`` as a content-addressed :class:`repro.runtime.RunSpec`."""
+    from .runtime import RunSpec
+
+    return RunSpec(SPEC_ENTRYPOINT, {"spec": spec}, label=spec.run_label())
+
+
 def run_many(
-    items: Iterable[Any],
-    run: Callable[[Any], Any],
-    runspec: Callable[[Any], Any],
+    specs: Iterable[Any],
     workers: Optional[int] = None,
     cache=None,
     outcomes: Optional[List[Any]] = None,
     checkpoint_at: Optional[float] = None,
     checkpoint_dir: Optional[str] = None,
 ) -> List[Any]:
-    """Results of ``run(item)`` for every item, in order.
+    """The report of every spec, in order; the specs may differ in type.
 
     The one serial-or-fan-out decision.  When none of the runtime's
     services is asked for this is a plain in-process loop: exceptions
     propagate as raised and :mod:`repro.runtime` is not imported.
-    Otherwise the batch goes to :func:`repro.runtime.run_specs` as
-    ``runspec(item)`` specs — ``workers`` processes, the on-disk
+    Otherwise the batch goes to :func:`repro.runtime.run_specs` as one
+    list of :func:`runspec` jobs — ``workers`` processes, the on-disk
     ``cache``, a resumable snapshot of every non-cached run at
     ``checkpoint_at`` (into ``checkpoint_dir`` or the cache directory) —
     with byte-identical results, and ``outcomes``, if given, is extended
-    with the :class:`~repro.runtime.RunOutcome` records.
+    with the :class:`~repro.runtime.RunOutcome` records.  A batch holding
+    a spec that cannot checkpoint is refused before anything runs.
     """
+    specs = list(specs)
+    if checkpoint_at is not None:
+        for spec in specs:
+            if not spec.checkpointable:
+                raise ConfigurationError(
+                    f"{spec.run_label()}: runner {spec.runner!r} does not "
+                    f"support mid-run checkpoints: it takes no "
+                    f"checkpoint_at/checkpoint_path"
+                )
     if workers is None and cache is None and checkpoint_at is None:
-        return [run(item) for item in items]
+        return [runner_of(spec)(spec) for spec in specs]
     from .runtime import run_specs
 
-    outs = run_specs([runspec(item) for item in items], workers=workers,
+    outs = run_specs([runspec(spec) for spec in specs], workers=workers,
                      cache=cache, checkpoint_at=checkpoint_at,
                      checkpoint_dir=checkpoint_dir)
     if outcomes is not None:

@@ -41,6 +41,12 @@ def soft_bottleneck_share(mu: Sequence[float], m: Sequence[int]) -> float:
     return mu[index] / (m[index] + 1)
 
 
+#: Below this an allocation's square underflows; the index is scale-free,
+#: so such allocations are divided by their peak first (others are not:
+#: every index ever reported keeps its bits).
+_TINY = 1e-150
+
+
 def jain_index(values: Sequence[float]) -> float:
     """Jain's fairness index ``(sum x)^2 / (n * sum x^2)``.
 
@@ -57,14 +63,16 @@ def jain_index(values: Sequence[float]) -> float:
         raise ConfigurationError("jain_index needs at least one allocation")
     if any(v < 0 for v in xs):
         raise ConfigurationError(f"negative allocation in {xs!r}")
+    peak = max(xs)
+    if peak == 0.0:
+        return 1.0  # all-zero is perfectly equal
+    if peak < _TINY:
+        xs = [v / peak for v in xs]
     total = sum(xs)
     squares = sum(v * v for v in xs)
-    if total == 0.0 or squares == 0.0:
-        # All-zero is perfectly equal.  squares can also underflow to 0
-        # for subnormal allocations whose sum is still positive; at that
-        # magnitude the allocations are indistinguishable from equal.
-        return 1.0
-    return (total * total) / (len(xs) * squares)
+    # The quotient lies in [1/n, 1] exactly; its rounding can step one ulp
+    # outside ([0, 0, 0, 0, 90.85134364244112] gives 0.19999999999999998).
+    return min(1.0, max(1.0 / len(xs), (total * total) / (len(xs) * squares)))
 
 
 def jain_index_weighted(
@@ -87,13 +95,16 @@ def jain_index_weighted(
     for w in weights:
         if w < 1:
             raise ConfigurationError(f"multiplicity must be >= 1: {w}")
+    peak = max(xs)
+    if peak == 0.0:
+        return 1.0  # same convention as jain_index
+    if peak < _TINY:
+        xs = [v / peak for v in xs]
     population = sum(weights)
     total = sum(w * v for w, v in zip(weights, xs))
     squares = sum(w * v * v for w, v in zip(weights, xs))
-    if total == 0.0 or squares == 0.0:
-        # Same convention as jain_index: all-zero is perfectly equal.
-        return 1.0
-    return (total * total) / (population * squares)
+    return min(1.0, max(1.0 / population,
+                        (total * total) / (population * squares)))
 
 
 def essential_fairness_bounds(n: int, gateway: str) -> Tuple[float, float]:

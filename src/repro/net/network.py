@@ -53,9 +53,9 @@ class DropTailFactory:
         return DropTailQueue(self.capacity)
 
 
-def droptail_factory(capacity: int = 20) -> QueueFactory:
-    """Queue factory producing drop-tail gateways of ``capacity`` packets."""
-    return DropTailFactory(capacity)
+#: The name call sites use (as for the three below); the class name is
+#: what a snapshot pickles.
+droptail_factory = DropTailFactory
 
 
 @dataclass
@@ -98,21 +98,7 @@ class REDFactory:
         )
 
 
-def red_factory(
-    sim: Simulator,
-    capacity: int = 20,
-    min_th: float = 5.0,
-    max_th: float = 15.0,
-    w_q: float = 0.002,
-    max_p: float = 0.1,
-    mark_ecn: bool = False,
-    byte_mode: bool = False,
-    adaptive: bool = False,
-    mean_packet_size: int = DEFAULT_PACKET_SIZE,
-) -> QueueFactory:
-    """Queue factory producing RED gateways seeded from the simulator RNG."""
-    return REDFactory(sim, capacity, min_th, max_th, w_q, max_p, mark_ecn,
-                      byte_mode, adaptive, mean_packet_size)
+red_factory = REDFactory
 
 
 @dataclass
@@ -133,14 +119,7 @@ class CoDelFactory:
         )
 
 
-def codel_factory(
-    capacity: int = 20,
-    target: float = 0.005,
-    interval: float = 0.1,
-    mark_ecn: bool = False,
-) -> QueueFactory:
-    """Queue factory producing CoDel gateways (sojourn-controlled)."""
-    return CoDelFactory(capacity, target, interval, mark_ecn)
+codel_factory = CoDelFactory
 
 
 @dataclass
@@ -163,15 +142,7 @@ class PIEFactory:
         )
 
 
-def pie_factory(
-    sim: Simulator,
-    capacity: int = 20,
-    target: float = 0.015,
-    t_update: float = 0.015,
-    mark_ecn: bool = False,
-) -> QueueFactory:
-    """Queue factory producing PIE gateways seeded from the simulator RNG."""
-    return PIEFactory(sim, capacity, target, t_update, mark_ecn)
+pie_factory = PIEFactory
 
 
 #: Every queue discipline selectable by name (scenario specs, CLI flags).

@@ -15,15 +15,17 @@ results bit-identical to a serial loop:
 * :class:`RunMetrics` / :func:`metrics_table` — what each run cost
   (wall time, events, events/s, drops, peak queue depth).
 
-Example::
+Example (what :func:`repro.lifecycle.run_many` does with a batch; an
+entrypoint is any ``"module:function"`` taking the params dict)::
 
-    from repro.runtime import ResultCache, RunSpec, run_specs
+    from repro.experiments.sweeps import SymmetricSpec
+    from repro.lifecycle import runspec
+    from repro.runtime import ResultCache, run_specs
 
     specs = [
-        RunSpec("repro.experiments.sweeps:run_symmetric_spec",
-                {"n_receivers": n, "share_pps": 100.0, "buffer_pkts": 20,
-                 "duration": 60.0, "warmup": 20.0, "seed": 1,
-                 "gateway": "droptail"})
+        runspec(SymmetricSpec(n_receivers=n, share_pps=100.0, buffer_pkts=20,
+                              duration=60.0, warmup=20.0, seed=1,
+                              gateway="droptail"))
         for n in (2, 4, 8, 12)
     ]
     outcomes = run_specs(specs, workers=4, cache=ResultCache())

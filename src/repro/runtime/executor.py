@@ -20,7 +20,6 @@ here safe:
 
 from __future__ import annotations
 
-import inspect
 import os
 import time
 import traceback
@@ -62,21 +61,17 @@ def execute_spec(
 
     This is the function worker processes execute — module-level so it
     pickles, resolving the entrypoint by name on the worker side.  With
-    ``checkpoint_at`` set, the two checkpoint arguments are passed on to
-    the entrypoint: the run pauses at that sim-time, writes a snapshot to
-    ``checkpoint_path``, and continues to the same result.  An entrypoint
-    whose signature does not take them cannot do that and is refused.
+    ``checkpoint_at`` set, the entrypoint is also called with
+    ``checkpoint_at`` and ``checkpoint_path`` keywords: the run pauses at
+    that sim-time, writes a snapshot to ``checkpoint_path``, and continues
+    to the same result.  (:func:`repro.lifecycle.run_many` refuses a batch
+    that cannot do that before it gets here.)
     """
     func = spec.resolve()
     kwargs = {}
     if checkpoint_at is not None:
         kwargs = {"checkpoint_at": checkpoint_at,
                   "checkpoint_path": checkpoint_path}
-        if not kwargs.keys() <= inspect.signature(func).parameters.keys():
-            raise ConfigurationError(
-                f"entrypoint {spec.entrypoint!r} does not support mid-run "
-                f"checkpoints: it takes no checkpoint_at/checkpoint_path"
-            )
     start = time.perf_counter()
     result = func(dict(spec.params), **kwargs)
     return result, time.perf_counter() - start
@@ -155,8 +150,8 @@ def run_specs(
         Interior sim-time at which every (non-cached) run writes a
         resumable snapshot before continuing — results are unchanged.
         Requires each spec's entrypoint to take ``checkpoint_at`` and
-        ``checkpoint_path``, and ``checkpoint_dir`` or ``cache`` for the
-        destination.
+        ``checkpoint_path`` keywords, and ``checkpoint_dir`` or ``cache``
+        for the destination.
     checkpoint_dir:
         Directory for snapshot files (defaults to the cache directory).
     """

@@ -35,12 +35,9 @@ from .grid import (
 )
 from .runner import (
     MEMBERS_STREAM,
-    SCENARIO_ENTRYPOINT,
     format_scenarios,
     run_scenario,
-    run_scenario_spec,
     run_scenarios,
-    scenario_runspec,
 )
 from .spec import ScenarioSpec
 from .topologies import (
@@ -69,7 +66,6 @@ __all__ = [
     "MEMBERS_STREAM",
     "PACKET_MIXES",
     "RTT_SPREADS",
-    "SCENARIO_ENTRYPOINT",
     "TOPOLOGY_STREAM",
     "TRAFFIC_STREAM",
     "BackgroundTraffic",
@@ -99,8 +95,6 @@ __all__ = [
     "place_traffic",
     "run_grid",
     "run_scenario",
-    "run_scenario_spec",
     "run_scenarios",
     "scenario_names",
-    "scenario_runspec",
 ]

@@ -3,9 +3,9 @@
 :func:`run_scenario` is a pure function of the spec — topology, traffic
 and churn randomness all come from dedicated named RNG streams of the
 run's seed, so the same spec yields byte-identical results in any
-process.  :func:`scenario_runspec` wraps a spec as a content-addressed
-:class:`repro.runtime.RunSpec` so scenario suites inherit the process
-pool, the on-disk result cache and the ``--audit`` machinery.
+process.  :class:`ScenarioSpec` names it as its runner, so scenario
+suites inherit :func:`repro.lifecycle.run_many`'s process pool, on-disk
+result cache and ``--audit`` machinery.
 
 Reported per scenario: the RLA session's reliable throughput, the
 slowest competing TCP flow's throughput (the paper's WTCP row), their
@@ -283,33 +283,6 @@ def checkpoint_scenario(spec: ScenarioSpec, at: float,
     return snapshot
 
 
-# ----------------------------------------------------------------------
-# parallel-runtime wiring
-# ----------------------------------------------------------------------
-#: Entrypoint path worker processes resolve to run one scenario.
-SCENARIO_ENTRYPOINT = "repro.scenarios.runner:run_scenario_spec"
-
-
-def run_scenario_spec(
-    params: Dict[str, Any],
-    checkpoint_at: Optional[float] = None,
-    checkpoint_path: Optional[str] = None,
-) -> Dict[str, Any]:
-    """:mod:`repro.runtime` entrypoint: ``params = {"spec": ScenarioSpec}``."""
-    return run_scenario(params["spec"], checkpoint_at, checkpoint_path)
-
-
-def scenario_runspec(spec: ScenarioSpec):
-    """A content-addressed RunSpec for one scenario."""
-    from ..runtime import RunSpec
-
-    return RunSpec(
-        SCENARIO_ENTRYPOINT,
-        {"spec": spec, "seed": spec.seed},
-        label=f"scenario {spec.name} seed={spec.seed} ({spec.gateway})",
-    )
-
-
 def run_scenarios(specs: List[ScenarioSpec],
                   **runtime: Any) -> List[Dict[str, Any]]:
     """Run scenarios serially, or fan out through :mod:`repro.runtime`.
@@ -319,7 +292,7 @@ def run_scenarios(specs: List[ScenarioSpec],
     ``checkpoint_dir``); whichever side of it runs, the rows are
     byte-identical — scenarios draw only from their own seeded streams.
     """
-    return run_many(specs, run_scenario, scenario_runspec, **runtime)
+    return run_many(specs, **runtime)
 
 
 def format_scenarios(rows: List[Dict[str, Any]]) -> str:

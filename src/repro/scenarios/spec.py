@@ -62,6 +62,14 @@ class ScenarioSpec:
     packet_sizes: Optional[PacketSizeMix] = None
     audited: bool = False
 
+    # how repro.lifecycle runs this spec (class attributes, not fields)
+    runner = "repro.scenarios.runner:run_scenario"
+    checkpointable = True
+
+    def run_label(self) -> str:
+        """The run's name in ``--metrics`` tables."""
+        return f"scenario {self.name} seed={self.seed} ({self.gateway})"
+
     def validate(self) -> "ScenarioSpec":
         """Check field sanity (and nested specs); returns self for chaining."""
         if not self.name:

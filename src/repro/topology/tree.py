@@ -121,11 +121,14 @@ def build_tertiary_tree(
     buffer_pkts: int = 20,
     red_min_th: float = 5.0,
     red_max_th: float = 15.0,
+    info: Optional[TreeInfo] = None,
 ) -> Tuple[Network, TreeInfo]:
     """Build the figure 6 network; returns the network and its metadata.
 
     ``link_bandwidths`` overrides individual links (by name) to create the
     bottlenecks of each experiment case; all other links run at 100 Mbps.
+    ``info`` is :func:`static_tree_info`'s result, for a caller that
+    already holds it.
     """
     if gateway == "droptail":
         factory: QueueFactory = droptail_factory(buffer_pkts)
@@ -134,30 +137,16 @@ def build_tertiary_tree(
                               min_th=red_min_th, max_th=red_max_th)
     else:
         raise TopologyError(f"unknown gateway type {gateway!r}")
+    if info is None:
+        info = static_tree_info()
     overrides = link_bandwidths or {}
-    unknown = set(overrides) - set(tree_link_names())
+    unknown = set(overrides) - set(info.links)
     if unknown:
         raise TopologyError(f"bandwidth overrides for unknown links: {sorted(unknown)}")
 
     net = Network(sim, default_queue=factory)
-    info = TreeInfo()
-
-    def add(name: str, up: str, down: str, level: int) -> None:
-        bandwidth = overrides.get(name, DEFAULT_BANDWIDTH)
-        net.add_link(up, down, bandwidth, LEVEL_DELAYS[level - 1])
-        info.links[name] = (up, down)
-
-    add("L1", "S", "G1", 1)
-    for i in range(1, 4):
-        add(f"L2{i}", "G1", f"G2{i}", 2)
-    for i in range(1, 10):
-        add(f"L3{i}", _parent_g2(i), f"G3{i}", 3)
-        info.level3.append(f"G3{i}")
-    for i in range(1, 28):
-        add(f"L4{i}", _parent_g3(i), f"R{i}", 4)
-        info.leaves.append(f"R{i}")
+    for name, (up, down) in info.links.items():
+        net.add_link(up, down, overrides.get(name, DEFAULT_BANDWIDTH),
+                     LEVEL_DELAYS[info.level_of(name) - 1])
     net.build_routes()
-
-    for name in info.links:
-        info.leaves_below[name] = info.receivers_below(name, info.leaves)
     return net, info

@@ -107,7 +107,7 @@ def test_sweep_point_byte_identity(audited):
     params = dict(n_receivers=3, share_pps=100.0, buffer_pkts=20,
                   duration=DURATION, warmup=WARMUP, seed=4,
                   gateway="droptail", audited=audited)
-    straight = pickle.dumps(run_symmetric_spec(params))
+    straight = pickle.dumps(run_symmetric_spec(SymmetricSpec(**params)))
     for at in (3.0, WARMUP):
         world = build_symmetric_world(SymmetricSpec(**params))
         try:

@@ -90,7 +90,24 @@ def test_absolute_fairness_special_case():
 def test_jain_property_stays_in_range(values):
     """1/n <= jain <= 1 for every non-negative allocation."""
     index = fm.jain_index(values)
-    assert 1.0 / len(values) <= index <= 1.0 + 1e-9
+    assert 1.0 / len(values) <= index <= 1.0
+
+
+def test_jain_quotient_rounding_is_clamped_into_range():
+    """Allocations whose quotient rounds one ulp outside ``[1/n, 1]`` (the
+    first is a draw that failed the property above, unseeded)."""
+    assert fm.jain_index([0, 0, 0, 0, 90.85134364244112]) == 1.0 / 5
+    assert fm.jain_index_weighted([0.0, 49.54350870919409], [4, 1]) == 1.0 / 5
+    assert fm.jain_index([65.15929727227629] * 3) == 1.0
+
+
+def test_jain_is_scale_free_where_squares_would_underflow():
+    """A draw that failed the scale-invariance property below, unseeded:
+    the tiny pair scored 1.0 (squares underflowed to 0), its double 0.5."""
+    tiny = [0.0, 9.092697216781956e-163]
+    assert fm.jain_index(tiny) == fm.jain_index([2 * v for v in tiny]) == 0.5
+    assert fm.jain_index_weighted(tiny, [1, 1]) == 0.5
+    assert fm.jain_index([5e-324] * 3) == 1.0
 
 
 @settings(max_examples=100, deadline=None)

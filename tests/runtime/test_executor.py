@@ -152,11 +152,11 @@ def test_invalid_retries_rejected():
 # mid-run checkpointing through the executor
 # ----------------------------------------------------------------------
 def _tiny_scenario_specs(n=2):
+    from repro.lifecycle import runspec
     from repro.scenarios.catalog import get_scenario
-    from repro.scenarios.runner import scenario_runspec
 
-    return [scenario_runspec(get_scenario("tree-churn", duration=4.0,
-                                          warmup=1.0, seed=seed))
+    return [runspec(get_scenario("tree-churn", duration=4.0,
+                                 warmup=1.0, seed=seed))
             for seed in range(1, n + 1)]
 
 

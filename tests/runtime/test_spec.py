@@ -5,8 +5,8 @@ import pickle
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.runner import TREE_ENTRYPOINT, tree_runspec
-from repro.experiments.runner import TreeExperimentSpec
+from repro.experiments.runner import TreeExperimentSpec, tree_runspec
+from repro.lifecycle import SPEC_ENTRYPOINT
 from repro.runtime import RunSpec, code_version, derive_seed, replicate
 from repro.topology.cases import TREE_CASES
 
@@ -59,7 +59,7 @@ def test_unserializable_param_rejected():
 def test_tree_spec_canonicalizes_and_pickles():
     tree = TreeExperimentSpec(case=TREE_CASES[5], duration=8.0, warmup=4.0)
     spec = tree_runspec(tree)
-    assert spec.entrypoint == TREE_ENTRYPOINT
+    assert spec.entrypoint == SPEC_ENTRYPOINT
     # the nested dataclasses flatten deterministically ...
     assert spec.canonical() == tree_runspec(tree).canonical()
     # ... and a changed knob changes the identity

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.lifecycle import run_spec
 from repro.runtime import ResultCache
 from repro.runtime.spec import code_version
 from repro.scenarios import (
@@ -14,7 +15,6 @@ from repro.scenarios import (
     format_scenarios,
     get_scenario,
     run_scenario,
-    run_scenario_spec,
     run_scenarios,
     scenario_names,
 )
@@ -84,7 +84,7 @@ def test_workers_and_cache_reproduce_serial_rows(tmp_path):
 
 def test_entrypoint_matches_direct_call():
     spec = _short("waxman-steady")
-    assert run_scenario_spec({"spec": spec}) == run_scenario(spec)
+    assert run_spec({"spec": spec}) == run_scenario(spec)
 
 
 # ----------------------------------------------------------------------

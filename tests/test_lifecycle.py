@@ -45,7 +45,7 @@ def _sweep(audited):
                   duration=DURATION, warmup=WARMUP, seed=1,
                   gateway="droptail", audited=audited)
     return (build_symmetric_world, SymmetricSpec(**params),
-            lambda: run_symmetric_spec(params))
+            lambda: run_symmetric_spec(SymmetricSpec(**params)))
 
 
 BACKENDS = pytest.mark.parametrize("backend", [_tree, _scenario, _sweep],
