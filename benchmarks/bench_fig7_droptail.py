@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 
 from _scale import bench_duration, bench_warmup
-from repro.experiments.fig7_droptail import run_fig7
+from repro.experiments.figures import run_figure
 from repro.experiments.tables import format_case_table
 from repro.experiments.paperdata import FIG7_DROPTAIL
 from repro.models.fairness import check_essential_fairness
@@ -23,8 +23,9 @@ from repro.runtime import default_workers
 
 
 def test_fig7_droptail_table(run_cache):
-    results = run_fig7(duration=bench_duration(), warmup=bench_warmup(),
-                       seed=1, workers=default_workers())
+    results = run_figure("fig7", duration=bench_duration(),
+                         warmup=bench_warmup(), seed=1,
+                         workers=default_workers())
     run_cache["fig7"] = results
     print("\n" + format_case_table(
         results, paper=FIG7_DROPTAIL,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from statistics import mean
 
 from _scale import bench_duration, bench_warmup
-from repro.experiments.fig7_droptail import run_fig7
+from repro.experiments.figures import run_figure
 from repro.experiments.paperdata import FIG8_SIGNALS
 from repro.experiments.tables import format_signals_table
 from repro.runtime import default_workers
@@ -21,9 +21,10 @@ from repro.runtime import default_workers
 def test_fig8_signal_statistics(run_cache):
     results = run_cache.get("fig7")
     if results is None:
-        # figure 7 file deselected: the same call bench_fig7_droptail makes
-        results = run_fig7(duration=bench_duration(), warmup=bench_warmup(),
-                           seed=1, workers=default_workers())
+        # figure 7 file deselected: figure 8's cases are its runs
+        results = run_figure("fig8", duration=bench_duration(),
+                             warmup=bench_warmup(), seed=1,
+                             workers=default_workers())
         run_cache["fig7"] = results
     print("\n" + format_signals_table(
         results, paper=FIG8_SIGNALS,

@@ -9,7 +9,7 @@ drop-tail does in the fully-shared case.
 from __future__ import annotations
 
 from _scale import bench_duration, bench_warmup
-from repro.experiments.fig9_red import run_fig9
+from repro.experiments.figures import run_figure
 from repro.experiments.paperdata import FIG9_RED
 from repro.experiments.tables import format_case_table
 from repro.models.fairness import check_essential_fairness
@@ -17,8 +17,9 @@ from repro.runtime import default_workers
 
 
 def test_fig9_red_table(run_cache):
-    results = run_fig9(duration=bench_duration(), warmup=bench_warmup(),
-                       seed=1, workers=default_workers())
+    results = run_figure("fig9", duration=bench_duration(),
+                         warmup=bench_warmup(), seed=1,
+                         workers=default_workers())
     run_cache["fig9"] = results
     print("\n" + format_case_table(
         results, paper=FIG9_RED,

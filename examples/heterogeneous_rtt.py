@@ -13,9 +13,8 @@ Run:  python examples/heterogeneous_rtt.py
 
 from __future__ import annotations
 
-from repro import RLAConfig, Simulator, TcpConfig, TcpFlow
+from repro import RLAConfig, RLASession, Simulator, TcpConfig, TcpFlow
 from repro.net import Network, droptail_factory
-from repro.rla import GeneralizedRLASession, RLASession
 from repro.units import mbps, ms, pps_to_bps, transmission_time
 
 WARMUP, DURATION = 20.0, 120.0
@@ -39,9 +38,9 @@ def run(generalized: bool) -> dict:
     tcp = TcpFlow(sim, net, "tcp-0", "S", "Rfar",
                   config=TcpConfig(phase_jitter=jitter))
     tcp.start(0.1)
-    session_cls = GeneralizedRLASession if generalized else RLASession
-    session = session_cls(sim, net, "rla-0", "S", ["Rnear", "Rfar"],
-                          config=RLAConfig(phase_jitter=jitter))
+    session = RLASession(sim, net, "rla-0", "S", ["Rnear", "Rfar"],
+                         config=RLAConfig(phase_jitter=jitter,
+                                          rtt_scaled_pthresh=generalized))
     session.start(0.05)
     sim.run(until=WARMUP)
     session.mark()

@@ -23,7 +23,7 @@ Subpackages
 ``repro.topology``
     The paper's topologies: figure 1 (restricted) and figure 6 (tree).
 ``repro.experiments``
-    One module per paper figure/table (figures 4, 5, 7, 8, 9, 10, §5.2).
+    The paper's figures and tables (figures 4, 5, 7, 8, 9, 10, §5.2).
 ``repro.lifecycle``
     The one build -> advance -> finalize -> snapshot/resume driver the
     tree, scenario and sweep backends share (a module, not a package).
@@ -76,7 +76,6 @@ from .net import (
     red_factory,
 )
 from .rla import (
-    GeneralizedRLASession,
     RLAConfig,
     RLAReceiver,
     RLASender,
@@ -90,7 +89,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ConfigurationError",
     "DropTailQueue",
-    "GeneralizedRLASession",
     "Network",
     "Node",
     "Packet",

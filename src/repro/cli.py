@@ -33,22 +33,24 @@ import argparse
 import sys
 from contextlib import nullcontext
 from functools import partial
-from typing import IO, Any, ContextManager, List, Optional, Sequence
+from typing import IO, Any, ContextManager, Iterable, List, Optional
 
 from .errors import ConfigurationError, ReproError
 from .experiments import (
-    fig7_table,
-    fig8_table,
-    fig9_table,
-    fig10_table,
+    FIGURES,
+    figure_table,
     render_field,
-    run_fig7,
-    run_fig9,
-    run_fig10,
+    run_figure,
     run_multisession,
     run_particle_density,
     summarize,
 )
+
+# benchmarks/rlabench/tracing.py times table rendering by swapping each of
+# these three; _run_tree_figure looks them up per call so it sees the swap
+fig7_table = figure_table
+fig9_table = figure_table
+fig10_table = figure_table
 
 
 def _add_horizon_args(parser: argparse.ArgumentParser,
@@ -139,9 +141,8 @@ def _add_fig5_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
 
 
-def _add_tree_args(p: argparse.ArgumentParser,
-                   cases: Sequence[int] = (1, 2, 3, 4, 5)) -> None:
-    """fig7/8/9: run + checkpoint options and the case selection."""
+def _add_tree_args(p: argparse.ArgumentParser, cases: Iterable[int]) -> None:
+    """fig7/8/9/10: run + checkpoint options and the case selection."""
     _add_run_args(p)
     _add_checkpoint_args(p)
     p.add_argument("--cases", type=int, nargs="+", default=list(cases))
@@ -259,18 +260,13 @@ def _run_fig5(args: argparse.Namespace) -> None:
 
 
 def _run_tree_figure(args: argparse.Namespace) -> None:
-    """fig7/8/9/10: one runner per gateway/RTT study, one table per figure."""
-    # built per call: benchmarks/rlabench times rendering by swapping this
-    # module's fig*_table attributes, which a module-level table would miss
-    run, table = {
-        "fig7": (run_fig7, fig7_table), "fig8": (run_fig7, fig8_table),
-        "fig9": (run_fig9, fig9_table), "fig10": (run_fig10, fig10_table),
-    }[args.figure]
+    """fig7/8/9/10: run the figure's cases, print its table."""
     outcomes: List[Any] = []
-    results = run(duration=args.duration, warmup=args.warmup, seed=args.seed,
-                  cases=args.cases, audited=args.audit,
-                  **_runtime_kwargs(args, outcomes))
-    print(table(results))
+    results = run_figure(args.figure, duration=args.duration,
+                         warmup=args.warmup, seed=args.seed, cases=args.cases,
+                         audited=args.audit, **_runtime_kwargs(args, outcomes))
+    table = globals().get(f"{args.figure}_table", figure_table)
+    print(table(args.figure, results))
     _print_metrics(args, outcomes)
 
 
@@ -415,11 +411,8 @@ def _run_fluid(args: argparse.Namespace) -> int:
 _SUBCOMMANDS = {
     "fig4": ("drift field of two competing windows", None, _run_fig4),
     "fig5": ("density of (cwnd1, cwnd2)", _add_fig5_args, _run_fig5),
-    "fig7": ("drop-tail table (cases 1-5)", _add_tree_args, _run_tree_figure),
-    "fig8": ("congestion-signal statistics", _add_tree_args, _run_tree_figure),
-    "fig9": ("RED table (cases 1-5)", _add_tree_args, _run_tree_figure),
-    "fig10": ("different RTTs (generalized RLA)",
-              partial(_add_tree_args, cases=(1, 2)), _run_tree_figure),
+    **{name: (figure.help, partial(_add_tree_args, cases=figure.cases),
+              _run_tree_figure) for name, figure in FIGURES.items()},
     "multisession": ("two overlapping RLA sessions", _add_run_args,
                      _run_multisession),
     "sweep": ("fairness vs receiver count", _add_sweep_args, _run_sweep),

@@ -10,17 +10,16 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
+from ..lifecycle import run_many
 from ..topology.cases import TREE_CASES
 from .paperdata import MULTISESSION
-from .runner import TreeExperimentResult, TreeExperimentSpec, run_tree_experiments
+from .runner import TreeExperimentResult, TreeExperimentSpec
 
 
 def run_multisession(
     duration: float = 200.0,
     warmup: float = 20.0,
     seed: int = 1,
-    case_number: int = 3,
-    gateway: str = "droptail",
     audited: bool = False,
     **runtime: Any,
 ) -> TreeExperimentResult:
@@ -29,15 +28,14 @@ def run_multisession(
     ``runtime`` is :func:`repro.lifecycle.run_many`'s option set.
     """
     spec = TreeExperimentSpec(
-        case=TREE_CASES[case_number],
-        gateway=gateway,
+        case=TREE_CASES[3],
         duration=duration,
         warmup=warmup,
         seed=seed,
         rla_sessions=2,
         audited=audited,
     )
-    return run_tree_experiments({case_number: spec}, **runtime)[case_number]
+    return run_many([spec], **runtime)[0]
 
 
 def summarize(result: TreeExperimentResult) -> Dict[str, tuple]:

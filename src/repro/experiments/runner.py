@@ -1,26 +1,19 @@
 """Generic runner for the tree experiments of §5 (figures 7-10).
 
 One function, :func:`run_tree_experiment`, builds the figure 6 tree for a
-:class:`TreeCase`, attaches one background TCP connection per receiver and
-one (or more) RLA sessions, runs warmup + measurement, and returns all the
-paper-reported metrics.  The figure modules parameterize it; benchmarks
-call those.
+:class:`TreeCase`, attaches one background TCP connection per leaf
+receiver and one (or more) RLA sessions, runs warmup + measurement, and
+returns all the paper-reported metrics.  :mod:`repro.experiments.figures`
+parameterizes it per figure; benchmarks call that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
-from ..lifecycle import (
-    World,
-    advance_world,
-    arming,
-    run_many,
-    run_world,
-    runspec,
-)
+from ..lifecycle import World, advance_world, arming, run_world, runspec
 from ..net.addressing import flow_id
 from ..rla.config import RLAConfig
 from ..rla.session import RLASession
@@ -34,30 +27,27 @@ from ..topology.cases import (
     congestion_tiers,
 )
 from ..topology.tree import build_tertiary_tree, static_tree_info
-from ..units import DEFAULT_PACKET_SIZE, bps_to_pps, check_horizon, transmission_time
+from ..units import DEFAULT_PACKET_SIZE, check_horizon, transmission_time
 
 
 @dataclass
 class TreeExperimentSpec:
-    """Everything needed to reproduce one column of a §5 table."""
+    """Everything needed to reproduce one column of a §5 table.
+
+    The paper's setup is fixed: soft-bottleneck share 100 pkt/s, one
+    background TCP per leaf receiver, 20-packet buffers, 1000-byte
+    packets and the §3.3 RLA constants.  Two things follow from the
+    fields rather than being set: the §3.1 phase-effect jitter (one
+    bottleneck service time on drop-tail, none on RED) and
+    :attr:`generalized`.
+    """
 
     case: TreeCase
     gateway: str = "droptail"
     duration: float = 200.0
     warmup: float = 20.0
     seed: int = 1
-    share_pps: float = 100.0
-    tcp_per_receiver: int = 1
     rla_sessions: int = 1
-    #: None = auto (generalized RLA iff the case mixes RTT tiers)
-    generalized: Optional[bool] = None
-    #: "auto" = one bottleneck service time for drop-tail, none for RED
-    phase_jitter: Union[str, float, None] = "auto"
-    buffer_pkts: int = 20
-    eta: float = 20.0
-    rexmit_thresh: int = 0
-    forced_cut_enabled: bool = True
-    packet_size: int = DEFAULT_PACKET_SIZE
     #: Receiver-advertised window for the TCP flows, packets.  The paper's
     #: BTCP reaches cwnd ~135 on uncongested branches, implying an NS2
     #: advertised window of this magnitude; without a cap, uncongested
@@ -80,25 +70,15 @@ class TreeExperimentSpec:
         if self.gateway not in ("droptail", "red"):
             raise ConfigurationError(f"unknown gateway {self.gateway!r}")
         check_horizon(self.duration, self.warmup)
-        if self.tcp_per_receiver < 0:
-            raise ConfigurationError("tcp_per_receiver must be >= 0")
         if self.rla_sessions < 1:
             raise ConfigurationError("need at least one RLA session")
         return self
 
-    def resolved_generalized(self) -> bool:
-        if self.generalized is not None:
-            return self.generalized
+    @property
+    def generalized(self) -> bool:
+        """Whether the session runs the §5.3 RTT-scaled RLA: exactly when
+        the case mixes RTT tiers (figure 10's G3x receivers)."""
         return self.case.receivers != "leaves"
-
-    def resolved_jitter(self, min_bottleneck_bps: float) -> Optional[float]:
-        if self.phase_jitter == "auto":
-            if self.gateway == "red":
-                return None  # RED itself eliminates phase effects (§3.1)
-            return transmission_time(self.packet_size, min_bottleneck_bps)
-        if self.phase_jitter is None:
-            return None
-        return float(self.phase_jitter)
 
 
 @dataclass
@@ -108,7 +88,7 @@ class TreeExperimentResult:
     spec: TreeExperimentSpec
     #: one report per RLA session (see RLASession.report)
     rla: List[dict]
-    #: per-receiver report of its background TCP flow (first one if several)
+    #: per-leaf-receiver report of its background TCP flow
     tcp: Dict[str, dict]
     #: receivers split into "more" / "less" congested tiers
     tiers: Dict[str, List[str]] = field(default_factory=dict)
@@ -153,19 +133,15 @@ class TreeWorld(World):
     receivers: List[str]
     gateways: List[Any]
     tcp_flows: Dict[str, TcpFlow]
-    extra_flows: List[TcpFlow]
     sessions: List[RLASession]
     auditor: Any = None
     marked: bool = False
 
-    def _flows(self) -> List[TcpFlow]:
-        return list(self.tcp_flows.values()) + self.extra_flows
-
     def marks(self) -> List[Any]:
-        return self._flows() + self.sessions
+        return list(self.tcp_flows.values()) + self.sessions
 
     def tcp_senders(self) -> List[Any]:
-        return [flow.sender for flow in self._flows()]
+        return [flow.sender for flow in self.tcp_flows.values()]
 
     def rla_senders(self) -> List[Any]:
         return [session.sender for session in self.sessions]
@@ -187,49 +163,33 @@ def build_tree_world(spec: TreeExperimentSpec) -> TreeWorld:
     spec.validate()
     case = spec.case
     info = static_tree_info()
-    bandwidths = case_bandwidths(
-        case, info, share_pps=spec.share_pps,
-        tcp_per_receiver=spec.tcp_per_receiver, packet_size=spec.packet_size,
-    )
+    bandwidths = case_bandwidths(case, info)
     sim = Simulator(seed=spec.seed)
     net, _ = build_tertiary_tree(
-        sim, gateway=spec.gateway, link_bandwidths=bandwidths,
-        buffer_pkts=spec.buffer_pkts, info=info,
+        sim, gateway=spec.gateway, link_bandwidths=bandwidths, info=info,
     )
     receivers = case_receivers(case, info)
-    jitter = spec.resolved_jitter(min(bandwidths.values()))
+    # §3.1: RED's randomized drops remove phase effects by themselves
+    jitter = (None if spec.gateway == "red" else
+              transmission_time(DEFAULT_PACKET_SIZE, min(bandwidths.values())))
     start_rng = sim.rng.stream("experiment.start")
 
     gateways = [link.gateway for link in net.links.values()]
-    tcp_config = TcpConfig(
-        packet_size=spec.packet_size, phase_jitter=jitter,
-        max_cwnd=spec.tcp_max_cwnd,
-    )
+    tcp_config = TcpConfig(phase_jitter=jitter, max_cwnd=spec.tcp_max_cwnd)
     with arming(spec.audited, sim, net) as (auditor, monitor):
         # Background TCPs run to the leaf receivers only: in figure 10 the
         # interior G3x nodes join the multicast group but have no TCP of
         # their own (the paper's WTCP/BTCP rows show leaf RTTs).
         tcp_flows: Dict[str, TcpFlow] = {}
-        extra_flows: List[TcpFlow] = []
         for receiver in info.leaves:
-            for k in range(spec.tcp_per_receiver):
-                name = flow_id("tcp", f"{receiver}.{k}")
-                flow = TcpFlow(sim, net, name, info.root, receiver, config=tcp_config)
-                flow.sender.monitor = monitor
-                flow.start(start_rng.uniform(0.0, 1.0))
-                if k == 0:
-                    tcp_flows[receiver] = flow
-                else:
-                    extra_flows.append(flow)
+            flow = TcpFlow(sim, net, flow_id("tcp", f"{receiver}.0"),
+                           info.root, receiver, config=tcp_config)
+            flow.sender.monitor = monitor
+            flow.start(start_rng.uniform(0.0, 1.0))
+            tcp_flows[receiver] = flow
 
-        rla_config = RLAConfig(
-            packet_size=spec.packet_size,
-            phase_jitter=jitter,
-            eta=spec.eta,
-            rexmit_thresh=spec.rexmit_thresh,
-            forced_cut_enabled=spec.forced_cut_enabled,
-            rtt_scaled_pthresh=spec.resolved_generalized(),
-        )
+        rla_config = RLAConfig(phase_jitter=jitter,
+                               rtt_scaled_pthresh=spec.generalized)
         sessions = []
         for s in range(spec.rla_sessions):
             session = RLASession(
@@ -241,8 +201,8 @@ def build_tree_world(spec: TreeExperimentSpec) -> TreeWorld:
 
     return TreeWorld(
         spec=spec, sim=sim, net=net, info=info, receivers=receivers,
-        gateways=gateways, tcp_flows=tcp_flows, extra_flows=extra_flows,
-        sessions=sessions, auditor=auditor,
+        gateways=gateways, tcp_flows=tcp_flows, sessions=sessions,
+        auditor=auditor,
     )
 
 
@@ -283,17 +243,3 @@ def run_tree_experiment(
 #: Kept under its old name for ``benchmarks/rlabench/micro.py``, which
 #: times ``RunSpec.key`` on a tree spec built with it.
 tree_runspec = runspec
-
-
-def run_tree_experiments(
-    specs: Dict[Hashable, TreeExperimentSpec], **runtime: Any,
-) -> Dict[Hashable, TreeExperimentResult]:
-    """Run a keyed grid of tree experiments, serially or via the runtime.
-
-    Results come back keyed like the input, in input order.  ``runtime``
-    is :func:`repro.lifecycle.run_many`'s option set (``workers``,
-    ``cache``, ``outcomes``, ``checkpoint_at``, ``checkpoint_dir``);
-    whichever side of it runs, the results are byte-identical: each run's
-    randomness is fully determined by its spec.
-    """
-    return dict(zip(specs, run_many(specs.values(), **runtime)))

@@ -38,8 +38,9 @@ from ..tcp.config import TcpConfig
 from ..tcp.flow import TcpFlow
 from ..topology.dumbbell import DumbbellCohort, DumbbellSpec, build_dumbbell
 from ..units import pps_to_bps, transmission_time
+from .adapters import scaled_bottleneck
 from .runner import run_fluid
-from .spec import BottleneckSpec, FluidSpec, RlaCohortSpec, TcpCohortSpec
+from .spec import FluidSpec, RlaCohortSpec, TcpCohortSpec
 
 #: Topology families the harness builds.
 CROSSVAL_TOPOLOGIES = ("dumbbell", "rtt_cohorts")
@@ -181,20 +182,13 @@ def _receiver_split(case: CrossvalCase,
 def fluid_twin(case: CrossvalCase) -> FluidSpec:
     """The :class:`FluidSpec` describing the same system as the dumbbell.
 
-    Mirrors :func:`repro.net.network.discipline_factory`'s RED
-    parameterization (thresholds at 25% / 75% of the physical buffer)
-    so both backends model the same gateway.
+    Its bottleneck is :func:`repro.fluid.adapters.scaled_bottleneck` at
+    scale 1, the packet gateway's RED parameterization, so both backends
+    model the same gateway.
     """
     spec = dumbbell_spec(case)
-    buffer_pkts = float(spec.buffer_pkts)
-    min_th = max(1.0, 0.25 * buffer_pkts)
-    bottleneck = BottleneckSpec(
-        capacity_pps=spec.capacity_pps,
-        buffer_pkts=buffer_pkts,
-        discipline=case.gateway,
-        min_th=min_th,
-        max_th=max(min_th + 1.0, 0.75 * buffer_pkts),
-    )
+    bottleneck = scaled_bottleneck(spec.capacity_pps, spec.buffer_pkts,
+                                   case.gateway)
     tcp_cohorts = tuple(
         TcpCohortSpec(cohort.hosts, spec.host_rtt(c), 0, cohort.label)
         for c, cohort in enumerate(spec.cohorts)

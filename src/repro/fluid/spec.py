@@ -192,9 +192,8 @@ class FluidSpec:
     ``duration`` is the measured window after ``warmup`` seconds of
     transient (time averages are taken over the measured window only,
     mirroring the packet experiments' mark protocol).  ``dt`` is the
-    fixed RK4 step.  ``seed`` exists purely so the spec slots into the
-    seed-replication machinery of :mod:`repro.runtime`; the dynamics
-    draw no random numbers at all.
+    fixed RK4 step.  ``seed`` only carries the packet twin's seed into
+    the report row; the dynamics draw no random numbers at all.
     """
 
     name: str

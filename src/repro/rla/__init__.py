@@ -2,7 +2,6 @@
 
 from .config import RLAConfig
 from .congestion import TroubleTracker
-from .generalized import GeneralizedRLASession, rtt_scaling
 from .policy import LaggardDropPolicy
 from .receiver import RLAReceiver
 from .reference import NaiveRLASender
@@ -17,8 +16,6 @@ __all__ = [
     "RLAReceiver",
     "RLASender",
     "RLASession",
-    "GeneralizedRLASession",
     "ReceiverState",
     "TroubleTracker",
-    "rtt_scaling",
 ]

@@ -6,8 +6,7 @@ executes that grid as fast as the hardware allows while keeping the
 results bit-identical to a serial loop:
 
 * :class:`RunSpec` — a content-addressed description of one run
-  (entrypoint + params), with deterministic seed derivation for
-  multi-seed replication (:func:`derive_seed`, :func:`replicate`);
+  (entrypoint + params);
 * :func:`run_specs` — the executor: process-pool fan-out, per-run retry,
   hung-pool teardown, outcomes in input order;
 * :class:`ResultCache` — on-disk cache keyed by spec content and
@@ -37,12 +36,11 @@ from .executor import (
     RunOutcome,
     default_workers,
     execute_spec,
-    run_one,
     run_specs,
     snapshot_destination,
 )
 from .metrics import RunMetrics, build_metrics, extract_sim_stats, metrics_table
-from .spec import RunSpec, code_version, derive_seed, replicate
+from .spec import RunSpec, code_version
 
 __all__ = [
     "CacheEntry",
@@ -53,12 +51,9 @@ __all__ = [
     "build_metrics",
     "code_version",
     "default_workers",
-    "derive_seed",
     "execute_spec",
     "extract_sim_stats",
     "metrics_table",
-    "replicate",
-    "run_one",
     "run_specs",
     "snapshot_destination",
 ]

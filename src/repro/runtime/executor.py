@@ -276,8 +276,3 @@ def run_specs(
                 f"{len(failed)} of {len(specs)} runs failed: {detail}"
             )
     return final
-
-
-def run_one(spec: RunSpec, cache: Optional[ResultCache] = None) -> RunOutcome:
-    """Convenience: execute a single spec serially (with caching)."""
-    return run_specs([spec], workers=1, cache=cache)[0]

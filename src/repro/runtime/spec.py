@@ -14,12 +14,6 @@ Two properties make specs the key of the whole runtime layer:
   hash of the ``repro`` source tree (:func:`code_version`), so the
   on-disk result cache invalidates itself whenever the simulator's code
   changes.
-
-Deterministic seed derivation (:func:`derive_seed`, :func:`replicate`)
-uses the same CRC mixing as :class:`repro.sim.rng.RngStreams`: replica
-seeds depend only on the base seed and the replica label, never on
-execution order, so parallel replications are byte-identical to serial
-ones.
 """
 
 from __future__ import annotations
@@ -29,13 +23,10 @@ import hashlib
 import importlib
 import json
 import pathlib
-import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping
+from typing import Any, Callable, Dict, Mapping
 
 from ..errors import ConfigurationError
-
-_SEED_PARAM = "seed"
 
 
 def _canonical_value(value: Any) -> Any:
@@ -111,13 +102,6 @@ class RunSpec:
     def __hash__(self) -> int:
         return hash(self.canonical())
 
-    # -- derivation -----------------------------------------------------
-    def with_params(self, **overrides: Any) -> "RunSpec":
-        """A copy with some parameters replaced."""
-        params = dict(self.params)
-        params.update(overrides)
-        return RunSpec(self.entrypoint, params, label=self.label)
-
     def describe(self) -> str:
         """Short human-readable identity for tables and logs."""
         if self.label:
@@ -140,40 +124,6 @@ class RunSpec:
         if not callable(func):
             raise ConfigurationError(f"entrypoint {self.entrypoint!r} is not callable")
         return func
-
-
-def derive_seed(base_seed: int, label: str) -> int:
-    """Deterministically derive a child seed from a base seed and a label.
-
-    Same mixing as :class:`repro.sim.rng.RngStreams` — stable across
-    processes and Python versions (no salted ``hash``).
-    """
-    return (base_seed * 2654435761 + zlib.crc32(label.encode("utf-8"))) % (2**63)
-
-
-def replicate(spec: RunSpec, count: int, seed_param: str = _SEED_PARAM) -> List[RunSpec]:
-    """``count`` copies of ``spec`` with deterministically derived seeds.
-
-    The i-th replica's seed depends only on the spec's base seed and
-    ``i``, so replication sets are stable when ``count`` grows: the first
-    ``n`` replicas of ``replicate(spec, m >= n)`` are always the same runs.
-    """
-    if count < 1:
-        raise ConfigurationError(f"need count >= 1, got {count}")
-    if seed_param not in spec.params:
-        raise ConfigurationError(
-            f"spec has no {seed_param!r} parameter to replicate over"
-        )
-    base = int(spec.params[seed_param])
-    out = []
-    for index in range(count):
-        seed = base if index == 0 else derive_seed(base, f"replica.{index}")
-        replica = spec.with_params(**{seed_param: seed})
-        if spec.label:
-            replica = RunSpec(replica.entrypoint, replica.params,
-                              label=f"{spec.label}#{index}")
-        out.append(replica)
-    return out
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from ..errors import TopologyError
-from ..units import DEFAULT_PACKET_SIZE, pps_to_bps
+from ..units import pps_to_bps
 from .tree import TreeInfo, tree_link_names
 
 
@@ -75,11 +75,7 @@ def case_receivers(case: TreeCase, info: TreeInfo) -> List[str]:
 
 
 def case_bandwidths(
-    case: TreeCase,
-    info: TreeInfo,
-    share_pps: float = 100.0,
-    tcp_per_receiver: int = 1,
-    packet_size: int = DEFAULT_PACKET_SIZE,
+    case: TreeCase, info: TreeInfo, share_pps: float = 100.0,
 ) -> Dict[str, float]:
     """Capacity (bits/s) of each congested link for a fair share of
     ``share_pps`` packets/second.
@@ -95,8 +91,8 @@ def case_bandwidths(
         raise TopologyError(f"share must be positive: {share_pps}")
     bandwidths: Dict[str, float] = {}
     for link in case.congested_links:
-        crossing = len(info.leaves_below[link]) * tcp_per_receiver
-        bandwidths[link] = pps_to_bps((crossing + 1) * share_pps, packet_size)
+        crossing = len(info.leaves_below[link])
+        bandwidths[link] = pps_to_bps((crossing + 1) * share_pps)
     return bandwidths
 
 

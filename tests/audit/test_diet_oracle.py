@@ -22,7 +22,7 @@ import pytest
 
 import repro.audit
 from repro.audit import InvariantViolation
-from repro.experiments.fig7_droptail import run_fig7
+from repro.experiments.figures import run_figure
 from repro.experiments.sweeps import SymmetricSpec, run_symmetric_spec
 from repro.net.network import Network, droptail_factory
 from repro.net.packet import (
@@ -84,8 +84,8 @@ def _uid_counter_put_back():
 # clean runs: everything an audited run exposes is equal
 # ----------------------------------------------------------------------
 def _fig7_case3():
-    result = run_fig7(duration=2.0, warmup=1.0, seed=3, cases=(3,),
-                      audited=True)[3]
+    result = run_figure("fig7", duration=2.0, warmup=1.0, seed=3,
+                        cases=(3,), audited=True)[3]
     return (result.rla, result.tcp, result.tiers, result.receivers,
             result.stats)
 

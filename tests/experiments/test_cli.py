@@ -2,7 +2,18 @@
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _SUBCOMMANDS, _run_tree_figure, build_parser, main
+from repro.experiments.figures import FIGURES
+
+
+def test_tree_subcommands_are_the_figures_table():
+    tree = [name for name, (_, _, run) in _SUBCOMMANDS.items()
+            if run is _run_tree_figure]
+    assert tree == list(FIGURES) == ["fig7", "fig8", "fig9", "fig10"]
+    parser = build_parser()
+    defaults = {name: parser.parse_args([name]).cases for name in tree}
+    assert defaults == {"fig7": [1, 2, 3, 4, 5], "fig8": [1, 2, 3, 4, 5],
+                        "fig9": [1, 2, 3, 4, 5], "fig10": [1, 2]}
 
 
 def test_parser_subcommands():

@@ -6,9 +6,10 @@ from repro.errors import ConfigurationError
 from repro.experiments.runner import (
     TreeExperimentResult,
     TreeExperimentSpec,
+    build_tree_world,
     run_tree_experiment,
 )
-from repro.topology.cases import TREE_CASES
+from repro.topology.cases import RTT_CASES, TREE_CASES
 from repro.units import transmission_time, pps_to_bps
 
 
@@ -58,28 +59,30 @@ def test_spec_validation():
         TreeExperimentSpec(case=TREE_CASES[1], duration=0).validate()
     with pytest.raises(ConfigurationError):
         TreeExperimentSpec(case=TREE_CASES[1], rla_sessions=0).validate()
-    with pytest.raises(ConfigurationError):
-        TreeExperimentSpec(case=TREE_CASES[1], tcp_per_receiver=-1).validate()
+
+
+def _configs(spec):
+    """The TCP and RLA configs a built (never run) world hands its flows."""
+    world = build_tree_world(spec)
+    return ([flow.sender.config for flow in world.tcp_flows.values()],
+            [session.sender.config for session in world.sessions])
 
 
 def test_jitter_resolution():
-    spec = TreeExperimentSpec(case=TREE_CASES[3])
-    bottleneck = pps_to_bps(200)
-    assert spec.resolved_jitter(bottleneck) == pytest.approx(
-        transmission_time(1000, bottleneck)
-    )
-    red_spec = TreeExperimentSpec(case=TREE_CASES[3], gateway="red")
-    assert red_spec.resolved_jitter(bottleneck) is None
-    explicit = TreeExperimentSpec(case=TREE_CASES[3], phase_jitter=0.001)
-    assert explicit.resolved_jitter(bottleneck) == 0.001
-    off = TreeExperimentSpec(case=TREE_CASES[3], phase_jitter=None)
-    assert off.resolved_jitter(bottleneck) is None
+    # §3.1: one service time of the slowest bottleneck on drop-tail
+    # (case 3: 200 pkt/s leaf links), none on RED
+    tcp, rla = _configs(TreeExperimentSpec(case=TREE_CASES[3]))
+    service = transmission_time(1000, pps_to_bps(200))
+    assert [c.phase_jitter for c in tcp + rla] == [pytest.approx(service)] * 28
+    tcp, rla = _configs(TreeExperimentSpec(case=TREE_CASES[3], gateway="red"))
+    assert [c.phase_jitter for c in tcp + rla] == [None] * 28
 
 
 def test_generalized_resolution():
-    from repro.topology.cases import RTT_CASES
-
-    assert not TreeExperimentSpec(case=TREE_CASES[3]).resolved_generalized()
-    assert TreeExperimentSpec(case=RTT_CASES[1]).resolved_generalized()
-    forced = TreeExperimentSpec(case=TREE_CASES[3], generalized=True)
-    assert forced.resolved_generalized()
+    # §5.3: RTT-scaled listening exactly on figure 10's mixed-RTT cases
+    for registry, generalized in ((TREE_CASES, False), (RTT_CASES, True)):
+        for case in registry.values():
+            spec = TreeExperimentSpec(case=case, rla_sessions=2)
+            assert spec.generalized is generalized
+            _, rla = _configs(spec)
+            assert [c.rtt_scaled_pthresh for c in rla] == [generalized] * 2

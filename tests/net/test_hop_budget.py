@@ -18,7 +18,7 @@ on any machine; the margin to the budget is for interpreter versions.
 
 from __future__ import annotations
 
-from repro.experiments.fig7_droptail import run_fig7
+from repro.experiments.figures import run_figure
 
 #: Python calls allowed per link transmission (16.3 measured, 20.2 before).
 BUDGET = 17.0
@@ -26,9 +26,10 @@ BUDGET = 17.0
 
 def test_python_calls_per_link_transmission_stay_in_budget(count_python_calls):
     # one throwaway run first: lazy imports are calls too
-    run_fig7(duration=0.2, warmup=0.1, seed=1, cases=(1,))
+    run_figure("fig7", duration=0.2, warmup=0.1, seed=1, cases=(1,))
     _, calls, transmissions = count_python_calls(
-        lambda: run_fig7(duration=3.0, warmup=1.0, seed=1, cases=(1, 3)))
+        lambda: run_figure("fig7", duration=3.0, warmup=1.0, seed=1,
+                           cases=(1, 3)))
     assert transmissions > 100_000
     assert calls <= BUDGET * transmissions, (
         f"{calls} Python calls for {transmissions} link transmissions "

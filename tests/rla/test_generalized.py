@@ -1,30 +1,15 @@
-"""The generalized (RTT-scaled) RLA of §5.3."""
+"""The generalized (RTT-scaled) RLA of §5.3: ``rtt_scaled_pthresh``.
+
+The scaling rule itself is unit-tested against the sender in
+``test_sender_unit.py``; this runs it end to end.
+"""
 
 import pytest
 
 from repro.net.network import Network, droptail_factory
-from repro.rla.generalized import GeneralizedRLASession, rtt_scaling
+from repro.rla import RLAConfig, RLASession
 from repro.sim.engine import Simulator
 from repro.units import ms, pps_to_bps
-
-
-def test_rtt_scaling_function():
-    assert rtt_scaling(0.1, 0.1) == 1.0
-    assert rtt_scaling(0.05, 0.1) == pytest.approx(0.25)
-    assert rtt_scaling(0.0, 0.1) == 0.0
-    # clamped
-    assert rtt_scaling(0.2, 0.1) == 1.0
-    assert rtt_scaling(0.1, 0.0) == 1.0
-
-
-def test_rtt_scaling_custom_exponent():
-    assert rtt_scaling(0.5, 1.0, exponent=1.0) == pytest.approx(0.5)
-
-
-def test_generalized_session_sets_flag(sim, star_net):
-    session = GeneralizedRLASession(sim, star_net, "rla-0", "S",
-                                    ["R1", "R2", "R3"])
-    assert session.sender.config.rtt_scaled_pthresh is True
 
 
 def test_generalized_runs_with_heterogeneous_rtts():
@@ -34,7 +19,8 @@ def test_generalized_runs_with_heterogeneous_rtts():
     net.add_link("G", "Rnear", pps_to_bps(10_000), ms(5))
     net.add_link("G", "Rfar", pps_to_bps(10_000), ms(100))
     net.build_routes()
-    session = GeneralizedRLASession(sim, net, "rla-0", "S", ["Rnear", "Rfar"])
+    session = RLASession(sim, net, "rla-0", "S", ["Rnear", "Rfar"],
+                         config=RLAConfig(rtt_scaled_pthresh=True))
     session.start()
     sim.run(until=10.0)
     session.mark()

@@ -8,7 +8,7 @@ run's report, the strongest practical notion of "same result".
 
 import pickle
 
-from repro.experiments.fig7_droptail import run_fig7
+from repro.experiments.figures import run_figure
 from repro.experiments.sweeps import sweep_receiver_count
 from repro.runtime import ResultCache
 
@@ -38,8 +38,8 @@ def test_sweep_cached_matches_fresh(tmp_path):
 
 def test_fig7_parallel_matches_serial_per_case():
     kwargs = dict(duration=6.0, warmup=3.0, seed=3, cases=(1, 5))
-    serial = run_fig7(**kwargs)
-    parallel = run_fig7(workers=2, **kwargs)
+    serial = run_figure("fig7", **kwargs)
+    parallel = run_figure("fig7", workers=2, **kwargs)
     assert list(serial) == list(parallel)
     for case in serial:
         assert _bytes(serial[case]) == _bytes(parallel[case])

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.errors import SimulationError
-from repro.runtime import ResultCache, RunSpec, metrics_table, run_one, run_specs
+from repro.runtime import ResultCache, RunSpec, metrics_table, run_specs
 
 ECHO = "repro.runtime._testing:echo"
 BOOM = "repro.runtime._testing:boom"
@@ -38,7 +38,7 @@ def test_parallel_actually_uses_other_processes():
 
 
 def test_metrics_come_from_sim_stats():
-    out = run_one(RunSpec(ECHO, {"x": 0, "events": 30}))
+    [out] = run_specs([RunSpec(ECHO, {"x": 0, "events": 30})], workers=1)
     assert out.metrics.events == 30
     assert out.metrics.drops == 1
     assert out.metrics.peak_queue_depth == 2
@@ -59,7 +59,7 @@ def test_cache_hit_skips_execution(tmp_path):
         assert a.result["params"] == b.result["params"]
         assert b.metrics.cached and b.attempts == 0
     # one changed point only misses that point
-    changed = [specs[0], specs[1].with_params(x=99), specs[2]]
+    changed = [specs[0], RunSpec(ECHO, {"x": 99, "events": 20}), specs[2]]
     third = run_specs(changed, workers=2, cache=cache)
     assert [o.cached for o in third] == [True, False, True]
 

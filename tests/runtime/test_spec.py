@@ -1,4 +1,4 @@
-"""RunSpec identity: canonical form, content keys, seed derivation."""
+"""RunSpec identity: canonical form and content keys."""
 
 import pickle
 
@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.runner import TreeExperimentSpec, tree_runspec
 from repro.lifecycle import SPEC_ENTRYPOINT
-from repro.runtime import RunSpec, code_version, derive_seed, replicate
+from repro.runtime import RunSpec, code_version
 from repro.topology.cases import TREE_CASES
 
 ECHO = "repro.runtime._testing:echo"
@@ -25,7 +25,7 @@ def test_canonical_distinguishes_params_and_entrypoint():
     base = RunSpec(ECHO, {"x": 1})
     assert base != RunSpec(ECHO, {"x": 2})
     assert base != RunSpec("repro.runtime._testing:boom", {"x": 1})
-    assert base.key() != base.with_params(x=2).key()
+    assert base.key() != RunSpec(ECHO, {"x": 2}).key()
 
 
 def test_key_mixes_code_version():
@@ -67,31 +67,6 @@ def test_tree_spec_canonicalizes_and_pickles():
     assert spec.canonical() != tree_runspec(other).canonical()
     # specs must cross process boundaries intact
     assert pickle.loads(pickle.dumps(spec)) == spec
-
-
-def test_derive_seed_stable_and_spread():
-    assert derive_seed(1, "replica.1") == derive_seed(1, "replica.1")
-    seeds = {derive_seed(1, f"replica.{i}") for i in range(100)}
-    assert len(seeds) == 100
-    assert derive_seed(1, "replica.1") != derive_seed(2, "replica.1")
-
-
-def test_replicate_prefix_stable():
-    spec = RunSpec(ECHO, {"seed": 7, "x": 1})
-    five = replicate(spec, 5)
-    three = replicate(spec, 3)
-    assert five[:3] == three
-    assert five[0].params["seed"] == 7  # replica 0 keeps the base seed
-    assert len({s.params["seed"] for s in five}) == 5
-    for replica in five:
-        assert replica.params["x"] == 1
-
-
-def test_replicate_validation():
-    with pytest.raises(ConfigurationError):
-        replicate(RunSpec(ECHO, {"seed": 1}), 0)
-    with pytest.raises(ConfigurationError):
-        replicate(RunSpec(ECHO, {"x": 1}), 2)
 
 
 def test_code_version_is_memoized_and_short():

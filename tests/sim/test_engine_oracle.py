@@ -30,7 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 import repro.experiments.runner
 import repro.net.network
 import repro.scenarios.runner
-from repro.experiments.fig7_droptail import run_fig7
+from repro.experiments.figures import run_figure
 from repro.net.packet import restore_uid_counter, uid_counter_state
 from repro.scenarios import get_scenario, run_scenario
 from repro.scenarios.grid import grid_cell
@@ -197,7 +197,8 @@ def test_the_pinned_program_reaches_what_it_was_written_for():
 # (ii) whole experiments with the reference engine and link swapped in
 # ----------------------------------------------------------------------
 def _fig7_case3():
-    result = run_fig7(duration=2.0, warmup=1.0, seed=3, cases=(3,))[3]
+    result = run_figure("fig7", duration=2.0, warmup=1.0, seed=3,
+                        cases=(3,))[3]
     return (result.rla, result.tcp, result.tiers, result.receivers,
             result.stats)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pickle
 
-from repro.experiments.fig7_droptail import run_fig7
+from repro.experiments.figures import run_figure
 from repro.scenarios import get_scenario, run_scenario
 from repro.sim.engine import Simulator
 from repro.tcp.config import TcpConfig
@@ -54,16 +54,16 @@ def _scenario_bytes(row, strip_audit=False):
 # fig7: serial vs parallel vs audited
 # ----------------------------------------------------------------------
 def test_fig7_serial_parallel_byte_identical():
-    serial = run_fig7(duration=DURATION, warmup=WARMUP, cases=(1,))
-    parallel = run_fig7(duration=DURATION, warmup=WARMUP, cases=(1,),
-                        workers=2)
+    serial = run_figure("fig7", duration=DURATION, warmup=WARMUP, cases=(1,))
+    parallel = run_figure("fig7", duration=DURATION, warmup=WARMUP,
+                          cases=(1,), workers=2)
     assert _fig7_bytes(serial[1]) == _fig7_bytes(parallel[1])
 
 
 def test_fig7_audited_byte_identical_and_audit_ran():
-    plain = run_fig7(duration=DURATION, warmup=WARMUP, cases=(1,))
-    audited = run_fig7(duration=DURATION, warmup=WARMUP, cases=(1,),
-                       audited=True)
+    plain = run_figure("fig7", duration=DURATION, warmup=WARMUP, cases=(1,))
+    audited = run_figure("fig7", duration=DURATION, warmup=WARMUP,
+                         cases=(1,), audited=True)
     # The auditor's packet/event/deliver hooks all fired...
     assert audited[1].stats["audit_checks"] > 0
     assert audited[1].stats["violations"] == 0

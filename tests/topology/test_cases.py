@@ -44,11 +44,6 @@ def test_case2_capacities(info):
     assert all(v == pytest.approx(pps_to_bps(400)) for v in bw.values())
 
 
-def test_tcp_per_receiver_scales_capacity(info):
-    bw = case_bandwidths(TREE_CASES[3], info, tcp_per_receiver=3)
-    assert bw["L41"] == pytest.approx(pps_to_bps(400))
-
-
 def test_rtt_cases_use_extended_population(info):
     case = RTT_CASES[1]
     receivers = case_receivers(case, info)
