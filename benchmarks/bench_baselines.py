@@ -17,6 +17,7 @@ from repro.baselines.deterministic import DeterministicListenerSender
 from repro.baselines.ltrc import LtrcSender
 from repro.baselines.mbfc import MbfcSender
 from repro.baselines.ratebase import LossReportReceiver
+from repro.models.fairness import check_essential_fairness
 from repro.net.addressing import group_address
 from repro.rla.config import RLAConfig
 from repro.rla.sender import RLASender
@@ -113,8 +114,10 @@ def test_baseline_comparison():
               f"-> ratio {ratio:.2f}")
 
     rla_rate, rla_tcp = results["RLA"]
-    # The RLA stays in the essential-fairness band of its competitors.
-    assert 0.25 * min(rla_tcp) < rla_rate < 6 * max(rla_tcp)
+    # The RLA stays inside Theorem I against the worst TCP (RED, n = 3).
+    verdict = check_essential_fairness(rla_rate, min(rla_tcp), 3, "red")
+    print(f"  RLA: {verdict}")
+    assert verdict and verdict.fair, verdict
     # The window-based schemes track TCP more closely than at least one of
     # the threshold-based rate controllers (the paper's §1 argument).
     assert deviations["RLA"] <= max(deviations["LTRC"], deviations["MBFC"])

@@ -18,7 +18,6 @@ from _scale import bench_duration, bench_warmup
 from repro.experiments.figures import run_figure
 from repro.experiments.tables import format_case_table
 from repro.experiments.paperdata import FIG7_DROPTAIL
-from repro.models.fairness import check_essential_fairness
 from repro.runtime import default_workers
 
 
@@ -35,14 +34,10 @@ def test_fig7_droptail_table(run_cache):
 
     verdicts = {}
     for case, result in results.items():
-        rla = result.rla[0]
-        n = max(rla["num_trouble"], 1)
-        verdict = check_essential_fairness(
-            rla["throughput_pps"], result.wtcp["throughput_pps"], n, "droptail"
-        )
-        verdicts[case] = verdict
+        verdict = verdicts[case] = result.verdict()
         print(f"case {case}: {verdict}")
-        assert verdict.fair, f"Theorem II violated in case {case}: {verdict}"
+        assert verdict and verdict.fair, \
+            f"Theorem II violated in case {case}: {verdict}"
 
     # Finer shape checks need enough window cuts to average out the
     # randomized listening; only meaningful from ~40 measured seconds up.

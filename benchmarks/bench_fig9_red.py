@@ -12,7 +12,6 @@ from _scale import bench_duration, bench_warmup
 from repro.experiments.figures import run_figure
 from repro.experiments.paperdata import FIG9_RED
 from repro.experiments.tables import format_case_table
-from repro.models.fairness import check_essential_fairness
 from repro.runtime import default_workers
 
 
@@ -29,14 +28,11 @@ def test_fig9_red_table(run_cache):
 
     ratios = {}
     for case, result in results.items():
-        rla = result.rla[0]
-        n = max(rla["num_trouble"], 1)
-        verdict = check_essential_fairness(
-            rla["throughput_pps"], result.wtcp["throughput_pps"], n, "red"
-        )
-        ratios[case] = verdict.ratio
+        verdict = result.verdict()
         print(f"case {case}: {verdict}")
-        assert verdict.fair, f"Theorem I violated in case {case}: {verdict}"
+        assert verdict and verdict.fair, \
+            f"Theorem I violated in case {case}: {verdict}"
+        ratios[case] = verdict.ratio
 
     # Shape checks need enough cuts to average out; gate on scale.
     if bench_duration() >= 40:

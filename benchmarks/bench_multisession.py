@@ -8,19 +8,15 @@ fairness, the §4.4 theory at packet level.
 
 from __future__ import annotations
 
-import pytest
-
 from _scale import bench_duration, bench_warmup
-from repro.experiments.multisession import run_multisession, summarize
-from repro.experiments.paperdata import MULTISESSION
+from repro.experiments.figures import figure_table, run_figure
 
 
 def test_two_sessions_share_equally():
-    result = run_multisession(duration=bench_duration(),
-                              warmup=bench_warmup(), seed=1)
-    summary = summarize(result)
-    for metric, (measured, paper) in summary.items():
-        print(f"\n[multisession] {metric}: measured {measured}, paper {paper}")
+    results = run_figure("multisession", duration=bench_duration(),
+                         warmup=bench_warmup(), seed=1)
+    print("\n" + figure_table("multisession", results))
+    result = results[3]
 
     rates = [r["throughput_pps"] for r in result.rla]
     windows = [r["mean_cwnd"] for r in result.rla]

@@ -13,7 +13,7 @@ Examples::
     repro-rla resume ck/<key>.t15.ckpt
     repro-rla fork ck/<key>.t15.ckpt --branches 8
 
-Simulation subcommands (fig7/8/9/10, sweep) accept:
+Simulation subcommands (fig7/8/9/10, multisession, sweep) accept:
 
 * ``--workers N`` — fan independent runs out over N processes via
   :mod:`repro.runtime` (results byte-identical to serial);
@@ -41,9 +41,7 @@ from .experiments import (
     figure_table,
     render_field,
     run_figure,
-    run_multisession,
     run_particle_density,
-    summarize,
 )
 
 # benchmarks/rlabench/tracing.py times table rendering by swapping each of
@@ -142,7 +140,7 @@ def _add_fig5_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_tree_args(p: argparse.ArgumentParser, cases: Iterable[int]) -> None:
-    """fig7/8/9/10: run + checkpoint options and the case selection."""
+    """A FIGURES row: run + checkpoint options and the case selection."""
     _add_run_args(p)
     _add_checkpoint_args(p)
     p.add_argument("--cases", type=int, nargs="+", default=list(cases))
@@ -260,23 +258,13 @@ def _run_fig5(args: argparse.Namespace) -> None:
 
 
 def _run_tree_figure(args: argparse.Namespace) -> None:
-    """fig7/8/9/10: run the figure's cases, print its table."""
+    """A FIGURES row: run its cases, print its table."""
     outcomes: List[Any] = []
     results = run_figure(args.figure, duration=args.duration,
                          warmup=args.warmup, seed=args.seed, cases=args.cases,
                          audited=args.audit, **_runtime_kwargs(args, outcomes))
     table = globals().get(f"{args.figure}_table", figure_table)
     print(table(args.figure, results))
-    _print_metrics(args, outcomes)
-
-
-def _run_multisession(args: argparse.Namespace) -> None:
-    outcomes: List[Any] = []
-    result = run_multisession(duration=args.duration, warmup=args.warmup,
-                              seed=args.seed, audited=args.audit,
-                              **_runtime_kwargs(args, outcomes))
-    for metric, (measured, paper) in summarize(result).items():
-        print(f"{metric}: measured {measured}, paper {paper}")
     _print_metrics(args, outcomes)
 
 
@@ -293,7 +281,8 @@ def _run_sweep(args: argparse.Namespace) -> None:
 
 
 def _run_scenarios(args: argparse.Namespace) -> None:
-    from .scenarios import format_catalog, format_scenarios, get_scenario, run_scenarios
+    from .lifecycle import run_many
+    from .scenarios import format_catalog, format_scenarios, get_scenario
 
     if args.action == "list":
         print(format_catalog())
@@ -332,7 +321,7 @@ def _run_scenarios(args: argparse.Namespace) -> None:
     if args.audit:
         overrides["audited"] = True
     specs = [get_scenario(name, **overrides) for name in args.names]
-    rows = run_scenarios(specs, **_runtime_kwargs(args, outcomes))
+    rows = run_many(specs, **_runtime_kwargs(args, outcomes))
     print(format_scenarios(rows))
     _print_metrics(args, outcomes)
 
@@ -413,8 +402,6 @@ _SUBCOMMANDS = {
     "fig5": ("density of (cwnd1, cwnd2)", _add_fig5_args, _run_fig5),
     **{name: (figure.help, partial(_add_tree_args, cases=figure.cases),
               _run_tree_figure) for name, figure in FIGURES.items()},
-    "multisession": ("two overlapping RLA sessions", _add_run_args,
-                     _run_multisession),
     "sweep": ("fairness vs receiver count", _add_sweep_args, _run_sweep),
     "scenarios": ("generated workloads: topologies, mice, churn",
                   _add_scenarios_args, _run_scenarios),

@@ -7,7 +7,6 @@ from .fig5_density import (
     run_particle_density,
 )
 from .figures import FIGURES, figure_table, run_figure
-from .multisession import run_multisession, summarize
 from .runner import (
     TreeExperimentResult,
     TreeExperimentSpec,
@@ -39,11 +38,9 @@ __all__ = [
     "sweep_receiver_count",
     "sweep_share",
     "run_figure",
-    "run_multisession",
     "run_packet_density",
     "run_particle_density",
     "run_symmetric_spec",
     "run_tree_experiment",
-    "summarize",
     "tree_runspec",
 ]

@@ -1,4 +1,4 @@
-"""Experiments E3-E6 — figures 7, 8, 9 and 10: one tree experiment, four rows.
+"""Experiments E3-E7 — figures 7-10 and §5.2: one tree experiment, five rows.
 
 Every figure runs the §5 experiment of :mod:`repro.experiments.runner`
 on the figure 6 tertiary tree: 27 leaf receivers, one background TCP per
@@ -13,7 +13,10 @@ leaf, soft-bottleneck share 100 pkt/s, 20-packet buffers.  A
   no jitter: RED's randomized drops remove phase effects themselves;
 * figure 10 — the level-3 gateways G31..G39 join as receivers (36 in
   all, ~10x closer than the leaves), so the sender scales its listening
-  probability by ``(srtt_i / srtt_max)^2`` (§5.3).
+  probability by ``(srtt_i / srtt_max)^2`` (§5.3);
+* multisession (§5.2) — case 3 with *two* RLA sessions from the same
+  sender to the same receivers; the paper reports them sharing almost
+  equally (65.1 / 65.9 pkt/s, mean windows 19.9 / 20.1).
 
 The paper runs 3000 s discarding the first 100 s; duration and warmup
 are parameters so benchmarks can run a scaled-down (but
@@ -27,9 +30,15 @@ from typing import Any, Callable, Dict, Iterable, Optional
 
 from ..lifecycle import run_many
 from ..topology.cases import RTT_CASES, TREE_CASES, TreeCase, lookup_case
-from .paperdata import FIG7_DROPTAIL, FIG8_SIGNALS, FIG9_RED, FIG10_RTT
+from .paperdata import (
+    FIG7_DROPTAIL,
+    FIG8_SIGNALS,
+    FIG9_RED,
+    FIG10_RTT,
+    MULTISESSION,
+)
 from .runner import TreeExperimentResult, TreeExperimentSpec
-from .tables import format_case_table, format_signals_table
+from .tables import format_case_table, format_sessions, format_signals_table
 
 
 @dataclass(frozen=True)
@@ -45,6 +54,8 @@ class Figure:
     paper: Dict[int, dict]
     render: Callable[..., str]
     gateway: str = "droptail"
+    #: RLA sessions sharing the tree (§5.2 runs two)
+    rla_sessions: int = 1
 
 
 FIGURES: Dict[str, Figure] = {
@@ -64,6 +75,11 @@ FIGURES: Dict[str, Figure] = {
         "different RTTs (generalized RLA)",
         "Figure 10 - different round-trip times (generalized RLA)",
         RTT_CASES, FIG10_RTT, format_case_table),
+    "multisession": Figure(
+        "two overlapping RLA sessions",
+        "Section 5.2 - two overlapping multicast sessions",
+        {3: TREE_CASES[3]}, {3: MULTISESSION}, format_sessions,
+        rla_sessions=2),
 }
 
 
@@ -96,6 +112,7 @@ def run_figure(
             duration=duration,
             warmup=warmup,
             seed=seed,
+            rla_sessions=figure.rla_sessions,
             audited=audited,
         )
         for number in (figure.cases if cases is None else cases)

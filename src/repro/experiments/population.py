@@ -73,7 +73,8 @@ def run_population(
     seconds (``wall_s``) — the number the benchmarks report — while
     runtime fan-out leaves timing to the outcome metrics.
     """
-    from ..fluid.runner import run_fluid, run_fluids
+    from ..fluid.runner import run_fluid
+    from ..lifecycle import run_many
 
     specs = [population_spec(n, gateway=gateway, spread=spread,
                              duration=duration, warmup=warmup, seed=seed)
@@ -88,8 +89,7 @@ def run_population(
             row["sim_stats"]["wall_s"] = time.perf_counter() - start
             rows.append(row)
         return rows
-    return run_fluids(specs, workers=workers, cache=cache,
-                      outcomes=outcomes)
+    return run_many(specs, workers=workers, cache=cache, outcomes=outcomes)
 
 
 def format_population(rows: List[Dict[str, Any]]) -> str:

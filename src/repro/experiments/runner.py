@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..lifecycle import World, advance_world, arming, run_world, runspec
+from ..models.fairness import FairnessVerdict, check_essential_fairness
 from ..net.addressing import flow_id
 from ..rla.config import RLAConfig
 from ..rla.session import RLASession
@@ -106,6 +107,14 @@ class TreeExperimentResult:
     def btcp(self) -> dict:
         """The best competing TCP connection (paper's BTCP row)."""
         return max(self.tcp.values(), key=lambda r: r["throughput_pps"])
+
+    def verdict(self) -> Optional[FairnessVerdict]:
+        """Theorem I/II verdict of the first RLA session against the WTCP
+        row, with ``n`` its troubled receivers (None on a zero WTCP)."""
+        rla = self.rla[0]
+        return check_essential_fairness(
+            rla["throughput_pps"], self.wtcp["throughput_pps"],
+            max(rla["num_trouble"], 1), self.spec.gateway)
 
     def tcp_cuts_by_tier(self, tier: str) -> List[int]:
         """Window-cut counts of the TCP flows in one congestion tier.

@@ -26,7 +26,7 @@ from typing import Any, Dict, Iterable, List
 
 from ..errors import ConfigurationError
 from ..lifecycle import World, arming, run_many, run_world
-from ..models.fairness import check_essential_fairness
+from ..models.fairness import fairness_columns
 from ..rla.config import RLAConfig
 from ..rla.session import RLASession
 from ..sim.engine import Simulator
@@ -136,9 +136,6 @@ def finalize_symmetric_world(world: SymmetricWorld) -> Dict[str, float]:
     rla = world.session.report()
     wtcp = min(flow.report()["throughput_pps"] for flow in world.flows)
     n = max(rla["num_trouble"], 1)
-    verdict = check_essential_fairness(
-        max(rla["throughput_pps"], 1e-9), max(wtcp, 1e-9), n, spec.gateway
-    )
     sim_stats = world.stats()
     world.audit(sim_stats)
     return {
@@ -148,10 +145,7 @@ def finalize_symmetric_world(world: SymmetricWorld) -> Dict[str, float]:
         "rla_pps": rla["throughput_pps"],
         "rla_cwnd": rla["mean_cwnd"],
         "wtcp_pps": wtcp,
-        "ratio": verdict.ratio,
-        "fair": verdict.fair,
-        "lower": verdict.lower,
-        "upper": verdict.upper,
+        **fairness_columns(rla["throughput_pps"], wtcp, n, spec.gateway),
         "num_trouble": n,
         "window_cuts": rla["window_cuts"],
         "signals": rla["congestion_signals"],
@@ -242,14 +236,18 @@ def sweep_share(
 
 
 def format_sweep(rows: List[Dict[str, float]], knob: str) -> str:
-    """Compact text table of a sweep's outcome."""
+    """Compact text table of a sweep's outcome; a row without a verdict
+    (a zero WTCP) reads ``n/a`` in its ratio and fair cells."""
     lines = [f"{knob:>12s}  {'RLA pkt/s':>10s}  {'WTCP':>8s}  {'ratio':>6s}  "
              f"{'bounds':>16s}  fair"]
     for row in rows:
         bounds = f"({row['lower']:.2f}, {row['upper']:.2f})"
+        fair = row["fair"]
+        ratio = "n/a" if fair is None else f"{row['ratio']:.2f}"
+        verdict = "n/a" if fair is None else ("yes" if fair else "NO")
         lines.append(
             f"{row[knob]:>12.0f}  {row['rla_pps']:>10.1f}  "
-            f"{row['wtcp_pps']:>8.1f}  {row['ratio']:>6.2f}  "
-            f"{bounds:>16s}  {'yes' if row['fair'] else 'NO'}"
+            f"{row['wtcp_pps']:>8.1f}  {ratio:>6s}  "
+            f"{bounds:>16s}  {verdict}"
         )
     return "\n".join(lines)

@@ -3,7 +3,8 @@
 :func:`format_case_table` renders the figure 7/9/10 layout — cases as
 columns; RLA / WTCP / BTCP blocks as rows — with the paper's reference
 numbers interleaved when provided.  :func:`format_signals_table` renders
-the figure 8 layout (per-branch congestion-signal statistics).
+the figure 8 layout (per-branch congestion-signal statistics), and
+:func:`format_sessions` the §5.2 per-session lines.
 """
 
 from __future__ import annotations
@@ -102,6 +103,24 @@ def format_case_table(
     note = "measured [paper]" if paper else "measured"
     prefix = f"{title}\n" if title else ""
     return f"{prefix}{grid}\n({note})"
+
+
+def format_sessions(
+    results: Dict[int, TreeExperimentResult],
+    paper: Dict[int, dict],
+    title: str = "",
+) -> str:
+    """Render §5.2: per metric, every session's value and the paper's.
+
+    Two self-labelled lines per case, so ``title`` is not printed.
+    """
+    lines = []
+    for case in sorted(results):
+        for metric in ("throughput_pps", "mean_cwnd"):
+            measured = tuple(round(r[metric], 1) for r in results[case].rla)
+            lines.append(f"{metric}: measured {measured}, "
+                         f"paper {paper[case][metric]}")
+    return "\n".join(lines)
 
 
 def _tier_stats(values: Sequence[int]):

@@ -25,7 +25,7 @@ from .crossval import (
 )
 from .integrate import FluidResult, integrate, rk4_step
 from .model import MIN_WINDOW, FluidModel
-from .runner import format_fluid, run_fluid, run_fluids
+from .runner import format_fluid, run_fluid
 from .spec import (
     DROPTAIL_RAMP,
     FLUID_DISCIPLINES,
@@ -67,7 +67,6 @@ __all__ = [
     "rk4_step",
     "run_crossval",
     "run_fluid",
-    "run_fluids",
     "run_symmetric_fluid_spec",
     "scaled_bottleneck",
     "solve_equilibrium",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ..models.fairness import check_essential_fairness
+from ..models.fairness import fairness_columns
 from ..scenarios.topologies import RttCohortTopology
 from ..units import bps_to_pps, mbps, ms
 from .runner import run_fluid
@@ -144,10 +144,6 @@ def run_symmetric_fluid_spec(point: Any) -> Dict[str, Any]:
         seed=point.seed,
         gateway=point.gateway,
     ))
-    verdict = check_essential_fairness(
-        max(row["rla_pps"], 1e-9), max(row["wtcp_pps"], 1e-9),
-        point.n_receivers, point.gateway,
-    )
     return {
         "n_receivers": point.n_receivers,
         "share_pps": point.share_pps,
@@ -156,10 +152,8 @@ def run_symmetric_fluid_spec(point: Any) -> Dict[str, Any]:
         "rla_pps": row["rla_pps"],
         "rla_cwnd": row["rla_window"],
         "wtcp_pps": row["wtcp_pps"],
-        "ratio": verdict.ratio,
-        "fair": verdict.fair,
-        "lower": verdict.lower,
-        "upper": verdict.upper,
+        **fairness_columns(row["rla_pps"], row["wtcp_pps"],
+                           point.n_receivers, point.gateway),
         "num_trouble": point.n_receivers,
         "sim_stats": row["sim_stats"],
     }

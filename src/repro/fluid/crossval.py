@@ -24,12 +24,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
 from ..lifecycle import run_many
-from ..models.fairness import (
-    DROPTAIL,
-    RED,
-    check_essential_fairness,
-    jain_index,
-)
+from ..models.fairness import check_essential_fairness, jain_index
 from ..net.monitor import QueueMonitor
 from ..rla.config import RLAConfig
 from ..rla.session import RLASession
@@ -277,12 +272,10 @@ def run_packet_case(case: CrossvalCase) -> Dict[str, Any]:
 
 def _bound_ok(case: CrossvalCase, rla_pps: float,
               wtcp: float) -> Optional[bool]:
-    """Theorem I/II verdict with ``n = receivers``, or None on zeros."""
-    if not rla_pps > 0 or not wtcp > 0:
-        return None
-    gateway = DROPTAIL if case.gateway == "droptail" else RED
-    return check_essential_fairness(rla_pps, wtcp, case.receivers,
-                                    gateway).fair
+    """Theorem I/II verdict with ``n = receivers``, or None on a zero WTCP."""
+    verdict = check_essential_fairness(rla_pps, wtcp, case.receivers,
+                                       case.gateway)
+    return None if verdict is None else verdict.fair
 
 
 def _fluid_comparable(case: CrossvalCase) -> Dict[str, Any]:

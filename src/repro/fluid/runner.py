@@ -21,10 +21,8 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List
 
-from ..lifecycle import run_many
 from ..models.fairness import (
-    DROPTAIL,
-    RED,
+    bound_columns,
     check_essential_fairness,
     jain_index_weighted,
 )
@@ -32,28 +30,6 @@ from .integrate import FluidResult, integrate
 from .model import FluidModel
 from .spec import FluidSpec
 from .stability import reynier_check
-
-
-def _bound_gateway(spec: FluidSpec) -> str:
-    """Which theorem's constants apply: drop-tail iff every queue is."""
-    disciplines = {bn.discipline for bn in spec.bottlenecks}
-    return DROPTAIL if disciplines == {"droptail"} else RED
-
-
-def _fairness_block(spec: FluidSpec, rla_pps: float,
-                    wtcp: float) -> Dict[str, Any]:
-    """Essential-fairness verdict for the population, or nulls."""
-    if (not spec.rla_cohorts or not spec.tcp_cohorts
-            or not rla_pps > 0 or not wtcp > 0):
-        return {"bound_ok": None}
-    n = max(1, spec.n_receivers)
-    verdict = check_essential_fairness(rla_pps, wtcp, n,
-                                       _bound_gateway(spec))
-    return {
-        "bound_ok": verdict.fair,
-        "bound_lower": verdict.lower,
-        "bound_upper": verdict.upper,
-    }
 
 
 def _population_jain(spec: FluidSpec, result: FluidResult,
@@ -99,11 +75,13 @@ def run_fluid(spec: FluidSpec) -> Dict[str, Any]:
         "backend": "fluid",
     }
 
+    disciplines = {bn.discipline for bn in spec.bottlenecks}
+    # a population counts as drop-tail (Theorem II) only if every queue is
+    gateway = "droptail" if disciplines == {"droptail"} else "red"
     row: Dict[str, Any] = {
         "scenario": spec.name,
         "backend": "fluid",
-        "gateway": "+".join(sorted({bn.discipline
-                                    for bn in spec.bottlenecks})),
+        "gateway": "+".join(sorted(disciplines)),
         "seed": spec.seed,
         "n_flows": spec.n_tcp_flows,
         "n_receivers": spec.n_receivers,
@@ -120,7 +98,10 @@ def run_fluid(spec: FluidSpec) -> Dict[str, Any]:
         "mean_loss": list(means["loss"]),
         "sim_stats": sim_stats,
     }
-    row.update(_fairness_block(spec, rla_pps, wtcp))
+    # without an RLA cohort rla_pps is a placeholder, not a rate to judge
+    row.update(bound_columns(check_essential_fairness(
+        rla_pps, wtcp, max(1, spec.n_receivers), gateway)
+        if spec.rla_cohorts else None))
 
     if len(spec.bottlenecks) == 1:
         eq = reynier_check(spec, model)
@@ -131,18 +112,6 @@ def run_fluid(spec: FluidSpec) -> Dict[str, Any]:
             "stability_margin": eq.stability_margin,
         }
     return row
-
-
-def run_fluids(specs: List[FluidSpec],
-               **runtime: Any) -> List[Dict[str, Any]]:
-    """Run fluid specs serially or through the parallel runtime.
-
-    ``runtime`` is :func:`repro.lifecycle.run_many`'s option set:
-    workers and the content-addressed cache behave exactly as for the
-    packet runners; fluid rows are byte-identical either way because
-    the integration is a pure function of the spec.
-    """
-    return run_many(specs, **runtime)
 
 
 def format_fluid(rows: List[Dict[str, Any]]) -> str:

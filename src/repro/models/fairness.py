@@ -10,21 +10,29 @@ Implements the paper's three key concepts on the restricted topology:
   Theorem II giving ``(a, b) = (1/4, 2 n)`` for drop-tail gateways with
   phase effects eliminated.
 
-These functions power the E9 bound checks run inside the figure-7/9
-benchmarks, and are usable on measurements of *any* multicast scheme — the
-paper offers essential fairness as a yardstick for comparing algorithms.
+:func:`check_essential_fairness` is the one place throughputs become a
+Theorem I/II verdict: the tree figures, the sweeps (packet and fluid),
+the scenario cohorts, the fluid rows and the fluid-vs-packet crossval
+all call it, so every backend is judged by the same rule.  It is usable
+on measurements of *any* multicast scheme — the paper offers essential
+fairness as a yardstick for comparing algorithms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
 RED = "red"
 DROPTAIL = "droptail"
+
+#: Gateway disciplines judged by Theorem I.  Every AQM shares RED's
+#: uniform-loss-probability property the theorem needs; only drop-tail
+#: (Theorem II) lacks it.
+THEOREM_I = ("red", "red-byte", "red-adaptive", "codel", "pie")
 
 
 def soft_bottleneck(mu: Sequence[float], m: Sequence[int]) -> int:
@@ -108,10 +116,14 @@ def jain_index_weighted(
 
 
 def essential_fairness_bounds(n: int, gateway: str) -> Tuple[float, float]:
-    """Theorem I/II factors ``(a, b)`` for ``n`` troubled receivers."""
+    """Theorem I/II factors ``(a, b)`` for ``n`` troubled receivers.
+
+    Drop-tail gets Theorem II; every discipline in :data:`THEOREM_I`
+    gets Theorem I.
+    """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1: {n}")
-    if gateway == RED:
+    if gateway in THEOREM_I:
         return 1.0 / 3.0, math.sqrt(3.0 * n)
     if gateway == DROPTAIL:
         return 0.25, 2.0 * n
@@ -154,15 +166,18 @@ def check_essential_fairness(
     lambda_tcp: float,
     n: int,
     gateway: str,
-) -> FairnessVerdict:
+) -> Optional[FairnessVerdict]:
     """Check the Theorem I/II inequality on measured throughputs.
 
     ``lambda_tcp`` must be the competing TCP throughput on the *soft
-    bottleneck* branch (the paper's WTCP row).
+    bottleneck* branch (the paper's WTCP row).  Returns ``None`` — no
+    verdict — when ``lambda_tcp`` is not positive (a ratio over zero is
+    undefined) or either rate is NaN.  A starved RLA (``lambda_rla ==
+    0``) is judged: ratio 0, below every lower bound, so not fair.
     """
-    if lambda_rla <= 0 or lambda_tcp <= 0:
-        raise ConfigurationError("throughputs must be positive")
     lower, upper = essential_fairness_bounds(n, gateway)
+    if not (lambda_tcp > 0 and lambda_rla >= 0):
+        return None
     ratio = lambda_rla / lambda_tcp
     return FairnessVerdict(
         ratio=ratio,
@@ -172,6 +187,29 @@ def check_essential_fairness(
         gateway=gateway,
         n=n,
     )
+
+
+def bound_columns(verdict: Optional[FairnessVerdict]) -> Dict[str, Any]:
+    """A fluid or cohort row's ``bound_ok`` column, plus ``bound_lower``
+    and ``bound_upper`` when there is a verdict."""
+    if verdict is None:
+        return {"bound_ok": None}
+    return {"bound_ok": verdict.fair, "bound_lower": verdict.lower,
+            "bound_upper": verdict.upper}
+
+
+def fairness_columns(lambda_rla: float, lambda_tcp: float, n: int,
+                     gateway: str) -> Dict[str, Any]:
+    """A sweep row's ``ratio``/``fair``/``lower``/``upper``: the verdict of
+    :func:`check_essential_fairness`, or ``ratio`` NaN and ``fair`` None
+    when it gives none (the bounds are reported either way)."""
+    verdict = check_essential_fairness(lambda_rla, lambda_tcp, n, gateway)
+    if verdict is None:
+        lower, upper = essential_fairness_bounds(n, gateway)
+        return {"ratio": math.nan, "fair": None, "lower": lower,
+                "upper": upper}
+    return {"ratio": verdict.ratio, "fair": verdict.fair,
+            "lower": verdict.lower, "upper": verdict.upper}
 
 
 def is_absolutely_fair(

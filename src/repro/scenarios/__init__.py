@@ -37,7 +37,6 @@ from .runner import (
     MEMBERS_STREAM,
     format_scenarios,
     run_scenario,
-    run_scenarios,
 )
 from .spec import ScenarioSpec
 from .topologies import (
@@ -95,6 +94,5 @@ __all__ = [
     "place_traffic",
     "run_grid",
     "run_scenario",
-    "run_scenarios",
     "scenario_names",
 ]

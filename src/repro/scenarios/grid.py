@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
+from ..lifecycle import run_many
 from ..net.network import GATEWAY_DISCIPLINES
-from .runner import run_scenarios
 from .spec import ScenarioSpec
 from .topologies import RttCohortTopology
 from .traffic import BackgroundTraffic, PacketSizeMix
@@ -242,18 +242,14 @@ def run_grid(
 ) -> Tuple[List[Any], List[Dict[str, Any]]]:
     """Run the slice and return ``(specs, rows)`` in matching order.
 
-    Delegates to :func:`repro.scenarios.run_scenarios` (packet) or
-    :func:`repro.fluid.run_fluids` (fluid) with the same ``runtime``
-    options, so workers and the content-addressed cache behave exactly
-    as for ``scenarios run``.
+    The scenario (packet) or fluid specs go to
+    :func:`repro.lifecycle.run_many` with the given ``runtime`` options,
+    so workers and the content-addressed cache behave exactly as for
+    ``scenarios run``.
     """
-    if grid.validate().backend == "fluid":
-        from ..fluid.runner import run_fluids
-
-        fluid_specs = fluid_grid_specs(grid)
-        return fluid_specs, run_fluids(fluid_specs, **runtime)
-    specs = grid_specs(grid)
-    return specs, run_scenarios(specs, **runtime)
+    specs = (fluid_grid_specs(grid) if grid.backend == "fluid"
+             else grid_specs(grid))
+    return specs, run_many(specs, **runtime)
 
 
 def _cohort_cell(row: Dict[str, Any], cohort: str) -> str:

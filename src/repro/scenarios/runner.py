@@ -24,11 +24,10 @@ from ..lifecycle import (
     World,
     advance_world,
     arming,
-    run_many,
     run_world,
     snapshot_world,
 )
-from ..models.fairness import DROPTAIL, RED, check_essential_fairness, jain_index
+from ..models.fairness import bound_columns, check_essential_fairness, jain_index
 from ..rla.config import RLAConfig
 from ..rla.session import RLASession
 from ..sim.engine import Simulator
@@ -212,17 +211,12 @@ def _cohort_fairness(
     Each cohort is scored as the RLA session vs the long-lived TCP flows
     whose receivers sit in that cohort: the Jain index over those
     allocations, plus the Theorem I/II bound check of ``rla / wtcp``
-    against the cohort's slowest flow (drop-tail uses the Theorem II
-    constants; every AQM is scored with the RED constants — they all
-    share RED's uniform-loss-probability property the theorem needs).
-    ``bound_ok`` is ``None`` when a throughput is zero or the cohort has
-    no TCP flow to compare against.
+    against the cohort's slowest flow.  ``bound_ok`` is ``None`` when that
+    flow's rate is zero or the cohort has no TCP flow to compare against.
     """
     cohorts = getattr(world.topo, "cohorts", {})
     if not cohorts:
         return {}
-    spec = world.spec
-    bound_gateway = DROPTAIL if spec.gateway == "droptail" else RED
     n = max(1, world.session.sender.n_receivers)
     by_label: Dict[str, List[float]] = {}
     for (flow_id, dst), rate in zip(world.placed.tcp_placements, tcp_rates):
@@ -233,19 +227,14 @@ def _cohort_fairness(
     for label in sorted(set(cohorts.values())):
         rates = by_label.get(label, [])
         wtcp = min(rates) if rates else float("nan")
-        entry: Dict[str, Any] = {
+        result[label] = {
             "n_flows": len(rates),
             "wtcp_pps": wtcp,
             "jain": jain_index([rla_pps] + rates) if rates else 1.0,
             "ratio": (rla_pps / wtcp if rates and wtcp > 0 else float("nan")),
-            "bound_ok": None,
+            **bound_columns(check_essential_fairness(
+                rla_pps, wtcp, n, world.spec.gateway)),
         }
-        if rates and wtcp > 0 and rla_pps > 0:
-            verdict = check_essential_fairness(rla_pps, wtcp, n, bound_gateway)
-            entry["bound_ok"] = verdict.fair
-            entry["bound_lower"] = verdict.lower
-            entry["bound_upper"] = verdict.upper
-        result[label] = entry
     return result
 
 
@@ -281,18 +270,6 @@ def checkpoint_scenario(spec: ScenarioSpec, at: float,
 
         save(snapshot, path)
     return snapshot
-
-
-def run_scenarios(specs: List[ScenarioSpec],
-                  **runtime: Any) -> List[Dict[str, Any]]:
-    """Run scenarios serially, or fan out through :mod:`repro.runtime`.
-
-    ``runtime`` is :func:`repro.lifecycle.run_many`'s option set
-    (``workers``, ``cache``, ``outcomes``, ``checkpoint_at``,
-    ``checkpoint_dir``); whichever side of it runs, the rows are
-    byte-identical — scenarios draw only from their own seeded streams.
-    """
-    return run_many(specs, **runtime)
 
 
 def format_scenarios(rows: List[Dict[str, Any]]) -> str:

@@ -9,11 +9,20 @@ from repro.experiments.figures import FIGURES
 def test_tree_subcommands_are_the_figures_table():
     tree = [name for name, (_, _, run) in _SUBCOMMANDS.items()
             if run is _run_tree_figure]
-    assert tree == list(FIGURES) == ["fig7", "fig8", "fig9", "fig10"]
+    assert tree == list(FIGURES) == ["fig7", "fig8", "fig9", "fig10",
+                                     "multisession"]
     parser = build_parser()
     defaults = {name: parser.parse_args([name]).cases for name in tree}
     assert defaults == {"fig7": [1, 2, 3, 4, 5], "fig8": [1, 2, 3, 4, 5],
-                        "fig9": [1, 2, 3, 4, 5], "fig10": [1, 2]}
+                        "fig9": [1, 2, 3, 4, 5], "fig10": [1, 2],
+                        "multisession": [3]}
+
+
+def test_multisession_rejects_a_case_it_does_not_have(capsys):
+    assert main(["multisession", "--cases", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown case 1; expected one of [3]\n"
 
 
 def test_parser_subcommands():

@@ -7,7 +7,7 @@ from repro.experiments.fig5_density import (
     run_packet_density,
     run_particle_density,
 )
-from repro.experiments.multisession import run_multisession, summarize
+from repro.experiments.figures import figure_table, run_figure
 from repro.experiments.paperdata import (
     FIG7_DROPTAIL,
     FIG8_SIGNALS,
@@ -57,8 +57,26 @@ def test_fig5_packet_density_smoke():
 
 
 def test_multisession_smoke():
-    result = run_multisession(duration=10.0, warmup=5.0, seed=2)
-    assert len(result.rla) == 2
-    summary = summarize(result)
-    assert summary["throughput_pps"][1] == MULTISESSION["throughput_pps"]
-    assert len(summary["throughput_pps"][0]) == 2
+    results = run_figure("multisession", duration=10.0, warmup=5.0, seed=2)
+    assert list(results) == [3]
+    assert len(results[3].rla) == 2
+    lines = figure_table("multisession", results).splitlines()
+    assert [line.split(":")[0] for line in lines] == ["throughput_pps",
+                                                      "mean_cwnd"]
+    rates = tuple(round(r["throughput_pps"], 1) for r in results[3].rla)
+    assert lines[0] == (f"throughput_pps: measured {rates}, "
+                        f"paper {MULTISESSION['throughput_pps']}")
+
+
+def test_tree_verdict_is_theorem_ii_against_wtcp():
+    """``verdict()`` is the hand computation: session 0 over the slowest
+    TCP, n = max(num_trouble, 1), drop-tail (Theorem II) on figure 7."""
+    result = run_figure("fig7", duration=4.0, warmup=2.0, cases=(3,))[3]
+    rla = result.rla[0]
+    wtcp = min(r["throughput_pps"] for r in result.tcp.values())
+    n = max(rla["num_trouble"], 1)
+    verdict = result.verdict()
+    assert verdict.ratio == rla["throughput_pps"] / wtcp
+    assert (verdict.lower, verdict.upper) == (0.25, 2.0 * n)
+    assert (verdict.n, verdict.gateway) == (n, "droptail")
+    assert verdict.fair == (0.25 < verdict.ratio < 2.0 * n)

@@ -1,5 +1,7 @@
 """Parameter-sweep harness (short smoke runs)."""
 
+import math
+
 import pytest
 
 from repro.experiments.sweeps import (
@@ -8,6 +10,7 @@ from repro.experiments.sweeps import (
     sweep_receiver_count,
     sweep_share,
 )
+from repro.models.fairness import fairness_columns
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +56,26 @@ def test_format_sweep(tiny_sweep):
     text = format_sweep(tiny_sweep, "n_receivers")
     assert "ratio" in text
     assert len(text.splitlines()) == 3
+
+
+def test_zero_wtcp_row_reads_n_a():
+    """A point whose slowest TCP never got going has no verdict: the row
+    keeps its bounds, and the table prints n/a, never nan/inf/NO."""
+    row = {"n_receivers": 128, "rla_pps": 77.0, "wtcp_pps": 0.0,
+           **fairness_columns(77.0, 0.0, 128, "droptail")}
+    assert row["fair"] is None and math.isnan(row["ratio"])
+    assert (row["lower"], row["upper"]) == (0.25, 256.0)
+    line = format_sweep([row], "n_receivers").splitlines()[1]
+    assert line.split() == ["128", "77.0", "0.0", "n/a", "(0.25,", "256.00)",
+                            "n/a"]
+
+
+def test_starved_rla_row_reads_no():
+    """A starved RLA against a live TCP is what the lower bound catches:
+    ratio 0, fair False, and the table prints NO."""
+    row = {"n_receivers": 4, "rla_pps": 0.0, "wtcp_pps": 90.0,
+           **fairness_columns(0.0, 90.0, 4, "droptail")}
+    assert row["fair"] is False and row["ratio"] == 0.0
+    line = format_sweep([row], "n_receivers").splitlines()[1]
+    assert line.split() == ["4", "0.0", "90.0", "0.00", "(0.25,", "8.00)",
+                            "NO"]

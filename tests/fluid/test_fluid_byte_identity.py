@@ -16,8 +16,9 @@ import pickle
 import subprocess
 import sys
 
-from repro.fluid import run_fluid, run_fluids
+from repro.fluid import run_fluid
 from repro.fluid.crossval import CROSSVAL_CASES, fluid_twin
+from repro.lifecycle import run_many
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
@@ -39,7 +40,7 @@ def _spec():
 def test_serial_and_parallel_runs_byte_identical():
     spec = _spec()
     serial = pickle.dumps(run_fluid(spec))
-    parallel = run_fluids([spec], workers=2)
+    parallel = run_many([spec], workers=2)
     assert pickle.dumps(parallel[0]) == serial
 
 
@@ -48,8 +49,8 @@ def test_cache_replay_byte_identical(tmp_path):
 
     spec = _spec()
     serial = pickle.dumps(run_fluid(spec))
-    first = run_fluids([spec], cache=ResultCache(str(tmp_path)))
-    replay = run_fluids([spec], cache=ResultCache(str(tmp_path)))
+    first = run_many([spec], cache=ResultCache(str(tmp_path)))
+    replay = run_many([spec], cache=ResultCache(str(tmp_path)))
     assert pickle.dumps(first[0]) == serial
     assert pickle.dumps(replay[0]) == serial
 

@@ -28,6 +28,7 @@ from repro.fluid import (
     TcpCohortSpec,
     integrate,
     reynier_check,
+    run_fluid,
     solve_equilibrium,
 )
 from repro.models.rla_drift import rla_window_groups
@@ -184,3 +185,12 @@ def test_step_coarser_than_half_the_smallest_rtt_is_rejected():
     for dt in (0.051, 0.5):
         with pytest.raises(ConfigurationError, match="half the smallest"):
             integrate(spec.replace(dt=dt))
+
+
+def test_tcp_only_population_has_no_rla_verdict():
+    """Without an RLA cohort the row's ``rla_pps`` 0 is a placeholder,
+    not a starved session: no Theorem I/II verdict."""
+    row = run_fluid(_fixed_spec(0.02, flows=3).replace(duration=4.0,
+                                                      warmup=2.0))
+    assert row["rla_pps"] == 0.0 and row["wtcp_pps"] > 0
+    assert row["bound_ok"] is None and "bound_lower" not in row

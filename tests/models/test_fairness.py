@@ -74,8 +74,42 @@ def test_check_essential_fairness_outside():
 
 
 def test_check_rejects_nonpositive():
-    with pytest.raises(ConfigurationError):
-        fm.check_essential_fairness(0, 100, 27, fm.RED)
+    """A zero WTCP or a NaN rate has no ratio to bound: no verdict, not a
+    raise.  A starved RLA has ratio 0 and fails the lower bound."""
+    assert fm.check_essential_fairness(100, 0.0, 27, fm.DROPTAIL) is None
+    assert fm.check_essential_fairness(0, 0, 27, fm.RED) is None
+    assert fm.check_essential_fairness(math.nan, 100, 27, fm.RED) is None
+    assert fm.check_essential_fairness(100, math.nan, 27, fm.RED) is None
+    starved = fm.check_essential_fairness(0, 100, 27, fm.RED)
+    assert (starved.ratio, starved.fair) == (0.0, False)
+    with pytest.raises(ConfigurationError):  # an unknown gateway still raises
+        fm.check_essential_fairness(0, 100, 27, "fifo")
+
+
+def test_fairness_columns_take_bounds_from_the_verdict():
+    assert fm.fairness_columns(120, 100, 3, fm.RED) == {
+        "ratio": 1.2, "fair": True, "lower": 1 / 3, "upper": 3.0}
+    columns = fm.fairness_columns(120, 0.0, 3, fm.DROPTAIL)
+    assert math.isnan(columns.pop("ratio"))
+    assert columns == {"fair": None, "lower": 0.25, "upper": 6.0}
+
+
+def test_theorem_map_covers_every_gateway_discipline():
+    """Drop-tail is Theorem II; every other discipline the packet stack
+    builds is judged by Theorem I."""
+    from repro.net.network import GATEWAY_DISCIPLINES
+
+    assert {fm.DROPTAIL, *fm.THEOREM_I} == set(GATEWAY_DISCIPLINES)
+    for gateway in fm.THEOREM_I:
+        assert fm.essential_fairness_bounds(27, gateway) == \
+            fm.essential_fairness_bounds(27, fm.RED)
+
+
+def test_bound_columns():
+    assert fm.bound_columns(None) == {"bound_ok": None}
+    verdict = fm.check_essential_fairness(120, 100, 3, fm.RED)
+    assert fm.bound_columns(verdict) == {
+        "bound_ok": True, "bound_lower": 1 / 3, "bound_upper": 3.0}
 
 
 def test_absolute_fairness_special_case():

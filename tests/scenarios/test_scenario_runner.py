@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.lifecycle import run_spec
+from repro.lifecycle import run_many, run_spec
 from repro.runtime import ResultCache
 from repro.runtime.spec import code_version
 from repro.scenarios import (
@@ -15,7 +15,6 @@ from repro.scenarios import (
     format_scenarios,
     get_scenario,
     run_scenario,
-    run_scenarios,
     scenario_names,
 )
 
@@ -62,18 +61,18 @@ def test_seed_changes_row():
 
 def test_workers_and_cache_reproduce_serial_rows(tmp_path):
     specs = [_short("waxman-churn"), _short("waxman-steady")]
-    serial = run_scenarios(specs)
+    serial = run_many(specs)
 
     cache = ResultCache(str(tmp_path / "cache"))
     first: list = []
-    parallel = run_scenarios(specs, workers=2, cache=cache, outcomes=first)
+    parallel = run_many(specs, workers=2, cache=cache, outcomes=first)
     assert parallel == serial
     assert all(not outcome.cached for outcome in first)
 
     # replay from cache with a different worker count: identical rows,
     # identical content digests, zero new simulation
     second: list = []
-    replay = run_scenarios(specs, workers=1, cache=cache, outcomes=second)
+    replay = run_many(specs, workers=1, cache=cache, outcomes=second)
     assert replay == serial
     assert all(outcome.cached for outcome in second)
     code = code_version()
