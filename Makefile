@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test paper-checks bench bench-selftest bench-pair audit-smoke hop-smoke checkpoint-smoke fluid-smoke import-smoke examples-smoke figures quickstart clean
+.PHONY: install test paper-checks bench bench-selftest bench-pair audit-smoke hop-smoke checkpoint-smoke fluid-smoke import-smoke startup-smoke examples-smoke figures quickstart clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -160,6 +160,35 @@ import-smoke:
 	assert not {'networkx', 'numpy'} & set(sys.modules), 'heavy import at start-up'; \
 	print('import smoke OK: runs without the test extra')"
 	rm -rf $(IMPORT_SMOKE_VENV)
+
+# Start-up smoke, no network needed: the import budget (fresh interpreters
+# asserting what `import repro.cli`, each subcommand and a cache replay may
+# load), then what the two commonest start-ups cost on this machine — the
+# modules each loads (repro's among them) and the summed `-X importtime`
+# of its top-level imports: `import repro.cli`, and a `fig7 --cases 1
+# --cache` replay of the run just before it (which must simulate nothing).
+STARTUP_CACHE := .startup-smoke-cache
+startup-smoke:
+	PYTHONPATH=src $(PYTHON) -m pytest tests/test_import_budget.py
+	rm -rf $(STARTUP_CACHE)
+	PYTHONPATH=src $(PYTHON) -m repro.cli fig7 --cases 1 --duration 2 \
+		--warmup 1 --cache $(STARTUP_CACHE) > /dev/null
+	PYTHONPATH=src $(PYTHON) -c "import subprocess, sys; \
+	runs = [('import repro.cli', ['-c', 'import repro.cli']), \
+	        ('fig7 --cases 1 --cache (warm)', ['-m', 'repro.cli', 'fig7', \
+	         '--cases', '1', '--duration', '2', '--warmup', '1', \
+	         '--cache', '$(STARTUP_CACHE)', '--metrics'])]; \
+	done = [(name, subprocess.run([sys.executable, '-X', 'importtime', *argv], \
+	         check=True, capture_output=True, text=True)) for name, argv in runs]; \
+	assert 'simulated work: 0.00 s' in done[1][1].stdout, done[1][1].stdout; \
+	rows = [(name, [line.split('|') for line in run.stderr.splitlines() \
+	         if line.startswith('import time:') and 'self [us]' not in line]) \
+	        for name, run in done]; \
+	print('\n'.join('%-30s %3d modules, %2d of them repro; importtime %6.1f ms' % ( \
+	    name, len(r), sum(f[2].strip().startswith('repro') for f in r), \
+	    sum(int(f[1]) for f in r if not f[2].startswith('  ')) / 1e3) \
+	    for name, r in rows))"
+	rm -rf $(STARTUP_CACHE)
 
 # Reproduce every paper figure from the CLI at a moderate scale.
 figures:

@@ -18,11 +18,9 @@ from __future__ import annotations
 import sys
 
 from repro import RLAConfig, RLASession, Simulator, TcpConfig, TcpFlow
-from repro.models import (
-    pa_window,
-    rla_window_independent,
-    window_ratio_bounds,
-)
+from repro.models import window_ratio_bounds
+from repro.models.rla_drift import rla_window_independent
+from repro.models.tcp_formula import pa_window
 from repro.topology.restricted import RestrictedSpec, build_restricted
 from repro.units import pps_to_bps, transmission_time
 

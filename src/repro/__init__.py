@@ -65,50 +65,37 @@ from .errors import (
     SimulationError,
     TopologyError,
 )
-from .net import (
-    DropTailQueue,
-    Network,
-    Node,
-    Packet,
-    QueueMonitor,
-    REDQueue,
-    droptail_factory,
-    red_factory,
-)
-from .rla import (
-    RLAConfig,
-    RLAReceiver,
-    RLASender,
-    RLASession,
-)
-from .sim import Simulator
-from .tcp import TcpConfig, TcpFlow, TcpReceiver, TcpSender
 
 __version__ = "1.0.0"
 
+#: The quick-start names, by the subpackage that defines them.  They load
+#: on first use (PEP 562), so ``import repro.cli`` and a cache replay pay
+#: for no simulator module.
+_LAZY = {
+    "net": ("DropTailQueue", "Network", "Node", "Packet", "QueueMonitor",
+            "REDQueue", "droptail_factory", "red_factory"),
+    "rla": ("RLAConfig", "RLAReceiver", "RLASender", "RLASession"),
+    "sim": ("Simulator",),
+    "tcp": ("TcpConfig", "TcpFlow", "TcpReceiver", "TcpSender"),
+}
+
+
+def __getattr__(name: str):
+    for package, names in _LAZY.items():
+        if name in names:
+            from importlib import import_module
+
+            return getattr(import_module(f".{package}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __all__ = [
     "ConfigurationError",
-    "DropTailQueue",
-    "Network",
-    "Node",
-    "Packet",
-    "QueueMonitor",
-    "REDQueue",
-    "RLAConfig",
-    "RLAReceiver",
-    "RLASender",
-    "RLASession",
     "ReproError",
     "RoutingError",
     "SchedulingError",
     "SimulationError",
-    "Simulator",
-    "TcpConfig",
-    "TcpFlow",
-    "TcpReceiver",
-    "TcpSender",
     "TopologyError",
-    "droptail_factory",
-    "red_factory",
     "__version__",
+    *(name for names in _LAZY.values() for name in names),
 ]

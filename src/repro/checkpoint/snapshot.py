@@ -29,10 +29,14 @@ churn-catalog scenario.
 Files are written atomically (temp + rename) like
 :mod:`repro.runtime.cache` entries, with a small versioned header pickled
 ahead of the world payload so incompatible files fail fast and cleanly.
+The header carries the payload's sha256, checked before anything is
+unpickled from it: a truncated or bit-flipped file is refused in one
+line, never restored into a world that fails later.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import io
 import os
@@ -56,7 +60,8 @@ from ..sim.engine import Simulator
 #: handle-free ones (v4 pickles a ready lane of bare ``Event`` objects).
 #: v6: a ``Simulator`` holds no record store of its own (v5 pickles, inside
 #: every engine, an instance of a class whose module no longer exists).
-FORMAT_VERSION = 6
+#: v7: the header holds the payload's sha256 (v6 has none to check).
+FORMAT_VERSION = 7
 
 #: File magic identifying a repro checkpoint file.
 MAGIC = "repro-ckpt"
@@ -97,6 +102,7 @@ class Snapshot:
             "resume": self.resume,
             "sim_time": self.sim_time,
             "uid_next": self.uid_next,
+            "sha256": hashlib.sha256(self.payload).hexdigest(),
         }
 
 
@@ -201,22 +207,25 @@ def save(snapshot: Snapshot, path: Union[str, Path]) -> Path:
 
 def load(path: Union[str, Path],
          allow_code_mismatch: bool = False) -> Snapshot:
-    """Read a snapshot file, validating magic, version, and code hash.
+    """Read a snapshot file, validating magic, version, digest and code hash.
 
     A snapshot captured under different simulator code may deserialize
     into silently different behavior, so a :func:`code_version` mismatch
-    is an error unless explicitly allowed.
+    is an error unless explicitly allowed.  A payload that does not match
+    the header's sha256 (a truncated or corrupted file) always is.
     """
     from ..runtime.spec import code_version
 
     path = Path(path)
     try:
-        with open(path, "rb") as handle:
-            header = pickle.load(handle)
-            payload = handle.read()
-    except (OSError, pickle.UnpicklingError, EOFError) as exc:
+        # unpickled from memory: a damaged frame length then reads short
+        # instead of asking the file for gigabytes
+        stream = io.BytesIO(path.read_bytes())
+        header = pickle.load(stream)
+        payload = stream.read()
+    except Exception as exc:  # any byte of a header may be damaged
         raise CheckpointError(
-            f"unreadable checkpoint file {path}: {exc}"
+            f"unreadable checkpoint file {path}: {type(exc).__name__}: {exc}"
         ) from exc
     if not isinstance(header, dict) or header.get("magic") != MAGIC:
         raise CheckpointError(f"{path} is not a repro checkpoint file")
@@ -225,22 +234,31 @@ def load(path: Union[str, Path],
             f"{path} has snapshot format v{header.get('version')}; "
             f"this build reads v{FORMAT_VERSION}"
         )
-    if header["code"] != code_version() and not allow_code_mismatch:
+    if header.get("sha256") != hashlib.sha256(payload).hexdigest():
+        raise CheckpointError(
+            f"{path} is truncated or corrupt: its payload does not match "
+            f"the sha256 in its header"
+        )
+    try:
+        snapshot = Snapshot(
+            version=header["version"],
+            code=header["code"],
+            label=header["label"],
+            resume=header["resume"],
+            sim_time=header["sim_time"],
+            uid_next=header["uid_next"],
+            payload=payload,
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"{path} has a corrupt header: no {exc} field")
+    if snapshot.code != code_version() and not allow_code_mismatch:
         raise CheckpointError(
             f"{path} was captured under different simulator code "
-            f"({header['code']} vs {code_version()}); restoring would not "
+            f"({snapshot.code} vs {code_version()}); restoring would not "
             f"reproduce the original run (pass allow_code_mismatch=True "
             f"to override)"
         )
-    return Snapshot(
-        version=header["version"],
-        code=header["code"],
-        label=header["label"],
-        resume=header["resume"],
-        sim_time=header["sim_time"],
-        uid_next=header["uid_next"],
-        payload=payload,
-    )
+    return snapshot
 
 
 # ----------------------------------------------------------------------

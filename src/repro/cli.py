@@ -36,13 +36,7 @@ from functools import partial
 from typing import IO, Any, ContextManager, Iterable, List, Optional
 
 from .errors import ConfigurationError, ReproError
-from .experiments import (
-    FIGURES,
-    figure_table,
-    render_field,
-    run_figure,
-    run_particle_density,
-)
+from .experiments.figures import FIGURES, figure_table, run_figure
 
 # benchmarks/rlabench/tracing.py times table rendering by swapping each of
 # these three; _run_tree_figure looks them up per call so it sees the swap
@@ -247,10 +241,14 @@ def _add_fork_args(p: argparse.ArgumentParser) -> None:
 
 
 def _run_fig4(args: argparse.Namespace) -> None:
+    from .experiments.fig4_drift import render_field
+
     print(render_field())
 
 
 def _run_fig5(args: argparse.Namespace) -> None:
+    from .experiments.fig5_density import run_particle_density
+
     trace = run_particle_density(steps=args.steps, seed=args.seed)
     print(f"mean cwnds: ({trace.mean_w1:.1f}, {trace.mean_w2:.1f}); "
           f"fair point {trace.model.operating_point()}; "

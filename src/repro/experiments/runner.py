@@ -10,17 +10,10 @@ parameterizes it per figure; benchmarks call that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
 from ..lifecycle import World, advance_world, arming, run_world, runspec
-from ..models.fairness import FairnessVerdict, check_essential_fairness
-from ..net.addressing import flow_id
-from ..rla.config import RLAConfig
-from ..rla.session import RLASession
-from ..sim.engine import Simulator
-from ..tcp.config import TcpConfig
-from ..tcp.flow import TcpFlow
 from ..topology.cases import (
     TreeCase,
     case_bandwidths,
@@ -29,6 +22,12 @@ from ..topology.cases import (
 )
 from ..topology.tree import build_tertiary_tree, static_tree_info
 from ..units import DEFAULT_PACKET_SIZE, check_horizon, transmission_time
+
+if TYPE_CHECKING:
+    from ..models.fairness import FairnessVerdict
+    from ..rla.session import RLASession
+    from ..sim.engine import Simulator
+    from ..tcp.flow import TcpFlow
 
 
 @dataclass
@@ -111,6 +110,8 @@ class TreeExperimentResult:
     def verdict(self) -> Optional[FairnessVerdict]:
         """Theorem I/II verdict of the first RLA session against the WTCP
         row, with ``n`` its troubled receivers (None on a zero WTCP)."""
+        from ..models.fairness import check_essential_fairness
+
         rla = self.rla[0]
         return check_essential_fairness(
             rla["throughput_pps"], self.wtcp["throughput_pps"],
@@ -169,6 +170,13 @@ def build_tree_world(spec: TreeExperimentSpec) -> TreeWorld:
     hook: callers must eventually call :meth:`TreeWorld.disarm`
     (:func:`repro.lifecycle.run_world` does, in every outcome).
     """
+    from ..net.addressing import flow_id
+    from ..rla.config import RLAConfig
+    from ..rla.session import RLASession
+    from ..sim.engine import Simulator
+    from ..tcp.config import TcpConfig
+    from ..tcp.flow import TcpFlow
+
     spec.validate()
     case = spec.case
     info = static_tree_info()

@@ -22,18 +22,17 @@ caching) and return rows byte-identical to the serial path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List
 
 from ..errors import ConfigurationError
 from ..lifecycle import World, arming, run_many, run_world
-from ..models.fairness import fairness_columns
-from ..rla.config import RLAConfig
-from ..rla.session import RLASession
-from ..sim.engine import Simulator
-from ..tcp.config import TcpConfig
-from ..tcp.flow import TcpFlow
 from ..topology.restricted import RestrictedSpec, build_restricted
 from ..units import check_horizon, pps_to_bps, transmission_time
+
+if TYPE_CHECKING:
+    from ..rla.session import RLASession
+    from ..sim.engine import Simulator
+    from ..tcp.flow import TcpFlow
 
 
 @dataclass
@@ -101,6 +100,12 @@ class SymmetricWorld(World):
 
 def build_symmetric_world(spec: SymmetricSpec) -> SymmetricWorld:
     """The restricted topology with one TCP per branch and the RLA session."""
+    from ..rla.config import RLAConfig
+    from ..rla.session import RLASession
+    from ..sim.engine import Simulator
+    from ..tcp.config import TcpConfig
+    from ..tcp.flow import TcpFlow
+
     spec.validate()
     mu = 2 * spec.share_pps  # 1 TCP + the multicast session per branch
     topology = RestrictedSpec(
@@ -132,6 +137,8 @@ def build_symmetric_world(spec: SymmetricSpec) -> SymmetricWorld:
 
 def finalize_symmetric_world(world: SymmetricWorld) -> Dict[str, float]:
     """The sweep row of a fully advanced symmetric world."""
+    from ..models.fairness import fairness_columns
+
     spec = world.spec
     rla = world.session.report()
     wtcp = min(flow.report()["throughput_pps"] for flow in world.flows)

@@ -9,10 +9,10 @@ the figure 8 layout (per-branch congestion-signal statistics), and
 
 from __future__ import annotations
 
-from statistics import mean
-from typing import Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .runner import TreeExperimentResult
+if TYPE_CHECKING:
+    from .runner import TreeExperimentResult
 
 
 def _fmt(value, digits: int = 1) -> str:
@@ -126,6 +126,8 @@ def format_sessions(
 def _tier_stats(values: Sequence[int]):
     if not values:
         return None, None, None
+    from statistics import mean
+
     return max(values), min(values), mean(values)
 
 

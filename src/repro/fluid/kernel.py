@@ -190,7 +190,7 @@ def _field_lines(model: "FluidModel") -> List[str]:
         # listened to) and H = prod_b [(1-p_b) + p_b (1-1/(2N))^{n_b}]:
         # common loss within a group, independent across bottlenecks —
         # O(bottlenecks) products, the algebra of
-        # repro.models.rla_window_groups.
+        # repro.models.rla_drift.rla_window_groups.
         w, dw = f"s{model.idx_rla}", f"d{model.idx_rla}"
         big_n = spec.n_receivers
         emit("# RLA window: dW/dt = [G - W^2 (1-H)] / R_rla")

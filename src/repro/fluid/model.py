@@ -24,12 +24,12 @@ derivation):
 
 * TCP:  ``dW/dt = [(1-p) - p W²/2] / R`` — equilibrium
   ``W* = sqrt(2(1-p)/p)``, equation 1 via
-  :func:`repro.models.pa_window`;
+  :func:`repro.models.tcp_formula.pa_window`;
 * RLA:  ``dW/dt = [G - W² (1-H)] / R_rla`` with
   ``G = prod_j (1 - p_j/N)^{n_j}`` and
   ``H = prod_j (1 - p_j/(2N))^{n_j}`` — equilibrium
   ``W* = sqrt(G / (1-H))``, the §4.2 drift balance via
-  :func:`repro.models.rla_window_cohorts`; ``R_rla`` is the *worst*
+  :func:`repro.models.rla_drift.rla_window_cohorts`; ``R_rla`` is the *worst*
   (largest) receiver RTT, the worst-receiver coupling of equation 5;
 * queue: ``dq/dt = A (1-p) - C`` clamped to ``[0, buffer]``;
 * RED average: ``d(avg)/dt = w_q A (q - avg)`` — the fluid limit of the

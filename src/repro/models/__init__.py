@@ -1,4 +1,9 @@
-"""Analytical models from §4 of the paper (DESIGN.md S11-S12)."""
+"""Analytical models from §4 of the paper (DESIGN.md S11-S12).
+
+The essential-fairness judge is re-exported here because every backend's
+report uses it; the closed forms live in :mod:`.tcp_formula` and
+:mod:`.rla_drift`, the two-session particle model in :mod:`.particle`.
+"""
 
 from .fairness import (
     DROPTAIL,
@@ -14,62 +19,18 @@ from .fairness import (
     soft_bottleneck_share,
     window_ratio_bounds,
 )
-from .particle import ParticleModel, ParticleTrace, binomial_pmf
-from .rla_drift import (
-    eta_condition,
-    lemma_correlation_gap,
-    proposition_bounds,
-    rla_window_cohorts,
-    rla_window_common,
-    rla_window_grouped,
-    rla_window_groups,
-    rla_window_independent,
-    rla_window_two_receivers,
-    simulate_grouped_chain,
-    simulate_window_chain,
-)
-from .tcp_formula import (
-    MODERATE_CONGESTION_LIMIT,
-    congestion_probability_for_window,
-    drift,
-    mahdavi_floyd_bandwidth,
-    pa_window,
-    pa_window_simplified,
-    tcp_throughput,
-)
 
 __all__ = [
     "DROPTAIL",
     "RED",
-    "MODERATE_CONGESTION_LIMIT",
     "FairnessVerdict",
-    "ParticleModel",
-    "ParticleTrace",
-    "binomial_pmf",
     "check_essential_fairness",
-    "congestion_probability_for_window",
-    "drift",
     "essential_fairness_bounds",
-    "eta_condition",
     "is_absolutely_fair",
     "jain_index",
     "jain_index_weighted",
-    "lemma_correlation_gap",
-    "mahdavi_floyd_bandwidth",
-    "pa_window",
-    "pa_window_simplified",
-    "proposition_bounds",
-    "rla_window_cohorts",
-    "rla_window_common",
-    "rla_window_grouped",
-    "rla_window_groups",
-    "rla_window_independent",
-    "rla_window_two_receivers",
     "rtt_ratio_bounds",
-    "simulate_grouped_chain",
-    "simulate_window_chain",
     "soft_bottleneck",
     "soft_bottleneck_share",
-    "tcp_throughput",
     "window_ratio_bounds",
 ]

@@ -6,9 +6,11 @@ already on disk.  Keys mix in :func:`~repro.runtime.spec.code_version`,
 so editing any module under ``repro`` invalidates everything — the cache
 can never serve a result produced by different simulator code.
 
-Entries are single pickle files written atomically (temp file + rename),
-so a crashed writer never leaves a truncated entry that a later reader
-would trust; unreadable entries are treated as misses and removed.  A
+Entries are single files written atomically (temp file + rename): the
+sha256 digest of the pickled entry, then the pickle.  A reader checks the
+digest before it unpickles anything, so a flipped bit or a truncated file
+is a miss (and is removed), never a traceback or a silently different
+row.  A
 writer killed *between* open and rename does leave its anonymous ``*.tmp``
 file behind, though — nothing ever trusted it, but nothing ever reclaimed
 it either, so crashes slowly filled the cache directory with orphans.
@@ -23,9 +25,9 @@ finished results they short-circuit.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +45,9 @@ _DEFAULT_DIR = ".repro-cache"
 #: Any live writer finishes its temp file in well under an hour; anything
 #: older is debris from a writer that died between open and rename.
 TMP_SWEEP_AGE = 3600.0
+
+#: Bytes of the sha256 digest an entry file starts with.
+_DIGEST_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -117,19 +122,23 @@ class ResultCache:
     def get(self, spec: RunSpec) -> Optional[CacheEntry]:
         """The cached entry for ``spec``, or ``None`` on a miss.
 
-        A key collision with a different canonical form (or a corrupt
-        pickle) counts as a miss and evicts the bad entry.
+        An entry whose bytes do not match their digest (a flipped bit, a
+        truncation), that does not unpickle, or whose canonical form
+        differs (a key collision) counts as a miss and is evicted.
         """
         entry_path = self._entry_path(spec)
         try:
-            with open(entry_path, "rb") as handle:
-                entry = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            if entry_path.exists():
-                entry_path.unlink(missing_ok=True)
+            data = entry_path.read_bytes()
+        except OSError:
             self.misses += 1
             return None
+        entry = None
+        payload = data[_DIGEST_BYTES:]
+        if hashlib.sha256(payload).digest() == data[:_DIGEST_BYTES]:
+            try:
+                entry = pickle.loads(payload)
+            except Exception:  # intact bytes naming a class that is gone
+                pass
         if not isinstance(entry, CacheEntry) or entry.canonical != spec.canonical():
             entry_path.unlink(missing_ok=True)
             self.misses += 1
@@ -151,14 +160,18 @@ class ResultCache:
                 f"{exc.strerror}") from exc
 
     def put(self, spec: RunSpec, result: Any, metrics: RunMetrics) -> None:
-        """Store a finished run atomically."""
+        """Store a finished run atomically, its digest ahead of it."""
+        import tempfile
+
         self.ensure_dir()
         entry = CacheEntry(canonical=spec.canonical(), result=result,
                            metrics=metrics)
+        payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
         fd, tmp_name = tempfile.mkstemp(dir=self.path, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(entry, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(hashlib.sha256(payload).digest())
+                handle.write(payload)
             os.replace(tmp_name, self._entry_path(spec))
         except BaseException:
             try:

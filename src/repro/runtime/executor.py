@@ -22,17 +22,17 @@ from __future__ import annotations
 
 import os
 import time
-import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ReproError, SimulationError
 from .cache import ResultCache
 from .metrics import RunMetrics, build_metrics
 from .spec import RunSpec
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 @dataclass
@@ -215,10 +215,21 @@ def run_specs(
                     result, wall = execute_spec(
                         specs[index], checkpoint_at, ckpt_paths[index])
                 except Exception as exc:
+                    import traceback
+
                     record_failure(index, traceback.format_exc(limit=8), exc)
                 else:
                     record_success(index, result, wall)
-    else:
+    elif todo:
+        # the pool machinery loads only when something is to be simulated:
+        # a full cache hit (a replay) never pays for it
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+        from concurrent.futures.process import BrokenProcessPool
+
         pending = todo
         while pending:
             pool = ProcessPoolExecutor(max_workers=min(workers, len(pending)))

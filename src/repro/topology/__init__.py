@@ -1,40 +1,6 @@
-"""Paper topologies: figure 1 (restricted) and figure 6 (tertiary tree)."""
+"""Paper topologies: figure 1 (restricted) and figure 6 (tertiary tree).
 
-from .cases import (
-    RTT_CASES,
-    TREE_CASES,
-    TreeCase,
-    case_bandwidths,
-    case_receivers,
-    congestion_tiers,
-)
-from .dumbbell import DumbbellCohort, DumbbellSpec, build_dumbbell
-from .restricted import RestrictedSpec, build_restricted
-from .tree import (
-    DEFAULT_BANDWIDTH,
-    LEVEL_DELAYS,
-    TreeInfo,
-    build_tertiary_tree,
-    static_tree_info,
-    tree_link_names,
-)
-
-__all__ = [
-    "DEFAULT_BANDWIDTH",
-    "LEVEL_DELAYS",
-    "RTT_CASES",
-    "TREE_CASES",
-    "DumbbellCohort",
-    "DumbbellSpec",
-    "RestrictedSpec",
-    "TreeCase",
-    "TreeInfo",
-    "build_dumbbell",
-    "build_restricted",
-    "build_tertiary_tree",
-    "static_tree_info",
-    "case_bandwidths",
-    "case_receivers",
-    "congestion_tiers",
-    "tree_link_names",
-]
+Import from the modules: :mod:`.cases`, :mod:`.tree`, :mod:`.restricted`
+and :mod:`.dumbbell`.  This package root imports nothing, and each
+``build_*`` imports the network only when it builds one.
+"""

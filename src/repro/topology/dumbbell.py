@@ -13,12 +13,14 @@ and their disagreement measures model error, not workload noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 from ..errors import TopologyError
-from ..net.network import Network, discipline_factory, droptail_factory
-from ..sim.engine import Simulator
 from ..units import DEFAULT_PACKET_SIZE, mbps, ms, pps_to_bps
+
+if TYPE_CHECKING:
+    from ..net.network import Network
+    from ..sim.engine import Simulator
 
 #: Deep source-side and access-side buffers: only the bottleneck drops.
 SOURCE_BUFFER_PKTS = 1000
@@ -101,6 +103,8 @@ def build_dumbbell(
     the ``GL == GR`` bottleneck runs the studied discipline; the source
     and access links are deep drop-tail queues that never drop.
     """
+    from ..net.network import Network, discipline_factory, droptail_factory
+
     spec.validate()
     factory = discipline_factory(spec.gateway, sim,
                                  capacity=spec.buffer_pkts,

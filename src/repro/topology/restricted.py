@@ -11,12 +11,14 @@ reason about exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from ..errors import TopologyError
-from ..net.network import Network, droptail_factory, red_factory
-from ..sim.engine import Simulator
 from ..units import DEFAULT_PACKET_SIZE, mbps, ms, pps_to_bps
+
+if TYPE_CHECKING:
+    from ..net.network import Network
+    from ..sim.engine import Simulator
 
 
 @dataclass
@@ -55,6 +57,8 @@ def build_restricted(
     sim: Simulator, spec: RestrictedSpec
 ) -> Tuple[Network, List[str]]:
     """Build the figure 1 network; returns (network, receiver node ids)."""
+    from ..net.network import Network, droptail_factory, red_factory
+
     spec.validate()
     if spec.gateway == "red":
         factory = red_factory(sim, capacity=spec.buffer_pkts)

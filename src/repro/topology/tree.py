@@ -14,12 +14,14 @@ three levels, 100 ms on level four, 100 Mbps on every non-bottleneck link,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..errors import TopologyError
-from ..net.network import Network, QueueFactory, droptail_factory, red_factory
-from ..sim.engine import Simulator
 from ..units import mbps, ms
+
+if TYPE_CHECKING:
+    from ..net.network import Network
+    from ..sim.engine import Simulator
 
 #: One-way propagation delays per level (seconds), §5.
 LEVEL_DELAYS = (ms(5), ms(5), ms(5), ms(100))
@@ -130,8 +132,10 @@ def build_tertiary_tree(
     ``info`` is :func:`static_tree_info`'s result, for a caller that
     already holds it.
     """
+    from ..net.network import Network, droptail_factory, red_factory
+
     if gateway == "droptail":
-        factory: QueueFactory = droptail_factory(buffer_pkts)
+        factory = droptail_factory(buffer_pkts)
     elif gateway == "red":
         factory = red_factory(sim, capacity=buffer_pkts,
                               min_th=red_min_th, max_th=red_max_th)

@@ -115,17 +115,18 @@ def test_sweep_ignores_real_entries(tmp_path):
 
 
 def test_crash_during_put_leaves_no_trusted_state(tmp_path, monkeypatch):
-    # Simulate the pickling step dying mid-write: put() must propagate,
-    # remove its own temp file, and never publish the entry.
-    import pickle as pickle_module
+    # Simulate the writer dying after its temp file is written but before
+    # it is published: put() must propagate, remove its own temp file, and
+    # never publish the entry.
+    import os
 
     cache = ResultCache(tmp_path, code="c1")
     spec = RunSpec(ECHO, {"x": 1})
 
-    def exploding_dump(*args, **kwargs):
+    def exploding_replace(*args, **kwargs):
         raise RuntimeError("simulated crash mid-write")
 
-    monkeypatch.setattr(pickle_module, "dump", exploding_dump)
+    monkeypatch.setattr(os, "replace", exploding_replace)
     with pytest.raises(RuntimeError):
         cache.put(spec, "half", _metrics())
     monkeypatch.undo()
@@ -150,3 +151,55 @@ def test_clear_removes_snapshots_too(tmp_path):
     cache.snapshot_path(RunSpec(ECHO, {"x": 1}), 5.0).write_bytes(b"ckpt")
     assert cache.clear() == 2
     assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# corrupt entries: a miss, never a traceback or a silently wrong row
+# ----------------------------------------------------------------------
+#: A packet sweep point and its row, the commonest cached result.
+SWEEP_ROW = {"n_receivers": 2, "share_pps": 100.0, "buffer_pkts": 20,
+             "rla_pps": 71.0, "rla_cwnd": 12.43553276183274,
+             "wtcp_pps": 100.0, "ratio": 0.71, "fair": True, "lower": 0.25,
+             "upper": 4.0, "num_trouble": 2, "window_cuts": 3, "signals": 3,
+             "sim_stats": {"events": 8798, "drops": 74,
+                           "peak_queue_depth": 20, "sim_time": 3}}
+
+
+def _flip(seed):
+    """Flip one bit, drawn from ``seed``, within 800 bytes of the file's
+    end: the same byte of the pickled entry whatever precedes it."""
+    import random
+
+    def corrupt(data):
+        rng = random.Random(seed)
+        back, bit = rng.randrange(1, 800), rng.randrange(8)
+        data[len(data) - back] ^= 1 << bit
+        return data
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt", [
+    # an entry that was read without a digest: this flip raised
+    # UnicodeDecodeError out of get(), which the CLI showed as a traceback
+    _flip(8),
+    # ... and this one unpickled cleanly into n_receivers 6 instead of 2,
+    # a different table printed with exit 0
+    _flip(61),
+    lambda data: data[:len(data) // 2],
+], ids=["flip-traceback", "flip-table", "truncation"])
+def test_corrupt_entry_is_a_miss_never_a_traceback_or_a_wrong_row(
+        corrupt, tmp_path):
+    from repro.experiments.sweeps import SymmetricSpec
+    from repro.lifecycle import runspec
+    from repro.runtime.metrics import build_metrics
+
+    spec = runspec(SymmetricSpec(n_receivers=2, share_pps=100.0,
+                                 buffer_pkts=20, duration=2.0, warmup=1.0,
+                                 seed=1, gateway="droptail"))
+    cache = ResultCache(tmp_path, code="c1")
+    cache.put(spec, SWEEP_ROW, build_metrics(spec.describe(), 0.25, SWEEP_ROW))
+    entry_path = cache._entry_path(spec)
+    entry_path.write_bytes(bytes(corrupt(bytearray(entry_path.read_bytes()))))
+    assert cache.get(spec) is None
+    assert not entry_path.exists()
+    assert (cache.hits, cache.misses) == (0, 1)

@@ -27,9 +27,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import repro.experiments.runner
 import repro.net.network
 import repro.scenarios.runner
+import repro.sim.engine
 from repro.experiments.figures import run_figure
 from repro.net.packet import restore_uid_counter, uid_counter_state
 from repro.scenarios import get_scenario, run_scenario
@@ -243,7 +243,8 @@ def _recording(base, stream):
 
 
 def _observe(run, monkeypatch, simulator, link=None):
-    for module in (repro.experiments.runner, repro.scenarios.runner):
+    # the tree runner imports Simulator from its module when it builds
+    for module in (repro.sim.engine, repro.scenarios.runner):
         monkeypatch.setattr(module, "Simulator", simulator)
     if link is not None:
         monkeypatch.setattr(repro.net.network, "Link", link)

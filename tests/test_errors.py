@@ -77,8 +77,9 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
     # pre-routing graphs; pre-diet audit ledgers; per-backend resume
     # entrypoints (a v3 header names one that no longer exists); a ready
     # lane of bare Events and a heap without handle-free entries (v4); a
-    # tracer object pickled inside every Simulator (v5)
-    for version in (1, 2, 3, 4, 5):
+    # tracer object pickled inside every Simulator (v5); no payload
+    # digest to check (v6)
+    for version in (1, 2, 3, 4, 5, 6):
         old = Snapshot(**{**foreign.__dict__, "version": version})
         with pytest.raises(CheckpointError, match=f"format v{version}"):
             load(save(old, tmp_path / "old.ckpt"), allow_code_mismatch=True)
@@ -87,8 +88,38 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
     for flags in ([], ["--allow-code-mismatch"]):
         assert main([command, str(tmp_path / "old.ckpt"), *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "format v5" in err
+        assert err.startswith("error: ") and "format v6" in err
         assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["resume", "fork"])
+def test_corrupt_or_truncated_snapshot_is_one_error_line(
+        command, tmp_path, capsys):
+    """A truncated file used to be blamed on "an incompatible build", and
+    a flipped payload bit restored into a world that died mid-run with a
+    traceback (this one: ``'int' object has no attribute 'startswith'``)."""
+    from repro.cli import main
+    from repro.scenarios import get_scenario
+    from repro.scenarios.runner import checkpoint_scenario
+
+    path = tmp_path / "mid.ckpt"
+    checkpoint_scenario(get_scenario("tree-churn", duration=2.0, warmup=1.0),
+                        at=1.5, path=str(path))
+    good = path.read_bytes()
+    flipped = bytearray(good)
+    flipped[len(good) - 87436] ^= 1 << 5  # a byte of the pickled world
+    for name, data in (("truncated", good[:len(good) // 2]),
+                       ("flipped", bytes(flipped)),
+                       ("header", good[:40])):
+        bad = tmp_path / f"{name}.ckpt"
+        bad.write_bytes(data)
+        assert main([command, str(bad)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1, (name, captured.err)
+        assert captured.err.startswith("error: "), (name, captured.err)
+        assert ("truncated or corrupt" in captured.err
+                or "unreadable checkpoint file" in captured.err), captured.err
+        assert captured.out == "", name
 
 
 @pytest.mark.parametrize("workers", [1, 2])

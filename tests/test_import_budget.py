@@ -6,6 +6,10 @@ and numpy is needed by the fig4/fig5 arrays only (the fluid stability
 margin takes its eigenvalues in-tree), so a packet or fluid command that
 loads either one (or networkx's heavy stdlib tail,
 ``importlib.metadata``/``email``) has regressed start-up for everyone.
+
+The packet simulator and the pool machinery load where a world is built
+and where a pool starts: importing the CLI, and a replay served wholly
+from the cache, load neither.
 """
 
 import json
@@ -18,6 +22,14 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = {"networkx", "numpy", "importlib.metadata", "email"}
+#: What only building a world, or starting a pool, may load.
+SIMULATOR = ("repro.sim", "repro.net", "repro.tcp", "repro.rla",
+             "repro.checkpoint", "concurrent.futures", "multiprocessing")
+
+
+def _under(modules, packages):
+    return {m for m in modules
+            if any(m == p or m.startswith(p + ".") for p in packages)}
 
 _CHILD = """
 import contextlib, io, json, sys
@@ -112,3 +124,45 @@ def test_numpy_users_still_load_it_and_print_the_same_tables():
     assert not HEAVY & modules
     assert ("     1000      1000     15.07    25.30   0.595    "
             "(0.33, 54.77)  yes  0.654     0.754") in scale
+
+
+def test_importing_the_cli_loads_no_simulator():
+    _, modules = _fresh()
+    assert not _under(modules, SIMULATOR)
+
+
+def test_cache_replay_loads_no_simulator_and_no_pool(tmp_path):
+    cache = str(tmp_path)
+    argvs = [("fig7", "--cases", "1", "2", "--workers", "2", "--cache", cache,
+              "--checkpoint-at", "1.5", "--metrics", *SHORT),
+             ("sweep", "--counts", "2", "3", "--workers", "2", "--cache",
+              cache, "--metrics", *SHORT)]
+    cold, _ = _fresh(*argvs)
+    warm, modules = _fresh(*argvs)
+    assert cold.count("simulated work: 0.00 s") == 0
+    assert warm.count("simulated work: 0.00 s") == 2
+    assert not _under(modules, SIMULATOR)
+
+
+def test_quick_start_names_still_resolve():
+    import repro
+
+    from repro import Network, RLASession, Simulator, TcpFlow
+
+    assert (Simulator.__module__, Network.__module__, TcpFlow.__module__,
+            RLASession.__module__) == ("repro.sim.engine", "repro.net.network",
+                                       "repro.tcp.flow", "repro.rla.session")
+    assert all(getattr(repro, name) is not None for name in repro.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'Nonesuch'"):
+        repro.Nonesuch
+
+
+def test_a_pool_run_prints_the_serial_table(tmp_path):
+    """Pool workers import the simulator on their first build, not from the
+    CLI process; their rows must be the serial run's."""
+    argvs = [("fig7", "--cases", "1", "2", *SHORT),
+             ("sweep", "--counts", "2", "3", *SHORT)]
+    serial, _ = _fresh(*argvs)
+    pooled, _ = _fresh(*((*argv, "--workers", "2", "--cache", str(tmp_path))
+                         for argv in argvs))
+    assert pooled == serial
