@@ -19,18 +19,17 @@ from repro.rla.session import RLASession
 from repro.sim.engine import Simulator
 from repro.tcp.config import TcpConfig
 from repro.tcp.flow import TcpFlow
-from repro.topology.restricted import RestrictedSpec, build_restricted
+from repro.topology.restricted import PACKET_SIZE, RestrictedSpec, build_restricted
 from repro.units import pps_to_bps, transmission_time
 
 #: one tight branch (share 50 pkt/s) + five mild ones (share 150 pkt/s)
-SPEC = RestrictedSpec(mu_pps=[100, 300, 300, 300, 300, 300],
-                      m=[1, 1, 1, 1, 1, 1])
+SPEC = RestrictedSpec(mu_pps=[100, 300, 300, 300, 300, 300])
 
 
 def _run(eta: float, duration: float, warmup: float, seed: int = 1):
     sim = Simulator(seed=seed)
     net, receivers = build_restricted(sim, SPEC)
-    jitter = transmission_time(SPEC.packet_size, pps_to_bps(min(SPEC.mu_pps)))
+    jitter = transmission_time(PACKET_SIZE, pps_to_bps(min(SPEC.mu_pps)))
     for index, receiver in enumerate(receivers):
         flow = TcpFlow(sim, net, f"tcp-{index}", "S", receiver,
                        config=TcpConfig(phase_jitter=jitter))

@@ -15,16 +15,16 @@ from repro.rla.session import RLASession
 from repro.sim.engine import Simulator
 from repro.tcp.config import TcpConfig
 from repro.tcp.flow import TcpFlow
-from repro.topology.restricted import RestrictedSpec, build_restricted
+from repro.topology.restricted import PACKET_SIZE, RestrictedSpec, build_restricted
 from repro.units import pps_to_bps, transmission_time
 
-SPEC = RestrictedSpec(mu_pps=[200] * 6, m=[1] * 6)
+SPEC = RestrictedSpec(mu_pps=[200] * 6)
 
 
 def _run(forced: bool, duration: float, warmup: float, seed: int = 2):
     sim = Simulator(seed=seed)
     net, receivers = build_restricted(sim, SPEC)
-    jitter = transmission_time(SPEC.packet_size, pps_to_bps(200))
+    jitter = transmission_time(PACKET_SIZE, pps_to_bps(200))
     for index, receiver in enumerate(receivers):
         TcpFlow(sim, net, f"tcp-{index}", "S", receiver,
                 config=TcpConfig(phase_jitter=jitter)).start(0.1 * index)

@@ -17,16 +17,16 @@ from repro.rla.session import RLASession
 from repro.sim.engine import Simulator
 from repro.tcp.config import TcpConfig
 from repro.tcp.flow import TcpFlow
-from repro.topology.restricted import RestrictedSpec, build_restricted
+from repro.topology.restricted import PACKET_SIZE, RestrictedSpec, build_restricted
 from repro.units import pps_to_bps, transmission_time
 
-SPEC = RestrictedSpec(mu_pps=[200, 200, 200], m=[1, 1, 1])
+SPEC = RestrictedSpec(mu_pps=[200, 200, 200])
 
 
 def _run(jitter_on: bool, duration: float, warmup: float, seed: int = 3):
     sim = Simulator(seed=seed)
     net, receivers = build_restricted(sim, SPEC)
-    jitter = (transmission_time(SPEC.packet_size, pps_to_bps(200))
+    jitter = (transmission_time(PACKET_SIZE, pps_to_bps(200))
               if jitter_on else None)
     flows = []
     for index, receiver in enumerate(receivers):

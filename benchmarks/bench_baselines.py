@@ -27,7 +27,7 @@ from repro.tcp.config import TcpConfig
 from repro.tcp.flow import TcpFlow
 from repro.topology.restricted import RestrictedSpec, build_restricted
 
-SPEC = RestrictedSpec(mu_pps=[200, 200, 200], m=[1, 1, 1], gateway="red")
+SPEC = RestrictedSpec(mu_pps=[200, 200, 200], gateway="red")
 
 
 def _environment(seed: int):

@@ -23,8 +23,7 @@ BRANCHES = [200.0, 200.0, 200.0]   # pkt/s, one TCP each
 
 
 def run(gateway: str) -> dict:
-    spec = RestrictedSpec(mu_pps=BRANCHES, m=[1] * len(BRANCHES),
-                          gateway=gateway)
+    spec = RestrictedSpec(mu_pps=BRANCHES, gateway=gateway)
     sim = Simulator(seed=11)
     net, receivers = build_restricted(sim, spec)
     # §3.1: drop-tail needs the random processing time; RED does not.

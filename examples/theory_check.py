@@ -30,7 +30,7 @@ WARMUP = 20.0
 
 def main() -> None:
     duration = float(sys.argv[1]) if len(sys.argv) > 1 else 150.0
-    spec = RestrictedSpec(mu_pps=[200.0] * N, m=[1] * N)
+    spec = RestrictedSpec(mu_pps=[200.0] * N)
     sim = Simulator(seed=29)
     net, receivers = build_restricted(sim, spec)
     jitter = transmission_time(1000, pps_to_bps(200.0))

@@ -27,7 +27,12 @@ from ..sim.engine import Simulator
 from ..sim.process import PeriodicProcess
 from ..tcp.config import TcpConfig
 from ..tcp.flow import TcpFlow
-from ..topology.restricted import RestrictedSpec, build_restricted
+from ..topology.restricted import (
+    ACCESS_DELAY,
+    PACKET_SIZE,
+    RestrictedSpec,
+    build_restricted,
+)
 from ..units import ms, transmission_time, pps_to_bps
 
 if TYPE_CHECKING:  # numpy loads only when a caller asks for an array
@@ -76,17 +81,16 @@ def run_packet_density(
     (2 RLA + 1 TCP).  With one-way branch delay ``d`` and access delay
     5 ms, RTT ~= 2(d + 5ms); capacity is set to 60 / RTT pkt/s.
     """
-    rtt = 2.0 * (branch_delay + ms(5))
+    rtt = 2.0 * (branch_delay + ACCESS_DELAY)
     mu_pps = 60.0 / rtt
     spec = RestrictedSpec(
         mu_pps=[mu_pps] * n_receivers,
-        m=[1] * n_receivers,
         branch_delay=branch_delay,
         gateway="droptail",
     )
     sim = Simulator(seed=seed)
     net, receivers = build_restricted(sim, spec)
-    jitter = transmission_time(spec.packet_size, pps_to_bps(mu_pps))
+    jitter = transmission_time(PACKET_SIZE, pps_to_bps(mu_pps))
     start_rng = sim.rng.stream("fig5.start")
     for index, receiver in enumerate(receivers):
         flow = TcpFlow(sim, net, f"tcp-{index}", "S", receiver,

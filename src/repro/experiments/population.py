@@ -19,7 +19,7 @@ the locally stable fixed point of the mean-field dynamics.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 #: Default population ladder: packet-comparable up to a thousand, then
 #: the mean-field-only territory the packet backend cannot reach.
@@ -63,33 +63,26 @@ def run_population(
     duration: float = 20.0,
     warmup: float = 5.0,
     seed: int = 1,
-    workers: Optional[int] = None,
-    cache=None,
-    outcomes: Optional[List[Any]] = None,
 ) -> List[Dict[str, Any]]:
-    """Fluid fairness rows across the population ladder.
+    """Fluid fairness rows across the population ladder, run serially.
 
-    Serial runs stamp each row's ``sim_stats`` with its wall-clock
-    seconds (``wall_s``) — the number the benchmarks report — while
-    runtime fan-out leaves timing to the outcome metrics.
+    Each row's ``sim_stats`` carries its wall-clock seconds (``wall_s``),
+    the number the table reports — which is why this is a loop of its
+    own and not :func:`repro.lifecycle.run_many`: a cached result could
+    not carry the host's time.
     """
     from ..fluid.runner import run_fluid
-    from ..lifecycle import run_many
 
     specs = [population_spec(n, gateway=gateway, spread=spread,
                              duration=duration, warmup=warmup, seed=seed)
              for n in counts]
-    # Not lifecycle.run_many: this serial path alone stamps wall_s into
-    # the row — different output, not a copy of that fork.
-    if workers is None and cache is None:
-        rows = []
-        for spec in specs:
-            start = time.perf_counter()
-            row = run_fluid(spec)
-            row["sim_stats"]["wall_s"] = time.perf_counter() - start
-            rows.append(row)
-        return rows
-    return run_many(specs, workers=workers, cache=cache, outcomes=outcomes)
+    rows = []
+    for spec in specs:
+        start = time.perf_counter()
+        row = run_fluid(spec)
+        row["sim_stats"]["wall_s"] = time.perf_counter() - start
+        rows.append(row)
+    return rows
 
 
 def format_population(rows: List[Dict[str, Any]]) -> str:

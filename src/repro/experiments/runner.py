@@ -10,6 +10,7 @@ parameterizes it per figure; benchmarks call that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..errors import ConfigurationError
@@ -72,6 +73,9 @@ class TreeExperimentSpec:
         check_horizon(self.duration, self.warmup)
         if self.rla_sessions < 1:
             raise ConfigurationError("need at least one RLA session")
+        if not 1 <= self.tcp_max_cwnd < inf:
+            raise ConfigurationError(
+                f"tcp_max_cwnd must be finite and >= 1: {self.tcp_max_cwnd}")
         return self
 
     @property

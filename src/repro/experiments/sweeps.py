@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List
 
 from ..errors import ConfigurationError
 from ..lifecycle import World, arming, run_many, run_world
-from ..topology.restricted import RestrictedSpec, build_restricted
+from ..topology.restricted import PACKET_SIZE, RestrictedSpec, build_restricted
 from ..units import check_horizon, pps_to_bps, transmission_time
 
 if TYPE_CHECKING:
@@ -110,14 +110,13 @@ def build_symmetric_world(spec: SymmetricSpec) -> SymmetricWorld:
     mu = 2 * spec.share_pps  # 1 TCP + the multicast session per branch
     topology = RestrictedSpec(
         mu_pps=[mu] * spec.n_receivers,
-        m=[1] * spec.n_receivers,
         gateway=spec.gateway,
         buffer_pkts=spec.buffer_pkts,
     )
     sim = Simulator(seed=spec.seed)
     net, receivers = build_restricted(sim, topology)
     gateways = [link.gateway for link in net.links.values()]
-    jitter = (transmission_time(topology.packet_size, pps_to_bps(mu))
+    jitter = (transmission_time(PACKET_SIZE, pps_to_bps(mu))
               if spec.gateway == "droptail" else None)
     with arming(spec.audited, sim, net) as (auditor, monitor):
         flows: List[TcpFlow] = []

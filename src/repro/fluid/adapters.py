@@ -29,6 +29,7 @@ from typing import Any, Dict
 
 from ..models.fairness import fairness_columns
 from ..scenarios.topologies import RttCohortTopology
+from ..topology.restricted import ACCESS_DELAY, BRANCH_DELAY
 from ..units import bps_to_pps, mbps, ms
 from .runner import run_fluid
 from .spec import BottleneckSpec, FluidSpec, RlaCohortSpec, TcpCohortSpec
@@ -78,12 +79,6 @@ def scaled_bottleneck(
 # ----------------------------------------------------------------------
 # symmetric restricted topology (figure 1) — the sweeps backend
 # ----------------------------------------------------------------------
-#: Branch and access one-way delays of the packet-side restricted
-#: topology (``repro.topology.restricted.RestrictedSpec`` defaults).
-SYMMETRIC_BRANCH_DELAY = ms(50)
-SYMMETRIC_ACCESS_DELAY = ms(5)
-
-
 def symmetric_fluid_spec(
     n_receivers: int,
     share_pps: float,
@@ -102,7 +97,7 @@ def symmetric_fluid_spec(
     packet defaults (``min_th=5, max_th=15``), not the 25/75% scaling,
     so this builder pins those explicitly.
     """
-    rtt = 2.0 * (SYMMETRIC_ACCESS_DELAY + SYMMETRIC_BRANCH_DELAY)
+    rtt = 2.0 * (ACCESS_DELAY + BRANCH_DELAY)
     bottlenecks = tuple(
         BottleneckSpec(
             capacity_pps=2.0 * share_pps,

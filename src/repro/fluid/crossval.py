@@ -31,7 +31,12 @@ from ..rla.session import RLASession
 from ..sim.engine import Simulator
 from ..tcp.config import TcpConfig
 from ..tcp.flow import TcpFlow
-from ..topology.dumbbell import DumbbellCohort, DumbbellSpec, build_dumbbell
+from ..topology.dumbbell import (
+    PACKET_SIZE,
+    DumbbellCohort,
+    DumbbellSpec,
+    build_dumbbell,
+)
 from ..units import pps_to_bps, transmission_time
 from .adapters import scaled_bottleneck
 from .runner import run_fluid
@@ -215,7 +220,7 @@ def run_packet_case(case: CrossvalCase) -> Dict[str, Any]:
     spec = dumbbell_spec(case)
     sim = Simulator(seed=case.seed)
     net, cohort_hosts = build_dumbbell(sim, spec)
-    jitter = (transmission_time(spec.packet_size,
+    jitter = (transmission_time(PACKET_SIZE,
                                 pps_to_bps(spec.capacity_pps))
               if case.gateway == "droptail" else None)
     flows: List[List[TcpFlow]] = []

@@ -1,14 +1,18 @@
 """Configuration of the Random Listening Algorithm sender.
 
-Defaults implement §3.3 of the paper with the recommended constants:
-``eta = 20`` for the troubled-receiver threshold, losses grouped within
-``2 * srtt_i``, forced-cut after ``2 * awnd * srtt_i`` without a cut, and
-``rexmit_thresh = 0`` (all retransmissions multicast) as in the §5 runs.
+The fields are what a caller turns: ``eta`` (the η ablation), the
+forced-cut and §5.3 switches, §3.1's phase jitter, ECN and the receiver
+ACK jitter.  The §3.3 constants — losses grouped within ``2 * srtt_i``,
+a forced cut after ``2 * awnd * srtt_i`` without one, ``rexmit_thresh =
+0`` (all retransmissions multicast) as in the §5 runs — are class
+attributes, not fields: ``config.rcv_buffer`` reads as before, and a test
+that needs another value patches the class for its duration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 from ..errors import ConfigurationError
@@ -26,35 +30,18 @@ class RLAConfig:
         mean congestion-signal interval is below ``eta`` times the smallest
         mean interval among all receivers (§3.3 rule 6; §4.2 requires
         ``1/eta`` above ~0.03 for the upper bound — 20 is recommended).
-    interval_gain:
-        Gain of the exponentially-weighted moving average of congestion
-        signal intervals.
-    awnd_gain:
-        Gain of the moving average of the window size (``awnd``), updated
-        once per fully-acknowledged packet.
-    congestion_group_rtts:
-        Losses within this many smoothed RTTs of the congestion-period
-        start are folded into one congestion signal (the paper uses 2).
-    forced_cut_awnd_rtts:
-        Force a cut if the last cut is older than this factor times
-        ``awnd * srtt_i`` (the paper uses 2, footnote 7).
-    rexmit_thresh:
-        Retransmissions requested by more than this many receivers are
-        multicast; otherwise unicast (§3.3; the §5 runs use 0).
-    rtx_wait_rtts:
-        How long (in units of the largest receiver srtt) the sender waits
-        to hear from all receivers before deciding how to retransmit.
-    rcv_buffer:
-        Receiver buffer in packets; the send window never runs more than
-        this far past ``min_last_ack`` (§3.3 rule 5).
+    forced_cut_enabled:
+        Ablation switch (A2): turn off the forced-cut protection.
     rtt_scaled_pthresh:
         Enables the generalized RLA of §5.3:
         ``pthresh = (srtt_i / srtt_max)^2 / num_trouble_rcvr``.
-    forced_cut_enabled:
-        Ablation switch (A2): turn off the forced-cut protection.
     phase_jitter:
         Uniform per-packet processing delay in ``[0, phase_jitter]`` for
         drop-tail phase-effect elimination (§3.1); ``None`` disables.
+    ecn:
+        ECN extension: send ECN-capable data and treat echoed marks as
+        congestion signals (grouped and randomized exactly like losses).
+        Needs gateways with ``mark_ecn=True``; beyond the 1998 paper.
     ack_jitter:
         Uniform random delay in ``[0, ack_jitter]`` before each receiver
         ACK.  On a symmetric tree every multicast delivery is simultaneous
@@ -66,51 +53,56 @@ class RLAConfig:
         time) desynchronizes the implosion.
     """
 
-    packet_size: int = DEFAULT_PACKET_SIZE
-    ack_size: int = ACK_SIZE
-    initial_cwnd: float = 1.0
-    initial_ssthresh: float = 64.0
-    max_cwnd: float = 1e9
-    dupack_threshold: int = 3
     eta: float = 20.0
-    interval_gain: float = 0.125
-    awnd_gain: float = 0.05
-    congestion_group_rtts: float = 2.0
-    forced_cut_awnd_rtts: float = 2.0
-    rexmit_thresh: int = 0
-    rtx_wait_rtts: float = 1.0
-    rcv_buffer: int = 256
-    rtt_scaled_pthresh: bool = False
     forced_cut_enabled: bool = True
+    rtt_scaled_pthresh: bool = False
     phase_jitter: Optional[float] = None
-    ack_jitter: float = 0.002
-    #: ECN extension: send ECN-capable data and treat echoed marks as
-    #: congestion signals (grouped and randomized exactly like losses).
-    #: Needs gateways with ``mark_ecn=True``; beyond the 1998 paper.
     ecn: bool = False
-    min_rto: float = 1.0
-    max_rto: float = 64.0
+    ack_jitter: float = 0.002
+
+    # §3.3 constants (class attributes, not fields)
+    #: Data and ACK sizes in bytes (§5: 1000-byte packets).
+    packet_size = DEFAULT_PACKET_SIZE
+    ack_size = ACK_SIZE
+    #: Starting window and slow-start threshold, packets (TCP's, §3.3).
+    initial_cwnd = 1.0
+    initial_ssthresh = 64.0
+    #: Window clamp, packets: effectively none.
+    max_cwnd = 1e9
+    #: §3.3 rule 1: packet P is lost once a packet >= P + 3 is SACKed.
+    dupack_threshold = 3
+    #: Gain of the moving average of congestion-signal intervals (rule 6).
+    interval_gain = 0.125
+    #: Gain of the moving average of the window (``awnd``), updated once
+    #: per fully-acknowledged packet (footnote 7).
+    awnd_gain = 0.05
+    #: §3.3 rule 2: losses within this many srtts of the congestion-period
+    #: start are one congestion signal.
+    congestion_group_rtts = 2.0
+    #: §3.3 rule 3b / footnote 7: force a cut if the last one is older than
+    #: this factor times ``awnd * srtt_i``.
+    forced_cut_awnd_rtts = 2.0
+    #: Footnote 8: retransmissions requested by more than this many
+    #: receivers are multicast, otherwise unicast (the §5 runs use 0).
+    rexmit_thresh = 0
+    #: Footnote 8: how long, in largest-receiver srtts, the sender waits to
+    #: hear from every receiver before deciding how to retransmit.
+    rtx_wait_rtts = 1.0
+    #: §3.3 rule 5: the send window never runs more than this many packets
+    #: past ``min_last_ack``.
+    rcv_buffer = 256
+    #: Bounds on each receiver's retransmission timer, seconds.
+    min_rto = 1.0
+    max_rto = 64.0
 
     def validate(self) -> "RLAConfig":
         """Raise :class:`ConfigurationError` on out-of-range parameters."""
-        if self.packet_size <= 0:
-            raise ConfigurationError(f"packet_size must be positive: {self.packet_size}")
-        if self.eta < 1:
-            raise ConfigurationError(f"eta must be >= 1: {self.eta}")
-        if not 0 < self.interval_gain <= 1:
-            raise ConfigurationError(f"interval_gain out of (0, 1]: {self.interval_gain}")
-        if not 0 < self.awnd_gain <= 1:
-            raise ConfigurationError(f"awnd_gain out of (0, 1]: {self.awnd_gain}")
-        if self.congestion_group_rtts <= 0:
+        if not 1 <= self.eta < inf:
+            raise ConfigurationError(f"eta must be finite and >= 1: {self.eta}")
+        if self.phase_jitter is not None and not 0 <= self.phase_jitter < inf:
             raise ConfigurationError(
-                f"congestion_group_rtts must be positive: {self.congestion_group_rtts}"
-            )
-        if self.rexmit_thresh < 0:
-            raise ConfigurationError(f"negative rexmit_thresh: {self.rexmit_thresh}")
-        if self.rcv_buffer < 1:
-            raise ConfigurationError(f"rcv_buffer must be >= 1: {self.rcv_buffer}")
-        if self.phase_jitter is not None and self.phase_jitter < 0:
-            raise ConfigurationError(f"negative phase_jitter: {self.phase_jitter}")
-        if self.ack_jitter < 0:
-            raise ConfigurationError(f"negative ack_jitter: {self.ack_jitter}")
+                f"phase_jitter must be finite and >= 0: {self.phase_jitter}")
+        if not 0 <= self.ack_jitter < inf:
+            raise ConfigurationError(
+                f"ack_jitter must be finite and >= 0: {self.ack_jitter}")
         return self

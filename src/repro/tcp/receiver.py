@@ -1,12 +1,8 @@
 """The TCP SACK receiver.
 
 Receivers in the paper's model are "infinitely fast": every data packet is
-consumed immediately.  By default every data packet is acknowledged
-immediately (one ACK per packet, NS2 SACK style).  With
-``config.delayed_ack`` the receiver follows RFC 1122: in-order segments
-are acknowledged every second packet or after a 200 ms timer, while
-out-of-order segments still trigger immediate (duplicate) ACKs so fast
-retransmit keeps working.
+consumed immediately, and every data packet is acknowledged immediately
+(one ACK per packet, NS2 SACK style).
 
 Each ACK carries the cumulative point, up to three SACK blocks, the ECN
 echo, and the data packet's send timestamp so the sender can measure RTT
@@ -20,7 +16,6 @@ from typing import Optional
 from ..net.node import Node
 from ..net.packet import ACK, DATA, Packet
 from ..sim.engine import Simulator
-from ..sim.process import Timer
 from .config import TcpConfig
 from .sack import ReceiverSackTracker
 
@@ -42,11 +37,6 @@ class TcpReceiver:
         self.tracker = ReceiverSackTracker()
         self.acks_sent = 0
         self.duplicates = 0
-        # delayed-ACK state
-        self._unacked_in_order = 0
-        self._pending: Optional[Packet] = None   # latest data awaiting ack
-        self._delack_timer = Timer(sim, self._delack_fire,
-                                   name=f"{flow}.delack")
 
     @property
     def distinct_received(self) -> int:
@@ -57,34 +47,9 @@ class TcpReceiver:
         """Node-bound handler; receivers only care about data."""
         if packet.kind != DATA:
             return
-        is_new = self.tracker.receive(packet.seq)
-        if not is_new:
+        if not self.tracker.receive(packet.seq):
             self.duplicates += 1
-        if not self.config.delayed_ack:
-            self._send_ack(packet)
-            return
-        in_order = is_new and not self.tracker.blocks()
-        if not in_order or packet.ce:
-            # duplicate / filled-a-hole / out-of-order / ECN mark: ack now
-            self._flush(packet)
-            return
-        self._pending = packet
-        self._unacked_in_order += 1
-        if self._unacked_in_order >= 2:
-            self._flush(packet)
-        elif not self._delack_timer.pending:
-            self._delack_timer.start(self.config.delack_timeout)
-
-    # ------------------------------------------------------------------
-    def _flush(self, data: Packet) -> None:
-        self._delack_timer.stop()
-        self._unacked_in_order = 0
-        self._pending = None
-        self._send_ack(data)
-
-    def _delack_fire(self) -> None:
-        if self._pending is not None:
-            self._flush(self._pending)
+        self._send_ack(packet)
 
     def _send_ack(self, data: Packet) -> None:
         ack = Packet(

@@ -25,6 +25,13 @@ if TYPE_CHECKING:
 #: Deep source-side and access-side buffers: only the bottleneck drops.
 SOURCE_BUFFER_PKTS = 1000
 ACCESS_BUFFER_PKTS = 200
+#: One-way delays of the source link S-GL and of the bottleneck GL-GR.
+SOURCE_DELAY = ms(1)
+BOTTLENECK_DELAY = ms(1)
+#: Host access links: far above any bottleneck the cases build.
+ACCESS_MBPS = 100.0
+#: Bytes per data packet: the bottleneck capacity is given in these.
+PACKET_SIZE = DEFAULT_PACKET_SIZE
 
 
 @dataclass(frozen=True)
@@ -60,10 +67,6 @@ class DumbbellSpec:
     cohorts: Tuple[DumbbellCohort, ...]
     buffer_pkts: int = 25
     gateway: str = "droptail"
-    source_delay: float = ms(1)
-    bottleneck_delay: float = ms(1)
-    access_mbps: float = 100.0
-    packet_size: int = DEFAULT_PACKET_SIZE
 
     def validate(self) -> "DumbbellSpec":
         """Check the spec tree; returns self for chaining."""
@@ -89,8 +92,7 @@ class DumbbellSpec:
         transmission time (the serialization a fluid model cannot see as
         queueing).  Queueing delay is on top of this."""
         cohort = self.cohorts[cohort_index]
-        prop = 2.0 * (self.source_delay + self.bottleneck_delay
-                      + cohort.access_delay)
+        prop = 2.0 * (SOURCE_DELAY + BOTTLENECK_DELAY + cohort.access_delay)
         return prop + 1.0 / self.capacity_pps
 
 
@@ -108,20 +110,19 @@ def build_dumbbell(
     spec.validate()
     factory = discipline_factory(spec.gateway, sim,
                                  capacity=spec.buffer_pkts,
-                                 mean_packet_size=spec.packet_size)
+                                 mean_packet_size=PACKET_SIZE)
     net = Network(sim, default_queue=droptail_factory(ACCESS_BUFFER_PKTS),
-                  mean_packet_size=spec.packet_size)
-    net.add_link("S", "GL", mbps(100), spec.source_delay,
+                  mean_packet_size=PACKET_SIZE)
+    net.add_link("S", "GL", mbps(100), SOURCE_DELAY,
                  queue_factory=droptail_factory(SOURCE_BUFFER_PKTS))
-    net.add_link("GL", "GR",
-                 pps_to_bps(spec.capacity_pps, spec.packet_size),
-                 spec.bottleneck_delay, queue_factory=factory)
+    net.add_link("GL", "GR", pps_to_bps(spec.capacity_pps, PACKET_SIZE),
+                 BOTTLENECK_DELAY, queue_factory=factory)
     cohort_hosts: List[List[str]] = []
     for c, cohort in enumerate(spec.cohorts):
         hosts = []
         for i in range(cohort.hosts):
             host = f"H{c}_{i}"
-            net.add_link("GR", host, mbps(spec.access_mbps),
+            net.add_link("GR", host, mbps(ACCESS_MBPS),
                          cohort.access_delay)
             hosts.append(host)
         cohort_hosts.append(hosts)

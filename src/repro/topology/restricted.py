@@ -2,10 +2,10 @@
 
 One sender ``S``, a shared gateway ``G``, and ``N`` receivers, each behind
 its own virtual-link bottleneck of capacity ``mu_i`` shared with ``m_i``
-background TCP connections.  This is the topology on which the paper
-*defines* soft bottleneck / absolute / essential fairness, and it is what
-the fairness unit tests and the quickstart example use — small enough to
-reason about exactly.
+background TCP connections (the caller attaches those).  This is the
+topology on which the paper *defines* soft bottleneck / absolute /
+essential fairness, and it is what the fairness unit tests and the
+quickstart example use — small enough to reason about exactly.
 """
 
 from __future__ import annotations
@@ -21,33 +21,34 @@ if TYPE_CHECKING:
     from ..sim.engine import Simulator
 
 
+#: One-way delay of the shared, non-bottleneck access link S-G.
+ACCESS_DELAY = ms(5)
+#: Default one-way delay of each branch G-R_i (figure 5 varies it).
+BRANCH_DELAY = ms(50)
+#: Bytes per data packet: branch capacities are given in these (§5).
+PACKET_SIZE = DEFAULT_PACKET_SIZE
+
+
 @dataclass
 class RestrictedSpec:
     """Parameters of a figure 1 topology.
 
-    ``mu_pps[i]`` is branch i's bottleneck capacity in packets/second and
-    ``m[i]`` its number of background TCP connections.  The common access
-    link S-G is non-bottleneck (100 Mbps) and all branches share the same
-    propagation delay so round-trip times are equal, as §2.2 requires.
+    ``mu_pps[i]`` is branch i's bottleneck capacity in packets/second.
+    The common access link S-G is non-bottleneck (100 Mbps) and all
+    branches share the same propagation delay so round-trip times are
+    equal, as §2.2 requires.
     """
 
     mu_pps: Sequence[float]
-    m: Sequence[int]
-    branch_delay: float = ms(50)
-    access_delay: float = ms(5)
     gateway: str = "droptail"
     buffer_pkts: int = 20
-    packet_size: int = DEFAULT_PACKET_SIZE
+    branch_delay: float = BRANCH_DELAY
 
     def validate(self) -> "RestrictedSpec":
         if not self.mu_pps:
             raise TopologyError("restricted topology needs at least one branch")
-        if len(self.mu_pps) != len(self.m):
-            raise TopologyError("mu_pps and m must have equal length")
         if any(mu <= 0 for mu in self.mu_pps):
             raise TopologyError("branch capacities must be positive")
-        if any(count < 0 for count in self.m):
-            raise TopologyError("TCP counts must be non-negative")
         if self.gateway not in ("droptail", "red"):
             raise TopologyError(f"unknown gateway type {self.gateway!r}")
         return self
@@ -67,13 +68,13 @@ def build_restricted(
     net = Network(sim, default_queue=factory)
     # The shared access link never bottlenecks; give it a deep buffer so
     # it cannot distort the per-branch loss processes under study.
-    net.add_link("S", "G", mbps(100), spec.access_delay,
+    net.add_link("S", "G", mbps(100), ACCESS_DELAY,
                  queue_factory=droptail_factory(1000))
     receivers = []
     for index, mu in enumerate(spec.mu_pps, start=1):
         receiver = f"R{index}"
         receivers.append(receiver)
-        net.add_link("G", receiver, pps_to_bps(mu, spec.packet_size),
+        net.add_link("G", receiver, pps_to_bps(mu, PACKET_SIZE),
                      spec.branch_delay, queue_factory=factory)
     net.build_routes()
     return net, receivers

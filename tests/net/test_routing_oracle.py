@@ -105,7 +105,7 @@ def test_fig6_tree_matches_networkx():
 
 @pytest.mark.parametrize("branches", [3, 256], ids=["restricted", "star256"])
 def test_restricted_star_matches_networkx(branches):
-    spec = RestrictedSpec(mu_pps=[200.0] * branches, m=[1] * branches)
+    spec = RestrictedSpec(mu_pps=[200.0] * branches)
     net, receivers = build_restricted(Simulator(seed=1), spec)
     _assert_matches_networkx(net, "S", receivers)
 

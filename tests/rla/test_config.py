@@ -18,14 +18,14 @@ def test_defaults_follow_paper():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"packet_size": 0},
+        {"eta": float("nan")},
         {"eta": 0.5},
-        {"interval_gain": 0.0},
-        {"interval_gain": 1.5},
-        {"awnd_gain": 0.0},
-        {"congestion_group_rtts": 0.0},
-        {"rexmit_thresh": -1},
-        {"rcv_buffer": 0},
+        {"eta": float("inf")},
+        {"phase_jitter": float("nan")},
+        {"phase_jitter": float("inf")},
+        {"ack_jitter": float("nan")},
+        {"ack_jitter": float("inf")},
+        {"eta": float("-inf")},
         {"phase_jitter": -0.1},
         {"ack_jitter": -0.1},
     ],

@@ -121,9 +121,10 @@ def test_losses_within_two_srtt_grouped():
     assert sender.window_cuts == first_cuts
 
 
-def test_forced_cut_after_long_quiet():
+def test_forced_cut_after_long_quiet(monkeypatch):
+    monkeypatch.setattr(RLAConfig, "forced_cut_awnd_rtts", 0.001)
     sim = Simulator()
-    sender, node = _sender(sim, n=2, forced_cut_awnd_rtts=0.001)
+    sender, node = _sender(sim, n=2)
     sender.start()
     sim.run(until=0.5)
     for seq in range(1, 5):
@@ -134,10 +135,10 @@ def test_forced_cut_after_long_quiet():
     assert sender.forced_cuts == 1
 
 
-def test_forced_cut_disabled():
+def test_forced_cut_disabled(monkeypatch):
+    monkeypatch.setattr(RLAConfig, "forced_cut_awnd_rtts", 0.001)
     sim = Simulator()
-    sender, node = _sender(sim, n=2, forced_cut_awnd_rtts=0.001,
-                           forced_cut_enabled=False)
+    sender, node = _sender(sim, n=2, forced_cut_enabled=False)
     sender.start()
     sim.run(until=0.5)
     for seq in range(1, 5):
@@ -148,9 +149,10 @@ def test_forced_cut_disabled():
     assert sender.forced_cuts == 0
 
 
-def test_window_bounded_by_receiver_buffer():
+def test_window_bounded_by_receiver_buffer(monkeypatch):
+    monkeypatch.setattr(RLAConfig, "rcv_buffer", 4)
     sim = Simulator()
-    sender, node = _sender(sim, n=2, rcv_buffer=4)
+    sender, node = _sender(sim, n=2)
     sender.cwnd = 100.0
     sender.start()
     sim.run(until=0.5)
@@ -160,7 +162,7 @@ def test_window_bounded_by_receiver_buffer():
 
 def test_retransmit_multicast_above_threshold():
     sim = Simulator()
-    sender, node = _sender(sim, n=3, rexmit_thresh=0)
+    sender, node = _sender(sim, n=3)  # rexmit_thresh 0, as in §5
     sender.cwnd = 20.0
     sender.start()
     sim.run(until=0.5)
@@ -173,9 +175,10 @@ def test_retransmit_multicast_above_threshold():
     assert any(p.dst == "group:rla-0" for p in rtx)
 
 
-def test_retransmit_unicast_below_threshold():
+def test_retransmit_unicast_below_threshold(monkeypatch):
+    monkeypatch.setattr(RLAConfig, "rexmit_thresh", 2)
     sim = Simulator()
-    sender, node = _sender(sim, n=3, rexmit_thresh=2)
+    sender, node = _sender(sim, n=3)
     sender.cwnd = 20.0
     sender.start()
     sim.run(until=0.5)

@@ -12,9 +12,9 @@ def _drain(sim, until):
     sim.run(until=until)
 
 
-def test_slow_start_doubles_window(sim, two_node_net):
-    flow = TcpFlow(sim, two_node_net, "tcp-0", "A", "B",
-                   config=TcpConfig(initial_ssthresh=1e9))
+def test_slow_start_doubles_window(sim, two_node_net, monkeypatch):
+    monkeypatch.setattr(TcpConfig, "initial_ssthresh", 1e9)
+    flow = TcpFlow(sim, two_node_net, "tcp-0", "A", "B")
     flow.start()
     # RTT ~= 0.105s; after a few RTTs in pure slow start cwnd ~ 2^k
     sim.run(until=0.12)
@@ -24,9 +24,10 @@ def test_slow_start_doubles_window(sim, two_node_net):
     assert w2 >= 2 * w1 * 0.9
 
 
-def test_congestion_avoidance_linear(sim, two_node_net):
-    flow = TcpFlow(sim, two_node_net, "tcp-0", "A", "B",
-                   config=TcpConfig(initial_cwnd=4.0, initial_ssthresh=4.0))
+def test_congestion_avoidance_linear(sim, two_node_net, monkeypatch):
+    monkeypatch.setattr(TcpConfig, "initial_cwnd", 4.0)
+    monkeypatch.setattr(TcpConfig, "initial_ssthresh", 4.0)
+    flow = TcpFlow(sim, two_node_net, "tcp-0", "A", "B")
     flow.start()
     sim.run(until=0.15)  # one RTT past start
     w1 = flow.sender.cwnd
@@ -91,14 +92,12 @@ def test_stats_snapshot_keys(sim, two_node_net):
 
 
 def test_invalid_config_rejected():
-    with pytest.raises(ConfigurationError):
-        TcpConfig(initial_cwnd=0).validate()
-    with pytest.raises(ConfigurationError):
-        TcpConfig(min_rto=0).validate()
-    with pytest.raises(ConfigurationError):
-        TcpConfig(dupack_threshold=0).validate()
-    with pytest.raises(ConfigurationError):
-        TcpConfig(phase_jitter=-1).validate()
+    for kwargs in ({"max_cwnd": 0.5}, {"max_cwnd": float("nan")},
+                   {"max_cwnd": float("inf")}, {"phase_jitter": -1},
+                   {"phase_jitter": float("nan")},
+                   {"phase_jitter": float("inf")}, {"packet_size": 0}):
+        with pytest.raises(ConfigurationError):
+            TcpConfig(**kwargs).validate()
 
 
 def test_rtt_estimate_matches_path(sim, two_node_net):

@@ -92,7 +92,7 @@ def test_scenario_audited_byte_identical_and_audit_ran():
 # ----------------------------------------------------------------------
 def _restricted_run(seed=7, hook_counts=None):
     """One small symmetric run; optionally install enqueue/drop hooks."""
-    spec = RestrictedSpec(mu_pps=[200, 200], m=[1, 1])
+    spec = RestrictedSpec(mu_pps=[200, 200])
     sim = Simulator(seed=seed)
     net, receivers = build_restricted(sim, spec)
     gateways = [link.gateway for link in net.links.values()]

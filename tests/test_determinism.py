@@ -15,7 +15,7 @@ from repro.units import pps_to_bps, transmission_time
 
 
 def _run(seed):
-    spec = RestrictedSpec(mu_pps=[200, 200], m=[1, 1])
+    spec = RestrictedSpec(mu_pps=[200, 200])
     sim = Simulator(seed=seed)
     net, receivers = build_restricted(sim, spec)
     jitter = transmission_time(1000, pps_to_bps(200))

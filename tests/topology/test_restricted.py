@@ -10,7 +10,7 @@ from repro.units import ms, pps_to_bps
 
 def test_build_basic():
     sim = Simulator()
-    spec = RestrictedSpec(mu_pps=[200, 400], m=[1, 2])
+    spec = RestrictedSpec(mu_pps=[200, 400])
     net, receivers = build_restricted(sim, spec)
     assert receivers == ["R1", "R2"]
     assert net.link("G", "R1").bandwidth_bps == pytest.approx(pps_to_bps(200))
@@ -19,7 +19,7 @@ def test_build_basic():
 
 def test_equal_rtts():
     sim = Simulator()
-    spec = RestrictedSpec(mu_pps=[200, 200, 200], m=[1, 1, 1])
+    spec = RestrictedSpec(mu_pps=[200, 200, 200])
     net, receivers = build_restricted(sim, spec)
     delays = {net.path_delay("S", r) for r in receivers}
     assert len(delays) == 1  # the restricted topology's defining property
@@ -29,19 +29,17 @@ def test_red_variant():
     from repro.net.red import REDQueue
 
     sim = Simulator()
-    spec = RestrictedSpec(mu_pps=[200], m=[0], gateway="red")
+    spec = RestrictedSpec(mu_pps=[200], gateway="red")
     net, _ = build_restricted(sim, spec)
     assert isinstance(net.link("G", "R1").gateway, REDQueue)
 
 
 def test_validation():
     with pytest.raises(TopologyError):
-        RestrictedSpec(mu_pps=[], m=[]).validate()
+        RestrictedSpec(mu_pps=[]).validate()
     with pytest.raises(TopologyError):
-        RestrictedSpec(mu_pps=[100], m=[1, 2]).validate()
+        RestrictedSpec(mu_pps=[0]).validate()
     with pytest.raises(TopologyError):
-        RestrictedSpec(mu_pps=[0], m=[0]).validate()
+        RestrictedSpec(mu_pps=[100, -5]).validate()
     with pytest.raises(TopologyError):
-        RestrictedSpec(mu_pps=[100], m=[-1]).validate()
-    with pytest.raises(TopologyError):
-        RestrictedSpec(mu_pps=[100], m=[1], gateway="fifo").validate()
+        RestrictedSpec(mu_pps=[100], gateway="fifo").validate()
