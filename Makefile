@@ -65,16 +65,22 @@ audit-smoke:
 	assert metrics['audit.violations']['value'] == 0, metrics['audit.violations']; \
 	print('audit smoke OK: %d output checks, 0 failed' % out['attempted'])"
 
-# Packet-hop smoke: the engine and link against their pre-PR-20 selves
-# (tests/sim/reference.py: same event stream, same reports), the Python
-# call budget of one link transmission and the link's exact-tie cases;
-# then rlabench's paper_tables workload, traced — the counts must be the
-# parent's to the event (compare.py checks that in `make bench-pair`; they
-# are printed here), the per-hop times are what the hop costs on this box.
-# Any failed output check fails the target.
+# Packet-hop smoke: the engine against its reference copy and the
+# one-event link against the two-event one (tests/sim/reference.py: same
+# event stream and reports with the reference link on both engines; same
+# per-packet arrivals and drops on tie-free drawn networks), the Python
+# call budget of one link transmission and the link's exact-tie rule;
+# then rlabench's paper_tables workload, traced.  The counts are printed:
+# a change that schedules events earlier, later or not at all moves them
+# and re-orders exact ties (a re-baseline, judged by
+# benchmarks/rebaseline_gate.py, not by this target); otherwise they must
+# be the parent's to the event, which `make bench-pair` checks.  The
+# per-hop times are what the hop costs on this box.  Any failed output
+# check fails the target.
 hop-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/sim/test_engine_oracle.py \
-		tests/net/test_hop_budget.py tests/net/test_link.py
+		tests/net/test_link_oracle.py tests/net/test_hop_budget.py \
+		tests/net/test_link.py
 	$(PYTHON) benchmarks/rlabench/run.py --workload paper_tables --seed 1 \
 		--seconds 12 --trace 1 | tail -n 1 | $(PYTHON) -c "import json, sys; \
 	out = json.loads(sys.stdin.read()); metrics = out['metrics']; \

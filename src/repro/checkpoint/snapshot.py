@@ -61,7 +61,10 @@ from ..sim.engine import Simulator
 #: v6: a ``Simulator`` holds no record store of its own (v5 pickles, inside
 #: every engine, an instance of a class whose module no longer exists).
 #: v7: the header holds the payload's sha256 (v6 has none to check).
-FORMAT_VERSION = 7
+#: v8: a ``Link`` keeps ``_free_at``/``_waking`` and queues one event per
+#: hop (v7 pickles ``_busy`` links with ``_transmission_done`` events), and
+#: nodes and packets carry no hop counters.
+FORMAT_VERSION = 8
 
 #: File magic identifying a repro checkpoint file.
 MAGIC = "repro-ckpt"

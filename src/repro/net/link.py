@@ -5,6 +5,22 @@ the transmitter is idle it starts serializing immediately, otherwise the
 packet is offered to the gateway queue (where drop-tail/RED policy
 applies).  After ``size/bandwidth`` seconds of serialization the packet
 spends ``delay`` seconds propagating, then arrives at the downstream node.
+
+Where the event structure departs from SimpleLink's: ns-2 schedules a
+"transmission done" event per packet and a separate delivery event, two
+events per hop.  Here one transmission is one event.  When serialization
+starts, ``_transmit`` knows everything the end of it would: it records
+``_free_at = start + tx``, credits the packet, and posts the downstream
+arrival at ``(start + tx) + delay`` -- the very float the two-event link
+computes.  The transmitter is woken at ``_free_at`` only when a packet is
+waiting for it (``_wake``, armed by the first packet accepted while the
+wire is busy, re-armed while the gateway is non-empty); a serialization
+that ends on an empty gateway costs nothing, and the gateway is not asked
+for a packet it does not have.  Per-packet instants are unchanged; what
+changes is the engine sequence number that orders *exactly simultaneous*
+events, so an arrival that ties with the wire freeing resolves by the
+rule in docs/SIMULATOR.md ("Links and queues").  ``tests/sim/reference.py``
+keeps the two-event link as the oracle for tie-free inputs.
 """
 
 from __future__ import annotations
@@ -49,9 +65,11 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.delay_s = delay_s
         self.gateway = gateway
-        self._busy = False
-        self._tx_start = 0.0
-        self._tx_size = 0
+        #: when the packet in service finishes serialising (the wire is
+        #: free from this instant on)
+        self._free_at = 0.0
+        #: a ``_wake`` is queued for ``_free_at``: packets are waiting
+        self._waking = False
         # lifetime statistics
         self.packets_sent = 0
         self.bytes_sent = 0
@@ -84,37 +102,41 @@ class Link:
     def send(self, packet: Packet) -> None:
         """Entry point used by the upstream node's forwarding logic."""
         now = self.sim.now
-        if self.gateway.enqueue(now, packet) and not self._busy:
-            head = self.gateway.dequeue(now)
-            if head is not None:
-                self._transmit(head)
+        if self.gateway.enqueue(now, packet) and not self._waking:
+            if now < self._free_at:
+                # the first packet to wait: wake when the wire frees
+                self._waking = True
+                self.sim.post_at(self._free_at, self._wake, (), self._tx_name)
+            else:
+                head = self.gateway.dequeue(now)
+                if head is not None:
+                    self._transmit(head)
 
     def _transmit(self, packet: Packet) -> None:
-        """Start serialising ``packet``, which just left the gateway."""
+        """Serialise ``packet``, which just left the gateway, and post its
+        arrival downstream: one event per hop."""
         sim = self.sim
-        self._busy = True
-        self._tx_start = sim.now
         size = packet.size
-        self._tx_size = size
         # transmission_time(size, bandwidth) inlined: same arithmetic, no call
         # (bandwidth was validated positive at construction)
-        sim.post(size * BITS_PER_BYTE / self.bandwidth_bps,
-                 self._transmission_done, (packet,), self._tx_name)
-
-    def _transmission_done(self, packet: Packet) -> None:
+        free_at = sim.now + size * BITS_PER_BYTE / self.bandwidth_bps
+        self._free_at = free_at
         self.packets_sent += 1
-        self.bytes_sent += packet.size
-        sim = self.sim
-        sim.post(self.delay_s,
-                 self._arrive if self._deliver_hooks else self.dst.receive,
-                 (packet,), self._rx_name)
-        # Always ask, even when the queue looks empty: a discipline may keep
-        # state on an empty dequeue (CoDel leaves its dropping state there).
-        head = self.gateway.dequeue(sim.now)
-        if head is None:
-            self._busy = False
-        else:
+        self.bytes_sent += size
+        sim.post_at(free_at + self.delay_s,
+                    self._arrive if self._deliver_hooks else self.dst.receive,
+                    (packet,), self._rx_name)
+
+    def _wake(self) -> None:
+        """The wire just freed with packets waiting: serve the head."""
+        gateway = self.gateway
+        head = gateway.dequeue(self.sim.now)
+        if head is not None:
             self._transmit(head)
+            if len(gateway):
+                self.sim.post_at(self._free_at, self._wake, (), self._tx_name)
+                return
+        self._waking = False
 
     def _arrive(self, packet: Packet) -> None:
         for hook in self._deliver_hooks:
@@ -125,21 +147,21 @@ class Link:
     @property
     def busy(self) -> bool:
         """True while a packet is being serialized."""
-        return self._busy
+        return self.sim.now < self._free_at
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of ``elapsed`` seconds spent transmitting bits.
 
-        ``bytes_sent`` is credited at serialization *end*, so the packet
-        currently in service would be invisible to short measurement
-        windows; its already-serialized fraction is added at read time.
+        ``bytes_sent`` is credited when serialization *starts*, so the
+        not-yet-serialized part of the packet in service is taken back
+        at read time.
         """
         if elapsed <= 0:
             return 0.0
         bits = self.bytes_sent * 8.0
-        if self._busy:
-            progress = max(0.0, self.sim.now - self._tx_start)
-            bits += min(self._tx_size * 8.0, self.bandwidth_bps * progress)
+        remaining = self._free_at - self.sim.now
+        if remaining > 0:
+            bits -= self.bandwidth_bps * remaining
         return min(1.0, bits / (self.bandwidth_bps * elapsed))
 
     def __repr__(self) -> str:

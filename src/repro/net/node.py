@@ -50,8 +50,6 @@ class Node:
         #: flow-id -> transport agent handler
         self._agents: Dict[str, Handler] = {}
         self._consume_hooks: List[ConsumeHook] = []
-        self.packets_received = 0
-        self.packets_forwarded = 0
 
     # ------------------------------------------------------------------
     # wiring
@@ -110,8 +108,6 @@ class Node:
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:
         """Entry point for packets arriving from a link (or sent locally)."""
-        self.packets_received += 1
-        packet.hops += 1
         dst = packet.dst
         # Inlined is_multicast(dst): one startswith instead of a function
         # call — this runs once per packet per hop.
@@ -123,7 +119,6 @@ class Node:
             link = self.routes.get(dst)
             if link is None:
                 raise RoutingError(f"node {self.id}: no route to {dst!r}")
-            self.packets_forwarded += 1
             link.send(packet)
 
     def _receive_multicast(self, packet: Packet) -> None:
@@ -139,7 +134,6 @@ class Node:
         if delivered_locally:
             self._deliver(packet)
         if branches:
-            self.packets_forwarded += len(branches)
             for link in branches:
                 link.send(packet.copy())
         if not delivered_locally and self._consume_hooks:

@@ -92,7 +92,6 @@ class Packet:
         "sack",
         "receiver",
         "is_retransmit",
-        "hops",
         "ect",
         "ce",
         "ece",
@@ -128,7 +127,6 @@ class Packet:
         self.sack = sack
         self.receiver = receiver
         self.is_retransmit = is_retransmit
-        self.hops = 0
         #: ECN-capable transport (set by senders that understand marking)
         self.ect = False
         #: congestion experienced (set by a marking gateway en route)
@@ -158,7 +156,6 @@ class Packet:
             receiver=self.receiver,
             is_retransmit=self.is_retransmit,
         )
-        clone.hops = self.hops
         clone.ect = self.ect
         clone.ce = self.ce
         clone.ece = self.ece

@@ -4,7 +4,8 @@ This is the substrate everything else runs on — the Python stand-in for the
 NS2 core the paper used.  It is a classic calendar-queue-style engine built
 on :mod:`heapq`:
 
-* :meth:`Simulator.schedule` inserts a callback at an absolute time,
+* :meth:`Simulator.schedule` and :meth:`Simulator.post_at` insert a
+  callback at an absolute time,
 * :meth:`Simulator.schedule_after` and :meth:`Simulator.post` at a relative
   offset,
 * :meth:`Simulator.run` drains the heap until a time horizon or until the
@@ -18,10 +19,11 @@ minute, so its inner loop dominates every experiment's wall time):
 
 * An :class:`Event` handle is allocated only where somebody keeps it:
   :meth:`Simulator.schedule` / :meth:`Simulator.schedule_after` return one
-  (timers store and cancel it), :meth:`Simulator.post` is fire-and-forget,
-  for every call site that would throw it away — 94 % of a figure run's
-  events are ``Link`` posts.  Both forms take their sequence number at the
-  same point, so which one a site uses never moves ``(time, seq)`` order.
+  (timers store and cancel it), :meth:`Simulator.post` /
+  :meth:`Simulator.post_at` are fire-and-forget, for every call site that
+  would throw it away — most of a figure run's events are ``Link`` posts.
+  Both forms take their sequence number at the same point, so which one a
+  site uses never moves ``(time, seq)`` order.
 * A queue entry is a tuple led by ``(time, seq)``: ``(time, seq, Event)``
   for a handle, ``(time, seq, None, callback, args, name)`` for a post.
   Tuple comparison resolves on the leading float in C, so sifting never
@@ -155,13 +157,26 @@ class Simulator:
              args: Tuple[Any, ...] = (), name: Optional[str] = None) -> None:
         """Fire-and-forget :meth:`schedule_after`: no handle, no cancelling.
 
-        The dominant entry point (every link event); all-positional because
+        :meth:`post_at` at ``now + delay``; all-positional because
         ``*args``/``name=`` passing is itself a per-event cost.
         """
         if not delay >= 0:  # negative or NaN
             raise SchedulingError(f"negative or NaN delay: {delay}")
+        self.post_at(self.now + delay, callback, args, name)
+
+    def post_at(self, time: float, callback: Callable[..., Any],
+                args: Tuple[Any, ...] = (), name: Optional[str] = None) -> None:
+        """Fire-and-forget :meth:`schedule`: no handle, no cancelling.
+
+        The dominant entry point: a ``Link`` posts every arrival and wake-up
+        at an absolute instant it computed itself, so the float the event
+        carries is exactly that sum, not ``now + (sum - now)``.
+        """
         now = self.now
-        time = now + delay
+        if not time >= now:  # also true of NaN, which orders nowhere
+            raise SchedulingError(
+                f"cannot schedule at t={time:.9f} before now={now:.9f}"
+            )
         seq = self._seq
         self._seq = seq + 1
         if time == now and self._running:

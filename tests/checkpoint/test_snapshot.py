@@ -288,6 +288,21 @@ def test_load_rejects_future_format_version(tmp_path):
         restore(bumped)
 
 
+def test_load_rejects_v7_format_version(tmp_path):
+    # v7 pickled two-event links (``_busy``, ``_transmission_done`` events):
+    # refused with the one-line format message, never restored
+    assert FORMAT_VERSION == 8
+    snapshot = capture(BareWorld())
+    old = Snapshot(**{**snapshot.__dict__, "version": 7})
+    path = save(old, tmp_path / "v7.ckpt")
+    for allow in (False, True):
+        with pytest.raises(CheckpointError,
+                           match=r"has snapshot format v7; this build reads v8$"):
+            load(path, allow_code_mismatch=allow)
+    with pytest.raises(CheckpointError, match=r"^snapshot format v7 not supported"):
+        restore(old)
+
+
 def test_load_rejects_code_mismatch(tmp_path):
     snapshot = capture(BareWorld())
     stale = Snapshot(**{**snapshot.__dict__, "code": "0" * 16})

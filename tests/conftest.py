@@ -26,17 +26,17 @@ def count_python_calls():
     function calls a seeded run makes is exact: ``calls`` is every Python
     frame entered while ``run()`` executes (C calls are "c_call" events and
     not counted), ``transmissions`` how many of them were a ``Link``
-    finishing a serialisation.
+    starting a serialisation.
     """
     def count(run):
         calls = transmissions = 0
-        done = Link._transmission_done.__code__
+        transmit = Link._transmit.__code__
 
         def profiler(frame, event, _arg):
             nonlocal calls, transmissions
             if event == "call":
                 calls += 1
-                if frame.f_code is done:
+                if frame.f_code is transmit:
                     transmissions += 1
 
         previous = sys.getprofile()

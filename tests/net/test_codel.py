@@ -1,6 +1,7 @@
 """CoDel gateway: sojourn control law, eviction accounting, determinism."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.net.codel import CoDelQueue
 from repro.net.packet import DATA, Packet
@@ -136,3 +137,50 @@ def test_control_law_is_deterministic():
         return trace
 
     assert run() == run()
+
+
+#: a standing queue: the control law drops (or marks) from ~30 ms on
+_STANDING = [(6, 0.001)] * 40 + [(0, 0.01)] * 10 + [(3, 0.02)] * 10
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 6), st.floats(0.0005, 0.04)),
+                min_size=1, max_size=60),
+       st.booleans())
+@example(_STANDING, False)
+@example(_STANDING, True)
+def test_empty_dequeue_changes_nothing(schedule, mark_ecn):
+    """The one-event link no longer asks an empty gateway for a packet.
+
+    CoDel's empty-queue branch resets ``_first_above_time`` and
+    ``_dropping``; both are already reset by the dequeue that emptied the
+    queue (``_should_drop`` sees the empty queue after the pop), and the
+    next dequeue of a packet that arrived to an idle link (sojourn 0)
+    would reset them again.  So a queue asked at every service
+    opportunity, empty or not, as the two-event link did, and one asked
+    only when it holds a packet take the same decisions and end in the
+    same state.
+    """
+    asked, spared = (CoDelQueue(capacity=8, target=0.005, interval=0.03,
+                                mark_ecn=mark_ecn) for _ in range(2))
+    served = {asked: [], spared: []}
+    now = 0.0
+    for arrivals, gap in schedule:  # a burst, then one service opportunity
+        for _ in range(arrivals):
+            packet = _pkt(0, ect=True)
+            asked.enqueue(now, packet)
+            spared.enqueue(now, packet.copy())
+        now += gap
+        for queue in (asked, spared):
+            if queue is asked or len(queue):
+                head = queue.dequeue(now)
+                if head is not None:
+                    served[queue].append(head.ce)
+    assert served[asked] == served[spared]
+    assert (asked.evicted, asked.ecn_marks) == (spared.evicted, spared.ecn_marks)
+    state = ("_first_above_time", "_drop_next", "_count", "_lastcount",
+             "_dropping")
+    assert ([getattr(asked, key) for key in state]
+            == [getattr(spared, key) for key in state])
+    if schedule is _STANDING:
+        assert asked.ecn_marks if mark_ecn else asked.evicted

@@ -160,17 +160,20 @@ def test_non_finite_parameters_rejected(bandwidth, delay):
 
 
 # ----------------------------------------------------------------------
-# Exact float ties between an arrival and a departure.
+# Exact float ties between an arrival and the wire freeing.
 #
 # On pipelined equal-bandwidth links a packet reaches a node at the very
 # instant its predecessor finishes serialising on the next link:
-# (x + d) + tx == (x + tx) + d.  Which of the two events runs first is
-# decided by the engine's sequence numbers — the order in which the two
-# were *scheduled* — and a drop-tail outcome hangs on it (§3's phase
-# effects).  These tests pin that order; it is what a "one event per hop"
-# link would have to reproduce and cannot (docs/PERFORMANCE.md,
-# "Rejected: one event per hop").  All quantities are powers of two, so
-# the ties are exact, not approximate.
+# (x + d) + tx == (x + tx) + d.  A drop-tail outcome can hang on which of
+# the two goes first (§3's phase effects).  The rule (docs/SIMULATOR.md,
+# "Links and queues"): the wire is free from the instant serialisation
+# ends.  With nothing waiting there is no departure event at all, so the
+# arrival finds the wire free.  With packets waiting, the link's wake-up
+# was scheduled when the first of them was accepted, and the engine runs
+# same-instant events in scheduling order: an arrival scheduled earlier
+# (when its packet started serialising upstream) meets the full queue, one
+# scheduled later finds the head gone.  All quantities are powers of two
+# (or sums of two), so the ties are exact, not approximate.
 # ----------------------------------------------------------------------
 _BW = 8_192_000        # b/s: a 1000-byte packet serialises in 2**-10 s
 _TX = 2.0 ** -10
@@ -189,17 +192,8 @@ def _events_at(sim, instant):
     return names
 
 
-@pytest.mark.parametrize("delay, first, second, delivered, dropped", [
-    # delay > tx: the arrival was scheduled first (at 2 tx, when p1 left
-    # A) and beats the departure (scheduled at tx + delay): queue still full
-    (2.0 ** -8, "A->B.rx", "B->C.tx", [0, 99], [1]),
-    # delay < tx: the departure was scheduled first (at tx + delay) and
-    # frees the slot before p1 (scheduled at 2 tx) asks for it
-    (2.0 ** -12, "B->C.tx", "A->B.rx", [0, 99, 1], []),
-])
-def test_tie_between_arrival_and_departure_at_a_full_gateway(
-        delay, first, second, delivered, dropped):
-    sim = Simulator()
+def _chain(sim, delay):
+    """A -> B -> C, the second hop's gateway one packet deep."""
     a, b, c = Node("A"), Node("B"), _Catcher("C", sim)
     hop1 = Link(sim, "A->B", a, b, _BW, delay, DropTailQueue(20))
     hop2 = Link(sim, "B->C", b, c, _BW, _LAST_HOP, DropTailQueue(1))
@@ -208,13 +202,27 @@ def test_tie_between_arrival_and_departure_at_a_full_gateway(
     drops = []
     hop2.gateway.on_drop(
         lambda now, packet, reason: drops.append((now, packet.seq, reason)))
+    return a, b, c, drops
 
+
+@pytest.mark.parametrize("delay, first, second, delivered, dropped", [
+    # Either side of delay == tx.  The two-event link resolved these two
+    # oppositely (with delay < tx its departure had been scheduled first);
+    # here there is one outcome, because B->C's wake-up was scheduled when
+    # the cross packet was accepted, after p1's arrival (scheduled at tx).
+    (2.0 ** -8, "A->B.rx", "B->C.tx", [0, 99], [1]),
+    (2.0 ** -12, "A->B.rx", "B->C.tx", [0, 99], [1]),
+])
+def test_tie_between_arrival_and_departure_at_a_full_gateway(
+        delay, first, second, delivered, dropped):
+    sim = Simulator()
+    a, b, c, drops = _chain(sim, delay)
     tie = 2 * _TX + delay  # p0 leaves B's transmitter as p1 reaches B
     at_tie = _events_at(sim, tie)
     for seq in (0, 1):  # back to back on the first hop
         a.send(Packet(DATA, "f", "A", "C", seq, 1000))
     # a cross packet takes B's single queue slot while p0 is serialising
-    sim.schedule(tie - _TX / 2, hop2.send,
+    sim.schedule(tie - _TX / 2, b.send,
                  Packet(DATA, "x", "B", "C", 99, 1000))
     sim.run()
 
@@ -223,11 +231,44 @@ def test_tie_between_arrival_and_departure_at_a_full_gateway(
     assert drops == [(tie, seq, "overflow") for seq in dropped]
 
 
+@pytest.mark.parametrize("wake_first, delivered, dropped", [
+    # B's queue filled before p0 started on A->B: the wake-up is older
+    # than the arrival, frees the slot, and p0 queues behind x1
+    (True, [10, 11, 0], []),
+    # p0 started first: its arrival is older and meets the full queue
+    (False, [10, 11], [0]),
+])
+def test_tie_between_arrival_and_an_earlier_armed_wake(
+        wake_first, delivered, dropped):
+    sim = Simulator()
+    delay = 2.0 ** -12
+    a, b, c, drops = _chain(sim, delay)
+    tie = _TX + delay
+    at_tie = _events_at(sim, tie)
+    # x10 is 1250 bytes: it serialises in tx + delay, so B->C frees at the
+    # instant p0 reaches B; x11 waits in B's single slot
+    cross = [Packet(DATA, "x", "B", "C", 10, 1250),
+             Packet(DATA, "x", "B", "C", 11, 1000)]
+    first = Packet(DATA, "f", "A", "C", 0, 1000)
+    if not wake_first:
+        a.send(first)
+    for packet in cross:
+        b.send(packet)
+    if wake_first:
+        a.send(first)
+    sim.run()
+
+    names = ["B->C.tx", "A->B.rx"]
+    assert at_tie == (names if wake_first else names[::-1])
+    assert [seq for _, seq in c.times] == delivered
+    assert drops == [(tie, seq, "overflow") for seq in dropped]
+
+
 @pytest.mark.parametrize("delay, order", [
-    # arrival first: the R2 copy finds its branch busy, waits for the
-    # departure at the same instant, and leaves behind the R3 copy
-    (2.0 ** -8, ["R1", "R3", "R2"]),
-    # departure first: all three branches idle, copies leave in fan-out order
+    # nothing waits on G->R2, so its freeing is no event (the two-event
+    # link's departure came second with delay > tx and sent R2's copy
+    # last): the copy finds the branch free, copies leave in fan-out order
+    (2.0 ** -8, ["R1", "R2", "R3"]),
     (2.0 ** -12, ["R1", "R2", "R3"]),
 ])
 def test_fanout_order_when_a_branch_frees_at_the_arrival_instant(delay, order):
@@ -253,7 +294,7 @@ def test_fanout_order_when_a_branch_frees_at_the_arrival_instant(delay, order):
     s.send(Packet(DATA, "m", "S", "group:g", 0, 1000))
     sim.run()
 
-    assert sorted(at_tie) == ["G->R2.tx", "S->G.rx"]
+    assert at_tie == ["S->G.rx"]
     copies = [(now, name) for now, name, flow in log if flow == "m"]
     assert [now for now, _ in copies] == [tie + _TX + _LAST_HOP] * 3
     assert [name for _, name in copies] == order

@@ -13,14 +13,12 @@ def test_uids_are_unique():
 def test_copy_preserves_fields_but_not_uid():
     original = Packet(DATA, "f", "A", "group:g", 7, 1000,
                       sent_time=1.5, is_retransmit=True)
-    original.hops = 3
     clone = original.copy()
     assert clone.uid != original.uid
     assert clone.seq == 7
     assert clone.dst == "group:g"
     assert clone.sent_time == 1.5
     assert clone.is_retransmit
-    assert clone.hops == 3
 
 
 def test_ack_fields():

@@ -1,20 +1,24 @@
-"""The engine and link against their pre-PR-20 selves (``reference.py``).
+"""The engine against its reference copy (``reference.py``).
 
 PR 20 gave the engine a handle-free scheduling form (``Simulator.post``:
 the queue entry carries the callback, no :class:`Event` is built unless a
-hook is watching), moved every call site that discarded its handle onto
-it, and shortened ``Link``'s per-hop call chain.  Nothing simulated may
-move: sequence numbers are allocated at the same points, so the
-``(time, seq)`` order — and with it every tie, drop and table — is the
-parent's.  Two levels of evidence:
+hook is watching; ``post_at`` is its absolute-time form) and moved every
+call site that discarded its handle onto it.  Nothing simulated may move:
+sequence numbers are allocated at the same points, so the ``(time, seq)``
+order — and with it every tie, drop and table — is the reference's.  Two
+levels of evidence:
 
 * drawn interleavings of every engine entry point, from inside and outside
   callbacks, must log the same execution order, return values and clock on
-  both engines (``post`` on the reference *is* ``schedule_after`` with the
-  handle thrown away — the statement being tested);
-* whole experiments with the reference ``Simulator`` + ``Link`` swapped in
-  must execute the identical ``event_hook`` stream and pickle the identical
-  report, hooked and unhooked.
+  both engines (``post``/``post_at`` on the reference *are*
+  ``schedule_after``/``schedule`` with the handle thrown away — the
+  statement being tested);
+* whole experiments run on either engine, both with the reference's
+  two-event ``Link`` swapped in, must execute the identical
+  ``event_hook`` stream and pickle the identical report, hooked and
+  unhooked.  (The fused one-event ``Link`` orders exact ties differently
+  by design; ``tests/net/test_link_oracle.py`` holds it to the two-event
+  link on tie-free inputs.)
 """
 
 from __future__ import annotations
@@ -57,6 +61,9 @@ class ReferenceSimulator(reference.Simulator):
     def post(self, delay, callback, args=(), name=None):
         self.schedule_after(delay, callback, *args, name=name)
 
+    def post_at(self, time, callback, args=(), name=None):
+        self.schedule(time, callback, *args, name=name)
+
 
 # ----------------------------------------------------------------------
 # (i) drawn interleavings of the engine's whole surface
@@ -64,8 +71,9 @@ class ReferenceSimulator(reference.Simulator):
 #: Offsets that collide: exact ties in the heap, and 0.0 for same-instant
 #: chains through the ready lane.
 _OFFSETS = st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 1.0])
-_SCHEDULING = st.tuples(st.sampled_from(["schedule", "after", "post", "post"]),
-                        _OFFSETS)
+_SCHEDULING = st.tuples(
+    st.sampled_from(["schedule", "after", "post", "post", "post_at"]),
+    _OFFSETS)
 _ANYWHERE = st.one_of(
     _SCHEDULING,
     _SCHEDULING,
@@ -104,7 +112,7 @@ class _Script:
     def apply(self, op):
         kind, arg = op
         sim, log = self.sim, self.log
-        if kind in ("schedule", "after", "post"):
+        if kind in ("schedule", "after", "post", "post_at"):
             label, name = self.labels, f"e{self.labels}"
             self.labels += 1
             if kind == "schedule":
@@ -113,8 +121,11 @@ class _Script:
             elif kind == "after":
                 self.handles.append(
                     sim.schedule_after(arg, self.fire, label, name=name))
-            else:
+            elif kind == "post":
                 log.append(("post", sim.post(arg, self.fire, (label,), name)))
+            else:
+                log.append(("post_at", sim.post_at(sim.now + arg, self.fire,
+                                                   (label,), name)))
         elif kind == "cancel":
             if self.handles:
                 handle = self.handles[arg % len(self.handles)]
@@ -242,12 +253,11 @@ def _recording(base, stream):
     return Recording
 
 
-def _observe(run, monkeypatch, simulator, link=None):
+def _observe(run, monkeypatch, simulator):
     # the tree runner imports Simulator from its module when it builds
     for module in (repro.sim.engine, repro.scenarios.runner):
         monkeypatch.setattr(module, "Simulator", simulator)
-    if link is not None:
-        monkeypatch.setattr(repro.net.network, "Link", link)
+    monkeypatch.setattr(repro.net.network, "Link", reference.Link)
     restore_uid_counter(1)  # both sides see the same packet uids
     return pickle.dumps(run())
 
@@ -265,8 +275,7 @@ def test_whole_run_is_event_for_event_the_reference(
     new_stream, old_stream = [], []
     with monkeypatch.context() as patch:
         old = _observe(RUNS[name], patch,
-                       _recording(ReferenceSimulator, old_stream),
-                       reference.Link)
+                       _recording(ReferenceSimulator, old_stream))
     with monkeypatch.context() as patch:
         new = _observe(RUNS[name], patch, _recording(Simulator, new_stream))
     plain = _observe(RUNS[name], monkeypatch, Simulator)  # nobody watching

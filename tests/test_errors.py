@@ -78,8 +78,8 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
     # entrypoints (a v3 header names one that no longer exists); a ready
     # lane of bare Events and a heap without handle-free entries (v4); a
     # tracer object pickled inside every Simulator (v5); no payload
-    # digest to check (v6)
-    for version in (1, 2, 3, 4, 5, 6):
+    # digest to check (v6); two-event links with ``_busy`` state (v7)
+    for version in (1, 2, 3, 4, 5, 6, 7):
         old = Snapshot(**{**foreign.__dict__, "version": version})
         with pytest.raises(CheckpointError, match=f"format v{version}"):
             load(save(old, tmp_path / "old.ckpt"), allow_code_mismatch=True)
@@ -88,7 +88,7 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
     for flags in ([], ["--allow-code-mismatch"]):
         assert main([command, str(tmp_path / "old.ckpt"), *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "format v6" in err
+        assert err.startswith("error: ") and "format v7" in err
         assert err.count("\n") == 1
 
 
