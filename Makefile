@@ -68,9 +68,11 @@ audit-smoke:
 # Packet-hop smoke: the engine against its reference copy and the
 # one-event link against the two-event one (tests/sim/reference.py: same
 # event stream and reports with the reference link on both engines; same
-# per-packet arrivals and drops on tie-free drawn networks), the Python
-# call budget of one link transmission and the link's exact-tie rule;
-# then rlabench's paper_tables workload, traced.  The counts are printed:
+# per-packet arrivals and drops on tie-free drawn networks), the re-keyed
+# Timer (tests/sim/test_process.py), every gateway's idle-wire verdict
+# against enqueue + dequeue on a twin, the Python call budget of one link
+# transmission and the link's exact-tie rule; then rlabench's
+# paper_tables workload, traced.  The counts are printed:
 # a change that schedules events earlier, later or not at all moves them
 # and re-orders exact ties (a re-baseline, judged by
 # benchmarks/rebaseline_gate.py, not by this target); otherwise they must
@@ -79,7 +81,8 @@ audit-smoke:
 # check fails the target.
 hop-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/sim/test_engine_oracle.py \
-		tests/net/test_link_oracle.py tests/net/test_hop_budget.py \
+		tests/sim/test_process.py tests/net/test_link_oracle.py \
+		tests/net/test_serve_oracle.py tests/net/test_hop_budget.py \
 		tests/net/test_link.py
 	$(PYTHON) benchmarks/rlabench/run.py --workload paper_tables --seed 1 \
 		--seconds 12 --trace 1 | tail -n 1 | $(PYTHON) -c "import json, sys; \

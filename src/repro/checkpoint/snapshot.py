@@ -29,9 +29,10 @@ churn-catalog scenario.
 Files are written atomically (temp + rename) like
 :mod:`repro.runtime.cache` entries, with a small versioned header pickled
 ahead of the world payload so incompatible files fail fast and cleanly.
-The header carries the payload's sha256, checked before anything is
-unpickled from it: a truncated or bit-flipped file is refused in one
-line, never restored into a world that fails later.
+The header carries a sha256 over its own fields and the payload, checked
+before anything is unpickled from the payload: a truncated or bit-flipped
+file — a damaged ``uid_next`` as much as a damaged world — is refused in
+one line, never restored into a world that fails later.
 """
 
 from __future__ import annotations
@@ -64,7 +65,11 @@ from ..sim.engine import Simulator
 #: v8: a ``Link`` keeps ``_free_at``/``_waking`` and queues one event per
 #: hop (v7 pickles ``_busy`` links with ``_transmission_done`` events), and
 #: nodes and packets carry no hop counters.
-FORMAT_VERSION = 8
+#: v9: a restarted timer's heap entry may carry an earlier key than its
+#: ``Event`` (which records the entry's in ``_filed_at``), so a v8 engine
+#: would fire it early; and the header's sha256 covers ``code``, ``label``,
+#: ``resume``, ``sim_time`` and ``uid_next`` as well as the payload.
+FORMAT_VERSION = 9
 
 #: File magic identifying a repro checkpoint file.
 MAGIC = "repro-ckpt"
@@ -95,6 +100,14 @@ class Snapshot:
     uid_next: int
     payload: bytes
 
+    def digest(self) -> str:
+        """sha256 over every field a restore acts on, payload last."""
+        fields = (self.version, self.code, self.label, self.resume,
+                  self.sim_time, self.uid_next)
+        digest = hashlib.sha256(repr(fields).encode())
+        digest.update(self.payload)
+        return digest.hexdigest()
+
     def header(self) -> Dict[str, Any]:
         """The versioned metadata written ahead of the payload."""
         return {
@@ -105,7 +118,7 @@ class Snapshot:
             "resume": self.resume,
             "sim_time": self.sim_time,
             "uid_next": self.uid_next,
-            "sha256": hashlib.sha256(self.payload).hexdigest(),
+            "sha256": self.digest(),
         }
 
 
@@ -237,11 +250,6 @@ def load(path: Union[str, Path],
             f"{path} has snapshot format v{header.get('version')}; "
             f"this build reads v{FORMAT_VERSION}"
         )
-    if header.get("sha256") != hashlib.sha256(payload).hexdigest():
-        raise CheckpointError(
-            f"{path} is truncated or corrupt: its payload does not match "
-            f"the sha256 in its header"
-        )
     try:
         snapshot = Snapshot(
             version=header["version"],
@@ -254,6 +262,11 @@ def load(path: Union[str, Path],
         )
     except KeyError as exc:
         raise CheckpointError(f"{path} has a corrupt header: no {exc} field")
+    if header.get("sha256") != snapshot.digest():
+        raise CheckpointError(
+            f"{path} is truncated or corrupt: its header and payload do not "
+            f"match the sha256 it carries"
+        )
     if snapshot.code != code_version() and not allow_code_mismatch:
         raise CheckpointError(
             f"{path} was captured under different simulator code "

@@ -8,6 +8,8 @@ no per-flow fairness at all.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .packet import Packet
 from .queue import Gateway
 
@@ -23,3 +25,16 @@ class DropTailQueue(Gateway):
             return False
         self._accept(now, packet)
         return True
+
+    def serve(self, now: float, packet: Packet) -> Optional[Packet]:
+        if self._queue:  # a Link serves only an empty gateway
+            return super().serve(now, packet)
+        # an empty FIFO admits anything (capacity >= 1)
+        if self._enqueue_hooks or self._dequeue_hooks:
+            self._accept(now, packet)
+            return self.dequeue(now)
+        self.enqueued += 1
+        self.dequeued += 1
+        if not self.peak_depth:
+            self.peak_depth = 1
+        return packet

@@ -16,7 +16,10 @@ computes.  The transmitter is woken at ``_free_at`` only when a packet is
 waiting for it (``_wake``, armed by the first packet accepted while the
 wire is busy, re-armed while the gateway is non-empty); a serialization
 that ends on an empty gateway costs nothing, and the gateway is not asked
-for a packet it does not have.  Per-packet instants are unchanged; what
+for a packet it does not have.  A packet that finds the wire idle is not
+queued and dequeued again either: the gateway's ``serve`` verdict is the
+packet to transmit (drop-tail and RED decide it without touching their
+deque unless hooks watch it).  Per-packet instants are unchanged; what
 changes is the engine sequence number that orders *exactly simultaneous*
 events, so an arrival that ties with the wire freeing resolves by the
 rule in docs/SIMULATOR.md ("Links and queues").  ``tests/sim/reference.py``
@@ -100,17 +103,23 @@ class Link:
         self._deliver_hooks.append(hook)
 
     def send(self, packet: Packet) -> None:
-        """Entry point used by the upstream node's forwarding logic."""
+        """Entry point used by the upstream node's forwarding logic.
+
+        A busy wire (or one with packets already waiting) queues the packet
+        at the gateway.  An idle wire has an empty gateway, so it transmits
+        whatever the gateway's :meth:`~repro.net.queue.Gateway.serve`
+        verdict hands back: the packet itself, or nothing for a drop.
+        """
         now = self.sim.now
-        if self.gateway.enqueue(now, packet) and not self._waking:
-            if now < self._free_at:
+        if self._waking or now < self._free_at:
+            if self.gateway.enqueue(now, packet) and not self._waking:
                 # the first packet to wait: wake when the wire frees
                 self._waking = True
                 self.sim.post_at(self._free_at, self._wake, (), self._tx_name)
-            else:
-                head = self.gateway.dequeue(now)
-                if head is not None:
-                    self._transmit(head)
+        else:
+            head = self.gateway.serve(now, packet)
+            if head is not None:
+                self._transmit(head)
 
     def _transmit(self, packet: Packet) -> None:
         """Serialise ``packet``, which just left the gateway, and post its

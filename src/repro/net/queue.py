@@ -3,7 +3,9 @@
 A :class:`Gateway` sits between a router and an outgoing link's
 transmitter: arriving packets are offered to :meth:`enqueue` (which may drop
 them — that *is* congestion in this simulator) and the link transmitter
-pulls them back out with :meth:`dequeue` whenever it goes idle.
+pulls them back out with :meth:`dequeue` whenever it goes idle.  A packet
+that finds the wire idle is offered to :meth:`serve` instead, which
+returns it (or ``None`` for a drop) as enqueue-then-dequeue would.
 
 Concrete disciplines: :class:`repro.net.droptail.DropTailQueue`,
 :class:`repro.net.red.REDQueue` (plus byte-mode / adaptive variants),
@@ -113,6 +115,21 @@ class Gateway:
     def enqueue(self, now: float, packet: Packet) -> bool:
         """Offer a packet; return True if accepted, False if dropped."""
         raise NotImplementedError
+
+    def serve(self, now: float, packet: Packet) -> Optional[Packet]:
+        """Offer a packet to an idle wire: what to transmit now, or ``None``.
+
+        A :class:`~repro.net.link.Link` calls this instead of
+        :meth:`enqueue` when its wire is free and nothing waits for it.
+        This base form is exactly :meth:`enqueue` then :meth:`dequeue`, and
+        every discipline without a cheaper verdict keeps it.  Drop-tail and
+        RED override it to admit without touching the deque when it is
+        empty and no enqueue/dequeue hooks watch it (a hook may read
+        :attr:`depth`, which the round trip makes 1).
+        """
+        if self.enqueue(now, packet):
+            return self.dequeue(now)
+        return None
 
     def dequeue(self, now: float) -> Optional[Packet]:
         """Remove and return the head-of-line packet, or ``None`` if empty."""

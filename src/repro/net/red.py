@@ -104,27 +104,6 @@ class REDQueue(Gateway):
         self.overflow_drops = 0
         self.ecn_marks = 0
 
-    # ------------------------------------------------------------------
-    def _update_average(self, now: float) -> None:
-        """Refresh ``avg`` at packet arrival, aging it across idle periods."""
-        depth = self.bytes_queued if self.byte_mode else len(self._queue)
-        if depth:
-            self.avg += self.w_q * (depth - self.avg)
-            return
-        # Queue empty: pretend m small packets arrived to an empty queue,
-        # where m is how many packets could have been serviced while idle.
-        # (In byte mode the decay exponent is unchanged — the average is in
-        # bytes, but it still decays per *packet* service opportunity.)
-        if self._idle_since is not None and self.mean_pkt_time > 0:
-            m = (now - self._idle_since) / self.mean_pkt_time
-            self.avg *= (1.0 - self.w_q) ** m
-            # Advance the idle mark: if this arrival is dropped and the
-            # queue stays empty, the next arrival must age from *here*,
-            # not decay the already-decayed average over the same gap.
-            self._idle_since = now
-        else:
-            self.avg += self.w_q * (0.0 - self.avg)
-
     def _drop_probability(self, size: int) -> float:
         """The geometric inter-drop correction p_a from the RED paper.
 
@@ -142,12 +121,34 @@ class REDQueue(Gateway):
         return p_b / (1.0 - self.count * p_b)
 
     # ------------------------------------------------------------------
-    def enqueue(self, now: float, packet: Packet) -> bool:
-        self._update_average(now)
-        # _idle_since is cleared on *accept* only (see below).  Clearing it
-        # here, before the accept/drop decision, permanently cancelled idle
-        # aging whenever an arrival was dropped at an empty queue (inflated
-        # avg after a long drain): the stale average never decayed and the
+    def _admit(self, now: float, packet: Packet) -> bool:
+        """RED's admission law: refresh ``avg``, then drop, mark or admit.
+
+        The one copy shared by :meth:`enqueue` and :meth:`serve`; it leaves
+        the deque alone, so the caller decides where an admitted packet goes.
+        """
+        # Refresh avg at packet arrival, aging it across idle periods.
+        depth = self.bytes_queued if self.byte_mode else len(self._queue)
+        if depth:
+            self.avg += self.w_q * (depth - self.avg)
+        elif self._idle_since is not None and self.mean_pkt_time > 0:
+            # Queue empty: pretend m small packets arrived to an empty
+            # queue, where m is how many packets could have been serviced
+            # while idle.  (In byte mode the decay exponent is unchanged —
+            # the average is in bytes, but it still decays per *packet*
+            # service opportunity.)
+            m = (now - self._idle_since) / self.mean_pkt_time
+            self.avg *= (1.0 - self.w_q) ** m
+            # Advance the idle mark: if this arrival is dropped and the
+            # queue stays empty, the next arrival must age from *here*,
+            # not decay the already-decayed average over the same gap.
+            self._idle_since = now
+        else:
+            self.avg += self.w_q * (0.0 - self.avg)
+        # _idle_since is cleared on *admit* only (see below).  Clearing it
+        # before the accept/drop decision permanently cancelled idle aging
+        # whenever an arrival was dropped at an empty queue (inflated avg
+        # after a long drain): the stale average never decayed and the
         # idle gateway kept force-dropping forever.
         if len(self._queue) >= self.capacity:
             # Physical overflow — can happen in bursts even under RED.
@@ -173,8 +174,27 @@ class REDQueue(Gateway):
         else:
             self.count = -1
         self._idle_since = None
-        self._accept(now, packet)
         return True
+
+    def enqueue(self, now: float, packet: Packet) -> bool:
+        if self._admit(now, packet):
+            self._accept(now, packet)
+            return True
+        return False
+
+    def serve(self, now: float, packet: Packet) -> Optional[Packet]:
+        if not self._admit(now, packet):
+            return None
+        if self._queue or self._enqueue_hooks or self._dequeue_hooks:
+            self._accept(now, packet)
+            return self.dequeue(now)
+        # accepted and dequeued at once: the queue is empty again from now
+        self.enqueued += 1
+        self.dequeued += 1
+        if not self.peak_depth:
+            self.peak_depth = 1
+        self._idle_since = now
+        return packet
 
     def dequeue(self, now: float) -> Optional[Packet]:
         packet = super().dequeue(now)
@@ -229,6 +249,7 @@ class AdaptiveREDQueue(REDQueue):
                 self.adaptations += 1
             self._next_adapt += self.adapt_interval
 
-    def enqueue(self, now: float, packet: Packet) -> bool:
-        self._adapt(now)
-        return super().enqueue(now, packet)
+    def _admit(self, now: float, packet: Packet) -> bool:
+        if self._next_adapt <= now:
+            self._adapt(now)
+        return REDQueue._admit(self, now, packet)

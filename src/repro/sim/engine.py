@@ -43,6 +43,14 @@ minute, so its inner loop dominates every experiment's wall time):
   returns, so introspection between runs sees one queue.
 * Cancellation stays lazy (skip at pop time) with the O(1) cancelled
   counter and in-place compaction introduced in PR 1.
+* A restarted timer does not cancel: :meth:`Simulator.rekey` gives the
+  handle its new ``(time, seq)`` and leaves its entry where it is, so the
+  queue holds one entry per handle whose key never exceeds the handle's.
+  An entry whose ``seq`` no longer matches its handle's is not due: when
+  it surfaces, :meth:`Simulator.run` (and :meth:`Simulator.peek`) files it
+  again at the handle's key instead of executing it.  Dispatch order,
+  :meth:`Simulator.pending`, ``events_executed`` and the ``event_hook``
+  stream are therefore those of cancel-and-reschedule.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ from .rng import RngStreams
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_heapreplace = heapq.heapreplace
 
 #: A queue entry, ordered by its leading ``(time, seq)`` pair: ``(time, seq,
 #: Event)``, or ``(time, seq, None, callback, args, name)`` for a post.
@@ -184,6 +193,31 @@ class Simulator:
         else:
             _heappush(self._queue, (time, seq, None, callback, args, name))
 
+    def rekey(self, event: Event, delay: float) -> bool:
+        """Move the queued ``event`` to ``now + delay`` without a new entry.
+
+        The handle takes a fresh sequence number exactly where
+        :meth:`schedule_after` would, so the dispatch order is that of
+        ``event.cancel()`` + ``schedule_after(delay, ...)``; its queue entry
+        stays put and is filed again at the new key when it surfaces.
+        Returns False, changing nothing, when that cannot be done: the
+        handle already fired or was cancelled, the new time is earlier than
+        its entry's (the entry would surface late; a negative or NaN delay
+        lands here too), or it is ``now`` while :meth:`run` is draining (the
+        ready lane is FIFO and cannot take an entry in the middle).  The
+        caller then cancels and schedules.
+        """
+        now = self.now
+        time = now + delay
+        if (event._on_cancel is None or not time >= event._filed_at
+                or (time == now and self._running)):
+            return False
+        seq = self._seq
+        self._seq = seq + 1
+        event.time = time
+        event.seq = seq
+        return True
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -223,16 +257,26 @@ class Simulator:
                 if ready and (not queue or queue[0][0] > self.now):
                     entry = ready.popleft()
                     event = entry[2]
-                    if event is not None and event.cancelled:
-                        self._cancelled -= 1
-                        continue
+                    if event is not None:
+                        if event.cancelled:
+                            self._cancelled -= 1
+                            continue
+                        if entry[1] != event.seq:  # re-keyed: not due yet
+                            event._filed_at = event.time
+                            _heappush(queue, (event.time, event.seq, event))
+                            continue
                 else:
                     entry = queue[0]
                     event = entry[2]
-                    if event is not None and event.cancelled:
-                        pop(queue)
-                        self._cancelled -= 1
-                        continue
+                    if event is not None:
+                        if event.cancelled:
+                            pop(queue)
+                            self._cancelled -= 1
+                            continue
+                        if entry[1] != event.seq:  # re-keyed: not due yet
+                            event._filed_at = event.time
+                            _heapreplace(queue, (event.time, event.seq, event))
+                            continue
                     if until is not None and entry[0] > until:
                         break
                     pop(queue)
@@ -312,15 +356,33 @@ class Simulator:
         return len(self._queue) + len(self._ready)
 
     def peek(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` if the queue is empty."""
+        """Time of the next live event, or ``None`` if the queue is empty.
+
+        Clears the heads of both containers as :meth:`run` would: cancelled
+        entries go, re-keyed ones are filed again at their handle's key.
+        """
         queue = self._queue
-        while queue and queue[0][2] is not None and queue[0][2].cancelled:
-            _heappop(queue)
-            self._cancelled -= 1
         ready = self._ready
-        while ready and ready[0][2] is not None and ready[0][2].cancelled:
+        while ready and ready[0][2] is not None:
+            event = ready[0][2]
+            if event.cancelled:
+                self._cancelled -= 1
+            elif ready[0][1] != event.seq:
+                event._filed_at = event.time
+                _heappush(queue, (event.time, event.seq, event))
+            else:
+                break
             ready.popleft()
-            self._cancelled -= 1
+        while queue and queue[0][2] is not None:
+            event = queue[0][2]
+            if event.cancelled:
+                _heappop(queue)
+                self._cancelled -= 1
+            elif queue[0][1] != event.seq:
+                event._filed_at = event.time
+                _heapreplace(queue, (event.time, event.seq, event))
+            else:
+                break
         if queue and ready:
             return min(queue[0][0], ready[0][0])
         if queue:

@@ -20,7 +20,7 @@ class Event:
     """A scheduled callback, orderable by ``(time, seq)``."""
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "name",
-                 "_on_cancel")
+                 "_on_cancel", "_filed_at")
 
     def __init__(
         self,
@@ -40,6 +40,10 @@ class Event:
         #: of cancelled-but-queued events (and compact the heap lazily);
         #: cleared once the event leaves the queue.
         self._on_cancel: Optional[Callable[[], None]] = None
+        #: Time of the queue entry that carries this handle.  Equal to
+        #: ``time`` except after :meth:`~repro.sim.engine.Simulator.rekey`
+        #: moved the handle later and the entry has not surfaced yet.
+        self._filed_at = time
 
     def cancel(self) -> None:
         """Mark the event as cancelled; the engine will skip it."""

@@ -2,8 +2,7 @@
 
 Congestion-control agents need timers that can be restarted (retransmission
 timers) and periodic samplers (window/throughput probes).  These helpers
-encapsulate the cancel-and-reschedule bookkeeping so agent code stays
-readable.
+encapsulate the restart bookkeeping so agent code stays readable.
 """
 
 from __future__ import annotations
@@ -20,6 +19,13 @@ class Timer:
 
     ``callback`` fires once per :meth:`start` unless :meth:`stop` or a later
     :meth:`start` (which restarts the countdown) intervenes.
+
+    A restart of an armed timer re-keys its queued event in place
+    (:meth:`Simulator.rekey`) rather than cancelling it and queueing a new
+    one, so a TCP sender restarting its RTO timer on every ACK leaves no
+    dead entries in the heap.  When the engine cannot re-key (the new
+    expiry is earlier than the queued entry's), the restart cancels and
+    schedules; either way the timer fires at the same ``(time, seq)``.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any], name: str = "timer") -> None:
@@ -42,6 +48,9 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """(Re)arm the timer ``delay`` seconds from now."""
+        event = self._event
+        if event is not None and self.sim.rekey(event, delay):
+            return
         self.stop()
         self._event = self.sim.schedule_after(delay, self._fire, name=self.name)
 

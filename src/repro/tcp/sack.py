@@ -108,7 +108,8 @@ class SenderScoreboard:
         newly_acked = max(0, ack - self.snd_una)
         if ack > self.snd_una:
             self.snd_una = ack
-            self._sacked = {s for s in self._sacked if s >= ack}
+            if self._sacked:
+                self._sacked = {s for s in self._sacked if s >= ack}
         if sack:
             for start, end in sack:
                 for seq in range(max(start, self.snd_una), end):
@@ -132,6 +133,8 @@ class SenderScoreboard:
     def lost_segments(self, up_to: int) -> List[int]:
         """All segments in [snd_una, up_to) currently deemed lost."""
         limit = min(up_to, self.max_sacked - self.dupthresh + 1)
+        if limit <= self.snd_una:
+            return []
         return [
             seq
             for seq in range(self.snd_una, limit)

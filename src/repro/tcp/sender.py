@@ -110,10 +110,12 @@ class TcpSender:
     @property
     def pipe(self) -> int:
         """Conservation-of-packets estimate of segments in flight."""
-        outstanding = self.snd_nxt - self.snd_una
+        # scoreboard fields read directly: this runs per send decision
+        board = self.scoreboard
         return (
-            outstanding
-            - self.scoreboard.sacked_count
+            self.snd_nxt
+            - board.snd_una
+            - len(board._sacked)
             - len(self._lost)
             + len(self._rtx_flight)
         )
@@ -131,9 +133,13 @@ class TcpSender:
             self._enter_recovery()
         board = self.scoreboard
         newly_acked = board.update(packet.ack if packet.ack is not None else 0, packet.sack)
-        # Anything now known-received is no longer lost/in rtx flight.
-        self._lost = {s for s in self._lost if not board.is_sacked(s)}
-        self._rtx_flight = {s for s in self._rtx_flight if not board.is_sacked(s)}
+        # Anything now known-received is no longer lost/in rtx flight
+        # (both sets are empty on most ACKs: nothing to rebuild then).
+        if self._lost:
+            self._lost = {s for s in self._lost if not board.is_sacked(s)}
+        if self._rtx_flight:
+            self._rtx_flight = {s for s in self._rtx_flight
+                                if not board.is_sacked(s)}
 
         if newly_acked > 0:
             if self._in_recovery and board.snd_una > self._recover:

@@ -14,14 +14,17 @@ a per-hop helper call back fails here on any machine.
 
 Re-pinned by PR 20, which made the *unaudited* hop cheaper and so moved
 this ratio without touching the audit layer.  Same run, same interpreter,
-9 290 link transmissions in all four cells:
+9 290 link transmissions in all four cells of the first two rows (9 301
+in the last two):
 
-===========  =========  =======  =======  =================
-..           unaudited  audited  extra    extra / unaudited
-===========  =========  =======  =======  =================
-before       231 791    349 287  117 496  0.51
-after PR 20  197 958    335 552  137 594  0.70
-===========  =========  =======  =======  =================
+=============  =========  =======  =======  =================
+..             unaudited  audited  extra    extra / unaudited
+=============  =========  =======  =======  =================
+before         231 791    349 287  117 496  0.51
+after PR 20    197 958    335 552  137 594  0.70
+one event/hop  181 941    306 043  124 102  0.68
+no dead work   153 244    289 236  135 992  0.89
+=============  =========  =======  =======  =================
 
 The denominator shrank (a link event nobody observes no longer builds an
 ``Event`` handle, and a hop makes fewer calls), and the numerator now
@@ -34,6 +37,17 @@ directly beside it: the audited run's *total* calls per link transmission
 (37.6 before, 36.1 after) may not exceed the figure from before, so an
 audit layer — or a hooked dispatch path — that gets dearer in absolute
 terms fails whatever happens to the unaudited run.
+
+Re-pinned again ("no dead work") for the same reason; "one event/hop" is
+the link posting one event per hop, before it.  An idle wire now takes
+its gateway's ``serve`` verdict, which on a drop-tail or RED gateway
+nobody hooks skips the deque round trip (``_accept`` + ``dequeue``); the
+audit's conservation hooks watch every gateway, so the audited hop must
+keep that round trip, and it moved from the unaudited column to the
+extra column.  The re-keyed RTO timer and the skipped empty set rebuilds
+made both columns cheaper.  The ratio is budgeted at measured + 10 %
+again, and the absolute guard tightens from 37.6 to 33.5 (32.90 with one
+event per hop, 31.10 now).
 """
 
 from __future__ import annotations
@@ -41,11 +55,13 @@ from __future__ import annotations
 from repro.scenarios import get_scenario, run_scenario
 
 #: Extra audited calls allowed, as a share of the unaudited run's calls
-#: (0.70 measured; see the table above for why PR 20 moved it from 0.51).
-BUDGET = 0.77
+#: (0.89 measured; the table above gives why it moved from 0.51 to 0.70
+#: and then to 0.89).
+BUDGET = 0.98
 
-#: Audited calls per link transmission before PR 20 (349 287 / 9 290).
-AUDITED_CALLS_PER_TRANSMISSION = 37.6
+#: Audited calls per link transmission with one event per hop (306 043 /
+#: 9 301 = 32.90), plus the margin for interpreter versions.
+AUDITED_CALLS_PER_TRANSMISSION = 33.5
 
 
 def _tree_churn(audited: bool):
@@ -72,7 +88,5 @@ def test_audit_adds_at_most_budget_of_the_plain_runs_calls(count_python_calls):
     )
     assert audited <= AUDITED_CALLS_PER_TRANSMISSION * transmissions, (
         f"an audited run makes {audited / transmissions:.1f} Python calls "
-        f"per link transmission; it made "
-        f"{AUDITED_CALLS_PER_TRANSMISSION} before the unaudited hop got "
-        f"cheaper"
+        f"per link transmission; budget {AUDITED_CALLS_PER_TRANSMISSION}"
     )

@@ -68,6 +68,29 @@ def test_tree_experiment_byte_identity(gateway, audited):
     assert tree_report_bytes_via_snapshot(spec, at=WARMUP) == straight
 
 
+def test_capture_with_a_re_keyed_timer_entry_restores_byte_identically():
+    """A TCP sender's RTO timer is re-keyed on every ACK, so a mid-run heap
+    holds entries filed under an earlier key than their handle's; the
+    restored engine must file them again exactly as the original does."""
+    spec = TreeExperimentSpec(case=TREE_CASES[2], duration=DURATION,
+                              warmup=WARMUP, seed=5)
+    straight = pickle.dumps(run_tree_experiment(spec))
+    world = build_tree_world(spec)
+    try:
+        snapshot = snapshot_world(world, at=3.0)
+    finally:
+        world.disarm()
+    restored = restore(snapshot)
+    stale = [entry for entry in restored.sim._queue
+             if entry[2] is not None and not entry[2].cancelled
+             and entry[1] != entry[2].seq]
+    assert stale and all(entry[2].name.endswith(".rto") for entry in stale)
+    assert all(entry[0] == entry[2]._filed_at < entry[2].time
+               for entry in stale)
+    finish = resolve_entrypoint(snapshot.resume)
+    assert pickle.dumps(finish(restored)) == straight
+
+
 def test_checkpointed_run_returns_identical_result(tmp_path):
     """run_tree_experiment(checkpoint_at=...) pauses, snapshots, and still
     produces the byte-identical result."""

@@ -288,19 +288,73 @@ def test_load_rejects_future_format_version(tmp_path):
         restore(bumped)
 
 
+def _assert_format_refused(tmp_path, version):
+    assert FORMAT_VERSION == 9
+    snapshot = capture(BareWorld())
+    old = Snapshot(**{**snapshot.__dict__, "version": version})
+    path = save(old, tmp_path / f"v{version}.ckpt")
+    for allow in (False, True):
+        with pytest.raises(CheckpointError, match=(
+                rf"has snapshot format v{version}; this build reads v9$")):
+            load(path, allow_code_mismatch=allow)
+    with pytest.raises(CheckpointError,
+                       match=rf"^snapshot format v{version} not supported"):
+        restore(old)
+
+
 def test_load_rejects_v7_format_version(tmp_path):
     # v7 pickled two-event links (``_busy``, ``_transmission_done`` events):
     # refused with the one-line format message, never restored
-    assert FORMAT_VERSION == 8
-    snapshot = capture(BareWorld())
-    old = Snapshot(**{**snapshot.__dict__, "version": 7})
-    path = save(old, tmp_path / "v7.ckpt")
-    for allow in (False, True):
-        with pytest.raises(CheckpointError,
-                           match=r"has snapshot format v7; this build reads v8$"):
-            load(path, allow_code_mismatch=allow)
-    with pytest.raises(CheckpointError, match=r"^snapshot format v7 not supported"):
-        restore(old)
+    _assert_format_refused(tmp_path, 7)
+
+
+def test_load_rejects_v8_format_version(tmp_path):
+    # a v8 engine fires every heap entry at its own key, so a re-keyed
+    # timer's entry, filed under an earlier key than its handle's, would
+    # fire early there
+    _assert_format_refused(tmp_path, 8)
+
+
+def _rewrite_header(path, **fields):
+    """The file at ``path`` with header fields replaced, payload untouched."""
+    data = path.read_bytes()
+    header = pickle.loads(data)
+    header_len = len(pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL))
+    assert data[:header_len] == pickle.dumps(
+        header, protocol=pickle.HIGHEST_PROTOCOL)
+    path.write_bytes(pickle.dumps({**header, **fields},
+                                  protocol=pickle.HIGHEST_PROTOCOL)
+                     + data[header_len:])
+
+
+def test_load_refuses_a_flipped_uid_next_digit(tmp_path):
+    """Until v9 the digest covered the payload only: this file restored a
+    world whose packet-uid counter was off by a digit."""
+    world = BareWorld()
+    world.sim.schedule(1.0, world.emit, "x")
+    path = save(capture(world, label="uid", resume="mod:finish"),
+                tmp_path / "state.ckpt")
+    uid_next = load(path).uid_next
+    digits = str(uid_next)
+    flipped = int(digits[:-1] + str((int(digits[-1]) + 1) % 10))
+    _rewrite_header(path, uid_next=flipped)
+    with pytest.raises(CheckpointError) as caught:
+        load(path)
+    message = str(caught.value)
+    assert "truncated or corrupt" in message and "\n" not in message
+
+
+@pytest.mark.parametrize("field, value", [
+    ("code", "0" * 16), ("label", "other"), ("resume", "mod:other"),
+    ("sim_time", 2.0),
+])
+def test_digest_covers_every_header_field_a_restore_acts_on(
+        tmp_path, field, value):
+    path = save(capture(BareWorld(), label="x", resume="mod:finish"),
+                tmp_path / "state.ckpt")
+    _rewrite_header(path, **{field: value})
+    with pytest.raises(CheckpointError, match="truncated or corrupt"):
+        load(path, allow_code_mismatch=True)
 
 
 def test_load_rejects_code_mismatch(tmp_path):

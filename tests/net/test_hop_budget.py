@@ -5,7 +5,10 @@ function calls a seeded run makes is exact.  Figure 7 cases 1 + 3, 3 + 1
 simulated seconds, seed 1, unaudited, Python 3.11: 2 725 251 calls for
 134 838 link transmissions = 20.2 per transmission with an ``Event`` per
 scheduled callback, 2 196 528 = 16.3 with handle-free posts, and
-1 895 752 for 134 863 = 14.06 since the link posts one event per hop.
+1 895 752 for 134 863 = 14.06 since the link posts one event per hop,
+and 1 520 296 = 11.27 since a restarted RTO timer re-keys its event, an
+idle wire takes the gateway's ``serve`` verdict and the ACK clock skips
+rebuilding empty sets.
 What handle-free posts removed, per transmission: two ``Event.__init__``
 (the ``.tx`` and ``.rx`` events nobody keeps — ``post`` puts the
 callback in the queue entry), ``Node._forward_unicast`` (inlined into
@@ -13,10 +16,13 @@ callback in the queue entry), ``Node._forward_unicast`` (inlined into
 learn the gateway was empty.  What one event per hop removed: the
 "transmission done" callback, its ``post`` and its ``dequeue`` of a
 usually empty gateway; a waiting packet costs a ``_wake`` and a
-``len(gateway)`` instead (0.15 per transmission on this run).  What is
-left is the hop itself: ``receive`` → ``send`` → ``enqueue`` →
-``_accept`` → ``dequeue`` → ``_transmit`` → ``post_at``, plus the
-endpoints' share.  A per-hop helper call or a per-event allocation with
+``len(gateway)`` instead (0.15 per transmission on this run).  What the
+idle-wire verdict removed: ``enqueue`` → ``_accept`` → ``dequeue`` became
+one ``serve`` on a drop-tail gateway nobody hooks; what re-keying removed:
+``stop`` → ``cancel`` → ``_note_cancelled`` → ``schedule_after`` →
+``Event.__init__`` per ACK became one ``rekey``.  What is left is the hop
+itself: ``receive`` → ``send`` → ``serve`` → ``_transmit`` → ``post_at``,
+plus the endpoints' share.  A per-hop helper call or a per-event allocation with
 an ``__init__`` that creeps back fails here on any machine; the margin
 to the budget is for interpreter versions.
 """
@@ -25,9 +31,10 @@ from __future__ import annotations
 
 from repro.experiments.figures import run_figure
 
-#: Python calls allowed per link transmission (14.06 measured; 16.3 with
-#: two events per hop, 20.2 with an ``Event`` per callback).
-BUDGET = 14.5
+#: Python calls allowed per link transmission (11.27 measured; 14.06 with
+#: a deque round trip per idle hop and eager timers, 16.3 with two events
+#: per hop, 20.2 with an ``Event`` per callback).
+BUDGET = 11.8
 
 
 def test_python_calls_per_link_transmission_stay_in_budget(count_python_calls):

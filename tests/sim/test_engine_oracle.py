@@ -26,6 +26,7 @@ from __future__ import annotations
 import importlib.util
 import pickle
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,7 @@ from repro.net.packet import restore_uid_counter, uid_counter_state
 from repro.scenarios import get_scenario, run_scenario
 from repro.scenarios.grid import grid_cell
 from repro.sim.engine import Simulator
+from repro.sim.process import Timer
 
 
 def _load_reference():
@@ -64,6 +66,9 @@ class ReferenceSimulator(reference.Simulator):
     def post_at(self, time, callback, args=(), name=None):
         self.schedule(time, callback, *args, name=name)
 
+    def rekey(self, event, delay):
+        return False  # so every Timer restart cancels and reschedules
+
 
 # ----------------------------------------------------------------------
 # (i) drawn interleavings of the engine's whole surface
@@ -74,9 +79,16 @@ _OFFSETS = st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 1.0])
 _SCHEDULING = st.tuples(
     st.sampled_from(["schedule", "after", "post", "post", "post_at"]),
     _OFFSETS)
+#: Three timers per script: (re)starts later, at the same instant or
+#: earlier than the queued entry, and stops of re-keyed timers.
+_TIMING = st.one_of(
+    st.tuples(st.just("start"), st.tuples(st.integers(0, 2), _OFFSETS)),
+    st.tuples(st.just("halt"), st.integers(0, 2)),
+)
 _ANYWHERE = st.one_of(
     _SCHEDULING,
     _SCHEDULING,
+    _TIMING,
     st.tuples(st.just("cancel"), st.integers(0, 1000)),
     st.tuples(st.sampled_from(["peek", "pending", "stop"]), st.none()),
 )
@@ -97,6 +109,12 @@ class _Script:
         self.log = []
         self.handles = []
         self.labels = 0
+        self.timers = [Timer(sim, partial(self.fire, f"t{k}"), name=f"t{k}")
+                       for k in range(3)]
+        #: a timer restart re-keys on one engine and not on the other, so
+        #: the physical queue sizes (and cancelled counts) agree only until
+        #: the first timer op
+        self.timed = False
         self._inner = iter(inner)
         if hooked:
             sim.event_hook = lambda event: self.log.append(
@@ -126,6 +144,14 @@ class _Script:
             else:
                 log.append(("post_at", sim.post_at(sim.now + arg, self.fire,
                                                    (label,), name)))
+        elif kind in ("start", "halt"):
+            self.timed = True
+            timer = self.timers[arg[0] if kind == "start" else arg]
+            if kind == "start":
+                timer.start(arg[1])
+            else:
+                timer.stop()
+            log.append((kind, arg, timer.pending, timer.expiry))
         elif kind == "cancel":
             if self.handles:
                 handle = self.handles[arg % len(self.handles)]
@@ -134,7 +160,8 @@ class _Script:
         elif kind == "peek":
             log.append(("peek", sim.peek()))
         elif kind == "pending":
-            log.append(("pending", sim.pending(), sim.queue_size()))
+            log.append(("pending", sim.pending(),
+                        None if self.timed else sim.queue_size()))
         elif kind == "stop":
             sim.stop()
         elif kind == "run_until":
@@ -148,9 +175,10 @@ class _Script:
         for op in outer:
             self.apply(op)
         sim = self.sim
-        self.log.append(("drained", sim.run(), sim.now, sim.pending(),
-                         sim.queue_size(), sim.peek(), sim.events_executed,
-                         sim._seq, sim._cancelled))
+        ran = sim.run()  # a stop() from a callback can end it early
+        physical = None if self.timed else (sim.queue_size(), sim._cancelled)
+        self.log.append(("drained", ran, sim.now, sim.pending(), physical,
+                         sim.peek(), sim.events_executed, sim._seq))
         return self.log
 
 
@@ -170,11 +198,31 @@ _PINNED_INNER = [
 ]
 
 
+#: A timer program: a restart later than the queued entry, a run(until=...)
+#: that stops between that entry's stale key and its true one, a restart
+#: earlier than the entry (the fallback), one at the same instant, a stop
+#: after a re-key, and (inner) a restart to ``now`` from inside a callback.
+_TIMER_OUTER = [
+    ("start", (0, 1.0)), ("start", (1, 0.5)), ("start", (2, 0.5)),
+    ("run_until", 0.5),
+    ("start", (0, 1.0)), ("pending", None), ("run_until", 0.5),
+    ("peek", None), ("start", (0, 0.25)), ("start", (0, 0.25)),
+    ("start", (1, 0.5)), ("start", (1, 0.5)), ("halt", 1), ("post", 0.25),
+    ("run", None),
+]
+_TIMER_INNER = [("post", 0.0), ("start", (2, 0.0)), ("peek", None)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_OUTSIDE, min_size=1, max_size=40),
        st.lists(_ANYWHERE, max_size=120), st.booleans())
 @example(_PINNED_OUTER, _PINNED_INNER, False)
 @example(_PINNED_OUTER, _PINNED_INNER, True)
+@example(_TIMER_OUTER, _TIMER_INNER, False)
+@example(_TIMER_OUTER, _TIMER_INNER, True)
+@example([("schedule", 0.0)],  # re-keyed out of the ready lane, then stop()
+         [("schedule", 0.0), ("start", (0, 0.0)), ("start", (0, 0.25)),
+          ("stop", None)], False)
 def test_drawn_interleavings_execute_like_the_reference(outer, inner, hooked):
     new = _Script(Simulator(), inner, hooked).play(outer)
     old = _Script(ReferenceSimulator(), inner, hooked).play(outer)
@@ -202,6 +250,35 @@ def test_the_pinned_program_reaches_what_it_was_written_for():
     old = _Script(ReferenceSimulator(), [], hooked=False)
     old.apply(("post", 0.5))
     assert [len(entry) for entry in old.sim._queue] == [3]
+
+
+def test_the_timer_program_reaches_what_it_was_written_for():
+    sim = Simulator()
+    script = _Script(sim, _TIMER_INNER, hooked=False)
+    for op in _TIMER_OUTER[:5]:  # ... up to the restart later
+        script.apply(op)
+    # t1's callback posted, then restarted t2 (due now) to now: t2 ran
+    # after the post, from the ready lane
+    fired = [entry[1] for entry in script.log if entry[0] == "fire"]
+    assert fired == ["t1", 0, "t2"]  # 0: the post's label
+    stale = [entry for entry in sim._queue
+             if entry[2] is not None and entry[1] != entry[2].seq]
+    assert [(entry[0], entry[2].time) for entry in stale] == [(1.0, 1.5)]
+    for op in _TIMER_OUTER[5:7]:
+        script.apply(op)
+    assert script.log[-2:] == [("pending", 1, None), ("ran", 0, 1.0)]
+    assert [entry[0] for entry in sim._queue] == [1.5]  # filed again
+    for op in _TIMER_OUTER[7:9]:  # peek, then a restart before 1.5
+        script.apply(op)
+    assert sim.queue_size() == 2 and sim.pending() == 1
+    rescheduled = script.timers[0]._event
+    script.apply(_TIMER_OUTER[9])  # the same instant again: re-keyed
+    assert script.timers[0]._event is rescheduled and sim.queue_size() == 2
+    # and the stand-in keeps eager timers
+    old = _Script(ReferenceSimulator(), [], hooked=False)
+    old.apply(("start", (0, 1.0)))
+    old.apply(("start", (0, 1.0)))
+    assert old.sim.queue_size() == 2 and old.sim.pending() == 1
 
 
 # ----------------------------------------------------------------------

@@ -38,6 +38,85 @@ def test_timer_stop_cancels():
     assert timer.expiry is None
 
 
+def test_timer_restart_later_moves_its_one_queue_entry():
+    sim = Simulator()
+    fired = []
+    timer = Timer(sim, lambda: fired.append(sim.now))
+    timer.start(1.0)
+    event = timer._event
+    sim.run(until=0.5)
+    timer.start(1.0)  # due at 1.5; the entry still says 1.0
+    assert timer._event is event and timer.expiry == 1.5
+    assert sim.queue_size() == sim.pending() == 1
+    assert [entry[0] for entry in sim._queue] == [1.0]
+    assert sim.run(until=1.2) == 0  # the entry surfaced, nothing ran
+    assert sim.now == 1.2 and fired == []
+    assert [entry[0] for entry in sim._queue] == [1.5]
+    sim.run()
+    assert fired == [1.5] and sim.events_executed == 1
+
+
+def test_timer_restart_at_the_same_instant_takes_a_fresh_sequence_number():
+    sim = Simulator()
+    order = []
+    timer = Timer(sim, lambda: order.append("timer"))
+    timer.start(1.0)
+    sim.schedule(1.0, order.append, "scheduled")
+    timer.start(1.0)  # same instant, re-keyed behind the scheduled event
+    assert sim.queue_size() == 2
+    sim.run()
+    assert order == ["scheduled", "timer"]
+
+
+def test_timer_restart_earlier_than_its_entry_cancels_and_reschedules():
+    sim = Simulator()
+    fired = []
+    timer = Timer(sim, lambda: fired.append(sim.now))
+    timer.start(2.0)
+    first = timer._event
+    timer.start(1.0)
+    assert first.cancelled and timer._event is not first
+    assert sim.pending() == 1 and sim.queue_size() == 2
+    sim.run()
+    assert fired == [1.0]
+
+
+def test_timer_restart_to_now_inside_a_callback_takes_the_ready_lane():
+    sim = Simulator()
+    order = []
+    timer = Timer(sim, lambda: order.append(("timer", sim.now)))
+
+    def restart():
+        sim.post(0.0, order.append, (("post", sim.now),))
+        timer.start(0.0)  # its entry is due now, but the ready lane is FIFO
+
+    sim.schedule(0.5, restart)
+    timer.start(0.5)
+    sim.run()
+    assert order == [("post", 0.5), ("timer", 0.5)]
+
+
+def test_timer_stop_after_a_restart_drops_its_entry():
+    sim = Simulator()
+    fired = []
+    timer = Timer(sim, lambda: fired.append(sim.now))
+    timer.start(1.0)
+    timer.start(3.0)
+    timer.stop()
+    assert sim.pending() == 0 and sim.peek() is None
+    assert sim.run() == 0 and fired == []
+
+
+def test_peek_files_a_restarted_entry_at_its_true_time():
+    sim = Simulator()
+    timer = Timer(sim, lambda: None)
+    timer.start(1.0)
+    sim.schedule(2.0, lambda: None)
+    timer.start(3.0)
+    assert sim.peek() == 2.0
+    assert sorted(entry[0] for entry in sim._queue) == [2.0, 3.0]
+
+
 def test_timer_expiry_reports_absolute_time():
     sim = Simulator()
     timer = Timer(sim, lambda: None)

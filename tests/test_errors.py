@@ -78,8 +78,9 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
     # entrypoints (a v3 header names one that no longer exists); a ready
     # lane of bare Events and a heap without handle-free entries (v4); a
     # tracer object pickled inside every Simulator (v5); no payload
-    # digest to check (v6); two-event links with ``_busy`` state (v7)
-    for version in (1, 2, 3, 4, 5, 6, 7):
+    # digest to check (v6); two-event links with ``_busy`` state (v7); an
+    # engine that would fire a re-keyed timer's entry early (v8)
+    for version in (1, 2, 3, 4, 5, 6, 7, 8):
         old = Snapshot(**{**foreign.__dict__, "version": version})
         with pytest.raises(CheckpointError, match=f"format v{version}"):
             load(save(old, tmp_path / "old.ckpt"), allow_code_mismatch=True)
@@ -88,7 +89,7 @@ def test_snapshot_from_an_incompatible_build_is_a_cli_error(
     for flags in ([], ["--allow-code-mismatch"]):
         assert main([command, str(tmp_path / "old.ckpt"), *flags]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "format v7" in err
+        assert err.startswith("error: ") and "format v8" in err
         assert err.count("\n") == 1
 
 
