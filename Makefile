@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test paper-checks bench bench-selftest bench-pair audit-smoke hop-smoke checkpoint-smoke fluid-smoke import-smoke startup-smoke examples-smoke figures quickstart clean
+.PHONY: install test paper-checks bench bench-selftest bench-pair same-output audit-smoke hop-smoke checkpoint-smoke fluid-smoke import-smoke startup-smoke examples-smoke figures quickstart clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -46,6 +46,19 @@ bench-pair:
 		--out $(PAIR_OUT)/pair-change.json \
 	&& $(PYTHON) benchmarks/rlabench/compare.py \
 		$(PAIR_OUT)/pair-base.json $(PAIR_OUT)/pair-change.json
+
+# The behaviour gate: BASE and this checkout run one fixed list of
+# repro-rla command lines (benchmarks/same_output.py: every catalog
+# scenario plain and audited, the AQM grid on both backends, fluid
+# crossval and scale, a sweep, every paper table) and each stdout must be
+# byte-identical — how a change meant to alter no behaviour proves it.
+# BASE is unpacked from `git archive`.  ~50 s on 2 vCPUs.
+SAME_BASE := .same-output-base
+same-output:
+	rm -rf $(SAME_BASE) && mkdir $(SAME_BASE)
+	git archive $(BASE) | tar -x -C $(SAME_BASE)
+	trap 'rm -rf $(SAME_BASE)' EXIT; \
+	$(PYTHON) benchmarks/same_output.py $(SAME_BASE)
 
 # Audit layer smoke: its unit tests, the diet oracle (the pre-PR-17 layer
 # kept verbatim in tests/audit/reference.py must count the same checks and

@@ -32,7 +32,8 @@ ahead of the world payload so incompatible files fail fast and cleanly.
 The header carries a sha256 over its own fields and the payload, checked
 before anything is unpickled from the payload: a truncated or bit-flipped
 file — a damaged ``uid_next`` as much as a damaged world — is refused in
-one line, never restored into a world that fails later.
+one line, never restored into a world that fails later.  So is a header
+holding an opcode outside :data:`HEADER_OPCODES`, before it is unpickled.
 """
 
 from __future__ import annotations
@@ -73,6 +74,15 @@ FORMAT_VERSION = 9
 
 #: File magic identifying a repro checkpoint file.
 MAGIC = "repro-ckpt"
+
+#: Every pickle opcode a header (a dict of strings and numbers) may hold.
+#: Checked before unpickling: one bit turns ``MEMOIZE`` into ``BYTEARRAY8``,
+#: whose unpickling makes CPython print a ``SystemError`` line of its own.
+HEADER_OPCODES = frozenset({
+    "PROTO", "FRAME", "EMPTY_DICT", "MARK", "SETITEM", "SETITEMS",
+    "SHORT_BINUNICODE", "BINUNICODE", "BININT", "BININT1", "BININT2",
+    "LONG1", "BINFLOAT", "MEMOIZE", "BINGET", "LONG_BINGET", "STOP",
+})
 
 
 class CheckpointError(ReproError):
@@ -230,6 +240,8 @@ def load(path: Union[str, Path],
     is an error unless explicitly allowed.  A payload that does not match
     the header's sha256 (a truncated or corrupted file) always is.
     """
+    import pickletools
+
     from ..runtime.spec import code_version
 
     path = Path(path)
@@ -237,6 +249,10 @@ def load(path: Union[str, Path],
         # unpickled from memory: a damaged frame length then reads short
         # instead of asking the file for gigabytes
         stream = io.BytesIO(path.read_bytes())
+        for opcode, _arg, _pos in pickletools.genops(stream):
+            if opcode.name not in HEADER_OPCODES:
+                raise ValueError(f"opcode {opcode.name} in the header")
+        stream.seek(0)
         header = pickle.load(stream)
         payload = stream.read()
     except Exception as exc:  # any byte of a header may be damaged

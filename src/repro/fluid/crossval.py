@@ -92,10 +92,13 @@ class CrossvalCase:
     flows: int
     receivers: int
     gateway: str = "droptail"
-    per_flow_pps: float = 100.0
     duration: float = 15.0
     warmup: float = 6.0
     seed: int = 1
+
+    #: Bottleneck capacity per flow (and per session), pkt/s (a class
+    #: attribute, not a field).
+    per_flow_pps = 100.0
 
     # how repro.lifecycle runs this spec (class attributes, not fields):
     # the packet side is the pool job, the fluid side takes milliseconds

@@ -192,8 +192,8 @@ class FluidSpec:
     ``duration`` is the measured window after ``warmup`` seconds of
     transient (time averages are taken over the measured window only,
     mirroring the packet experiments' mark protocol).  ``dt`` is the
-    fixed RK4 step.  ``seed`` only carries the packet twin's seed into
-    the report row; the dynamics draw no random numbers at all.
+    fixed RK4 step, 1 ms.  ``seed`` only carries the packet twin's seed
+    into the report row; the dynamics draw no random numbers at all.
     """
 
     name: str
@@ -202,7 +202,6 @@ class FluidSpec:
     rla_cohorts: Tuple[RlaCohortSpec, ...] = ()
     duration: float = 30.0
     warmup: float = 10.0
-    dt: float = 1e-3
     seed: int = 1
     #: The RLA sender clocks on the worst receiver, but its effective
     #: round-trip sits *above* that receiver's RTT — equation 5 bounds
@@ -210,6 +209,9 @@ class FluidSpec:
     #: RTT by this factor; 1.5 is the midpoint of the equation 5 band
     #: and matches the packet cross-validation.
     rla_rtt_factor: float = 1.5
+
+    #: The RK4 step, seconds (a class attribute, not a field).
+    dt = 1e-3
 
     # how repro.lifecycle runs this spec (class attributes, not fields)
     runner = "repro.fluid.runner:run_fluid"
@@ -228,10 +230,10 @@ class FluidSpec:
         if not self.tcp_cohorts and not self.rla_cohorts:
             raise ConfigurationError("fluid spec needs at least one cohort")
         check_horizon(self.duration, self.warmup)
-        _require_finite("fluid spec", dt=self.dt,
-                        rla_rtt_factor=self.rla_rtt_factor)
-        if self.dt <= 0 or self.dt > self.duration:
-            raise ConfigurationError(f"bad integration step: {self.dt}")
+        _require_finite("fluid spec", rla_rtt_factor=self.rla_rtt_factor)
+        if self.dt > self.duration:
+            raise ConfigurationError(
+                f"duration {self.duration}s is shorter than one {self.dt}s step")
         if not 1.0 <= self.rla_rtt_factor <= 2.0:
             raise ConfigurationError(
                 f"rla_rtt_factor outside equation 5's [1, 2] band: "

@@ -154,8 +154,9 @@ def solve_equilibrium(spec: FluidSpec) -> EquilibriumReport:
         )
 
     # The top of the continuous drop profile: RED's linear region ends
-    # at max_p; drop-tail's excess-rate loss is bounded below 1.
-    p_hi = bn.max_p if bn.discipline == "red" else 1.0 - 1e-9
+    # at max_p; drop-tail's excess-rate loss is bounded below 1, and so
+    # is every loss the window formulas take (max_p may be 1).
+    p_hi = min(bn.max_p if bn.discipline == "red" else 1.0, 1.0 - 1e-9)
     if _residual(spec, P_FLOOR) <= 0.0:
         # Demand never fills the profile: effectively lossless.
         return EquilibriumReport(

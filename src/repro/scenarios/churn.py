@@ -43,9 +43,12 @@ class ChurnSpec:
     arrival_rate_per_s: float = 0.5
     mean_hold_s: float = 10.0
     hold_dist: str = "exp"  # "exp" | "pareto"
-    pareto_alpha: float = 1.5
     initial_members: int = 2
     min_members: int = 1
+
+    #: Tail index of the Pareto holding times (a class attribute, not a
+    #: field).
+    pareto_alpha = 1.5
 
     def validate(self) -> "ChurnSpec":
         """Check parameter sanity; returns self for chaining."""
@@ -57,8 +60,6 @@ class ChurnSpec:
             raise ConfigurationError(f"non-positive hold time: {self.mean_hold_s}")
         if self.hold_dist not in ("exp", "pareto"):
             raise ConfigurationError(f"unknown hold_dist {self.hold_dist!r}")
-        if self.hold_dist == "pareto" and self.pareto_alpha <= 1.0:
-            raise ConfigurationError(f"pareto_alpha must be > 1: {self.pareto_alpha}")
         if self.initial_members < 1:
             raise ConfigurationError(
                 f"need at least one initial member: {self.initial_members}"

@@ -50,29 +50,26 @@ TOPOLOGY_STREAM = "scenario.topology"
 class WaxmanTopology:
     """Waxman random graph: ``n`` nodes in the unit square.
 
-    ``bandwidth_mbps``/``delay_ms``/``buffer_pkts`` are uniform draw
-    ranges applied per link.  ``alpha`` scales overall edge density;
-    ``beta`` controls how sharply probability decays with distance.
+    ``alpha`` scales overall edge density; ``beta`` controls how sharply
+    probability decays with distance.  ``bandwidth_mbps``/``delay_ms``/
+    ``buffer_pkts`` are uniform draw ranges applied per link.
     """
 
     n: int = 24
     alpha: float = 0.5
-    beta: float = 0.25
-    bandwidth_mbps: Tuple[float, float] = (1.5, 6.0)
-    delay_ms: Tuple[float, float] = (2.0, 15.0)
-    buffer_pkts: Tuple[int, int] = (15, 40)
+
+    # fixed shape and per-link draw ranges (class attributes, not fields)
+    beta = 0.25
+    bandwidth_mbps = (1.5, 6.0)
+    delay_ms = (2.0, 15.0)
+    buffer_pkts = (15, 40)
 
     def validate(self) -> "WaxmanTopology":
         """Check parameter sanity; returns self for chaining."""
         if self.n < 3:
             raise TopologyError(f"Waxman graph needs >= 3 nodes, got {self.n}")
-        if not (0.0 < self.alpha <= 1.0) or self.beta <= 0.0:
-            raise TopologyError(
-                f"need 0 < alpha <= 1 and beta > 0: alpha={self.alpha}, beta={self.beta}"
-            )
-        _check_range("bandwidth_mbps", self.bandwidth_mbps)
-        _check_range("delay_ms", self.delay_ms)
-        _check_range("buffer_pkts", self.buffer_pkts)
+        if not 0.0 < self.alpha <= 1.0:
+            raise TopologyError(f"need 0 < alpha <= 1: alpha={self.alpha}")
         return self
 
 
@@ -83,11 +80,13 @@ class TransitStubTopology:
     transits: int = 3
     stubs_per_transit: int = 2
     hosts_per_stub: int = 3
-    transit_bandwidth_mbps: Tuple[float, float] = (20.0, 40.0)
-    transit_delay_ms: Tuple[float, float] = (8.0, 25.0)
-    stub_bandwidth_mbps: Tuple[float, float] = (1.5, 6.0)
-    stub_delay_ms: Tuple[float, float] = (1.0, 6.0)
-    buffer_pkts: Tuple[int, int] = (15, 40)
+
+    # per-link draw ranges (class attributes, not fields)
+    transit_bandwidth_mbps = (20.0, 40.0)
+    transit_delay_ms = (8.0, 25.0)
+    stub_bandwidth_mbps = (1.5, 6.0)
+    stub_delay_ms = (1.0, 6.0)
+    buffer_pkts = (15, 40)
 
     def validate(self) -> "TransitStubTopology":
         """Check parameter sanity; returns self for chaining."""
@@ -95,11 +94,6 @@ class TransitStubTopology:
             raise TopologyError(
                 "transit-stub needs >= 1 transit, stub and host per level"
             )
-        _check_range("transit_bandwidth_mbps", self.transit_bandwidth_mbps)
-        _check_range("transit_delay_ms", self.transit_delay_ms)
-        _check_range("stub_bandwidth_mbps", self.stub_bandwidth_mbps)
-        _check_range("stub_delay_ms", self.stub_delay_ms)
-        _check_range("buffer_pkts", self.buffer_pkts)
         return self
 
 
@@ -114,20 +108,19 @@ class JitteredTreeTopology:
 
     depth: int = 3
     fanout: int = 3
-    interior_bandwidth_mbps: float = 50.0
-    interior_delay_ms: float = 5.0
-    leaf_bandwidth_mbps: float = 1.6
-    leaf_delay_ms: float = 40.0
-    jitter: float = 0.3
-    buffer_pkts: Tuple[int, int] = (15, 30)
+
+    # per-link means, spread and buffer range (class attributes, not fields)
+    interior_bandwidth_mbps = 50.0
+    interior_delay_ms = 5.0
+    leaf_bandwidth_mbps = 1.6
+    leaf_delay_ms = 40.0
+    jitter = 0.3
+    buffer_pkts = (15, 30)
 
     def validate(self) -> "JitteredTreeTopology":
         """Check parameter sanity; returns self for chaining."""
         if self.depth < 1 or self.fanout < 1:
             raise TopologyError("tree needs depth >= 1 and fanout >= 1")
-        if not (0.0 <= self.jitter < 1.0):
-            raise TopologyError(f"jitter must be in [0, 1): {self.jitter}")
-        _check_range("buffer_pkts", self.buffer_pkts)
         return self
 
 
@@ -152,17 +145,19 @@ class RttCohortTopology:
     #: + source-side delays)).
     fast_delay_ms: float = 3.0
     slow_delay_ms: float = 95.0
+
+    # fixed links (class attributes, not fields)
     #: +/- relative jitter drawn per access link so cohort members are
     #: heterogeneous within the cohort too.
-    delay_jitter: float = 0.1
-    bottleneck_mbps: float = 3.0
-    bottleneck_delay_ms: float = 1.0
-    access_mbps: float = 20.0
+    delay_jitter = 0.1
+    bottleneck_mbps = 3.0
+    bottleneck_delay_ms = 1.0
+    access_mbps = 20.0
     #: Bottleneck buffer (the AQM's physical capacity).
-    buffer_pkts: int = 25
+    buffer_pkts = 25
     #: Access-link buffers, generous so the bottleneck stays the only
     #: congestion point.
-    access_buffer_pkts: int = 100
+    access_buffer_pkts = 100
 
     def validate(self) -> "RttCohortTopology":
         """Check parameter sanity; returns self for chaining."""
@@ -173,26 +168,7 @@ class RttCohortTopology:
                 f"need 0 < fast_delay_ms < slow_delay_ms: "
                 f"{self.fast_delay_ms}, {self.slow_delay_ms}"
             )
-        if not (0.0 <= self.delay_jitter < 1.0):
-            raise TopologyError(f"delay_jitter must be in [0, 1): {self.delay_jitter}")
-        if self.bottleneck_mbps <= 0 or self.access_mbps <= 0:
-            raise TopologyError("bandwidths must be positive")
-        if self.bottleneck_delay_ms <= 0:
-            raise TopologyError("bottleneck delay must be positive")
-        if self.buffer_pkts < 2 or self.access_buffer_pkts < 1:
-            raise TopologyError("buffers must hold at least a couple packets")
         return self
-
-
-#: Any of the generator specifications.
-TopologySpec = (WaxmanTopology, TransitStubTopology, JitteredTreeTopology,
-                RttCohortTopology)
-
-
-def _check_range(name: str, bounds: Tuple[float, float]) -> None:
-    lo, hi = bounds
-    if lo <= 0 or hi < lo:
-        raise TopologyError(f"{name} must satisfy 0 < lo <= hi: {bounds}")
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +263,7 @@ def _add_drawn_link(
     """Draw one link's parameters and install it bidirectionally."""
     bandwidth = mbps(rng.uniform(*bandwidth_range))
     delay = ms(rng.uniform(*delay_range))
-    buffer_pkts = rng.randint(int(buffer_range[0]), int(buffer_range[1]))
+    buffer_pkts = rng.randint(*buffer_range)
     topo.net.add_link(
         a, b, bandwidth, delay,
         queue_factory=_queue_factory(sim, gateway, buffer_pkts, ecn,
@@ -437,8 +413,7 @@ def _build_jittered_tree(
             delay = ms(jittered(
                 spec.leaf_delay_ms if leaf else spec.interior_delay_ms
             ))
-            buffer_pkts = rng.randint(int(spec.buffer_pkts[0]),
-                                      int(spec.buffer_pkts[1]))
+            buffer_pkts = rng.randint(*spec.buffer_pkts)
             topo.net.add_link(
                 parent, child, bandwidth, delay,
                 queue_factory=_queue_factory(sim, gateway, buffer_pkts, ecn,

@@ -48,19 +48,18 @@ class PacketSizeMix:
     scaling by — the heterogeneity axis of the AQM study matrix.
     """
 
-    mice_size: int = 40
-    bulk_size: int = DEFAULT_PACKET_SIZE
-    video_size: int = 1400
     mice_weight: float = 0.0
     bulk_weight: float = 1.0
     video_weight: float = 0.0
 
+    # the class sizes, bytes (class attributes, not fields)
+    mice_size = 40
+    bulk_size = DEFAULT_PACKET_SIZE
+    video_size = 1400
+
     def validate(self) -> "PacketSizeMix":
         """Check parameter sanity; returns self for chaining."""
-        sizes = (self.mice_size, self.bulk_size, self.video_size)
         weights = (self.mice_weight, self.bulk_weight, self.video_weight)
-        if any(size < 1 for size in sizes):
-            raise ConfigurationError(f"packet sizes must be >= 1 byte: {sizes}")
         if any(w < 0 for w in weights) or sum(weights) <= 0:
             raise ConfigurationError(
                 f"class weights must be >= 0 and sum positive: {weights}"
@@ -120,11 +119,13 @@ class BackgroundTraffic:
     pareto_rate_pps: float = 50.0
     pareto_on_s: float = 0.5
     pareto_off_s: float = 1.0
-    pareto_alpha: float = 1.5
     mice_rate_per_s: float = 0.0
     mice_mean_pkts: int = 20
-    mice_alpha: float = 1.2
-    mice_max_pkts: int = 500
+
+    # tail shapes and the mouse size cap (class attributes, not fields)
+    pareto_alpha = 1.5
+    mice_alpha = 1.2
+    mice_max_pkts = 500
 
     def validate(self) -> "BackgroundTraffic":
         """Check parameter sanity; returns self for chaining."""
@@ -137,15 +138,12 @@ class BackgroundTraffic:
         if self.pareto_sources > 0:
             if self.pareto_rate_pps <= 0 or self.pareto_on_s <= 0 or self.pareto_off_s <= 0:
                 raise ConfigurationError("Pareto on/off parameters must be positive")
-            if self.pareto_alpha <= 1.0:
-                raise ConfigurationError(f"pareto_alpha must be > 1: {self.pareto_alpha}")
-        if self.mice_rate_per_s > 0:
-            if self.mice_mean_pkts < 1 or self.mice_max_pkts < self.mice_mean_pkts:
-                raise ConfigurationError(
-                    "need 1 <= mice_mean_pkts <= mice_max_pkts"
-                )
-            if self.mice_alpha <= 1.0:
-                raise ConfigurationError(f"mice_alpha must be > 1: {self.mice_alpha}")
+        if self.mice_rate_per_s > 0 and not (
+                1 <= self.mice_mean_pkts <= self.mice_max_pkts):
+            raise ConfigurationError(
+                f"need 1 <= mice_mean_pkts <= {self.mice_max_pkts}: "
+                f"{self.mice_mean_pkts}"
+            )
         return self
 
 

@@ -357,6 +357,33 @@ def test_digest_covers_every_header_field_a_restore_acts_on(
         load(path, allow_code_mismatch=True)
 
 
+def test_every_header_bit_flip_is_refused_or_harmless(tmp_path, capfd):
+    """A flip that turns a ``MEMOIZE`` opcode (0x94) into ``BYTEARRAY8``
+    (0x96) made CPython print its own ``SystemError: deallocated
+    bytearray object has exported buffers`` line ahead of the error.
+    A flip may only be refused, silently, or change nothing (the
+    protocol byte, the frame length)."""
+    world = BareWorld()
+    world.sim.schedule(1.0, world.emit, "x")
+    snapshot = capture(world, label="flip", resume="mod:finish")
+    data = dumps(snapshot)
+    path = tmp_path / "flipped.ckpt"
+    header_bits = 8 * (len(data) - len(snapshot.payload))
+    refused = 0
+    for bit in range(header_bits):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(flipped)
+        try:
+            loaded = load(path)
+        except CheckpointError:
+            refused += 1
+        else:
+            assert loaded == snapshot, bit
+        assert capfd.readouterr().err == "", bit
+    assert refused >= header_bits - 8
+
+
 def test_load_rejects_code_mismatch(tmp_path):
     snapshot = capture(BareWorld())
     stale = Snapshot(**{**snapshot.__dict__, "code": "0" * 16})

@@ -171,7 +171,6 @@ def _tcp(**fields):
 
 
 @pytest.mark.parametrize("spec, field", [
-    (BASE.replace(dt=math.nan), "dt"),
     (_bottleneck(capacity_pps=math.nan), "capacity_pps"),
     (_tcp(rtt_s=math.nan), "rtt_s"),
     (_bottleneck(capacity_pps=math.inf), "capacity_pps"),
@@ -180,7 +179,7 @@ def _tcp(**fields):
     (_tcp(rtt_s=math.inf), "rtt_s"),
     (_bottleneck(max_th=math.inf), "max_th"),
     (_tcp(flows=2.5), "flows"),
-], ids=["dt=nan", "capacity=nan", "rtt=nan", "capacity=inf", "buffer=inf",
+], ids=["capacity=nan", "rtt=nan", "capacity=inf", "buffer=inf",
         "buffer=nan", "rtt=inf", "max_th=inf", "flows=2.5"])
 def test_validate_names_the_field_no_literal_can_hold(spec, field):
     """Each of these ended in a ``ValueError``, a ``ZeroDivisionError``

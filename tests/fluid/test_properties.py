@@ -157,6 +157,20 @@ def test_integrator_settles_on_stable_red_equilibrium():
         report.tcp_windows[0], rel=0.05)
 
 
+def test_red_profile_topping_out_at_certain_loss_has_an_equilibrium():
+    """``max_p = 1`` is a valid RED profile; its top used to reach the PA
+    window formula as a loss of exactly 1 and raise."""
+    spec = FluidSpec(
+        name="max_p 1",
+        bottlenecks=(BottleneckSpec(capacity_pps=5.0, buffer_pkts=10.0,
+                                    discipline="red", min_th=2.5,
+                                    max_th=10.0, max_p=1.0),),
+        tcp_cohorts=(TcpCohortSpec(1, 0.25),),
+    )
+    report = solve_equilibrium(spec)
+    assert report.status == "interior" and 0.0 < report.p < 1.0
+
+
 def test_droptail_equilibrium_has_one_sided_linearization():
     """Drop-tail parks the fixed point on the full-buffer boundary."""
     spec = _red_spec().replace(
@@ -179,12 +193,13 @@ def test_deterministic_step_count():
 
 
 def test_step_coarser_than_half_the_smallest_rtt_is_rejected():
-    """A coarse ``dt`` used to integrate to a wrong row, silently."""
-    spec = _fixed_spec(0.02, rtt=0.1, flows=1, receivers=2)
-    assert integrate(spec.replace(dt=0.05)).steps == 1200
-    for dt in (0.051, 0.5):
+    """A coarse ``dt`` used to integrate to a wrong row, silently: the
+    1 ms step needs every cohort RTT to be 2 ms or more."""
+    spec = _fixed_spec(0.02, rtt=2 * FluidSpec.dt, flows=1, receivers=2)
+    assert integrate(spec.replace(duration=1.0, warmup=0.5)).steps == 1500
+    for rtt in (0.0019, 0.001):
         with pytest.raises(ConfigurationError, match="half the smallest"):
-            integrate(spec.replace(dt=dt))
+            integrate(_fixed_spec(0.02, rtt=rtt, flows=1, receivers=2))
 
 
 def test_tcp_only_population_has_no_rla_verdict():

@@ -51,8 +51,7 @@ def test_schedule_invariants():
 
 def test_pareto_holds_also_respect_floor():
     spec = ChurnSpec(arrival_rate_per_s=1.0, mean_hold_s=3.0,
-                     hold_dist="pareto", pareto_alpha=1.5,
-                     initial_members=2, min_members=2)
+                     hold_dist="pareto", initial_members=2, min_members=2)
     initial, events = churn_schedule(spec, HOSTS, 60.0, random.Random(5))
     counts = _replay_members(initial, events)
     assert all(count >= 2 for count in counts)
@@ -77,9 +76,9 @@ def test_needs_enough_hosts():
     ChurnSpec(arrival_rate_per_s=-1.0),
     ChurnSpec(mean_hold_s=0.0),
     ChurnSpec(hold_dist="uniform"),
-    ChurnSpec(hold_dist="pareto", pareto_alpha=1.0),
     ChurnSpec(initial_members=0),
     ChurnSpec(initial_members=2, min_members=3),
+    ChurnSpec(min_members=0),
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(ConfigurationError):

@@ -11,6 +11,7 @@ from repro.scenarios import (
     build_topology,
 )
 from repro.sim.engine import Simulator
+from repro.units import mbps, ms
 
 SPECS = [
     WaxmanTopology(n=16),
@@ -54,14 +55,14 @@ def test_generated_graph_is_connected(spec):
 
 
 def test_waxman_draws_within_ranges():
-    spec = WaxmanTopology(n=14, bandwidth_mbps=(2.0, 4.0),
-                          delay_ms=(3.0, 9.0), buffer_pkts=(10, 20))
+    spec = WaxmanTopology(n=14)
     topo = build_topology(Simulator(seed=7), spec)
     assert topo.n_links >= 13  # connected on 14 nodes
+    (bw_lo, bw_hi), (delay_lo, delay_hi) = spec.bandwidth_mbps, spec.delay_ms
     for _a, _b, bandwidth, delay, buffer_pkts in topo.link_draws:
-        assert 2.0e6 <= bandwidth <= 4.0e6
-        assert 0.003 <= delay <= 0.009
-        assert 10 <= buffer_pkts <= 20
+        assert mbps(bw_lo) <= bandwidth <= mbps(bw_hi)
+        assert ms(delay_lo) <= delay <= ms(delay_hi)
+        assert spec.buffer_pkts[0] <= buffer_pkts <= spec.buffer_pkts[1]
 
 
 def test_transit_stub_shape():
@@ -74,7 +75,7 @@ def test_transit_stub_shape():
 
 
 def test_jittered_tree_shape_and_jitter():
-    spec = JitteredTreeTopology(depth=2, fanout=3, jitter=0.3)
+    spec = JitteredTreeTopology(depth=2, fanout=3)
     topo = build_topology(Simulator(seed=11), spec)
     assert len(topo.hosts) == 9  # fanout^depth leaves
     assert topo.source == "S"
@@ -96,11 +97,11 @@ def test_unknown_gateway_rejected():
 @pytest.mark.parametrize("bad", [
     WaxmanTopology(n=2),
     WaxmanTopology(alpha=0.0),
-    WaxmanTopology(beta=-1.0),
-    WaxmanTopology(bandwidth_mbps=(6.0, 1.5)),
+    WaxmanTopology(alpha=1.5),
+    TransitStubTopology(hosts_per_stub=0),
     TransitStubTopology(transits=0),
     JitteredTreeTopology(depth=0),
-    JitteredTreeTopology(jitter=1.5),
+    JitteredTreeTopology(fanout=0),
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(TopologyError):

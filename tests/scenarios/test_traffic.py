@@ -53,9 +53,9 @@ def test_pareto_draw_rejects_bad_params():
     BackgroundTraffic(tcp_flows=-1),
     BackgroundTraffic(mice_rate_per_s=-0.5),
     BackgroundTraffic(pareto_sources=1, pareto_rate_pps=0.0),
-    BackgroundTraffic(pareto_sources=1, pareto_alpha=1.0),
+    BackgroundTraffic(pareto_sources=1, pareto_off_s=0.0),
     BackgroundTraffic(mice_rate_per_s=1.0, mice_mean_pkts=0),
-    BackgroundTraffic(mice_rate_per_s=1.0, mice_alpha=0.9),
+    BackgroundTraffic(mice_rate_per_s=1.0, mice_mean_pkts=501),
 ])
 def test_invalid_traffic_rejected(bad):
     with pytest.raises(ConfigurationError):
