@@ -1,8 +1,8 @@
 """Snapshot/restore of full simulation state.
 
 A :class:`Snapshot` captures *everything* a run needs to continue —
-the :class:`~repro.sim.engine.Simulator` (event heap, ready batch,
-sequence counter, cancelled count, clock), every named RNG stream
+the :class:`~repro.sim.engine.Simulator` (event heap, sequence counter,
+cancelled count, clock), every named RNG stream
 (:class:`~repro.sim.rng.RngStreams` pickles via ``random.Random``'s exact
 ``getstate``/``setstate``), protocol agents (TCP and RLA senders with
 their aggregates, SACK trackers, RTT estimators and reach tables),
@@ -70,7 +70,10 @@ from ..sim.engine import Simulator
 #: ``Event`` (which records the entry's in ``_filed_at``), so a v8 engine
 #: would fire it early; and the header's sha256 covers ``code``, ``label``,
 #: ``resume``, ``sim_time`` and ``uid_next`` as well as the payload.
-FORMAT_VERSION = 9
+#: v10: a ``Simulator`` holds one queue, the heap, and no ``_ready`` lane;
+#: v9 code restoring a v10 engine under ``--allow-code-mismatch`` would
+#: fail mid-run with ``AttributeError: _ready`` instead of refusing at load.
+FORMAT_VERSION = 10
 
 #: File magic identifying a repro checkpoint file.
 MAGIC = "repro-ckpt"
@@ -149,9 +152,7 @@ def capture(world: Any, label: str = "", resume: str = "") -> Snapshot:
 
     ``world`` must expose the engine as ``world.sim`` (attribute) or
     ``world["sim"]`` (mapping) and must not be mid-event: capture is only
-    legal between :meth:`~repro.sim.engine.Simulator.run` calls, where the
-    engine guarantees the same-timestamp ready batch has been flushed back
-    into the heap.
+    legal between :meth:`~repro.sim.engine.Simulator.run` calls.
     """
     sim = _find_simulator(world)
     if sim._running:

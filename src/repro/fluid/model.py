@@ -26,10 +26,10 @@ derivation):
   ``W* = sqrt(2(1-p)/p)``, equation 1 via
   :func:`repro.models.tcp_formula.pa_window`;
 * RLA:  ``dW/dt = [G - W² (1-H)] / R_rla`` with
-  ``G = prod_j (1 - p_j/N)^{n_j}`` and
-  ``H = prod_j (1 - p_j/(2N))^{n_j}`` — equilibrium
-  ``W* = sqrt(G / (1-H))``, the §4.2 drift balance via
-  :func:`repro.models.rla_drift.rla_window_cohorts`; ``R_rla`` is the *worst*
+  ``G = prod_b [(1-p_b) + p_b (1 - 1/N)^{n_b}]`` and
+  ``H = prod_b [(1-p_b) + p_b (1 - 1/(2N))^{n_b}]`` over bottlenecks ``b``
+  — equilibrium ``W* = sqrt(G / (1-H))``, the §4.2 drift balance via
+  :func:`repro.models.rla_drift.rla_window_groups`; ``R_rla`` is the *worst*
   (largest) receiver RTT, the worst-receiver coupling of equation 5;
 * queue: ``dq/dt = A (1-p) - C`` clamped to ``[0, buffer]``;
 * RED average: ``d(avg)/dt = w_q A (q - avg)`` — the fluid limit of the

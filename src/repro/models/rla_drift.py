@@ -61,32 +61,6 @@ def rla_window_independent(ps: Sequence[float]) -> float:
     return math.sqrt(p_no_cut / (1.0 - p_half))
 
 
-def rla_window_cohorts(cohorts: Sequence[Tuple[int, float]]) -> float:
-    """Independent-loss PA window for receivers grouped into cohorts.
-
-    ``cohorts`` is a sequence of ``(count, p)`` pairs: ``count`` receivers
-    each with congestion probability ``p``.  Algebraically identical to
-    :func:`rla_window_independent` on the expanded list (the products are
-    just taken with exponents), but costs O(cohorts) instead of
-    O(receivers) — the form the fluid backend needs when a cohort holds
-    10⁶ receivers.
-    """
-    if not cohorts:
-        raise ConfigurationError("need at least one cohort")
-    n = 0
-    for count, _ in cohorts:
-        if count < 1:
-            raise ConfigurationError(f"cohort count must be >= 1: {count}")
-        n += count
-    _check_probs([p for _, p in cohorts])
-    p_no_cut = 1.0
-    p_half = 1.0
-    for count, p in cohorts:
-        p_no_cut *= (1.0 - p / n) ** count
-        p_half *= (1.0 - p / (2.0 * n)) ** count
-    return math.sqrt(p_no_cut / (1.0 - p_half))
-
-
 def rla_window_groups(groups: Sequence[Tuple[int, float]]) -> float:
     """PA window for receiver groups with *common loss within a group*.
 

@@ -18,7 +18,6 @@ package turns workloads into first-class, seeded objects:
 
 from .catalog import (
     CATALOG,
-    describe_scenario,
     format_catalog,
     get_scenario,
     scenario_names,
@@ -83,7 +82,6 @@ __all__ = [
     "WebMiceWorkload",
     "build_topology",
     "churn_schedule",
-    "describe_scenario",
     "format_catalog",
     "format_grid",
     "format_scenarios",

@@ -189,11 +189,6 @@ def scenario_names() -> List[str]:
     return list(CATALOG)
 
 
-def describe_scenario(name: str) -> str:
-    """The catalog one-liner for ``name``."""
-    return CATALOG[_lookup(name)][1]
-
-
 def get_scenario(name: str, **overrides) -> ScenarioSpec:
     """Build the named spec, applying field overrides (seed, duration...)."""
     spec = CATALOG[_lookup(name)][0]()

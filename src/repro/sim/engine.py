@@ -1,8 +1,8 @@
 """The discrete-event simulation engine.
 
 This is the substrate everything else runs on — the Python stand-in for the
-NS2 core the paper used.  It is a classic calendar-queue-style engine built
-on :mod:`heapq`:
+NS2 core the paper used.  Like ns-2's scheduler it keeps one time-ordered
+event queue, here a binary heap on :mod:`heapq`:
 
 * :meth:`Simulator.schedule` and :meth:`Simulator.post_at` insert a
   callback at an absolute time,
@@ -26,21 +26,13 @@ minute, so its inner loop dominates every experiment's wall time):
   site uses never moves ``(time, seq)`` order.
 * A queue entry is a tuple led by ``(time, seq)``: ``(time, seq, Event)``
   for a handle, ``(time, seq, None, callback, args, name)`` for a post.
-  Tuple comparison resolves on the leading float in C, so sifting never
-  calls ``Event.__lt__`` — which profiling showed was the single hottest
-  function in a figure-7 run (40M+ calls).  The ``(time, seq)`` total
-  order, and therefore replay determinism, is exactly the order
-  :class:`Event` defines.  :meth:`Simulator.run` calls a post straight
+  Tuple comparison resolves on the leading float in C, and ``seq`` is
+  unique, so sifting never compares two handles.  An entry scheduled at
+  ``now`` while :meth:`Simulator.run` drains goes into the heap like any
+  other and runs after every queued entry of its instant: its ``seq`` is
+  the largest.  :meth:`Simulator.run` calls a post straight
   from its entry and builds an :class:`Event` for it only while
   :attr:`Simulator.event_hook` is installed.
-* Entries scheduled for the *current* instant while the loop is running
-  bypass the heap entirely: they go to a FIFO "ready batch" drained
-  before any strictly later heap entry.  Correctness argument: such an
-  entry's ``seq`` is larger than that of every queued entry with the
-  same timestamp (those were necessarily scheduled earlier), so FIFO
-  draining after the heap's equal-time entries *is* ``(time, seq)``
-  order.  The batch is flushed back into the heap whenever :meth:`run`
-  returns, so introspection between runs sees one queue.
 * Cancellation stays lazy (skip at pop time) with the O(1) cancelled
   counter and in-place compaction introduced in PR 1.
 * A restarted timer does not cancel: :meth:`Simulator.rekey` gives the
@@ -56,8 +48,7 @@ minute, so its inner loop dominates every experiment's wall time):
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SchedulingError
 from .events import Event
@@ -89,9 +80,6 @@ class Simulator:
     def __init__(self, seed: int = 1) -> None:
         self.now: float = 0.0
         self._queue: List[Entry] = []
-        #: Same-timestamp fast lane: entries scheduled at exactly ``now``
-        #: while :meth:`run` is draining.  Always empty between runs.
-        self._ready: Deque[Entry] = deque()
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -128,12 +116,7 @@ class Simulator:
         self._seq = seq + 1
         event = Event(time, seq, callback, args, name=name)
         event._on_cancel = self._note_cancelled
-        if self._running and time == self.now:
-            # Same-instant batch: no heap churn, FIFO == (time, seq) order
-            # because this seq exceeds that of every queued equal-time event.
-            self._ready.append((time, seq, event))
-        else:
-            _heappush(self._queue, (time, seq, event))
+        _heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_after(
@@ -143,24 +126,10 @@ class Simulator:
         *args: Any,
         name: Optional[str] = None,
     ) -> Event:
-        """Schedule ``callback(*args)`` after a non-negative ``delay``.
-
-        The handle-returning relative form, with :meth:`schedule` inlined:
-        ``now + delay`` is never in the past once the delay is non-negative.
-        """
+        """Schedule ``callback(*args)`` after a non-negative ``delay``."""
         if not delay >= 0:  # negative or NaN
             raise SchedulingError(f"negative or NaN delay: {delay}")
-        now = self.now
-        time = now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, seq, callback, args, name=name)
-        event._on_cancel = self._note_cancelled
-        if time == now and self._running:
-            self._ready.append((time, seq, event))
-        else:
-            _heappush(self._queue, (time, seq, event))
-        return event
+        return self.schedule(self.now + delay, callback, *args, name=name)
 
     def post(self, delay: float, callback: Callable[..., Any],
              args: Tuple[Any, ...] = (), name: Optional[str] = None) -> None:
@@ -181,17 +150,13 @@ class Simulator:
         at an absolute instant it computed itself, so the float the event
         carries is exactly that sum, not ``now + (sum - now)``.
         """
-        now = self.now
-        if not time >= now:  # also true of NaN, which orders nowhere
+        if not time >= self.now:  # also true of NaN, which orders nowhere
             raise SchedulingError(
-                f"cannot schedule at t={time:.9f} before now={now:.9f}"
+                f"cannot schedule at t={time:.9f} before now={self.now:.9f}"
             )
         seq = self._seq
         self._seq = seq + 1
-        if time == now and self._running:
-            self._ready.append((time, seq, None, callback, args, name))
-        else:
-            _heappush(self._queue, (time, seq, None, callback, args, name))
+        _heappush(self._queue, (time, seq, None, callback, args, name))
 
     def rekey(self, event: Event, delay: float) -> bool:
         """Move the queued ``event`` to ``now + delay`` without a new entry.
@@ -201,16 +166,12 @@ class Simulator:
         ``event.cancel()`` + ``schedule_after(delay, ...)``; its queue entry
         stays put and is filed again at the new key when it surfaces.
         Returns False, changing nothing, when that cannot be done: the
-        handle already fired or was cancelled, the new time is earlier than
-        its entry's (the entry would surface late; a negative or NaN delay
-        lands here too), or it is ``now`` while :meth:`run` is draining (the
-        ready lane is FIFO and cannot take an entry in the middle).  The
-        caller then cancels and schedules.
+        handle already fired or was cancelled, or the new time is earlier
+        than its entry's (the entry would surface late; a negative or NaN
+        delay lands here too).  The caller then cancels and schedules.
         """
-        now = self.now
-        time = now + delay
-        if (event._on_cancel is None or not time >= event._filed_at
-                or (time == now and self._running)):
+        time = self.now + delay
+        if event._on_cancel is None or not time >= event._filed_at:
             return False
         seq = self._seq
         self._seq = seq + 1
@@ -243,44 +204,28 @@ class Simulator:
         self._stopped = False
         executed = 0
         queue = self._queue
-        ready = self._ready
         pop = _heappop
         try:
-            while queue or ready:
+            while queue:
                 if self._stopped:
                     break
                 if max_events is not None and executed >= max_events:
                     break
-                # Ready events carry the current timestamp and, per the
-                # invariant above, out-sequence every equal-time heap entry
-                # — so they run only once the heap holds nothing at `now`.
-                if ready and (not queue or queue[0][0] > self.now):
-                    entry = ready.popleft()
-                    event = entry[2]
-                    if event is not None:
-                        if event.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        if entry[1] != event.seq:  # re-keyed: not due yet
-                            event._filed_at = event.time
-                            _heappush(queue, (event.time, event.seq, event))
-                            continue
-                else:
-                    entry = queue[0]
-                    event = entry[2]
-                    if event is not None:
-                        if event.cancelled:
-                            pop(queue)
-                            self._cancelled -= 1
-                            continue
-                        if entry[1] != event.seq:  # re-keyed: not due yet
-                            event._filed_at = event.time
-                            _heapreplace(queue, (event.time, event.seq, event))
-                            continue
-                    if until is not None and entry[0] > until:
-                        break
-                    pop(queue)
-                    self.now = entry[0]
+                entry = queue[0]
+                event = entry[2]
+                if event is not None:
+                    if event.cancelled:
+                        pop(queue)
+                        self._cancelled -= 1
+                        continue
+                    if entry[1] != event.seq:  # re-keyed: not due yet
+                        event._filed_at = event.time
+                        _heapreplace(queue, (event.time, event.seq, event))
+                        continue
+                if until is not None and entry[0] > until:
+                    break
+                pop(queue)
+                self.now = entry[0]
                 hook = self.event_hook
                 if event is None:  # a post: a handle exists only for a hook
                     if hook is not None:
@@ -295,11 +240,6 @@ class Simulator:
                 executed += 1
         finally:
             self._running = False
-            # stop()/max_events can leave immediates behind; park them back
-            # in the heap so peek()/pending() and the next run() see a
-            # single, totally ordered queue.
-            while ready:
-                _heappush(queue, ready.popleft())
         if until is not None and not self._stopped and self.now < until:
             self.now = until
         self.events_executed += executed
@@ -322,7 +262,7 @@ class Simulator:
         """
         self._cancelled += 1
         if (self._cancelled >= self.COMPACT_MIN_CANCELLED
-                and self._cancelled * 2 > len(self._queue) + len(self._ready)):
+                and self._cancelled * 2 > len(self._queue)):
             self._compact()
 
     def _compact(self) -> None:
@@ -331,17 +271,12 @@ class Simulator:
         Safe at any point: heap order depends only on ``(time, seq)``,
         which survives the rebuild, so the pop order of the remaining
         live events — and therefore replay determinism — is unchanged.
-        In-place (slice assignment / deque mutation) because :meth:`run`
-        holds local aliases to both containers while draining them.
+        In-place (slice assignment) because :meth:`run` holds a local alias
+        to the heap while draining it.
         """
         self._queue[:] = [entry for entry in self._queue
                           if entry[2] is None or not entry[2].cancelled]
         heapq.heapify(self._queue)
-        if self._ready:
-            live = [entry for entry in self._ready
-                    if entry[2] is None or not entry[2].cancelled]
-            self._ready.clear()
-            self._ready.extend(live)
         self._cancelled = 0
 
     # ------------------------------------------------------------------
@@ -349,30 +284,19 @@ class Simulator:
     # ------------------------------------------------------------------
     def pending(self) -> int:
         """Number of non-cancelled events still queued (O(1))."""
-        return len(self._queue) + len(self._ready) - self._cancelled
+        return len(self._queue) - self._cancelled
 
     def queue_size(self) -> int:
         """Physical queue size, including not-yet-compacted cancelled entries."""
-        return len(self._queue) + len(self._ready)
+        return len(self._queue)
 
     def peek(self) -> Optional[float]:
         """Time of the next live event, or ``None`` if the queue is empty.
 
-        Clears the heads of both containers as :meth:`run` would: cancelled
-        entries go, re-keyed ones are filed again at their handle's key.
+        Clears the head of the heap as :meth:`run` would: cancelled entries
+        go, re-keyed ones are filed again at their handle's key.
         """
         queue = self._queue
-        ready = self._ready
-        while ready and ready[0][2] is not None:
-            event = ready[0][2]
-            if event.cancelled:
-                self._cancelled -= 1
-            elif ready[0][1] != event.seq:
-                event._filed_at = event.time
-                _heappush(queue, (event.time, event.seq, event))
-            else:
-                break
-            ready.popleft()
         while queue and queue[0][2] is not None:
             event = queue[0][2]
             if event.cancelled:
@@ -383,11 +307,7 @@ class Simulator:
                 _heapreplace(queue, (event.time, event.seq, event))
             else:
                 break
-        if queue and ready:
-            return min(queue[0][0], ready[0][0])
-        if queue:
-            return queue[0][0]
-        return ready[0][0] if ready else None
+        return queue[0][0] if queue else None
 
     def __repr__(self) -> str:
         return (

@@ -2,13 +2,12 @@
 
 An :class:`Event` is a handle to a scheduled callback.  Handles support
 cancellation (lazy deletion: the engine skips cancelled entries when they
-reach the head of the heap) and rich comparison so they can live directly in
-a binary heap.
+reach the head of the heap).
 
-Ordering is ``(time, sequence)``: events scheduled for the same instant fire
-in the order they were scheduled, which keeps runs deterministic — an
-essential property for a simulator whose whole point is studying *random*
-congestion-control decisions under controlled seeds.
+The engine orders its queue by ``(time, seq)``: events scheduled for the
+same instant fire in the order they were scheduled, which keeps runs
+deterministic — an essential property for a simulator whose whole point is
+studying *random* congestion-control decisions under controlled seeds.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Any, Callable, Optional, Tuple
 
 
 class Event:
-    """A scheduled callback, orderable by ``(time, seq)``."""
+    """A scheduled callback, keyed by ``(time, seq)`` in the engine's queue."""
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "name",
                  "_on_cancel", "_filed_at")
@@ -58,19 +57,6 @@ class Event:
     def active(self) -> bool:
         """True while the event is still pending and not cancelled."""
         return not self.cancelled
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self.time == other.time and self.seq == other.seq
-
-    def __hash__(self) -> int:
-        return hash((self.time, self.seq))
 
     def __repr__(self) -> str:
         label = self.name or getattr(self.callback, "__qualname__", "callback")

@@ -82,11 +82,6 @@ class DumbbellSpec:
             raise TopologyError(f"buffer too small: {self.buffer_pkts}")
         return self
 
-    @property
-    def n_hosts(self) -> int:
-        """Total hosts across cohorts."""
-        return sum(cohort.hosts for cohort in self.cohorts)
-
     def host_rtt(self, cohort_index: int) -> float:
         """Propagation RTT source->cohort host, plus one bottleneck
         transmission time (the serialization a fluid model cannot see as

@@ -74,7 +74,7 @@ class ReferenceSimulator(reference.Simulator):
 # (i) drawn interleavings of the engine's whole surface
 # ----------------------------------------------------------------------
 #: Offsets that collide: exact ties in the heap, and 0.0 for same-instant
-#: chains through the ready lane.
+#: chains scheduled at ``now`` from inside callbacks.
 _OFFSETS = st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 1.0])
 _SCHEDULING = st.tuples(
     st.sampled_from(["schedule", "after", "post", "post", "post_at"]),
@@ -183,9 +183,9 @@ class _Script:
 
 
 #: A program written to reach what the property relies on drawing: posts and
-#: handles tied in the heap, a same-instant chain of both through the ready
-#: lane, a compaction while both containers hold both shapes, and a stop()
-#: that parks both shapes back in the heap.
+#: handles tied in the heap, a same-instant chain of both scheduled at
+#: ``now`` from inside callbacks, a compaction while the heap holds both
+#: shapes, and a stop() that leaves both shapes queued.
 _PINNED_OUTER = [
     ("post", 0.5), ("schedule", 0.5), ("after", 0.5), ("post", 0.5),
     ("schedule", 1.0), ("schedule", 1.0), ("schedule", 1.0), ("post", 1.5),
@@ -220,7 +220,7 @@ _TIMER_INNER = [("post", 0.0), ("start", (2, 0.0)), ("peek", None)]
 @example(_PINNED_OUTER, _PINNED_INNER, True)
 @example(_TIMER_OUTER, _TIMER_INNER, False)
 @example(_TIMER_OUTER, _TIMER_INNER, True)
-@example([("schedule", 0.0)],  # re-keyed out of the ready lane, then stop()
+@example([("schedule", 0.0)],  # re-keyed to now and later, then stop()
          [("schedule", 0.0), ("start", (0, 0.0)), ("start", (0, 0.25)),
           ("stop", None)], False)
 def test_drawn_interleavings_execute_like_the_reference(outer, inner, hooked):
@@ -236,16 +236,15 @@ def test_the_pinned_program_reaches_what_it_was_written_for():
     compact = sim._compact
 
     def watched_compact():
-        compacted.append((sorted(map(len, sim._queue)),
-                          sorted(map(len, sim._ready))))
+        compacted.append(sorted(map(len, sim._queue)))
         compact()
 
     sim._compact = watched_compact
     for op in _PINNED_OUTER[:9]:  # ... up to the run() that gets stopped
         script.apply(op)
-    assert compacted == [([3, 3, 3, 6], [3, 3, 6])]
+    assert compacted == [[3, 3, 3, 3, 3, 6, 6]]
     assert script.log[-1] == ("ran", 4, 0.5)
-    assert sorted(map(len, sim._queue)) == [3, 6, 6] and not sim._ready
+    assert sorted(map(len, sim._queue)) == [3, 6, 6]
     # and the stand-in really is the old engine: it has one entry shape
     old = _Script(ReferenceSimulator(), [], hooked=False)
     old.apply(("post", 0.5))
@@ -258,7 +257,7 @@ def test_the_timer_program_reaches_what_it_was_written_for():
     for op in _TIMER_OUTER[:5]:  # ... up to the restart later
         script.apply(op)
     # t1's callback posted, then restarted t2 (due now) to now: t2 ran
-    # after the post, from the ready lane
+    # after the post, re-keyed behind it
     fired = [entry[1] for entry in script.log if entry[0] == "fire"]
     assert fired == ["t1", 0, "t2"]  # 0: the post's label
     stale = [entry for entry in sim._queue

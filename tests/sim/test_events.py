@@ -1,28 +1,10 @@
-"""Event handles: ordering relations and cancellation flags."""
+"""Event handles: cancellation flags and repr."""
 
 from repro.sim.events import Event
 
 
 def _noop():
     pass
-
-
-def test_ordering_by_time_then_seq():
-    early = Event(1.0, 5, _noop)
-    late = Event(2.0, 1, _noop)
-    assert early < late
-    first = Event(1.0, 1, _noop)
-    second = Event(1.0, 2, _noop)
-    assert first < second
-
-
-def test_equality_and_hash():
-    a = Event(1.0, 1, _noop)
-    b = Event(1.0, 1, _noop)
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != Event(1.0, 2, _noop)
-    assert (a == "not an event") is False
 
 
 def test_cancel_sets_flags():

@@ -81,14 +81,17 @@ def test_timer_restart_earlier_than_its_entry_cancels_and_reschedules():
     assert fired == [1.0]
 
 
-def test_timer_restart_to_now_inside_a_callback_takes_the_ready_lane():
+def test_timer_restart_to_now_inside_a_callback_re_keys():
     sim = Simulator()
     order = []
     timer = Timer(sim, lambda: order.append(("timer", sim.now)))
 
     def restart():
         sim.post(0.0, order.append, (("post", sim.now),))
-        timer.start(0.0)  # its entry is due now, but the ready lane is FIFO
+        handle = timer._event
+        timer.start(0.0)  # its entry is due now: re-keyed behind the post
+        assert timer._event is handle
+        assert sim.queue_size() == sim.pending()
 
     sim.schedule(0.5, restart)
     timer.start(0.5)
