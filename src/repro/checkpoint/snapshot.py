@@ -73,7 +73,10 @@ from ..sim.engine import Simulator
 #: v10: a ``Simulator`` holds one queue, the heap, and no ``_ready`` lane;
 #: v9 code restoring a v10 engine under ``--allow-code-mismatch`` would
 #: fail mid-run with ``AttributeError: _ready`` instead of refusing at load.
-FORMAT_VERSION = 10
+#: v11: a ``TcpReceiver`` is slotted (a ``SackReceiver``) and pickles no
+#: ``__dict__``; v11 code restoring a v10 one under ``--allow-code-mismatch``
+#: would die with ``AttributeError: ... no attribute '__dict__'``.
+FORMAT_VERSION = 11
 
 #: File magic identifying a repro checkpoint file.
 MAGIC = "repro-ckpt"

@@ -27,13 +27,9 @@ from ..sim.engine import Simulator
 from ..sim.process import PeriodicProcess
 from ..tcp.config import TcpConfig
 from ..tcp.flow import TcpFlow
-from ..topology.restricted import (
-    ACCESS_DELAY,
-    PACKET_SIZE,
-    RestrictedSpec,
-    build_restricted,
-)
-from ..units import ms, transmission_time, pps_to_bps
+from ..tcp.sender import phase_jitter
+from ..topology.restricted import ACCESS_DELAY, RestrictedSpec, build_restricted
+from ..units import ms, pps_to_bps
 
 if TYPE_CHECKING:  # numpy loads only when a caller asks for an array
     import numpy as np
@@ -90,7 +86,7 @@ def run_packet_density(
     )
     sim = Simulator(seed=seed)
     net, receivers = build_restricted(sim, spec)
-    jitter = transmission_time(PACKET_SIZE, pps_to_bps(mu_pps))
+    jitter = phase_jitter(spec.gateway, pps_to_bps(mu_pps))
     start_rng = sim.rng.stream("fig5.start")
     for index, receiver in enumerate(receivers):
         flow = TcpFlow(sim, net, f"tcp-{index}", "S", receiver,

@@ -21,7 +21,7 @@ from ..topology.cases import (
     congestion_tiers,
 )
 from ..topology.tree import build_tertiary_tree, static_tree_info
-from ..units import DEFAULT_PACKET_SIZE, check_horizon, transmission_time
+from ..units import check_horizon
 
 if TYPE_CHECKING:
     from ..models.fairness import FairnessVerdict
@@ -176,6 +176,7 @@ def build_tree_world(spec: TreeExperimentSpec) -> TreeWorld:
     from ..sim.engine import Simulator
     from ..tcp.config import TcpConfig
     from ..tcp.flow import TcpFlow
+    from ..tcp.sender import phase_jitter
 
     spec.validate()
     case = spec.case
@@ -186,9 +187,7 @@ def build_tree_world(spec: TreeExperimentSpec) -> TreeWorld:
         sim, gateway=spec.gateway, link_bandwidths=bandwidths, info=info,
     )
     receivers = case_receivers(case, info)
-    # §3.1: RED's randomized drops remove phase effects by themselves
-    jitter = (None if spec.gateway == "red" else
-              transmission_time(DEFAULT_PACKET_SIZE, min(bandwidths.values())))
+    jitter = phase_jitter(spec.gateway, min(bandwidths.values()))
     start_rng = sim.rng.stream("experiment.start")
 
     gateways = [link.gateway for link in net.links.values()]

@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List
 
 from ..errors import ConfigurationError
 from ..lifecycle import World, arming, run_many, run_world
-from ..topology.restricted import PACKET_SIZE, RestrictedSpec, build_restricted
-from ..units import check_horizon, pps_to_bps, transmission_time
+from ..topology.restricted import RestrictedSpec, build_restricted
+from ..units import check_horizon, pps_to_bps
 
 if TYPE_CHECKING:
     from ..rla.session import RLASession
@@ -105,6 +105,7 @@ def build_symmetric_world(spec: SymmetricSpec) -> SymmetricWorld:
     from ..sim.engine import Simulator
     from ..tcp.config import TcpConfig
     from ..tcp.flow import TcpFlow
+    from ..tcp.sender import phase_jitter
 
     spec.validate()
     mu = 2 * spec.share_pps  # 1 TCP + the multicast session per branch
@@ -116,8 +117,7 @@ def build_symmetric_world(spec: SymmetricSpec) -> SymmetricWorld:
     sim = Simulator(seed=spec.seed)
     net, receivers = build_restricted(sim, topology)
     gateways = [link.gateway for link in net.links.values()]
-    jitter = (transmission_time(PACKET_SIZE, pps_to_bps(mu))
-              if spec.gateway == "droptail" else None)
+    jitter = phase_jitter(spec.gateway, pps_to_bps(mu))
     with arming(spec.audited, sim, net) as (auditor, monitor):
         flows: List[TcpFlow] = []
         for index, receiver in enumerate(receivers):

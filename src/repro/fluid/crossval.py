@@ -31,13 +31,9 @@ from ..rla.session import RLASession
 from ..sim.engine import Simulator
 from ..tcp.config import TcpConfig
 from ..tcp.flow import TcpFlow
-from ..topology.dumbbell import (
-    PACKET_SIZE,
-    DumbbellCohort,
-    DumbbellSpec,
-    build_dumbbell,
-)
-from ..units import pps_to_bps, transmission_time
+from ..tcp.sender import phase_jitter
+from ..topology.dumbbell import DumbbellCohort, DumbbellSpec, build_dumbbell
+from ..units import pps_to_bps
 from .adapters import scaled_bottleneck
 from .runner import run_fluid
 from .spec import FluidSpec, RlaCohortSpec, TcpCohortSpec
@@ -223,9 +219,7 @@ def run_packet_case(case: CrossvalCase) -> Dict[str, Any]:
     spec = dumbbell_spec(case)
     sim = Simulator(seed=case.seed)
     net, cohort_hosts = build_dumbbell(sim, spec)
-    jitter = (transmission_time(PACKET_SIZE,
-                                pps_to_bps(spec.capacity_pps))
-              if case.gateway == "droptail" else None)
+    jitter = phase_jitter(case.gateway, pps_to_bps(spec.capacity_pps))
     flows: List[List[TcpFlow]] = []
     index = 0
     for hosts in cohort_hosts:

@@ -158,12 +158,10 @@ class RandomDropQueue(Gateway):
 
     @mean_pkt_time.setter
     def mean_pkt_time(self, value: float) -> None:
-        # Called from Gateway.__init__ before `inner` exists; stash on the
-        # inner gateway once available.
+        # Assigned by Gateway.__init__ before `inner` exists; the base-class
+        # 0.0 is discarded, as for the sibling setters.
         if "inner" in self.__dict__:
             self.inner.mean_pkt_time = value
-        else:
-            self.__dict__["_pending_mean_pkt_time"] = value
 
 
 class RandomDropFactory:

@@ -51,9 +51,10 @@ from typing import Dict, List, Optional, Set
 
 from ..errors import ConfigurationError
 from ..net.node import Node
-from ..net.packet import ACK, DATA, Packet
+from ..net.packet import ACK, Packet
 from ..sim.engine import Simulator
 from ..sim.process import Timer
+from ..tcp.sender import WindowSender
 from .config import RLAConfig
 from .congestion import TroubleTracker
 from .state import ReceiverState
@@ -62,7 +63,7 @@ from .state import ReceiverState
 _DEFAULT_SRTT = 0.1
 
 
-class RLASender:
+class RLASender(WindowSender):
     """Multicast sender running the Random Listening Algorithm."""
 
     def __init__(
@@ -76,11 +77,8 @@ class RLASender:
     ) -> None:
         if not receiver_ids:
             raise ConfigurationError("RLA session needs at least one receiver")
-        self.sim = sim
-        self.node = node
-        self.flow = flow
+        super().__init__(sim, node, flow, config or RLAConfig())
         self.group = group
-        self.config = (config or RLAConfig()).validate()
         cfg = self.config
         self.receivers: Dict[str, ReceiverState] = {
             rid: ReceiverState(rid, cfg.min_rto, cfg.max_rto) for rid in receiver_ids
@@ -89,10 +87,7 @@ class RLASender:
         self.tracker = TroubleTracker(cfg.eta, cfg.interval_gain)
 
         # window state
-        self.cwnd: float = cfg.initial_cwnd
-        self.ssthresh: float = cfg.initial_ssthresh
         self.awnd: float = cfg.initial_cwnd
-        self.snd_nxt = 0
         self.max_reach_all = -1          # highest seq received by ALL receivers
         self._min_last_ack = 0
         #: receivers whose last_ack equals ``_min_last_ack``; the min is
@@ -117,23 +112,12 @@ class RLASender:
         self._all_ack_timer = Timer(sim, self._on_timeout, name=f"{flow}.rto")
 
         self._listen_rng = sim.rng.stream(f"{flow}.listen")
-        self._jitter_rng = sim.rng.stream(f"{flow}.jitter")
-        self._started = False
-        #: Optional audit hook: audited runs point this at an
-        #: ``InvariantMonitor`` and every processed ACK is sanity-checked
-        #: (window bounds, reach counts, ACK ordering).
-        self.monitor = None
 
         # lifetime statistics
-        self.packets_sent = 0
         self.rtx_multicast = 0
         self.rtx_unicast = 0
         self.congestion_signals = 0
-        self.window_cuts = 0
         self.forced_cuts = 0
-        self.timeouts = 0
-        self.cwnd_integral = 0.0
-        self._cwnd_clock = sim.now
         self.rtt_all_sum = 0.0
         self.rtt_all_samples = 0
         #: per-receiver signal counters, maintained on each congestion
@@ -150,29 +134,16 @@ class RLASender:
         """Begin transmitting after ``offset`` seconds."""
         if self._started:
             return
-        self._started = True
         start_time = self.sim.now + offset
         for state in self.receivers.values():
             state.observation_start = start_time
         self.last_window_cut = start_time
-        self.sim.post(offset, self._kick, (), f"{self.flow}.start")
+        super().start(offset)
 
     def on_packet(self, packet: Packet) -> None:
         """Node-bound handler; the sender consumes receiver ACKs."""
         if packet.kind == ACK and packet.receiver is not None:
             self._on_ack(packet)
-
-    # ------------------------------------------------------------------
-    # window statistics
-    # ------------------------------------------------------------------
-    def _note_cwnd(self) -> None:
-        now = self.sim.now
-        self.cwnd_integral += self.cwnd * (now - self._cwnd_clock)
-        self._cwnd_clock = now
-
-    def _set_cwnd(self, value: float) -> None:
-        self._note_cwnd()
-        self.cwnd = min(max(value, 1.0), self.config.max_cwnd)
 
     @property
     def min_last_ack(self) -> int:
@@ -493,30 +464,7 @@ class RLASender:
             seq = self.snd_nxt
             self.snd_nxt += 1
             self._send_time[seq] = self.sim.now
-            self._transmit(seq, self.group, is_rtx=False)
-
-    def _transmit(self, seq: int, dst: str, is_rtx: bool) -> None:
-        if self.config.phase_jitter:
-            delay = self._jitter_rng.uniform(0.0, self.config.phase_jitter)
-            self.sim.post(delay, self._transmit_now, (seq, dst, is_rtx),
-                          f"{self.flow}.jit")
-        else:
-            self._transmit_now(seq, dst, is_rtx)
-
-    def _transmit_now(self, seq: int, dst: str, is_rtx: bool) -> None:
-        packet = Packet(
-            DATA,
-            self.flow,
-            self.node.id,
-            dst,
-            seq,
-            self.config.packet_size,
-            sent_time=self.sim.now,
-            is_retransmit=is_rtx,
-        )
-        packet.ect = self.config.ecn
-        self.packets_sent += 1
-        self.node.send(packet)
+            self._emit(seq, self.group, is_rtx=False)
 
     # ------------------------------------------------------------------
     # retransmission engine (footnote 8)
@@ -548,11 +496,11 @@ class RLASender:
         self._retransmitted.add(seq)
         if len(missing) > self.config.rexmit_thresh:
             self.rtx_multicast += 1
-            self._transmit(seq, self.group, is_rtx=True)
+            self._emit(seq, self.group, is_rtx=True)
         else:
             for rid in missing:
                 self.rtx_unicast += 1
-                self._transmit(seq, rid, is_rtx=True)
+                self._emit(seq, rid, is_rtx=True)
         retry_after = 2.0 * self._max_srtt() + self.config.min_rto
         self.sim.post(retry_after, self._verify_repair, (seq,),
                       f"{self.flow}.rtxchk")

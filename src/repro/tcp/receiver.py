@@ -6,12 +6,13 @@ consumed immediately, and every data packet is acknowledged immediately
 
 Each ACK carries the cumulative point, up to three SACK blocks, the ECN
 echo, and the data packet's send timestamp so the sender can measure RTT
-without per-packet state.
+without per-packet state.  :class:`SackReceiver` is that sink and
+acknowledger; the RLA receivers are one too (§3.3).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Union
 
 from ..net.node import Node
 from ..net.packet import ACK, DATA, Packet
@@ -19,22 +20,27 @@ from ..sim.engine import Simulator
 from .config import TcpConfig
 from .sack import ReceiverSackTracker
 
+if TYPE_CHECKING:
+    from ..rla.config import RLAConfig
 
-class TcpReceiver:
-    """Sink + acknowledger for one TCP connection."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        node: Node,
-        flow: str,
-        config: Optional[TcpConfig] = None,
-    ) -> None:
+class SackReceiver:
+    """Sink + SACK acknowledger: one ACK per data packet received.
+
+    Slotted: hot on every data delivery.  Subclasses say when to ACK
+    (``_send_ack``); :meth:`_emit_ack` builds it.
+    """
+
+    __slots__ = ("sim", "node", "flow", "config", "tracker", "acks_sent",
+                 "duplicates")
+
+    def __init__(self, sim: Simulator, node: Node, flow: str,
+                 config: Union[TcpConfig, RLAConfig], base: int = 0) -> None:
         self.sim = sim
         self.node = node
         self.flow = flow
-        self.config = (config or TcpConfig()).validate()
-        self.tracker = ReceiverSackTracker()
+        self.config = config.validate()
+        self.tracker = ReceiverSackTracker(base=base)
         self.acks_sent = 0
         self.duplicates = 0
 
@@ -51,22 +57,30 @@ class TcpReceiver:
             self.duplicates += 1
         self._send_ack(packet)
 
-    def _send_ack(self, data: Packet) -> None:
-        ack = Packet(
-            ACK,
-            self.flow,
-            self.node.id,
-            data.src,
-            data.seq,
-            self.config.ack_size,
-            sent_time=self.sim.now,
-            echo_ts=data.sent_time,
-            ack=self.tracker.rcv_nxt,
-            sack=self.tracker.blocks(),
-        )
-        ack.ece = data.ce  # echo an ECN mark straight back (one-shot)
+    def _emit_ack(self, dst: str, seq: int, echo_ts: float, ce: bool,
+                  receiver: Optional[str] = None) -> None:
+        # The cumulative point and SACK blocks are read at emission time,
+        # so a delayed ACK always carries the freshest receiver state.
+        ack = Packet(ACK, self.flow, self.node.id, dst, seq,
+                     self.config.ack_size, sent_time=self.sim.now,
+                     echo_ts=echo_ts, ack=self.tracker.rcv_nxt,
+                     sack=self.tracker.blocks(), receiver=receiver)
+        ack.ece = ce  # echo an ECN mark straight back (one-shot)
         self.acks_sent += 1
         self.node.send(ack)
+
+
+class TcpReceiver(SackReceiver):
+    """Sink + acknowledger for one TCP connection."""
+
+    __slots__ = ()
+
+    def __init__(self, sim: Simulator, node: Node, flow: str,
+                 config: Optional[TcpConfig] = None) -> None:
+        super().__init__(sim, node, flow, config or TcpConfig())
+
+    def _send_ack(self, data: Packet) -> None:
+        self._emit_ack(data.src, data.seq, data.sent_time, data.ce)
 
     def stats(self) -> dict:
         """Snapshot of receiver counters."""

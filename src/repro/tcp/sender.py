@@ -13,22 +13,110 @@ SACK machinery of :mod:`repro.tcp.sack`:
 The sender is greedy by default (infinite backlog), matching the paper's
 "the sender has infinite data to send" assumption; ``limit`` makes it stop
 after a fixed number of segments for file-transfer style tests.
+
+:class:`WindowSender` is what it shares with the RLA sender: the window
+state, the counters and the one §3.1 emission path of every DATA packet.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import TYPE_CHECKING, Optional, Set, Union
 
 from ..net.node import Node
 from ..net.packet import ACK, DATA, Packet
 from ..sim.engine import Simulator
 from ..sim.process import Timer
+from ..units import DEFAULT_PACKET_SIZE, transmission_time
 from .config import TcpConfig
 from .rto import RttEstimator
 from .sack import SenderScoreboard
 
+if TYPE_CHECKING:
+    from ..rla.config import RLAConfig
 
-class TcpSender:
+
+def phase_jitter(gateway: str, bottleneck_bps: float) -> Optional[float]:
+    """§3.1's bound on a data sender's random processing time.
+
+    ``None`` on RED, whose random drops break phase effects by themselves;
+    otherwise one ``DEFAULT_PACKET_SIZE`` service time of the bottleneck.
+    """
+    if gateway == "red":
+        return None
+    return transmission_time(DEFAULT_PACKET_SIZE, bottleneck_bps)
+
+
+class WindowSender:
+    """The TCP and RLA senders' shared core: window, counters, §3.1 device.
+
+    Every DATA packet, first send or repair, leaves through :meth:`_emit`
+    (a ``U(0, phase_jitter)`` delay from the ``{flow}.jitter`` stream) and
+    is built by :meth:`_emit_now`.  Subclasses supply ``_kick``.
+    """
+
+    def __init__(self, sim: Simulator, node: Node, flow: str,
+                 config: Union[TcpConfig, RLAConfig]) -> None:
+        self.sim = sim
+        self.node = node
+        self.flow = flow
+        self.config = config.validate()
+        self.cwnd: float = config.initial_cwnd
+        self.ssthresh: float = config.initial_ssthresh
+        self.snd_nxt = 0
+        self._jitter_rng = sim.rng.stream(f"{flow}.jitter")
+        self._started = False
+        #: Optional audit hook: audited runs point this at an
+        #: ``InvariantMonitor`` and every processed ACK is sanity-checked.
+        self.monitor = None
+
+        # lifetime statistics (experiments snapshot-diff these)
+        self.packets_sent = 0
+        self.window_cuts = 0
+        self.timeouts = 0
+        self.cwnd_integral = 0.0
+        self._cwnd_clock = sim.now
+
+    def start(self, offset: float = 0.0) -> None:
+        """Begin transmitting after ``offset`` seconds."""
+        if self._started:
+            return
+        self._started = True
+        self.sim.post(offset, self._kick, (), f"{self.flow}.start")
+
+    def _note_cwnd(self) -> None:
+        """Accumulate the time-weighted cwnd integral up to now."""
+        now = self.sim.now
+        self.cwnd_integral += self.cwnd * (now - self._cwnd_clock)
+        self._cwnd_clock = now
+
+    def _set_cwnd(self, value: float) -> None:
+        self._note_cwnd()
+        self.cwnd = min(max(value, 1.0), self.config.max_cwnd)
+
+    def _emit(self, seq: int, dst: str, is_rtx: bool) -> None:
+        """Send DATA ``seq`` to ``dst`` after §3.1's random processing time.
+
+        Window accounting happened at decision time, so a jittered
+        emission is already "in flight" while it waits.
+        """
+        jitter = self.config.phase_jitter
+        if jitter:
+            delay = self._jitter_rng.uniform(0.0, jitter)
+            self.sim.post(delay, self._emit_now, (seq, dst, is_rtx),
+                          f"{self.flow}.jit")
+        else:
+            self._emit_now(seq, dst, is_rtx)
+
+    def _emit_now(self, seq: int, dst: str, is_rtx: bool) -> None:
+        packet = Packet(DATA, self.flow, self.node.id, dst, seq,
+                        self.config.packet_size, sent_time=self.sim.now,
+                        is_retransmit=is_rtx)
+        packet.ect = self.config.ecn
+        self.packets_sent += 1
+        self.node.send(packet)
+
+
+class TcpSender(WindowSender):
     """One direction of a TCP SACK connection (data out, ACKs in)."""
 
     def __init__(
@@ -40,16 +128,9 @@ class TcpSender:
         config: Optional[TcpConfig] = None,
         limit: Optional[int] = None,
     ) -> None:
-        self.sim = sim
-        self.node = node
-        self.flow = flow
+        super().__init__(sim, node, flow, config or TcpConfig())
         self.dst = dst
-        self.config = (config or TcpConfig()).validate()
         self.limit = limit
-
-        self.cwnd: float = self.config.initial_cwnd
-        self.ssthresh: float = self.config.initial_ssthresh
-        self.snd_nxt = 0
         self.scoreboard = SenderScoreboard(self.config.dupack_threshold)
         self.rtt = RttEstimator(self.config.min_rto, self.config.max_rto)
         self._rto_timer = Timer(sim, self._on_timeout, name=f"{flow}.rto")
@@ -57,50 +138,14 @@ class TcpSender:
         self._recover = -1
         self._lost: Set[int] = set()          # declared lost, awaiting rtx
         self._rtx_flight: Set[int] = set()    # retransmitted, fate unknown
-        self._jitter_rng = sim.rng.stream(f"{flow}.jitter")
-        self._started = False
         self.finished = False
-        #: Optional audit hook: audited runs point this at an
-        #: ``InvariantMonitor`` and every processed ACK is sanity-checked
-        #: (window bounds, pipe >= 0, sequence ordering).
-        self.monitor = None
-
-        # lifetime statistics (experiments snapshot-diff these)
-        self.packets_sent = 0
         self.retransmits = 0
-        self.window_cuts = 0
-        self.timeouts = 0
         self.ecn_cuts = 0
-        self.cwnd_integral = 0.0
-        self._cwnd_clock = sim.now
-
-    # ------------------------------------------------------------------
-    # public control
-    # ------------------------------------------------------------------
-    def start(self, offset: float = 0.0) -> None:
-        """Begin transmitting after ``offset`` seconds."""
-        if self._started:
-            return
-        self._started = True
-        self.sim.post(offset, self._kick, (), f"{self.flow}.start")
 
     def on_packet(self, packet: Packet) -> None:
         """Node-bound handler; senders only care about ACKs."""
         if packet.kind == ACK:
             self._on_ack(packet)
-
-    # ------------------------------------------------------------------
-    # statistics helpers
-    # ------------------------------------------------------------------
-    def _note_cwnd(self) -> None:
-        """Accumulate the time-weighted cwnd integral up to now."""
-        now = self.sim.now
-        self.cwnd_integral += self.cwnd * (now - self._cwnd_clock)
-        self._cwnd_clock = now
-
-    def _set_cwnd(self, value: float) -> None:
-        self._note_cwnd()
-        self.cwnd = min(max(value, 1.0), self.config.max_cwnd)
 
     @property
     def snd_una(self) -> int:
@@ -202,7 +247,7 @@ class TcpSender:
             seq, is_rtx = self._next_to_send()
             if seq is None:
                 return
-            self._emit(seq, is_rtx)
+            self._emit(seq, self.dst, is_rtx)
 
     def _next_to_send(self):
         if self._lost:
@@ -216,33 +261,10 @@ class TcpSender:
         self.snd_nxt += 1
         return seq, False
 
-    def _emit(self, seq: int, is_rtx: bool) -> None:
-        # Pipe accounting happened at decision time (_next_to_send), so a
-        # jittered emission is already "in flight" while it waits.
-        jitter = self.config.phase_jitter
-        if jitter:
-            delay = self._jitter_rng.uniform(0.0, jitter)
-            self.sim.post(delay, self._emit_now, (seq, is_rtx),
-                          f"{self.flow}.jit")
-        else:
-            self._emit_now(seq, is_rtx)
-
-    def _emit_now(self, seq: int, is_rtx: bool) -> None:
-        packet = Packet(
-            DATA,
-            self.flow,
-            self.node.id,
-            self.dst,
-            seq,
-            self.config.packet_size,
-            sent_time=self.sim.now,
-            is_retransmit=is_rtx,
-        )
-        packet.ect = self.config.ecn
-        self.packets_sent += 1
+    def _emit_now(self, seq: int, dst: str, is_rtx: bool) -> None:
         if is_rtx:
             self.retransmits += 1
-        self.node.send(packet)
+        super()._emit_now(seq, dst, is_rtx)
         if not self._rto_timer.pending:
             self._restart_rto()
 

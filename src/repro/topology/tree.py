@@ -29,6 +29,9 @@ LEVEL_DELAYS = (ms(5), ms(5), ms(5), ms(100))
 #: Speed of every non-bottleneck link, §5.
 DEFAULT_BANDWIDTH = mbps(100)
 
+#: Packets of buffer at every gateway, §5.
+BUFFER_PKTS = 20
+
 
 def _parent_g3(i: int) -> str:
     return f"G3{(i + 2) // 3}"
@@ -120,27 +123,20 @@ def build_tertiary_tree(
     sim: Simulator,
     gateway: str = "droptail",
     link_bandwidths: Optional[Dict[str, float]] = None,
-    buffer_pkts: int = 20,
-    red_min_th: float = 5.0,
-    red_max_th: float = 15.0,
     info: Optional[TreeInfo] = None,
 ) -> Tuple[Network, TreeInfo]:
     """Build the figure 6 network; returns the network and its metadata.
 
+    ``gateway`` is a :func:`~repro.net.network.discipline_factory` name;
+    at the paper's 20-packet buffer its RED thresholds are the paper's 5/15.
     ``link_bandwidths`` overrides individual links (by name) to create the
     bottlenecks of each experiment case; all other links run at 100 Mbps.
     ``info`` is :func:`static_tree_info`'s result, for a caller that
     already holds it.
     """
-    from ..net.network import Network, droptail_factory, red_factory
+    from ..net.network import Network, discipline_factory
 
-    if gateway == "droptail":
-        factory = droptail_factory(buffer_pkts)
-    elif gateway == "red":
-        factory = red_factory(sim, capacity=buffer_pkts,
-                              min_th=red_min_th, max_th=red_max_th)
-    else:
-        raise TopologyError(f"unknown gateway type {gateway!r}")
+    factory = discipline_factory(gateway, sim, capacity=BUFFER_PKTS)
     if info is None:
         info = static_tree_info()
     overrides = link_bandwidths or {}

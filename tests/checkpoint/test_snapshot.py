@@ -289,13 +289,13 @@ def test_load_rejects_future_format_version(tmp_path):
 
 
 def _assert_format_refused(tmp_path, version):
-    assert FORMAT_VERSION == 10
+    assert FORMAT_VERSION == 11
     snapshot = capture(BareWorld())
     old = Snapshot(**{**snapshot.__dict__, "version": version})
     path = save(old, tmp_path / f"v{version}.ckpt")
     for allow in (False, True):
         with pytest.raises(CheckpointError, match=(
-                rf"has snapshot format v{version}; this build reads v10$")):
+                rf"has snapshot format v{version}; this build reads v11$")):
             load(path, allow_code_mismatch=allow)
     with pytest.raises(CheckpointError,
                        match=rf"^snapshot format v{version} not supported"):
@@ -319,6 +319,12 @@ def test_load_rejects_v9_format_version(tmp_path):
     # v9 engines pickle the same-instant ``_ready`` lane that v10 engines
     # no longer have: refused with the one-line format message
     _assert_format_refused(tmp_path, 9)
+
+
+def test_load_rejects_v10_format_version(tmp_path):
+    # a v10 ``TcpReceiver`` pickles a ``__dict__`` that the slotted v11
+    # class has no room for: refused at load, not dead mid-restore
+    _assert_format_refused(tmp_path, 10)
 
 
 def _rewrite_header(path, **fields):

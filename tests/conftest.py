@@ -8,6 +8,7 @@ import pytest
 
 from repro.net.link import Link
 from repro.net.network import Network, droptail_factory
+from repro.net.packet import DATA
 from repro.sim.engine import Simulator
 from repro.units import ms, pps_to_bps
 
@@ -48,6 +49,51 @@ def count_python_calls():
         return result, calls, transmissions
 
     return count
+
+
+@pytest.fixture
+def jittered_emissions(monkeypatch):
+    """``watch(sim, node) -> check(bound)``: §3.1's one jitter queue.
+
+    ``watch`` records each ``{flow}.jit`` event ``sim`` queues (the instant
+    a sender decided to send a DATA packet) and each DATA packet ``node``
+    sends.  ``check(bound)`` asserts that every DATA packet sent, first
+    send or repair, waited in that queue: it left strictly after its
+    decision and at most ``bound`` after it.  Returns the packets sent.
+    """
+    def watch(sim, node):
+        decided, sent = [], []
+        post, send = sim.post, node.send
+
+        def recording_post(delay, callback, args=(), name=None):
+            if name is not None and name.endswith(".jit"):
+                # args are (seq, ..., is_rtx) on either sender
+                decided.append((sim.now, args[0], args[-1]))
+            post(delay, callback, args, name)
+
+        def recording_send(packet):
+            if packet.kind == DATA:
+                sent.append((sim.now, packet))
+            send(packet)
+
+        monkeypatch.setattr(sim, "post", recording_post)
+        monkeypatch.setattr(node, "send", recording_send)
+
+        def check(bound):
+            pending = list(decided)
+            for time, packet in sent:
+                key = (packet.seq, packet.is_retransmit)
+                match = next((d for d in pending if d[1:] == key
+                              and d[0] < time <= d[0] + bound), None)
+                assert match is not None, (
+                    f"DATA {key} sent at {time} without a decision in "
+                    f"({time - bound}, {time})")
+                pending.remove(match)
+            return [packet for _, packet in sent]
+
+        return check
+
+    return watch
 
 
 @pytest.fixture

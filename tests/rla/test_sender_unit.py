@@ -160,9 +160,27 @@ def test_window_bounded_by_receiver_buffer(monkeypatch):
     assert len(data) == 4  # min_last_ack (0) + rcv_buffer
 
 
-def test_retransmit_multicast_above_threshold():
+#: §3.1's jitter bound for the retransmit cases: one service time at
+#: 200 pkt/s.
+PHASE_JITTER = 0.005
+
+
+def _check_jitter(check, phase_jitter, sender):
+    """With jitter on, every DATA packet, repairs included, left through
+    the jitter queue."""
+    if phase_jitter is not None:
+        sent = check(phase_jitter)
+        assert len(sent) == sender.packets_sent
+        assert any(p.is_retransmit for p in sent)
+
+
+@pytest.mark.parametrize("phase_jitter", [None, PHASE_JITTER],
+                         ids=["no-jitter", "jitter"])
+def test_retransmit_multicast_above_threshold(phase_jitter, jittered_emissions):
     sim = Simulator()
-    sender, node = _sender(sim, n=3)  # rexmit_thresh 0, as in §5
+    # rexmit_thresh 0, as in §5
+    sender, node = _sender(sim, n=3, phase_jitter=phase_jitter)
+    check = jittered_emissions(sim, node)
     sender.cwnd = 20.0
     sender.start()
     sim.run(until=0.5)
@@ -173,12 +191,17 @@ def test_retransmit_multicast_above_threshold():
     rtx = [p for p in node.outbox if p.is_retransmit]
     assert sender.rtx_multicast >= 1
     assert any(p.dst == "group:rla-0" for p in rtx)
+    _check_jitter(check, phase_jitter, sender)
 
 
-def test_retransmit_unicast_below_threshold(monkeypatch):
+@pytest.mark.parametrize("phase_jitter", [None, PHASE_JITTER],
+                         ids=["no-jitter", "jitter"])
+def test_retransmit_unicast_below_threshold(phase_jitter, jittered_emissions,
+                                            monkeypatch):
     monkeypatch.setattr(RLAConfig, "rexmit_thresh", 2)
     sim = Simulator()
-    sender, node = _sender(sim, n=3)
+    sender, node = _sender(sim, n=3, phase_jitter=phase_jitter)
+    check = jittered_emissions(sim, node)
     sender.cwnd = 20.0
     sender.start()
     sim.run(until=0.5)
@@ -190,6 +213,7 @@ def test_retransmit_unicast_below_threshold(monkeypatch):
     rtx = [p for p in node.outbox if p.is_retransmit]
     assert sender.rtx_unicast >= 1
     assert rtx[0].dst == "R1"
+    _check_jitter(check, phase_jitter, sender)
 
 
 def test_rtt_scaled_pthresh_discounts_near_receiver():

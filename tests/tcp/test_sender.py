@@ -63,14 +63,25 @@ def test_finite_transfer_completes(sim, two_node_net):
     assert flow.receiver.tracker.rcv_nxt == 300
 
 
-def test_retransmissions_recover_losses(sim, two_node_net):
-    # Overdrive: cwnd repeatedly overshoots the 20-packet buffer.
-    flow = TcpFlow(sim, two_node_net, "tcp-0", "A", "B", limit=2000)
+@pytest.mark.parametrize("phase_jitter", [None, 0.005],
+                         ids=["no-jitter", "jitter"])
+def test_retransmissions_recover_losses(phase_jitter, sim, two_node_net,
+                                        jittered_emissions):
+    # Overdrive: cwnd repeatedly overshoots the 20-packet buffer.  The
+    # jitter bound is §3.1's: one service time of the 200 pkt/s link.
+    check = jittered_emissions(sim, two_node_net.node("A"))
+    flow = TcpFlow(sim, two_node_net, "tcp-0", "A", "B", limit=2000,
+                   config=TcpConfig(phase_jitter=phase_jitter))
     flow.start()
     sim.run(until=120.0)
     assert flow.sender.finished
     assert flow.sender.retransmits > 0
     assert flow.receiver.tracker.rcv_nxt == 2000
+    if phase_jitter is not None:
+        # every DATA packet, repairs included, left through the jitter queue
+        sent = check(phase_jitter)
+        assert len(sent) == flow.sender.packets_sent
+        assert sum(p.is_retransmit for p in sent) == flow.sender.retransmits
 
 
 def test_pipe_counts_inflight(sim, two_node_net):
