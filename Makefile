@@ -50,9 +50,10 @@ bench-pair:
 # The behaviour gate: BASE and this checkout run one fixed list of
 # repro-rla command lines (benchmarks/same_output.py: every catalog
 # scenario plain and audited, the AQM grid on both backends, fluid
-# crossval and scale, a sweep, every paper table) and each stdout must be
-# byte-identical — how a change meant to alter no behaviour proves it.
-# BASE is unpacked from `git archive`.  ~50 s on 2 vCPUs.
+# crossval and scale, a sweep, every paper table) plus
+# examples/red_vs_droptail.py, and each stdout must be byte-identical —
+# how a change meant to alter no behaviour proves it.  BASE is unpacked
+# from `git archive`.  ~70 s on 2 vCPUs.
 SAME_BASE := .same-output-base
 same-output:
 	rm -rf $(SAME_BASE) && mkdir $(SAME_BASE)

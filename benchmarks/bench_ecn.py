@@ -14,7 +14,7 @@ import pytest
 
 from _scale import bench_duration, bench_warmup
 from repro.models.fairness import check_essential_fairness
-from repro.net.network import Network, red_factory
+from repro.net.network import GatewayFactory, Network
 from repro.rla.config import RLAConfig
 from repro.rla.session import RLASession
 from repro.sim.engine import Simulator
@@ -26,7 +26,7 @@ from repro.units import mbps, ms, pps_to_bps
 def _run(mark: bool, duration: float, warmup: float, seed: int = 8):
     sim = Simulator(seed=seed)
     net = Network(sim)
-    factory = red_factory(sim, mark_ecn=mark)
+    factory = GatewayFactory("red", sim, mark_ecn=mark)
     net.add_link("S", "G", mbps(100), ms(5))
     receivers = ["R1", "R2", "R3"]
     for receiver in receivers:

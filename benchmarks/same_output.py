@@ -2,8 +2,8 @@
 
 A change meant to leave behaviour alone (a refactor, a deleted knob, a
 faster path that keeps every tie) proves it here: one fixed list of
-``repro-rla`` command lines runs on BASE's tree and on this checkout,
-and each stdout must be byte-identical.
+``repro-rla`` command lines and example scripts runs on BASE's tree and
+on this checkout, and each stdout must be byte-identical.
 
     make same-output BASE=<rev>
     python benchmarks/same_output.py BASE_DIR
@@ -11,11 +11,13 @@ and each stdout must be byte-identical.
 ``BASE_DIR`` is an unpacked tree of BASE (the make target unpacks
 ``git archive BASE``).  The list covers what rlabench's ``result_digest``
 never runs: every catalog scenario plain and ``--audit``, the AQM grid on
-both backends, the fluid crossval packet side and ladder, a sweep, and
-every paper table.  ``--metrics`` stays off because it prints wall times;
-``fluid scale`` prints a host ``wall`` cell of its own, which is masked
-before the comparison.  Each command runs from an empty temporary
-directory with ``PYTHONPATH`` pointing at one tree's ``src``, two
+both backends, the fluid crossval packet side and ladder, a sweep, every
+paper table, and ``examples/red_vs_droptail.py`` (the figure 1 topology
+behind a RED gateway, which no command line reaches).  ``--metrics``
+stays off because it prints wall times; ``fluid scale`` prints a host
+``wall`` cell of its own, which is masked before the comparison.  Each
+command runs from an empty temporary directory with ``PYTHONPATH``
+pointing at one tree's ``src`` (a script runs from that tree too), two
 commands at a time.
 
 Exit status 0 when every stdout matches, 1 on the first-listed mismatch
@@ -44,8 +46,9 @@ SCENARIOS = ("waxman-churn", "waxman-steady", "tree-churn",
 SHORT = ("--duration", "6", "--warmup", "2")
 TABLE = ("--duration", "3", "--warmup", "1")
 
-#: ``(argv, mask)``: the command line, and a regex whose matches are
-#: blanked before the comparison (wall-clock cells), or None.
+#: ``(argv, mask)``: the ``repro-rla`` command line (or a script path
+#: relative to the tree, then its arguments), and a regex whose matches
+#: are blanked before the comparison (wall-clock cells), or None.
 COMMANDS: List[Tuple[Tuple[str, ...], Optional[str]]] = [
     *((("scenarios", "run", *SCENARIOS, *SHORT, *audit), None)
       for audit in ((), ("--audit",))),
@@ -58,19 +61,29 @@ COMMANDS: List[Tuple[Tuple[str, ...], Optional[str]]] = [
     (("fig9", "--cases", "1", "2", "3", "4", "5", *TABLE), None),
     (("fig10", *TABLE), None),
     (("multisession", *TABLE), None),
+    (("examples/red_vs_droptail.py",), None),
 ]
+
+
+def label(argv: Tuple[str, ...]) -> str:
+    """How a command line reads in the report."""
+    script = argv[0].endswith(".py")
+    return " ".join(argv if script else ("repro-rla", *argv))
 
 
 def run(tree: Path, argv: Tuple[str, ...], mask: Optional[str]):
     """``(stdout, seconds)`` of one command on one tree; raises on failure."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    if argv[0].endswith(".py"):
+        command = [sys.executable, str(tree / argv[0]), *argv[1:]]
+    else:
+        command = [sys.executable, "-m", "repro.cli", *argv]
     started = time.perf_counter()
     with tempfile.TemporaryDirectory() as cwd:
-        done = subprocess.run([sys.executable, "-m", "repro.cli", *argv],
-                              cwd=cwd, env=env, capture_output=True,
+        done = subprocess.run(command, cwd=cwd, env=env, capture_output=True,
                               text=True)
     if done.returncode != 0:
-        raise RuntimeError(f"{tree}: repro-rla {' '.join(argv)} exited "
+        raise RuntimeError(f"{tree}: {label(argv)} exited "
                            f"{done.returncode}:\n{done.stderr}")
     out = done.stdout
     if mask is not None:
@@ -100,16 +113,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         totals[1] += here_s
         same = base_out == here_out
         print(f"{'same' if same else 'DIFF'}  {base_s:6.1f}s {here_s:6.1f}s"
-              f"  repro-rla {' '.join(cmd)}")
+              f"  {label(cmd)}")
         if not same:
             mismatched.append((cmd, base_out, here_out))
     print(f"total {totals[0]:.1f}s base, {totals[1]:.1f}s here "
-          f"(summed per command, {len(COMMANDS)} command lines)")
+          f"(summed per command, {len(COMMANDS)} commands)")
     if mismatched:
         cmd, base_out, here_out = mismatched[0]
         sys.stdout.writelines(difflib.unified_diff(
             base_out.splitlines(True), here_out.splitlines(True),
-            "base: " + " ".join(cmd), "here: " + " ".join(cmd)))
+            "base: " + label(cmd), "here: " + label(cmd)))
         print(f"{len(mismatched)} of {len(COMMANDS)} stdouts differ")
         return 1
     print(f"same output: all {len(COMMANDS)} stdouts byte-identical")

@@ -14,7 +14,7 @@ Run:  python examples/heterogeneous_rtt.py
 from __future__ import annotations
 
 from repro import RLAConfig, RLASession, Simulator, TcpConfig, TcpFlow
-from repro.net import Network, droptail_factory
+from repro.net import GatewayFactory, Network
 from repro.units import mbps, ms, pps_to_bps, transmission_time
 
 WARMUP, DURATION = 20.0, 120.0
@@ -22,7 +22,7 @@ SHARED_RATE = 400.0  # pkt/s bottleneck shared by everyone
 
 
 def build(sim: Simulator) -> Network:
-    net = Network(sim, default_queue=droptail_factory(20))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 20))
     # shared bottleneck S -> G, then fast branches of unequal length
     net.add_link("S", "G", pps_to_bps(SHARED_RATE), ms(5))
     net.add_link("G", "Rnear", mbps(100), ms(10))

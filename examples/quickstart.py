@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro import RLAConfig, RLASession, Simulator, TcpConfig, TcpFlow
 from repro.models import check_essential_fairness
-from repro.net import Network, droptail_factory
+from repro.net import GatewayFactory, Network
 from repro.units import mbps, ms, pps_to_bps, transmission_time
 
 BRANCH_RATE_PPS = 200       # each branch bottleneck, packets/second
@@ -27,8 +27,9 @@ def main() -> None:
     sim = Simulator(seed=7)
 
     # -- topology: S -- G -- {R1, R2, R3}, per-branch bottlenecks --------
-    net = Network(sim, default_queue=droptail_factory(20))
-    net.add_link("S", "G", mbps(100), ms(5), queue_factory=droptail_factory(100))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 20))
+    net.add_link("S", "G", mbps(100), ms(5),
+                 queue_factory=GatewayFactory("droptail", sim, 100))
     receivers = [f"R{i}" for i in range(1, N_RECEIVERS + 1)]
     for receiver in receivers:
         net.add_link("G", receiver, pps_to_bps(BRANCH_RATE_PPS), ms(50))

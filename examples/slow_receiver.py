@@ -13,7 +13,7 @@ Run:  python examples/slow_receiver.py
 from __future__ import annotations
 
 from repro import RLASession, Simulator
-from repro.net import Network, droptail_factory
+from repro.net import GatewayFactory, Network
 from repro.rla import LaggardDropPolicy
 from repro.sim import PeriodicProcess
 from repro.units import mbps, ms, pps_to_bps
@@ -21,8 +21,9 @@ from repro.units import mbps, ms, pps_to_bps
 
 def main() -> None:
     sim = Simulator(seed=21)
-    net = Network(sim, default_queue=droptail_factory(20))
-    net.add_link("S", "G", mbps(100), ms(5), queue_factory=droptail_factory(100))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 20))
+    net.add_link("S", "G", mbps(100), ms(5),
+                 queue_factory=GatewayFactory("droptail", sim, 100))
     net.add_link("G", "R1", pps_to_bps(400), ms(50))
     net.add_link("G", "R2", pps_to_bps(400), ms(50))
     net.add_link("G", "Rslow", pps_to_bps(20), ms(50))

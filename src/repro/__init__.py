@@ -72,8 +72,8 @@ __version__ = "1.0.0"
 #: on first use (PEP 562), so ``import repro.cli`` and a cache replay pay
 #: for no simulator module.
 _LAZY = {
-    "net": ("DropTailQueue", "Network", "Node", "Packet", "QueueMonitor",
-            "REDQueue", "droptail_factory", "red_factory"),
+    "net": ("DropTailQueue", "GatewayFactory", "Network", "Node", "Packet",
+            "QueueMonitor", "REDQueue"),
     "rla": ("RLAConfig", "RLAReceiver", "RLASender", "RLASession"),
     "sim": ("Simulator",),
     "tcp": ("TcpConfig", "TcpFlow", "TcpReceiver", "TcpSender"),

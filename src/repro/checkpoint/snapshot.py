@@ -76,7 +76,11 @@ from ..sim.engine import Simulator
 #: v11: a ``TcpReceiver`` is slotted (a ``SackReceiver``) and pickles no
 #: ``__dict__``; v11 code restoring a v10 one under ``--allow-code-mismatch``
 #: would die with ``AttributeError: ... no attribute '__dict__'``.
-FORMAT_VERSION = 11
+#: v12: a ``Network`` pickles its default queue as one ``GatewayFactory``;
+#: v11 ones pickle one of four per-discipline factory classes that no
+#: longer exist, so a v11 file resumed under ``--allow-code-mismatch``
+#: would die at restore with ``Can't get attribute ...``.
+FORMAT_VERSION = 12
 
 #: File magic identifying a repro checkpoint file.
 MAGIC = "repro-ckpt"

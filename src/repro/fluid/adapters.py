@@ -2,8 +2,9 @@
 
 The fluid backend earns its keep by sliding in *behind* existing
 experiments, so every adapter here mirrors one packet-side builder
-exactly — same capacities, buffers, RED parameterization and RTTs —
-and differs only in being a population description:
+exactly — same capacities, buffers, RED parameterization
+(:func:`scaled_bottleneck`) and RTTs — and differs only in being a
+population description:
 
 * :func:`symmetric_fluid_spec` twins the figure 1 restricted topology
   of :func:`repro.topology.restricted.build_restricted`, one branch
@@ -28,15 +29,12 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from ..models.fairness import fairness_columns
+from ..net.red import W_Q, red_thresholds
 from ..scenarios.topologies import RttCohortTopology
 from ..topology.restricted import ACCESS_DELAY, BRANCH_DELAY
 from ..units import bps_to_pps, mbps, ms
 from .runner import run_fluid
 from .spec import BottleneckSpec, FluidSpec, RlaCohortSpec, TcpCohortSpec
-
-#: Packet-mode RED averaging gain (``repro.net.network.red_factory``).
-W_Q_REFERENCE = 0.002
-
 
 def mean_field_w_q(scale: float) -> float:
     """RED averaging gain at population ``scale`` (mean-field ``1/scale``).
@@ -46,7 +44,7 @@ def mean_field_w_q(scale: float) -> float:
     keeping the averaged queue's time constant — ``1/(w_q A)`` — fixed
     in seconds, exactly the regime of the mean-field limit.
     """
-    return W_Q_REFERENCE / scale
+    return W_Q / scale
 
 
 def scaled_bottleneck(
@@ -56,21 +54,22 @@ def scaled_bottleneck(
     scale: float = 1.0,
     label: str = "",
 ) -> BottleneckSpec:
-    """A bottleneck mirroring :func:`repro.net.network.discipline_factory`.
+    """A bottleneck mirroring :class:`repro.net.network.GatewayFactory`.
 
-    RED thresholds sit at 25% / 75% of the physical buffer — the packet
-    stack's scaling — and everything (capacity, buffer, thresholds)
-    multiplies by ``scale`` while ``w_q`` divides by it.
+    RED thresholds are :func:`repro.net.red.red_thresholds` of the
+    physical buffer — the packet gateway's rule — and everything
+    (capacity, buffer, thresholds) multiplies by ``scale`` while ``w_q``
+    divides by it.
     """
     capacity = capacity_pps * scale
     buffer = buffer_pkts * scale
-    min_th = max(1.0, 0.25 * buffer)
+    min_th, max_th = red_thresholds(buffer)
     return BottleneckSpec(
         capacity_pps=capacity,
         buffer_pkts=buffer,
         discipline=discipline,
         min_th=min_th,
-        max_th=max(min_th + 1.0, 0.75 * buffer),
+        max_th=max_th,
         w_q=mean_field_w_q(scale),
         label=label,
     )
@@ -93,18 +92,13 @@ def symmetric_fluid_spec(
     ``n_receivers`` branch bottlenecks of capacity ``2 * share_pps``
     (one TCP flow plus the multicast copy per branch, as in
     :func:`repro.experiments.sweeps.build_symmetric_world`), every branch at
-    the same RTT.  The restricted topology's RED gateways use the
-    packet defaults (``min_th=5, max_th=15``), not the 25/75% scaling,
-    so this builder pins those explicitly.
+    the same RTT, each a :func:`scaled_bottleneck` at scale 1 — the
+    restricted topology's gateways at any buffer.
     """
     rtt = 2.0 * (ACCESS_DELAY + BRANCH_DELAY)
     bottlenecks = tuple(
-        BottleneckSpec(
-            capacity_pps=2.0 * share_pps,
-            buffer_pkts=float(buffer_pkts),
-            discipline=gateway,
-            label=f"branch-{b}",
-        )
+        scaled_bottleneck(2.0 * share_pps, float(buffer_pkts), gateway,
+                          label=f"branch-{b}")
         for b in range(n_receivers)
     )
     return FluidSpec(

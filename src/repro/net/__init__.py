@@ -11,16 +11,7 @@ from .faults import RandomDropQueue, random_drop_factory
 from .link import Link
 from .monitor import QueueMonitor
 from .multicast import shortest_path_tree, tree_edges
-from .network import (
-    GATEWAY_DISCIPLINES,
-    Network,
-    QueueFactory,
-    codel_factory,
-    discipline_factory,
-    droptail_factory,
-    pie_factory,
-    red_factory,
-)
+from .network import GATEWAY_DISCIPLINES, GatewayFactory, Network, QueueFactory
 from .node import Node
 from .packet import ACK, DATA, Packet, SackBlock
 from .pie import PIEQueue
@@ -36,6 +27,7 @@ __all__ = [
     "DropTailQueue",
     "GATEWAY_DISCIPLINES",
     "Gateway",
+    "GatewayFactory",
     "Link",
     "Network",
     "Node",
@@ -48,14 +40,9 @@ __all__ = [
     "RandomDropQueue",
     "random_drop_factory",
     "SackBlock",
-    "codel_factory",
-    "discipline_factory",
-    "droptail_factory",
     "flow_id",
     "group_address",
     "is_multicast",
-    "pie_factory",
-    "red_factory",
     "shortest_path_tree",
     "tree_edges",
 ]

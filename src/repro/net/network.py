@@ -30,7 +30,7 @@ from .multicast import shortest_path_tree
 from .node import Node
 from .pie import PIEQueue
 from .queue import Gateway
-from .red import AdaptiveREDQueue, REDQueue
+from .red import AdaptiveREDQueue, REDQueue, red_thresholds
 from .routing import Adjacency, ShortestPaths, add_edge, dijkstra, walk
 
 #: A factory receives the directed link name (e.g. "S->G1") and returns a
@@ -38,158 +38,70 @@ from .routing import Adjacency, ShortestPaths, add_edge, dijkstra, walk
 QueueFactory = Callable[[str], Gateway]
 
 
-@dataclass
-class DropTailFactory:
-    """Picklable queue factory producing drop-tail gateways.
-
-    A class rather than a closure so a built :class:`Network` (which keeps
-    its ``default_queue`` factory) stays picklable for
-    :mod:`repro.checkpoint` snapshots.
-    """
-
-    capacity: int = 20
-
-    def __call__(self, name: str) -> DropTailQueue:
-        return DropTailQueue(self.capacity)
-
-
-#: The name call sites use (as for the three below); the class name is
-#: what a snapshot pickles.
-droptail_factory = DropTailFactory
-
-
-@dataclass
-class REDFactory:
-    """Picklable queue factory producing RED gateways seeded from ``sim.rng``.
-
-    ``byte_mode`` switches the produced gateways to byte-based averaging
-    (thresholds here stay in *packets* and are scaled to bytes by
-    ``mean_packet_size`` at construction, so one parameterization serves
-    both modes); ``adaptive`` produces :class:`AdaptiveREDQueue`.
-    """
-
-    sim: Simulator
-    capacity: int = 20
-    min_th: float = 5.0
-    max_th: float = 15.0
-    w_q: float = 0.002
-    max_p: float = 0.1
-    mark_ecn: bool = False
-    byte_mode: bool = False
-    adaptive: bool = False
-    mean_packet_size: int = DEFAULT_PACKET_SIZE
-
-    def __call__(self, name: str) -> REDQueue:
-        min_th, max_th = self.min_th, self.max_th
-        if self.byte_mode:
-            min_th *= self.mean_packet_size
-            max_th *= self.mean_packet_size
-        cls = AdaptiveREDQueue if self.adaptive else REDQueue
-        return cls(
-            capacity=self.capacity,
-            min_th=min_th,
-            max_th=max_th,
-            w_q=self.w_q,
-            max_p=self.max_p,
-            rng=self.sim.rng.stream(f"red.{name}"),
-            mark_ecn=self.mark_ecn,
-            byte_mode=self.byte_mode,
-            mean_packet_size=self.mean_packet_size,
-        )
-
-
-red_factory = REDFactory
-
-
-@dataclass
-class CoDelFactory:
-    """Picklable queue factory producing CoDel gateways (no RNG needed)."""
-
-    capacity: int = 20
-    target: float = 0.005
-    interval: float = 0.1
-    mark_ecn: bool = False
-
-    def __call__(self, name: str) -> CoDelQueue:
-        return CoDelQueue(
-            capacity=self.capacity,
-            target=self.target,
-            interval=self.interval,
-            mark_ecn=self.mark_ecn,
-        )
-
-
-codel_factory = CoDelFactory
-
-
-@dataclass
-class PIEFactory:
-    """Picklable queue factory producing PIE gateways seeded from ``sim.rng``."""
-
-    sim: Simulator
-    capacity: int = 20
-    target: float = 0.015
-    t_update: float = 0.015
-    mark_ecn: bool = False
-
-    def __call__(self, name: str) -> PIEQueue:
-        return PIEQueue(
-            capacity=self.capacity,
-            target=self.target,
-            t_update=self.t_update,
-            rng=self.sim.rng.stream(f"pie.{name}"),
-            mark_ecn=self.mark_ecn,
-        )
-
-
-pie_factory = PIEFactory
-
-
 #: Every queue discipline selectable by name (scenario specs, CLI flags).
 #: Names are the public contract — ``ScenarioSpec.gateway`` validates
-#: against this tuple and :func:`discipline_factory` dispatches on it.
+#: against this tuple and :class:`GatewayFactory` refuses any other.
 GATEWAY_DISCIPLINES: Tuple[str, ...] = (
     "droptail", "red", "red-byte", "red-adaptive", "codel", "pie",
 )
 
 
-def discipline_factory(
-    discipline: str,
-    sim: Simulator,
-    capacity: int = 20,
-    mark_ecn: bool = False,
-    mean_packet_size: int = DEFAULT_PACKET_SIZE,
-) -> QueueFactory:
-    """Build the queue factory for a discipline name from the registry.
+@dataclass(frozen=True)
+class GatewayFactory:
+    """The one picklable queue factory: a discipline name and a buffer.
 
-    RED variants inherit the repo-wide buffer parameterization (thresholds
-    at 25% / 75% of the physical buffer — the scaling scenario topologies
-    have always used); CoDel and PIE use their RFC default targets.  ECN
-    (``mark_ecn``) applies to every discipline except drop-tail, which has
-    no early-notification mechanism to piggyback a mark on.
+    A class rather than a closure so a built :class:`Network` (which keeps
+    its ``default_queue`` factory) stays picklable for
+    :mod:`repro.checkpoint` snapshots.  RED variants take their thresholds
+    from :func:`~repro.net.red.red_thresholds` of ``capacity`` (byte-mode
+    RED scales them by ``mean_packet_size``) and draw from ``red.<name>``;
+    PIE draws from ``pie.<name>``; CoDel and PIE use their RFC default
+    targets.  ``mark_ecn`` applies to every discipline except drop-tail,
+    which has no early-notification mechanism to piggyback a mark on.
     """
-    if discipline not in GATEWAY_DISCIPLINES:
-        raise TopologyError(
-            f"unknown queue discipline {discipline!r}; "
-            f"expected one of {GATEWAY_DISCIPLINES}"
+
+    discipline: str
+    sim: Simulator
+    capacity: int = 20
+    mark_ecn: bool = False
+    mean_packet_size: int = DEFAULT_PACKET_SIZE
+
+    def __post_init__(self) -> None:
+        if self.discipline not in GATEWAY_DISCIPLINES:
+            raise TopologyError(
+                f"unknown queue discipline {self.discipline!r}; "
+                f"expected one of {GATEWAY_DISCIPLINES}"
+            )
+
+    def __call__(self, name: str) -> Gateway:
+        discipline = self.discipline
+        if discipline == "droptail":
+            return DropTailQueue(self.capacity)
+        if discipline == "codel":
+            return CoDelQueue(self.capacity, mark_ecn=self.mark_ecn)
+        if discipline == "pie":
+            rng = self.sim.rng.stream(f"pie.{name}")
+            return PIEQueue(self.capacity, rng=rng, mark_ecn=self.mark_ecn)
+        min_th, max_th = red_thresholds(self.capacity)
+        byte_mode = discipline == "red-byte"
+        if byte_mode:
+            min_th *= self.mean_packet_size
+            max_th *= self.mean_packet_size
+        cls = AdaptiveREDQueue if discipline == "red-adaptive" else REDQueue
+        return cls(
+            capacity=self.capacity,
+            min_th=min_th,
+            max_th=max_th,
+            rng=self.sim.rng.stream(f"red.{name}"),
+            mark_ecn=self.mark_ecn,
+            byte_mode=byte_mode,
+            mean_packet_size=self.mean_packet_size,
         )
-    if discipline == "droptail":
-        return droptail_factory(capacity)
-    if discipline == "codel":
-        return codel_factory(capacity, mark_ecn=mark_ecn)
-    if discipline == "pie":
-        return pie_factory(sim, capacity, mark_ecn=mark_ecn)
-    min_th = max(1.0, 0.25 * capacity)
-    return red_factory(
-        sim,
-        capacity,
-        min_th=min_th,
-        max_th=max(min_th + 1.0, 0.75 * capacity),
-        mark_ecn=mark_ecn,
-        byte_mode=discipline == "red-byte",
-        adaptive=discipline == "red-adaptive",
-        mean_packet_size=mean_packet_size,
-    )
+
+
+#: Kept under its old name for ``benchmarks/rlabench/micro.py``, which
+#: imports it from here and may not change with this module.
+discipline_factory = GatewayFactory
 
 
 @dataclass
@@ -213,7 +125,7 @@ class Network:
         self.nodes: Dict[str, Node] = {}
         #: directed ("a", "b") -> Link
         self.links: Dict[Tuple[str, str], Link] = {}
-        self.default_queue: QueueFactory = default_queue or droptail_factory()
+        self.default_queue: QueueFactory = default_queue or GatewayFactory("droptail", sim)
         #: Mean packet size links are provisioned for (RED idle aging and
         #: byte-mode scaling); mixed-size scenarios set their configured
         #: mean here once instead of per add_link call.

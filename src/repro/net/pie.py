@@ -63,7 +63,7 @@ class PIEQueue(Gateway):
             # the simulator's seeded streams and break same-seed replay.
             raise ValueError(
                 "PIEQueue requires an injected rng; use "
-                "sim.rng.stream('pie.<name>') or net.pie_factory(sim, ...)"
+                "sim.rng.stream('pie.<name>') or net.GatewayFactory('pie', sim)"
             )
         #: Latency target the controller steers the queue delay toward.
         self.target = target

@@ -5,7 +5,8 @@ see the same loss probability*, which makes window-based fairness analysis
 tractable (Theorem I).  We implement the full algorithm from the RED paper,
 with the parameterization the authors used in NS2:
 
-* ``min_th = 5``, ``max_th = 15`` packets, physical buffer 20 packets,
+* ``min_th = 5``, ``max_th = 15`` packets, physical buffer 20 packets
+  (:func:`red_thresholds`: 25 % / 75 % of any buffer),
 * queue-average weight ``w_q = 0.002``,
 * maximum marking probability ``max_p = 0.1`` (ns-2 default ``linterm = 10``),
 * the count-since-last-drop correction that spaces drops roughly uniformly,
@@ -33,11 +34,25 @@ matrix (ROADMAP item 4):
 from __future__ import annotations
 
 import random
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..units import DEFAULT_PACKET_SIZE
 from .packet import Packet
 from .queue import Gateway
+
+#: Queue-average weight of the paper's RED gateways.
+W_Q = 0.002
+
+
+def red_thresholds(buffer: float) -> Tuple[float, float]:
+    """``(min_th, max_th)`` for a physical buffer of ``buffer`` packets.
+
+    25 % / 75 % of the buffer, at least one packet apart: the paper's 5/15
+    at its 20-packet buffer, and the rule every RED gateway (packet and
+    fluid) is built by.
+    """
+    min_th = max(1.0, 0.25 * buffer)
+    return min_th, max(min_th + 1.0, 0.75 * buffer)
 
 
 class REDQueue(Gateway):
@@ -50,7 +65,7 @@ class REDQueue(Gateway):
         capacity: int = 20,
         min_th: float = 5.0,
         max_th: float = 15.0,
-        w_q: float = 0.002,
+        w_q: float = W_Q,
         max_p: float = 0.1,
         rng: Optional[random.Random] = None,
         mark_ecn: bool = False,
@@ -72,7 +87,7 @@ class REDQueue(Gateway):
             # share one drop sequence, and same-seed replay would diverge.
             raise ValueError(
                 "REDQueue requires an injected rng; use "
-                "sim.rng.stream('red.<name>') or net.red_factory(sim, ...)"
+                "sim.rng.stream('red.<name>') or net.GatewayFactory('red', sim)"
             )
         self.min_th = min_th
         self.max_th = max_th

@@ -25,16 +25,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Tuple
 
 from ..errors import TopologyError
-from ..net.network import (
-    Network,
-    QueueFactory,
-    discipline_factory,
-    droptail_factory,
-)
+from ..net.network import GatewayFactory, Network
 from ..net.routing import Adjacency, add_edge, connected_components
 from ..sim.engine import Simulator
 from ..units import DEFAULT_PACKET_SIZE, mbps, ms
@@ -216,65 +211,49 @@ def build_topology(
     links' service-time estimate (and byte-mode RED thresholds) for the
     scenario's configured packet-size mix.
     """
-    # Validates the discipline name up front (raises TopologyError).
-    discipline_factory(gateway, sim, mark_ecn=ecn,
-                       mean_packet_size=mean_packet_size)
+    # Validates the discipline name up front (raises TopologyError); each
+    # link gets this factory at its own drawn buffer.
+    factory = GatewayFactory(gateway, sim, mark_ecn=ecn,
+                             mean_packet_size=mean_packet_size)
     rng = sim.rng.stream(TOPOLOGY_STREAM)
     if isinstance(spec, WaxmanTopology):
-        return _build_waxman(sim, spec.validate(), gateway, rng, ecn,
-                             mean_packet_size)
+        return _build_waxman(spec.validate(), factory, rng)
     if isinstance(spec, TransitStubTopology):
-        return _build_transit_stub(sim, spec.validate(), gateway, rng, ecn,
-                                   mean_packet_size)
+        return _build_transit_stub(spec.validate(), factory, rng)
     if isinstance(spec, JitteredTreeTopology):
-        return _build_jittered_tree(sim, spec.validate(), gateway, rng, ecn,
-                                    mean_packet_size)
+        return _build_jittered_tree(spec.validate(), factory, rng)
     if isinstance(spec, RttCohortTopology):
-        return _build_rtt_cohorts(sim, spec.validate(), gateway, rng, ecn,
-                                  mean_packet_size)
+        return _build_rtt_cohorts(spec.validate(), factory, rng)
     raise TopologyError(f"unknown topology spec {type(spec).__name__}")
 
 
-def _queue_factory(
-    sim: Simulator,
-    gateway: str,
-    buffer_pkts: int,
-    ecn: bool = False,
-    mean_packet_size: int = DEFAULT_PACKET_SIZE,
-) -> QueueFactory:
-    """Per-link gateway factory with thresholds scaled to the buffer."""
-    return discipline_factory(gateway, sim, capacity=buffer_pkts,
-                              mark_ecn=ecn, mean_packet_size=mean_packet_size)
+def _new_topology(factory: GatewayFactory, source: str) -> GeneratedTopology:
+    """An empty generated topology on the factory's simulator."""
+    net = Network(factory.sim, mean_packet_size=factory.mean_packet_size)
+    return GeneratedTopology(net=net, source=source, hosts=[])
 
 
 def _add_drawn_link(
     topo: GeneratedTopology,
-    sim: Simulator,
-    gateway: str,
+    factory: GatewayFactory,
     rng: random.Random,
     a: str,
     b: str,
     bandwidth_range: Tuple[float, float],
     delay_range: Tuple[float, float],
     buffer_range: Tuple[int, int],
-    ecn: bool = False,
-    mean_packet_size: int = DEFAULT_PACKET_SIZE,
 ) -> None:
     """Draw one link's parameters and install it bidirectionally."""
     bandwidth = mbps(rng.uniform(*bandwidth_range))
     delay = ms(rng.uniform(*delay_range))
     buffer_pkts = rng.randint(*buffer_range)
-    topo.net.add_link(
-        a, b, bandwidth, delay,
-        queue_factory=_queue_factory(sim, gateway, buffer_pkts, ecn,
-                                     mean_packet_size),
-    )
+    topo.net.add_link(a, b, bandwidth, delay,
+                      queue_factory=replace(factory, capacity=buffer_pkts))
     topo.link_draws.append((a, b, bandwidth, delay, buffer_pkts))
 
 
 def _build_waxman(
-    sim: Simulator, spec: WaxmanTopology, gateway: str, rng: random.Random,
-    ecn: bool = False, mean_packet_size: int = DEFAULT_PACKET_SIZE,
+    spec: WaxmanTopology, factory: GatewayFactory, rng: random.Random,
 ) -> GeneratedTopology:
     n = spec.n
     positions = [(rng.random(), rng.random()) for _ in range(n)]
@@ -324,15 +303,11 @@ def _build_waxman(
     source_index = max(range(n), key=lambda k: (degree[k], -k))
 
     names = [f"W{k}" for k in range(n)]
-    topo = GeneratedTopology(
-        net=Network(sim, mean_packet_size=mean_packet_size),
-        source=names[source_index], hosts=[],
-    )
+    topo = _new_topology(factory, names[source_index])
     for i, j in sorted(edges):
         _add_drawn_link(
-            topo, sim, gateway, rng, names[i], names[j],
+            topo, factory, rng, names[i], names[j],
             spec.bandwidth_mbps, spec.delay_ms, spec.buffer_pkts,
-            ecn, mean_packet_size,
         )
     topo.net.build_routes()
     topo.hosts = [name for name in names if name != topo.source]
@@ -340,27 +315,21 @@ def _build_waxman(
 
 
 def _build_transit_stub(
-    sim: Simulator, spec: TransitStubTopology, gateway: str, rng: random.Random,
-    ecn: bool = False, mean_packet_size: int = DEFAULT_PACKET_SIZE,
+    spec: TransitStubTopology, factory: GatewayFactory, rng: random.Random,
 ) -> GeneratedTopology:
-    topo = GeneratedTopology(
-        net=Network(sim, mean_packet_size=mean_packet_size),
-        source="SRC", hosts=[],
-    )
+    topo = _new_topology(factory, "SRC")
     transits = [f"T{i}" for i in range(spec.transits)]
 
     # transit core: a ring (a chain for < 3 transits)
     for index in range(len(transits) - 1):
         _add_drawn_link(
-            topo, sim, gateway, rng, transits[index], transits[index + 1],
+            topo, factory, rng, transits[index], transits[index + 1],
             spec.transit_bandwidth_mbps, spec.transit_delay_ms, spec.buffer_pkts,
-            ecn, mean_packet_size,
         )
     if len(transits) >= 3:
         _add_drawn_link(
-            topo, sim, gateway, rng, transits[-1], transits[0],
+            topo, factory, rng, transits[-1], transits[0],
             spec.transit_bandwidth_mbps, spec.transit_delay_ms, spec.buffer_pkts,
-            ecn, mean_packet_size,
         )
 
     # stub domains: router per stub, hosts behind each router
@@ -368,36 +337,30 @@ def _build_transit_stub(
         for s_index in range(spec.stubs_per_transit):
             router = f"G{t_index}.{s_index}"
             _add_drawn_link(
-                topo, sim, gateway, rng, transit, router,
+                topo, factory, rng, transit, router,
                 spec.stub_bandwidth_mbps, spec.stub_delay_ms, spec.buffer_pkts,
-                ecn, mean_packet_size,
             )
             for h_index in range(spec.hosts_per_stub):
                 host = f"H{t_index}.{s_index}.{h_index}"
                 _add_drawn_link(
-                    topo, sim, gateway, rng, router, host,
+                    topo, factory, rng, router, host,
                     spec.stub_bandwidth_mbps, spec.stub_delay_ms, spec.buffer_pkts,
-                    ecn, mean_packet_size,
                 )
                 topo.hosts.append(host)
 
     # the source sits on its own fast access link into the first transit,
     # so the generated bottlenecks are always in the core or the stubs
-    topo.net.add_link("SRC", transits[0], mbps(100), ms(1),
-                      queue_factory=droptail_factory(1000))
+    deep = GatewayFactory("droptail", factory.sim, 1000)
+    topo.net.add_link("SRC", transits[0], mbps(100), ms(1), queue_factory=deep)
     topo.link_draws.append(("SRC", transits[0], mbps(100), ms(1), 1000))
     topo.net.build_routes()
     return topo
 
 
 def _build_jittered_tree(
-    sim: Simulator, spec: JitteredTreeTopology, gateway: str, rng: random.Random,
-    ecn: bool = False, mean_packet_size: int = DEFAULT_PACKET_SIZE,
+    spec: JitteredTreeTopology, factory: GatewayFactory, rng: random.Random,
 ) -> GeneratedTopology:
-    topo = GeneratedTopology(
-        net=Network(sim, mean_packet_size=mean_packet_size),
-        source="S", hosts=[],
-    )
+    topo = _new_topology(factory, "S")
 
     def jittered(base: float) -> float:
         return base * rng.uniform(1.0 - spec.jitter, 1.0 + spec.jitter)
@@ -416,8 +379,7 @@ def _build_jittered_tree(
             buffer_pkts = rng.randint(*spec.buffer_pkts)
             topo.net.add_link(
                 parent, child, bandwidth, delay,
-                queue_factory=_queue_factory(sim, gateway, buffer_pkts, ecn,
-                                             mean_packet_size),
+                queue_factory=replace(factory, capacity=buffer_pkts),
             )
             topo.link_draws.append((parent, child, bandwidth, delay, buffer_pkts))
             if leaf:
@@ -431,8 +393,7 @@ def _build_jittered_tree(
 
 
 def _build_rtt_cohorts(
-    sim: Simulator, spec: RttCohortTopology, gateway: str, rng: random.Random,
-    ecn: bool = False, mean_packet_size: int = DEFAULT_PACKET_SIZE,
+    spec: RttCohortTopology, factory: GatewayFactory, rng: random.Random,
 ) -> GeneratedTopology:
     """Dumbbell: SRC -- GL ==bottleneck== GR -- {fast, slow} access links.
 
@@ -441,15 +402,13 @@ def _build_rtt_cohorts(
     congestion signal originates at the shared queue, the setting the
     essential-fairness theorems reason about.
     """
-    topo = GeneratedTopology(
-        net=Network(sim, mean_packet_size=mean_packet_size),
-        source="SRC", hosts=[],
-    )
+    topo = _new_topology(factory, "SRC")
+    plain = GatewayFactory("droptail", factory.sim)
 
     def plain_link(a: str, b: str, bandwidth: float, delay: float,
                    buffer_pkts: int) -> None:
         topo.net.add_link(a, b, bandwidth, delay,
-                          queue_factory=droptail_factory(buffer_pkts))
+                          queue_factory=replace(plain, capacity=buffer_pkts))
         topo.link_draws.append((a, b, bandwidth, delay, buffer_pkts))
 
     # uncongested source feed into the left gateway
@@ -460,8 +419,7 @@ def _build_rtt_cohorts(
     bottleneck_delay = ms(spec.bottleneck_delay_ms)
     topo.net.add_link(
         "GL", "GR", bottleneck_bw, bottleneck_delay,
-        queue_factory=_queue_factory(sim, gateway, spec.buffer_pkts, ecn,
-                                     mean_packet_size),
+        queue_factory=replace(factory, capacity=spec.buffer_pkts),
     )
     topo.link_draws.append(
         ("GL", "GR", bottleneck_bw, bottleneck_delay, spec.buffer_pkts)

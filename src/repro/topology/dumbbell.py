@@ -12,7 +12,7 @@ and their disagreement measures model error, not workload noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Tuple
 
 from ..errors import TopologyError
@@ -59,7 +59,7 @@ class DumbbellSpec:
 
     ``capacity_pps`` is the bottleneck speed in data packets/second;
     every other link is provisioned far above it.  ``gateway`` is any
-    discipline :func:`repro.net.network.discipline_factory` knows (the
+    discipline :class:`repro.net.network.GatewayFactory` knows (the
     fluid twin supports drop-tail and RED).
     """
 
@@ -100,16 +100,15 @@ def build_dumbbell(
     the ``GL == GR`` bottleneck runs the studied discipline; the source
     and access links are deep drop-tail queues that never drop.
     """
-    from ..net.network import Network, discipline_factory, droptail_factory
+    from ..net.network import GatewayFactory, Network
 
     spec.validate()
-    factory = discipline_factory(spec.gateway, sim,
-                                 capacity=spec.buffer_pkts,
-                                 mean_packet_size=PACKET_SIZE)
-    net = Network(sim, default_queue=droptail_factory(ACCESS_BUFFER_PKTS),
-                  mean_packet_size=PACKET_SIZE)
+    factory = GatewayFactory(spec.gateway, sim, spec.buffer_pkts,
+                             mean_packet_size=PACKET_SIZE)
+    access = GatewayFactory("droptail", sim, ACCESS_BUFFER_PKTS)
+    net = Network(sim, default_queue=access, mean_packet_size=PACKET_SIZE)
     net.add_link("S", "GL", mbps(100), SOURCE_DELAY,
-                 queue_factory=droptail_factory(SOURCE_BUFFER_PKTS))
+                 queue_factory=replace(access, capacity=SOURCE_BUFFER_PKTS))
     net.add_link("GL", "GR", pps_to_bps(spec.capacity_pps, PACKET_SIZE),
                  BOTTLENECK_DELAY, queue_factory=factory)
     cohort_hosts: List[List[str]] = []

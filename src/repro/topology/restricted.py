@@ -36,7 +36,8 @@ class RestrictedSpec:
     ``mu_pps[i]`` is branch i's bottleneck capacity in packets/second.
     The common access link S-G is non-bottleneck (100 Mbps) and all
     branches share the same propagation delay so round-trip times are
-    equal, as §2.2 requires.
+    equal, as §2.2 requires.  RED thresholds follow the buffer
+    (:func:`repro.net.red.red_thresholds`): the paper's 5/15 at 20 packets.
     """
 
     mu_pps: Sequence[float]
@@ -51,6 +52,8 @@ class RestrictedSpec:
             raise TopologyError("branch capacities must be positive")
         if self.gateway not in ("droptail", "red"):
             raise TopologyError(f"unknown gateway type {self.gateway!r}")
+        if self.buffer_pkts < 2:
+            raise TopologyError(f"buffer too small: {self.buffer_pkts}")
         return self
 
 
@@ -58,18 +61,15 @@ def build_restricted(
     sim: Simulator, spec: RestrictedSpec
 ) -> Tuple[Network, List[str]]:
     """Build the figure 1 network; returns (network, receiver node ids)."""
-    from ..net.network import Network, droptail_factory, red_factory
+    from ..net.network import GatewayFactory, Network
 
     spec.validate()
-    if spec.gateway == "red":
-        factory = red_factory(sim, capacity=spec.buffer_pkts)
-    else:
-        factory = droptail_factory(spec.buffer_pkts)
+    factory = GatewayFactory(spec.gateway, sim, spec.buffer_pkts)
     net = Network(sim, default_queue=factory)
     # The shared access link never bottlenecks; give it a deep buffer so
     # it cannot distort the per-branch loss processes under study.
     net.add_link("S", "G", mbps(100), ACCESS_DELAY,
-                 queue_factory=droptail_factory(1000))
+                 queue_factory=GatewayFactory("droptail", sim, 1000))
     receivers = []
     for index, mu in enumerate(spec.mu_pps, start=1):
         receiver = f"R{index}"

@@ -127,16 +127,16 @@ def build_tertiary_tree(
 ) -> Tuple[Network, TreeInfo]:
     """Build the figure 6 network; returns the network and its metadata.
 
-    ``gateway`` is a :func:`~repro.net.network.discipline_factory` name;
+    ``gateway`` is a :class:`~repro.net.network.GatewayFactory` name;
     at the paper's 20-packet buffer its RED thresholds are the paper's 5/15.
     ``link_bandwidths`` overrides individual links (by name) to create the
     bottlenecks of each experiment case; all other links run at 100 Mbps.
     ``info`` is :func:`static_tree_info`'s result, for a caller that
     already holds it.
     """
-    from ..net.network import Network, discipline_factory
+    from ..net.network import GatewayFactory, Network
 
-    factory = discipline_factory(gateway, sim, capacity=BUFFER_PKTS)
+    factory = GatewayFactory(gateway, sim, BUFFER_PKTS)
     if info is None:
         info = static_tree_info()
     overrides = link_bandwidths or {}

@@ -24,7 +24,7 @@ import repro.audit
 from repro.audit import InvariantViolation
 from repro.experiments.figures import run_figure
 from repro.experiments.sweeps import SymmetricSpec, run_symmetric_spec
-from repro.net.network import Network, droptail_factory
+from repro.net.network import GatewayFactory, Network
 from repro.net.packet import (
     DATA,
     Packet,
@@ -172,16 +172,16 @@ def test_clean_run_observes_the_same(name, monkeypatch):
 # injected faults: the same violation, strict and collected
 # ----------------------------------------------------------------------
 def _two_node(sim):
-    net = Network(sim, default_queue=droptail_factory(20))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 20))
     net.add_link("A", "B", pps_to_bps(200), ms(50))
     net.build_routes()
     return net
 
 
 def _star(sim):
-    net = Network(sim, default_queue=droptail_factory(20))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 20))
     net.add_link("S", "G", pps_to_bps(20_000), ms(5),
-                 queue_factory=droptail_factory(200))
+                 queue_factory=GatewayFactory("droptail", sim, 200))
     for i in (1, 2, 3):
         net.add_link("G", f"R{i}", pps_to_bps(200), ms(50))
     net.build_routes()

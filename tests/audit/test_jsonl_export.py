@@ -8,7 +8,7 @@ from pathlib import Path
 
 from repro.audit import arm, export_run, load_rows
 from repro.net.monitor import QueueMonitor
-from repro.net.network import Network, droptail_factory
+from repro.net.network import GatewayFactory, Network
 from repro.sim.engine import Simulator
 from repro.tcp.flow import TcpFlow
 from repro.units import ms, pps_to_bps
@@ -18,7 +18,7 @@ def _armed_run():
     """A TCP flow through a 20-packet drop-tail bottleneck, armed, stopped
     at its first drop so that drop is still in the recorder's ring."""
     sim = Simulator(seed=42)
-    net = Network(sim, default_queue=droptail_factory(20))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 20))
     net.add_link("A", "B", pps_to_bps(200), ms(50))
     net.build_routes()
     auditor = arm(sim, net)

@@ -222,11 +222,11 @@ def test_stale_uid_counter_collides_with_tracked_packet():
     packets — the conservation auditor flags the collision."""
     from repro.audit import ConservationAuditor, FlightRecorder, InvariantMonitor
     from repro.audit.violation import InvariantViolation
-    from repro.net.network import Network, droptail_factory
+    from repro.net.network import GatewayFactory, Network
     from repro.units import ms, pps_to_bps
 
     sim = Simulator(seed=1)
-    net = Network(sim, default_queue=droptail_factory(20))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 20))
     net.add_link("A", "B", pps_to_bps(200), ms(10))
     net.build_routes()
     monitor = InvariantMonitor(FlightRecorder())
@@ -289,13 +289,13 @@ def test_load_rejects_future_format_version(tmp_path):
 
 
 def _assert_format_refused(tmp_path, version):
-    assert FORMAT_VERSION == 11
+    assert FORMAT_VERSION == 12
     snapshot = capture(BareWorld())
     old = Snapshot(**{**snapshot.__dict__, "version": version})
     path = save(old, tmp_path / f"v{version}.ckpt")
     for allow in (False, True):
         with pytest.raises(CheckpointError, match=(
-                rf"has snapshot format v{version}; this build reads v11$")):
+                rf"has snapshot format v{version}; this build reads v12$")):
             load(path, allow_code_mismatch=allow)
     with pytest.raises(CheckpointError,
                        match=rf"^snapshot format v{version} not supported"):
@@ -325,6 +325,13 @@ def test_load_rejects_v10_format_version(tmp_path):
     # a v10 ``TcpReceiver`` pickles a ``__dict__`` that the slotted v11
     # class has no room for: refused at load, not dead mid-restore
     _assert_format_refused(tmp_path, 10)
+
+
+def test_load_rejects_v11_format_version(tmp_path):
+    # a v11 ``Network`` pickles its default queue as a per-discipline
+    # factory class that v12, with one ``GatewayFactory``, no longer has:
+    # refused at load, not dead mid-restore
+    _assert_format_refused(tmp_path, 11)
 
 
 def _rewrite_header(path, **fields):

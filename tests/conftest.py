@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from repro.net.link import Link
-from repro.net.network import Network, droptail_factory
+from repro.net.network import GatewayFactory, Network
 from repro.net.packet import DATA
 from repro.sim.engine import Simulator
 from repro.units import ms, pps_to_bps
@@ -99,7 +99,7 @@ def jittered_emissions(monkeypatch):
 @pytest.fixture
 def two_node_net(sim):
     """A <-> B with a 200 pkt/s bottleneck and 50 ms one-way delay."""
-    net = Network(sim, default_queue=droptail_factory(20))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 20))
     net.add_link("A", "B", pps_to_bps(200), ms(50))
     net.build_routes()
     return net
@@ -108,9 +108,9 @@ def two_node_net(sim):
 @pytest.fixture
 def star_net(sim):
     """S - G - {R1, R2, R3}: fat access link, 200 pkt/s branches."""
-    net = Network(sim, default_queue=droptail_factory(20))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 20))
     net.add_link("S", "G", pps_to_bps(20_000), ms(5),
-                 queue_factory=droptail_factory(200))
+                 queue_factory=GatewayFactory("droptail", sim, 200))
     for i in (1, 2, 3):
         net.add_link("G", f"R{i}", pps_to_bps(200), ms(50))
     net.build_routes()

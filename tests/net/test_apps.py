@@ -6,7 +6,7 @@ from repro.errors import ConfigurationError
 from repro.net.apps import CbrSource, PacketSink
 from repro.net.packet import DATA
 from repro.units import pps_to_bps, ms
-from repro.net.network import Network, droptail_factory
+from repro.net.network import Network
 from repro.sim.engine import Simulator
 
 

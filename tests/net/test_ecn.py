@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net.network import Network, red_factory
+from repro.net.network import GatewayFactory, Network
 from repro.net.packet import DATA, Packet
 from repro.net.red import REDQueue
 from repro.rla.config import RLAConfig
@@ -54,7 +54,7 @@ def test_red_forced_region_still_drops():
 
 def _ecn_net(sim, rate_pps=200):
     net = Network(sim)
-    factory = red_factory(sim, mark_ecn=True)
+    factory = GatewayFactory("red", sim, mark_ecn=True)
     net.add_link("A", "B", pps_to_bps(rate_pps), ms(50), queue_factory=factory)
     net.build_routes()
     return net
@@ -90,7 +90,7 @@ def test_tcp_without_ecn_is_unaffected_by_marking_gateway():
 def test_rla_reacts_to_ecn_marks():
     sim = Simulator(seed=4)
     net = Network(sim)
-    factory = red_factory(sim, mark_ecn=True)
+    factory = GatewayFactory("red", sim, mark_ecn=True)
     net.add_link("S", "G", pps_to_bps(2000), ms(5))
     for i in (1, 2):
         net.add_link("G", f"R{i}", pps_to_bps(200), ms(50),

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.net.droptail import DropTailQueue
 from repro.net.faults import RandomDropQueue, random_drop_factory
-from repro.net.network import Network, droptail_factory
+from repro.net.network import GatewayFactory, Network
 from repro.net.packet import DATA, Packet
 from repro.rla.session import RLASession
 from repro.sim.engine import Simulator
@@ -89,7 +89,8 @@ def test_missing_rng_is_rejected():
     with pytest.raises(ConfigurationError, match="rng"):
         RandomDropQueue(DropTailQueue(10), 0.1)
     with pytest.raises(ConfigurationError, match="sim"):
-        random_drop_factory(droptail_factory(20), 0.1)("A->B")
+        inner = GatewayFactory("droptail", Simulator(), 20)
+        random_drop_factory(inner, 0.1)("A->B")
 
 
 def test_inner_red_causes_survive_the_wrapper():
@@ -148,13 +149,16 @@ def test_per_cause_counts_match_the_auditors_ledger():
     no masking, no double counting.
     """
     from repro.audit import ConservationAuditor
-    from repro.net.network import red_factory
+    from repro.net.red import REDQueue
 
     sim = Simulator(seed=9)
     net = Network(sim)
-    factory = random_drop_factory(
-        red_factory(sim, capacity=10, min_th=2, max_th=6, w_q=0.2),
-        0.05, sim=sim)
+
+    def red(name):
+        return REDQueue(capacity=10, min_th=2, max_th=6, w_q=0.2,
+                        rng=sim.rng.stream(f"red.{name}"))
+
+    factory = random_drop_factory(red, 0.05, sim=sim)
     net.add_link("A", "B", pps_to_bps(200), ms(10), queue_factory=factory)
     net.build_routes()
     auditor = ConservationAuditor(sim)
@@ -178,7 +182,8 @@ def test_per_cause_counts_match_the_auditors_ledger():
 
 def _lossy_net(sim, drop_prob):
     net = Network(sim)
-    factory = random_drop_factory(droptail_factory(20), drop_prob, sim=sim)
+    factory = random_drop_factory(GatewayFactory("droptail", sim, 20),
+                                  drop_prob, sim=sim)
     net.add_link("A", "B", pps_to_bps(400), ms(20), queue_factory=factory)
     net.build_routes()
     return net
@@ -198,9 +203,10 @@ def test_tcp_transfer_completes_under_random_loss():
 def test_rla_stays_reliable_under_random_loss():
     sim = Simulator(seed=6)
     net = Network(sim)
-    factory = random_drop_factory(droptail_factory(20), 0.05, sim=sim)
+    factory = random_drop_factory(GatewayFactory("droptail", sim, 20),
+                                  0.05, sim=sim)
     net.add_link("S", "G", pps_to_bps(2000), ms(5),
-                 queue_factory=droptail_factory(100))
+                 queue_factory=GatewayFactory("droptail", sim, 100))
     for i in (1, 2, 3):
         net.add_link("G", f"R{i}", pps_to_bps(300), ms(40),
                      queue_factory=factory)

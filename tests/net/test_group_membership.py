@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import TopologyError
-from repro.net.network import Network, droptail_factory
+from repro.net.network import GatewayFactory, Network
 from repro.net.packet import DATA, Packet
 from repro.units import ms, pps_to_bps
 
@@ -11,7 +11,7 @@ from repro.units import ms, pps_to_bps
 @pytest.fixture
 def diamond(sim):
     """S - G - {C, D}: one replication point, two leaves."""
-    net = Network(sim, default_queue=droptail_factory(20))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 20))
     net.add_link("S", "G", pps_to_bps(1000), ms(5))
     net.add_link("G", "C", pps_to_bps(1000), ms(5))
     net.add_link("G", "D", pps_to_bps(1000), ms(5))

@@ -1,10 +1,15 @@
 """Network builder: links, routing, path utilities."""
 
+import pickle
+
 import pytest
 
 from repro.errors import TopologyError
-from repro.net.network import Network, droptail_factory, red_factory
-from repro.net.red import REDQueue
+from repro.net.network import GATEWAY_DISCIPLINES, GatewayFactory, Network
+from repro.net.codel import CoDelQueue
+from repro.net.droptail import DropTailQueue
+from repro.net.pie import PIEQueue
+from repro.net.red import AdaptiveREDQueue, REDQueue, red_thresholds
 from repro.sim.engine import Simulator
 from repro.units import mbps, ms
 
@@ -82,7 +87,7 @@ def test_path_to_self(sim):
 
 
 def test_red_factory_produces_seeded_queues(sim):
-    factory = red_factory(sim, capacity=20)
+    factory = GatewayFactory("red", sim, capacity=20)
     queue_ab = factory("A->B")
     queue_ba = factory("B->A")
     assert isinstance(queue_ab, REDQueue)
@@ -99,6 +104,27 @@ def test_join_group_unreachable_member(sim):
         net.join_group("group:g", "A", ["Z"])
 
 
-def test_droptail_factory_capacity():
-    factory = droptail_factory(7)
+def test_droptail_factory_capacity(sim):
+    factory = GatewayFactory("droptail", sim, 7)
     assert factory("x").capacity == 7
+
+
+@pytest.mark.parametrize("discipline", GATEWAY_DISCIPLINES)
+def test_gateway_factory_builds_every_discipline(sim, discipline):
+    kinds = {"droptail": DropTailQueue, "red": REDQueue,
+             "red-byte": REDQueue, "red-adaptive": AdaptiveREDQueue,
+             "codel": CoDelQueue, "pie": PIEQueue}
+    factory = GatewayFactory(discipline, sim, 12)
+    gateway = factory("A->B")
+    assert type(gateway) is kinds[discipline]
+    assert gateway.capacity == 12
+    assert getattr(gateway, "byte_mode", False) == (discipline == "red-byte")
+    # a built Network keeps its factory: it must survive a snapshot
+    assert pickle.loads(pickle.dumps(factory)).discipline == discipline
+
+
+def test_byte_mode_red_scales_the_buffer_rule(sim):
+    packet = GatewayFactory("red", sim, 40)("x")
+    byte = GatewayFactory("red-byte", sim, 40, mean_packet_size=500)("x")
+    assert (packet.min_th, packet.max_th) == red_thresholds(40)
+    assert (byte.min_th, byte.max_th) == (500 * 10.0, 500 * 30.0)

@@ -3,14 +3,14 @@
 import pytest
 
 from repro.errors import RoutingError
-from repro.net.network import Network, droptail_factory
+from repro.net.network import GatewayFactory, Network
 from repro.net.packet import DATA, Packet
 from repro.sim.engine import Simulator
 from repro.units import mbps, ms
 
 
 def _net(sim):
-    net = Network(sim, default_queue=droptail_factory(50))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 50))
     net.add_link("A", "B", mbps(10), ms(1))
     net.add_link("B", "C", mbps(10), ms(1))
     net.add_link("B", "D", mbps(10), ms(1))

@@ -109,7 +109,7 @@ def test_same_stream_seed_same_drop_sequence():
 
 def test_red_network_same_seed_replays_identically():
     # End-to-end: a RED-gatewayed run is fully pinned by the master seed
-    # (all drop draws flow through sim.rng streams via red_factory).
+    # (all drop draws flow through sim.rng streams via GatewayFactory).
     from repro.experiments.sweeps import SymmetricSpec, run_symmetric_spec
 
     params = dict(n_receivers=2, share_pps=100.0, buffer_pkts=20,

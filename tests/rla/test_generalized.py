@@ -6,7 +6,7 @@ The scaling rule itself is unit-tested against the sender in
 
 import pytest
 
-from repro.net.network import Network, droptail_factory
+from repro.net.network import GatewayFactory, Network
 from repro.rla import RLAConfig, RLASession
 from repro.sim.engine import Simulator
 from repro.units import ms, pps_to_bps
@@ -14,7 +14,7 @@ from repro.units import ms, pps_to_bps
 
 def test_generalized_runs_with_heterogeneous_rtts():
     sim = Simulator(seed=5)
-    net = Network(sim, default_queue=droptail_factory(20))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 20))
     net.add_link("S", "G", pps_to_bps(400), ms(5))
     net.add_link("G", "Rnear", pps_to_bps(10_000), ms(5))
     net.add_link("G", "Rfar", pps_to_bps(10_000), ms(100))

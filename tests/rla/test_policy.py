@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.net.network import Network, droptail_factory
+from repro.net.network import GatewayFactory, Network
 from repro.rla.config import RLAConfig
 from repro.rla.policy import LaggardDropPolicy
 from repro.rla.session import RLASession
@@ -53,8 +53,9 @@ def test_acks_from_removed_receiver_ignored(sim, star_net):
 
 def _slow_fast_net(sim):
     """One crawling branch (20 pkt/s) next to two fast ones."""
-    net = Network(sim, default_queue=droptail_factory(20))
-    net.add_link("S", "G", mbps(100), ms(5), queue_factory=droptail_factory(100))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 20))
+    net.add_link("S", "G", mbps(100), ms(5),
+                 queue_factory=GatewayFactory("droptail", sim, 100))
     net.add_link("G", "R1", pps_to_bps(400), ms(50))
     net.add_link("G", "R2", pps_to_bps(400), ms(50))
     net.add_link("G", "Rslow", pps_to_bps(20), ms(50))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.net.apps import PacketSink
-from repro.net.network import Network, droptail_factory
+from repro.net.network import GatewayFactory, Network
 from repro.scenarios import (
     BackgroundTraffic,
     ParetoOnOffSource,
@@ -19,7 +19,7 @@ from repro.units import ms, pps_to_bps
 
 
 def _line_net(sim, hosts=3, rate_pps=2000):
-    net = Network(sim, default_queue=droptail_factory(50))
+    net = Network(sim, default_queue=GatewayFactory("droptail", sim, 50))
     for i in range(hosts):
         net.add_link("S", f"H{i}", pps_to_bps(rate_pps), ms(5))
     net.build_routes()

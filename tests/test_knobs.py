@@ -17,6 +17,7 @@ from pathlib import Path
 from repro.experiments.runner import TreeExperimentSpec
 from repro.fluid.crossval import CrossvalCase
 from repro.fluid.spec import BottleneckSpec, FluidSpec, RlaCohortSpec, TcpCohortSpec
+from repro.net.network import GatewayFactory
 from repro.rla.config import RLAConfig
 from repro.scenarios.churn import ChurnSpec
 from repro.scenarios.grid import GridSpec
@@ -41,6 +42,7 @@ CONFIGS = (
     RttCohortTopology, PacketSizeMix, BackgroundTraffic, ChurnSpec,
     ScenarioSpec, GridSpec, TreeExperimentSpec,
     FluidSpec, BottleneckSpec, TcpCohortSpec, RlaCohortSpec, CrossvalCase,
+    GatewayFactory,
 )
 NAMES = {cls.__name__: [f.name for f in fields(cls)] for cls in CONFIGS}
 
