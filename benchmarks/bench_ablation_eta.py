@@ -11,36 +11,22 @@ the Proposition's upper bound.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from _scale import bench_duration, bench_warmup
+from repro.experiments.sweeps import RestrictedRunSpec, run_symmetric_spec
 from repro.rla.config import RLAConfig
-from repro.rla.session import RLASession
-from repro.sim.engine import Simulator
-from repro.tcp.config import TcpConfig
-from repro.tcp.flow import TcpFlow
-from repro.topology.restricted import PACKET_SIZE, RestrictedSpec, build_restricted
-from repro.units import pps_to_bps, transmission_time
+from repro.tcp.sender import phase_jitter
+from repro.topology.restricted import RestrictedSpec
+from repro.units import pps_to_bps
 
 #: one tight branch (share 50 pkt/s) + five mild ones (share 150 pkt/s)
 SPEC = RestrictedSpec(mu_pps=[100, 300, 300, 300, 300, 300])
 
 
 def _run(eta: float, duration: float, warmup: float, seed: int = 1):
-    sim = Simulator(seed=seed)
-    net, receivers = build_restricted(sim, SPEC)
-    jitter = transmission_time(PACKET_SIZE, pps_to_bps(min(SPEC.mu_pps)))
-    for index, receiver in enumerate(receivers):
-        flow = TcpFlow(sim, net, f"tcp-{index}", "S", receiver,
-                       config=TcpConfig(phase_jitter=jitter))
-        flow.start(0.1 * index)
-    session = RLASession(sim, net, "rla-0", "S", receivers,
-                         config=RLAConfig(eta=eta, phase_jitter=jitter))
-    session.start(0.05)
-    sim.run(until=warmup)
-    session.mark()
-    sim.run(until=warmup + duration)
-    return session.report()
+    jitter = phase_jitter(SPEC.gateway, pps_to_bps(min(SPEC.mu_pps)))
+    return run_symmetric_spec(RestrictedRunSpec(
+        SPEC, duration=duration, warmup=warmup, seed=seed,
+        rla=RLAConfig(eta=eta, phase_jitter=jitter)))["rla"]
 
 
 def test_eta_sweep():

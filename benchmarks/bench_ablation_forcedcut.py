@@ -10,33 +10,20 @@ enough for the rule to matter).
 from __future__ import annotations
 
 from _scale import bench_duration, bench_warmup
+from repro.experiments.sweeps import RestrictedRunSpec, run_symmetric_spec
 from repro.rla.config import RLAConfig
-from repro.rla.session import RLASession
-from repro.sim.engine import Simulator
-from repro.tcp.config import TcpConfig
-from repro.tcp.flow import TcpFlow
-from repro.topology.restricted import PACKET_SIZE, RestrictedSpec, build_restricted
-from repro.units import pps_to_bps, transmission_time
+from repro.tcp.sender import phase_jitter
+from repro.topology.restricted import RestrictedSpec
+from repro.units import pps_to_bps
 
 SPEC = RestrictedSpec(mu_pps=[200] * 6)
 
 
 def _run(forced: bool, duration: float, warmup: float, seed: int = 2):
-    sim = Simulator(seed=seed)
-    net, receivers = build_restricted(sim, SPEC)
-    jitter = transmission_time(PACKET_SIZE, pps_to_bps(200))
-    for index, receiver in enumerate(receivers):
-        TcpFlow(sim, net, f"tcp-{index}", "S", receiver,
-                config=TcpConfig(phase_jitter=jitter)).start(0.1 * index)
-    session = RLASession(
-        sim, net, "rla-0", "S", receivers,
-        config=RLAConfig(phase_jitter=jitter, forced_cut_enabled=forced),
-    )
-    session.start(0.05)
-    sim.run(until=warmup)
-    session.mark()
-    sim.run(until=warmup + duration)
-    return session.report()
+    jitter = phase_jitter(SPEC.gateway, pps_to_bps(200))
+    return run_symmetric_spec(RestrictedRunSpec(
+        SPEC, duration=duration, warmup=warmup, seed=seed,
+        rla=RLAConfig(phase_jitter=jitter, forced_cut_enabled=forced)))["rla"]
 
 
 def test_forced_cut_ablation():

@@ -11,40 +11,23 @@ it the share dispersion can be extreme.
 from __future__ import annotations
 
 from _scale import bench_duration, bench_warmup
+from repro.experiments.sweeps import RestrictedRunSpec, run_symmetric_spec
 from repro.models.fairness import check_essential_fairness
 from repro.rla.config import RLAConfig
-from repro.rla.session import RLASession
-from repro.sim.engine import Simulator
 from repro.tcp.config import TcpConfig
-from repro.tcp.flow import TcpFlow
-from repro.topology.restricted import PACKET_SIZE, RestrictedSpec, build_restricted
-from repro.units import pps_to_bps, transmission_time
+from repro.topology.restricted import RestrictedSpec
 
 SPEC = RestrictedSpec(mu_pps=[200, 200, 200])
 
 
 def _run(jitter_on: bool, duration: float, warmup: float, seed: int = 3):
-    sim = Simulator(seed=seed)
-    net, receivers = build_restricted(sim, SPEC)
-    jitter = (transmission_time(PACKET_SIZE, pps_to_bps(200))
-              if jitter_on else None)
-    flows = []
-    for index, receiver in enumerate(receivers):
-        flow = TcpFlow(sim, net, f"tcp-{index}", "S", receiver,
-                       config=TcpConfig(phase_jitter=jitter))
-        flow.start(0.1 * index)
-        flows.append(flow)
-    session = RLASession(sim, net, "rla-0", "S", receivers,
-                         config=RLAConfig(phase_jitter=jitter))
-    session.start(0.05)
-    sim.run(until=warmup)
-    session.mark()
-    for flow in flows:
-        flow.mark()
-    sim.run(until=warmup + duration)
-    tcp_rates = [flow.report()["throughput_pps"] for flow in flows]
+    # the paper's endpoints (None) jitter on drop-tail; bare configs do not
+    rla, tcp = (None, None) if jitter_on else (RLAConfig(), TcpConfig())
+    row = run_symmetric_spec(RestrictedRunSpec(
+        SPEC, duration=duration, warmup=warmup, seed=seed, rla=rla, tcp=tcp))
+    tcp_rates = [report["throughput_pps"] for report in row["tcp"]]
     return {
-        "rla": session.report()["throughput_pps"],
+        "rla": row["rla_pps"],
         "tcp": tcp_rates,
         "tcp_balance": min(tcp_rates) / max(tcp_rates) if max(tcp_rates) else 0,
     }

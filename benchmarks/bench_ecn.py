@@ -10,52 +10,23 @@ in mark mode and compare fairness and repair volume.
 
 from __future__ import annotations
 
-import pytest
-
 from _scale import bench_duration, bench_warmup
+from repro.experiments.sweeps import RestrictedRunSpec, run_symmetric_spec
 from repro.models.fairness import check_essential_fairness
-from repro.net.network import GatewayFactory, Network
-from repro.rla.config import RLAConfig
-from repro.rla.session import RLASession
-from repro.sim.engine import Simulator
-from repro.tcp.config import TcpConfig
-from repro.tcp.flow import TcpFlow
-from repro.units import mbps, ms, pps_to_bps
+from repro.topology.restricted import RestrictedSpec
 
 
 def _run(mark: bool, duration: float, warmup: float, seed: int = 8):
-    sim = Simulator(seed=seed)
-    net = Network(sim)
-    factory = GatewayFactory("red", sim, mark_ecn=mark)
-    net.add_link("S", "G", mbps(100), ms(5))
-    receivers = ["R1", "R2", "R3"]
-    for receiver in receivers:
-        net.add_link("G", receiver, pps_to_bps(200), ms(50),
-                     queue_factory=factory)
-    net.build_routes()
-    flows = []
-    for index, receiver in enumerate(receivers):
-        flow = TcpFlow(sim, net, f"tcp-{index}", "S", receiver,
-                       config=TcpConfig(ecn=mark))
-        flow.start(0.1 * index)
-        flows.append(flow)
-    session = RLASession(sim, net, "rla-0", "S", receivers,
-                         config=RLAConfig(ecn=mark))
-    session.start(0.05)
-    sim.run(until=warmup)
-    session.mark()
-    for flow in flows:
-        flow.mark()
-    sim.run(until=warmup + duration)
-    rla = session.report()
-    tcp_rates = [flow.report()["throughput_pps"] for flow in flows]
+    topology = RestrictedSpec(mu_pps=[200] * 3, gateway="red", ecn=mark)
+    row = run_symmetric_spec(RestrictedRunSpec(
+        topology, duration=duration, warmup=warmup, seed=seed))
+    rla = row["rla"]
     return {
-        "rla_pps": rla["throughput_pps"],
+        "rla_pps": row["rla_pps"],
         "repairs": rla["rtx_multicast"] + rla["rtx_unicast"],
-        "signals": rla["congestion_signals"],
-        "cuts": rla["window_cuts"],
-        "tcp_min": min(tcp_rates),
-        "tcp_rates": tcp_rates,
+        "signals": row["signals"],
+        "cuts": row["window_cuts"],
+        "tcp_min": row["wtcp_pps"],
     }
 
 

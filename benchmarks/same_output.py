@@ -12,8 +12,10 @@ on this checkout, and each stdout must be byte-identical.
 ``git archive BASE``).  The list covers what rlabench's ``result_digest``
 never runs: every catalog scenario plain and ``--audit``, the AQM grid on
 both backends, the fluid crossval packet side and ladder, a sweep, every
-paper table, and ``examples/red_vs_droptail.py`` (the figure 1 topology
-behind a RED gateway, which no command line reaches).  ``--metrics``
+paper table, and the two examples that run the figure 1 topology
+through :class:`repro.experiments.sweeps.RestrictedRunSpec`:
+``examples/red_vs_droptail.py`` (behind a RED gateway, which no command
+line reaches) and ``examples/theory_check.py 30``.  ``--metrics``
 stays off because it prints wall times; ``fluid scale`` prints a host
 ``wall`` cell of its own, which is masked before the comparison.  Each
 command runs from an empty temporary directory with ``PYTHONPATH``
@@ -62,6 +64,7 @@ COMMANDS: List[Tuple[Tuple[str, ...], Optional[str]]] = [
     (("fig10", *TABLE), None),
     (("multisession", *TABLE), None),
     (("examples/red_vs_droptail.py",), None),
+    (("examples/theory_check.py", "30"), None),
 ]
 
 

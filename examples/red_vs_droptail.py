@@ -13,39 +13,21 @@ Run:  python examples/red_vs_droptail.py
 
 from __future__ import annotations
 
-from repro import RLAConfig, RLASession, Simulator, TcpConfig, TcpFlow
+from repro.experiments.sweeps import RestrictedRunSpec, run_symmetric_spec
 from repro.models import check_essential_fairness, essential_fairness_bounds
-from repro.topology.restricted import RestrictedSpec, build_restricted
-from repro.units import pps_to_bps, transmission_time
+from repro.topology.restricted import RestrictedSpec
 
 WARMUP, DURATION = 20.0, 120.0
 BRANCHES = [200.0, 200.0, 200.0]   # pkt/s, one TCP each
 
 
 def run(gateway: str) -> dict:
-    spec = RestrictedSpec(mu_pps=BRANCHES, gateway=gateway)
-    sim = Simulator(seed=11)
-    net, receivers = build_restricted(sim, spec)
-    # §3.1: drop-tail needs the random processing time; RED does not.
-    jitter = (transmission_time(1000, pps_to_bps(min(BRANCHES)))
-              if gateway == "droptail" else None)
-    tcps = []
-    for index, receiver in enumerate(receivers):
-        flow = TcpFlow(sim, net, f"tcp-{index}", "S", receiver,
-                       config=TcpConfig(phase_jitter=jitter))
-        flow.start(0.1 * index)
-        tcps.append(flow)
-    session = RLASession(sim, net, "rla-0", "S", receivers,
-                         config=RLAConfig(phase_jitter=jitter))
-    session.start(0.05)
-    sim.run(until=WARMUP)
-    session.mark()
-    for flow in tcps:
-        flow.mark()
-    sim.run(until=WARMUP + DURATION)
-    rla = session.report()
-    tcp_rates = [flow.report()["throughput_pps"] for flow in tcps]
-    return {"rla": rla, "tcp_rates": tcp_rates}
+    # §3.1: the run's default endpoints jitter on drop-tail, not on RED.
+    spec = RestrictedRunSpec(RestrictedSpec(mu_pps=BRANCHES, gateway=gateway),
+                             duration=DURATION, warmup=WARMUP, seed=11)
+    row = run_symmetric_spec(spec)
+    return {"rla": row["rla"],
+            "tcp_rates": [report["throughput_pps"] for report in row["tcp"]]}
 
 
 def main() -> None:

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import sys
 
-from repro import RLAConfig, RLASession, Simulator, TcpConfig, TcpFlow
+from repro.experiments.sweeps import RestrictedRunSpec, run_symmetric_spec
 from repro.models import window_ratio_bounds
 from repro.models.rla_drift import rla_window_independent
 from repro.models.tcp_formula import pa_window
-from repro.topology.restricted import RestrictedSpec, build_restricted
-from repro.units import pps_to_bps, transmission_time
+from repro.topology.restricted import RestrictedSpec
 
 N = 3
 WARMUP = 20.0
@@ -30,38 +29,21 @@ WARMUP = 20.0
 
 def main() -> None:
     duration = float(sys.argv[1]) if len(sys.argv) > 1 else 150.0
-    spec = RestrictedSpec(mu_pps=[200.0] * N)
-    sim = Simulator(seed=29)
-    net, receivers = build_restricted(sim, spec)
-    jitter = transmission_time(1000, pps_to_bps(200.0))
-
-    tcps = []
-    for index, receiver in enumerate(receivers):
-        flow = TcpFlow(sim, net, f"tcp-{index}", "S", receiver,
-                       config=TcpConfig(phase_jitter=jitter))
-        flow.start(0.1 * index)
-        tcps.append(flow)
-    session = RLASession(sim, net, "rla-0", "S", receivers,
-                         config=RLAConfig(phase_jitter=jitter))
-    session.start(0.05)
-
-    sim.run(until=WARMUP)
-    session.mark()
-    for flow in tcps:
-        flow.mark()
-    sim.run(until=WARMUP + duration)
+    row = run_symmetric_spec(RestrictedRunSpec(
+        RestrictedSpec(mu_pps=[200.0] * N), duration=duration, warmup=WARMUP,
+        seed=29))
+    tcps = row["tcp"]
 
     print(f"measured over {duration:.0f}s ({N} branches, 200 pkt/s each)\n")
 
     # --- TCP vs equation 1 ------------------------------------------------
     print("TCP flows vs eq 1 (W = sqrt(2(1-p)/p)):")
-    for flow in tcps:
-        report = flow.report()
+    for index, report in enumerate(tcps):
         p = report["window_cuts"] / max(report["packets_sent"], 1)
         if p <= 0:
             continue
         predicted = pa_window(p)
-        print(f"  {flow.flow}: p={p:.4f}  measured cwnd {report['mean_cwnd']:5.1f}"
+        print(f"  tcp-{index}: p={p:.4f}  measured cwnd {report['mean_cwnd']:5.1f}"
               f"  eq1 predicts {predicted:5.1f}"
               f"  ({report['mean_cwnd']/predicted:5.2f}x)")
 
@@ -69,10 +51,10 @@ def main() -> None:
     # Compare measured-to-measured (equation 4's window ratio): the PA
     # approximation overestimates time-average windows by a common factor
     # (visible in the TCP rows above), which a ratio cancels.
-    rla = session.report()
+    rla = row["rla"]
     p_c = rla["congestion_signals"] / max(rla["packets_sent"], 1) / N
     closed = rla_window_independent([min(max(p_c, 1e-4), 0.049)] * N)
-    mean_tcp_cwnd = sum(f.report()["mean_cwnd"] for f in tcps) / len(tcps)
+    mean_tcp_cwnd = sum(report["mean_cwnd"] for report in tcps) / len(tcps)
     ratio = rla["mean_cwnd"] / mean_tcp_cwnd
     lower, upper = window_ratio_bounds(N)
     print(f"\nRLA: per-receiver congestion probability p={p_c:.4f}")

@@ -10,8 +10,8 @@ deployment would want:
 * :func:`sweep_buffer_size` — robustness to gateway buffer provisioning;
 * :func:`sweep_share` — robustness to the absolute bottleneck speed.
 
-All sweeps run the symmetric restricted topology (figure 1) where the
-expected outcome is near-absolute fairness at every point.
+Every point is a :class:`RestrictedRunSpec`, the one packet run of
+figure 1 (which the η/forced-cut/phase/ECN benches also run).
 
 All sweeps pass ``**runtime`` (``workers``, ``cache``, ``outcomes``) to
 :func:`repro.lifecycle.run_many`: with ``workers`` or ``cache`` set they
@@ -22,7 +22,7 @@ caching) and return rows byte-identical to the serial path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
 
 from ..errors import ConfigurationError
 from ..lifecycle import World, arming, run_many, run_world
@@ -30,51 +30,93 @@ from ..topology.restricted import RestrictedSpec, build_restricted
 from ..units import check_horizon, pps_to_bps
 
 if TYPE_CHECKING:
+    from ..rla.config import RLAConfig
     from ..rla.session import RLASession
     from ..sim.engine import Simulator
+    from ..tcp.config import TcpConfig
     from ..tcp.flow import TcpFlow
 
 
 @dataclass
-class SymmetricSpec:
-    """One symmetric point: n branches at (1 TCP + RLA) * share each."""
+class RestrictedRunSpec:
+    """One packet run of figure 1: one TCP per branch and the RLA session.
 
-    n_receivers: int
-    share_pps: float
-    buffer_pkts: int
+    ``rla``/``tcp`` left ``None`` are the paper's endpoints for the
+    topology: §3.1's phase jitter at the slowest branch (none on RED) and
+    ECN exactly when the gateways mark.  A config that is given is used
+    as it is.
+    """
+
+    topology: RestrictedSpec
     duration: float
     warmup: float
     seed: int
-    gateway: str
     audited: bool = False
     #: The field varied by the sweep this point belongs to; it only names
     #: the run in metric tables.
     knob: str = "n_receivers"
+    rla: Optional[RLAConfig] = None
+    tcp: Optional[TcpConfig] = None
 
     # how repro.lifecycle runs this spec (class attributes, not fields)
     runner = "repro.experiments.sweeps:run_symmetric_spec"
     checkpointable = False
 
+    @property
+    def n_receivers(self) -> int:
+        return len(self.topology.mu_pps)
+
+    @property
+    def share_pps(self) -> float:
+        """Per-flow share of the slowest branch (1 TCP + the session)."""
+        return min(self.topology.mu_pps) / 2
+
+    @property
+    def buffer_pkts(self) -> int:
+        return self.topology.buffer_pkts
+
+    @property
+    def gateway(self) -> str:
+        return self.topology.gateway
+
     def run_label(self) -> str:
         return f"sweep {self.knob}={getattr(self, self.knob)} ({self.gateway})"
 
-    def validate(self) -> "SymmetricSpec":
+    def validate(self) -> "RestrictedRunSpec":
         check_horizon(self.duration, self.warmup)
+        self.topology.validate()
         return self
 
 
+def symmetric_point(n_receivers: int, share_pps: float, buffer_pkts: int,
+                    duration: float, warmup: float, seed: int, gateway: str,
+                    audited: bool = False,
+                    knob: str = "n_receivers") -> RestrictedRunSpec:
+    """A sweep point: n equal branches at (1 TCP + RLA) * share each."""
+    topology = RestrictedSpec(mu_pps=[2 * share_pps] * n_receivers,
+                              gateway=gateway, buffer_pkts=buffer_pkts)
+    return RestrictedRunSpec(topology, duration, warmup, seed,
+                             audited=audited, knob=knob)
+
+
 @dataclass
-class SymmetricFluidSpec(SymmetricSpec):
-    """The same point, integrated by :mod:`repro.fluid` instead of simulated."""
+class SymmetricFluidSpec:
+    """A sweep point integrated by :mod:`repro.fluid` instead of simulated."""
+
+    point: RestrictedRunSpec
 
     runner = "repro.fluid.adapters:run_symmetric_fluid_spec"
+    checkpointable = False
+
+    def run_label(self) -> str:
+        return self.point.run_label()
 
 
 @dataclass
-class SymmetricWorld(World):
-    """A live (or restored) symmetric sweep point."""
+class RestrictedWorld(World):
+    """A live (or restored) figure 1 run."""
 
-    spec: SymmetricSpec
+    spec: RestrictedRunSpec
     sim: Simulator
     gateways: List[Any]
     flows: List[TcpFlow]
@@ -94,12 +136,12 @@ class SymmetricWorld(World):
     def label(self) -> str:
         return f"symmetric n={self.spec.n_receivers}/{self.spec.gateway}"
 
-    def finalize(self) -> Dict[str, float]:
-        return finalize_symmetric_world(self)
+    def finalize(self) -> Dict[str, Any]:
+        return finalize_restricted_world(self)
 
 
-def build_symmetric_world(spec: SymmetricSpec) -> SymmetricWorld:
-    """The restricted topology with one TCP per branch and the RLA session."""
+def build_restricted_world(spec: RestrictedRunSpec) -> RestrictedWorld:
+    """The figure 1 topology with one TCP per branch and the RLA session."""
     from ..rla.config import RLAConfig
     from ..rla.session import RLASession
     from ..sim.engine import Simulator
@@ -107,40 +149,35 @@ def build_symmetric_world(spec: SymmetricSpec) -> SymmetricWorld:
     from ..tcp.flow import TcpFlow
     from ..tcp.sender import phase_jitter
 
-    spec.validate()
-    mu = 2 * spec.share_pps  # 1 TCP + the multicast session per branch
-    topology = RestrictedSpec(
-        mu_pps=[mu] * spec.n_receivers,
-        gateway=spec.gateway,
-        buffer_pkts=spec.buffer_pkts,
-    )
+    topology = spec.validate().topology
     sim = Simulator(seed=spec.seed)
     net, receivers = build_restricted(sim, topology)
     gateways = [link.gateway for link in net.links.values()]
-    jitter = phase_jitter(spec.gateway, pps_to_bps(mu))
+    jitter = phase_jitter(topology.gateway, pps_to_bps(min(topology.mu_pps)))
+    tcp = spec.tcp or TcpConfig(phase_jitter=jitter, ecn=topology.ecn)
+    rla = spec.rla or RLAConfig(phase_jitter=jitter, ecn=topology.ecn)
     with arming(spec.audited, sim, net) as (auditor, monitor):
         flows: List[TcpFlow] = []
         for index, receiver in enumerate(receivers):
-            flow = TcpFlow(sim, net, f"tcp-{index}", "S", receiver,
-                           config=TcpConfig(phase_jitter=jitter))
+            flow = TcpFlow(sim, net, f"tcp-{index}", "S", receiver, config=tcp)
             flow.sender.monitor = monitor
             flow.start(0.1 * index)
             flows.append(flow)
-        session = RLASession(sim, net, "rla-0", "S", receivers,
-                             config=RLAConfig(phase_jitter=jitter))
+        session = RLASession(sim, net, "rla-0", "S", receivers, config=rla)
         session.sender.monitor = monitor
         session.start(0.05)
-    return SymmetricWorld(spec=spec, sim=sim, gateways=gateways, flows=flows,
-                          session=session, auditor=auditor)
+    return RestrictedWorld(spec=spec, sim=sim, gateways=gateways, flows=flows,
+                           session=session, auditor=auditor)
 
 
-def finalize_symmetric_world(world: SymmetricWorld) -> Dict[str, float]:
-    """The sweep row of a fully advanced symmetric world."""
+def finalize_restricted_world(world: RestrictedWorld) -> Dict[str, Any]:
+    """The row of a fully advanced run, with every flow's report."""
     from ..models.fairness import fairness_columns
 
     spec = world.spec
     rla = world.session.report()
-    wtcp = min(flow.report()["throughput_pps"] for flow in world.flows)
+    tcp = [flow.report() for flow in world.flows]
+    wtcp = min(report["throughput_pps"] for report in tcp)
     n = max(rla["num_trouble"], 1)
     sim_stats = world.stats()
     world.audit(sim_stats)
@@ -156,37 +193,32 @@ def finalize_symmetric_world(world: SymmetricWorld) -> Dict[str, float]:
         "window_cuts": rla["window_cuts"],
         "signals": rla["congestion_signals"],
         "sim_stats": sim_stats,
+        "rla": rla,
+        "tcp": tcp,
     }
 
 
-#: Sweep backends: packet-level simulation, or the mean-field fluid
-#: model of :mod:`repro.fluid` integrating the same symmetric system.
-SWEEP_BACKENDS = {"packet": SymmetricSpec, "fluid": SymmetricFluidSpec}
-
-
-def run_symmetric_spec(spec: SymmetricSpec) -> Dict[str, float]:
-    """Simulate one symmetric sweep point and return its row."""
-    return run_world(build_symmetric_world(spec))
+def run_symmetric_spec(spec: RestrictedRunSpec) -> Dict[str, Any]:
+    """Simulate one figure 1 run and return its row."""
+    return run_world(build_restricted_world(spec))
 
 
 def _sweep(knob: str, values: Iterable[Any], backend: str, audited: bool,
            runtime: Dict[str, Any], **fixed: Any) -> List[Dict[str, float]]:
     """Rows of one sweep: ``knob`` takes each value, ``fixed`` holds the rest."""
-    if backend not in SWEEP_BACKENDS:
-        raise ConfigurationError(
-            f"unknown sweep backend {backend!r}; expected one of "
-            f"{tuple(SWEEP_BACKENDS)}"
-        )
+    if backend not in ("packet", "fluid"):
+        raise ConfigurationError(f"unknown sweep backend {backend!r}; "
+                                 f"expected one of ('packet', 'fluid')")
     if audited and backend == "fluid":
         raise ConfigurationError(
             "the conservation auditor tracks packets; a fluid run has "
             "none to audit"
         )
-    point = SWEEP_BACKENDS[backend]
-    return run_many(
-        [point(**{**fixed, knob: value}, audited=audited, knob=knob)
-         for value in values], **runtime,
-    )
+    points = [symmetric_point(**{**fixed, knob: value}, audited=audited,
+                              knob=knob) for value in values]
+    if backend == "fluid":
+        points = [SymmetricFluidSpec(point) for point in points]
+    return run_many(points, **runtime)
 
 
 def sweep_receiver_count(

@@ -91,7 +91,7 @@ def symmetric_fluid_spec(
 
     ``n_receivers`` branch bottlenecks of capacity ``2 * share_pps``
     (one TCP flow plus the multicast copy per branch, as in
-    :func:`repro.experiments.sweeps.build_symmetric_world`), every branch at
+    :func:`repro.experiments.sweeps.symmetric_point`), every branch at
     the same RTT, each a :func:`scaled_bottleneck` at scale 1 — the
     restricted topology's gateways at any buffer.
     """
@@ -115,15 +115,16 @@ def symmetric_fluid_spec(
     ).validate()
 
 
-def run_symmetric_fluid_spec(point: Any) -> Dict[str, Any]:
+def run_symmetric_fluid_spec(spec: Any) -> Dict[str, Any]:
     """Integrate one symmetric sweep point and return its row.
 
-    ``point`` is the :class:`repro.experiments.sweeps.SymmetricSpec` the
-    packet backend would simulate.  The row is shaped like the packet
-    sweep's (:func:`repro.experiments.sweeps.run_symmetric_spec`) — same
-    fairness columns, so :func:`repro.experiments.sweeps.format_sweep`
-    renders either backend — plus ``backend: "fluid"``.
+    ``spec.point`` is the point the packet backend would simulate.  The
+    row is shaped like the packet sweep's
+    (:func:`repro.experiments.sweeps.run_symmetric_spec`) — same fairness
+    columns, so :func:`repro.experiments.sweeps.format_sweep` renders
+    either backend — plus ``backend: "fluid"``.
     """
+    point = spec.point
     row = run_fluid(symmetric_fluid_spec(
         n_receivers=point.n_receivers,
         share_pps=point.share_pps,

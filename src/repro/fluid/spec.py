@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..errors import ConfigurationError
+from ..net.red import W_Q, red_thresholds
 from ..units import check_horizon
 
 #: Queue disciplines the fluid dynamics model.
@@ -78,10 +79,10 @@ class BottleneckSpec:
     capacity_pps: float
     buffer_pkts: float = 20.0
     discipline: str = "droptail"
-    #: RED thresholds/gain, in packets (the packet simulator's defaults).
-    min_th: float = 5.0
-    max_th: float = 15.0
-    w_q: float = 0.002
+    #: RED thresholds/gain, in packets: the packet gateway's at 20 packets.
+    min_th: float = red_thresholds(20.0)[0]
+    max_th: float = red_thresholds(20.0)[1]
+    w_q: float = W_Q
     max_p: float = 0.1
     #: Constant loss probability for the ``"fixed"`` validation discipline.
     loss_p: float = 0.0

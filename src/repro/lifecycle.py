@@ -3,7 +3,7 @@
 Every table of the paper's §5 is one procedure applied to a different
 network: build it, start the traffic, discard a warm-up, measure, report.
 The tree experiments (:mod:`repro.experiments.runner`), the generated
-scenarios (:mod:`repro.scenarios.runner`) and the symmetric sweep points
+scenarios (:mod:`repro.scenarios.runner`) and the figure 1 runs
 (:mod:`repro.experiments.sweeps`) each supply what is their own — a
 ``build_*_world(spec)`` function, a ``finalize_*_world(world)`` function
 and a :class:`World` subclass — and share everything else here: crossing

@@ -17,14 +17,14 @@ results bit-identical to a serial loop:
 Example (what :func:`repro.lifecycle.run_many` does with a batch; an
 entrypoint is any ``"module:function"`` taking the params dict)::
 
-    from repro.experiments.sweeps import SymmetricSpec
+    from repro.experiments.sweeps import symmetric_point
     from repro.lifecycle import runspec
     from repro.runtime import ResultCache, run_specs
 
     specs = [
-        runspec(SymmetricSpec(n_receivers=n, share_pps=100.0, buffer_pkts=20,
-                              duration=60.0, warmup=20.0, seed=1,
-                              gateway="droptail"))
+        runspec(symmetric_point(n_receivers=n, share_pps=100.0,
+                                buffer_pkts=20, duration=60.0, warmup=20.0,
+                                seed=1, gateway="droptail"))
         for n in (2, 4, 8, 12)
     ]
     outcomes = run_specs(specs, workers=4, cache=ResultCache())

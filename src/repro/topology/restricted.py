@@ -38,12 +38,14 @@ class RestrictedSpec:
     branches share the same propagation delay so round-trip times are
     equal, as §2.2 requires.  RED thresholds follow the buffer
     (:func:`repro.net.red.red_thresholds`): the paper's 5/15 at 20 packets.
+    With ``ecn`` the branch RED gateways mark instead of dropping.
     """
 
     mu_pps: Sequence[float]
     gateway: str = "droptail"
     buffer_pkts: int = 20
     branch_delay: float = BRANCH_DELAY
+    ecn: bool = False
 
     def validate(self) -> "RestrictedSpec":
         if not self.mu_pps:
@@ -52,6 +54,8 @@ class RestrictedSpec:
             raise TopologyError("branch capacities must be positive")
         if self.gateway not in ("droptail", "red"):
             raise TopologyError(f"unknown gateway type {self.gateway!r}")
+        if self.ecn and self.gateway != "red":
+            raise TopologyError("ECN marking needs RED branch gateways")
         if self.buffer_pkts < 2:
             raise TopologyError(f"buffer too small: {self.buffer_pkts}")
         return self
@@ -64,7 +68,8 @@ def build_restricted(
     from ..net.network import GatewayFactory, Network
 
     spec.validate()
-    factory = GatewayFactory(spec.gateway, sim, spec.buffer_pkts)
+    factory = GatewayFactory(spec.gateway, sim, spec.buffer_pkts,
+                             mark_ecn=spec.ecn)
     net = Network(sim, default_queue=factory)
     # The shared access link never bottlenecks; give it a deep buffer so
     # it cannot distort the per-branch loss processes under study.

@@ -1,7 +1,7 @@
 """End-to-end: paper experiments run clean under the auditor."""
 
 from repro.experiments.runner import TreeExperimentSpec, run_tree_experiment
-from repro.experiments.sweeps import SymmetricSpec, run_symmetric_spec
+from repro.experiments.sweeps import run_symmetric_spec, symmetric_point
 from repro.topology.cases import TREE_CASES
 
 
@@ -39,7 +39,7 @@ def test_audit_does_not_change_results():
 
 
 def test_audited_symmetric_sweep_point_runs_clean():
-    row = run_symmetric_spec(SymmetricSpec(
+    row = run_symmetric_spec(symmetric_point(
         n_receivers=2, share_pps=100.0, buffer_pkts=20,
         duration=5.0, warmup=2.0, seed=1, gateway="droptail", audited=True,
     ))

@@ -23,7 +23,7 @@ import pytest
 import repro.audit
 from repro.audit import InvariantViolation
 from repro.experiments.figures import run_figure
-from repro.experiments.sweeps import SymmetricSpec, run_symmetric_spec
+from repro.experiments.sweeps import run_symmetric_spec, symmetric_point
 from repro.net.network import GatewayFactory, Network
 from repro.net.packet import (
     DATA,
@@ -91,7 +91,7 @@ def _fig7_case3():
 
 
 def _sweep_n4():
-    return run_symmetric_spec(SymmetricSpec(
+    return run_symmetric_spec(symmetric_point(
         n_receivers=4, share_pps=100.0, buffer_pkts=20, duration=3.0,
         warmup=1.0, seed=1, gateway="droptail", audited=True))
 

@@ -25,9 +25,9 @@ from repro.experiments.runner import (
     run_tree_experiment,
 )
 from repro.experiments.sweeps import (
-    SymmetricSpec,
-    build_symmetric_world,
+    build_restricted_world,
     run_symmetric_spec,
+    symmetric_point,
 )
 from repro.lifecycle import snapshot_world
 from repro.scenarios.catalog import get_scenario, scenario_names
@@ -130,9 +130,9 @@ def test_sweep_point_byte_identity(audited):
     params = dict(n_receivers=3, share_pps=100.0, buffer_pkts=20,
                   duration=DURATION, warmup=WARMUP, seed=4,
                   gateway="droptail", audited=audited)
-    straight = pickle.dumps(run_symmetric_spec(SymmetricSpec(**params)))
+    straight = pickle.dumps(run_symmetric_spec(symmetric_point(**params)))
     for at in (3.0, WARMUP):
-        world = build_symmetric_world(SymmetricSpec(**params))
+        world = build_restricted_world(symmetric_point(**params))
         try:
             snapshot = snapshot_world(world, at=at)
         finally:

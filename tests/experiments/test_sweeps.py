@@ -1,16 +1,27 @@
 """Parameter-sweep harness (short smoke runs)."""
 
 import math
+import pickle
 
 import pytest
 
 from repro.experiments.sweeps import (
+    RestrictedRunSpec,
     format_sweep,
+    run_symmetric_spec,
     sweep_buffer_size,
     sweep_receiver_count,
     sweep_share,
 )
+from repro.lifecycle import run_many
 from repro.models.fairness import fairness_columns
+from repro.rla.config import RLAConfig
+from repro.tcp.sender import phase_jitter
+from repro.topology.restricted import RestrictedSpec
+from repro.units import pps_to_bps
+
+#: The η ablation's unequal point: one tight branch, five mild ones.
+UNEQUAL = RestrictedSpec(mu_pps=(100, 300, 300, 300, 300, 300))
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +90,26 @@ def test_starved_rla_row_reads_no():
     line = format_sweep([row], "n_receivers").splitlines()[1]
     assert line.split() == ["4", "0.0", "90.0", "0.00", "(0.25,", "8.00)",
                             "NO"]
+
+
+def _unequal(eta, audited=False):
+    """The η bench's run of :data:`UNEQUAL` at a short horizon."""
+    jitter = phase_jitter("droptail", pps_to_bps(100))
+    return RestrictedRunSpec(UNEQUAL, duration=3.0, warmup=1.0, seed=1,
+                             audited=audited,
+                             rla=RLAConfig(eta=eta, phase_jitter=jitter))
+
+
+def test_unequal_branches_run_audited_with_no_violation():
+    row = run_symmetric_spec(_unequal(20.0, audited=True))
+    assert row["sim_stats"]["violations"] == 0
+    assert row["sim_stats"]["audit_checks"] > 0
+    assert (row["n_receivers"], row["share_pps"]) == (6, 50.0)
+    assert len(row["tcp"]) == 6
+    assert row["rla"]["throughput_pps"] == row["rla_pps"] > 0
+
+
+def test_unequal_branches_fan_out_like_the_serial_loop():
+    specs = [_unequal(eta) for eta in (2.0, 20.0, 100.0)]
+    serial = [pickle.dumps(run_symmetric_spec(spec)) for spec in specs]
+    assert [pickle.dumps(row) for row in run_many(specs, workers=2)] == serial

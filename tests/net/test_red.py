@@ -110,15 +110,15 @@ def test_same_stream_seed_same_drop_sequence():
 def test_red_network_same_seed_replays_identically():
     # End-to-end: a RED-gatewayed run is fully pinned by the master seed
     # (all drop draws flow through sim.rng streams via GatewayFactory).
-    from repro.experiments.sweeps import SymmetricSpec, run_symmetric_spec
+    from repro.experiments.sweeps import run_symmetric_spec, symmetric_point
 
     params = dict(n_receivers=2, share_pps=100.0, buffer_pkts=20,
                   duration=6.0, warmup=3.0, seed=5, gateway="red")
-    first = run_symmetric_spec(SymmetricSpec(**params))
-    second = run_symmetric_spec(SymmetricSpec(**params))
+    first = run_symmetric_spec(symmetric_point(**params))
+    second = run_symmetric_spec(symmetric_point(**params))
     assert first == second
     assert first["sim_stats"]["drops"] > 0  # RED actually dropped
-    different = run_symmetric_spec(SymmetricSpec(**dict(params, seed=6)))
+    different = run_symmetric_spec(symmetric_point(**dict(params, seed=6)))
     assert different != first
 
 

@@ -189,13 +189,13 @@ def _flip(seed):
 ], ids=["flip-traceback", "flip-table", "truncation"])
 def test_corrupt_entry_is_a_miss_never_a_traceback_or_a_wrong_row(
         corrupt, tmp_path):
-    from repro.experiments.sweeps import SymmetricSpec
+    from repro.experiments.sweeps import symmetric_point
     from repro.lifecycle import runspec
     from repro.runtime.metrics import build_metrics
 
-    spec = runspec(SymmetricSpec(n_receivers=2, share_pps=100.0,
-                                 buffer_pkts=20, duration=2.0, warmup=1.0,
-                                 seed=1, gateway="droptail"))
+    spec = runspec(symmetric_point(n_receivers=2, share_pps=100.0,
+                                   buffer_pkts=20, duration=2.0, warmup=1.0,
+                                   seed=1, gateway="droptail"))
     cache = ResultCache(tmp_path, code="c1")
     cache.put(spec, SWEEP_ROW, build_metrics(spec.describe(), 0.25, SWEEP_ROW))
     entry_path = cache._entry_path(spec)

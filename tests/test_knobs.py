@@ -15,6 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from repro.experiments.runner import TreeExperimentSpec
+from repro.experiments.sweeps import RestrictedRunSpec
 from repro.fluid.crossval import CrossvalCase
 from repro.fluid.spec import BottleneckSpec, FluidSpec, RlaCohortSpec, TcpCohortSpec
 from repro.net.network import GatewayFactory
@@ -37,7 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CALLERS = ("src", "benchmarks", "examples")
 #: Every spec class a run is built from.
 CONFIGS = (
-    RLAConfig, TcpConfig, RestrictedSpec, DumbbellSpec,
+    RLAConfig, TcpConfig, RestrictedSpec, RestrictedRunSpec, DumbbellSpec,
     WaxmanTopology, TransitStubTopology, JitteredTreeTopology,
     RttCohortTopology, PacketSizeMix, BackgroundTraffic, ChurnSpec,
     ScenarioSpec, GridSpec, TreeExperimentSpec,

@@ -14,9 +14,9 @@ from repro.experiments.runner import (
     run_tree_experiment,
 )
 from repro.experiments.sweeps import (
-    SymmetricSpec,
-    build_symmetric_world,
+    build_restricted_world,
     run_symmetric_spec,
+    symmetric_point,
 )
 from repro.lifecycle import advance_world, run_world
 from repro.net import packet
@@ -44,8 +44,8 @@ def _sweep(audited):
     params = dict(n_receivers=2, share_pps=100.0, buffer_pkts=20,
                   duration=DURATION, warmup=WARMUP, seed=1,
                   gateway="droptail", audited=audited)
-    return (build_symmetric_world, SymmetricSpec(**params),
-            lambda: run_symmetric_spec(SymmetricSpec(**params)))
+    return (build_restricted_world, symmetric_point(**params),
+            lambda: run_symmetric_spec(symmetric_point(**params)))
 
 
 BACKENDS = pytest.mark.parametrize("backend", [_tree, _scenario, _sweep],

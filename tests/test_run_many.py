@@ -19,8 +19,8 @@ from repro.experiments.population import population_spec
 from repro.experiments.runner import TreeExperimentSpec, run_tree_experiment
 from repro.experiments.sweeps import (
     SymmetricFluidSpec,
-    SymmetricSpec,
     run_symmetric_spec,
+    symmetric_point,
 )
 from repro.fluid.adapters import run_symmetric_fluid_spec
 from repro.fluid.crossval import CrossvalCase, run_packet_case
@@ -40,9 +40,10 @@ MIXED = [
      "case3/droptail/seed1"),
     (get_scenario("tree-churn", **SHORT), run_scenario,
      "scenario tree-churn seed=1 (droptail)"),
-    (SymmetricSpec(**POINT), run_symmetric_spec,
+    (symmetric_point(**POINT), run_symmetric_spec,
      "sweep n_receivers=2 (droptail)"),
-    (SymmetricFluidSpec(**POINT, knob="buffer_pkts"), run_symmetric_fluid_spec,
+    (SymmetricFluidSpec(symmetric_point(**POINT, knob="buffer_pkts")),
+     run_symmetric_fluid_spec,
      "sweep buffer_pkts=20 (droptail)"),
     (population_spec(1000, **SHORT), run_fluid,
      "fluid population red n=1000 n=1000+1000"),

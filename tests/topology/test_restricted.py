@@ -45,6 +45,8 @@ def test_validation():
         RestrictedSpec(mu_pps=[100], gateway="fifo").validate()
     with pytest.raises(TopologyError, match="buffer"):
         RestrictedSpec(mu_pps=[100], buffer_pkts=1).validate()
+    with pytest.raises(TopologyError, match="ECN"):
+        RestrictedSpec(mu_pps=[200], gateway="droptail", ecn=True).validate()
 
 
 @pytest.mark.parametrize("buffer", [2, 5, 10, 20, 40])
