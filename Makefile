@@ -47,11 +47,11 @@ bench-pair:
 	&& $(PYTHON) benchmarks/rlabench/compare.py \
 		$(PAIR_OUT)/pair-base.json $(PAIR_OUT)/pair-change.json
 
-# The behaviour gate: BASE and this checkout run one fixed list of 13
+# The behaviour gate: BASE and this checkout run one fixed list of 14
 # commands (benchmarks/same_output.py: every catalog scenario plain and
 # audited, the AQM grid on both backends, fluid crossval and scale, a
-# sweep, every paper table, examples/red_vs_droptail.py and
-# examples/theory_check.py 30), and each stdout must be byte-identical —
+# sweep on each backend, every paper table, examples/red_vs_droptail.py
+# and examples/theory_check.py 30), and each stdout must be byte-identical —
 # how a change meant to alter no behaviour proves it.  BASE is unpacked
 # from `git archive`.  ~70 s on 2 vCPUs.
 SAME_BASE := .same-output-base

@@ -13,20 +13,13 @@ Asserts the essential-fairness verdict at every sweep point.
 from __future__ import annotations
 
 from _scale import bench_duration, bench_warmup
-from repro.experiments.sweeps import (
-    format_sweep,
-    sweep_buffer_size,
-    sweep_receiver_count,
-    sweep_share,
-)
+from repro.experiments.sweeps import format_sweep, sweep
 from repro.runtime import default_workers
 
 
 def test_receiver_count_sweep():
-    rows = sweep_receiver_count(counts=(2, 4, 8),
-                                duration=bench_duration(),
-                                warmup=bench_warmup(),
-                                workers=default_workers())
+    rows = sweep("n_receivers", (2, 4, 8), duration=bench_duration(),
+                 warmup=bench_warmup(), workers=default_workers())
     print("\n" + format_sweep(rows, "n_receivers"))
     for row in rows:
         assert row["fair"], f"unfair at n={row['n_receivers']}: {row}"
@@ -36,20 +29,16 @@ def test_receiver_count_sweep():
 
 
 def test_buffer_size_sweep():
-    rows = sweep_buffer_size(buffers=(10, 20, 40),
-                             duration=bench_duration(),
-                             warmup=bench_warmup(),
-                             workers=default_workers())
+    rows = sweep("buffer_pkts", (10, 20, 40), duration=bench_duration(),
+                 warmup=bench_warmup(), workers=default_workers())
     print("\n" + format_sweep(rows, "buffer_pkts"))
     for row in rows:
         assert row["fair"], f"unfair at buffer={row['buffer_pkts']}: {row}"
 
 
 def test_share_sweep():
-    rows = sweep_share(shares=(50.0, 100.0, 200.0),
-                       duration=bench_duration(),
-                       warmup=bench_warmup(),
-                       workers=default_workers())
+    rows = sweep("share_pps", (50.0, 100.0, 200.0), duration=bench_duration(),
+                 warmup=bench_warmup(), workers=default_workers())
     print("\n" + format_sweep(rows, "share_pps"))
     for row in rows:
         assert row["fair"], f"unfair at share={row['share_pps']}: {row}"

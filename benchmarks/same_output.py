@@ -11,9 +11,10 @@ on this checkout, and each stdout must be byte-identical.
 ``BASE_DIR`` is an unpacked tree of BASE (the make target unpacks
 ``git archive BASE``).  The list covers what rlabench's ``result_digest``
 never runs: every catalog scenario plain and ``--audit``, the AQM grid on
-both backends, the fluid crossval packet side and ladder, a sweep, every
-paper table, and the two examples that run the figure 1 topology
-through :class:`repro.experiments.sweeps.RestrictedRunSpec`:
+both backends, the fluid crossval packet side and ladder, a sweep on
+each backend, every paper table, and the two examples that run the
+figure 1 topology through
+:class:`repro.experiments.sweeps.RestrictedRunSpec`:
 ``examples/red_vs_droptail.py`` (behind a RED gateway, which no command
 line reaches) and ``examples/theory_check.py 30``.  ``--metrics``
 stays off because it prints wall times; ``fluid scale`` prints a host
@@ -59,6 +60,7 @@ COMMANDS: List[Tuple[Tuple[str, ...], Optional[str]]] = [
     (("fluid", "crossval", "--cases", "10", "40"), None),
     (("fluid", "scale"), r"\d+\.\d+s$"),
     (("sweep", "--counts", "2", "3", *TABLE), None),
+    (("sweep", "--backend", "fluid", "--counts", "2", "4", *TABLE), None),
     (("fig7", "--cases", "1", "2", "3", "4", "5", *TABLE), None),
     (("fig9", "--cases", "1", "2", "3", "4", "5", *TABLE), None),
     (("fig10", *TABLE), None),

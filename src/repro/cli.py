@@ -267,13 +267,12 @@ def _run_tree_figure(args: argparse.Namespace) -> None:
 
 
 def _run_sweep(args: argparse.Namespace) -> None:
-    from .experiments.sweeps import format_sweep, sweep_receiver_count
+    from .experiments.sweeps import format_sweep, sweep
 
     outcomes: List[Any] = []
-    rows = sweep_receiver_count(counts=args.counts, duration=args.duration,
-                                warmup=args.warmup, seed=args.seed,
-                                audited=args.audit, backend=args.backend,
-                                **_runtime_kwargs(args, outcomes))
+    rows = sweep("n_receivers", args.counts, duration=args.duration,
+                 warmup=args.warmup, seed=args.seed, audited=args.audit,
+                 backend=args.backend, **_runtime_kwargs(args, outcomes))
     print(format_sweep(rows, "n_receivers"))
     _print_metrics(args, outcomes)
 

@@ -1,22 +1,21 @@
 """Parameter sweeps around the paper's operating point.
 
 The paper evaluates one share (100 pkt/s), one buffer (20 packets) and
-two receiver populations (27 and 36).  These sweeps probe how the RLA's
-fairness behaves as each knob moves — the sensitivity analysis a
-deployment would want:
-
-* :func:`sweep_receiver_count` — how the RLA/TCP ratio scales with the
-  number of receivers (the ``n`` in the Theorem bounds);
-* :func:`sweep_buffer_size` — robustness to gateway buffer provisioning;
-* :func:`sweep_share` — robustness to the absolute bottleneck speed.
+two receiver populations (27 and 36).  :func:`sweep` probes how the
+RLA's fairness behaves as one knob moves — the sensitivity analysis a
+deployment would want: ``n_receivers`` (the ``n`` in the Theorem
+bounds), ``buffer_pkts`` (gateway provisioning) or ``share_pps`` (the
+absolute bottleneck speed).
 
 Every point is a :class:`RestrictedRunSpec`, the one packet run of
-figure 1 (which the η/forced-cut/phase/ECN benches also run).
+figure 1 (which the η/forced-cut/phase/ECN benches and the examples also
+run); ``backend="fluid"`` integrates each point's twin,
+:func:`repro.fluid.adapters.restricted_fluid_spec`, instead.
 
-All sweeps pass ``**runtime`` (``workers``, ``cache``, ``outcomes``) to
-:func:`repro.lifecycle.run_many`: with ``workers`` or ``cache`` set they
-fan out through :mod:`repro.runtime` (parallel execution + on-disk result
-caching) and return rows byte-identical to the serial path.
+A sweep passes ``**runtime`` (``workers``, ``cache``, ``outcomes``) to
+:func:`repro.lifecycle.run_many`: with ``workers`` or ``cache`` set it
+fans out through :mod:`repro.runtime` (parallel execution + on-disk
+result caching) and returns rows byte-identical to the serial path.
 """
 
 from __future__ import annotations
@@ -80,7 +79,26 @@ class RestrictedRunSpec:
         return self.topology.gateway
 
     def run_label(self) -> str:
-        return f"sweep {self.knob}={getattr(self, self.knob)} ({self.gateway})"
+        return (f"sweep {self.knob}={getattr(self, self.knob)} "
+                f"({self.gateway}){self.distinctions()}")
+
+    def distinctions(self) -> str:
+        """What sets this run apart from a plain sweep point, as label
+        text ("" for one): unequal branches, ECN marks, and each given
+        endpoint config with the fields it changes from the defaults."""
+        mu_pps = self.topology.mu_pps
+        parts = []
+        if len(set(mu_pps)) > 1:
+            parts.append("mu_pps=" + "/".join(f"{mu:g}" for mu in mu_pps))
+        if self.topology.ecn:
+            parts.append("ecn")
+        for name, config in (("rla", self.rla), ("tcp", self.tcp)):
+            if config is not None:
+                default = vars(type(config)())
+                parts.append(f"{name}(" + ",".join(
+                    f"{key}={value!r}" for key, value in vars(config).items()
+                    if value != default[key]) + ")")
+        return "".join(" " + part for part in parts)
 
     def validate(self) -> "RestrictedRunSpec":
         check_horizon(self.duration, self.warmup)
@@ -101,12 +119,18 @@ def symmetric_point(n_receivers: int, share_pps: float, buffer_pkts: int,
 
 @dataclass
 class SymmetricFluidSpec:
-    """A sweep point integrated by :mod:`repro.fluid` instead of simulated."""
+    """A figure 1 run integrated by :mod:`repro.fluid` instead of simulated;
+    a run with no fluid twin is refused here, before anything runs."""
 
     point: RestrictedRunSpec
 
     runner = "repro.fluid.adapters:run_symmetric_fluid_spec"
     checkpointable = False
+
+    def __post_init__(self) -> None:
+        from ..fluid.adapters import restricted_fluid_spec
+
+        restricted_fluid_spec(self.point)
 
     def run_label(self) -> str:
         return self.point.run_label()
@@ -134,7 +158,9 @@ class RestrictedWorld(World):
         return [self.session.sender]
 
     def label(self) -> str:
-        return f"symmetric n={self.spec.n_receivers}/{self.spec.gateway}"
+        spec = self.spec
+        return (f"restricted n={spec.n_receivers}/{spec.gateway}"
+                f"{spec.distinctions()}")
 
     def finalize(self) -> Dict[str, Any]:
         return finalize_restricted_world(self)
@@ -203,74 +229,43 @@ def run_symmetric_spec(spec: RestrictedRunSpec) -> Dict[str, Any]:
     return run_world(build_restricted_world(spec))
 
 
-def _sweep(knob: str, values: Iterable[Any], backend: str, audited: bool,
-           runtime: Dict[str, Any], **fixed: Any) -> List[Dict[str, float]]:
-    """Rows of one sweep: ``knob`` takes each value, ``fixed`` holds the rest."""
+#: What :func:`sweep` may vary: the fields :func:`symmetric_point` takes
+#: that shape the topology.
+KNOBS = ("n_receivers", "share_pps", "buffer_pkts")
+
+
+def sweep(
+    knob: str,
+    values: Iterable[Any],
+    *,
+    n_receivers: int = 3,
+    share_pps: float = 100.0,
+    buffer_pkts: int = 20,
+    duration: float = 60.0,
+    warmup: float = 20.0,
+    seed: int = 1,
+    gateway: str = "droptail",
+    audited: bool = False,
+    backend: str = "packet",
+    **runtime: Any,
+) -> List[Dict[str, float]]:
+    """Fairness rows as ``knob`` (one of :data:`KNOBS`) takes each of
+    ``values`` and the other two hold their keyword's value."""
+    if knob not in KNOBS:
+        raise ConfigurationError(f"unknown sweep knob {knob!r}; "
+                                 f"expected one of {KNOBS}")
     if backend not in ("packet", "fluid"):
         raise ConfigurationError(f"unknown sweep backend {backend!r}; "
                                  f"expected one of ('packet', 'fluid')")
-    if audited and backend == "fluid":
-        raise ConfigurationError(
-            "the conservation auditor tracks packets; a fluid run has "
-            "none to audit"
-        )
-    points = [symmetric_point(**{**fixed, knob: value}, audited=audited,
-                              knob=knob) for value in values]
+    fixed = dict(n_receivers=n_receivers, share_pps=share_pps,
+                 buffer_pkts=buffer_pkts)
+    points = [symmetric_point(**{**fixed, knob: value}, duration=duration,
+                              warmup=warmup, seed=seed, gateway=gateway,
+                              audited=audited, knob=knob)
+              for value in values]
     if backend == "fluid":
         points = [SymmetricFluidSpec(point) for point in points]
     return run_many(points, **runtime)
-
-
-def sweep_receiver_count(
-    counts: Iterable[int] = (2, 4, 8, 12),
-    share_pps: float = 100.0,
-    duration: float = 60.0,
-    warmup: float = 20.0,
-    seed: int = 1,
-    gateway: str = "droptail",
-    audited: bool = False,
-    backend: str = "packet",
-    **runtime: Any,
-) -> List[Dict[str, float]]:
-    """Fairness ratio as the receiver population grows."""
-    return _sweep("n_receivers", counts, backend, audited, runtime,
-                  share_pps=share_pps, buffer_pkts=20, duration=duration,
-                  warmup=warmup, seed=seed, gateway=gateway)
-
-
-def sweep_buffer_size(
-    buffers: Iterable[int] = (5, 10, 20, 40),
-    n_receivers: int = 3,
-    share_pps: float = 100.0,
-    duration: float = 60.0,
-    warmup: float = 20.0,
-    seed: int = 1,
-    gateway: str = "droptail",
-    audited: bool = False,
-    backend: str = "packet",
-    **runtime: Any,
-) -> List[Dict[str, float]]:
-    """Fairness ratio across gateway buffer sizes."""
-    return _sweep("buffer_pkts", buffers, backend, audited, runtime,
-                  n_receivers=n_receivers, share_pps=share_pps,
-                  duration=duration, warmup=warmup, seed=seed, gateway=gateway)
-
-
-def sweep_share(
-    shares: Iterable[float] = (50.0, 100.0, 200.0),
-    n_receivers: int = 3,
-    duration: float = 60.0,
-    warmup: float = 20.0,
-    seed: int = 1,
-    gateway: str = "droptail",
-    audited: bool = False,
-    backend: str = "packet",
-    **runtime: Any,
-) -> List[Dict[str, float]]:
-    """Fairness ratio across absolute bottleneck speeds."""
-    return _sweep("share_pps", shares, backend, audited, runtime,
-                  n_receivers=n_receivers, buffer_pkts=20, duration=duration,
-                  warmup=warmup, seed=seed, gateway=gateway)
 
 
 def format_sweep(rows: List[Dict[str, float]], knob: str) -> str:

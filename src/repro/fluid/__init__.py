@@ -11,6 +11,7 @@ envelope, and measured tolerances.
 from .adapters import (
     cohort_fluid_spec,
     mean_field_w_q,
+    restricted_fluid_spec,
     run_symmetric_fluid_spec,
     scaled_bottleneck,
     symmetric_fluid_spec,
@@ -63,6 +64,7 @@ __all__ = [
     "format_crossval",
     "format_fluid",
     "integrate",
+    "restricted_fluid_spec",
     "reynier_check",
     "rk4_step",
     "run_crossval",

@@ -207,20 +207,10 @@ def fluid_grid_cell(
     """
     from ..fluid.adapters import cohort_fluid_spec
 
-    fast_ms, slow_ms = RTT_SPREADS[spread]
-    base = grid_cell(gateway, "uniform", spread, False,
+    cell = grid_cell(gateway, "uniform", spread, False,
                      duration=duration, warmup=warmup, seed=seed)
     return cohort_fluid_spec(
-        topology=base.topology,
-        gateway=gateway,
-        tcp_flows=base.traffic.tcp_flows,
-        receivers=base.receivers,
-        duration=duration,
-        warmup=warmup,
-        seed=seed,
-        scale=scale,
-        name=f"grid {gateway} rtt={spread} scale={scale:g}",
-    )
+        cell, scale=scale, name=f"grid {gateway} rtt={spread} scale={scale:g}")
 
 
 def fluid_grid_specs(grid: GridSpec) -> List[Any]:

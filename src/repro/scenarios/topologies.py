@@ -147,6 +147,8 @@ class RttCohortTopology:
     delay_jitter = 0.1
     bottleneck_mbps = 3.0
     bottleneck_delay_ms = 1.0
+    #: One-way delay of the uncongested source feed SRC -- GL.
+    source_delay_ms = 1.0
     access_mbps = 20.0
     #: Bottleneck buffer (the AQM's physical capacity).
     buffer_pkts = 25
@@ -412,7 +414,7 @@ def _build_rtt_cohorts(
         topo.link_draws.append((a, b, bandwidth, delay, buffer_pkts))
 
     # uncongested source feed into the left gateway
-    plain_link("SRC", "GL", mbps(100), ms(1), 1000)
+    plain_link("SRC", "GL", mbps(100), ms(spec.source_delay_ms), 1000)
 
     # the shared bottleneck, running the AQM under test in both directions
     bottleneck_bw = mbps(spec.bottleneck_mbps)

@@ -137,7 +137,7 @@ def test_sweep_point_byte_identity(audited):
             snapshot = snapshot_world(world, at=at)
         finally:
             world.disarm()
-        assert snapshot.label == f"symmetric n=3/droptail@t={at:g}"
+        assert snapshot.label == f"restricted n=3/droptail@t={at:g}"
         finish = resolve_entrypoint(snapshot.resume)
         assert pickle.dumps(finish(restore(snapshot))) == straight
 

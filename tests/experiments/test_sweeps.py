@@ -5,17 +5,18 @@ import pickle
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.sweeps import (
     RestrictedRunSpec,
+    SymmetricFluidSpec,
     format_sweep,
     run_symmetric_spec,
-    sweep_buffer_size,
-    sweep_receiver_count,
-    sweep_share,
+    sweep,
 )
 from repro.lifecycle import run_many
 from repro.models.fairness import fairness_columns
 from repro.rla.config import RLAConfig
+from repro.tcp.config import TcpConfig
 from repro.tcp.sender import phase_jitter
 from repro.topology.restricted import RestrictedSpec
 from repro.units import pps_to_bps
@@ -26,8 +27,7 @@ UNEQUAL = RestrictedSpec(mu_pps=(100, 300, 300, 300, 300, 300))
 
 @pytest.fixture(scope="module")
 def tiny_sweep():
-    return sweep_receiver_count(counts=(2, 3), duration=10.0, warmup=5.0,
-                                seed=2)
+    return sweep("n_receivers", (2, 3), duration=10.0, warmup=5.0, seed=2)
 
 
 def test_sweep_rows_have_expected_keys(tiny_sweep):
@@ -52,15 +52,20 @@ def test_sweep_traffic_flows(tiny_sweep):
 
 
 def test_buffer_sweep_smoke():
-    rows = sweep_buffer_size(buffers=(10, 20), n_receivers=2, duration=8.0,
-                             warmup=4.0, seed=2)
+    rows = sweep("buffer_pkts", (10, 20), n_receivers=2, duration=8.0,
+                 warmup=4.0, seed=2)
     assert [row["buffer_pkts"] for row in rows] == [10, 20]
 
 
 def test_share_sweep_smoke():
-    rows = sweep_share(shares=(100.0,), n_receivers=2, duration=8.0,
-                       warmup=4.0, seed=2)
+    rows = sweep("share_pps", (100.0,), n_receivers=2, duration=8.0,
+                 warmup=4.0, seed=2)
     assert rows[0]["share_pps"] == 100.0
+
+
+def test_unknown_knob_is_refused_before_any_run():
+    with pytest.raises(ConfigurationError, match="unknown sweep knob"):
+        sweep("seed", (1, 2), duration=2.0, warmup=1.0)
 
 
 def test_format_sweep(tiny_sweep):
@@ -113,3 +118,29 @@ def test_unequal_branches_fan_out_like_the_serial_loop():
     specs = [_unequal(eta) for eta in (2.0, 20.0, 100.0)]
     serial = [pickle.dumps(run_symmetric_spec(spec)) for spec in specs]
     assert [pickle.dumps(row) for row in run_many(specs, workers=2)] == serial
+
+
+def test_eta_arms_have_distinct_labels():
+    """The η bench's three arms differ only in their RLA config; each
+    ``--metrics`` label names it, and the unequal branches."""
+    labels = [_unequal(eta).run_label() for eta in (2.0, 20.0, 100.0)]
+    assert len(set(labels)) == 3
+    assert all(label.startswith("sweep n_receivers=6 (droptail) "
+                                "mu_pps=100/300/300/300/300/300 rla(")
+               for label in labels)
+
+
+@pytest.mark.parametrize("point", [
+    RestrictedRunSpec(RestrictedSpec([200] * 3, gateway="red", ecn=True),
+                      duration=3.0, warmup=1.0, seed=1),
+    RestrictedRunSpec(RestrictedSpec([200] * 3), duration=3.0, warmup=1.0,
+                      seed=1, tcp=TcpConfig()),
+    _unequal(20.0),
+    RestrictedRunSpec(RestrictedSpec([200] * 3), duration=3.0, warmup=1.0,
+                      seed=1, audited=True),
+], ids=["ecn", "given-tcp", "given-rla", "audited"])
+def test_fluid_twin_refuses_what_it_cannot_model(point):
+    """A point the fluid model would integrate as a different system is
+    one ConfigurationError, raised before anything runs."""
+    with pytest.raises(ConfigurationError, match="fluid"):
+        run_many([SymmetricFluidSpec(point)])

@@ -9,7 +9,7 @@ run's report, the strongest practical notion of "same result".
 import pickle
 
 from repro.experiments.figures import run_figure
-from repro.experiments.sweeps import sweep_receiver_count
+from repro.experiments.sweeps import sweep
 from repro.runtime import ResultCache
 
 
@@ -18,22 +18,22 @@ def _bytes(obj):
 
 
 def test_sweep_parallel_matches_serial_per_run():
-    kwargs = dict(counts=(2, 3), duration=6.0, warmup=3.0, seed=2)
-    serial = sweep_receiver_count(**kwargs)
-    parallel = sweep_receiver_count(workers=2, **kwargs)
+    kwargs = dict(duration=6.0, warmup=3.0, seed=2)
+    serial = sweep("n_receivers", (2, 3), **kwargs)
+    parallel = sweep("n_receivers", (2, 3), workers=2, **kwargs)
     assert [_bytes(row) for row in serial] == [_bytes(row) for row in parallel]
 
 
 def test_sweep_cached_matches_fresh(tmp_path):
-    kwargs = dict(counts=(2,), duration=6.0, warmup=3.0, seed=2)
+    kwargs = dict(duration=6.0, warmup=3.0, seed=2)
     cache = ResultCache(tmp_path)
-    fresh = sweep_receiver_count(workers=2, cache=cache, **kwargs)
+    fresh = sweep("n_receivers", (2,), workers=2, cache=cache, **kwargs)
     outs = []
-    replay = sweep_receiver_count(workers=2, cache=cache, outcomes=outs,
-                                  **kwargs)
+    replay = sweep("n_receivers", (2,), workers=2, cache=cache, outcomes=outs,
+                   **kwargs)
     assert all(o.cached for o in outs)
     assert _bytes(fresh) == _bytes(replay)
-    assert _bytes(fresh[0]) == _bytes(sweep_receiver_count(**kwargs)[0])
+    assert _bytes(fresh[0]) == _bytes(sweep("n_receivers", (2,), **kwargs)[0])
 
 
 def test_fig7_parallel_matches_serial_per_case():

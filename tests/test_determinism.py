@@ -69,12 +69,12 @@ def _strip_audit(rows):
 def test_sweep_serial_parallel_audited_byte_identical():
     import pickle
 
-    from repro.experiments.sweeps import sweep_receiver_count
+    from repro.experiments.sweeps import sweep
 
-    kwargs = dict(counts=(2,), duration=6.0, warmup=2.0, seed=11)
-    serial = sweep_receiver_count(**kwargs)
-    parallel = sweep_receiver_count(workers=2, **kwargs)
-    audited = sweep_receiver_count(audited=True, **kwargs)
+    kwargs = dict(duration=6.0, warmup=2.0, seed=11)
+    serial = sweep("n_receivers", (2,), **kwargs)
+    parallel = sweep("n_receivers", (2,), workers=2, **kwargs)
+    audited = sweep("n_receivers", (2,), audited=True, **kwargs)
     assert audited[0]["sim_stats"]["audit_checks"] > 0
     blob = pickle.dumps(serial)
     assert blob == pickle.dumps(parallel)

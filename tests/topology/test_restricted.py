@@ -49,6 +49,38 @@ def test_validation():
         RestrictedSpec(mu_pps=[200], gateway="droptail", ecn=True).validate()
 
 
+def _twin(spec):
+    """The fluid twin of a short figure 1 run on ``spec``."""
+    from repro.experiments.sweeps import RestrictedRunSpec
+    from repro.fluid.adapters import restricted_fluid_spec
+
+    return restricted_fluid_spec(
+        RestrictedRunSpec(spec, duration=2.0, warmup=1.0, seed=1))
+
+
+@pytest.mark.parametrize("spec", [
+    RestrictedSpec(mu_pps=[200, 200]),
+    RestrictedSpec(mu_pps=(100, 300, 300, 300, 300, 300)),
+    RestrictedSpec(mu_pps=[200, 200], branch_delay=ms(5)),
+    RestrictedSpec(mu_pps=[150, 250], gateway="red", buffer_pkts=40),
+], ids=["equal", "unequal", "branch-delay-5ms", "red-unequal"])
+def test_fluid_twin_has_the_packet_branches(spec):
+    """Branch b of the twin is branch b of the packet network: its
+    capacity, its buffer and gateway, and one TCP and one RLA cohort at
+    the branch's round-trip propagation delay."""
+    net, receivers = build_restricted(Simulator(), spec)
+    twin = _twin(spec)
+    assert tuple(bn.capacity_pps for bn in twin.bottlenecks) == tuple(
+        spec.mu_pps)
+    assert {(bn.buffer_pkts, bn.discipline) for bn in twin.bottlenecks} == {
+        (spec.buffer_pkts, spec.gateway)}
+    rtts = [2 * net.path_delay("S", receiver) for receiver in receivers]
+    for cohorts in (twin.tcp_cohorts, twin.rla_cohorts):
+        assert [cohort.bottleneck for cohort in cohorts] == list(
+            range(len(receivers)))
+        assert [cohort.rtt_s for cohort in cohorts] == pytest.approx(rtts)
+
+
 @pytest.mark.parametrize("buffer", [2, 5, 10, 20, 40])
 def test_red_thresholds_fit_the_buffer_and_the_fluid_twin(buffer):
     from repro.fluid.adapters import symmetric_fluid_spec
