@@ -134,11 +134,14 @@ checkpoint-smoke:
 # tolerances from docs/FLUID.md), then the population ladder's first rung
 # through the CLI — numpy must not have been loaded for it — and one
 # 10^5-flow fluid point to prove the mean-field scaling path: the bounds
-# must hold and the RED equilibrium must be Reynier-stable.  Last, what
-# the kernel costs to build for rlabench's two micro-driver models.
+# must hold and the RED equilibrium must be Reynier-stable.  Last, per
+# kernel: the state variables, the ones its run integrates (one per
+# class of exchangeable branches) and the emit + compile cost; the
+# 256-branch sweep point must integrate no more than the 4-branch one.
 fluid-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/fluid/test_integrator_oracle.py \
-		tests/fluid/test_kernel.py tests/fluid/test_stability_oracle.py
+		tests/fluid/test_exchangeable.py tests/fluid/test_kernel.py \
+		tests/fluid/test_stability_oracle.py
 	PYTHONPATH=src $(PYTHON) -m repro.cli fluid crossval "--cases=-10-"
 	PYTHONPATH=src $(PYTHON) -c "import sys, repro.cli; \
 	code = repro.cli.main(['fluid', 'scale', '--counts', '1000']); \
@@ -153,16 +156,21 @@ fluid-smoke:
 	assert all(row['equilibrium']['stability_margin'] > 0 \
 	           for row in rows), rows; \
 	print('fluid smoke OK: bounds hold at 100k flows, stable equilibrium')"
-	PYTHONPATH=src $(PYTHON) -c "import timeit; \
+	PYTHONPATH=src $(PYTHON) -c "import re, timeit; \
 	from repro.experiments.population import population_spec; \
 	from repro.fluid import FluidModel, symmetric_fluid_spec; \
-	specs = {'pop100k': population_spec(100_000), \
-	         'sym16': symmetric_fluid_spec(n_receivers=16, share_pps=100.0, \
-	             buffer_pkts=20, duration=10.0, warmup=2.0, seed=1, gateway='droptail')}; \
-	print('\n'.join('kernel %-8s n_state %2d  %4d lines  emit + compile %.1f ms' % ( \
-	    name, FluidModel(spec).n_state, len(FluidModel(spec).kernel_source.splitlines()), \
+	sym = lambda n: symmetric_fluid_spec(n_receivers=n, share_pps=100.0, \
+	    buffer_pkts=20, duration=10.0, warmup=2.0, seed=1, gateway='droptail'); \
+	specs = {'pop100k': population_spec(100_000), 'sym4': sym(4), \
+	         'sym16': sym(16), 'sym256': sym(256)}; \
+	integrated = lambda spec: sum(bool(re.fullmatch('s[0-9]+', name)) \
+	    for name in FluidModel(spec).kernel[1].__code__.co_varnames); \
+	print('\n'.join('kernel %-8s state %3d  integrated %2d  emit + compile %6.1f ms' % ( \
+	    name, FluidModel(spec).n_state, integrated(spec), \
 	    timeit.timeit(lambda: FluidModel(spec).kernel, number=1) * 1e3) \
-	    for name, spec in specs.items()))"
+	    for name, spec in specs.items() if name != 'sym4')); \
+	assert integrated(specs['sym256']) == integrated(specs['sym4']), 'sym256 not reduced'; \
+	print('fluid smoke OK: sym256 integrates as many variables as sym4')"
 
 # The dependency list is true: install the package *without* the test
 # extra into a clean venv (so the routing test oracle's graph library

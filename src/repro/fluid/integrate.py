@@ -12,7 +12,6 @@ suite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -40,9 +39,8 @@ class FluidResult:
 
 
 def rk4_step(model: FluidModel, state: List[float], dt: float) -> List[float]:
-    """One classical RK4 step; the result is clamped into the physical set."""
-    field, step = model.kernel
-    return step(state, field(state)[0], dt)
+    """One classical RK4 step of any state, clamped into the physical set."""
+    return model.identity_run(state, dt, 1, 1)[0]
 
 
 def integrate(spec: FluidSpec,
@@ -50,15 +48,18 @@ def integrate(spec: FluidSpec,
     """Integrate ``spec`` over its horizon and average the measured window.
 
     The step count is fixed up front (``round(horizon / dt)``), so two
-    runs of the same spec execute the identical float-op sequence.
-    The field evaluation at the state a step lands on serves twice: it
-    is that step's observables and the next step's first RK4 stage.
-    ``model`` is ``FluidModel(spec)`` where the caller already holds
-    one (its kernel is compiled once per model).
+    runs of the same spec execute the identical float-op sequence, all
+    inside the kernel's ``run``.  ``model`` is ``FluidModel(spec)``
+    where the caller already holds one; a model of another spec object,
+    even an equal one (``0.0 == -0.0``), would integrate its own kernel.
     """
     spec.validate()
     if model is None:
         model = FluidModel(spec)
+    elif model.spec is not spec:
+        raise ConfigurationError(
+            f"integrate({spec.name!r}) was handed the model of "
+            f"{model.spec.name!r}: pass FluidModel(spec) of this spec")
     dt = spec.dt
     total_steps = round(spec.horizon / dt)
     warmup_steps = round(spec.warmup / dt)
@@ -67,29 +68,12 @@ def integrate(spec: FluidSpec,
             f"horizon {spec.horizon}s leaves no measured steps at dt={dt}"
         )
 
-    field, step = model.kernel
-    observe = model.observe
-    base_q, base_avg = model.base_q, model.base_avg
-    state = model.initial_state()
-    evaluation = field(state)
-    # -0.0, not 0.0, is the additive identity that keeps a sum of
-    # negative zeros negative — the sums start as if from their first
-    # term.
-    sums = [-0.0] * model.n_observables
-    peak_queue = [0.0] * model.n_bottlenecks
-
-    for index in range(total_steps):
-        state = step(state, evaluation[0], dt)
-        evaluation = field(state)
-        if index < warmup_steps:
-            continue
-        sums = list(map(add, sums, observe(state, evaluation)))
-        peak_queue = list(map(max, peak_queue, state[base_q:base_avg]))
-
+    state, sums, peak_queue = model.kernel[1](
+        model.initial_state(), dt, total_steps, warmup_steps)
     measured = total_steps - warmup_steps
     return FluidResult(
         means=model.named([total / measured for total in sums]),
-        peak_queue=tuple(peak_queue),
+        peak_queue=peak_queue,
         final_state=tuple(state),
         steps=total_steps,
         measured_s=measured * dt,

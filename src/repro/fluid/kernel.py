@@ -1,13 +1,18 @@
-"""The fluid model's spec, emitted as one straight-line RK4 kernel.
+"""The fluid model's spec, emitted as one straight-line RK4 run.
 
 At 5-49 state variables the float work of one field evaluation is a few
 dozen operations, and a loop over cohort tuples spends several times
 that on tuple unpacking, list indexing and ``zip`` glue.  So the model
 is *compiled*: :func:`kernel_source` writes the vector field and the
-RK4 step of one :class:`~repro.fluid.spec.FluidSpec` as Python source —
-one scalar local per state variable, the per-cohort and per-bottleneck
-loops unrolled, every spec constant a literal — and
-:func:`compile_kernel` ``exec``\\ s it once per model.
+whole fixed-step RK4 integration of one
+:class:`~repro.fluid.spec.FluidSpec` as Python source — one scalar
+local per state variable, the per-cohort and per-bottleneck loops
+unrolled, every spec constant a literal — and :func:`compile_kernel`
+``exec``\\ s it once per model.
+
+Exchangeable branches (``_map``) that start equal stay equal, so the
+emitted ``run`` integrates one representative per class; ``field``
+always sees every branch.
 
 The float-operation order is a contract, and this module owns it:
 ``tests/fluid/reference.py`` keeps the step-by-step integrator the
@@ -27,11 +32,13 @@ dict-order dependence — so two interpreters emit byte-identical text
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import linecache
 import math
 import weakref
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Hashable, Iterable, List,
+                    NamedTuple, Sequence, Tuple)
 
 from ..errors import ConfigurationError
 from .spec import DROPTAIL_RAMP
@@ -46,10 +53,11 @@ MIN_WINDOW = 1.0
 #: ``(deriv, tcp_rtts, rla_rtt, loads, ps)``.
 FieldEval = Tuple[Tuple[float, ...], Tuple[float, ...], float,
                   Tuple[float, ...], Tuple[float, ...]]
-#: The emitted pair: ``field(state)`` and ``step(state, k1, dt)``.
+#: What the emitted ``run`` returns: ``(final_state, sums, peak_queue)``.
+RunResult = Tuple[List[float], Tuple[float, ...], Tuple[float, ...]]
+#: The emitted pair: ``field`` and ``run``.
 Kernel = Tuple[Callable[[Sequence[float]], FieldEval],
-               Callable[[Sequence[float], Sequence[float], float],
-                        List[float]]]
+               Callable[[Sequence[float], float, int, int], RunResult]]
 
 #: Numbers each compile's ``linecache`` filename; never part of the source.
 _serial = itertools.count(1)
@@ -69,40 +77,95 @@ def _lit(value: float) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
-def _names(prefix: str, count: int) -> str:
+def _names(prefix: str, indices: Iterable[int]) -> str:
     """``(p0, p1, ...)`` — a tuple display or an unpacking target."""
-    inner = ", ".join(f"{prefix}{i}" for i in range(count))
-    return f"({inner},)" if count == 1 else f"({inner})"
+    names = [f"{prefix}{i}" for i in indices]
+    return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
 
 
-def _field_lines(model: "FluidModel") -> List[str]:
-    """Body of ``field``: ``d*``, ``r*``, ``rr``, ``l*``, ``p*`` from ``s*``.
+def _first_of(keys: Iterable[Hashable]) -> Tuple[int, ...]:
+    """For each key, the position where that key first occurs."""
+    first: Dict[Hashable, int] = {}
+    return tuple(first.setdefault(key, i) for i, key in enumerate(keys))
 
-    ``s{i}`` is the state, ``d{i}`` its derivative, ``r{c}`` the
-    effective RTT of TCP cohort ``c``, ``rr`` the RLA session RTT,
+
+class _Map(NamedTuple):
+    """The representative of each bottleneck, cohort and state index."""
+
+    bottleneck: Tuple[int, ...]
+    tcp: Tuple[int, ...]
+    rla: Tuple[int, ...]
+    state: Tuple[int, ...]
+
+
+def _map(model: "FluidModel", lump: bool) -> _Map:
+    """Each bottleneck's representative: itself, or with ``lump`` the
+    first bottleneck exchangeable with it.
+
+    Exchangeable means the same literals in every field but ``label``
+    and the same ordered cohort lists in ``(flows | receivers,
+    rtt_s)``, compared as ``repr`` text: ``0.0 == -0.0``, but the two
+    emit different kernels.  A cohort maps to the first cohort at its
+    position in an exchangeable bottleneck's list.
+    """
+    spec = model.spec
+    kinds = ((spec.tcp_cohorts, "flows"), (spec.rla_cohorts, "receivers"))
+    listed: Dict[Tuple[int, int], List[Tuple[str, str]]] = {}
+    positions: Tuple[List[int], List[int]] = ([], [])
+    for kind, (cohorts, size) in enumerate(kinds):
+        for cohort in cohorts:
+            at = listed.setdefault((kind, cohort.bottleneck), [])
+            positions[kind].append(len(at))
+            at.append((repr(getattr(cohort, size)), repr(cohort.rtt_s)))
+    reps = _first_of(
+        (tuple(repr(getattr(bn, field.name))
+               for field in dataclasses.fields(bn) if field.name != "label"),
+         tuple(listed.get((0, b), ())), tuple(listed.get((1, b), ())))
+        if lump else b for b, bn in enumerate(spec.bottlenecks))
+    tcp, rla = (_first_of((reps[cohort.bottleneck], position)
+                          for cohort, position in zip(cohorts, at))
+                for (cohorts, _), at in zip(kinds, positions))
+    rla_window = (model.idx_rla,) if model.has_rla else ()
+    state = (tcp + rla_window + tuple(model.base_q + b for b in reps)
+             + tuple(model.base_avg + b for b in reps))
+    return _Map(reps, tcp, rla, state)
+
+
+def _field_lines(model: "FluidModel", rep: _Map, src: str = "s",
+                 out: str = "d") -> List[str]:
+    """Field body: ``{out}*``, ``r*``, ``rr``, ``l*``, ``p*`` from ``{src}*``.
+
+    ``{src}{i}`` is the state, ``{out}{i}`` its derivative, ``r{c}``
+    the effective RTT of TCP cohort ``c``, ``rr`` the RLA session RTT,
     ``l{b}`` / ``p{b}`` the offered load and drop probability of
-    bottleneck ``b``; ``x``, ``g`` and ``h`` are scratch.
+    bottleneck ``b``; ``x``, ``g`` and ``h`` are scratch.  Code is
+    emitted per representative; a lumped branch reads its locals.
     """
     spec = model.spec
     base_q, base_avg = model.base_q, model.base_avg
     bottlenecks = spec.bottlenecks
     floor = _lit(MIN_WINDOW)
-    out: List[str] = []
-    emit = out.append
+    out_lines: List[str] = []
+    emit = out_lines.append
+    own_bottlenecks = sorted(set(rep.bottleneck))
+
+    def at(cohort) -> int:
+        return rep.bottleneck[cohort.bottleneck]
 
     def rtt(cohort) -> str:
         """Propagation plus queueing delay ``q/C`` at the cohort's queue."""
-        return (f"{_lit(cohort.rtt_s)} + s{base_q + cohort.bottleneck} / "
+        return (f"{_lit(cohort.rtt_s)} + {src}{base_q + at(cohort)} / "
                 f"{_lit(bottlenecks[cohort.bottleneck].capacity_pps)}")
 
     emit("# effective RTTs; offered load = sum flows * W / R (+ one "
          "multicast copy)")
-    for b in range(len(bottlenecks)):
+    for b in own_bottlenecks:
         emit(f"l{b} = 0.0")
-    for c, cohort in enumerate(spec.tcp_cohorts):
+    own_tcp = [(c, cohort) for c, cohort in enumerate(spec.tcp_cohorts)
+               if rep.tcp[c] == c]
+    for c, cohort in own_tcp:
         emit(f"r{c} = {rtt(cohort)}")
-        emit(f"l{cohort.bottleneck} += "
-             f"{_lit(float(cohort.flows))} * s{c} / r{c}")
+        emit(f"l{at(cohort)} += {_lit(float(cohort.flows))} * {src}{c} / r{c}")
 
     # Receivers behind one bottleneck lose *together* (one dropped copy
     # deprives them all), so the drift groups them — the §4.2 Lemma's
@@ -116,16 +179,18 @@ def _field_lines(model: "FluidModel") -> List[str]:
                                      + cohort.receivers)
     groups = sorted(behind.items())
     if groups:
-        # The sender clocks on the worst receiver.
+        # The sender clocks on the worst receiver.  A lumped cohort's
+        # RTT repeats its representative's bits, and a repeat never
+        # wins a strict ``>``, so the distinct ones suffice.
         emit("rr = 0.0")
-        for cohort in spec.rla_cohorts:
-            emit(f"x = {rtt(cohort)}")
+        for c in dict.fromkeys(rep.rla):
+            emit(f"x = {rtt(spec.rla_cohorts[c])}")
             emit("if x > rr:")
             emit("    rr = x")
         emit(f"rr = {_lit(spec.rla_rtt_factor)} * rr")
         emit("if rr > 0.0:")
-        emit(f"    x = s{model.idx_rla} / rr")
-        for b, _ in groups:
+        emit(f"    x = {src}{model.idx_rla} / rr")
+        for b in dict.fromkeys(rep.bottleneck[b] for b, _ in groups):
             emit(f"    l{b} += x")
     else:
         emit(f"rr = {_lit(spec.rla_rtt_factor * 0.0)}")
@@ -141,9 +206,10 @@ def _field_lines(model: "FluidModel") -> List[str]:
     # marked fraction).  Fixed-loss bottlenecks keep their p and have
     # no queue feedback; RED's average is frozen unless the discipline
     # is "red".
-    for b, bn in enumerate(bottlenecks):
-        q, avg = f"s{base_q + b}", f"s{base_avg + b}"
-        dq, davg = f"d{base_q + b}", f"d{base_avg + b}"
+    for b in own_bottlenecks:
+        bn = bottlenecks[b]
+        q, avg = f"{src}{base_q + b}", f"{src}{base_avg + b}"
+        dq, davg = f"{out}{base_q + b}", f"{out}{base_avg + b}"
         emit(f"# bottleneck {b}: {bn.discipline}")
         if bn.discipline == "fixed":
             emit(f"p{b} = {_lit(bn.loss_p)}")
@@ -177,38 +243,41 @@ def _field_lines(model: "FluidModel") -> List[str]:
              f"({q} >= {_lit(bn.buffer_pkts)} and {dq} > 0.0):")
         emit(f"    {dq} = 0.0")
 
-    if spec.tcp_cohorts:
+    if own_tcp:
         emit("# TCP windows: dW/dt = [(1-p) - p W^2/2] / R")
-    for c, cohort in enumerate(spec.tcp_cohorts):
-        p = f"p{cohort.bottleneck}"
-        emit(f"d{c} = ((1.0 - {p}) - {p} * s{c} * s{c} / 2.0) / r{c}")
-        emit(f"if s{c} <= {floor} and d{c} < 0.0:")
-        emit(f"    d{c} = 0.0")
+    for c, cohort in own_tcp:
+        p, w = f"p{at(cohort)}", f"{src}{c}"
+        emit(f"{out}{c} = ((1.0 - {p}) - {p} * {w} * {w} / 2.0) / r{c}")
+        emit(f"if {w} <= {floor} and {out}{c} < 0.0:")
+        emit(f"    {out}{c} = 0.0")
 
     if groups:
         # G = prod_b [(1-p_b) + p_b (1-1/N)^{n_b}] (nobody's signal is
         # listened to) and H = prod_b [(1-p_b) + p_b (1-1/(2N))^{n_b}]:
         # common loss within a group, independent across bottlenecks —
         # O(bottlenecks) products, the algebra of
-        # repro.models.rla_drift.rla_window_groups.
-        w, dw = f"s{model.idx_rla}", f"d{model.idx_rla}"
+        # repro.models.rla_drift.rla_window_groups.  Every group is a
+        # factor, in order, lumped or not.
+        w, dw = f"{src}{model.idx_rla}", f"{out}{model.idx_rla}"
         big_n = spec.n_receivers
         emit("# RLA window: dW/dt = [G - W^2 (1-H)] / R_rla")
         emit("g = 1.0")
         emit("h = 1.0")
         for b, count in groups:
+            p = f"p{rep.bottleneck[b]}"
             keep_all = (1.0 - 1.0 / big_n) ** count
             keep_half = (1.0 - 1.0 / (2.0 * big_n)) ** count
-            emit(f"g *= (1.0 - p{b}) + p{b} * {_lit(keep_all)}")
-            emit(f"h *= (1.0 - p{b}) + p{b} * {_lit(keep_half)}")
+            emit(f"g *= (1.0 - {p}) + {p} * {_lit(keep_all)}")
+            emit(f"h *= (1.0 - {p}) + {p} * {_lit(keep_half)}")
         emit(f"{dw} = (g - {w} * {w} * (1.0 - h)) / rr")
         emit(f"if {w} <= {floor} and {dw} < 0.0:")
         emit(f"    {dw} = 0.0")
-    return out
+    return out_lines
 
 
-def _stage_lines(model: "FluidModel", update: str) -> List[str]:
-    """``m{i} = <update>`` for every state variable, then its clamp.
+def _stage_lines(model: "FluidModel", integrated: Sequence[int],
+                 target: str, update: str) -> List[str]:
+    """``{target}{i} = <update>`` per integrated variable, then its clamp.
 
     ``update`` is the right-hand side with ``{i}`` for the index.  The
     clamp projects back into the physical region: windows at or above
@@ -217,63 +286,122 @@ def _stage_lines(model: "FluidModel", update: str) -> List[str]:
     floor = _lit(MIN_WINDOW)
     buffers = [bn.buffer_pkts for bn in model.spec.bottlenecks] * 2
     out: List[str] = []
-    for i in range(model.n_state):
-        out.append(f"m{i} = {update.format(i=i)}")
+    for i in integrated:
+        m = f"{target}{i}"
+        out.append(f"{m} = {update.format(i=i)}")
         if i < model.base_q:
-            out += [f"if m{i} < {floor}:", f"    m{i} = {floor}"]
+            out += [f"if {m} < {floor}:", f"    {m} = {floor}"]
         else:
             buffer = _lit(buffers[i - model.base_q])
-            out += [f"if m{i} < 0.0:", f"    m{i} = 0.0",
-                    f"if {buffer} < m{i}:", f"    m{i} = {buffer}"]
+            out += [f"if {m} < 0.0:", f"    {m} = 0.0",
+                    f"if {buffer} < {m}:", f"    {m} = {buffer}"]
     return out
 
 
-def kernel_source(model: "FluidModel") -> str:
-    """Python source of ``field(state)`` and ``step(state, k1, dt)``.
+def _run_lines(model: "FluidModel", rep: _Map) -> List[str]:
+    """``run(state, dt, total_steps, warmup_steps)``, every stage pasted.
+
+    Each iteration opens with the evaluation at the state the last step
+    landed on: that step's observables and the next step's first stage.
+    ``o{j}`` sums entry ``j`` of :meth:`FluidModel.observe`'s layout from
+    ``-0.0`` (the additive identity that leaves a first ``-0.0`` alone);
+    ``top{b}`` is bottleneck ``b``'s peak queue.  A lumped entry repeats
+    its representative's bits and gets no sum of its own.
+    """
+    spec, n_state, n_bn = model.spec, model.n_state, model.n_bottlenecks
+    tcp_end = n_state + model.n_tcp
+    loss = tcp_end + len(spec.rla_cohorts)
+    observed = [(r, f"s{i}") for i, r in enumerate(rep.state)]
+    observed += [(n_state + r, f"(1.0 - p{rep.bottleneck[cohort.bottleneck]})"
+                  f" * s{c} / r{c}")
+                 for c, (r, cohort) in enumerate(zip(rep.tcp,
+                                                     spec.tcp_cohorts))]
+    observed += [(tcp_end + r,
+                  f"(1.0 - p{rep.bottleneck[cohort.bottleneck]}) * x")
+                 for r, cohort in zip(rep.rla, spec.rla_cohorts)]
+    for offset, expression in ((loss, "p{b}"), (loss + n_bn, "l{b}"),
+                               (loss + 2 * n_bn, "l{b} * p{b}")):
+        observed += [(offset + r, expression.format(b=b))
+                     for b, r in enumerate(rep.bottleneck)]
+    sums = [(j, term) for j, (r, term) in enumerate(observed) if r == j]
+    integrated = sorted(set(rep.state))
+    peaks = sorted(set(rep.bottleneck))
+
+    body = ["# landing evaluation: this step's observables, the next k1"]
+    body += _field_lines(model, rep, "s", "a")
+    body.append("if index >= warmup_steps:")
+    if model.has_rla:
+        body.append(f"    x = s{model.idx_rla} / rr")
+    body += [f"    o{j} += {term}" for j, term in sums]
+    for b in peaks:
+        q = f"s{model.base_q + b}"
+        body += [f"    if {q} > top{b}:", f"        top{b} = {q}"]
+    body += ["if index == last:", "    break"]
+    for update, stage in (("s{i} + half * a{i}", "b"),
+                          ("s{i} + half * b{i}", "c"),
+                          ("s{i} + dt * c{i}", "e")):
+        body += _stage_lines(model, integrated, "m", update)
+        body += _field_lines(model, rep, "m", stage)
+    body += _stage_lines(
+        model, integrated, "s",
+        "s{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + e{i})")
+
+    lines = [
+        "def run(state, dt, total_steps, warmup_steps):",
+        f"    {', '.join(f's{i}' for i in integrated)}, = "
+        f"{', '.join(f'state[{i}]' for i in integrated)},",
+        "    half = 0.5 * dt",
+        "    sixth = dt / 6.0",
+        "    last = total_steps - 1",
+    ]
+    lines += [f"    o{j} = -0.0" for j, _ in sums]
+    lines += [f"    top{b} = 0.0" for b in peaks]
+    lines.append("    for index in range(-1, total_steps):")
+    lines += ["        " + line for line in body]
+    lines.append(
+        f"    return ([{', '.join(f's{r}' for r in rep.state)}], "
+        f"{_names('o', (r for r, _ in observed))}, "
+        f"{_names('top', rep.bottleneck)})")
+    return lines
+
+
+def kernel_source(model: "FluidModel", lump: bool = True) -> str:
+    """Python source of ``field(state)`` and ``run(state, dt, ...)``.
 
     ``field`` evaluates the whole vector field in one pass and returns
-    ``(deriv, tcp_rtts, rla_rtt, loads, ps)``.  ``step`` finishes the
-    classical RK4 step whose first stage ``k1 = field(state)[0]`` is
-    given: every stage state is clamped into the physical set before
-    the field is evaluated there, and so is the result.  The stage
-    evaluation is emitted once — ``step`` calls ``field`` — which keeps
-    the source, and with it the compile time, at half the fully pasted
-    form.
+    ``(deriv, tcp_rtts, rla_rtt, loads, ps)``.  ``run(state, dt,
+    total_steps, warmup_steps)`` takes that many classical RK4 steps,
+    clamping every stage state and the result into the physical set,
+    and returns the final state, the observables summed and the peak
+    queues over the steps after ``warmup_steps``.  With ``lump`` it
+    integrates one branch per exchangeable class, so ``state`` must be
+    equal across each class; ``field`` always sees every branch.
     """
     spec = model.spec
     n = model.n_state
-    n_tcp, n_bn = model.n_tcp, model.n_bottlenecks
-    state = _names("m", n)
+    reduced = _map(model, lump)
     lines = [
-        f"# fluid kernel: TCP cohorts {n_tcp}, RLA cohorts "
-        f"{len(spec.rla_cohorts)}, bottlenecks {n_bn}, state variables {n}",
+        f"# fluid kernel: TCP cohorts {model.n_tcp}, RLA cohorts "
+        f"{len(spec.rla_cohorts)}, bottlenecks {model.n_bottlenecks}, "
+        f"state variables {n}, integrated {len(set(reduced.state))}",
         "def field(state):",
-        f"    {_names('s', n)} = state",
+        f"    {_names('s', range(n))} = state",
     ]
-    lines += ["    " + line for line in _field_lines(model)]
+    lines += ["    " + line
+              for line in _field_lines(model, _map(model, False))]
     lines += [
-        f"    return ({_names('d', n)}, {_names('r', n_tcp)}, rr, "
-        f"{_names('l', n_bn)}, {_names('p', n_bn)})",
+        f"    return ({_names('d', range(n))}, "
+        f"{_names('r', range(model.n_tcp))}, rr, "
+        f"{_names('l', range(model.n_bottlenecks))}, "
+        f"{_names('p', range(model.n_bottlenecks))})",
         "",
-        "def step(state, k1, dt):",
-        f"    {_names('s', n)} = state",
-        f"    {_names('a', n)} = k1",
-        "    h = 0.5 * dt",
     ]
-    for update, stage in (("s{i} + h * a{i}", "b"),
-                          ("s{i} + h * b{i}", "c"),
-                          ("s{i} + dt * c{i}", "e")):
-        lines += ["    " + line for line in _stage_lines(model, update)]
-        lines.append(f"    {_names(stage, n)} = field({state})[0]")
-    lines.append("    h = dt / 6.0")
-    lines += ["    " + line for line in _stage_lines(
-        model, "s{i} + h * (a{i} + 2.0 * b{i} + 2.0 * c{i} + e{i})")]
-    lines.append(f"    return [{state[1:-1]}]")
+    lines += _run_lines(model, reduced)
     return "\n".join(lines) + "\n"
 
 
 def compile_kernel(source: str, name: str, owner: object) -> Kernel:
-    """``exec`` kernel source; returns its ``(field, step)`` pair.
+    """``exec`` kernel source; returns its ``(field, run)`` pair.
 
     The source is registered with :mod:`linecache` under
     ``<fluid kernel 'name' #serial>``, so a traceback through the kernel
@@ -289,4 +417,4 @@ def compile_kernel(source: str, name: str, owner: object) -> Kernel:
     weakref.finalize(owner, linecache.cache.pop, filename, None)
     namespace: Dict[str, object] = {}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["field"], namespace["step"]  # type: ignore[return-value]
+    return namespace["field"], namespace["run"]  # type: ignore[return-value]

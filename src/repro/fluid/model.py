@@ -81,10 +81,6 @@ class FluidModel:
         self.base_q = self.n_tcp + (1 if self.has_rla else 0)
         self.base_avg = self.base_q + self.n_bottlenecks
         self.n_state = self.base_avg + self.n_bottlenecks
-        #: Length of the :meth:`observe` vector.
-        self.n_observables = (self.n_state + self.n_tcp
-                              + len(spec.rla_cohorts)
-                              + 3 * self.n_bottlenecks)
         #: Bottleneck index of each TCP / RLA cohort, in spec order.
         self._tcp_at = tuple(c.bottleneck for c in spec.tcp_cohorts)
         self._rla_at = tuple(c.bottleneck for c in spec.rla_cohorts)
@@ -107,13 +103,24 @@ class FluidModel:
 
     @cached_property
     def kernel(self) -> Kernel:
-        """``(field, step)`` compiled from :attr:`kernel_source`, once.
+        """``(field, run)`` compiled from :attr:`kernel_source`, once.
 
-        ``field(state)`` is :meth:`field`; ``step(state, k1, dt)``
-        finishes the RK4 step whose first stage ``k1 = field(state)[0]``
-        is given.  A hot loop binds the pair once.
+        ``field(state)`` is :meth:`field`; ``run(state, dt, total_steps,
+        warmup_steps)`` is the whole fixed-step integration from a state
+        that is equal across exchangeable branches (the initial state
+        is).
         """
         return compile_kernel(self.kernel_source, self.spec.name, self)
+
+    @cached_property
+    def identity_run(self):
+        """``run`` with every branch its own representative: it steps
+        any state.  The kernel's own where nothing lumps; otherwise a
+        second compile, which only :func:`repro.fluid.rk4_step` asks for."""
+        source = kernel_source(self, lump=False)
+        if source == self.kernel_source:
+            return self.kernel[1]
+        return compile_kernel(source, self.spec.name, self)[1]
 
     def field(self, state: List[float]) -> FieldEval:
         """Evaluate the whole field at ``state`` in one pass.

@@ -127,7 +127,7 @@ def test_fluid_md_shows_the_source_it_says_it_shows():
     marker = "<!-- kernel: population_spec(1000) field -->\n```python\n"
     listing = doc.split(marker)[1].split("```")[0]
     source = FluidModel(population_spec(1_000)).kernel_source
-    assert listing.strip() and listing + "\ndef step" in source
+    assert listing.strip() and listing + "\ndef run" in source
 
 
 def test_one_row_compiles_one_kernel(monkeypatch):
