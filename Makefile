@@ -136,8 +136,9 @@ checkpoint-smoke:
 # 10^5-flow fluid point to prove the mean-field scaling path: the bounds
 # must hold and the RED equilibrium must be Reynier-stable.  Last, per
 # kernel: the state variables, the ones its run integrates (one per
-# class of exchangeable branches) and the emit + compile cost; the
-# 256-branch sweep point must integrate no more than the 4-branch one.
+# class of exchangeable branches) and the emit + compile cost; every
+# kernel must emit one function, and the 256-branch sweep point must
+# integrate no more than the 4-branch one.
 fluid-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/fluid/test_integrator_oracle.py \
 		tests/fluid/test_exchangeable.py tests/fluid/test_kernel.py \
@@ -164,13 +165,16 @@ fluid-smoke:
 	specs = {'pop100k': population_spec(100_000), 'sym4': sym(4), \
 	         'sym16': sym(16), 'sym256': sym(256)}; \
 	integrated = lambda spec: sum(bool(re.fullmatch('s[0-9]+', name)) \
-	    for name in FluidModel(spec).kernel[1].__code__.co_varnames); \
+	    for name in FluidModel(spec).kernel.__code__.co_varnames); \
 	print('\n'.join('kernel %-8s state %3d  integrated %2d  emit + compile %6.1f ms' % ( \
 	    name, FluidModel(spec).n_state, integrated(spec), \
 	    timeit.timeit(lambda: FluidModel(spec).kernel, number=1) * 1e3) \
 	    for name, spec in specs.items() if name != 'sym4')); \
+	defs = {name: FluidModel(spec).kernel_source.count('def ') \
+	        for name, spec in specs.items()}; \
+	assert set(defs.values()) == {1}, ('a kernel emits more than run', defs); \
 	assert integrated(specs['sym256']) == integrated(specs['sym4']), 'sym256 not reduced'; \
-	print('fluid smoke OK: sym256 integrates as many variables as sym4')"
+	print('fluid smoke OK: one emitted function per kernel; sym256 integrates as many variables as sym4')"
 
 # The dependency list is true: install the package *without* the test
 # extra into a clean venv (so the routing test oracle's graph library

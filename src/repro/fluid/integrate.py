@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from .model import FluidModel
+from .model import FluidModel, model_of
 from .spec import FluidSpec
 
 
@@ -51,15 +51,10 @@ def integrate(spec: FluidSpec,
     runs of the same spec execute the identical float-op sequence, all
     inside the kernel's ``run``.  ``model`` is ``FluidModel(spec)``
     where the caller already holds one; a model of another spec object,
-    even an equal one (``0.0 == -0.0``), would integrate its own kernel.
+    even an equal one, is refused (:func:`~repro.fluid.model.model_of`).
     """
     spec.validate()
-    if model is None:
-        model = FluidModel(spec)
-    elif model.spec is not spec:
-        raise ConfigurationError(
-            f"integrate({spec.name!r}) was handed the model of "
-            f"{model.spec.name!r}: pass FluidModel(spec) of this spec")
+    model = model_of(spec, model, "integrate")
     dt = spec.dt
     total_steps = round(spec.horizon / dt)
     warmup_steps = round(spec.warmup / dt)
@@ -68,7 +63,7 @@ def integrate(spec: FluidSpec,
             f"horizon {spec.horizon}s leaves no measured steps at dt={dt}"
         )
 
-    state, sums, peak_queue = model.kernel[1](
+    state, sums, peak_queue, _ = model.kernel(
         model.initial_state(), dt, total_steps, warmup_steps)
     measured = total_steps - warmup_steps
     return FluidResult(

@@ -3,16 +3,17 @@
 At 5-49 state variables the float work of one field evaluation is a few
 dozen operations, and a loop over cohort tuples spends several times
 that on tuple unpacking, list indexing and ``zip`` glue.  So the model
-is *compiled*: :func:`kernel_source` writes the vector field and the
-whole fixed-step RK4 integration of one
-:class:`~repro.fluid.spec.FluidSpec` as Python source — one scalar
-local per state variable, the per-cohort and per-bottleneck loops
-unrolled, every spec constant a literal — and :func:`compile_kernel`
-``exec``\\ s it once per model.
+is *compiled*: :func:`kernel_source` writes the whole fixed-step RK4
+integration of one :class:`~repro.fluid.spec.FluidSpec` as one Python
+function, ``run`` — one scalar local per state variable, the
+per-cohort and per-bottleneck loops unrolled, every spec constant a
+literal — and :func:`compile_kernel` ``exec``\\ s it once per model.
+:func:`_field_lines` is the one definition of the dynamics: every
+stage, every observable and the equilibrium's load read what it emits.
 
 Exchangeable branches (``_map``) that start equal stay equal, so the
-emitted ``run`` integrates one representative per class; ``field``
-always sees every branch.
+emitted ``run`` integrates one representative per class; under the
+identity map (``lump=False``) it steps any state.
 
 The float-operation order is a contract, and this module owns it:
 ``tests/fluid/reference.py`` keeps the step-by-step integrator the
@@ -49,15 +50,12 @@ if TYPE_CHECKING:
 #: Window floor, matching the jump-chain clamp ``max(W/2, 1)``.
 MIN_WINDOW = 1.0
 
-#: What the emitted ``field(state)`` returns:
-#: ``(deriv, tcp_rtts, rla_rtt, loads, ps)``.
-FieldEval = Tuple[Tuple[float, ...], Tuple[float, ...], float,
-                  Tuple[float, ...], Tuple[float, ...]]
-#: What the emitted ``run`` returns: ``(final_state, sums, peak_queue)``.
-RunResult = Tuple[List[float], Tuple[float, ...], Tuple[float, ...]]
-#: The emitted pair: ``field`` and ``run``.
-Kernel = Tuple[Callable[[Sequence[float]], FieldEval],
-               Callable[[Sequence[float], float, int, int], RunResult]]
+#: What the emitted ``run`` returns: ``(final_state, sums, peak_queue,
+#: deriv)``, ``deriv`` the field at ``final_state``.
+RunResult = Tuple[List[float], Tuple[float, ...], Tuple[float, ...],
+                  Tuple[float, ...]]
+#: The emitted ``run(state, dt, total_steps, warmup_steps)``.
+Kernel = Callable[[Sequence[float], float, int, int], RunResult]
 
 #: Numbers each compile's ``linecache`` filename; never part of the source.
 _serial = itertools.count(1)
@@ -77,9 +75,9 @@ def _lit(value: float) -> str:
     return f"({text})" if text.startswith("-") else text
 
 
-def _names(prefix: str, indices: Iterable[int]) -> str:
-    """``(p0, p1, ...)`` — a tuple display or an unpacking target."""
-    names = [f"{prefix}{i}" for i in indices]
+def _tuple(names: Iterable[str]) -> str:
+    """``(a, b, ...)`` — a tuple display of one or more names."""
+    names = list(names)
     return f"({names[0]},)" if len(names) == 1 else f"({', '.join(names)})"
 
 
@@ -90,11 +88,10 @@ def _first_of(keys: Iterable[Hashable]) -> Tuple[int, ...]:
 
 
 class _Map(NamedTuple):
-    """The representative of each bottleneck, cohort and state index."""
+    """The representative of each bottleneck, TCP cohort and state index."""
 
     bottleneck: Tuple[int, ...]
     tcp: Tuple[int, ...]
-    rla: Tuple[int, ...]
     state: Tuple[int, ...]
 
 
@@ -105,8 +102,9 @@ def _map(model: "FluidModel", lump: bool) -> _Map:
     Exchangeable means the same literals in every field but ``label``
     and the same ordered cohort lists in ``(flows | receivers,
     rtt_s)``, compared as ``repr`` text: ``0.0 == -0.0``, but the two
-    emit different kernels.  A cohort maps to the first cohort at its
-    position in an exchangeable bottleneck's list.
+    emit different kernels.  A TCP cohort maps to the first cohort at
+    its position in an exchangeable bottleneck's list.  (An RLA cohort
+    has no state; the code it emits is keyed by its text.)
     """
     spec = model.spec
     kinds = ((spec.tcp_cohorts, "flows"), (spec.rla_cohorts, "receivers"))
@@ -122,13 +120,19 @@ def _map(model: "FluidModel", lump: bool) -> _Map:
                for field in dataclasses.fields(bn) if field.name != "label"),
          tuple(listed.get((0, b), ())), tuple(listed.get((1, b), ())))
         if lump else b for b, bn in enumerate(spec.bottlenecks))
-    tcp, rla = (_first_of((reps[cohort.bottleneck], position)
-                          for cohort, position in zip(cohorts, at))
-                for (cohorts, _), at in zip(kinds, positions))
+    tcp = _first_of((reps[cohort.bottleneck], position)
+                    for cohort, position in zip(spec.tcp_cohorts,
+                                                positions[0]))
     rla_window = (model.idx_rla,) if model.has_rla else ()
     state = (tcp + rla_window + tuple(model.base_q + b for b in reps)
              + tuple(model.base_avg + b for b in reps))
-    return _Map(reps, tcp, rla, state)
+    return _Map(reps, tcp, state)
+
+
+def lumps(model: "FluidModel") -> bool:
+    """Whether some branch is exchangeable with an earlier one, so the
+    kernel's ``run`` is not the identity-map one."""
+    return _map(model, True) != _map(model, False)
 
 
 def _field_lines(model: "FluidModel", rep: _Map, src: str = "s",
@@ -139,7 +143,9 @@ def _field_lines(model: "FluidModel", rep: _Map, src: str = "s",
     the effective RTT of TCP cohort ``c``, ``rr`` the RLA session RTT,
     ``l{b}`` / ``p{b}`` the offered load and drop probability of
     bottleneck ``b``; ``x``, ``g`` and ``h`` are scratch.  Code is
-    emitted per representative; a lumped branch reads its locals.
+    emitted per representative; a lumped branch reads its locals.  An
+    RTT expression is computed once: a repeat reads the first
+    cohort's ``r{c}``.
     """
     spec = model.spec
     base_q, base_avg = model.base_q, model.base_avg
@@ -163,8 +169,11 @@ def _field_lines(model: "FluidModel", rep: _Map, src: str = "s",
         emit(f"l{b} = 0.0")
     own_tcp = [(c, cohort) for c, cohort in enumerate(spec.tcp_cohorts)
                if rep.tcp[c] == c]
+    rtts: Dict[str, str] = {}
     for c, cohort in own_tcp:
-        emit(f"r{c} = {rtt(cohort)}")
+        text = rtt(cohort)
+        emit(f"r{c} = {rtts.get(text, text)}")
+        rtts.setdefault(text, f"r{c}")
         emit(f"l{at(cohort)} += {_lit(float(cohort.flows))} * {src}{c} / r{c}")
 
     # Receivers behind one bottleneck lose *together* (one dropped copy
@@ -179,14 +188,17 @@ def _field_lines(model: "FluidModel", rep: _Map, src: str = "s",
                                      + cohort.receivers)
     groups = sorted(behind.items())
     if groups:
-        # The sender clocks on the worst receiver.  A lumped cohort's
-        # RTT repeats its representative's bits, and a repeat never
-        # wins a strict ``>``, so the distinct ones suffice.
+        # The sender clocks on the worst receiver.  Equal RTT text (a
+        # lumped cohort's and its representative's among them) means
+        # equal bits, and a repeat never wins a strict ``>``, so each
+        # distinct text is folded once.
         emit("rr = 0.0")
-        for c in dict.fromkeys(rep.rla):
-            emit(f"x = {rtt(spec.rla_cohorts[c])}")
-            emit("if x > rr:")
-            emit("    rr = x")
+        for text in dict.fromkeys(map(rtt, spec.rla_cohorts)):
+            if text not in rtts:
+                emit(f"x = {text}")
+            value = rtts.get(text, "x")
+            emit(f"if {value} > rr:")
+            emit(f"    rr = {value}")
         emit(f"rr = {_lit(spec.rla_rtt_factor)} * rr")
         emit("if rr > 0.0:")
         emit(f"    x = {src}{model.idx_rla} / rr")
@@ -303,36 +315,31 @@ def _run_lines(model: "FluidModel", rep: _Map) -> List[str]:
 
     Each iteration opens with the evaluation at the state the last step
     landed on: that step's observables and the next step's first stage.
-    ``o{j}`` sums entry ``j`` of :meth:`FluidModel.observe`'s layout from
-    ``-0.0`` (the additive identity that leaves a first ``-0.0`` alone);
-    ``top{b}`` is bottleneck ``b``'s peak queue.  A lumped entry repeats
-    its representative's bits and gets no sum of its own.
+    Each entry of :meth:`FluidModel.named`'s layout is an emitted
+    expression, and each distinct expression one accumulator summed
+    from ``-0.0`` (the additive identity that leaves a first ``-0.0``
+    alone): a lumped entry, like a second RLA cohort behind one
+    bottleneck, repeats a sum.  ``top{b}`` is bottleneck ``b``'s peak
+    queue.
     """
-    spec, n_state, n_bn = model.spec, model.n_state, model.n_bottlenecks
-    tcp_end = n_state + model.n_tcp
-    loss = tcp_end + len(spec.rla_cohorts)
-    observed = [(r, f"s{i}") for i, r in enumerate(rep.state)]
-    observed += [(n_state + r, f"(1.0 - p{rep.bottleneck[cohort.bottleneck]})"
-                  f" * s{c} / r{c}")
-                 for c, (r, cohort) in enumerate(zip(rep.tcp,
-                                                     spec.tcp_cohorts))]
-    observed += [(tcp_end + r,
-                  f"(1.0 - p{rep.bottleneck[cohort.bottleneck]}) * x")
-                 for r, cohort in zip(rep.rla, spec.rla_cohorts)]
-    for offset, expression in ((loss, "p{b}"), (loss + n_bn, "l{b}"),
-                               (loss + 2 * n_bn, "l{b} * p{b}")):
-        observed += [(offset + r, expression.format(b=b))
-                     for b, r in enumerate(rep.bottleneck)]
-    sums = [(j, term) for j, (r, term) in enumerate(observed) if r == j]
+    spec, bottleneck = model.spec, rep.bottleneck
+    observed = [f"s{r}" for r in rep.state]
+    observed += [f"(1.0 - p{bottleneck[cohort.bottleneck]}) * s{r} / r{r}"
+                 for r, cohort in zip(rep.tcp, spec.tcp_cohorts)]
+    observed += [f"(1.0 - p{bottleneck[cohort.bottleneck]}) * x"
+                 for cohort in spec.rla_cohorts]
+    for expression in ("p{b}", "l{b}", "l{b} * p{b}"):
+        observed += [expression.format(b=b) for b in bottleneck]
+    sums = {term: f"o{j}" for j, term in enumerate(dict.fromkeys(observed))}
     integrated = sorted(set(rep.state))
-    peaks = sorted(set(rep.bottleneck))
+    peaks = sorted(set(bottleneck))
 
     body = ["# landing evaluation: this step's observables, the next k1"]
     body += _field_lines(model, rep, "s", "a")
     body.append("if index >= warmup_steps:")
     if model.has_rla:
         body.append(f"    x = s{model.idx_rla} / rr")
-    body += [f"    o{j} += {term}" for j, term in sums]
+    body += [f"    {name} += {term}" for term, name in sums.items()]
     for b in peaks:
         q = f"s{model.base_q + b}"
         body += [f"    if {q} > top{b}:", f"        top{b} = {q}"]
@@ -354,61 +361,47 @@ def _run_lines(model: "FluidModel", rep: _Map) -> List[str]:
         "    sixth = dt / 6.0",
         "    last = total_steps - 1",
     ]
-    lines += [f"    o{j} = -0.0" for j, _ in sums]
+    lines += [f"    {name} = -0.0" for name in sums.values()]
     lines += [f"    top{b} = 0.0" for b in peaks]
     lines.append("    for index in range(-1, total_steps):")
     lines += ["        " + line for line in body]
     lines.append(
         f"    return ([{', '.join(f's{r}' for r in rep.state)}], "
-        f"{_names('o', (r for r, _ in observed))}, "
-        f"{_names('top', rep.bottleneck)})")
+        f"{_tuple(sums[term] for term in observed)}, "
+        f"{_tuple(f'top{b}' for b in bottleneck)}, "
+        f"{_tuple(f'a{r}' for r in rep.state)})")
     return lines
 
 
 def kernel_source(model: "FluidModel", lump: bool = True) -> str:
-    """Python source of ``field(state)`` and ``run(state, dt, ...)``.
+    """Python source of ``run(state, dt, total_steps, warmup_steps)``.
 
-    ``field`` evaluates the whole vector field in one pass and returns
-    ``(deriv, tcp_rtts, rla_rtt, loads, ps)``.  ``run(state, dt,
-    total_steps, warmup_steps)`` takes that many classical RK4 steps,
-    clamping every stage state and the result into the physical set,
-    and returns the final state, the observables summed and the peak
-    queues over the steps after ``warmup_steps``.  With ``lump`` it
-    integrates one branch per exchangeable class, so ``state`` must be
-    equal across each class; ``field`` always sees every branch.
+    ``run`` takes that many classical RK4 steps, clamping every stage
+    state and the result into the physical set, and returns the final
+    state, the observables summed and the peak queues over the steps
+    after ``warmup_steps``, and the derivative at the final state: so
+    ``run(state, 0.0, 0, -1)`` returns ``state``, the observables at it
+    and its derivative.  With ``lump`` it integrates one branch per
+    exchangeable class, so ``state`` must be equal across each class.
     """
     spec = model.spec
-    n = model.n_state
     reduced = _map(model, lump)
-    lines = [
-        f"# fluid kernel: TCP cohorts {model.n_tcp}, RLA cohorts "
-        f"{len(spec.rla_cohorts)}, bottlenecks {model.n_bottlenecks}, "
-        f"state variables {n}, integrated {len(set(reduced.state))}",
-        "def field(state):",
-        f"    {_names('s', range(n))} = state",
-    ]
-    lines += ["    " + line
-              for line in _field_lines(model, _map(model, False))]
-    lines += [
-        f"    return ({_names('d', range(n))}, "
-        f"{_names('r', range(model.n_tcp))}, rr, "
-        f"{_names('l', range(model.n_bottlenecks))}, "
-        f"{_names('p', range(model.n_bottlenecks))})",
-        "",
-    ]
-    lines += _run_lines(model, reduced)
-    return "\n".join(lines) + "\n"
+    header = (f"# fluid kernel: TCP cohorts {model.n_tcp}, RLA cohorts "
+              f"{len(spec.rla_cohorts)}, bottlenecks {model.n_bottlenecks}, "
+              f"state variables {model.n_state}, integrated "
+              f"{len(set(reduced.state))}")
+    return "\n".join([header] + _run_lines(model, reduced)) + "\n"
 
 
 def compile_kernel(source: str, name: str, owner: object) -> Kernel:
-    """``exec`` kernel source; returns its ``(field, run)`` pair.
+    """``exec`` kernel source; returns its ``run``.
 
     The source is registered with :mod:`linecache` under
     ``<fluid kernel 'name' #serial>``, so a traceback through the kernel
     shows the generated line.  The serial makes the entry this
     compile's own (two live models of one spec do not share it) and
     stays out of the source, which remains a pure function of the spec;
-    the entry goes when ``owner`` (the model holding the pair) does, so
+    the entry goes when ``owner`` (the model holding ``run``) does, so
     a long-lived worker does not keep the text of every spec it ever ran.
     """
     filename = f"<fluid kernel {name!r} #{next(_serial)}>"
@@ -417,4 +410,4 @@ def compile_kernel(source: str, name: str, owner: object) -> Kernel:
     weakref.finalize(owner, linecache.cache.pop, filename, None)
     namespace: Dict[str, object] = {}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["field"], namespace["run"]  # type: ignore[return-value]
+    return namespace["run"]  # type: ignore[return-value]

@@ -39,16 +39,10 @@ derivation):
 from __future__ import annotations
 
 from functools import cached_property
-from operator import mul
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .kernel import (
-    MIN_WINDOW,
-    FieldEval,
-    Kernel,
-    compile_kernel,
-    kernel_source,
-)
+from ..errors import ConfigurationError
+from .kernel import MIN_WINDOW, Kernel, compile_kernel, kernel_source, lumps
 from .spec import FluidSpec
 
 
@@ -59,15 +53,15 @@ class FluidModel:
     kernel :mod:`repro.fluid.kernel` emits for the spec — scalar locals,
     unrolled loops, constants as literals — compiled on first use of
     :attr:`kernel`, so a caller that needs only indices (the equilibrium
-    state) pays nothing, and one :meth:`field` call is O(cohorts +
+    state) pays nothing, and one field evaluation is O(cohorts +
     bottlenecks) float work with no walks over the frozen spec,
     regardless of how many flows the cohorts describe.  The caller
     validates the spec (:func:`repro.fluid.integrate` and the
     equilibrium solver do).
 
-    The float-operation order of the kernel and of :meth:`observe` is a
-    contract (see :mod:`repro.fluid.kernel`): ``tests/fluid/reference.py``
-    keeps the step-by-step code this class replaced, and
+    The float-operation order of the kernel is a contract (see
+    :mod:`repro.fluid.kernel`): ``tests/fluid/reference.py`` keeps the
+    step-by-step code this class replaced, and
     ``tests/fluid/test_integrator_oracle.py`` requires bit-identical
     results.
     """
@@ -81,9 +75,6 @@ class FluidModel:
         self.base_q = self.n_tcp + (1 if self.has_rla else 0)
         self.base_avg = self.base_q + self.n_bottlenecks
         self.n_state = self.base_avg + self.n_bottlenecks
-        #: Bottleneck index of each TCP / RLA cohort, in spec order.
-        self._tcp_at = tuple(c.bottleneck for c in spec.tcp_cohorts)
-        self._rla_at = tuple(c.bottleneck for c in spec.rla_cohorts)
 
     # ------------------------------------------------------------------
     # State construction
@@ -103,78 +94,44 @@ class FluidModel:
 
     @cached_property
     def kernel(self) -> Kernel:
-        """``(field, run)`` compiled from :attr:`kernel_source`, once.
-
-        ``field(state)`` is :meth:`field`; ``run(state, dt, total_steps,
-        warmup_steps)`` is the whole fixed-step integration from a state
-        that is equal across exchangeable branches (the initial state
-        is).
-        """
+        """``run(state, dt, total_steps, warmup_steps)`` compiled from
+        :attr:`kernel_source`, once: the whole fixed-step integration
+        from a state that is equal across exchangeable branches (the
+        initial state is)."""
         return compile_kernel(self.kernel_source, self.spec.name, self)
 
     @cached_property
-    def identity_run(self):
+    def identity_run(self) -> Kernel:
         """``run`` with every branch its own representative: it steps
         any state.  The kernel's own where nothing lumps; otherwise a
-        second compile, which only :func:`repro.fluid.rk4_step` asks for."""
-        source = kernel_source(self, lump=False)
-        if source == self.kernel_source:
-            return self.kernel[1]
-        return compile_kernel(source, self.spec.name, self)[1]
+        second compile, which only a caller with an arbitrary state
+        (:func:`repro.fluid.rk4_step`, :meth:`derivatives`) asks for."""
+        if not lumps(self):
+            return self.kernel
+        return compile_kernel(kernel_source(self, lump=False),
+                              self.spec.name, self)
 
-    def field(self, state: List[float]) -> FieldEval:
-        """Evaluate the whole field at ``state`` in one pass.
-
-        Returns ``(deriv, tcp_rtts, rla_rtt, loads, ps)``: the time
-        derivative of the state vector, plus the intermediates every
-        observable is made of — the effective RTT of each TCP cohort
-        (propagation plus queueing delay ``q/C``), the RLA session RTT
-        (``rla_rtt_factor`` times the *worst* cohort's effective RTT,
-        since the sender clocks on the worst receiver; 0.0 with no RLA
-        cohorts), the offered load per bottleneck (``sum flows * W/R``
-        plus one multicast copy) and the drop probability per
-        bottleneck under its discipline.
-        """
-        return self.kernel[0](state)
-
-    def derivatives(self, state: List[float]) -> Tuple[float, ...]:
+    def derivatives(self, state: Sequence[float]) -> Tuple[float, ...]:
         """Time derivative of the full state vector at ``state``."""
-        return self.kernel[0](state)[0]
+        return self.identity_run(state, 0.0, 0, -1)[3]
 
     # ------------------------------------------------------------------
     # Measurement
     # ------------------------------------------------------------------
-    def observe(self, state: List[float],
-                evaluation: FieldEval) -> List[float]:
-        """Flat observable vector at ``state`` given its field evaluation.
+    def named(self, flat: Sequence[float]) -> Dict[str, Tuple[float, ...]]:
+        """Split the kernel's observable vector into named tuples.
 
-        Layout (what :meth:`named` splits): the state vector itself
-        (TCP windows, RLA window, queues, RED averages), then per-TCP-
-        cohort goodput, per-RLA-cohort goodput, and per bottleneck the
-        loss, arrival rate and drop rate.  Goodputs are per-flow
-        (per-receiver for RLA): the delivered rate ``(1-p) W / R``.
-        """
-        _, tcp_rtts, rla_rtt, loads, ps = evaluation
-        out = state[:]
-        out += [(1.0 - ps[b]) * w / rtt
-                for b, w, rtt in zip(self._tcp_at, state, tcp_rtts)]
-        if self.has_rla:
-            rla_send = state[self.idx_rla] / rla_rtt
-            out += [(1.0 - ps[b]) * rla_send for b in self._rla_at]
-        out += ps
-        out += loads
-        out.extend(map(mul, loads, ps))
-        return out
-
-    def named(self, flat: List[float]) -> Dict[str, Tuple[float, ...]]:
-        """Split a vector laid out by :meth:`observe` into named tuples.
-
-        The RLA goodput tuple is per *cohort*; the session-level figure
-        of merit is its min (worst receiver).
+        Layout: the state vector itself (TCP windows, RLA window,
+        queues, RED averages), then per-TCP-cohort goodput, per-RLA-
+        cohort goodput, and per bottleneck the loss, arrival rate and
+        drop rate.  Goodputs are per-flow (per-receiver for RLA): the
+        delivered rate ``(1-p) W / R``.  The RLA goodput tuple is per
+        *cohort*; the session-level figure of merit is its min (worst
+        receiver).
         """
         n_tcp, base_q, base_avg = self.n_tcp, self.base_q, self.base_avg
         tcp_end = self.n_state + n_tcp
-        rla_end = tcp_end + len(self._rla_at)
+        rla_end = tcp_end + len(self.spec.rla_cohorts)
         loss_end = rla_end + self.n_bottlenecks
         arrival_end = loss_end + self.n_bottlenecks
         return {
@@ -190,6 +147,23 @@ class FluidModel:
         }
 
     def instantaneous(self,
-                      state: List[float]) -> Dict[str, Tuple[float, ...]]:
+                      state: Sequence[float]) -> Dict[str, Tuple[float, ...]]:
         """Named instantaneous observables at ``state``."""
-        return self.named(self.observe(state, self.field(state)))
+        return self.named(self.identity_run(state, 0.0, 0, -1)[1])
+
+
+def model_of(spec: FluidSpec, model: Optional[FluidModel],
+             caller: str) -> FluidModel:
+    """``model`` if it is the model of this very ``spec`` object, a new
+    ``FluidModel(spec)`` if it is None.
+
+    A model of another spec object is refused, even of an equal one:
+    ``0.0 == -0.0``, yet the two emit different kernels.
+    """
+    if model is None:
+        return FluidModel(spec)
+    if model.spec is not spec:
+        raise ConfigurationError(
+            f"{caller}({spec.name!r}) was handed the model of "
+            f"{model.spec.name!r}: pass FluidModel(spec) of this spec")
+    return model

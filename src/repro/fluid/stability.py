@@ -10,9 +10,10 @@ check constructively for a single-bottleneck :class:`FluidSpec`:
 1. solve the fixed point exactly — windows from the closed forms of
    :mod:`repro.models` (which *are* the ODE equilibria by construction),
    the queue from inverting the drop profile, and the residual
-   ``A(p) (1-p) - C`` bisected over the drop probability (the residual
-   is strictly decreasing in ``p``: higher loss shrinks every window
-   and, through the queue, stretches every RTT);
+   ``A(p) (1-p) - C`` bisected over the drop probability, ``A(p)`` the
+   kernel's ``arrival`` observable at those windows and that queue (the
+   residual is strictly decreasing in ``p``: higher loss shrinks every
+   window and, through the queue, stretches every RTT);
 2. linearize :meth:`FluidModel.derivatives` at the fixed point by
    central finite differences and report the **stability margin**
    ``-max Re(eig(J))`` — positive means locally asymptotically stable,
@@ -31,13 +32,13 @@ from __future__ import annotations
 
 import cmath
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..models.rla_drift import rla_window_groups
 from ..models.tcp_formula import pa_window
-from .model import FluidModel
+from .model import FluidModel, model_of
 from .spec import FluidSpec
 
 #: Bisection iterations for the equilibrium drop probability.  Fixed
@@ -113,80 +114,78 @@ def _queue_at(spec: FluidSpec, p: float) -> float:
     return bn.min_th + (p / bn.max_p) * (bn.max_th - bn.min_th)
 
 
-def _arrival_at(spec: FluidSpec, p: float) -> float:
-    """Offered load at loss ``p`` with equilibrium windows and queue."""
-    bn = _single_bottleneck(spec)
-    q = _queue_at(spec, p)
+def _state(model: FluidModel, tcp_windows: Sequence[float],
+           rla_window: Optional[float], queue: float) -> List[float]:
+    """The ODE state holding these windows and this queue (RED's
+    average at the queue)."""
+    state = model.initial_state()
+    state[:len(tcp_windows)] = tcp_windows
+    if rla_window is not None and model.has_rla:
+        state[model.idx_rla] = rla_window
+    state[model.base_q] = queue
+    if model.spec.bottlenecks[0].discipline == "red":
+        state[model.base_avg] = queue
+    return state
+
+
+def _report(model: FluidModel, status: str, p: float) -> EquilibriumReport:
+    """The fixed point at loss ``p``: the closed-form windows, the queue
+    ``p`` implies on the profile, and the kernel's ``arrival`` there."""
+    spec = model.spec
     tcp_windows, rla_window = _equilibrium_windows(spec, p)
-    load = 0.0
-    for cohort, w in zip(spec.tcp_cohorts, tcp_windows):
-        load += cohort.flows * w / (cohort.rtt_s + q / bn.capacity_pps)
-    if rla_window is not None:
-        rla_rtt = spec.rla_rtt_factor * max(
-            cohort.rtt_s + q / bn.capacity_pps
-            for cohort in spec.rla_cohorts
-        )
-        load += rla_window / rla_rtt
-    return load
+    queue = _queue_at(spec, p)
+    state = _state(model, tcp_windows, rla_window, queue)
+    return EquilibriumReport(status, p, queue, tuple(tcp_windows), rla_window,
+                             model.instantaneous(state)["arrival"][0], None)
 
 
-def _residual(spec: FluidSpec, p: float) -> float:
+def _residual(model: FluidModel, p: float) -> float:
     """Queue balance ``A(p)(1-p) - C``; zero at the fixed point."""
-    bn = _single_bottleneck(spec)
-    return _arrival_at(spec, p) * (1.0 - p) - bn.capacity_pps
+    load = _report(model, "interior", p).arrival_pps
+    return load * (1.0 - p) - _single_bottleneck(model.spec).capacity_pps
 
 
-def solve_equilibrium(spec: FluidSpec) -> EquilibriumReport:
-    """Fixed point of a single-bottleneck spec (no stability analysis)."""
+def solve_equilibrium(spec: FluidSpec,
+                      model: Optional[FluidModel] = None) -> EquilibriumReport:
+    """Fixed point of a single-bottleneck spec (no stability analysis).
+
+    ``model`` is ``FluidModel(spec)`` where the caller already holds
+    one (a model of another spec object is refused): the load at a
+    probe is its kernel's ``arrival``.
+    """
     spec.validate()
     bn = _single_bottleneck(spec)
+    model = model_of(spec, model, "solve_equilibrium")
 
     if bn.discipline == "fixed":
-        p = bn.loss_p
-        if p <= 0.0:
+        if bn.loss_p <= 0.0:
             return EquilibriumReport("lossless", 0.0, 0.0, (), None,
                                      0.0, None)
-        tcp_windows, rla_window = _equilibrium_windows(spec, p)
-        return EquilibriumReport(
-            status="interior", p=p, queue=0.0,
-            tcp_windows=tuple(tcp_windows), rla_window=rla_window,
-            arrival_pps=_arrival_at(spec, p), stability_margin=None,
-        )
+        return _report(model, "interior", bn.loss_p)
 
     # The top of the continuous drop profile: RED's linear region ends
     # at max_p; drop-tail's excess-rate loss is bounded below 1, and so
     # is every loss the window formulas take (max_p may be 1).
     p_hi = min(bn.max_p if bn.discipline == "red" else 1.0, 1.0 - 1e-9)
-    if _residual(spec, P_FLOOR) <= 0.0:
+    if _residual(model, P_FLOOR) <= 0.0:
         # Demand never fills the profile: effectively lossless.
         return EquilibriumReport(
             "lossless", 0.0, 0.0 if bn.discipline == "red"
             else min(bn.buffer_pkts, 0.0), (), None,
-            _arrival_at(spec, P_FLOOR), None,
+            _report(model, "lossless", P_FLOOR).arrival_pps, None,
         )
-    if _residual(spec, p_hi) >= 0.0:
+    if _residual(model, p_hi) >= 0.0:
         # Even maximal profile loss can't absorb the demand.
-        tcp_windows, rla_window = _equilibrium_windows(spec, p_hi)
-        return EquilibriumReport(
-            "saturated", p_hi, _queue_at(spec, p_hi),
-            tuple(tcp_windows), rla_window,
-            _arrival_at(spec, p_hi), None,
-        )
+        return _report(model, "saturated", p_hi)
 
     lo, hi = P_FLOOR, p_hi
     for _ in range(BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        if _residual(spec, mid) > 0.0:
+        if _residual(model, mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    p = 0.5 * (lo + hi)
-    tcp_windows, rla_window = _equilibrium_windows(spec, p)
-    return EquilibriumReport(
-        status="interior", p=p, queue=_queue_at(spec, p),
-        tcp_windows=tuple(tcp_windows), rla_window=rla_window,
-        arrival_pps=_arrival_at(spec, p), stability_margin=None,
-    )
+    return _report(model, "interior", 0.5 * (lo + hi))
 
 
 def equilibrium_state(model: FluidModel,
@@ -195,15 +194,8 @@ def equilibrium_state(model: FluidModel,
 
     Uses ``model`` for the state layout only: no kernel is compiled.
     """
-    state = model.initial_state()
-    for c, w in enumerate(report.tcp_windows):
-        state[c] = w
-    if report.rla_window is not None and model.has_rla:
-        state[model.idx_rla] = report.rla_window
-    state[model.base_q] = report.queue
-    if model.spec.bottlenecks[0].discipline == "red":
-        state[model.base_avg] = report.queue
-    return state
+    return _state(model, report.tcp_windows, report.rla_window,
+                  report.queue)
 
 
 def _balance(a: List[List[float]]) -> None:
@@ -373,16 +365,9 @@ def reynier_check(spec: FluidSpec,
     """Solve the fixed point and attach its stability margin.
 
     ``model`` is ``FluidModel(spec)`` where the caller already holds one
-    (``run_fluid`` does, so a row compiles one kernel).
+    (``run_fluid`` does, so a row compiles one kernel: the equilibrium's
+    load and the linearization both read it).
     """
-    report = solve_equilibrium(spec)
-    if model is None:
-        model = FluidModel(spec)
-    margin = stability_margin(model, report)
-    if margin is None:
-        return report
-    return EquilibriumReport(
-        status=report.status, p=report.p, queue=report.queue,
-        tcp_windows=report.tcp_windows, rla_window=report.rla_window,
-        arrival_pps=report.arrival_pps, stability_margin=margin,
-    )
+    model = model_of(spec, model, "reynier_check")
+    report = solve_equilibrium(spec, model)
+    return replace(report, stability_margin=stability_margin(model, report))

@@ -22,6 +22,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping
@@ -41,8 +42,11 @@ def _canonical_value(value: Any) -> Any:
         return [_canonical_value(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(_canonical_value(v) for v in value)
-    if isinstance(value, float) and value.is_integer():
+    if isinstance(value, float) and value.is_integer() and (
+            value or math.copysign(1.0, value) > 0.0):
         # 20.0 and 20 describe the same run; do not double-cache it.
+        # -0.0 stays a float: a run can report it back (a fixed loss of
+        # -0.0 reads -0.0 in its row), so it is not the run of 0.
         return int(value)
     if value is None or isinstance(value, (bool, int, float, str)):
         return value

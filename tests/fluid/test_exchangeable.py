@@ -7,8 +7,8 @@ integration starts from a state equal across each class.  These tests
 hold the reduced ``run`` to the frozen step-by-step integrator in
 ``reference.py`` on specs built to repeat and interleave branches, pin
 the rule's edges (a label lumps; one ulp and a signed zero do not),
-check that the reduction happens, and that ``integrate`` refuses a
-model of another spec.
+check that the reduction happens, and that ``integrate`` and the
+equilibrium refuse a model of another spec.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from repro.fluid import (
     RlaCohortSpec,
     TcpCohortSpec,
     integrate,
+    reynier_check,
+    solve_equilibrium,
     symmetric_fluid_spec,
 )
 
@@ -42,7 +44,7 @@ def _same_as_reference(spec):
 
 def _integrated(model):
     """The state locals the compiled ``run`` integrates."""
-    return [name for name in model.kernel[1].__code__.co_varnames
+    return [name for name in model.kernel.__code__.co_varnames
             if re.fullmatch(r"s\d+", name)]
 
 
@@ -163,7 +165,7 @@ def test_reduced_run_is_bit_identical_to_every_branch_run():
     model = FluidModel(spec)
     assert len(_integrated(model)) < model.n_state
     steps = (spec.dt, round(spec.horizon / spec.dt), round(0.1 / spec.dt))
-    reduced = model.kernel[1](model.initial_state(), *steps)
+    reduced = model.kernel(model.initial_state(), *steps)
     every = model.identity_run(model.initial_state(), *steps)
     assert pickle.dumps(reduced) == pickle.dumps(every)
 
@@ -178,3 +180,9 @@ def test_integrate_refuses_a_model_of_another_spec():
     with pytest.raises(ConfigurationError, match="model of"):
         integrate(spec, FluidModel(spec.replace()))
     assert integrate(spec, FluidModel(spec)).steps == 600
+    # the equilibrium reads its load from the model's kernel: the same rule
+    one = FluidSpec(name="one", bottlenecks=(QUEUE,),
+                    tcp_cohorts=(TcpCohortSpec(3, 0.1),))
+    for check in (solve_equilibrium, reynier_check):
+        with pytest.raises(ConfigurationError, match="model of"):
+            check(one, FluidModel(one.replace()))

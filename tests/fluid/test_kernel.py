@@ -17,20 +17,25 @@ import linecache
 import math
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import traceback
 
 import pytest
 
+import reference
 import repro.fluid.model
 from repro.errors import ConfigurationError
 from repro.experiments.population import population_spec
+from repro.experiments.sweeps import sweep
 from repro.fluid import (
     BottleneckSpec,
     FluidModel,
     FluidSpec,
+    RlaCohortSpec,
     TcpCohortSpec,
+    integrate,
     run_fluid,
 )
 
@@ -96,7 +101,7 @@ def test_exception_inside_the_kernel_shows_the_generated_line():
     # q = -1000 makes the effective RTT 0.1 - 0.1 = 0 and the load
     # divides by it.  (No clamped state gets there.)
     try:
-        model.field([2.0, -1000.0, 0.0])
+        model.derivatives([2.0, -1000.0, 0.0])
     except ZeroDivisionError:
         text = traceback.format_exc()
     else:
@@ -109,8 +114,8 @@ def test_exception_inside_the_kernel_shows_the_generated_line():
     # when the first is collected.
     twin = FluidModel(spec)
     assert twin.kernel_source == model.kernel_source
-    filename = model.kernel[0].__code__.co_filename
-    twin_filename = twin.kernel[0].__code__.co_filename
+    filename = model.kernel.__code__.co_filename
+    twin_filename = twin.kernel.__code__.co_filename
     assert filename != twin_filename
     del model
     gc.collect()
@@ -123,11 +128,29 @@ def test_exception_inside_the_kernel_shows_the_generated_line():
 
 
 def test_fluid_md_shows_the_source_it_says_it_shows():
+    """docs/FLUID.md lists ``run``'s head through its landing evaluation."""
     doc = (SRC.parent / "docs" / "FLUID.md").read_text()
-    marker = "<!-- kernel: population_spec(1000) field -->\n```python\n"
+    marker = "<!-- kernel: population_spec(1000) run -->\n```python\n"
     listing = doc.split(marker)[1].split("```")[0]
     source = FluidModel(population_spec(1_000)).kernel_source
-    assert listing.strip() and listing + "\ndef run" in source
+    head = source[source.index("def run"):]
+    assert listing == head[:head.index("break\n") + len("break\n")]
+
+
+def test_population_source_computes_each_expression_once():
+    """An RLA cohort reads the ``r{c}`` of the TCP cohort with its RTT,
+    and the two RLA cohorts behind bottleneck 0 share one sum."""
+    spec = population_spec(1_000)
+    model = FluidModel(spec)
+    source = model.kernel_source
+    assert source.count("def ") == 1
+    for cohort in spec.tcp_cohorts + spec.rla_cohorts:
+        landing = f"{cohort.rtt_s!r} + s3 / 93750.0"
+        assert source.count(landing) == 1, landing
+        assert source.count(landing.replace("s3", "m3")) == 3, landing
+    assert source.count("(1.0 - p0) * x\n") == 1
+    first, second = model.instantaneous(model.initial_state())["rla_goodput"]
+    assert first.hex() == second.hex()
 
 
 def test_one_row_compiles_one_kernel(monkeypatch):
@@ -140,10 +163,50 @@ def test_one_row_compiles_one_kernel(monkeypatch):
 
     monkeypatch.setattr(repro.fluid.model, "compile_kernel", counting)
     row = run_fluid(population_spec(1_000, duration=2.0, warmup=1.0))
-    # integrate + equilibrium_state + stability_margin: one model's
-    # kernel serves all three (the margin is there, so it was used).
+    # integrate, the equilibrium's load and stability_margin: one
+    # model's kernel serves all three (the margin is there, so it was
+    # used).
     assert row["equilibrium"]["stability_margin"] is not None
     assert len(builds) == 1
+
+
+def test_shared_rtt_is_computed_once_and_bit_identical():
+    """Two TCP cohorts and an RLA cohort at one RTT: one computation per
+    evaluation, the others read it, and the run is the reference's."""
+    spec = FluidSpec(
+        name="shared rtt", duration=0.5, warmup=0.1,
+        bottlenecks=(BottleneckSpec(capacity_pps=300.0, buffer_pkts=25.0),),
+        tcp_cohorts=(TcpCohortSpec(2, 0.1), TcpCohortSpec(5, 0.1)),
+        rla_cohorts=(RlaCohortSpec(3, 0.1),),
+    )
+    source = FluidModel(spec).kernel_source
+    assert source.count("0.1 + s3 / 300.0") == 1
+    assert source.count("0.1 + m3 / 300.0") == 3
+    assert source.count("r1 = r0\n") == 4
+    assert source.count("if r0 > rr:") == 4
+    assert (pickle.dumps(integrate(spec))
+            == pickle.dumps(reference.integrate(spec)))
+
+
+def test_fluid_sweep_row_compiles_run_alone(monkeypatch):
+    """A multi-bottleneck row never reads a field at an arbitrary state,
+    so it compiles the lumped ``run`` and nothing else."""
+    sources = []
+    compile_kernel = repro.fluid.model.compile_kernel
+
+    def recording(source, filename, owner):
+        sources.append(source)
+        return compile_kernel(source, filename, owner)
+
+    monkeypatch.setattr(repro.fluid.model, "compile_kernel", recording)
+    monkeypatch.setattr(FluidModel, "identity_run", property(
+        lambda model: pytest.fail("built the identity-map run")))
+    [row] = sweep("n_receivers", [256], duration=0.2, warmup=0.1,
+                  backend="fluid")
+    assert row["n_receivers"] == 256
+    [source] = sources
+    assert source.count("def ") == 1 and "def field" not in source
+    assert "state variables 769, integrated 4\n" in source
 
 
 def test_layout_alone_compiles_nothing(monkeypatch):

@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.runner import TreeExperimentSpec, tree_runspec
-from repro.lifecycle import SPEC_ENTRYPOINT
+from repro.fluid import BottleneckSpec, FluidSpec, TcpCohortSpec, run_fluid
+from repro.lifecycle import SPEC_ENTRYPOINT, runspec
 from repro.runtime import RunSpec, code_version
 from repro.topology.cases import TREE_CASES
 
@@ -26,6 +27,26 @@ def test_canonical_distinguishes_params_and_entrypoint():
     assert base != RunSpec(ECHO, {"x": 2})
     assert base != RunSpec("repro.runtime._testing:boom", {"x": 1})
     assert base.key() != RunSpec(ECHO, {"x": 2}).key()
+
+
+def test_signed_zero_keeps_its_own_key():
+    """``-0.0`` is integral like ``20.0``, but a run of it is not the run
+    of ``0``: a fixed-loss fluid row reports ``loss_p`` back, so the two
+    rows differ and must not share a cache entry."""
+    def fixed(loss_p):
+        return FluidSpec(
+            name="fixed", duration=0.2, warmup=0.1,
+            bottlenecks=(BottleneckSpec(capacity_pps=10_000.0,
+                                        discipline="fixed", loss_p=loss_p),),
+            tcp_cohorts=(TcpCohortSpec(3, 0.1),))
+
+    losses = [run_fluid(fixed(loss_p))["mean_loss"] for loss_p in (0.0, -0.0)]
+    assert [p.hex() for [p] in losses] == ["0x0.0p+0", "-0x0.0p+0"]
+    assert runspec(fixed(0.0)).key() != runspec(fixed(-0.0)).key()
+    assert RunSpec(ECHO, {"x": -0.0}) != RunSpec(ECHO, {"x": 0})
+    # every other integral float still keys like its int
+    assert RunSpec(ECHO, {"x": [0.0, 20.0, -3.0]}) == RunSpec(
+        ECHO, {"x": [0, 20, -3]})
 
 
 def test_key_mixes_code_version():
