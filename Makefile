@@ -136,9 +136,11 @@ checkpoint-smoke:
 # 10^5-flow fluid point to prove the mean-field scaling path: the bounds
 # must hold and the RED equilibrium must be Reynier-stable.  Last, per
 # kernel: the state variables, the ones its run integrates (one per
-# class of exchangeable branches) and the emit + compile cost; every
+# class of exchangeable branches), the G/H factors one field evaluation
+# computes (one per distinct factor) and the emit + compile cost; every
 # kernel must emit one function, and the 256-branch sweep point must
-# integrate no more than the 4-branch one.
+# integrate no more variables, and compute no more factors, than the
+# 4-branch one.
 fluid-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/fluid/test_integrator_oracle.py \
 		tests/fluid/test_exchangeable.py tests/fluid/test_kernel.py \
@@ -166,15 +168,18 @@ fluid-smoke:
 	         'sym16': sym(16), 'sym256': sym(256)}; \
 	integrated = lambda spec: sum(bool(re.fullmatch('s[0-9]+', name)) \
 	    for name in FluidModel(spec).kernel.__code__.co_varnames); \
-	print('\n'.join('kernel %-8s state %3d  integrated %2d  emit + compile %6.1f ms' % ( \
-	    name, FluidModel(spec).n_state, integrated(spec), \
+	factors = lambda spec: len(re.findall('[+] p[0-9]+ [*] ', \
+	    FluidModel(spec).kernel_source)) // 4; \
+	print('\n'.join('kernel %-8s state %3d  integrated %2d  G/H factors %d  emit + compile %6.1f ms' % ( \
+	    name, FluidModel(spec).n_state, integrated(spec), factors(spec), \
 	    timeit.timeit(lambda: FluidModel(spec).kernel, number=1) * 1e3) \
 	    for name, spec in specs.items() if name != 'sym4')); \
 	defs = {name: FluidModel(spec).kernel_source.count('def ') \
 	        for name, spec in specs.items()}; \
 	assert set(defs.values()) == {1}, ('a kernel emits more than run', defs); \
 	assert integrated(specs['sym256']) == integrated(specs['sym4']), 'sym256 not reduced'; \
-	print('fluid smoke OK: one emitted function per kernel; sym256 integrates as many variables as sym4')"
+	assert factors(specs['sym256']) == factors(specs['sym4']), 'sym256 repeats a G/H factor'; \
+	print('fluid smoke OK: one emitted function per kernel; sym256 integrates as many variables, and computes as many G/H factors, as sym4')"
 
 # The dependency list is true: install the package *without* the test
 # extra into a clean venv (so the routing test oracle's graph library
@@ -200,8 +205,9 @@ import-smoke:
 # asserting what `import repro.cli`, each subcommand and a cache replay may
 # load), then what the two commonest start-ups cost on this machine — the
 # modules each loads (repro's among them) and the summed `-X importtime`
-# of its top-level imports: `import repro.cli`, and a `fig7 --cases 1
-# --cache` replay of the run just before it (which must simulate nothing).
+# of its top-level imports: `import repro.cli`, a `fig7 --cases 1
+# --cache` replay of the run just before it (which must simulate nothing),
+# and `fluid scale --counts 1000`, which loads no packet simulator.
 STARTUP_CACHE := .startup-smoke-cache
 startup-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_import_budget.py
@@ -212,7 +218,9 @@ startup-smoke:
 	runs = [('import repro.cli', ['-c', 'import repro.cli']), \
 	        ('fig7 --cases 1 --cache (warm)', ['-m', 'repro.cli', 'fig7', \
 	         '--cases', '1', '--duration', '2', '--warmup', '1', \
-	         '--cache', '$(STARTUP_CACHE)', '--metrics'])]; \
+	         '--cache', '$(STARTUP_CACHE)', '--metrics']), \
+	        ('fluid scale --counts 1000', ['-m', 'repro.cli', 'fluid', \
+	         'scale', '--counts', '1000'])]; \
 	done = [(name, subprocess.run([sys.executable, '-X', 'importtime', *argv], \
 	         check=True, capture_output=True, text=True)) for name, argv in runs]; \
 	assert 'simulated work: 0.00 s' in done[1][1].stdout, done[1][1].stdout; \

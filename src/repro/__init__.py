@@ -57,6 +57,8 @@ Quick start::
     print(tcp.report(), rla.report())
 """
 
+from typing import Iterable
+
 from .errors import (
     ConfigurationError,
     ReproError,
@@ -68,26 +70,38 @@ from .errors import (
 
 __version__ = "1.0.0"
 
-#: The quick-start names, by the subpackage that defines them.  They load
-#: on first use (PEP 562), so ``import repro.cli`` and a cache replay pay
-#: for no simulator module.
-_LAZY = {
-    "net": ("DropTailQueue", "GatewayFactory", "Network", "Node", "Packet",
-            "QueueMonitor", "REDQueue"),
-    "rla": ("RLAConfig", "RLAReceiver", "RLASender", "RLASession"),
-    "sim": ("Simulator",),
-    "tcp": ("TcpConfig", "TcpFlow", "TcpReceiver", "TcpSender"),
-}
+
+def lazy_exports(package: str, entries: Iterable[str]):
+    """``(__getattr__, names)`` for a package root that re-exports each
+    ``"repro.module:name"`` entry (PEP 562): importing the root loads
+    none of those modules, and each loads on first use of one of its
+    names.  The entries are written out in full so that a static import
+    walk (``tests/test_reachability.py``) follows them."""
+    where = dict(entry.split(":")[::-1] for entry in entries)
+
+    def __getattr__(name: str):
+        if name not in where:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        from importlib import import_module
+
+        return getattr(import_module(where[name]), name)
+
+    return __getattr__, list(where)
 
 
-def __getattr__(name: str):
-    for package, names in _LAZY.items():
-        if name in names:
-            from importlib import import_module
-
-            return getattr(import_module(f".{package}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+#: The quick-start names, by the module that defines them: ``import
+#: repro.cli`` and a cache replay pay for no simulator module.
+__getattr__, _quick_start = lazy_exports(__name__, (
+    "repro.net.droptail:DropTailQueue", "repro.net.network:GatewayFactory",
+    "repro.net.network:Network", "repro.net.node:Node",
+    "repro.net.packet:Packet", "repro.net.monitor:QueueMonitor",
+    "repro.net.red:REDQueue", "repro.rla.config:RLAConfig",
+    "repro.rla.receiver:RLAReceiver", "repro.rla.sender:RLASender",
+    "repro.rla.session:RLASession", "repro.sim.engine:Simulator",
+    "repro.tcp.config:TcpConfig", "repro.tcp.flow:TcpFlow",
+    "repro.tcp.receiver:TcpReceiver", "repro.tcp.sender:TcpSender",
+))
 
 __all__ = [
     "ConfigurationError",
@@ -97,5 +111,5 @@ __all__ = [
     "SimulationError",
     "TopologyError",
     "__version__",
-    *(name for names in _LAZY.values() for name in names),
+    *_quick_start,
 ]

@@ -150,7 +150,7 @@ def _add_sweep_args(sweep: argparse.ArgumentParser) -> None:
 
 
 def _add_scenarios_args(scenarios: argparse.ArgumentParser) -> None:
-    from .net.network import GATEWAY_DISCIPLINES
+    from .net.queue import GATEWAY_DISCIPLINES
     from .scenarios.grid import PACKET_MIXES, RTT_SPREADS
 
     scen_sub = scenarios.add_subparsers(dest="action", required=True)
@@ -278,10 +278,9 @@ def _run_sweep(args: argparse.Namespace) -> None:
 
 
 def _run_scenarios(args: argparse.Namespace) -> None:
-    from .lifecycle import run_many
-    from .scenarios import format_catalog, format_scenarios, get_scenario
-
     if args.action == "list":
+        from .scenarios import format_catalog
+
         print(format_catalog())
         return
     outcomes: List[Any] = []
@@ -310,6 +309,10 @@ def _run_scenarios(args: argparse.Namespace) -> None:
             print(format_grid(specs, rows))
         _print_metrics(args, outcomes)
         return
+    from .lifecycle import run_many
+    # through the package root: rlabench times rendering by swapping it there
+    from .scenarios import format_scenarios, get_scenario
+
     overrides = {k: v for k, v in (
         ("duration", args.duration), ("warmup", args.warmup),
         ("seed", args.seed), ("gateway", args.gateway),

@@ -19,12 +19,17 @@ The float-operation order is a contract, and this module owns it:
 ``tests/fluid/reference.py`` keeps the step-by-step integrator the
 kernel descends from, and ``tests/fluid/test_integrator_oracle.py``
 requires bit-identical results.  Every emitted expression is the
-reference's, operand for operand and in the same association; the one
-rewrite allowed is evaluating, at emit time, a sub-expression whose
-operands are all spec constants (same operands, same bits — ``repr``
-of a float round-trips exactly).  Nothing that depends on the state is
-re-ordered, re-associated or dropped, identities such as ``0.0 + x``
-and ``1.0 * x`` included: they are not the identity on ``-0.0``.
+reference's, operand for operand and in the same association.  Two
+rewrites are allowed.  A sub-expression whose operands are all spec
+constants is evaluated at emit time (same operands, same bits — ``repr``
+of a float round-trips exactly).  And the same expression text at one
+evaluation gives the same bits, so a sub-expression several terms share
+is computed once into a local and read from it; a product may take
+each factor from a local as long as it keeps the factors in order, and
+it starts from its first factor, since ``1.0 * x`` is ``x`` bit for
+bit, ``-0.0`` included.  Nothing that depends on the state is
+re-ordered or re-associated, and no additive identity is dropped:
+``0.0 + -0.0`` is ``0.0``.
 
 The source is a pure function of the spec — no addresses, hashes or
 dict-order dependence — so two interpreters emit byte-identical text
@@ -135,17 +140,19 @@ def lumps(model: "FluidModel") -> bool:
     return _map(model, True) != _map(model, False)
 
 
-def _field_lines(model: "FluidModel", rep: _Map, src: str = "s",
-                 out: str = "d") -> List[str]:
+def _field_lines(model: "FluidModel", rep: _Map, src: str,
+                 out: str) -> List[str]:
     """Field body: ``{out}*``, ``r*``, ``rr``, ``l*``, ``p*`` from ``{src}*``.
 
     ``{src}{i}`` is the state, ``{out}{i}`` its derivative, ``r{c}``
     the effective RTT of TCP cohort ``c``, ``rr`` the RLA session RTT,
-    ``l{b}`` / ``p{b}`` the offered load and drop probability of
-    bottleneck ``b``; ``x``, ``g`` and ``h`` are scratch.  Code is
-    emitted per representative; a lumped branch reads its locals.  An
-    RTT expression is computed once: a repeat reads the first
-    cohort's ``r{c}``.
+    ``v`` the RLA send rate, ``l{b}`` / ``p{b}`` the offered load and
+    drop probability of bottleneck ``b``, ``d{b}`` its queueing delay
+    and ``u{b} = 1 - p{b}``; ``x``, ``g``, ``h`` and the G/H factors
+    ``f{j}`` are scratch.  Code is emitted per representative; a lumped
+    branch reads its locals.  Each shared expression is computed once
+    and read from its local: an RTT a second cohort shares, a queueing
+    delay, a survival ``1 - p``, a G/H factor.
     """
     spec = model.spec
     base_q, base_avg = model.base_q, model.base_avg
@@ -160,13 +167,16 @@ def _field_lines(model: "FluidModel", rep: _Map, src: str = "s",
 
     def rtt(cohort) -> str:
         """Propagation plus queueing delay ``q/C`` at the cohort's queue."""
-        return (f"{_lit(cohort.rtt_s)} + {src}{base_q + at(cohort)} / "
-                f"{_lit(bottlenecks[cohort.bottleneck].capacity_pps)}")
+        return f"{_lit(cohort.rtt_s)} + d{at(cohort)}"
 
     emit("# effective RTTs; offered load = sum flows * W / R (+ one "
          "multicast copy)")
     for b in own_bottlenecks:
         emit(f"l{b} = 0.0")
+    for b in sorted({at(cohort) for cohort in spec.tcp_cohorts
+                     + spec.rla_cohorts}):
+        emit(f"d{b} = {src}{base_q + b} / "
+             f"{_lit(bottlenecks[b].capacity_pps)}")
     own_tcp = [(c, cohort) for c, cohort in enumerate(spec.tcp_cohorts)
                if rep.tcp[c] == c]
     rtts: Dict[str, str] = {}
@@ -174,7 +184,8 @@ def _field_lines(model: "FluidModel", rep: _Map, src: str = "s",
         text = rtt(cohort)
         emit(f"r{c} = {rtts.get(text, text)}")
         rtts.setdefault(text, f"r{c}")
-        emit(f"l{at(cohort)} += {_lit(float(cohort.flows))} * {src}{c} / r{c}")
+        flows = "" if cohort.flows == 1 else f"{_lit(float(cohort.flows))} * "
+        emit(f"l{at(cohort)} += {flows}{src}{c} / r{c}")
 
     # Receivers behind one bottleneck lose *together* (one dropped copy
     # deprives them all), so the drift groups them — the §4.2 Lemma's
@@ -201,9 +212,9 @@ def _field_lines(model: "FluidModel", rep: _Map, src: str = "s",
             emit(f"    rr = {value}")
         emit(f"rr = {_lit(spec.rla_rtt_factor)} * rr")
         emit("if rr > 0.0:")
-        emit(f"    x = {src}{model.idx_rla} / rr")
+        emit(f"    v = {src}{model.idx_rla} / rr")
         for b in dict.fromkeys(rep.bottleneck[b] for b, _ in groups):
-            emit(f"    l{b} += x")
+            emit(f"    l{b} += v")
     else:
         emit(f"rr = {_lit(spec.rla_rtt_factor * 0.0)}")
 
@@ -225,6 +236,7 @@ def _field_lines(model: "FluidModel", rep: _Map, src: str = "s",
         emit(f"# bottleneck {b}: {bn.discipline}")
         if bn.discipline == "fixed":
             emit(f"p{b} = {_lit(bn.loss_p)}")
+            emit(f"u{b} = 1.0 - p{b}")
             emit(f"{dq} = 0.0")
             emit(f"{davg} = 0.0")
             continue
@@ -250,7 +262,8 @@ def _field_lines(model: "FluidModel", rep: _Map, src: str = "s",
             emit(f"{davg} = {_lit(bn.w_q)} * l{b} * ({q} - {avg})")
         else:
             emit(f"{davg} = 0.0")
-        emit(f"{dq} = l{b} * (1.0 - p{b}) - {capacity}")
+        emit(f"u{b} = 1.0 - p{b}")
+        emit(f"{dq} = l{b} * u{b} - {capacity}")
         emit(f"if ({q} <= 0.0 and {dq} < 0.0) or "
              f"({q} >= {_lit(bn.buffer_pkts)} and {dq} > 0.0):")
         emit(f"    {dq} = 0.0")
@@ -259,7 +272,7 @@ def _field_lines(model: "FluidModel", rep: _Map, src: str = "s",
         emit("# TCP windows: dW/dt = [(1-p) - p W^2/2] / R")
     for c, cohort in own_tcp:
         p, w = f"p{at(cohort)}", f"{src}{c}"
-        emit(f"{out}{c} = ((1.0 - {p}) - {p} * {w} * {w} / 2.0) / r{c}")
+        emit(f"{out}{c} = (u{at(cohort)} - {p} * {w} * {w} / 2.0) / r{c}")
         emit(f"if {w} <= {floor} and {out}{c} < 0.0:")
         emit(f"    {out}{c} = 0.0")
 
@@ -269,18 +282,24 @@ def _field_lines(model: "FluidModel", rep: _Map, src: str = "s",
         # common loss within a group, independent across bottlenecks —
         # O(bottlenecks) products, the algebra of
         # repro.models.rla_drift.rla_window_groups.  Every group is a
-        # factor, in order, lumped or not.
+        # factor, in order, lumped or not; each distinct factor text is
+        # computed once and the products read it.
         w, dw = f"{src}{model.idx_rla}", f"{out}{model.idx_rla}"
         big_n = spec.n_receivers
         emit("# RLA window: dW/dt = [G - W^2 (1-H)] / R_rla")
-        emit("g = 1.0")
-        emit("h = 1.0")
+        factors: Dict[str, str] = {}
+        products: Tuple[List[str], List[str]] = ([], [])
         for b, count in groups:
-            p = f"p{rep.bottleneck[b]}"
+            u, p = f"u{rep.bottleneck[b]}", f"p{rep.bottleneck[b]}"
             keep_all = (1.0 - 1.0 / big_n) ** count
             keep_half = (1.0 - 1.0 / (2.0 * big_n)) ** count
-            emit(f"g *= (1.0 - {p}) + {p} * {_lit(keep_all)}")
-            emit(f"h *= (1.0 - {p}) + {p} * {_lit(keep_half)}")
+            for product, keep in zip(products, (keep_all, keep_half)):
+                text = f"{u} + {p} * {_lit(keep)}"
+                product.append(factors.setdefault(text, f"f{len(factors)}"))
+        out_lines += [f"{name} = {text}" for text, name in factors.items()]
+        for name, product in zip("gh", products):
+            emit(f"{name} = {product[0]}")
+            out_lines += [f"{name} *= {factor}" for factor in product[1:]]
         emit(f"{dw} = (g - {w} * {w} * (1.0 - h)) / rr")
         emit(f"if {w} <= {floor} and {dw} < 0.0:")
         emit(f"    {dw} = 0.0")
@@ -324,9 +343,9 @@ def _run_lines(model: "FluidModel", rep: _Map) -> List[str]:
     """
     spec, bottleneck = model.spec, rep.bottleneck
     observed = [f"s{r}" for r in rep.state]
-    observed += [f"(1.0 - p{bottleneck[cohort.bottleneck]}) * s{r} / r{r}"
+    observed += [f"u{bottleneck[cohort.bottleneck]} * s{r} / r{r}"
                  for r, cohort in zip(rep.tcp, spec.tcp_cohorts)]
-    observed += [f"(1.0 - p{bottleneck[cohort.bottleneck]}) * x"
+    observed += [f"u{bottleneck[cohort.bottleneck]} * v"
                  for cohort in spec.rla_cohorts]
     for expression in ("p{b}", "l{b}", "l{b} * p{b}"):
         observed += [expression.format(b=b) for b in bottleneck]
@@ -337,8 +356,8 @@ def _run_lines(model: "FluidModel", rep: _Map) -> List[str]:
     body = ["# landing evaluation: this step's observables, the next k1"]
     body += _field_lines(model, rep, "s", "a")
     body.append("if index >= warmup_steps:")
-    if model.has_rla:
-        body.append(f"    x = s{model.idx_rla} / rr")
+    if model.has_rla:  # the send rate, where the field skipped it
+        body += ["    if not rr > 0.0:", f"        v = s{model.idx_rla} / rr"]
     body += [f"    {name} += {term}" for term, name in sums.items()]
     for b in peaks:
         q = f"s{model.base_q + b}"

@@ -1,48 +1,27 @@
 """Packet-level network substrate: packets, queues, links, nodes, routing.
 
-Public surface re-exported here; see DESIGN.md systems S2-S5.
+Public surface re-exported here; see DESIGN.md systems S2-S5.  The root
+imports none of it: ``repro.net.red`` (the fluid backend's RED
+thresholds) or ``repro.net.queue`` (the discipline names) load no link,
+node or simulator.
 """
 
-from .addressing import flow_id, group_address, is_multicast
-from .apps import CbrSource, PacketSink
-from .codel import CoDelQueue
-from .droptail import DropTailQueue
-from .faults import RandomDropQueue, random_drop_factory
-from .link import Link
-from .monitor import QueueMonitor
-from .multicast import shortest_path_tree, tree_edges
-from .network import GATEWAY_DISCIPLINES, GatewayFactory, Network, QueueFactory
-from .node import Node
-from .packet import ACK, DATA, Packet, SackBlock
-from .pie import PIEQueue
-from .queue import Gateway
-from .red import AdaptiveREDQueue, REDQueue
+from .. import lazy_exports
 
-__all__ = [
-    "ACK",
-    "DATA",
-    "AdaptiveREDQueue",
-    "CbrSource",
-    "CoDelQueue",
-    "DropTailQueue",
-    "GATEWAY_DISCIPLINES",
-    "Gateway",
-    "GatewayFactory",
-    "Link",
-    "Network",
-    "Node",
-    "PIEQueue",
-    "Packet",
-    "PacketSink",
-    "QueueFactory",
-    "QueueMonitor",
-    "REDQueue",
-    "RandomDropQueue",
-    "random_drop_factory",
-    "SackBlock",
-    "flow_id",
-    "group_address",
-    "is_multicast",
-    "shortest_path_tree",
-    "tree_edges",
-]
+__getattr__, __all__ = lazy_exports(__name__, (
+    "repro.net.packet:ACK", "repro.net.packet:DATA",
+    "repro.net.red:AdaptiveREDQueue", "repro.net.apps:CbrSource",
+    "repro.net.codel:CoDelQueue", "repro.net.droptail:DropTailQueue",
+    "repro.net.queue:GATEWAY_DISCIPLINES", "repro.net.queue:Gateway",
+    "repro.net.network:GatewayFactory", "repro.net.link:Link",
+    "repro.net.network:Network", "repro.net.node:Node",
+    "repro.net.pie:PIEQueue", "repro.net.packet:Packet",
+    "repro.net.apps:PacketSink", "repro.net.network:QueueFactory",
+    "repro.net.monitor:QueueMonitor", "repro.net.red:REDQueue",
+    "repro.net.faults:RandomDropQueue",
+    "repro.net.faults:random_drop_factory", "repro.net.packet:SackBlock",
+    "repro.net.addressing:flow_id", "repro.net.addressing:group_address",
+    "repro.net.addressing:is_multicast",
+    "repro.net.multicast:shortest_path_tree",
+    "repro.net.multicast:tree_edges",
+))

@@ -29,21 +29,13 @@ from .link import Link
 from .multicast import shortest_path_tree
 from .node import Node
 from .pie import PIEQueue
-from .queue import Gateway
+from .queue import GATEWAY_DISCIPLINES, Gateway
 from .red import AdaptiveREDQueue, REDQueue, red_thresholds
 from .routing import Adjacency, ShortestPaths, add_edge, dijkstra, walk
 
 #: A factory receives the directed link name (e.g. "S->G1") and returns a
 #: fresh gateway for that direction.
 QueueFactory = Callable[[str], Gateway]
-
-
-#: Every queue discipline selectable by name (scenario specs, CLI flags).
-#: Names are the public contract — ``ScenarioSpec.gateway`` validates
-#: against this tuple and :class:`GatewayFactory` refuses any other.
-GATEWAY_DISCIPLINES: Tuple[str, ...] = (
-    "droptail", "red", "red-byte", "red-adaptive", "codel", "pie",
-)
 
 
 @dataclass(frozen=True)

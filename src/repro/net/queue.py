@@ -40,6 +40,15 @@ DropHook = Callable[[float, Packet, str], None]
 EnqueueHook = Callable[[float, Packet, int], None]
 DequeueHook = Callable[[float, Packet], None]
 
+#: Every queue discipline selectable by name (scenario specs, CLI flags).
+#: Names are the public contract — ``ScenarioSpec.gateway`` validates
+#: against this tuple and :class:`repro.net.network.GatewayFactory`
+#: refuses any other.  It lives here, beside the gateway interface, so
+#: a spec or a parser reads it without loading links or the simulator.
+GATEWAY_DISCIPLINES: Tuple[str, ...] = (
+    "droptail", "red", "red-byte", "red-adaptive", "codel", "pie",
+)
+
 
 class Gateway:
     """Base FIFO gateway; subclasses decide *whether to accept* a packet."""

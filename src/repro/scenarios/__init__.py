@@ -14,83 +14,42 @@ package turns workloads into first-class, seeded objects:
   cacheable :class:`repro.runtime.RunSpec` runs;
 * :mod:`~repro.scenarios.catalog` — the named suite behind
   ``repro scenarios list/run``.
+
+The root imports none of these (PEP 562): each name loads its module on
+first use, and only building a world (:mod:`.runner` and the builders
+of :mod:`.topologies` / :mod:`.traffic`) loads the packet simulator, so
+``scenarios list`` and the fluid grid never do.
 """
 
-from .catalog import (
-    CATALOG,
-    format_catalog,
-    get_scenario,
-    scenario_names,
-)
-from .churn import CHURN_STREAM, ChurnDriver, ChurnSpec, churn_schedule
-from .grid import (
-    PACKET_MIXES,
-    RTT_SPREADS,
-    GridSpec,
-    format_grid,
-    grid_cell,
-    grid_specs,
-    run_grid,
-)
-from .runner import (
-    MEMBERS_STREAM,
-    format_scenarios,
-    run_scenario,
-)
-from .spec import ScenarioSpec
-from .topologies import (
-    TOPOLOGY_STREAM,
-    GeneratedTopology,
-    JitteredTreeTopology,
-    RttCohortTopology,
-    TransitStubTopology,
-    WaxmanTopology,
-    build_topology,
-)
-from .traffic import (
-    TRAFFIC_STREAM,
-    BackgroundTraffic,
-    PacketSizeMix,
-    ParetoOnOffSource,
-    PlacedTraffic,
-    WebMiceWorkload,
-    pareto_draw,
-    place_traffic,
-)
+from .. import lazy_exports
 
-__all__ = [
-    "CATALOG",
-    "CHURN_STREAM",
-    "MEMBERS_STREAM",
-    "PACKET_MIXES",
-    "RTT_SPREADS",
-    "TOPOLOGY_STREAM",
-    "TRAFFIC_STREAM",
-    "BackgroundTraffic",
-    "ChurnDriver",
-    "ChurnSpec",
-    "GeneratedTopology",
-    "GridSpec",
-    "JitteredTreeTopology",
-    "PacketSizeMix",
-    "ParetoOnOffSource",
-    "PlacedTraffic",
-    "RttCohortTopology",
-    "ScenarioSpec",
-    "TransitStubTopology",
-    "WaxmanTopology",
-    "WebMiceWorkload",
-    "build_topology",
-    "churn_schedule",
-    "format_catalog",
-    "format_grid",
-    "format_scenarios",
-    "get_scenario",
-    "grid_cell",
-    "grid_specs",
-    "pareto_draw",
-    "place_traffic",
-    "run_grid",
-    "run_scenario",
-    "scenario_names",
-]
+__getattr__, __all__ = lazy_exports(__name__, (
+    "repro.scenarios.catalog:CATALOG", "repro.scenarios.churn:CHURN_STREAM",
+    "repro.scenarios.runner:MEMBERS_STREAM",
+    "repro.scenarios.grid:PACKET_MIXES", "repro.scenarios.grid:RTT_SPREADS",
+    "repro.scenarios.topologies:TOPOLOGY_STREAM",
+    "repro.scenarios.traffic:TRAFFIC_STREAM",
+    "repro.scenarios.traffic:BackgroundTraffic",
+    "repro.scenarios.churn:ChurnDriver", "repro.scenarios.churn:ChurnSpec",
+    "repro.scenarios.topologies:GeneratedTopology",
+    "repro.scenarios.grid:GridSpec",
+    "repro.scenarios.topologies:JitteredTreeTopology",
+    "repro.scenarios.traffic:PacketSizeMix",
+    "repro.scenarios.traffic:ParetoOnOffSource",
+    "repro.scenarios.traffic:PlacedTraffic",
+    "repro.scenarios.topologies:RttCohortTopology",
+    "repro.scenarios.spec:ScenarioSpec",
+    "repro.scenarios.topologies:TransitStubTopology",
+    "repro.scenarios.topologies:WaxmanTopology",
+    "repro.scenarios.traffic:WebMiceWorkload",
+    "repro.scenarios.topologies:build_topology",
+    "repro.scenarios.churn:churn_schedule",
+    "repro.scenarios.catalog:format_catalog",
+    "repro.scenarios.grid:format_grid",
+    "repro.scenarios.runner:format_scenarios",
+    "repro.scenarios.catalog:get_scenario", "repro.scenarios.grid:grid_cell",
+    "repro.scenarios.grid:grid_specs", "repro.scenarios.traffic:pareto_draw",
+    "repro.scenarios.traffic:place_traffic", "repro.scenarios.grid:run_grid",
+    "repro.scenarios.runner:run_scenario",
+    "repro.scenarios.catalog:scenario_names",
+))

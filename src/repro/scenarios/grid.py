@@ -18,7 +18,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError
 from ..lifecycle import run_many
-from ..net.network import GATEWAY_DISCIPLINES
+from ..net.queue import GATEWAY_DISCIPLINES
 from .spec import ScenarioSpec
 from .topologies import RttCohortTopology
 from .traffic import BackgroundTraffic, PacketSizeMix

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from ..errors import ConfigurationError
-from ..net.network import GATEWAY_DISCIPLINES
+from ..net.queue import GATEWAY_DISCIPLINES
 from ..units import check_horizon
 from .churn import ChurnSpec
 from .topologies import (

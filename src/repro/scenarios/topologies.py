@@ -26,13 +26,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..errors import TopologyError
-from ..net.network import GatewayFactory, Network
 from ..net.routing import Adjacency, add_edge, connected_components
-from ..sim.engine import Simulator
 from ..units import DEFAULT_PACKET_SIZE, mbps, ms
+
+if TYPE_CHECKING:  # the builders import the network; the specs need none
+    from ..net.network import GatewayFactory, Network
+    from ..sim.engine import Simulator
 
 #: Name of the RNG stream every generator draws from.
 TOPOLOGY_STREAM = "scenario.topology"
@@ -213,6 +215,8 @@ def build_topology(
     links' service-time estimate (and byte-mode RED thresholds) for the
     scenario's configured packet-size mix.
     """
+    from ..net.network import GatewayFactory
+
     # Validates the discipline name up front (raises TopologyError); each
     # link gets this factory at its own drawn buffer.
     factory = GatewayFactory(gateway, sim, mark_ecn=ecn,
@@ -231,6 +235,8 @@ def build_topology(
 
 def _new_topology(factory: GatewayFactory, source: str) -> GeneratedTopology:
     """An empty generated topology on the factory's simulator."""
+    from ..net.network import Network
+
     net = Network(factory.sim, mean_packet_size=factory.mean_packet_size)
     return GeneratedTopology(net=net, source=source, hosts=[])
 
@@ -352,6 +358,8 @@ def _build_transit_stub(
 
     # the source sits on its own fast access link into the first transit,
     # so the generated bottlenecks are always in the core or the stubs
+    from ..net.network import GatewayFactory
+
     deep = GatewayFactory("droptail", factory.sim, 1000)
     topo.net.add_link("SRC", transits[0], mbps(100), ms(1), queue_factory=deep)
     topo.link_draws.append(("SRC", transits[0], mbps(100), ms(1), 1000))
@@ -404,6 +412,8 @@ def _build_rtt_cohorts(
     congestion signal originates at the shared queue, the setting the
     essential-fairness theorems reason about.
     """
+    from ..net.network import GatewayFactory
+
     topo = _new_topology(factory, "SRC")
     plain = GatewayFactory("droptail", factory.sim)
 

@@ -22,15 +22,16 @@ from __future__ import annotations
 import dataclasses
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from ..errors import ConfigurationError
-from ..net.apps import CbrSource, PacketSink
-from ..net.network import Network
-from ..sim.engine import Simulator
-from ..tcp.config import TcpConfig
-from ..tcp.flow import TcpFlow
 from ..units import DEFAULT_PACKET_SIZE
+
+if TYPE_CHECKING:  # the sources import the simulator; the specs need none
+    from ..net.network import Network
+    from ..sim.engine import Simulator
+    from ..tcp.config import TcpConfig
+    from ..tcp.flow import TcpFlow
 
 #: Name of the RNG stream all workload generators draw from.
 TRAFFIC_STREAM = "scenario.traffic"
@@ -170,6 +171,8 @@ class ParetoOnOffSource:
         rng: random.Random,
         packet_size: int = DEFAULT_PACKET_SIZE,
     ) -> None:
+        from ..net.apps import CbrSource, PacketSink
+
         self.sim = sim
         self.rng = rng
         self.mean_on_s = mean_on_s
@@ -220,6 +223,8 @@ class WebMiceWorkload:
         stop_at: float,
         config: Optional[TcpConfig] = None,
     ) -> None:
+        from ..tcp.config import TcpConfig
+
         if len(hosts) < 1:
             raise ConfigurationError("web mice need at least one host")
         self.sim = sim
@@ -241,6 +246,8 @@ class WebMiceWorkload:
         self.sim.post(offset + gap, self._arrive, (), "mice.arrival")
 
     def _arrive(self) -> None:
+        from ..tcp.flow import TcpFlow
+
         if self.sim.now >= self.stop_at:
             return
         index = len(self.mice)
@@ -305,6 +312,9 @@ def place_traffic(
     when a mix is configured, so mix-less scenarios consume the exact
     RNG-stream sequence they always have (same-seed byte identity).
     """
+    from ..tcp.config import TcpConfig
+    from ..tcp.flow import TcpFlow
+
     spec.validate()
     if not hosts:
         raise ConfigurationError("cannot place traffic: topology has no hosts")

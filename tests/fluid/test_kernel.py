@@ -18,6 +18,8 @@ import math
 import os
 import pathlib
 import pickle
+import random
+import re
 import subprocess
 import sys
 import traceback
@@ -29,6 +31,7 @@ import repro.fluid.model
 from repro.errors import ConfigurationError
 from repro.experiments.population import population_spec
 from repro.experiments.sweeps import sweep
+from repro.scenarios.grid import fluid_grid_cell
 from repro.fluid import (
     BottleneckSpec,
     FluidModel,
@@ -37,6 +40,7 @@ from repro.fluid import (
     TcpCohortSpec,
     integrate,
     run_fluid,
+    symmetric_fluid_spec,
 )
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
@@ -145,12 +149,104 @@ def test_population_source_computes_each_expression_once():
     source = model.kernel_source
     assert source.count("def ") == 1
     for cohort in spec.tcp_cohorts + spec.rla_cohorts:
-        landing = f"{cohort.rtt_s!r} + s3 / 93750.0"
-        assert source.count(landing) == 1, landing
-        assert source.count(landing.replace("s3", "m3")) == 3, landing
-    assert source.count("(1.0 - p0) * x\n") == 1
+        rtt = f"{cohort.rtt_s!r} + d0"
+        assert source.count(rtt) == 4, rtt
+    assert source.count("u0 * v\n") == 1
     first, second = model.instantaneous(model.initial_state())["rla_goodput"]
     assert first.hex() == second.hex()
+
+
+def test_the_two_ieee_facts_the_kernel_text_relies_on():
+    """``1.0 * x`` is ``x`` bit for bit, ``-0.0`` included, so a product
+    may start from its first factor; ``0.0 + x`` is not (``0.0 + -0.0``
+    is ``0.0``), so every sum keeps its ``0.0`` or ``-0.0`` start."""
+    for x in (-0.0, 0.0, 5e-324, -1.5, math.inf, -math.inf):
+        assert (1.0 * x).hex() == x.hex()
+    assert math.copysign(1.0, 1.0 * -0.0) == -1.0
+    assert math.copysign(1.0, 0.0 + -0.0) == 1.0
+    assert math.copysign(1.0, -0.0 + -0.0) == -1.0
+
+
+def _evaluations(source):
+    """The source of each field evaluation: the landing one (with its
+    accumulators) and the three RK4 stages."""
+    marker = "# effective RTTs"
+    parts = source.split(marker)[1:]
+    assert len(parts) == 4
+    return [[line.strip() for line in part.splitlines()] for part in parts]
+
+
+def _symmetric(n):
+    return symmetric_fluid_spec(n_receivers=n, share_pps=100.0,
+                                buffer_pkts=20, duration=3.0, warmup=1.0,
+                                seed=1, gateway="droptail")
+
+
+def test_symmetric_twin_computes_as_many_g_h_factors_whatever_n():
+    """Every branch of the lumped twin has the same G and H factor, so
+    an evaluation computes two factors at any n; the products still take
+    one factor per branch, in order."""
+    counts = {}
+    for n in (4, 16, 256):
+        evaluations = _evaluations(FluidModel(_symmetric(n)).kernel_source)
+        counts[n] = {sum(1 for line in lines if re.search(r"\+ p\d+ \* ", line))
+                     for lines in evaluations}
+        for lines in evaluations:
+            assert lines.count("g *= f0") == lines.count("h *= f1") == n - 1
+    assert counts == {4: {2}, 16: {2}, 256: {2}}
+
+
+@pytest.mark.parametrize("spec", [
+    population_spec(100_000),
+    fluid_grid_cell("droptail", "wide", duration=6.0, warmup=2.0,
+                    scale=25_000),
+    fluid_grid_cell("red", "narrow", duration=6.0, warmup=2.0, scale=25_000),
+], ids=["pop100k", "grid-droptail", "grid-red"])
+def test_each_survival_and_queueing_delay_is_computed_once(spec):
+    """Per evaluation, ``1 - p0`` of the final ``p0`` is one subtraction
+    (RED's composition of its early-drop and ramp survivals aside) and
+    the queueing delay ``q / C`` one division, whatever reads them."""
+    capacity = repr(spec.bottlenecks[0].capacity_pps)
+    for lines in _evaluations(FluidModel(spec).kernel_source):
+        survivals = [line for line in lines
+                     if "1.0 - p0" in line and not line.startswith("p0 = ")]
+        assert survivals == ["u0 = 1.0 - p0"]
+        delays = [line for line in lines if f"3 / {capacity}" in line]
+        assert len(delays) == 1 and delays[0].startswith("d0 = ")
+
+
+@pytest.mark.parametrize("spec", [
+    population_spec(1_000),
+    FluidSpec(name="fixed", bottlenecks=(
+        BottleneckSpec(capacity_pps=10_000.0, discipline="fixed",
+                       loss_p=0.02),),
+        tcp_cohorts=(TcpCohortSpec(1, 0.1),),
+        rla_cohorts=(RlaCohortSpec(2, 0.1),)),
+], ids=["population", "fixed"])
+def test_zero_step_run_matches_the_reference_off_the_physical_set(spec):
+    """``derivatives`` and ``instantaneous`` take any state: signed
+    zeros, negative queues that drive an RTT (and so ``rr``) to zero or
+    below, NaN.  The kernel gives the reference's bits, or its error."""
+    model = FluidModel(spec)
+    old = reference.ReferenceModel(spec)
+    values = (-0.0, 0.0, 1.0, 3.0, -1000.0, -1e6, 1e6, math.nan)
+    draw = random.Random(7)
+
+    def outcome(call, state):
+        try:
+            result = call(list(state))
+        except ArithmeticError as error:
+            return type(error).__name__
+        if isinstance(result, dict):
+            return {key: [v.hex() for v in value]
+                    for key, value in result.items()}
+        return [v.hex() for v in result]
+
+    for _ in range(300):
+        state = [draw.choice(values) for _ in range(model.n_state)]
+        for name in ("derivatives", "instantaneous"):
+            assert (outcome(getattr(model, name), state)
+                    == outcome(getattr(old, name), state)), (name, state)
 
 
 def test_one_row_compiles_one_kernel(monkeypatch):
@@ -180,8 +276,7 @@ def test_shared_rtt_is_computed_once_and_bit_identical():
         rla_cohorts=(RlaCohortSpec(3, 0.1),),
     )
     source = FluidModel(spec).kernel_source
-    assert source.count("0.1 + s3 / 300.0") == 1
-    assert source.count("0.1 + m3 / 300.0") == 3
+    assert source.count("r0 = 0.1 + d0\n") == 4
     assert source.count("r1 = r0\n") == 4
     assert source.count("if r0 > rr:") == 4
     assert (pickle.dumps(integrate(spec))

@@ -25,6 +25,13 @@ HEAVY = {"networkx", "numpy", "importlib.metadata", "email"}
 #: What only building a world, or starting a pool, may load.
 SIMULATOR = ("repro.sim", "repro.net", "repro.tcp", "repro.rla",
              "repro.checkpoint", "concurrent.futures", "multiprocessing")
+#: What a fluid command and the scenario catalog never load: the packet
+#: world, the module that builds it for both backends (crossval), and
+#: the pool.
+PACKET_WORLD = ("repro.sim", "repro.tcp", "repro.rla", "repro.checkpoint",
+                "repro.net.network", "repro.net.link", "repro.net.node",
+                "repro.fluid.crossval", "repro.scenarios.runner",
+                "concurrent.futures")
 
 
 def _under(modules, packages):
@@ -166,3 +173,44 @@ def test_a_pool_run_prints_the_serial_table(tmp_path):
     pooled, _ = _fresh(*((*argv, "--workers", "2", "--cache", str(tmp_path))
                          for argv in argvs))
     assert pooled == serial
+
+
+@pytest.mark.parametrize("argv", [
+    ("fluid", "scale", "--counts", "1000", *SHORT),
+    ("sweep", "--backend", "fluid", "--counts", "4", *SHORT),
+    ("scenarios", "grid", "--backend", "fluid", "--scale", "25000",
+     "--ecn", "off", *SHORT),
+    ("scenarios", "list"),
+], ids=["fluid-scale", "fluid-sweep", "fluid-grid", "scenarios-list"])
+def test_fluid_commands_and_the_catalog_load_no_packet_simulator(argv):
+    stdout, modules = _fresh(argv)
+    assert stdout.strip()
+    assert not _under(modules, PACKET_WORLD)
+
+
+_ROOTS = """
+import importlib, inspect, pkgutil, sys, types
+for root in ("repro.net", "repro.fluid", "repro.scenarios"):
+    package = importlib.import_module(root)
+    names = {name: getattr(package, name) for name in package.__all__}
+    for info in pkgutil.iter_modules(package.__path__):
+        importlib.import_module(f"{root}.{info.name}")
+    for name, value in names.items():
+        assert getattr(package, name) is value, (root, name)
+        assert not isinstance(value, types.ModuleType), (root, name)
+        if inspect.isfunction(value) or inspect.isclass(value):
+            assert value.__module__.startswith(root + "."), (root, name)
+            assert getattr(sys.modules[value.__module__], name) is value
+assert inspect.isfunction(sys.modules["repro.fluid"].integrate)
+"""
+
+
+def test_lazy_roots_resolve_every_name_to_its_definition():
+    """Each name a lazy package root exports is the object its defining
+    module holds, before and after every submodule is imported — a
+    function that shares its submodule's name (``repro.fluid.integrate``)
+    stays the function."""
+    child = subprocess.run(
+        [sys.executable, "-c", _ROOTS], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=300)
+    assert child.returncode == 0, child.stderr
