@@ -29,7 +29,7 @@ Subpackages
     tree, scenario and sweep backends share (a module, not a package).
 ``repro.runtime``
     Parallel experiment execution: content-addressed run specs, a
-    process-pool executor with retry/timeout handling, an on-disk
+    process-pool executor that retries a failed run once, an on-disk
     result cache, and per-run cost metrics.
 ``repro.audit``
     Opt-in conservation auditor, invariant monitor, flight recorder.

@@ -254,13 +254,13 @@ class ConservationAuditor:
     # ------------------------------------------------------------------
     # end-of-run verification
     # ------------------------------------------------------------------
-    def verify(self, drained: Optional[bool] = None) -> None:
+    def verify(self) -> None:
         """Check all conservation identities; raise on the first failure.
 
-        ``drained`` overrides the engine-queue check: when the event queue
-        is empty nothing may be in flight at all; when the run stopped at
-        a time horizon, queued and in-transit packets are legitimate but
-        the tracked queue contents must still match the gateways exactly.
+        When the event queue is empty nothing may be in flight at all;
+        when the run stopped at a time horizon, queued and in-transit
+        packets are legitimate but the tracked queue contents must still
+        match the gateways exactly.
         """
         now = self.sim.now
         monitor = self.monitor
@@ -325,9 +325,7 @@ class ConservationAuditor:
             "conservation.no_limbo", not limbo,
             now, stuck_uids=sorted(limbo)[:5], stuck=len(limbo),
         )
-        if drained is None:
-            drained = self.sim.pending() == 0
-        if drained:
+        if self.sim.pending() == 0:
             monitor.require(
                 "conservation.drained_empty", not self._where,
                 now, in_flight=len(self._where),

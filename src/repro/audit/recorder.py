@@ -28,11 +28,11 @@ _Entry = Tuple[float, str, Tuple[str, ...], Tuple[Any, ...]]
 class FlightRecorder:
     """Fixed-capacity ring of ``(time, category, fields)`` records."""
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError(f"non-positive recorder capacity: {capacity}")
-        self.capacity = capacity
-        self._ring: Deque[_Entry] = deque(maxlen=capacity)
+    #: Records the ring keeps.
+    CAPACITY = 256
+
+    def __init__(self) -> None:
+        self._ring: Deque[_Entry] = deque(maxlen=self.CAPACITY)
         #: Lifetime count of records seen (the ring only keeps the tail).
         self.recorded = 0
 

@@ -32,7 +32,6 @@ class InvariantViolation(SimulationError):
     def __init__(
         self,
         check: str,
-        message: str = "",
         time: float = 0.0,
         context: Optional[Dict[str, Any]] = None,
         dump: str = "",
@@ -41,7 +40,7 @@ class InvariantViolation(SimulationError):
         self.time = time
         self.context = dict(context or {})
         self.dump = dump
-        detail = message or ", ".join(
+        detail = ", ".join(
             f"{key}={value!r}" for key, value in self.context.items()
         )
         text = f"[t={time:.6f}] invariant {check!r} violated: {detail}"

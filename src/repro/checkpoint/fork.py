@@ -6,10 +6,9 @@ its variants from one warmed-up snapshot pays that cost once instead of
 once per variant.
 
 Each branch is an independent deep copy (deserialized from the frozen
-payload), optionally reseeded so its randomness future diverges
-deterministically by branch label, and optionally mutated (different
-churn schedules, queue configs, ...) before running to completion via the
-snapshot's resume entrypoint.  Branches run sequentially in-process:
+payload), reseeded so its randomness future diverges deterministically by
+branch label, before running to completion via the snapshot's resume
+entrypoint.  Branches run sequentially in-process:
 audited worlds install a process-global packet-creation hook, so only one
 may be armed at a time — parallel fork ensembles should fan out restored
 runs through :mod:`repro.runtime` worker processes instead.
@@ -17,12 +16,9 @@ runs through :mod:`repro.runtime` worker processes instead.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Iterator, List, Sequence, Tuple, Union
 
 from .snapshot import CheckpointError, Snapshot, resolve_entrypoint, restore
-
-#: A per-branch world mutation applied after reseeding, before running.
-BranchMutation = Callable[[Any], None]
 
 
 def branch_labels(count: int, prefix: str = "fork") -> List[str]:
@@ -35,47 +31,37 @@ def branch_labels(count: int, prefix: str = "fork") -> List[str]:
 def fork(
     snapshot: Snapshot,
     labels: Union[int, Sequence[str]],
-    reseed: bool = True,
-    rearm: bool = True,
 ) -> Iterator[Tuple[str, Any]]:
     """Yield ``(label, world)`` branches restored from one snapshot.
 
     Worlds are yielded lazily, one at a time, so audited branches can be
-    armed, run, and disarmed before the next one is restored.  With
-    ``reseed`` (the default) every RNG stream of the branch is re-derived
-    from ``(snapshot seed, label)`` — same label, same future; different
-    labels, independent futures.  ``reseed=False`` replays the captured
-    randomness exactly (that is the byte-identity oracle's mode).
+    armed, run, and disarmed before the next one is restored.  Every RNG
+    stream of a branch is re-derived from ``(snapshot seed, label)`` —
+    same label, same future; different labels, independent futures.
+    (:func:`~repro.checkpoint.resume` replays the captured randomness
+    exactly.)
     """
     if isinstance(labels, int):
         labels = branch_labels(labels)
     for label in labels:
-        world = restore(snapshot, rearm=rearm)
-        if reseed:
-            sim = getattr(world, "sim", None)
-            if sim is None and isinstance(world, dict):
-                sim = world.get("sim")
-            if sim is None:
-                raise CheckpointError(
-                    f"cannot reseed branch {label!r}: world exposes no .sim"
-                )
-            sim.rng.reseed(label)
+        world = restore(snapshot)
+        sim = getattr(world, "sim", None)
+        if sim is None:
+            raise CheckpointError(
+                f"cannot reseed branch {label!r}: world exposes no .sim"
+            )
+        sim.rng.reseed(label)
         yield label, world
 
 
 def run_fork_ensemble(
     snapshot: Snapshot,
     labels: Union[int, Sequence[str]],
-    mutate: Optional[BranchMutation] = None,
-    reseed: bool = True,
 ) -> List[Tuple[str, Any]]:
     """Run every branch to completion; returns ``(label, report)`` pairs.
 
     Requires the snapshot to record a resume entrypoint (every snapshot
-    :func:`repro.lifecycle.snapshot_world` takes does).  ``mutate(world)``, when given, runs
-    after reseeding and may adjust any branch state — swap queue configs,
-    extend churn schedules, change session parameters — before the branch
-    future is simulated.
+    :func:`repro.lifecycle.snapshot_world` takes does).
     """
     if not snapshot.resume:
         raise CheckpointError(
@@ -83,9 +69,4 @@ def run_fork_ensemble(
             "and finish them manually"
         )
     finish = resolve_entrypoint(snapshot.resume)
-    results: List[Tuple[str, Any]] = []
-    for label, world in fork(snapshot, labels, reseed=reseed):
-        if mutate is not None:
-            mutate(world)
-        results.append((label, finish(world)))
-    return results
+    return [(label, finish(world)) for label, world in fork(snapshot, labels)]

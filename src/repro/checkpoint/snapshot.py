@@ -80,7 +80,10 @@ from ..sim.engine import Simulator
 #: v11 ones pickle one of four per-discipline factory classes that no
 #: longer exist, so a v11 file resumed under ``--allow-code-mismatch``
 #: would die at restore with ``Can't get attribute ...``.
-FORMAT_VERSION = 12
+#: v13: a ``PacketSink`` keeps no ``record``, ``sim`` or ``arrivals``;
+#: v12 code restoring a v13 sink would die at its first arrival with
+#: ``AttributeError: ... no attribute 'record'``.
+FORMAT_VERSION = 13
 
 #: File magic identifying a repro checkpoint file.
 MAGIC = "repro-ckpt"
@@ -322,16 +325,14 @@ def resolve_entrypoint(entrypoint: str) -> Callable[..., Any]:
     return func
 
 
-def resume(source: Union[Snapshot, str, Path],
-           allow_code_mismatch: bool = False) -> Any:
+def resume(snapshot: Snapshot) -> Any:
     """Restore a snapshot and run its recorded resume entrypoint to the end.
 
     The entrypoint receives the restored (and re-armed) world and returns
     the finished run's report — byte-identical to what the straight-through
-    run would have produced.
+    run would have produced.  A snapshot file goes through :func:`load`
+    first.
     """
-    snapshot = source if isinstance(source, Snapshot) else load(
-        source, allow_code_mismatch=allow_code_mismatch)
     if not snapshot.resume:
         raise CheckpointError(
             "snapshot records no resume entrypoint; restore() it manually"

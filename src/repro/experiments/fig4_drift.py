@@ -26,11 +26,10 @@ def drift_field(
     return ParticleModel.uniform(n, pipe).drift_field(w_max, step)
 
 
-def render_field(
-    n: int = PAPER_N, pipe: float = PAPER_PIPE, w_max: float = 12.0
-) -> str:
-    """ASCII rendering: one arrow glyph per grid point."""
-    grid_x, grid_y, u, v = drift_field(n, pipe, w_max)
+def render_field() -> str:
+    """ASCII rendering of the paper's field: one arrow glyph per grid point."""
+    n, pipe = PAPER_N, PAPER_PIPE
+    grid_x, grid_y, u, v = drift_field(n, pipe)
     glyphs = []
     for row in range(grid_x.shape[0] - 1, -1, -1):  # y decreasing downward
         line = []

@@ -37,16 +37,17 @@ if TYPE_CHECKING:  # numpy loads only when a caller asks for an array
 PAPER_N = 27
 #: Delay-bandwidth product of each path, shared by 2 RLA + 1 TCP sessions.
 PAPER_PIPE_PER_SESSION = 20.0
+#: One-way delay of each branch of the packet run.
+BRANCH_DELAY = ms(45)
+#: Seconds between two (cwnd1, cwnd2) samples of the packet run.
+SAMPLE_INTERVAL = 0.1
 
 
-def run_particle_density(
-    n: int = PAPER_N,
-    pipe: float = 2 * PAPER_PIPE_PER_SESSION,
-    steps: int = 200_000,
-    seed: int = 1,
-) -> ParticleTrace:
-    """The §4.4 model's density (figure 5 as the *model* predicts it)."""
-    return ParticleModel.uniform(n, pipe).simulate(steps=steps, seed=seed)
+def run_particle_density(steps: int = 200_000, seed: int = 1) -> ParticleTrace:
+    """The §4.4 model's density (figure 5 as the *model* predicts it): the
+    paper's 27 receivers, two RLA sessions' share of each pipe."""
+    model = ParticleModel.uniform(PAPER_N, 2 * PAPER_PIPE_PER_SESSION)
+    return model.simulate(steps=steps, seed=seed)
 
 
 @dataclass
@@ -68,20 +69,20 @@ def run_packet_density(
     duration: float = 300.0,
     warmup: float = 20.0,
     seed: int = 1,
-    sample_interval: float = 0.1,
-    branch_delay: float = ms(45),
 ) -> PacketDensityResult:
-    """Packet-level figure 5: sample (cwnd1, cwnd2) of two RLA sessions.
+    """Packet-level figure 5: sample (cwnd1, cwnd2) of two RLA sessions
+    every :data:`SAMPLE_INTERVAL` seconds.
 
     Per footnote 11: each branch's pipe is 60 packets for 3 sessions
-    (2 RLA + 1 TCP).  With one-way branch delay ``d`` and access delay
-    5 ms, RTT ~= 2(d + 5ms); capacity is set to 60 / RTT pkt/s.
+    (2 RLA + 1 TCP).  With one-way branch delay ``d`` (:data:`BRANCH_DELAY`)
+    and access delay 5 ms, RTT ~= 2(d + 5ms); capacity is set to 60 / RTT
+    pkt/s.
     """
-    rtt = 2.0 * (branch_delay + ACCESS_DELAY)
+    rtt = 2.0 * (BRANCH_DELAY + ACCESS_DELAY)
     mu_pps = 60.0 / rtt
     spec = RestrictedSpec(
         mu_pps=[mu_pps] * n_receivers,
-        branch_delay=branch_delay,
+        branch_delay=BRANCH_DELAY,
         gateway="droptail",
     )
     sim = Simulator(seed=seed)
@@ -113,7 +114,7 @@ def run_packet_density(
         sums[1] += w2
         samples[0] += 1
 
-    sampler = PeriodicProcess(sim, sample_interval, sample, name="fig5.sample",
+    sampler = PeriodicProcess(sim, SAMPLE_INTERVAL, sample, name="fig5.sample",
                               start_offset=warmup)
     sampler.start()
     sim.run(until=warmup + duration)

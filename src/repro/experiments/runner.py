@@ -126,9 +126,10 @@ class TreeExperimentResult:
         return [self.tcp[r]["window_cuts"] for r in self.tiers.get(tier, ())
                 if r in self.tcp]
 
-    def rla_signals_by_tier(self, tier: str, session: int = 0) -> List[int]:
-        """RLA per-branch congestion-signal counts in one tier."""
-        signals = self.rla[session]["signals_by_receiver"]
+    def rla_signals_by_tier(self, tier: str) -> List[int]:
+        """The first RLA session's per-branch congestion-signal counts in
+        one tier."""
+        signals = self.rla[0]["signals_by_receiver"]
         return [signals[r] for r in self.tiers.get(tier, ()) if r in signals]
 
 

@@ -41,8 +41,10 @@ from ..models.tcp_formula import pa_window
 from .model import FluidModel, model_of
 from .spec import FluidSpec
 
-#: Bisection iterations for the equilibrium drop probability.  Fixed
-#: (not tolerance-driven) so the solve is deterministic bit-for-bit.
+#: Most bisection iterations for the equilibrium drop probability.  The
+#: loop stops early only once an iteration leaves the bracket unchanged:
+#: every later one would probe the same midpoint, so the result is the
+#: same bit for bit (no tolerance decides it).
 BISECT_ITERATIONS = 200
 
 #: Smallest drop probability the bracket considers.
@@ -170,8 +172,7 @@ def solve_equilibrium(spec: FluidSpec,
     if _residual(model, P_FLOOR) <= 0.0:
         # Demand never fills the profile: effectively lossless.
         return EquilibriumReport(
-            "lossless", 0.0, 0.0 if bn.discipline == "red"
-            else min(bn.buffer_pkts, 0.0), (), None,
+            "lossless", 0.0, 0.0, (), None,
             _report(model, "lossless", P_FLOOR).arrival_pps, None,
         )
     if _residual(model, p_hi) >= 0.0:
@@ -181,10 +182,10 @@ def solve_equilibrium(spec: FluidSpec,
     lo, hi = P_FLOOR, p_hi
     for _ in range(BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
-        if _residual(model, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if _residual(model, mid) > 0.0 else (lo, mid)
+        if bracket == (lo, hi):  # the midpoint rounds onto an end
+            break
+        lo, hi = bracket
     return _report(model, "interior", 0.5 * (lo + hi))
 
 

@@ -176,7 +176,7 @@ def advance_world(world: World, until: float) -> None:
         world.sim.run(until=until)
 
 
-def snapshot_world(world: World, at: Optional[float] = None, label: str = ""):
+def snapshot_world(world: World, at: Optional[float] = None):
     """Advance to ``at`` (if given) and capture a resumable snapshot."""
     from .checkpoint import capture
 
@@ -188,7 +188,7 @@ def snapshot_world(world: World, at: Optional[float] = None, label: str = ""):
         advance_world(world, at)
     return capture(
         world,
-        label=label or f"{world.label()}@t={world.sim.now:g}",
+        label=f"{world.label()}@t={world.sim.now:g}",
         resume=RESUME_ENTRYPOINT,
     )
 

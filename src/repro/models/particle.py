@@ -123,14 +123,15 @@ class ParticleModel:
         self,
         steps: int = 100_000,
         seed: int = 1,
-        w_start: Tuple[float, float] = (1.0, 1.0),
-        w_floor: float = 1.0,
     ) -> "ParticleTrace":
-        """Run the Markov chain and collect the visit density (figure 5)."""
+        """Run the Markov chain and collect the visit density (figure 5).
+
+        Both windows start at, and are never cut below, one packet.
+        """
         if steps <= 0:
             raise ConfigurationError(f"steps must be positive: {steps}")
         rng = random.Random(seed)
-        w1, w2 = float(w_start[0]), float(w_start[1])
+        w1 = w2 = 1.0
         listen = 1.0 / self.n
         counts: Dict[Tuple[int, int], int] = {}
         sum1 = sum2 = 0.0
@@ -142,8 +143,8 @@ class ParticleModel:
             else:
                 cuts1 = sum(1 for _ in range(s) if rng.random() < listen)
                 cuts2 = sum(1 for _ in range(s) if rng.random() < listen)
-                w1 = max(w1 / 2.0**cuts1, w_floor) if cuts1 else w1 + self.growth
-                w2 = max(w2 / 2.0**cuts2, w_floor) if cuts2 else w2 + self.growth
+                w1 = max(w1 / 2.0**cuts1, 1.0) if cuts1 else w1 + self.growth
+                w2 = max(w2 / 2.0**cuts2, 1.0) if cuts2 else w2 + self.growth
             sum1 += w1
             sum2 += w2
             cell = (int(round(w1)), int(round(w2)))

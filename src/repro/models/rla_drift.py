@@ -160,14 +160,13 @@ def simulate_window_chain(
     steps: int = 200_000,
     seed: int = 1,
     correlated: bool = False,
-    w0: float = 10.0,
 ) -> float:
     """Simulate the §4.2 jump chain and return the time-average window.
 
     ``correlated=True`` uses the common-loss model (one coin decides all
     receivers' signals); otherwise losses are independent per receiver.
     The cut coin is ``1/n`` per signal, as in the RLA with ``n`` troubled
-    receivers.
+    receivers.  The window starts at 10 packets.
     """
     _check_probs(ps)
     if steps <= 0:
@@ -175,7 +174,7 @@ def simulate_window_chain(
     rng = random.Random(seed)
     n = len(ps)
     listen = 1.0 / n
-    w = w0
+    w = 10.0
     total = 0.0
     for _ in range(steps):
         if correlated:

@@ -86,33 +86,14 @@ class CbrSource:
 
 
 class PacketSink:
-    """Counts and optionally records arriving packets for one flow.
+    """Counts the packets and bytes arriving for one flow."""
 
-    With ``record=True`` every arrival is stored as an
-    ``(arrival_time, seq)`` tuple — churn and burst analysis need the
-    times, not just the order.  Recording requires the simulator for its
-    clock, so ``sim`` must be passed alongside ``record=True``.
-    """
-
-    def __init__(
-        self,
-        node: Node,
-        flow: str,
-        record: bool = False,
-        sim: Optional[Simulator] = None,
-    ) -> None:
-        if record and sim is None:
-            raise ConfigurationError(
-                "PacketSink(record=True) needs sim= to timestamp arrivals"
-            )
+    def __init__(self, node: Node, flow: str) -> None:
         self.node = node
         self.flow = flow
-        self.record = record
-        self.sim = sim
         self.received = 0
         self.bytes = 0
         self.last_seq: Optional[int] = None
-        self.arrivals: list = []  # [(arrival_time, seq)] when record=True
         node.bind(flow, self.on_packet)
 
     def on_packet(self, packet: Packet) -> None:
@@ -120,5 +101,3 @@ class PacketSink:
         self.received += 1
         self.bytes += packet.size
         self.last_seq = packet.seq
-        if self.record:
-            self.arrivals.append((self.sim.now, packet.seq))

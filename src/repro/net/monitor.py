@@ -13,7 +13,6 @@ audit layer's flight-recorder records, not a second log here.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
 
 from ..sim.engine import Simulator
 from .packet import Packet
@@ -86,10 +85,7 @@ class QueueMonitor:
             return float(self._last_depth)
         return self._area / elapsed
 
-    def loss_rate(self, flow: Optional[str] = None) -> float:
-        """Fraction of offered packets dropped (per flow or overall)."""
-        if flow is not None:
-            offered = self.enqueues_by_flow[flow] + self.drops_by_flow[flow]
-            return self.drops_by_flow[flow] / offered if offered else 0.0
+    def loss_rate(self) -> float:
+        """Fraction of offered packets dropped."""
         offered = sum(self.enqueues_by_flow.values()) + self.total_drops
         return self.total_drops / offered if offered else 0.0

@@ -154,27 +154,22 @@ class Network:
         bandwidth_bps: float,
         delay_s: float,
         queue_factory: Optional[QueueFactory] = None,
-        bidirectional: bool = True,
-        mean_packet_size: Optional[int] = None,
-    ) -> Tuple[Link, Optional[Link]]:
+    ) -> Tuple[Link, Link]:
         """Connect ``a`` and ``b``; returns the (a->b, b->a) links."""
         if (a, b) in self.links:
             raise TopologyError(f"duplicate link {a}->{b}")
         make_queue = queue_factory or self.default_queue
-        pkt_size = mean_packet_size or self.mean_packet_size
         node_a, node_b = self.add_node(a), self.add_node(b)
         forward = Link(
             self.sim, f"{a}->{b}", node_a, node_b, bandwidth_bps, delay_s,
-            make_queue(f"{a}->{b}"), mean_packet_size=pkt_size,
+            make_queue(f"{a}->{b}"), mean_packet_size=self.mean_packet_size,
+        )
+        reverse = Link(
+            self.sim, f"{b}->{a}", node_b, node_a, bandwidth_bps, delay_s,
+            make_queue(f"{b}->{a}"), mean_packet_size=self.mean_packet_size,
         )
         self.links[(a, b)] = forward
-        reverse: Optional[Link] = None
-        if bidirectional:
-            reverse = Link(
-                self.sim, f"{b}->{a}", node_b, node_a, bandwidth_bps, delay_s,
-                make_queue(f"{b}->{a}"), mean_packet_size=pkt_size,
-            )
-            self.links[(b, a)] = reverse
+        self.links[(b, a)] = reverse
         add_edge(self.graph, a, b, delay_s)
         return forward, reverse
 

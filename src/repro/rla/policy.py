@@ -10,7 +10,7 @@ pace) — what distinguishes the laggard is its cumulative-ACK point
 sitting persistently about one congestion window behind the leading
 receiver's (the send window trails ``max_reach_all`` by ``cwnd``, §3.3
 rule 5).  :class:`LaggardDropPolicy` ejects a receiver whose gap behind
-the leader exceeds a threshold (default: half the average window)
+the leader reaches half the average window (at least two packets)
 continuously for ``patience`` seconds.
 """
 
@@ -27,29 +27,24 @@ from .sender import RLASender
 class LaggardDropPolicy:
     """Watches an :class:`RLASender` and ejects persistently slow receivers."""
 
+    #: Receivers the policy never ejects below.
+    MIN_RECEIVERS = 1
+
     def __init__(
         self,
         sim: Simulator,
         sender: RLASender,
         check_interval: float = 5.0,
-        gap_packets: Optional[int] = None,
         patience: float = 15.0,
-        min_receivers: int = 1,
         on_drop: Optional[Callable[[str], None]] = None,
     ) -> None:
         if check_interval <= 0:
             raise ConfigurationError(f"non-positive check_interval: {check_interval}")
         if patience < check_interval:
             raise ConfigurationError("patience must cover at least one check")
-        if min_receivers < 1:
-            raise ConfigurationError(f"min_receivers must be >= 1: {min_receivers}")
-        if gap_packets is not None and gap_packets < 1:
-            raise ConfigurationError(f"gap_packets must be >= 1: {gap_packets}")
         self.sim = sim
         self.sender = sender
-        self.gap_packets = gap_packets
         self.patience = patience
-        self.min_receivers = min_receivers
         self.on_drop = on_drop
         self.dropped: List[str] = []
         self._lagging_since: Dict[str, float] = {}
@@ -67,16 +62,15 @@ class LaggardDropPolicy:
     # ------------------------------------------------------------------
     def _check(self) -> None:
         sender = self.sender
-        if len(sender.receivers) <= self.min_receivers:
+        if len(sender.receivers) <= self.MIN_RECEIVERS:
             return
         leader = max(state.last_ack for state in sender.receivers.values())
         now = self.sim.now
         # A laggard's gap is pinned at roughly the congestion window (the
         # send window trails max_reach_all by cwnd); healthy receivers sit
-        # a handful of packets apart.  The dynamic default threshold is
-        # half the average window.
-        threshold = (self.gap_packets if self.gap_packets is not None
-                     else max(2.0, 0.5 * sender.awnd))
+        # a handful of packets apart.  The threshold is half the average
+        # window.
+        threshold = max(2.0, 0.5 * sender.awnd)
         for rid, state in list(sender.receivers.items()):
             if leader - state.last_ack >= threshold:
                 since = self._lagging_since.setdefault(rid, now)
@@ -86,7 +80,7 @@ class LaggardDropPolicy:
                 self._lagging_since.pop(rid, None)
 
     def _drop(self, rid: str) -> None:
-        if len(self.sender.receivers) <= self.min_receivers:
+        if len(self.sender.receivers) <= self.MIN_RECEIVERS:
             return
         self.sender.remove_receiver(rid)
         self._lagging_since.pop(rid, None)

@@ -29,7 +29,6 @@ class RLASession:
         src: str,
         members: Iterable[str],
         config: Optional[RLAConfig] = None,
-        group: Optional[str] = None,
         sender_cls: type = RLASender,
     ) -> None:
         self.sim = sim
@@ -37,7 +36,7 @@ class RLASession:
         self.flow = flow
         self.src = src
         self.members: List[str] = list(members)
-        self.group = group or group_address(flow)
+        self.group = group_address(flow)
         self.config = config or RLAConfig()
         net.join_group(self.group, src, self.members)
         src_node = net.node(src)

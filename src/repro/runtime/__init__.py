@@ -7,8 +7,8 @@ results bit-identical to a serial loop:
 
 * :class:`RunSpec` — a content-addressed description of one run
   (entrypoint + params);
-* :func:`run_specs` — the executor: process-pool fan-out, per-run retry,
-  hung-pool teardown, outcomes in input order;
+* :func:`run_specs` — the executor: process-pool fan-out, one retry of
+  a failed run, outcomes in input order;
 * :class:`ResultCache` — on-disk cache keyed by spec content and
   :func:`code_version`, so an unchanged spec is never re-simulated;
 * :class:`RunMetrics` / :func:`metrics_table` — what each run cost

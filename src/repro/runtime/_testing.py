@@ -62,12 +62,7 @@ def snooze(params: Dict[str, Any]) -> Dict[str, Any]:
     return {"slept": seconds, "pid": os.getpid()}
 
 
-def hang(params: Dict[str, Any]) -> str:
-    """Sleep far past any test timeout — exercises hung-worker teardown.
-
-    Sleeps in short slices so a terminated process dies promptly.
-    """
-    deadline = time.monotonic() + float(params.get("seconds", 60.0))
-    while time.monotonic() < deadline:
-        time.sleep(0.05)
-    return "woke up"
+def die(params: Dict[str, Any]) -> None:
+    """End the worker process at once, with no exception to report —
+    exercises the broken-pool path."""
+    os._exit(3)

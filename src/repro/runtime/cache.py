@@ -86,17 +86,17 @@ class ResultCache:
         self.misses = 0
         self.swept_tmp = self._sweep_orphaned_tmp()
 
-    def _sweep_orphaned_tmp(self, max_age: float = TMP_SWEEP_AGE) -> int:
+    def _sweep_orphaned_tmp(self) -> int:
         """Remove stale ``*.tmp`` debris left by writers that crashed
         between open and rename; returns how many files were removed.
 
-        Only files older than ``max_age`` go — a concurrent writer's
-        in-progress temp file is seconds old and is left alone.
+        Only files older than :data:`TMP_SWEEP_AGE` go — a concurrent
+        writer's in-progress temp file is seconds old and is left alone.
         """
         if not self.path.is_dir():
             return 0
         removed = 0
-        cutoff = time.time() - max_age
+        cutoff = time.time() - TMP_SWEEP_AGE
         for tmp_path in self.path.glob("*.tmp"):
             try:
                 if tmp_path.stat().st_mtime < cutoff:

@@ -9,13 +9,12 @@ here safe:
 * **parallelism** — ``workers`` processes execute specs concurrently;
 * **caching** — finished results are stored by content key and replayed
   on the next identical invocation without simulating;
-* **fault handling** — a worker that raises is retried up to ``retries``
-  times; a pool that stalls past ``timeout`` seconds with no completion
-  is torn down (processes killed) and its unfinished runs retried.  A
+* **fault handling** — a run that raises, or whose worker process dies,
+  is retried once (:data:`RETRIES`).  A
   :class:`~repro.errors.ReproError` is a deterministic function of the
-  spec and is never retried.  A run that exhausts its attempts surfaces
-  as an error outcome (and, with ``strict=True``, an exception) — never
-  a silently missing row.
+  spec and is never retried.  A run that still fails raises one
+  :class:`~repro.errors.SimulationError` naming every failed run —
+  never a silently missing row.
 """
 
 from __future__ import annotations
@@ -24,15 +23,15 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ReproError, SimulationError
 from .cache import ResultCache
 from .metrics import RunMetrics, build_metrics
 from .spec import RunSpec
 
-if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
+#: How many times a failed run is re-attempted after its first try.
+RETRIES = 1
 
 
 @dataclass
@@ -77,16 +76,6 @@ def execute_spec(
     return result, time.perf_counter() - start
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear down a pool whose workers may be hung (terminate, don't join)."""
-    for process in getattr(pool, "_processes", {}).values():
-        try:
-            process.terminate()
-        except OSError:  # already gone
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
 def default_workers() -> int:
     """Worker count when the caller does not choose: one per core, >= 1."""
     return max(os.cpu_count() or 1, 1)
@@ -117,35 +106,25 @@ def run_specs(
     specs: Sequence[RunSpec],
     workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
-    timeout: Optional[float] = None,
-    retries: int = 1,
-    strict: bool = True,
     checkpoint_at: Optional[float] = None,
     checkpoint_dir: Optional[str] = None,
 ) -> List[RunOutcome]:
     """Execute every spec; return outcomes in input order.
 
+    A run that fails (it raises, or its worker process dies) is tried
+    again :data:`RETRIES` times, unless it raised a
+    :class:`~repro.errors.ReproError`, which it would raise again.  A run
+    still failing then makes the whole call raise one
+    :class:`SimulationError` naming each failed run.
+
     Parameters
     ----------
     workers:
         Process count.  ``None`` uses one per core; ``0``/``1`` runs
-        serially in-process (no pool, no per-run timeout enforcement).
+        serially in-process (no pool).
     cache:
         Optional :class:`ResultCache`; hits skip simulation entirely and
         replay the stored result + metrics, misses are stored on success.
-    timeout:
-        Stall guard for the pool: if no run completes for this many
-        seconds, the remaining workers are presumed hung or dead, the
-        pool is killed, and the unfinished runs count one failed attempt.
-    retries:
-        How many times a failed (crashed / hung) run is re-attempted
-        after its first try.  A run that raised a
-        :class:`~repro.errors.ReproError` would raise it again and is
-        not re-attempted.
-    strict:
-        When True (default), raise :class:`SimulationError` if any run
-        is still failing after all retries; when False, return its
-        outcome with ``error`` set and ``result=None``.
     checkpoint_at:
         Interior sim-time at which every (non-cached) run writes a
         resumable snapshot before continuing — results are unchanged.
@@ -155,8 +134,6 @@ def run_specs(
     checkpoint_dir:
         Directory for snapshot files (defaults to the cache directory).
     """
-    if retries < 0:
-        raise SimulationError(f"retries must be >= 0, got {retries}")
     if workers is not None and workers < 0:
         raise ConfigurationError(f"workers must be >= 0: {workers}")
     outcomes: List[Optional[RunOutcome]] = [None] * len(specs)
@@ -195,7 +172,7 @@ def run_specs(
     def record_failure(index: int, message: str,
                        exc: Optional[BaseException] = None) -> List[int]:
         """One failed attempt; returns [index] if it should be retried."""
-        if attempts[index] <= retries and not isinstance(exc, ReproError):
+        if attempts[index] <= RETRIES and not isinstance(exc, ReproError):
             return [index]
         spec = specs[index]
         metrics = build_metrics(spec.describe(), 0.0, None,
@@ -223,11 +200,7 @@ def run_specs(
     elif todo:
         # the pool machinery loads only when something is to be simulated:
         # a full cache hit (a replay) never pays for it
-        from concurrent.futures import (
-            FIRST_COMPLETED,
-            ProcessPoolExecutor,
-            wait,
-        )
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
         pending = todo
@@ -237,53 +210,33 @@ def run_specs(
                                    checkpoint_at, ckpt_paths[index]): index
                        for index in pending}
             pending = []
-            waiting = set(futures)
-            hung = False
             try:
-                while waiting:
-                    done, waiting = wait(waiting, timeout=timeout,
-                                         return_when=FIRST_COMPLETED)
-                    if not done:
-                        hung = True
-                        break
-                    for future in done:
-                        index = futures[future]
-                        attempts[index] += 1
-                        try:
-                            result, wall = future.result()
-                        except BrokenProcessPool:
-                            pending.extend(record_failure(
-                                index, "worker process died (pool broken)"))
-                        except Exception as exc:
-                            pending.extend(record_failure(
-                                index, f"{type(exc).__name__}: {exc}", exc))
-                        else:
-                            record_success(index, result, wall)
-            finally:
-                if hung:
-                    for future in waiting:
-                        index = futures[future]
-                        attempts[index] += 1
+                for future in as_completed(futures):
+                    index = futures[future]
+                    attempts[index] += 1
+                    try:
+                        result, wall = future.result()
+                    except BrokenProcessPool:
                         pending.extend(record_failure(
-                            index,
-                            f"no completion within timeout={timeout}s; "
-                            f"worker presumed hung",
-                        ))
-                    _kill_pool(pool)
-                else:
-                    pool.shutdown(wait=True, cancel_futures=True)
+                            index, "worker process died (pool broken)"))
+                    except Exception as exc:
+                        pending.extend(record_failure(
+                            index, f"{type(exc).__name__}: {exc}", exc))
+                    else:
+                        record_success(index, result, wall)
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
 
     final = [outcome for outcome in outcomes if outcome is not None]
     assert len(final) == len(specs), "executor dropped a run"
-    if strict:
-        failed = [outcome for outcome in final if not outcome.ok]
-        if failed:
-            detail = "; ".join(
-                f"{outcome.spec.describe()} (attempts: {outcome.attempts}): "
-                f"{outcome.error.splitlines()[-1]}"
-                for outcome in failed[:5]
-            )
-            raise SimulationError(
-                f"{len(failed)} of {len(specs)} runs failed: {detail}"
-            )
+    failed = [outcome for outcome in final if not outcome.ok]
+    if failed:
+        detail = "; ".join(
+            f"{outcome.spec.describe()} (attempts: {outcome.attempts}): "
+            f"{outcome.error.splitlines()[-1]}"
+            for outcome in failed[:5]
+        )
+        raise SimulationError(
+            f"{len(failed)} of {len(specs)} runs failed: {detail}"
+        )
     return final

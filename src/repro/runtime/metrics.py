@@ -68,7 +68,6 @@ def build_metrics(
     wall_time_s: float,
     result: Any,
     attempts: int = 1,
-    cached: bool = False,
     error: Optional[str] = None,
 ) -> RunMetrics:
     """Fold a run's wall time and engine stats into one record."""
@@ -87,7 +86,6 @@ def build_metrics(
         drops=int(stats.get("drops", 0)),
         peak_queue_depth=int(stats.get("peak_queue_depth", 0)),
         attempts=attempts,
-        cached=cached,
         error=error,
         audit_checks=int(stats.get("audit_checks", 0)),
         violations=(int(stats["violations"])
@@ -97,12 +95,12 @@ def build_metrics(
     )
 
 
-def metrics_table(metrics: List[RunMetrics], title: str = "runtime summary") -> str:
+def metrics_table(metrics: List[RunMetrics]) -> str:
     """Fixed-width text table of per-run metrics plus a totals row."""
     header = (f"{'run':<40s} {'wall s':>8s} {'events':>10s} {'ev/s':>10s} "
               f"{'drops':>7s} {'peakQ':>5s} {'viol':>4s} {'tries':>5s} "
               f"{'src':>6s}")
-    lines = [title, header, "-" * len(header)]
+    lines = ["runtime summary", header, "-" * len(header)]
     total_wall = 0.0
     total_events = 0
     for m in metrics:

@@ -16,6 +16,8 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Set, Tuple
 
 SackBlock = Tuple[int, int]  # half-open [start, end)
+#: SACK blocks one ACK carries (RFC 2018's three, beside a timestamp).
+MAX_BLOCKS = 3
 
 
 class ReceiverSackTracker:
@@ -74,8 +76,8 @@ class ReceiverSackTracker:
         ]
         self._recent_blocks.insert(0, block)
 
-    def blocks(self, max_blocks: int = 3) -> Tuple[SackBlock, ...]:
-        """Up to ``max_blocks`` SACK blocks, most recently updated first."""
+    def blocks(self) -> Tuple[SackBlock, ...]:
+        """Up to :data:`MAX_BLOCKS` SACK blocks, most recently updated first."""
         out: List[SackBlock] = []
         for block in self._recent_blocks:
             if block[1] <= self.rcv_nxt:
@@ -83,7 +85,7 @@ class ReceiverSackTracker:
             clipped = (max(block[0], self.rcv_nxt), block[1])
             if clipped not in out:
                 out.append(clipped)
-            if len(out) == max_blocks:
+            if len(out) == MAX_BLOCKS:
                 break
         return tuple(out)
 

@@ -17,6 +17,9 @@ from ..errors import TopologyError
 from ..units import pps_to_bps
 from .tree import TreeInfo, tree_link_names
 
+#: The paper's fair share per flow on each congested link, packets/second.
+SHARE_PPS = 100.0
+
 
 @dataclass(frozen=True)
 class TreeCase:
@@ -74,25 +77,21 @@ def case_receivers(case: TreeCase, info: TreeInfo) -> List[str]:
     raise TopologyError(f"unknown receiver population {case.receivers!r}")
 
 
-def case_bandwidths(
-    case: TreeCase, info: TreeInfo, share_pps: float = 100.0,
-) -> Dict[str, float]:
+def case_bandwidths(case: TreeCase, info: TreeInfo) -> Dict[str, float]:
     """Capacity (bits/s) of each congested link for a fair share of
-    ``share_pps`` packets/second.
+    :data:`SHARE_PPS` packets/second.
 
     A link crossed by ``k`` background TCP connections plus the single
-    multicast stream gets ``(k + 1) * share_pps`` packets/second.  The
+    multicast stream gets ``(k + 1) * SHARE_PPS`` packets/second.  The
     background TCPs run from the sender to the *leaf* receivers only
     (figure 10's interior G3x receivers join the multicast group but get
     no TCP of their own — the paper's WTCP/BTCP rows there show leaf
     round-trip times).
     """
-    if share_pps <= 0:
-        raise TopologyError(f"share must be positive: {share_pps}")
     bandwidths: Dict[str, float] = {}
     for link in case.congested_links:
         crossing = len(info.leaves_below[link])
-        bandwidths[link] = pps_to_bps((crossing + 1) * share_pps)
+        bandwidths[link] = pps_to_bps((crossing + 1) * SHARE_PPS)
     return bandwidths
 
 

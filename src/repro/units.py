@@ -52,11 +52,9 @@ def pps_to_bps(pkts_per_sec: float, packet_size: int = DEFAULT_PACKET_SIZE) -> f
     return pkts_per_sec * bits(packet_size)
 
 
-def bps_to_pps(bits_per_sec: float, packet_size: int = DEFAULT_PACKET_SIZE) -> float:
-    """Convert a bits/second capacity to packets/second for ``packet_size``."""
-    if packet_size <= 0:
-        raise ConfigurationError(f"non-positive packet size: {packet_size}")
-    return bits_per_sec / bits(packet_size)
+def bps_to_pps(bits_per_sec: float) -> float:
+    """Convert a bits/second capacity to packets/second of the default size."""
+    return bits_per_sec / bits(DEFAULT_PACKET_SIZE)
 
 
 def mbps(value: float) -> float:

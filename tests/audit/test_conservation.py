@@ -22,7 +22,7 @@ from repro.tcp.flow import TcpFlow
 
 @pytest.fixture
 def audited(sim):
-    recorder = FlightRecorder(capacity=64)
+    recorder = FlightRecorder()
     monitor = InvariantMonitor(recorder)
     auditor = ConservationAuditor(sim, monitor=monitor, recorder=recorder)
     yield auditor

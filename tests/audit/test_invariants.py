@@ -51,7 +51,7 @@ def test_non_strict_collects():
 
 
 def test_violation_carries_flight_recorder_dump():
-    recorder = FlightRecorder(capacity=4)
+    recorder = FlightRecorder()
     recorder.record(1.0, "enqueue", flow="tcp-0")
     monitor = InvariantMonitor(recorder)
     with pytest.raises(InvariantViolation) as exc_info:

@@ -1,4 +1,4 @@
-"""Fork semantics: replay exactness, deterministic divergence, mutation."""
+"""Fork semantics: deterministic divergence, independent worlds."""
 
 from __future__ import annotations
 
@@ -13,16 +13,16 @@ from repro.checkpoint import (
     run_fork_ensemble,
 )
 from repro.scenarios.catalog import get_scenario
-from repro.scenarios.runner import checkpoint_scenario, run_scenario
+from repro.scenarios.runner import checkpoint_scenario
 
 DURATION, WARMUP = 5.0, 1.5
 
 
 @pytest.fixture(scope="module")
-def churn_snapshot():
+def snapshot():
     """One warmed-up churn scenario snapshot shared by the fork tests."""
     spec = get_scenario("tree-churn", duration=DURATION, warmup=WARMUP)
-    return spec, checkpoint_scenario(spec, at=3.0)
+    return checkpoint_scenario(spec, at=3.0)
 
 
 def test_branch_labels():
@@ -32,16 +32,7 @@ def test_branch_labels():
         branch_labels(0)
 
 
-def test_fork_without_reseed_replays_exactly(churn_snapshot):
-    spec, snapshot = churn_snapshot
-    straight = pickle.dumps(run_scenario(spec))
-    [(label, report)] = run_fork_ensemble(snapshot, ["replay"], reseed=False)
-    assert label == "replay"
-    assert pickle.dumps(report) == straight
-
-
-def test_fork_reseeded_branches_diverge_deterministically(churn_snapshot):
-    _, snapshot = churn_snapshot
+def test_fork_reseeded_branches_diverge_deterministically(snapshot):
     first = run_fork_ensemble(snapshot, 3)
     second = run_fork_ensemble(snapshot, 3)
     assert pickle.dumps(first) == pickle.dumps(second)  # reproducible
@@ -49,9 +40,8 @@ def test_fork_reseeded_branches_diverge_deterministically(churn_snapshot):
     assert len(reports) > 1  # branch futures actually diverge
 
 
-def test_fork_yields_independent_worlds(churn_snapshot):
-    _, snapshot = churn_snapshot
-    worlds = [world for _, world in fork(snapshot, 2, reseed=False)]
+def test_fork_yields_independent_worlds(snapshot):
+    worlds = [world for _, world in fork(snapshot, 2)]
     assert worlds[0] is not worlds[1]
     assert worlds[0].sim is not worlds[1].sim
     # advancing one branch does not move the other
@@ -59,22 +49,7 @@ def test_fork_yields_independent_worlds(churn_snapshot):
     assert worlds[1].sim.now < 4.0
 
 
-def test_fork_mutation_hook_changes_the_branch_future(churn_snapshot):
-    _, snapshot = churn_snapshot
-    baseline = run_fork_ensemble(snapshot, ["m"], reseed=False)
-
-    def shrink_buffers(world):
-        for gateway in world.gateways:
-            gateway.capacity = 3
-
-    mutated = run_fork_ensemble(snapshot, ["m"], mutate=shrink_buffers,
-                                reseed=False)
-    assert (pickle.dumps(mutated[0][1])
-            != pickle.dumps(baseline[0][1]))
-
-
-def test_run_fork_ensemble_requires_resume_entrypoint(churn_snapshot):
-    _, snapshot = churn_snapshot
+def test_run_fork_ensemble_requires_resume_entrypoint(snapshot):
     import dataclasses
 
     bare = dataclasses.replace(snapshot, resume="")

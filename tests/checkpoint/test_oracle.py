@@ -158,8 +158,8 @@ def test_fresh_process_restore_byte_identity(tmp_path):
     child = subprocess.run(
         [sys.executable, "-c",
          "import pickle, sys\n"
-         "from repro.checkpoint import resume\n"
-         f"report = resume({str(path)!r})\n"
+         "from repro.checkpoint import load, resume\n"
+         f"report = resume(load({str(path)!r}))\n"
          "sys.stdout.buffer.write(pickle.dumps(report))\n"],
         env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
         capture_output=True,

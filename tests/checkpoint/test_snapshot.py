@@ -289,13 +289,13 @@ def test_load_rejects_future_format_version(tmp_path):
 
 
 def _assert_format_refused(tmp_path, version):
-    assert FORMAT_VERSION == 12
+    assert FORMAT_VERSION == 13
     snapshot = capture(BareWorld())
     old = Snapshot(**{**snapshot.__dict__, "version": version})
     path = save(old, tmp_path / f"v{version}.ckpt")
     for allow in (False, True):
         with pytest.raises(CheckpointError, match=(
-                rf"has snapshot format v{version}; this build reads v12$")):
+                rf"has snapshot format v{version}; this build reads v13$")):
             load(path, allow_code_mismatch=allow)
     with pytest.raises(CheckpointError,
                        match=rf"^snapshot format v{version} not supported"):
@@ -332,6 +332,12 @@ def test_load_rejects_v11_format_version(tmp_path):
     # factory class that v12, with one ``GatewayFactory``, no longer has:
     # refused at load, not dead mid-restore
     _assert_format_refused(tmp_path, 11)
+
+
+def test_load_rejects_v12_format_version(tmp_path):
+    # a v12 ``PacketSink`` pickles the record mode that v13 no longer
+    # has: refused at load, like every older format
+    _assert_format_refused(tmp_path, 12)
 
 
 def _rewrite_header(path, **fields):

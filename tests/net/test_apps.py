@@ -54,25 +54,6 @@ def test_cbr_rejects_bad_rate(sim, two_node_net):
         CbrSource(sim, two_node_net.node("A"), "x", "B", rate_pps=0)
 
 
-def test_sink_records_when_asked(sim, two_node_net):
-    net = two_node_net
-    sink = PacketSink(net.node("B"), "cbr-0", record=True, sim=sim)
-    source = CbrSource(sim, net.node("A"), "cbr-0", "B", rate_pps=10)
-    source.start()
-    sim.run(until=1.0)
-    assert [seq for _t, seq in sink.arrivals] == list(range(sink.received))
-    # arrival timestamps are monotone and within the run window
-    times = [t for t, _seq in sink.arrivals]
-    assert times == sorted(times)
-    assert all(0.0 <= t <= 1.0 for t in times)
-    assert sink.bytes == sink.received * 1000
-
-
-def test_sink_record_requires_sim(two_node_net):
-    with pytest.raises(ConfigurationError):
-        PacketSink(two_node_net.node("B"), "cbr-0", record=True)
-
-
 def test_cbr_stop_start_reentrancy_single_chain(sim, two_node_net):
     """stop() then start() before the stale emit fires must not double-send.
 

@@ -30,8 +30,6 @@ def test_loss_rate():
     for seq in range(4):
         queue.enqueue(0.0, _pkt(seq))
     assert monitor.loss_rate() == pytest.approx(0.5)
-    assert monitor.loss_rate("f") == pytest.approx(0.5)
-    assert monitor.loss_rate("other") == 0.0
 
 
 def test_mean_depth_time_weighted():

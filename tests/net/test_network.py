@@ -33,14 +33,6 @@ def test_bidirectional_links_by_default(sim):
     assert net.link("B", "A") is reverse
 
 
-def test_unidirectional_link(sim):
-    net = Network(sim)
-    _, reverse = net.add_link("A", "B", mbps(1), ms(1), bidirectional=False)
-    assert reverse is None
-    with pytest.raises(TopologyError):
-        net.link("B", "A")
-
-
 def test_duplicate_link_rejected(sim):
     net = Network(sim)
     net.add_link("A", "B", mbps(1), ms(1))

@@ -1,6 +1,7 @@
 """Executor behaviour: fan-out, caching, retry, failure reporting."""
 
 import os
+import re
 import time
 
 import pytest
@@ -12,7 +13,7 @@ ECHO = "repro.runtime._testing:echo"
 BOOM = "repro.runtime._testing:boom"
 FLAKY = "repro.runtime._testing:flaky"
 MISCONFIGURED = "repro.runtime._testing:misconfigured"
-HANG = "repro.runtime._testing:hang"
+DIE = "repro.runtime._testing:die"
 SNOOZE = "repro.runtime._testing:snooze"
 
 
@@ -67,8 +68,7 @@ def test_cache_hit_skips_execution(tmp_path):
 def test_failed_run_is_cached_never(tmp_path):
     cache = ResultCache(tmp_path, code="c1")
     with pytest.raises(SimulationError):
-        run_specs([RunSpec(BOOM, {"why": "nope"})], workers=1,
-                  cache=cache, retries=0)
+        run_specs([RunSpec(BOOM, {"why": "nope"})], workers=1, cache=cache)
     assert len(cache) == 0
 
 
@@ -76,7 +76,7 @@ def test_failed_run_is_cached_never(tmp_path):
 def test_worker_failure_retry_succeeds(tmp_path, workers):
     marker = str(tmp_path / f"marker-{workers}")
     out = run_specs(
-        [RunSpec(FLAKY, {"marker": marker})], workers=workers, retries=2,
+        [RunSpec(FLAKY, {"marker": marker})], workers=workers,
     )[0]
     assert out.ok
     assert out.result == "recovered"
@@ -87,17 +87,11 @@ def test_worker_failure_retry_succeeds(tmp_path, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_exhausted_retries_reported_not_dropped(workers):
     specs = [RunSpec(ECHO, {"x": 1}), RunSpec(BOOM, {"why": "always"})]
-    outcomes = run_specs(specs, workers=workers, retries=1, strict=False)
-    assert len(outcomes) == 2
-    assert outcomes[0].ok
-    failed = outcomes[1]
-    assert not failed.ok
-    assert failed.attempts == 2
-    assert "boom" in failed.error
-    assert failed.result is None
-    # strict mode surfaces the same failure as an exception
-    with pytest.raises(SimulationError, match="boom"):
-        run_specs(specs, workers=workers, retries=1, strict=True)
+    with pytest.raises(SimulationError) as raised:
+        run_specs(specs, workers=workers)
+    message = str(raised.value)
+    assert message.startswith("1 of 2 runs failed: ")
+    assert "(attempts: 2): RuntimeError: boom: always" in message
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -106,28 +100,25 @@ def test_repro_error_is_not_retried(tmp_path, workers):
     log = tmp_path / "attempts.log"
     specs = [RunSpec(MISCONFIGURED, {"log": str(log)}),
              RunSpec(BOOM, {"why": "always"})]
-    refused, crashed = run_specs(specs, workers=workers, retries=3,
-                                 strict=False)
-    assert not refused.ok and "ConfigurationError" in refused.error
-    assert refused.attempts == refused.metrics.attempts == 1
-    assert log.read_text() == "attempted\n"
-    assert crashed.attempts == 4  # any other exception keeps its retries
     with pytest.raises(SimulationError) as raised:
-        run_specs(specs, workers=workers, retries=3)
-    assert "(attempts: 1): " in str(raised.value)
-    assert "(attempts: 4): " in str(raised.value)
+        run_specs(specs, workers=workers)
+    assert log.read_text() == "attempted\n"
+    # (a worker reports the exception's type, serial runs its qualname)
+    assert re.search(r"\(attempts: 1\): \S*ConfigurationError", str(raised.value))
+    # any other exception keeps its retry
+    assert "(attempts: 2): RuntimeError" in str(raised.value)
 
 
-def test_hung_worker_is_killed_and_reported():
-    start = time.monotonic()
-    outcomes = run_specs(
-        [RunSpec(HANG, {"seconds": 60.0})],
-        workers=2, timeout=1.0, retries=0, strict=False,
-    )
-    elapsed = time.monotonic() - start
-    assert elapsed < 30.0, "hung worker was not torn down"
-    assert not outcomes[0].ok
-    assert "hung" in outcomes[0].error
+def test_dead_worker_is_retried_once_then_reported():
+    # os._exit in a worker breaks the pool: every run still in it fails
+    # that attempt with BrokenProcessPool and goes to a fresh pool
+    dying = RunSpec(DIE, {"x": 0})
+    with pytest.raises(SimulationError) as raised:
+        run_specs([dying, RunSpec(ECHO, {"x": 1})], workers=2)
+    message = str(raised.value)
+    assert (f"{dying.describe()} (attempts: 2): "
+            f"worker process died (pool broken)") in message
+    assert message.count(dying.describe()) == 1
 
 
 def test_workers_overlap_wall_clock():
@@ -141,11 +132,6 @@ def test_workers_overlap_wall_clock():
     assert all(o.ok for o in outcomes)
     assert elapsed < 0.7 * len(specs) / 2, (
         f"no overlap: 4 parallel 0.7s runs took {elapsed:.2f}s")
-
-
-def test_invalid_retries_rejected():
-    with pytest.raises(SimulationError):
-        run_specs(_echo_specs(1), retries=-1)
 
 
 # ----------------------------------------------------------------------
@@ -193,4 +179,4 @@ def test_checkpoint_at_requires_registered_runner(tmp_path):
     spec = RunSpec(ECHO, {"x": 0, "events": 10})
     with pytest.raises(SimulationError, match="checkpoint"):
         run_specs([spec], workers=1, checkpoint_at=1.0,
-                  checkpoint_dir=str(tmp_path), retries=0)
+                  checkpoint_dir=str(tmp_path))

@@ -26,11 +26,6 @@ def test_pps_to_bps_rejects_negative_rate():
         units.pps_to_bps(-1)
 
 
-def test_bps_to_pps_rejects_bad_packet_size():
-    with pytest.raises(ConfigurationError):
-        units.bps_to_pps(1e6, packet_size=0)
-
-
 def test_mbps_kbps_ms():
     assert units.mbps(1) == 1e6
     assert units.kbps(64) == 64e3

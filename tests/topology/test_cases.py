@@ -77,11 +77,6 @@ def test_unknown_link_in_case_rejected():
         TreeCase("bad", ("L999",), "nope")
 
 
-def test_bad_share_rejected(info):
-    with pytest.raises(TopologyError):
-        case_bandwidths(TREE_CASES[1], info, share_pps=0)
-
-
 def test_unknown_population_rejected(info):
     case = TreeCase("odd", ("L1",), "x", receivers="martians")
     with pytest.raises(TopologyError):
