@@ -207,8 +207,12 @@ import-smoke:
 # modules each loads (repro's among them) and the summed `-X importtime`
 # of its top-level imports: `import repro.cli`, a `fig7 --cases 1
 # --cache` replay of the run just before it (which must simulate nothing),
-# and `fluid scale --counts 1000`, which loads no packet simulator.
+# and `fluid scale --counts 1000`, which loads no packet simulator.  Last,
+# the cold row: `import repro.cli` from a copy of src with no bytecode (as
+# rlabench's set-up imports it), its wall milliseconds and the repro
+# modules it compiled — the entry point alone, at most 3.
 STARTUP_CACHE := .startup-smoke-cache
+STARTUP_SRC := .startup-smoke-src
 startup-smoke:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/test_import_budget.py
 	rm -rf $(STARTUP_CACHE)
@@ -231,7 +235,22 @@ startup-smoke:
 	    name, len(r), sum(f[2].strip().startswith('repro') for f in r), \
 	    sum(int(f[1]) for f in r if not f[2].startswith('  ')) / 1e3) \
 	    for name, r in rows))"
-	rm -rf $(STARTUP_CACHE)
+	rm -rf $(STARTUP_CACHE) $(STARTUP_SRC)
+	$(PYTHON) -c "import os, pathlib, shutil, subprocess, sys, time; \
+	copy = pathlib.Path('$(STARTUP_SRC)'); \
+	shutil.copytree('src', copy, ignore=shutil.ignore_patterns('__pycache__', '*.pyc')); \
+	env = {k: v for k, v in os.environ.items() \
+	       if k not in ('PYTHONDONTWRITEBYTECODE', 'PYTHONPYCACHEPREFIX')}; \
+	start = time.perf_counter(); \
+	subprocess.run([sys.executable, '-c', 'import repro.cli'], check=True, \
+	               env={**env, 'PYTHONPATH': str(copy)}); \
+	ms = (time.perf_counter() - start) * 1e3; \
+	compiled = sorted('%s/%s' % (pyc.parent.parent.relative_to(copy), \
+	                  pyc.name.split('.')[0]) for pyc in copy.rglob('*.pyc')); \
+	print('%-30s %6.1f ms, %d repro modules compiled: %s' % ( \
+	    'import repro.cli (cold)', ms, len(compiled), ' '.join(compiled))); \
+	assert len(compiled) <= 3, compiled"
+	rm -rf $(STARTUP_SRC)
 
 # Reproduce every paper figure from the CLI at a moderate scale.
 figures:

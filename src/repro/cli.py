@@ -33,16 +33,35 @@ import argparse
 import sys
 from contextlib import nullcontext
 from functools import partial
-from typing import IO, Any, ContextManager, Iterable, List, Optional
+from typing import IO, Any, ContextManager, List, Optional
 
 from .errors import ConfigurationError, ReproError
-from .experiments.figures import FIGURES, figure_table, run_figure
 
-# benchmarks/rlabench/tracing.py times table rendering by swapping each of
-# these three; _run_tree_figure looks them up per call so it sees the swap
-fig7_table = figure_table
-fig9_table = figure_table
-fig10_table = figure_table
+#: The tree-figure subcommands and their help: the rows of
+#: :data:`repro.experiments.figures.FIGURES` (tests/experiments/test_cli.py
+#: pins the two together).  That module and the tree-experiment chain
+#: behind it load only when one of these is parsed, or the full parser is.
+_FIGURE_HELP = {
+    "fig7": "drop-tail table (cases 1-5)",
+    "fig8": "congestion-signal statistics",
+    "fig9": "RED table (cases 1-5)",
+    "fig10": "different RTTs (generalized RLA)",
+    "multisession": "two overlapping RLA sessions",
+}
+
+#: benchmarks/rlabench/tracing.py times table rendering by swapping each
+#: of these on this module; until it does, :func:`__getattr__` resolves
+#: them to ``figure_table``, and _run_tree_figure looks them up per call
+#: so it sees the swap.
+_SWAPPABLE_TABLES = ("fig7_table", "fig9_table", "fig10_table")
+
+
+def __getattr__(name: str) -> Any:
+    if name in _SWAPPABLE_TABLES:
+        from .experiments.figures import figure_table
+
+        return figure_table
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _add_horizon_args(parser: argparse.ArgumentParser,
@@ -133,11 +152,14 @@ def _add_fig5_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1)
 
 
-def _add_tree_args(p: argparse.ArgumentParser, cases: Iterable[int]) -> None:
+def _add_tree_args(p: argparse.ArgumentParser, name: str) -> None:
     """A FIGURES row: run + checkpoint options and the case selection."""
+    from .experiments.figures import FIGURES
+
     _add_run_args(p)
     _add_checkpoint_args(p)
-    p.add_argument("--cases", type=int, nargs="+", default=list(cases))
+    p.add_argument("--cases", type=int, nargs="+",
+                   default=list(FIGURES[name].cases))
 
 
 def _add_sweep_args(sweep: argparse.ArgumentParser) -> None:
@@ -257,6 +279,8 @@ def _run_fig5(args: argparse.Namespace) -> None:
 
 def _run_tree_figure(args: argparse.Namespace) -> None:
     """A FIGURES row: run its cases, print its table."""
+    from .experiments.figures import figure_table, run_figure
+
     outcomes: List[Any] = []
     results = run_figure(args.figure, duration=args.duration,
                          warmup=args.warmup, seed=args.seed, cases=args.cases,
@@ -400,8 +424,8 @@ def _run_fluid(args: argparse.Namespace) -> int:
 _SUBCOMMANDS = {
     "fig4": ("drift field of two competing windows", None, _run_fig4),
     "fig5": ("density of (cwnd1, cwnd2)", _add_fig5_args, _run_fig5),
-    **{name: (figure.help, partial(_add_tree_args, cases=figure.cases),
-              _run_tree_figure) for name, figure in FIGURES.items()},
+    **{name: (help_text, partial(_add_tree_args, name=name),
+              _run_tree_figure) for name, help_text in _FIGURE_HELP.items()},
     "sweep": ("fairness vs receiver count", _add_sweep_args, _run_sweep),
     "scenarios": ("generated workloads: topologies, mice, churn",
                   _add_scenarios_args, _run_scenarios),

@@ -43,10 +43,9 @@ from .tables import format_case_table, format_sessions, format_signals_table
 
 @dataclass(frozen=True)
 class Figure:
-    """One §5 table: which cases, on which gateway, printed how."""
+    """One §5 table: which cases, on which gateway, printed how (its
+    subcommand's help line is :mod:`repro.cli`'s)."""
 
-    #: the CLI subcommand's one-line help
-    help: str
     title: str
     #: the case registry; its ids are the default ``--cases``
     cases: Dict[int, TreeCase]
@@ -60,23 +59,18 @@ class Figure:
 
 FIGURES: Dict[str, Figure] = {
     "fig7": Figure(
-        "drop-tail table (cases 1-5)",
         "Figure 7 - multicast sharing with TCP, drop-tail gateways",
         TREE_CASES, FIG7_DROPTAIL, format_case_table),
     "fig8": Figure(
-        "congestion-signal statistics",
         "Figure 8 - congestion signals per branch (drop-tail runs)",
         TREE_CASES, FIG8_SIGNALS, format_signals_table),
     "fig9": Figure(
-        "RED table (cases 1-5)",
         "Figure 9 - multicast sharing with TCP, RED gateways",
         TREE_CASES, FIG9_RED, format_case_table, gateway="red"),
     "fig10": Figure(
-        "different RTTs (generalized RLA)",
         "Figure 10 - different round-trip times (generalized RLA)",
         RTT_CASES, FIG10_RTT, format_case_table),
     "multisession": Figure(
-        "two overlapping RLA sessions",
         "Section 5.2 - two overlapping multicast sessions",
         {3: TREE_CASES[3]}, {3: MULTISESSION}, format_sessions,
         rla_sessions=2),

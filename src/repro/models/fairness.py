@@ -216,7 +216,7 @@ def is_absolutely_fair(
     lambda_rla: float,
     mu: Sequence[float],
     m: Sequence[int],
-    tolerance: float = 0.2,
+    tolerance: float,
 ) -> bool:
     """True if the multicast throughput sits at the soft-bottleneck share.
 

@@ -140,15 +140,13 @@ def proposition_bounds(p_max: float, n: int) -> Tuple[float, float]:
     return lower, math.sqrt(n) * lower
 
 
-def eta_condition(p1: float, eta: float = 20.0) -> float:
+def eta_condition(p1: float) -> float:
     """§4.2's f(p1) = p1 / (2 - 1.5 p1): x >= f(p1) keeps the bound valid.
 
     Returns ``f(p1)``; the RLA guarantees ``x = p2/p1 >= 1/eta``, and the
     paper picks ``eta = 20`` so ``1/eta = 0.05`` clears ``f(0.05) ~= 0.026``.
     """
     _check_probs((p1,))
-    if eta < 1:
-        raise ConfigurationError(f"eta must be >= 1: {eta}")
     return p1 / (2.0 - 1.5 * p1)
 
 
@@ -194,11 +192,11 @@ def simulate_grouped_chain(
     p: float,
     group_size: int,
     groups: int,
-    steps: int = 200_000,
-    seed: int = 1,
-    w0: float = 10.0,
+    steps: int,
+    seed: int,
 ) -> float:
-    """Monte-Carlo twin of :func:`rla_window_grouped`."""
+    """Monte-Carlo twin of :func:`rla_window_grouped`; the window starts
+    at 10 packets."""
     _check_probs((p,))
     if steps <= 0:
         raise ConfigurationError(f"steps must be positive: {steps}")
@@ -209,7 +207,7 @@ def simulate_grouped_chain(
     rng = random.Random(seed)
     n = group_size * groups
     listen = 1.0 / n
-    w = w0
+    w = 10.0
     total = 0.0
     for _ in range(steps):
         signals = sum(group_size for _ in range(groups) if rng.random() < p)

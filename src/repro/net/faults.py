@@ -187,7 +187,7 @@ class RandomDropFactory:
         return RandomDropQueue(self.inner_factory(name), self.drop_prob, rng=rng)
 
 
-def random_drop_factory(inner_factory, drop_prob: float, sim=None):
+def random_drop_factory(inner_factory, drop_prob: float, sim):
     """Wrap a queue factory with a Bernoulli loss channel.
 
     ``sim`` is required: it supplies the per-queue seeded RNG streams that

@@ -176,7 +176,7 @@ def run_specs(
             return [index]
         spec = specs[index]
         metrics = build_metrics(spec.describe(), 0.0, None,
-                                attempts=attempts[index], error=message)
+                                attempts=attempts[index])
         outcomes[index] = RunOutcome(spec=spec, result=None, metrics=metrics,
                                      attempts=attempts[index], error=message)
         return []

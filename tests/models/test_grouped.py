@@ -63,4 +63,4 @@ def test_validation():
     with pytest.raises(ConfigurationError):
         rla_window_grouped(0.01, 0, 1)
     with pytest.raises(ConfigurationError):
-        simulate_grouped_chain(0.01, 1, 1, steps=0)
+        simulate_grouped_chain(0.01, 1, 1, steps=0, seed=1)

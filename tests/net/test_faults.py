@@ -90,7 +90,7 @@ def test_missing_rng_is_rejected():
         RandomDropQueue(DropTailQueue(10), 0.1)
     with pytest.raises(ConfigurationError, match="sim"):
         inner = GatewayFactory("droptail", Simulator(), 20)
-        random_drop_factory(inner, 0.1)("A->B")
+        random_drop_factory(inner, 0.1, sim=None)("A->B")
 
 
 def test_inner_red_causes_survive_the_wrapper():

@@ -9,7 +9,8 @@ loads either one (or networkx's heavy stdlib tail,
 
 The packet simulator and the pool machinery load where a world is built
 and where a pool starts: importing the CLI, and a replay served wholly
-from the cache, load neither.
+from the cache, load neither.  The CLI entry imports no subcommand's
+modules: the tree-figure chain loads for a figure subcommand alone.
 """
 
 import json
@@ -28,6 +29,11 @@ SIMULATOR = ("repro.sim", "repro.net", "repro.tcp", "repro.rla",
 #: What a fluid command and the scenario catalog never load: the packet
 #: world, the module that builds it for both backends (crossval), and
 #: the pool.
+#: The tree-figure chain: what only a figure subcommand, or the full
+#: parser (``-h``, an unknown subcommand), loads.
+FIGURE_CHAIN = ("repro.experiments.figures", "repro.experiments.runner",
+                "repro.experiments.tables", "repro.experiments.paperdata",
+                "repro.topology.cases", "repro.topology.tree")
 PACKET_WORLD = ("repro.sim", "repro.tcp", "repro.rla", "repro.checkpoint",
                 "repro.net.network", "repro.net.link", "repro.net.node",
                 "repro.fluid.crossval", "repro.scenarios.runner",
@@ -74,6 +80,33 @@ def test_importing_the_cli_loads_no_heavy_library():
     assert not {m for m in modules if m.startswith(
         ("repro.scenarios", "repro.fluid", "repro.runtime", "repro.audit",
          "repro.checkpoint"))}
+
+
+def test_importing_the_cli_loads_the_entry_point_alone():
+    _, modules = _fresh()
+    assert _under(modules, ("repro",)) == {"repro", "repro.cli",
+                                           "repro.errors"}
+    assert not {"dataclasses", "inspect"} & modules
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--counts", "2", *SHORT),
+    ("scenarios", "list"),
+    ("fluid", "scale", "--counts", "1000", *SHORT),
+], ids=["sweep", "scenarios-list", "fluid-scale"])
+def test_other_commands_load_no_figure_chain(argv):
+    stdout, modules = _fresh(argv)
+    assert stdout.strip()
+    assert not _under(modules, FIGURE_CHAIN)
+
+
+def test_a_warm_sweep_replay_loads_no_figure_chain(tmp_path):
+    argv = ("sweep", "--counts", "2", "--cache", str(tmp_path), "--metrics",
+            *SHORT)
+    _fresh(argv)
+    warm, modules = _fresh(argv)
+    assert "simulated work: 0.00 s" in warm
+    assert not _under(modules, FIGURE_CHAIN)
 
 
 @pytest.mark.parametrize("argv", [

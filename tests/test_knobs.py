@@ -13,13 +13,13 @@ Parameters: the same rule holds for every defaulted parameter of a
 function, method or ``__init__`` in ``src/repro``.  A call there must pass
 it, by keyword or by position, matched on the callable's name (a class
 name for ``__init__``); otherwise it is deleted with the code only its
-non-default values reach, or listed in :data:`PARAMETERS_ALLOWED`.  The
-walk skips a callable whose call sites it cannot read: one no call there
-reaches at all (only tests drive it; ``tests/test_reachability.py`` asks
-whether it stays), one whose name is also used as a value (a callback, a
-``render=`` table entry), one a ``"repro.x:y"`` entrypoint string in
-``src/`` names, and one ever called with ``*``/``**``.  Skipping can miss
-a parameter but never flags one wrongly.
+non-default values reach, or listed in :data:`PARAMETERS_ALLOWED`.  A
+callable only tests call is walked too: none of its defaults is passed.
+The walk skips a callable whose call sites it cannot read: one whose name
+is also used as a value (a callback, a ``render=`` table entry), one a
+``"repro.x:y"`` entrypoint string in ``src/`` names, and one ever called
+with ``*``/``**``.  Skipping can miss a parameter but never flags one
+wrongly.
 """
 
 import ast
@@ -99,6 +99,19 @@ PARAMETERS_ALLOWED = {
     ("ResultCache", "code"):
         "a pinned code version, set by the cache-invalidation cases of "
         "tests/runtime/test_cache.py",
+    ("export_run", "meta"):
+        "the meta row, written by tests/audit/test_jsonl_export.py",
+    ("export_run", "recorder"):
+        "the trace rows, written by tests/audit/test_jsonl_export.py",
+    ("export_run", "monitors"):
+        "the queue summaries, written by tests/audit/test_jsonl_export.py",
+    ("export_run", "auditor"):
+        "the conservation rows, written by tests/audit/test_jsonl_export.py",
+    ("load_rows", "type_filter"):
+        "one row type, read back by tests/audit/test_jsonl_export.py",
+    ("checkpoint_scenario", "path"):
+        "the snapshot file a fresh process restores, written by "
+        "tests/checkpoint/test_oracle.py",
 }
 
 #: Not walked: item 12 of ROADMAP.md decides ``repro.baselines``, and
@@ -167,8 +180,8 @@ def _signatures():
 
 def _calls_in(tree, signatures, in_src):
     """What one module's code says about the callables in ``signatures``:
-    ``(passed, called, values, starred, entrypoints)``."""
-    passed, called, values, starred, entrypoints = (set() for _ in range(5))
+    ``(passed, values, starred, entrypoints)``."""
+    passed, values, starred, entrypoints = (set() for _ in range(4))
     skipped, bound = set(), set()  # call targets, annotations, lazy exports
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -179,7 +192,6 @@ def _calls_in(tree, signatures, in_src):
                 skipped.update(id(sub) for sub in ast.walk(node))
             if name not in signatures:
                 continue
-            called.add(name)
             if (any(isinstance(arg, ast.Starred) for arg in node.args)
                     or any(kw.arg is None for kw in node.keywords)):
                 starred.add(name)
@@ -205,21 +217,21 @@ def _calls_in(tree, signatures, in_src):
         elif (in_src and isinstance(node, ast.Constant)
               and isinstance(node.value, str)):
             entrypoints.update(ENTRYPOINT.findall(node.value))
-    return passed, called, values, starred, entrypoints
+    return passed, values, starred, entrypoints
 
 
 def _unpassed(signatures, modules):
     """``(callable, parameter)`` pairs with a default no call passes;
     ``modules`` is ``(tree, in_src)`` pairs."""
-    facts = [set() for _ in range(5)]
+    facts = [set() for _ in range(4)]
     for tree, in_src in modules:
         for known, new in zip(facts, _calls_in(tree, signatures, in_src)):
             known |= new
-    passed, called, values, starred, entrypoints = facts
+    passed, values, starred, entrypoints = facts
     unreadable = values | starred | entrypoints
     return {(name, parameter)
             for name, variants in signatures.items()
-            if name in called and name not in unreadable
+            if name not in unreadable
             for _, defaulted in variants for parameter in defaulted
             if (name, parameter) not in passed}
 
@@ -251,7 +263,7 @@ entry(1)
 RUNNER = "repro.x:entry"
 """
     unpassed = _unpassed(signatures, [(ast.parse(source), True)])
-    assert unpassed == {("g", "b")}
+    assert unpassed == {("g", "b"), ("untouched", "b")}
 
 
 def test_every_config_field_is_set_by_a_caller():
