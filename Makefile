@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test paper-checks bench bench-selftest bench-pair same-output audit-smoke hop-smoke checkpoint-smoke fluid-smoke import-smoke startup-smoke examples-smoke figures quickstart clean
+.PHONY: install test paper paper-checks bench bench-selftest bench-pair same-output audit-smoke hop-smoke checkpoint-smoke fluid-smoke import-smoke startup-smoke examples-smoke figures quickstart clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -10,9 +10,31 @@ install:
 test:
 	pytest tests/
 
-# The reproduction checks: one bench_*.py per paper figure/table/ablation
-# (DESIGN.md's experiment index), each printing the paper's numbers beside
-# ours and asserting the shape.  They time nothing.
+# The paper's §5 tables: `repro-rla paper <figure>` runs every case of
+# each named FIGURES row (default: all) over 5 seeds and prints each cell's
+# mean ± 95 % CI beside the paper's number, each case's Theorem I/II count
+# and one PASS/FAIL line per shape check; a FAIL exits 1 from 40 measured
+# seconds up.  This target rewrites results/paper_ci.txt (fig 9 at 3 + 1 s)
+# and copies results/paper_600.txt into EXPERIMENTS.md's E5 block; tier-1
+# diffs both.  results/paper_600.txt itself is ~70 core-minutes, rerun by
+# hand: `repro-rla paper fig9 --duration 600 --warmup 100 --workers 2`.
+paper:
+	PYTHONPATH=src $(PYTHON) -m repro.cli paper fig9 --duration 3 \
+		--warmup 1 > results/paper_ci.txt
+	$(PYTHON) -c "import pathlib, re; doc = pathlib.Path('EXPERIMENTS.md'); \
+	fence = chr(96) * 3; \
+	table = pathlib.Path('results/paper_600.txt').read_text(encoding='utf-8'); \
+	text, n = re.subn(r'(<!-- generated from results/paper_600[.]txt[^\n]*\n).*?' \
+	                  r'(<!-- end of generated block -->)', \
+	                  lambda m: m.group(1) + fence + '\n' + table + fence + '\n' \
+	                  + m.group(2), doc.read_text(encoding='utf-8'), flags=re.S); \
+	assert n == 1, 'EXPERIMENTS.md has %d generated blocks' % n; \
+	doc.write_text(text, encoding='utf-8')"
+
+# The other reproduction checks: one bench_*.py per model figure, ablation,
+# sweep or extension (DESIGN.md's experiment index), each printing the
+# paper's numbers beside ours and asserting the shape.  They time nothing.
+# The §5 tables are `make paper` / `repro-rla paper <figure>`.
 paper-checks:
 	pytest benchmarks/ -s
 

@@ -1,6 +1,16 @@
 """Horizon of the reproduction checks (importable by the bench modules).
 
-See benchmarks/conftest.py for how it relates to the paper's runs.
+Every ``bench_*.py`` file reproduces one model figure, ablation, sweep or
+extension of the paper at a scaled-down horizon and asserts its shape;
+none of them times anything (speed is measured by
+``benchmarks/rlabench/``).  The §5 tables are ``repro-rla paper``.  The
+horizon is controlled by two environment variables so a higher-fidelity
+run is one command away:
+
+* ``REPRO_BENCH_DURATION`` — measured seconds after warmup (default 60;
+  the paper used 2900),
+* ``REPRO_BENCH_WARMUP`` — discarded warmup seconds (default 20; the
+  paper used 100).
 """
 
 from __future__ import annotations

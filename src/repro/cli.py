@@ -8,12 +8,13 @@ Examples::
     repro-rla fig10 --workers 4 --cache --metrics
     repro-rla fig5 --steps 100000
     repro-rla multisession --duration 150
+    repro-rla paper fig9 --duration 600 --warmup 100 --workers 2
     repro-rla sweep --counts 2 4 8 --workers 4
     repro-rla scenarios run tree-churn --checkpoint-at 15 --checkpoint-dir ck
     repro-rla resume ck/<key>.t15.ckpt
     repro-rla fork ck/<key>.t15.ckpt --branches 8
 
-Simulation subcommands (fig7/8/9/10, multisession, sweep) accept:
+Simulation subcommands (fig7/8/9/10, multisession, paper, sweep) accept:
 
 * ``--workers N`` — fan independent runs out over N processes via
   :mod:`repro.runtime` (results byte-identical to serial);
@@ -162,6 +163,13 @@ def _add_tree_args(p: argparse.ArgumentParser, name: str) -> None:
                    default=list(FIGURES[name].cases))
 
 
+def _add_paper_args(p: argparse.ArgumentParser) -> None:
+    _add_run_args(p)
+    # no choices=: argparse checks an empty nargs="*" list against them
+    p.add_argument("names", nargs="*", metavar="FIGURE",
+                   help=f"default: all of {' '.join(_FIGURE_HELP)}")
+
+
 def _add_sweep_args(sweep: argparse.ArgumentParser) -> None:
     _add_run_args(sweep)
     sweep.add_argument("--counts", type=int, nargs="+", default=[2, 4, 8])
@@ -288,6 +296,19 @@ def _run_tree_figure(args: argparse.Namespace) -> None:
     table = globals().get(f"{args.figure}_table", figure_table)
     print(table(args.figure, results))
     _print_metrics(args, outcomes)
+
+
+def _run_paper(args: argparse.Namespace) -> int:
+    """Every case of the named figures over five seeds: tables, checks."""
+    from .experiments.figures import run_paper
+
+    outcomes: List[Any] = []
+    report, failed = run_paper(
+        args.names, duration=args.duration, warmup=args.warmup,
+        seed=args.seed, audited=args.audit, **_runtime_kwargs(args, outcomes))
+    print(report)
+    _print_metrics(args, outcomes)
+    return int(failed)
 
 
 def _run_sweep(args: argparse.Namespace) -> None:
@@ -426,6 +447,8 @@ _SUBCOMMANDS = {
     "fig5": ("density of (cwnd1, cwnd2)", _add_fig5_args, _run_fig5),
     **{name: (help_text, partial(_add_tree_args, name=name),
               _run_tree_figure) for name, help_text in _FIGURE_HELP.items()},
+    "paper": ("figures over 5 seeds: mean ± 95 %% CI, checks",
+              _add_paper_args, _run_paper),
     "sweep": ("fairness vs receiver count", _add_sweep_args, _run_sweep),
     "scenarios": ("generated workloads: topologies, mice, churn",
                   _add_scenarios_args, _run_scenarios),
@@ -439,7 +462,7 @@ _SUBCOMMANDS = {
 
 
 def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The full parser, or one that knows the options of ``only`` alone."""
+    """The full parser, or one with the options of ``only`` alone."""
     parser = argparse.ArgumentParser(
         prog="repro-rla",
         description="Reproduce figures from Wang & Schwartz, SIGCOMM 1998.",
@@ -456,8 +479,8 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # the subcommand is always the first word; anything else (-h, a typo)
-    # gets the full parser so help and error messages stay complete
-    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    # gets names and help lines alone: option adders import (choices=)
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else ""
     args = build_parser(only).parse_args(argv)
     try:
         return args.run(args) or 0

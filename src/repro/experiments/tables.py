@@ -4,7 +4,9 @@
 columns; RLA / WTCP / BTCP blocks as rows — with the paper's reference
 numbers interleaved when provided.  :func:`format_signals_table` renders
 the figure 8 layout (per-branch congestion-signal statistics), and
-:func:`format_sessions` the §5.2 per-session lines.
+:func:`format_sessions` the §5.2 per-session lines.  Each takes, per
+case, a list of results, one per seed; a cell over more than one seed
+reads ``mean±h``, ``h`` the half-width of its 95 % confidence interval.
 """
 
 from __future__ import annotations
@@ -14,13 +16,33 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 if TYPE_CHECKING:
     from .runner import TreeExperimentResult
 
+#: per case, one result per seed
+Runs = Dict[int, List["TreeExperimentResult"]]
+
+#: Two-sided 95 % quantile of Student's t at 4 degrees of freedom: the
+#: CI of a mean over ``repro.experiments.figures.SEEDS`` = 5 seeds.
+T95_4DF = 2.7764451051977987
+
 
 def _fmt(value, digits: int = 1) -> str:
+    if isinstance(value, list):  # one value per seed
+        if len(value) > 1:
+            from statistics import mean, stdev
+
+            half = T95_4DF * stdev(value) / len(value) ** 0.5
+            return f"{mean(value):.{digits}f}±{half:.{digits}f}"
+        value = value[0]
     if value is None:
         return "-"
     if isinstance(value, float):
         return f"{value:.{digits}f}"
     return str(value)
+
+
+def _framed(title: str, grid: str, paper: Optional[Dict[int, dict]]) -> str:
+    """``grid`` under ``title`` (if any) over its legend."""
+    note = "measured [paper]" if paper else "measured"
+    return f"{title}\n{grid}\n({note})" if title else f"{grid}\n({note})"
 
 
 def render_grid(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -36,34 +58,21 @@ def render_grid(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
+#: (label, result key, paper key, digits) of each row of a block
 _RLA_ROWS = (
-    ("thrput (pkt/s)", "throughput_pps", 1),
-    ("cwnd", "mean_cwnd", 1),
-    ("RTT (s)", "mean_rtt", 3),
-    ("# cong signals", "congestion_signals", 0),
-    ("# wnd cut", "window_cuts", 0),
-    ("# forced cut", "forced_cuts", 0),
+    ("thrput (pkt/s)", "throughput_pps", "thrput", 1),
+    ("cwnd", "mean_cwnd", "cwnd", 1),
+    ("RTT (s)", "mean_rtt", "rtt", 3),
+    ("# cong signals", "congestion_signals", "cong_signals", 0),
+    ("# wnd cut", "window_cuts", "wnd_cut", 0),
+    ("# forced cut", "forced_cuts", "forced_cut", 0),
 )
-
-_TCP_ROWS = (
-    ("thrput (pkt/s)", "throughput_pps", 1),
-    ("cwnd", "mean_cwnd", 1),
-    ("RTT (s)", "mean_rtt", 3),
-    ("# wnd cut", "window_cuts", 0),
-)
-
-_PAPER_KEYS = {
-    "throughput_pps": "thrput",
-    "mean_cwnd": "cwnd",
-    "mean_rtt": "rtt",
-    "congestion_signals": "cong_signals",
-    "window_cuts": "wnd_cut",
-    "forced_cuts": "forced_cut",
-}
+#: a TCP has no congestion-signal or forced-cut row
+_TCP_ROWS = _RLA_ROWS[:3] + _RLA_ROWS[4:5]
 
 
 def format_case_table(
-    results: Dict[int, TreeExperimentResult],
+    results: Runs,
     paper: Optional[Dict[int, dict]] = None,
     title: str = "",
 ) -> str:
@@ -77,36 +86,27 @@ def format_case_table(
     header = ["section", "metric"] + [f"case {c}" for c in cases]
     rows: List[List[str]] = []
 
-    def cell(case: int, block: str, key: str, digits: int) -> str:
-        result = results[case]
-        if block == "rla":
-            measured = result.rla[0][key]
-        elif block == "wtcp":
-            measured = result.wtcp.get(key)
-        else:
-            measured = result.btcp.get(key)
-        text = _fmt(measured, digits)
+    def cell(case: int, block: str, key: str, ref_key: str,
+             digits: int) -> str:
+        text = _fmt([(run.rla[0] if block == "rla" else getattr(run, block)
+                      ).get(key) for run in results[case]], digits)
         if paper and case in paper:
-            ref = paper[case][block].get(_PAPER_KEYS.get(key, key))
+            ref = paper[case][block].get(ref_key)
             if ref is not None:
                 text += f" [{_fmt(ref, digits)}]"
         return text
 
-    for label, key, digits in _RLA_ROWS:
-        rows.append(["RLA", label] + [cell(c, "rla", key, digits) for c in cases])
-    for label, key, digits in _TCP_ROWS:
-        rows.append(["WTCP", label] + [cell(c, "wtcp", key, digits) for c in cases])
-    for label, key, digits in _TCP_ROWS:
-        rows.append(["BTCP", label] + [cell(c, "btcp", key, digits) for c in cases])
+    for block, rows_of in (("rla", _RLA_ROWS), ("wtcp", _TCP_ROWS),
+                           ("btcp", _TCP_ROWS)):
+        rows += [[block.upper(), label] + [cell(c, block, *keys)
+                                           for c in cases]
+                 for label, *keys in rows_of]
 
-    grid = render_grid(header, rows)
-    note = "measured [paper]" if paper else "measured"
-    prefix = f"{title}\n" if title else ""
-    return f"{prefix}{grid}\n({note})"
+    return _framed(title, render_grid(header, rows), paper)
 
 
 def format_sessions(
-    results: Dict[int, TreeExperimentResult],
+    results: Runs,
     paper: Dict[int, dict],
     title: str = "",
 ) -> str:
@@ -115,10 +115,11 @@ def format_sessions(
     Two self-labelled lines per case, so ``title`` is not printed.
     """
     lines = []
-    for case in sorted(results):
+    for case, runs in sorted(results.items()):
         for metric in ("throughput_pps", "mean_cwnd"):
-            measured = tuple(round(r[metric], 1) for r in results[case].rla)
-            lines.append(f"{metric}: measured {measured}, "
+            measured = ", ".join(_fmt([run.rla[i][metric] for run in runs])
+                                 for i in range(len(runs[0].rla)))
+            lines.append(f"{metric}: measured ({measured}), "
                          f"paper {paper[case][metric]}")
     return "\n".join(lines)
 
@@ -132,7 +133,7 @@ def _tier_stats(values: Sequence[int]):
 
 
 def format_signals_table(
-    results: Dict[int, TreeExperimentResult],
+    results: Runs,
     paper: Optional[Dict[int, dict]] = None,
     title: str = "",
 ) -> str:
@@ -141,37 +142,26 @@ def format_signals_table(
     Per case and congestion tier: worst/best/average RLA branch signal
     counts and worst/best/average TCP window cuts.
     """
-    header = [
-        "case", "links",
-        "RLA worst", "RLA best", "RLA avg",
-        "TCP worst", "TCP best", "TCP avg",
-    ]
+    header = ["case", "links"] + [f"{who} {stat}" for who in ("RLA", "TCP")
+                                  for stat in ("worst", "best", "avg")]
     rows: List[List[str]] = []
-    for case in sorted(results):
-        result = results[case]
+    for case, runs in sorted(results.items()):
         tiers = [("more", "more congested"), ("less", "less congested")]
-        if not result.tiers.get("less"):
+        if not runs[0].tiers.get("less"):
             tiers = [("more", "all links")]
         for tier_key, tier_label in tiers:
-            rla_w, rla_b, rla_a = _tier_stats(result.rla_signals_by_tier(tier_key))
-            tcp_w, tcp_b, tcp_a = _tier_stats(result.tcp_cuts_by_tier(tier_key))
-            row = [
-                str(case), tier_label,
-                _fmt(rla_w, 0), _fmt(rla_b, 0), _fmt(rla_a, 0),
-                _fmt(tcp_w, 0), _fmt(tcp_b, 0), _fmt(tcp_a, 0),
-            ]
+            # RLA signals, then TCP cuts: worst, best and average, each
+            # a list over seeds
+            row = [str(case), tier_label] + [
+                _fmt(list(over_seeds), 0)
+                for of in ("rla_signals_by_tier", "tcp_cuts_by_tier")
+                for over_seeds in zip(*(_tier_stats(getattr(run, of)(tier_key))
+                                        for run in runs))]
             if paper and case in paper:
                 ref_tier = "all" if tier_label == "all links" else tier_key
                 ref = paper[case].get(ref_tier)
                 if ref:
-                    row[2] += f" [{ref['rla'][0]}]"
-                    row[3] += f" [{ref['rla'][1]}]"
-                    row[4] += f" [{ref['rla'][2]}]"
-                    row[5] += f" [{ref['tcp'][0]}]"
-                    row[6] += f" [{ref['tcp'][1]}]"
-                    row[7] += f" [{ref['tcp'][2]}]"
+                    for col, value in enumerate(ref["rla"] + ref["tcp"], 2):
+                        row[col] += f" [{value}]"
             rows.append(row)
-    grid = render_grid(header, rows)
-    note = "measured [paper]" if paper else "measured"
-    prefix = f"{title}\n" if title else ""
-    return f"{prefix}{grid}\n({note})"
+    return _framed(title, render_grid(header, rows), paper)

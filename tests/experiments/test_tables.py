@@ -44,7 +44,7 @@ def test_render_grid_aligns():
 
 
 def test_case_table_contains_sections():
-    table = format_case_table({5: _fake_result()})
+    table = format_case_table({5: [_fake_result()]})
     assert "RLA" in table and "WTCP" in table and "BTCP" in table
     assert "224.6" in table
     assert "case 5" in table
@@ -53,7 +53,7 @@ def test_case_table_contains_sections():
 def test_case_table_with_paper_refs():
     from repro.experiments.paperdata import FIG7_DROPTAIL
 
-    table = format_case_table({5: _fake_result()}, paper=FIG7_DROPTAIL)
+    table = format_case_table({5: [_fake_result()]}, paper=FIG7_DROPTAIL)
     assert "[224.6]" in table
     assert "measured [paper]" in table
 
@@ -66,7 +66,7 @@ def test_wtcp_is_minimum():
 
 
 def test_signals_table_tiers():
-    table = format_signals_table({5: _fake_result()})
+    table = format_signals_table({5: [_fake_result()]})
     assert "more congested" in table
     assert "less congested" in table
     assert "1082" in table
@@ -75,12 +75,12 @@ def test_signals_table_tiers():
 def test_signals_table_with_paper():
     from repro.experiments.paperdata import FIG8_SIGNALS
 
-    table = format_signals_table({5: _fake_result()}, paper=FIG8_SIGNALS)
+    table = format_signals_table({5: [_fake_result()]}, paper=FIG8_SIGNALS)
     assert "[1082]" in table
 
 
 def test_signals_table_single_tier():
     result = _fake_result(case_number=1)
     result.tiers = {"more": result.receivers, "less": []}
-    table = format_signals_table({1: result})
+    table = format_signals_table({1: [result]})
     assert "all links" in table

@@ -4,11 +4,12 @@ Scanned: README.md, EXPERIMENTS.md, DESIGN.md, ``docs/*.md``, the Makefile
 and the CI workflow.  Checked: paths under ``src/ tests/ benchmarks/ docs/
 examples/`` (globs must match something), root ``BENCH*.json`` records,
 ``make <target>`` mentions, and in the Markdown files every backticked
-dotted ``repro.x.y`` name, which must import as a module or resolve as an
-attribute of one.  Exempt: anything the root ``.gitignore`` covers
-(outputs the Makefile or a run produces) and ``git show <rev>:<path>``
-citations, which name history on purpose.  ``benchmarks/rlabench/`` holds
-its own docs and is not scanned.
+path containing ``/`` (root-relative, or under ``src/`` when it starts
+``repro/``) and every backticked dotted ``repro.x.y`` name, which must
+import as a module or resolve as an attribute of one.  Exempt: anything
+the root ``.gitignore`` covers (outputs the Makefile or a run produces)
+and ``git show <rev>:<path>`` citations, which name history on purpose.
+``benchmarks/rlabench/`` holds its own docs and is not scanned.
 """
 
 from __future__ import annotations
@@ -30,6 +31,10 @@ SCANNED = [ROOT / "README.md", ROOT / "EXPERIMENTS.md", ROOT / "DESIGN.md",
 #: a path, not preceded by ``rev:`` (a ``git show`` citation) or more path
 PATH = re.compile(r"(?<![\w.:-])((?:src|tests|benchmarks|docs|examples)/"
                   r"[\w./*-]*[\w*/]|(?<!/)BENCH\w*\.json)")
+#: a backticked path: ``/``-joined parts, none but the last holding a dot
+#: (a leading one aside, as in ``.bench-base/``), so dotted shorthand such
+#: as ``repro.sim/net`` is not one; ``repro/...`` is under ``src/``
+PATH_SPAN = re.compile(r"`((?:\.?[\w*-]+/)+[\w*.-]*)`")
 #: ``make x`` in code position: line start, after a backtick or after ": "
 MAKE = re.compile(r"(?:^\s*|`|: )make\s+([a-z][\w-]*)", re.MULTILINE)
 TARGET = re.compile(r"^([a-z][\w-]*):", re.MULTILINE)
@@ -66,11 +71,13 @@ def test_named_paths_and_make_targets_exist(source):
                 if line.strip() and not line.startswith("#")]
     targets = set(TARGET.findall(MAKEFILE.read_text(encoding="utf-8")))
     missing = []
-    for line, path in _mentions(PATH, source):
+    spans = _mentions(PATH_SPAN, source) if source.suffix == ".md" else ()
+    for line, path in sorted({*_mentions(PATH, source), *spans}):
         if _ignored(path, patterns):
             continue
-        found = (any(ROOT.glob(path.rstrip("/"))) if "*" in path
-                 else (ROOT / path).exists())
+        where = "src/" + path if path.startswith("repro/") else path
+        found = (any(ROOT.glob(where.rstrip("/"))) if "*" in where
+                 else (ROOT / where).exists())
         if not found:
             missing.append(f"{source.name}:{line}: no such path {path}")
     for line, target in _mentions(MAKE, source):

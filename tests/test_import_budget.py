@@ -26,14 +26,14 @@ HEAVY = {"networkx", "numpy", "importlib.metadata", "email"}
 #: What only building a world, or starting a pool, may load.
 SIMULATOR = ("repro.sim", "repro.net", "repro.tcp", "repro.rla",
              "repro.checkpoint", "concurrent.futures", "multiprocessing")
-#: What a fluid command and the scenario catalog never load: the packet
-#: world, the module that builds it for both backends (crossval), and
-#: the pool.
-#: The tree-figure chain: what only a figure subcommand, or the full
-#: parser (``-h``, an unknown subcommand), loads.
+#: The tree-figure chain: what only a figure subcommand, or ``paper``,
+#: loads.
 FIGURE_CHAIN = ("repro.experiments.figures", "repro.experiments.runner",
                 "repro.experiments.tables", "repro.experiments.paperdata",
                 "repro.topology.cases", "repro.topology.tree")
+#: What a fluid command and the scenario catalog never load: the packet
+#: world, the module that builds it for both backends (crossval), and
+#: the pool.
 PACKET_WORLD = ("repro.sim", "repro.tcp", "repro.rla", "repro.checkpoint",
                 "repro.net.network", "repro.net.link", "repro.net.node",
                 "repro.fluid.crossval", "repro.scenarios.runner",
@@ -98,6 +98,35 @@ def test_other_commands_load_no_figure_chain(argv):
     stdout, modules = _fresh(argv)
     assert stdout.strip()
     assert not _under(modules, FIGURE_CHAIN)
+
+
+_USAGE = """
+import contextlib, io, json, sys
+import repro.cli
+with contextlib.redirect_stdout(io.StringIO()), \\
+        contextlib.redirect_stderr(io.StringIO()):
+    try:
+        repro.cli.main(sys.argv[1:])
+    except SystemExit as exit_:
+        code = exit_.code
+json.dump({"code": code, "modules": sorted(sys.modules)}, sys.stdout)
+"""
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("nonesuch",)],
+                         ids=["help", "unknown-subcommand"])
+def test_program_help_and_usage_errors_load_no_option_module(argv):
+    """``repro-rla -h`` and an unknown first word print the subcommand
+    names and help lines alone: no option adder runs, so neither the
+    figure chain nor the modules ``choices=`` come from load."""
+    child = subprocess.run(
+        [sys.executable, "-c", _USAGE, *argv], capture_output=True,
+        text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report["code"] == (0 if argv == ("-h",) else 2)
+    assert _under(report["modules"], ("repro",)) == {
+        "repro", "repro.cli", "repro.errors"}
 
 
 def test_a_warm_sweep_replay_loads_no_figure_chain(tmp_path):
